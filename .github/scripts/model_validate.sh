@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI check: the analytical surrogate stays within its accuracy and
-# latency budgets on the mesh4x4 smoke grid (8 short simulations, both
-# surrogate and simulator sides run from scratch in well under the 90s
-# wrapper timeout).  `python -m repro.model validate` exits nonzero when
+# latency budgets on the mesh4x4 smoke grid (8 points x 4 seeds of short
+# simulations, both surrogate and simulator sides run from scratch in
+# ~25s, well under the 90s wrapper timeout).  `python -m repro.model validate` exits nonzero when
 # the median relative error on cpu_latency_avg exceeds 25% or a
 # prediction takes more than 50ms, so the budget gate is the exit code.
 set -euo pipefail

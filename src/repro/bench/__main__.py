@@ -6,7 +6,6 @@ Runs the fixed benchmark configurations and writes ``BENCH_noc.json``:
 
     {
       "bench": "noc-kernel",
-      "scheduler": "active-set",
       "configs": {
         "mesh8x8": {"cycles": 12000, "wall_time_s": 0.52,
                     "cycles_per_sec": 23076.9, "packets_delivered": 3800,
@@ -18,7 +17,6 @@ Flags:
     ``--cycles N``     override the per-config cycle counts with N
     ``--quick``        quarter-length run (CI smoke test budget)
     ``--configs a b``  run only the named configs
-    ``--reference``    use the full-scan reference stepping (for A/B runs)
     ``--backend B``    run the fabric configs on another engine
                        (``object`` | ``vector``; default per config)
     ``--jobs N``       worker processes for the sweep-throughput bench
@@ -73,8 +71,6 @@ def main(argv=None) -> int:
                              MODEL_BENCH, EXPLORE_BENCH]
                         ),
                         help="subset of configs to run")
-    parser.add_argument("--reference", action="store_true",
-                        help="use full-scan reference stepping")
     add_backend_option(parser, help="simulation engine for the fabric "
                                     "configs (default per config; the "
                                     "pseudo-configs always run object)")
@@ -161,8 +157,7 @@ def main(argv=None) -> int:
         # one subprocess per config so peak_rss_kb is per-config truth
         runner = run_bench if args.no_isolate else run_bench_isolated
         try:
-            res = runner(name, cycles=cycles, reference=args.reference,
-                         backend=args.backend)
+            res = runner(name, cycles=cycles, backend=args.backend)
         except BackendError as exc:
             return backend_error_exit(exc)
         results[name] = res.as_dict()
@@ -175,7 +170,6 @@ def main(argv=None) -> int:
 
     payload = {
         "bench": "noc-kernel",
-        "scheduler": "full-scan" if args.reference else "active-set",
         "configs": results,
     }
     with open(args.out, "w") as fh:

@@ -17,6 +17,8 @@ from repro.experiments.common import (
     ExperimentResult,
     cpu_corunners,
     default_benchmarks,
+    default_cycles,
+    default_warmup,
 )
 from repro.sim.simulator import build_system
 
@@ -60,6 +62,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 2 (one bar per GPU benchmark + the mean)."""
     benchmarks = list(benchmarks or default_benchmarks())
+    cycles = default_cycles() if cycles is None else cycles
+    warmup = default_warmup() if warmup is None else warmup
     rows: List[Tuple[str, dict]] = []
     for gpu in benchmarks:
         cpu = cpu_corunners(gpu, 1)[0]

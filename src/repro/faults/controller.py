@@ -241,18 +241,18 @@ class FaultController:
         if down:
             # raises PartitionedTopologyError when a destination becomes
             # unreachable — fail fast rather than silently losing traffic
-            self._detour[net.name] = degraded_route_table(
+            tbl = self._detour[net.name] = degraded_route_table(
                 net.topology, net._port_of, down
             )
+            # swap the detours in where the dimension-order tables were
+            kinds = {NetKind.REQUEST: tbl, NetKind.REPLY: tbl}
+            net._dor_tables = kinds
+            if not net.routing.adaptive:
+                net._det_tables = kinds
         else:
+            # healthy again: restore the configured dimension-order tables
             self._detour.pop(net.name, None)
-        if not net.full_scan:
-            if net.name in self._detour:
-                self.on_tables_rebuilt(net)
-            else:
-                # healthy again: restore the configured dimension-order
-                # tables (the rebuilt hook sees a clean mask and no-ops)
-                net._build_route_tables()
+            net._build_route_tables()
         self._wake_all(net)
 
     def _wake_all(self, net) -> None:
@@ -264,28 +264,13 @@ class FaultController:
 
     # -- hooks from the NoC hot path (gated on ``net.faults``) -----------
 
-    def on_tables_rebuilt(self, net) -> None:
-        """Re-apply the detour tables after ``_build_route_tables``.
-
-        Keeps degraded routing in force across table rebuilds (e.g.
-        ``set_reference_stepping(False)``); in full-scan mode tables stay
-        ``None`` and ``route_port`` serves detours directly.
-        """
-        tbl = self._detour.get(net.name)
-        if tbl is None or net.full_scan:
-            return
-        kinds = {NetKind.REQUEST: tbl, NetKind.REPLY: tbl}
-        net._dor_tables = kinds
-        if not net.routing.adaptive:
-            net._det_tables = kinds
-
     def route_port(self, net, rid: int, dst: int) -> int:
         """Healthy next-hop port while the link mask is dirty, else -1.
 
-        Backs ``PhysicalNetwork.route``/``dor_port`` when precomputed
-        tables are off (adaptive routing, full-scan mode).  Adaptivity is
-        deliberately suspended while links are down: minimal-path choice
-        sets cannot see the health mask, the BFS detour tables can.
+        Backs ``PhysicalNetwork.route`` under adaptive routing, which has
+        no precomputed table to swap.  Adaptivity is deliberately
+        suspended while links are down: minimal-path choice sets cannot
+        see the health mask, the BFS detour tables can.
         """
         tbl = self._detour.get(net.name)
         if tbl is None:

@@ -54,8 +54,9 @@ K_GPU_REUSE = 3.3
 CPU_MISS_SCALE = 0.95
 #: utilisation ceiling a wormhole link sustains before flow control
 #: rounds off the top; the simulator's memory reply injection links
-#: plateau at 0.80-0.84 across all saturated workloads.
-RHO_CAP = 0.82
+#: plateau at 0.85-0.89 across the saturated mesh8x8 baseline workloads
+#: (``SimulationResult.mem_reply_link_utilization``, DESIGN.md §6.1 order).
+RHO_CAP = 0.87
 #: fraction of shared-region read misses whose LLC core pointer is live
 #: enough to delegate; thinned by wavefront lag (remote misses).
 K_DELEG = 0.55
@@ -106,7 +107,7 @@ FIFO_PKTS_MAX = 24.0
 #: upstream (write-capped workloads run the reply link at the plateau
 #: while their read backlog stays shallow); the sharp power keeps the
 #: term negligible away from the knee.
-CRIT_OCC_FRAC = 0.7
+CRIT_OCC_FRAC = 0.5
 CRIT_OCC_POW = 8.0
 #: demand depth (rate_free / rate_cap) at which the hover term reaches
 #: full strength.  A point sitting *at* the knee (depth ~1) keeps its

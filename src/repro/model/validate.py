@@ -33,6 +33,13 @@ GRIDS = ("fig05", "fig11", "fig16", "mesh4x4")
 #: error budget pinned by CI (model_validate.sh) and the tier-1 tests.
 MEDIAN_ERROR_BUDGET = 0.25
 PREDICT_MS_BUDGET = 50.0
+#: extra seeds averaged into the simulator side of a grid.  mesh4x4 has
+#: four CPU cores, and one seed's 12k-cycle ``cpu_latency_avg`` at a
+#: saturated point spreads +-18% (baseline/HS: 386-568 over six seeds) —
+#: wider than the gap between neighbouring ranks, so a single draw
+#: measures seed luck rather than the surrogate.  The 64-node grids have
+#: 16 CPU cores and 30+ points and stay single-seed.
+REPLICA_SEEDS = {"mesh4x4": (1, 2, 3)}
 
 
 @dataclass
@@ -192,6 +199,15 @@ def grid_specs(
     raise ValueError(f"unknown grid {grid!r}; choose from {GRIDS}")
 
 
+def _reseeded(spec: JobSpec, seed: int) -> JobSpec:
+    cfg = spec.system_config()
+    cfg.seed = seed
+    return JobSpec.make(
+        cfg, spec.gpu, spec.cpu, cycles=spec.cycles, warmup=spec.warmup,
+        label=spec.label, backend=spec.backend,
+    )
+
+
 # --- statistics -----------------------------------------------------------
 
 
@@ -254,9 +270,14 @@ def validate(
     if progress:
         progress(f"{grid}: {len(specs)} points, simulating...")
 
+    # a point's ground truth is the mean over its seed replicas
+    replicas = [
+        [spec] + [_reseeded(spec, s) for s in REPLICA_SEEDS.get(grid, ())]
+        for spec in specs
+    ]
     runner = SweepRunner(cache=cache, jobs=jobs)
     try:
-        outcomes = runner.run(specs)
+        outcomes = runner.run([r for reps in replicas for r in reps])
     finally:
         runner.close()
 
@@ -264,16 +285,18 @@ def validate(
     sim_points = 0
     sims: List[float] = []
     preds: List[float] = []
-    for spec in specs:
-        key = spec.key()
-        out = outcomes.get(key)
-        if out is None or out.result is None:
+    for spec, reps in zip(specs, replicas):
+        outs = [outcomes.get(r.key()) for r in reps]
+        if any(o is None or o.result is None for o in outs):
             continue
-        wall = out.wall_time_s
-        if wall <= 0.0:  # cache hit: recover the recorded simulation time
-            entry = cache.get_entry(key)
-            if entry:
-                wall = float(entry.get("meta", {}).get("wall_time_s", 0.0))
+        wall = 0.0
+        for rep, out in zip(reps, outs):
+            w = out.wall_time_s
+            if w <= 0.0:  # cache hit: recover the recorded simulation time
+                entry = cache.get_entry(rep.key())
+                if entry:
+                    w = float(entry.get("meta", {}).get("wall_time_s", 0.0))
+            wall += w
         if wall > 0.0:
             sim_wall += wall
             sim_points += 1
@@ -283,7 +306,7 @@ def validate(
         dt_ms = (time.perf_counter() - t0) * 1e3
         report.predict_ms_per_point += dt_ms
 
-        truth = float(getattr(out.result, metric))
+        truth = sum(float(getattr(o.result, metric)) for o in outs) / len(outs)
         guess = float(getattr(pred, metric))
         if truth <= 0.0:
             continue

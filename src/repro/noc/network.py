@@ -11,7 +11,7 @@ them on the right physical network and VC range.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic, NodeInterface
@@ -19,19 +19,6 @@ from repro.noc.packet import NetKind, Packet
 from repro.noc.router import LOCAL_PORT, Router
 from repro.noc.routing import RoutingAlgorithm, build_routing
 from repro.noc.topology import BaseTopology
-
-
-class _EverySet(set):
-    """A set that contains everything.
-
-    Installed as ``net._active_ids`` under synchronous (oracle) stepping:
-    the hot-path membership guards in ``accept_flit``/``_move_flit`` then
-    short-circuit, so no wake/heap bookkeeping runs — the sync step
-    arbitrates every active router every pass anyway.
-    """
-
-    def __contains__(self, item) -> bool:  # noqa: D105
-        return True
 
 
 class PhysicalNetwork:
@@ -114,16 +101,6 @@ class PhysicalNetwork:
         #: min-heap of (cycle, rid) wake-ups for routers sleeping through
         #: a known pipeline dwell
         self._wakes: List[Tuple[int, int]] = []
-        #: working min-heap of rids during a step; activations behind the
-        #: cursor wait for the next cycle, exactly like the full scan
-        self._heap: List[int] = []
-        self._cursor = -1
-        #: True restores the naive scan-every-router reference stepping
-        #: (the equivalence tests compare both modes counter-for-counter)
-        self.full_scan = False
-        #: True while the fabric steps this net in synchronous (oracle)
-        #: mode; ``_active_ids`` is then an always-true membership set.
-        self.sync_stepping = False
         self._build_route_tables()
 
     # -- routing tables -------------------------------------------------
@@ -151,15 +128,11 @@ class PhysicalNetwork:
                         row[dst] = port_of[topo.route_next(rid, dst, order)]
                 tbl.append(row)
             per_order[order] = tbl
-        self._dor_tables: Optional[Dict[NetKind, List[List[int]]]] = {
+        self._dor_tables: Dict[NetKind, List[List[int]]] = {
             NetKind.REQUEST: per_order[cfg.request_order],
             NetKind.REPLY: per_order[cfg.reply_order],
         }
         self._det_tables = None if self.routing.adaptive else self._dor_tables
-        fa = getattr(self, "faults", None)
-        if fa is not None:
-            # keep degraded-mode detour tables in force across rebuilds
-            fa.on_tables_rebuilt(self)
 
     # -- hooks used by routers -----------------------------------------
 
@@ -182,18 +155,7 @@ class PhysicalNetwork:
         return self._port_of[router.rid][nxt]
 
     def dor_port(self, router: Router, pkt: Packet) -> int:
-        tables = self._dor_tables
-        if tables is not None:
-            return tables[pkt.net][router.rid][pkt.dst]
-        if pkt.dst == router.rid:
-            return LOCAL_PORT
-        fa = self.faults
-        if fa is not None:
-            port = fa.route_port(self, router.rid, pkt.dst)
-            if port >= 0:
-                return port
-        nxt = self.routing.dor_next(router.rid, pkt)
-        return self._port_of[router.rid][nxt]
+        return self._dor_tables[pkt.net][router.rid][pkt.dst]
 
     def downstream_free(self, cur: int, nxt: int) -> int:
         """Free buffer flits at ``nxt``'s input port fed by ``cur``."""
@@ -223,17 +185,9 @@ class PhysicalNetwork:
     # -- stepping and statistics ----------------------------------------
 
     def mark_router_active(self, rid: int) -> None:
-        """Schedule a router for arbitration (called on every flit arrival).
-
-        Activations during a step join the current cycle only when the
-        scheduler's cursor has not passed them yet — identical to what a
-        low-to-high full scan would have observed.
-        """
-        ids = self._active_ids
-        if rid not in ids:
-            ids.add(rid)
-            if rid > self._cursor >= 0:
-                heappush(self._heap, rid)
+        """Schedule a router for arbitration from the next pass on (called
+        on every wake event: flit arrival, credit drain, gate reopening)."""
+        self._active_ids.add(rid)
 
     def schedule_wake(self, at: int, rid: int) -> None:
         """Arm a timed wake for a sleeping router at cycle ``at``.
@@ -249,48 +203,32 @@ class PhysicalNetwork:
         heappush(self._wakes, (at, rid))
         router.wake_armed = at
 
-    def step(self, cycle: int) -> None:
+    def begin_cycle(self, cycle: int) -> None:
+        """Count the cycle and wake routers whose pipeline dwell ends."""
         self.cycles += 1
-        frozen = self.fault_frozen
-        if self.full_scan:
-            if frozen:
-                for router in self.routers:
-                    if router.active and router.rid not in frozen:
-                        router.step(cycle)
-            else:
-                for router in self.routers:
-                    if router.active:
-                        router.step(cycle)
-            return
-        ids = self._active_ids
         wakes = self._wakes
-        routers = self.routers
         while wakes and wakes[0][0] <= cycle:
             rid = heappop(wakes)[1]
-            ids.add(rid)
-            routers[rid].wake_armed = -1
+            self._active_ids.add(rid)
+            self.routers[rid].wake_armed = -1
+
+    def decide(self, cycle: int, moves: List) -> None:
+        """One arbitration pass over the awake routers, in router-id order
+        (which is the order ``moves`` are later committed in).
+
+        A router whose pass found every head worm waiting on a future
+        event leaves the active set until that event's wake: a flit
+        arrival, a credit drain, a reopened ejection gate, or the
+        earliest pipeline-ready cycle.
+        """
+        ids = self._active_ids
         if not ids:
             return
-        # scan a sorted snapshot by index; routers woken mid-cycle land on
-        # the (usually empty) ``late`` min-heap and are merged in rid order,
-        # so the visit order is exactly the full scan's low-to-high order
-        if len(ids) == len(routers):
-            order = range(len(routers))  # saturated: all rids, already sorted
-        else:
-            order = sorted(ids)
-        late = self._heap
-        bw1 = self.bandwidth == 1
-        i = 0
-        n = len(order)
-        while True:
-            if late and (i >= n or late[0] < order[i]):
-                rid = heappop(late)
-            elif i < n:
-                rid = order[i]
-                i += 1
-            else:
-                break
-            self._cursor = rid
+        routers = self.routers
+        frozen = self.fault_frozen
+        # saturated: all rids, already sorted
+        order = range(len(routers)) if len(ids) == len(routers) else sorted(ids)
+        for rid in order:
             if frozen and rid in frozen:
                 # frozen router: buffers hold their flits, nothing
                 # arbitrates; stays in the active set for the thaw
@@ -299,24 +237,11 @@ class PhysicalNetwork:
             if not router.active:
                 ids.discard(rid)
                 continue
-            # single-bandwidth links skip the bandwidth-loop wrapper and
-            # arbitrate directly (same semantics as router.step)
-            moved = (
-                router._arbitrate_once(cycle, self) if bw1 else router.step(cycle)
-            )
-            if not router.active:
+            router.decide(cycle, self, moves)
+            if not router.rescan:
                 ids.discard(rid)
-            elif not moved and not router.rescan:
-                # every head worm waits on a future event: sleep until the
-                # earliest pipeline-ready cycle, or until a flit arrives
-                ids.discard(rid)
-                wa = router.wake_at
-                if wa >= 0:
-                    armed = router.wake_armed
-                    if armed < 0 or wa < armed:
-                        heappush(wakes, (wa, rid))
-                        router.wake_armed = wa
-        self._cursor = -1
+                if router.wake_at >= 0:
+                    self.schedule_wake(router.wake_at, rid)
 
     def link_utilization(self, rid: int, oport: int) -> float:
         """Fraction of cycles the directed link out of ``(rid, oport)``
@@ -416,11 +341,6 @@ class NocFabric:
         #: because their per-cycle blocked/observed accounting and the
         #: delegation trigger must run every cycle.
         self._active_nics: set = set(mem_set)
-        #: True restores the naive inject-every-NIC reference stepping.
-        self.full_scan = False
-        #: True switches to synchronous two-phase stepping (the vector
-        #: backend's oracle mode; see :meth:`set_sync_stepping`).
-        self.sync_stepping = False
         #: attached telemetry collector (None = disabled).
         self.telemetry = None
         #: attached fault controller (None = no fault plan installed).
@@ -479,112 +399,31 @@ class NocFabric:
             if node not in net._active_ids and net.routers[node].active:
                 net.mark_router_active(node)
 
-    def set_reference_stepping(self, on: bool = True) -> None:
-        """Toggle the naive full-scan reference implementation.
+    def step(self, cycle: int) -> None:
+        """Advance the fabric one cycle (DESIGN.md, "Per-cycle NoC
+        contract"): up to ``bandwidth`` decide-then-commit passes over the
+        routers, then NIC injection in node order.
 
-        The optimised scheduler (active router/NIC sets, wake heap, routing
-        tables) must be behaviour-preserving; equivalence tests run the
-        same seeded workload in both modes and assert every counter in
-        ``collect_counters`` is bit-identical.
+        Within a pass every awake router of every network arbitrates
+        against the start-of-pass state and only then are the chosen moves
+        applied, in (network, router id, winner key) order — so a flit
+        advances at most one hop per pass and a credit freed in one pass
+        is first spendable in the next, whatever the router numbering.
         """
-        self.full_scan = on
-        for net in self._net_list:
-            net.full_scan = on
-            if on:
-                net._det_tables = None
-                net._dor_tables = None
-            else:
-                net._build_route_tables()
-
-    def set_sync_stepping(self, on: bool = True) -> None:
-        """Toggle synchronous two-phase (decide-then-commit) stepping.
-
-        This is the oracle mode the vector backend is validated against
-        (DESIGN.md §12).  Each bandwidth pass first collects every
-        router's switch-allocation decisions against the frozen
-        start-of-pass state (:meth:`Router.collect_sync`), then applies
-        all moves in (network, router id, winner key) order; NICs then
-        inject in ascending node order.  Sequential same-cycle ripple —
-        a flit moved by router 3 being moved again by router 5, credits
-        freed earlier in the scan being visible later in it — is thereby
-        removed: that ripple is scan-order-dependent, which is exactly
-        the latent ordering assumption a batch array kernel cannot
-        reproduce.  The default stepping is untouched; this mode exists
-        for the bit-identity tests pinning vector against object.
-        """
-        if on and self.routing.adaptive:
-            raise ValueError(
-                "synchronous (oracle) stepping does not support adaptive "
-                "routing; use the default stepping"
-            )
-        if on and self.telemetry is not None:
-            raise ValueError(
-                "synchronous (oracle) stepping does not support telemetry; "
-                "detach the collector first"
-            )
-        self.sync_stepping = on
-        for net in self._net_list:
-            net.sync_stepping = on
-            if on:
-                # every router is visited every pass: neutralise the
-                # active-set wake bookkeeping on the accept/move paths
-                net._active_ids = _EverySet()
-                net._wakes.clear()
-                for router in net.routers:
-                    router.wake_armed = -1
-            else:
-                net._active_ids = {
-                    r.rid for r in net.routers if r.active
-                }
-
-    def _step_sync(self, cycle: int) -> None:
-        """One synchronous two-phase fabric cycle (oracle mode)."""
-        for net in self._net_list:
-            net.cycles += 1
+        nets = self._net_list
+        for net in nets:
+            net.begin_cycle(cycle)
         moves: List = []
         for _ in range(self.bandwidth):
-            del moves[:]
-            for net in self._net_list:
-                frozen = net.fault_frozen
-                routers = net.routers
-                if frozen:
-                    for router in routers:
-                        if router.active and router.rid not in frozen:
-                            router.collect_sync(cycle, net, moves)
-                else:
-                    for router in routers:
-                        if router.active:
-                            router.collect_sync(cycle, net, moves)
+            for net in nets:
+                net.decide(cycle, moves)
             if not moves:
                 break
             for router, iport, ivc, oport, q in moves:
                 router._move_flit(iport, ivc, oport, cycle, q)
-        for nic in self.nics:
-            nic.inject_step(cycle)
-
-    def step(self, cycle: int) -> None:
-        """Advance the fabric one cycle: route flits, then inject."""
-        if self.sync_stepping:
-            self._step_sync(cycle)
-            return
-        for net in self._net_list:
-            net.step(cycle)
-        if self.full_scan:
-            for nic in self.nics:
-                nic.inject_step(cycle)
-            return
+            del moves[:]
         active = self._active_nics
-        if not active:
-            return
         nics = self.nics
-        if len(active) == 1:
-            # common light-load case: skip the sorted snapshot
-            node = next(iter(active))
-            nic = nics[node]
-            nic.inject_step(cycle)
-            if nic.idle():
-                active.discard(node)
-            return
         for node in sorted(active):
             nic = nics[node]
             nic.inject_step(cycle)

@@ -81,6 +81,10 @@ class NodeInterface:
 
     # -- endpoint-facing API -------------------------------------------
 
+    def queued(self, net: NetKind) -> int:
+        """Packets waiting in ``net``'s injection queue (not yet started)."""
+        return len(self.queues[net])
+
     def can_enqueue(self, net: NetKind) -> bool:
         return len(self.queues[net]) < self.queue_packets
 

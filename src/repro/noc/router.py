@@ -101,8 +101,8 @@ class Router:
         #: flits of the head worm already forwarded from this router.
         self.sent = [[0] * vcs for _ in range(nports)]
         #: input VCs that currently hold any worm state, mapped to their
-        #: buffer deque; kept exact so the network can skip idle routers
-        #: entirely (and the arbiter can skip the buffer indexing).
+        #: (never empty) buffer deque; kept exact so the network can skip
+        #: idle routers entirely (and the arbiter the buffer indexing).
         self.active: Dict[Tuple[int, int], deque] = {}
         #: output port -> (downstream router, downstream input port);
         #: filled in by the network during wiring.  Entry for LOCAL_PORT is
@@ -114,12 +114,12 @@ class Router:
         self.upstream: List[Optional["Router"]] = [None] * nports
         #: total flits moved through this router (energy model input).
         self.flits_routed = 0
-        #: stall classification of the last arbitration pass, read by the
-        #: network's active-set scheduler.  ``rescan`` means some head worm
-        #: waits on a condition this router cannot observe changing
-        #: (downstream credit, ejection gate, adaptive re-route), so the
-        #: router must be re-arbitrated every cycle.  ``wake_at`` is the
-        #: earliest pipeline-ready cycle among dwelling headers (-1: none).
+        #: outcome of the last :meth:`decide` pass, read by the network's
+        #: active-set scheduler.  ``rescan`` means the pass produced a move
+        #: or some head worm waits on a condition no wake event reports
+        #: (route failure, dead link, adaptive re-route), so the router
+        #: must be re-arbitrated next pass.  ``wake_at`` is the earliest
+        #: pipeline-ready cycle among dwelling headers (-1: none).
         self.rescan = True
         self.wake_at = -1
         #: earliest timed wake currently sitting in the network's wake heap
@@ -158,9 +158,9 @@ class Router:
             self.active[(port, vc)] = q
             # telemetry: head arrival (once per worm, at its destination
             # router only) and the pipeline-dwell stall record.  The dwell
-            # record opens *here*, not in arbitration: an event-driven run
-            # sleeps through the dwell on a timed wake and would otherwise
-            # never observe it, while a full scan re-observes it every
+            # record opens *here*, not in arbitration: the router sleeps
+            # through the dwell on a timed wake and would otherwise never
+            # observe it, while a router kept awake re-observes it every
             # cycle as a no-op — opening at arrival keeps both charges equal.
             # The worm is first visible to per-cycle accounting at cycle+1.
             tel = self.net.telemetry
@@ -204,34 +204,26 @@ class Router:
     # per-cycle switch traversal
     # ------------------------------------------------------------------
 
-    def step(self, cycle: int) -> bool:
-        """Arbitrate each output port and move up to ``bw`` flits per port.
+    def decide(self, cycle: int, net: "PhysicalNetwork", moves: List) -> None:
+        """One switch-allocation pass: the *decide* half of the per-cycle
+        contract (DESIGN.md, "Per-cycle NoC contract").
 
-        Returns True when any flit moved this cycle (the network scheduler
-        keeps the router active in that case).
-        """
-        if not self.active:
-            return False
-        net = self.net
-        bw = net.bandwidth
-        if bw == 1:
-            return self._arbitrate_once(cycle, net)
-        moved_any = False
-        for _ in range(bw):
-            if not self._arbitrate_once(cycle, net):
-                break
-            moved_any = True
-        return moved_any
+        Admits candidates and picks winners against the state left by the
+        previous pass, and *appends* ``(router, iport, ivc, oport, queue)``
+        to ``moves`` instead of moving anything: the fabric applies every
+        router's moves afterwards (:meth:`_move_flit`), so all routers
+        arbitrate against the same start-of-pass state and no flit or
+        credit ripples through several routers within one pass.  VC
+        allocations (``out_vc``) are made here and persist even when the
+        worm then loses switch allocation.
 
-    def _arbitrate_once(self, cycle: int, net: "PhysicalNetwork") -> bool:
-        """One switch-allocation pass; returns True if any flit moved.
-
-        When nothing moves, ``self.rescan``/``self.wake_at`` classify the
-        stalls so the network can skip this router until something can
-        change: worms dwelling in the router pipeline wake at a known
-        cycle, worms waiting for upstream flits wake on ``accept_flit``,
-        and everything else (credit stalls, ejection gates, adaptive
-        re-routes) forces a rescan every cycle.
+        ``self.rescan``/``self.wake_at`` classify the outcome so the
+        network can skip this router until something can change: worms
+        dwelling in the router pipeline wake at a known cycle; worms
+        waiting for upstream flits, downstream credit or an ejection gate
+        wake on ``accept_flit``, the drain-wake in ``_move_flit`` or
+        ``notify_eject_ready``; route failures, dead links and adaptive
+        re-routes — and any pass that produced a move — force a rescan.
         """
         # output port -> (priority key, iport, ivc); built lazily — the
         # overwhelmingly common case is zero or one candidate.
@@ -245,18 +237,10 @@ class Router:
         downstream = self.downstream
         rescan = False
         wake_at = -1
-        dead = None
         tel = net.stall_tel
         fa = net.faults
         cands = None if tel is None else []
-        for key_iv, q in self.active.items():
-            if not q:
-                if dead is None:
-                    dead = [key_iv]
-                else:
-                    dead.append(key_iv)
-                continue
-            iport, ivc = key_iv
+        for (iport, ivc), q in self.active.items():
             head = q[0]
             if head[_AVAIL] == 0:
                 if tel is not None:
@@ -345,59 +329,19 @@ class Router:
             cur = winners.get(oport)
             if cur is None or key < cur[0]:
                 winners[oport] = (key, iport, ivc, q)
-        if dead is not None:
-            active_pop = self.active.pop
-            for key_iv in dead:
-                active_pop(key_iv, None)
+        if ncand == 0:
+            self.rescan = rescan
+            self.wake_at = wake_at
+            return
+        self.rescan = True
         if winners is None:
-            if ncand == 0:
-                self.rescan = rescan
-                self.wake_at = wake_at
-                return False
-            # single candidate: it wins its output port unopposed.  This is
-            # the dominant exit, so _move_flit is inlined here verbatim to
-            # reuse the locals already bound above (keep both in sync).
-            if tel is not None:
-                tel.on_advance(self, win_iport, win_ivc, cycle)
-            q = win_q
-            head = q[0]
-            pkt = head[_PKT]
-            head[_AVAIL] -= 1
-            self.occ[win_iport][win_ivc] -= 1
-            sent_row = sent[win_iport]
-            nsent = sent_row[win_ivc] + 1
-            sent_row[win_ivc] = nsent
-            self.flits_routed += 1
-            up = self.upstream[win_iport]
-            if up is not None and up.active and up.rid not in net._active_ids:
-                net.mark_router_active(up.rid)
-            is_tail = nsent == pkt.size_flits
-            if win_oport == LOCAL_PORT:
-                if is_tail:
-                    net.eject_flit(self.rid, pkt, is_tail, cycle)
-            else:
-                down, dport = downstream[win_oport]
-                down.accept_flit(
-                    dport, out_vc[win_iport][win_ivc], pkt, is_tail, cycle
-                )
-                net.link_flits[self.rid][win_oport] += 1
-                if fa is not None and nsent == 1:
-                    fa.on_link_head(net, self.rid, win_oport, pkt)
-            if is_tail:
-                pkt.hops += 1
-                q.popleft()
-                route_out[win_iport][win_ivc] = -1
-                out_vc[win_iport][win_ivc] = -1
-                sent_row[win_ivc] = 0
-                if not q:
-                    self.active.pop((win_iport, win_ivc), None)
-            self.rescan = True
-            return True
+            # single candidate (the dominant exit): wins unopposed
+            moves.append((self, win_iport, win_ivc, win_oport, win_q))
+            return
         # the crossbar transfers at most one flit per input port and one
         # per output port per cycle (Section II's switch constraints);
         # winners is per-output already, now enforce per-input uniqueness
         taken_inputs = set()
-        moved = False
         moved_vcs = None if tel is None else set()
         for oport, (key, iport, ivc, q) in sorted(
             winners.items(), key=lambda kv: kv[1][0]
@@ -405,8 +349,7 @@ class Router:
             if iport in taken_inputs:
                 continue
             taken_inputs.add(iport)
-            self._move_flit(iport, ivc, oport, cycle, q)
-            moved = True
+            moves.append((self, iport, ivc, oport, q))
             if moved_vcs is not None:
                 moved_vcs.add((iport, ivc))
         if tel is not None:
@@ -416,102 +359,6 @@ class Router:
             for iport, ivc, pkt in cands:
                 if (iport, ivc) not in moved_vcs:
                     tel.on_stall(self, iport, ivc, pkt, _ST_SWITCH, cycle)
-        self.rescan = True
-        return moved
-
-    def collect_sync(self, cycle: int, net, moves: List) -> None:
-        """Phase A of the synchronous two-phase oracle (DESIGN.md §12).
-
-        Runs the exact candidate admission and winner selection of
-        :meth:`_arbitrate_once`, but *appends* the chosen moves to
-        ``moves`` instead of applying them, so every router in the fabric
-        arbitrates against the same start-of-pass state.  The fabric then
-        applies all collected moves in one batch (phase B) — the same
-        decide-then-commit split the vector backend's array kernel uses,
-        which is what makes the two bit-comparable.
-
-        VC allocations (``out_vc``) made here are phase-A decisions and
-        persist even when the worm loses switch allocation, exactly like
-        the sequential arbiter.  Telemetry hooks are deliberately absent:
-        sync stepping refuses to run traced
-        (:meth:`~repro.noc.network.NocFabric.set_sync_stepping`).
-        """
-        winners: Optional[Dict[int, Tuple[int, int, int, deque]]] = None
-        win_key = win_iport = win_ivc = win_oport = -1
-        win_q: Optional[deque] = None
-        ncand = 0
-        route_out = self.route_out
-        out_vc = self.out_vc
-        sent = self.sent
-        downstream = self.downstream
-        dead = None
-        fa = net.faults
-        for key_iv, q in self.active.items():
-            if not q:
-                if dead is None:
-                    dead = [key_iv]
-                else:
-                    dead.append(key_iv)
-                continue
-            iport, ivc = key_iv
-            head = q[0]
-            if head[_AVAIL] == 0:
-                continue  # waiting for upstream flits
-            if cycle < head[_READY]:
-                continue  # router-pipeline dwell
-            pkt: Packet = head[_PKT]
-            oport = route_out[iport][ivc]
-            if oport < 0:
-                oport = net.route(self, pkt)
-                if oport < 0:
-                    continue  # no admissible output this cycle
-                route_out[iport][ivc] = oport
-            if oport == LOCAL_PORT:
-                if sent[iport][ivc] == 0 and not net.nics[self.rid].can_eject(pkt):
-                    continue  # ejection gate closed (phase-A snapshot)
-            else:
-                if fa is not None and (self.rid, oport) in net.fault_down:
-                    if out_vc[iport][ivc] < 0:
-                        route_out[iport][ivc] = -1
-                    continue
-                ovc = out_vc[iport][ivc]
-                down, dport = downstream[oport]
-                if ovc >= 0:
-                    if down.occ[dport][ovc] >= down.vc_cap:
-                        continue  # credit stall
-                    owner = down.owner[dport][ovc]
-                    if owner is not None and owner is not pkt:
-                        continue  # lock held by another worm
-                elif not self._allocate_vc(iport, ivc, oport, pkt, down, dport):
-                    continue  # VC-allocation stall
-            ncand += 1
-            if winners is None:
-                if ncand == 1:
-                    win_key = (pkt.cls << 48) | pkt.pid
-                    win_iport, win_ivc, win_oport = iport, ivc, oport
-                    win_q = q
-                    continue
-                winners = {win_oport: (win_key, win_iport, win_ivc, win_q)}
-            key = (pkt.cls << 48) | pkt.pid
-            cur = winners.get(oport)
-            if cur is None or key < cur[0]:
-                winners[oport] = (key, iport, ivc, q)
-        if dead is not None:
-            active_pop = self.active.pop
-            for key_iv in dead:
-                active_pop(key_iv, None)
-        if winners is None:
-            if ncand:
-                moves.append((self, win_iport, win_ivc, win_oport, win_q))
-            return
-        taken_inputs = set()
-        for _oport, (key, iport, ivc, q) in sorted(
-            winners.items(), key=lambda kv: kv[1][0]
-        ):
-            if iport in taken_inputs:
-                continue
-            taken_inputs.add(iport)
-            moves.append((self, iport, ivc, _oport, q))
 
     def _allocate_vc(
         self, iport: int, ivc: int, oport: int, pkt: Packet, down, dport
@@ -530,6 +377,7 @@ class Router:
     def _move_flit(
         self, iport: int, ivc: int, oport: int, cycle: int, q: deque
     ) -> None:
+        """Apply one move chosen by :meth:`decide` (the only commit path)."""
         net = self.net
         tel = net.stall_tel
         if tel is not None:

@@ -4,19 +4,23 @@
 implementation of the NoC fabric's per-cycle kernel:
 
 ``object``
-    The per-object reference kernel (:class:`repro.noc.network.NocFabric`):
-    Python routers/NICs stepped by the active-set scheduler.  Supports
+    The per-object kernel (:class:`repro.noc.network.NocFabric`): Python
+    routers/NICs stepped by the active-set scheduler.  Supports
     everything (telemetry, adaptive routing, every fault plan) and is the
-    oracle the fast path is validated against.
+    readable oracle the fast path is validated against.
 
 ``vector``
     The struct-of-arrays batch kernel
     (:class:`repro.sim.vector.fabric.VectorFabric`): flit/VC/credit/link
     state in preallocated numpy arrays, the whole network advanced in
     batch per-cycle array ops.  ~10x the object kernel on saturated
-    meshes; validated bit-identical to the object kernel's synchronous
-    oracle mode (see DESIGN.md §12).  Unsupported features fail fast with
-    a one-line :class:`BackendError` instead of silently diverging.
+    meshes; validated counter-identical to the object kernel (both
+    implement the per-cycle contract of DESIGN.md §6.1).  Unsupported
+    features fail fast with a one-line :class:`BackendError` instead of
+    silently diverging.
+
+The two return the same numbers, so choosing a backend is a speed
+choice, never a modelling one.
 
 The registry is deliberately tiny: a name → (build, check) table plus the
 three helpers the rest of the tree uses.  ``resolve_backend(None)`` honours
@@ -54,7 +58,7 @@ def _build_object(topology, noc_cfg, mem_nodes):
 
 
 def _check_object(telemetry_enabled: bool, faults) -> None:
-    return None  # the reference kernel supports everything
+    return None  # the object kernel supports everything
 
 
 def _build_vector(topology, noc_cfg, mem_nodes):

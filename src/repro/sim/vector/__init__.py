@@ -3,10 +3,10 @@
 The vector backend keeps all flit, VC, credit, link and reply-buffer
 state in preallocated numpy integer arrays and advances the whole NoC in
 batch per-cycle array operations, replacing per-object ``step()``
-dispatch on the router/NIC hot path.  It implements the synchronous
-two-phase (decide-then-commit) semantics of the object kernel's oracle
-mode (``NocFabric.set_sync_stepping``) and is pinned bit-identical to it
-by ``tests/test_vector_kernel.py``.  See DESIGN.md §12 for the memory
+dispatch on the router/NIC hot path.  It implements the same per-cycle
+NoC contract as the object kernel (decide-then-commit passes, then NIC
+injection; DESIGN.md §6.1) and is pinned counter-identical to it by
+``tests/test_vector_kernel.py``.  See DESIGN.md §12 for the memory
 layout and the batch step order.
 """
 

@@ -157,7 +157,6 @@ class VectorNet:
         self.faults = None
         self.fault_down: frozenset = frozenset()
         self.fault_frozen: frozenset = frozenset()
-        self.full_scan = False
         self._port_of = kernel.port_of
         self.packets_delivered = 0
         self.flits_delivered = 0
@@ -251,6 +250,9 @@ class VectorNic:
         self.flits_received = _ClsCounter(kernel.flits_rx_arr, node_id)
 
     # -- endpoint-facing API -------------------------------------------
+
+    def queued(self, net: NetKind) -> int:
+        return len(self._queues[int(net)])
 
     def can_enqueue(self, net: NetKind) -> bool:
         return len(self._queues[int(net)]) < self.queue_packets
@@ -405,7 +407,6 @@ class VectorFabric:
             for kind in (0, 1):
                 net_i = kernel.net_of_kind[kind]
                 self._rviews[(kind, node)] = _RouterView(kernel, net_i, node)
-        self.full_scan = False
         self.telemetry = None
         self.faults = None
 

@@ -36,7 +36,9 @@ from repro.config.system import SystemConfig
 #: sweep-v5: specs carry the simulation backend (repro.sim.engines) and
 #: the object kernel's NIC drains in-flight worms in deterministic
 #: packet-key order, shifting delivered-counter timings slightly.
-CODE_VERSION = "sweep-v5"
+#: sweep-v6: the object kernel steps in the decide-then-commit order
+#: (DESIGN.md §6.1); object-backend results equal the vector backend's.
+CODE_VERSION = "sweep-v6"
 
 
 def code_salt() -> str:
@@ -65,9 +67,8 @@ class JobSpec:
     #: a clean run of the same config are different results.
     faults: Optional[str] = None
     #: simulation engine (see :mod:`repro.sim.engines`).  Part of the
-    #: cache key: backends are pinned bit-identical against the object
-    #: kernel's synchronous oracle, but the default object scheduler is
-    #: asynchronous, so per-backend results may legitimately differ.
+    #: cache key although the backends are pinned counter-identical, so
+    #: a divergence in one kernel cannot hide behind the other's cache.
     backend: str = "object"
 
     @classmethod

@@ -167,7 +167,7 @@ def classify_head(router, port: int, vc: int, cycle: int) -> Tuple[Optional[str]
     """Why can the head worm of input VC ``(port, vc)`` not advance?
 
     Read-only re-derivation of the arbitration checks in
-    :meth:`repro.noc.router.Router._arbitrate_once`.  Returns ``(stall
+    :meth:`repro.noc.router.Router.decide`.  Returns ``(stall
     class name, next hop)``; class ``None`` means the worm is movable
     this cycle (at worst it loses switch allocation).  The next hop is
     set for ``credit``/``vc_alloc`` stalls — the downstream VC whose head

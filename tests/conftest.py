@@ -8,30 +8,58 @@ from repro.config import (
     SystemConfig,
     baseline_config,
     delegated_replies_config,
+    realistic_probing_config,
 )
 
 
-def small_config(**overrides) -> SystemConfig:
-    """A 4x4-mesh system that simulates quickly.
+def _small(make_config, overrides) -> SystemConfig:
+    """``make_config()`` shrunk to a 4x4 mesh that simulates quickly.
 
     Baseline column-major layout: 4 CPU nodes (west column), 2 memory
     nodes, 10 GPU nodes.
     """
-    cfg = baseline_config(
+    cfg = make_config(
         mesh_width=4, mesh_height=4, n_cpu=4, n_mem=2, n_gpu=10
     )
     for name, value in overrides.items():
         setattr(cfg, name, value)
     return cfg
+
+
+def small_config(**overrides) -> SystemConfig:
+    return _small(baseline_config, overrides)
 
 
 def small_dr_config(**overrides) -> SystemConfig:
-    cfg = delegated_replies_config(
-        mesh_width=4, mesh_height=4, n_cpu=4, n_mem=2, n_gpu=10
-    )
-    for name, value in overrides.items():
-        setattr(cfg, name, value)
-    return cfg
+    return _small(delegated_replies_config, overrides)
+
+
+def small_rp_config(**overrides) -> SystemConfig:
+    return _small(realistic_probing_config, overrides)
+
+
+def all_awake(fabric):
+    """The scheduling reference: no router or NIC of ``fabric`` ever sleeps.
+
+    The object kernel has one stepping order; what it skips is routers
+    and NICs with nothing to do (active sets, wake heap).  Marking every
+    router and NIC active before every cycle, through the public wake
+    API, turns that skipping off — so a run under ``all_awake`` is what a
+    sleeping run must equal counter for counter.
+    """
+    step = fabric.step
+    nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
+
+    def awake_step(cycle: int) -> None:
+        for net in nets.values():
+            for rid in range(len(net.routers)):
+                net.mark_router_active(rid)
+        for node in range(len(fabric.nics)):
+            fabric.mark_nic_active(node)
+        step(cycle)
+
+    fabric.step = awake_step
+    return fabric
 
 
 @pytest.fixture

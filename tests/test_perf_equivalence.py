@@ -1,11 +1,14 @@
-"""Equivalence harness: the optimised kernel must be behaviour-preserving.
+"""Equivalence harness: the scheduler must be behaviour-preserving.
 
-The active-set scheduler, the precomputed routing tables and every hot-path
-micro-optimisation are pure performance work: running the same seeded
-workload under the optimised stepping and under the naive full-scan
-reference stepping (``fabric.set_reference_stepping(True)``) must produce
-**bit-identical** counters.  These tests fail on the first counter that
-drifts, which pins down perf regressions that silently change behaviour.
+The object kernel has one stepping order (DESIGN.md, "Per-cycle NoC
+contract"); the active router/NIC sets and the wake heap only decide
+which routers and NICs are *visited*.  Running the same seeded workload
+with sleeping on (the default) and with every router and NIC kept awake
+(``conftest.all_awake``) must produce **bit-identical** counters.  These
+tests fail on the first counter that drifts, which pins down a missed
+wake event — including under telemetry, adaptive routing, multi-pass
+(2x bandwidth) cycles and link-down/router-freeze plans, none of which
+the vector backend can cross-check.
 
 The second half asserts flit/packet conservation through the NoC under
 heavy delegation pressure: nothing the delegation path converts, rejects
@@ -17,14 +20,15 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import BENCH_CONFIGS
-from repro.config.system import DelegationConfig, NocConfig
+from repro.config.system import DelegationConfig, NocConfig, RoutingPolicy
 from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
+from repro.faults.plan import FaultPlan, LinkDown, LinkUp, RouterFreeze
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system
 
-from conftest import small_config, small_dr_config
+from conftest import all_awake, small_config, small_dr_config
 
 
 def _fabric_counters(fabric: NocFabric) -> dict:
@@ -57,36 +61,83 @@ def _run_synthetic(config_name: str, cycles: int, reference: bool) -> dict:
     builder, _default = BENCH_CONFIGS[config_name]
     drive, fabric = builder()
     if reference:
-        fabric.set_reference_stepping(True)
+        all_awake(fabric)
     for c in range(cycles):
         drive(c)
     return _fabric_counters(fabric)
 
 
+def _assert_no_drift(ref: dict, opt: dict) -> None:
+    diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
+    assert not diffs, f"counters drifted when routers/NICs sleep: {diffs}"
+
+
 @pytest.mark.parametrize("config_name", ["mesh8x8", "mesh8x8_dr", "shared_vnet"])
 def test_synthetic_counters_bit_identical(config_name):
-    """Optimised vs full-scan stepping on the bench traffic generators."""
+    """Sleeping vs all-awake scheduling on the bench traffic generators."""
     opt = _run_synthetic(config_name, 1500, reference=False)
     ref = _run_synthetic(config_name, 1500, reference=True)
-    diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
-    assert not diffs, f"counters drifted under optimised stepping: {diffs}"
+    _assert_no_drift(ref, opt)
 
 
-@pytest.mark.parametrize("make_cfg", [small_config, small_dr_config])
-def test_full_system_counters_bit_identical(make_cfg):
-    """End-to-end: every counter in collect_counters matches both modes."""
+def adaptive_config():
+    cfg = small_dr_config()
+    cfg.noc.routing = RoutingPolicy.FOOTPRINT
+    return cfg
+
+
+def double_bandwidth_config():
+    cfg = small_dr_config()
+    cfg.noc.bandwidth_factor = 2.0
+    return cfg
+
+
+def traced_double_bandwidth_adaptive_config():
+    cfg = adaptive_config()
+    cfg.noc.bandwidth_factor = 2.0
+    cfg.telemetry.enabled = True
+    cfg.telemetry.mode = "full"
+    return cfg
+
+
+#: a link that goes down and comes back, around a router freeze: the
+#: detour-table swap and the thaw must wake whatever they unblock
+LINK_AND_FREEZE_PLAN = FaultPlan(events=[
+    LinkDown(at=150, a=5, b=6),
+    RouterFreeze(at=200, router=9, cycles=120),
+    LinkUp(at=450, a=5, b=6),
+])
+
+
+@pytest.mark.parametrize("make_cfg,faults", [
+    pytest.param(small_config, None, id="small_config"),
+    pytest.param(small_dr_config, None, id="small_dr_config"),
+    pytest.param(adaptive_config, None, id="adaptive"),
+    pytest.param(double_bandwidth_config, None, id="double_bandwidth"),
+    pytest.param(traced_double_bandwidth_adaptive_config, None,
+                 id="traced_double_bandwidth_adaptive"),
+    pytest.param(small_dr_config, LINK_AND_FREEZE_PLAN, id="link_and_freeze"),
+])
+def test_full_system_counters_bit_identical(make_cfg, faults):
+    """End-to-end: every counter in collect_counters matches both ways
+    (and every stall charge, where the config traces)."""
 
     def run(reference: bool) -> dict:
-        system = build_system(make_cfg(), "HS", "canneal")
+        system = build_system(make_cfg(), "HS", "canneal", faults=faults)
         if reference:
-            system.fabric.set_reference_stepping(True)
+            all_awake(system.fabric)
         system.run(700)
-        return collect_counters(system)
+        out = collect_counters(system)
+        if system.telemetry is not None:
+            system.telemetry.stalls.flush(system.cycle)
+            out["stall_table"] = system.telemetry.stalls.snapshot()
+        return out
 
     opt = run(False)
     ref = run(True)
-    diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
-    assert not diffs, f"counters drifted under optimised stepping: {diffs}"
+    if faults is not None:
+        assert ref["fault.links_downed"] > 0
+    _assert_no_drift(ref, opt)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ The two load-bearing guarantees:
 * **Conservation** — every cycle a head worm is blocked is charged to
   exactly one stall class, so per-router charged totals equal the exact
   count of blocked head-worm cycles (presence minus moves), and the
-  event-driven scheduler charges bit-identically to the full-scan
-  reference despite sleeping through stalls.
+  event-driven scheduler charges bit-identically to an all-awake run
+  (``conftest.all_awake``) despite sleeping through stalls.
 * **Read-only** — attribution and blame walking never perturb the
   simulation: counters stay bit-identical with stall attribution on,
   and everything is off (and free) when telemetry is disabled.
@@ -35,7 +35,7 @@ from repro.telemetry.blame import (
 
 import sys
 sys.path.insert(0, "tests")
-from conftest import small_config
+from conftest import all_awake, small_config
 
 
 class TestTaxonomy:
@@ -123,7 +123,7 @@ def _stalled_system(reference=False):
     cfg.telemetry.probe_interval = 100
     system = build_system(cfg, "SC", "bodytrack")
     if reference:
-        system.fabric.set_reference_stepping(True)
+        all_awake(system.fabric)
     return system
 
 

@@ -30,6 +30,7 @@ from repro.sweep import (
     run_job_batch,
     run_sweep,
 )
+from repro.sweep.jobs import code_salt
 from repro.sweep.runner import stall_shares
 
 TINY = dict(cycles=200, warmup=120)
@@ -67,10 +68,15 @@ class TestJobSpec:
         assert base.key() != tiny_spec(gpu="SC").key()
         assert base.key() != tiny_spec(cpu=None).key()
 
-    def test_salt_invalidates_keys(self, monkeypatch):
-        before = tiny_spec().key()
-        monkeypatch.setenv("REPRO_SWEEP_SALT", "different-code")
-        assert tiny_spec().key() != before
+    def test_salt_invalidates_keys(self, monkeypatch, tmp_path):
+        # a key written under an older code version is a clean miss under
+        # the current one, not an error
+        monkeypatch.setenv("REPRO_SWEEP_SALT", "sweep-v5")
+        stale_key = tiny_spec().key()
+        monkeypatch.delenv("REPRO_SWEEP_SALT")
+        assert code_salt() != "sweep-v5"
+        assert tiny_spec().key() != stale_key
+        assert ResultCache(tmp_path).get(tiny_spec().key()) is None
 
     def test_wire_round_trip(self):
         spec = tiny_spec(label=("HS", "bodytrack", "baseline"))

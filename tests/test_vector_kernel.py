@@ -1,8 +1,8 @@
-"""Bit-identity matrix: ``backend="vector"`` vs the object-kernel oracle.
+"""Bit-identity matrix: ``backend="vector"`` vs ``backend="object"``.
 
-The vector backend implements the synchronous two-phase semantics of
-``NocFabric.set_sync_stepping(True)`` (DESIGN.md §12).  Every test here
-drives the *identical* pre-generated packet schedule through both
+Both kernels implement the one per-cycle NoC contract (DESIGN.md,
+"Per-cycle NoC contract"); the object kernel is the readable oracle, the
+vector kernel the fast one.  Every test here drives the *identical* pre-generated packet schedule through both
 fabrics and asserts every observable counter — delivered packets/flits
 per network, per-type delivery counts, per-router routed/buffered flits,
 per-link flit counts, per-NIC injection/ejection counters, delegation
@@ -136,7 +136,6 @@ def _run_backend(backend, dims, cfg, sched, mem_nodes=(), delegation=False):
     topo = MeshTopology(*dims)
     if backend == "object":
         fabric = NocFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
-        fabric.set_sync_stepping(True)
     else:
         fabric = VectorFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
     if delegation:
@@ -291,7 +290,7 @@ def test_vector_rejects_telemetry_attach():
 
 # ----------------------------------------------------------------------
 # full-system bit-identity: HeterogeneousSystem on the vector backend vs
-# the object kernel in synchronous (oracle) stepping
+# the object backend
 # ----------------------------------------------------------------------
 
 
@@ -300,7 +299,6 @@ def _system_result(cfg, backend, *, faults=None, cycles=400, warmup=150):
 
     if backend == "object":
         system = build_system(cfg, "BP", "canneal", faults=faults)
-        system.fabric.set_sync_stepping(True)
     else:
         system = build_system(
             cfg, "BP", "canneal", faults=faults, backend="vector"
@@ -310,7 +308,9 @@ def _system_result(cfg, backend, *, faults=None, cycles=400, warmup=150):
     )
 
 
-@pytest.mark.parametrize("mk_cfg", ["small_config", "small_dr_config"])
+@pytest.mark.parametrize(
+    "mk_cfg", ["small_config", "small_dr_config", "small_rp_config"]
+)
 def test_system_bit_identical(mk_cfg):
     import conftest
 
