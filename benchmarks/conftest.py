@@ -15,6 +15,12 @@ Environment knobs:
   mechanism-comparison figures always use all 11).
 * ``REPRO_MIXES``: CPU co-runners per GPU benchmark in the mechanism
   sweep (default 2; the paper uses 3).
+
+Per-figure pytest-benchmark times depend on test order: the figure
+modules share one per-process result memo, so the first figure to need a
+spec (e.g. the unmodified 8x8 baseline) pays for its simulation and later
+ones get it for free.  Compare whole-suite wall time, or run one figure
+per process.
 """
 
 from __future__ import annotations

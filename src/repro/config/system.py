@@ -258,8 +258,10 @@ class TelemetryConfig:
     """Observability knobs (the :mod:`repro.telemetry` subsystem).
 
     Telemetry is strictly read-only instrumentation: enabling it must
-    never change simulation results, so this section is excluded from
-    sweep cache keys (:meth:`repro.sweep.jobs.JobSpec.key`).
+    never change the simulation's counters.  It does add to the result
+    *payload* (stall breakdown, telemetry metrics), so sweep cache keys
+    (:meth:`repro.sweep.jobs.JobSpec.key`) ignore this section only
+    while ``enabled`` is False.
     """
 
     enabled: bool = False
@@ -358,6 +360,23 @@ class SystemConfig:
     @property
     def n_nodes(self) -> int:
         return self.mesh_width * self.mesh_height
+
+    # A mechanism runs only when ``mechanism`` selects it *and* its
+    # section's ``enabled`` switch is on; anything else is the baseline.
+    # Simulator, surrogate and design-space decoder all ask here, so they
+    # cannot disagree on which machine a config describes.
+
+    @property
+    def delegation_active(self) -> bool:
+        """Whether this system runs Delegated Replies."""
+        selected = self.mechanism is Mechanism.DELEGATED_REPLIES
+        return selected and self.delegation.enabled
+
+    @property
+    def probing_active(self) -> bool:
+        """Whether this system runs Realistic Probing."""
+        selected = self.mechanism is Mechanism.REALISTIC_PROBING
+        return selected and self.probing.enabled
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible nested dict of every field, in declaration order.

@@ -70,20 +70,8 @@ def run_all(**kwargs) -> Dict[str, ExperimentResult]:
     return results
 
 
-def __getattr__(name: str):
-    # back-compat: DEFAULT_CYCLES/DEFAULT_WARMUP resolve the environment
-    # on access (see repro.experiments.common)
-    if name in ("DEFAULT_CYCLES", "DEFAULT_WARMUP"):
-        from repro.experiments import common
-
-        return getattr(common, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ALL_EXPERIMENTS",
-    "DEFAULT_CYCLES",
-    "DEFAULT_WARMUP",
     "ExperimentResult",
     "clear_sweep_cache",
     "default_benchmarks",

@@ -24,22 +24,28 @@ from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    dr_over_baseline,
 )
 
 
-def _dr_speedups(benchmarks, mutate, cycles, warmup) -> List[float]:
-    speedups = []
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        base = run_config(baseline_config(), gpu, cpu, cycles=cycles, warmup=warmup)
-        cfg = delegated_replies_config()
-        mutate(cfg)
-        dr = run_config(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-        speedups.append(dr.gpu_ipc / base.gpu_ipc)
-    return speedups
+#: design point -> the one DR-config field it edits, as
+#: (section, field, value); None is the paper's configuration
+POINTS = {
+    "delegate_on_block (paper)": None,
+    "delegate_always": ("delegation", "only_when_blocked", False),
+    **{
+        f"frq_{n}_entries": ("gpu_l1", "frq_entries", n)
+        for n in (2, 4, 8, 16)
+    },
+    "no_pointer_invalidation": ("llc", "pointer_invalidate_on_write", False),
+    "frq_merging (paper rejects)": ("delegation", "frq_merge", True),
+    **{
+        f"delegations_per_cycle_{n}":
+            ("delegation", "max_delegations_per_cycle", n)
+        for n in (1, 2, 4)
+    },
+}
 
 
 def run(
@@ -49,48 +55,27 @@ def run(
 ) -> ExperimentResult:
     """Run every ablation; one row per design point."""
     benchmarks = list(benchmarks or default_benchmarks(subset=3))
-    rows: List[Tuple[str, dict]] = []
-
-    def point(label, mutate):
-        rows.append(
-            (label, {"dr_speedup": amean(
-                _dr_speedups(benchmarks, mutate, cycles, warmup)
-            )})
-        )
-
-    point("delegate_on_block (paper)", lambda cfg: None)
-
-    def always(cfg):
-        cfg.delegation.only_when_blocked = False
-    point("delegate_always", always)
-
-    for entries in (2, 4, 8, 16):
-        def frq(cfg, _n=entries):
-            cfg.gpu_l1.frq_entries = _n
-        point(f"frq_{entries}_entries", frq)
-
-    def stale(cfg):
-        cfg.llc.pointer_invalidate_on_write = False
-    point("no_pointer_invalidation", stale)
-
-    def merge(cfg):
-        cfg.delegation.frq_merge = True
-    point("frq_merging (paper rejects)", merge)
-
-    for per_cycle in (1, 2, 4):
-        def cap(cfg, _n=per_cycle):
-            cfg.delegation.max_delegations_per_cycle = _n
-        point(f"delegations_per_cycle_{per_cycle}", cap)
+    # every design point edits DR only: the baseline it is measured
+    # against is the one unmodified baseline system
+    pairs = {}
+    for label, edit in POINTS.items():
+        cfg = delegated_replies_config()
+        if edit:
+            section, name, value = edit
+            setattr(getattr(cfg, section), name, value)
+        pairs[label] = (baseline_config(), cfg)
+    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    rows: List[Tuple[str, dict]] = [
+        (label, {"dr_speedup": amean(dr.gpu_ipc / base.gpu_ipc
+                                     for base, dr in runs[label])})
+        for label in pairs
+    ]
 
     # pointer accuracy on the paper configuration (Fig. 14's remote hit
     # rate; the paper quotes 74.5% average), and the FRQ same-block rate
     # that justifies not merging (the paper measures 4.8%)
     hits, merge_rates = [], []
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        dr = run_config(
-            delegated_replies_config(), gpu, cpu, cycles=cycles, warmup=warmup
-        )
+    for _, dr in runs["delegate_on_block (paper)"]:
         if dr.remote_hit_fraction > 0:
             hits.append(dr.remote_hit_fraction)
         enq = dr.counters.get("gpu.frq_enqueued", 0)

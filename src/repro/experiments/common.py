@@ -1,27 +1,29 @@
 """Shared infrastructure for the per-figure experiment modules.
 
 Each ``figNN_*`` module exposes ``run(...) -> ExperimentResult`` that
-regenerates one paper figure/table: same rows, same normalisations.  The
-heavy lifting — simulating every (GPU benchmark, CPU co-runner, mechanism)
-triple — is shared through a process-level cache so that Figures 10-14,
-which all read the same sweep, simulate it once.
+regenerates one paper figure/table: same rows, same normalisations.
+Every module runs its simulations the same way: enumerate one
+:class:`~repro.sweep.JobSpec` per point the figure needs (:func:`job`;
+:func:`simulate_configs` and :func:`dr_over_baseline` do it for the two
+common shapes), hand the whole batch to :func:`simulate`, tabulate.
+:func:`simulate` keeps one process-level memo indexed by
+``JobSpec.key()`` and passes only the specs it has not seen to a single
+:func:`repro.sweep.run_sweep` call, so a spec is simulated once per
+process whichever figure asks first (the unmodified baseline of Figs. 5,
+7, 15, 16 and the ablations is one simulation), and every figure gets the
+runner's process-level parallelism (``REPRO_SWEEP_JOBS``) and on-disk
+result cache (``REPRO_SWEEP_CACHE``).
 
 Window lengths default to ``REPRO_CYCLES``/``REPRO_WARMUP``, read at
 *call* time (:func:`default_cycles`/:func:`default_warmup`) so the bench
 harness and tests can vary them after import.
-
-Simulation execution is delegated to :mod:`repro.sweep`: the shared
-mechanism sweep and :func:`run_config` both build ``JobSpec`` batches and
-run them through the sweep runner, which adds process-level parallelism
-(``REPRO_SWEEP_JOBS``) and an on-disk result cache (``REPRO_SWEEP_CACHE``)
-on top of the in-process memo kept here.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.system import SystemConfig
 from repro.sim.metrics import SimulationResult
@@ -30,6 +32,7 @@ from repro.config import (
     delegated_replies_config,
     realistic_probing_config,
 )
+from repro.sweep import JobSpec, mechanism_jobs, run_sweep
 from repro.workloads.gpu import GPU_BENCHMARK_NAMES
 from repro.workloads.mixes import TABLE_II
 
@@ -43,15 +46,6 @@ def default_warmup() -> int:
     """Warmup-window length: ``REPRO_WARMUP`` (read now), default 2000."""
     return int(os.environ.get("REPRO_WARMUP", "2000"))
 
-
-def __getattr__(name: str):
-    # back-compat: the old module constants now resolve the environment on
-    # every access instead of freezing it at import time
-    if name == "DEFAULT_CYCLES":
-        return default_cycles()
-    if name == "DEFAULT_WARMUP":
-        return default_warmup()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: the three reply-delivery mechanisms compared throughout the evaluation
 MECHANISMS = ("baseline", "rp", "dr")
@@ -104,15 +98,107 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# cached mechanism sweep shared by Figures 10-14 and the energy study
+# the one execution path: enumerate specs -> simulate once -> tabulate
 # ----------------------------------------------------------------------
 
-_SWEEP_CACHE: Dict[Tuple, Dict[Tuple[str, str, str], SimulationResult]] = {}
+#: every simulation the experiment modules have run in this process
+_RESULTS: Dict[str, SimulationResult] = {}
 
 
 def cpu_corunners(gpu_name: str, n_mixes: int) -> List[str]:
     """The first ``n_mixes`` Table II CPU co-runners of a GPU benchmark."""
     return list(TABLE_II[gpu_name.upper()][: max(1, n_mixes)])
+
+
+def job(
+    cfg: SystemConfig,
+    gpu: str,
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+    cpu: Optional[str] = None,
+) -> JobSpec:
+    """The sweep job for one design point of a figure.
+
+    ``cpu`` defaults to the GPU benchmark's first Table II co-runner,
+    the windows to ``REPRO_CYCLES``/``REPRO_WARMUP``.
+    """
+    return JobSpec.make(
+        cfg,
+        gpu,
+        cpu or cpu_corunners(gpu, 1)[0],
+        cycles=default_cycles() if cycles is None else cycles,
+        warmup=default_warmup() if warmup is None else warmup,
+    )
+
+
+def simulate(
+    points: Mapping[Hashable, JobSpec], jobs: Optional[int] = None
+) -> Dict[Hashable, SimulationResult]:
+    """Results for a figure's labelled specs, each simulated at most once.
+
+    Specs no experiment module has run in this process go to the
+    :mod:`repro.sweep` runner in one batch — ``jobs`` worker processes
+    (default ``REPRO_SWEEP_JOBS`` or 1) and, when ``REPRO_SWEEP_CACHE``
+    is set, the on-disk result cache; everything else is a memo hit.
+    """
+    keys = {label: spec.key() for label, spec in points.items()}
+    # by key: several labels may name one spec (Fig. 19's default config
+    # is a point of five panels)
+    missing = {
+        keys[label]: spec
+        for label, spec in points.items()
+        if keys[label] not in _RESULTS
+    }
+    if missing:
+        _RESULTS.update(run_sweep(list(missing.values()), jobs=jobs))
+    return {label: _RESULTS[key] for label, key in keys.items()}
+
+
+def simulate_configs(
+    configs: Mapping[Hashable, SystemConfig],
+    benchmarks: Sequence[str],
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+) -> Dict[Tuple[Hashable, str], SimulationResult]:
+    """Run ``{point: config}`` on every benchmark: ``{(point, gpu): result}``.
+
+    The shape of a config study — a handful of design points, each
+    evaluated on the same GPU benchmarks (see :func:`job` for the
+    co-runner and windows).
+    """
+    return simulate(
+        {
+            (point, gpu): job(cfg, gpu, cycles, warmup)
+            for point, cfg in configs.items()
+            for gpu in benchmarks
+        }
+    )
+
+
+def dr_over_baseline(
+    pairs: Mapping[str, Tuple[SystemConfig, SystemConfig]],
+    benchmarks: Sequence[str],
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+) -> Dict[str, List[Tuple[SimulationResult, SimulationResult]]]:
+    """Run ``{point: (baseline config, DR config)}`` on every benchmark.
+
+    The shape of every "each design point is its own baseline" study
+    (Figs. 16-19, node mix, ablations): returns, per point, one
+    ``(baseline result, DR result)`` pair per benchmark, in order.
+    """
+    configs = {}
+    for point, (base_cfg, dr_cfg) in pairs.items():
+        configs[(point, "base")] = base_cfg
+        configs[(point, "dr")] = dr_cfg
+    results = simulate_configs(configs, benchmarks, cycles, warmup)
+    return {
+        point: [
+            (results[((point, "base"), gpu)], results[((point, "dr"), gpu)])
+            for gpu in benchmarks
+        ]
+        for point in pairs
+    }
 
 
 def mechanism_sweep(
@@ -122,54 +208,17 @@ def mechanism_sweep(
     warmup: Optional[int] = None,
     mechanisms: Sequence[str] = MECHANISMS,
     jobs: Optional[int] = None,
-    batch: Optional[int] = None,
 ) -> Dict[Tuple[str, str, str], SimulationResult]:
     """Simulate every (GPU bench, CPU co-runner, mechanism) triple.
 
-    Execution goes through the :mod:`repro.sweep` runner — ``jobs``
-    worker processes (default ``REPRO_SWEEP_JOBS`` or 1), ``batch``
-    jobs per worker task (default adaptive) and, when
-    ``REPRO_SWEEP_CACHE`` is set, an on-disk result cache.  Results are
-    additionally memoised per process so the per-figure modules can share
-    one sweep.  Keys are ``(gpu, cpu, mechanism)``.
+    The sweep behind Figures 10-14 and the energy study, keyed
+    ``(gpu, cpu, mechanism)``; a view over :func:`simulate`'s memo, so
+    those figures share one set of simulations.
     """
-    from repro.sweep import mechanism_jobs, run_sweep
-
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
-    key = (tuple(benchmarks), n_mixes, cycles, warmup, tuple(mechanisms))
-    if key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[key]
     specs = mechanism_jobs(benchmarks, n_mixes, cycles, warmup, mechanisms)
-    results = run_sweep(specs, jobs=jobs, batch=batch)
-    out = {
-        (spec.label[0], spec.label[1], spec.label[2]): results[spec.key()]
-        for spec in specs
-    }
-    _SWEEP_CACHE[key] = out
-    return out
+    return simulate({spec.label: spec for spec in specs}, jobs=jobs)
 
 
 def clear_sweep_cache() -> None:
-    """Drop cached sweeps (tests use this to force fresh simulations)."""
-    _SWEEP_CACHE.clear()
-
-
-def run_config(
-    cfg: SystemConfig,
-    gpu: str,
-    cpu: Optional[str] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> SimulationResult:
-    """Single-configuration run (for topology/layout studies).
-
-    Routed through the sweep runner so the on-disk cache, when enabled
-    via ``REPRO_SWEEP_CACHE``, also covers the per-figure config studies.
-    """
-    from repro.sweep import JobSpec, run_sweep
-
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
-    spec = JobSpec.make(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-    return run_sweep([spec], jobs=1)[spec.key()]
+    """Drop memoised results (tests use this to force fresh simulations)."""
+    _RESULTS.clear()

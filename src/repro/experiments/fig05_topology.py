@@ -15,9 +15,8 @@ from repro.analysis.report import format_table, hmean
 from repro.config import Topology, baseline_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    simulate_configs,
 )
 
 TOPOLOGIES = (
@@ -36,30 +35,26 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 5a (HM GPU perf vs mesh-1x) and Fig. 5b (blocking)."""
     benchmarks = list(benchmarks or default_benchmarks(subset=5))
-    raw = {}
+    configs = {}
     for topo in TOPOLOGIES:
         for bw in bandwidths:
-            for gpu in benchmarks:
-                cfg = baseline_config()
-                cfg.noc.topology = topo
-                cfg.noc.bandwidth_factor = bw
-                cpu = cpu_corunners(gpu, 1)[0]
-                raw[(topo, bw, gpu)] = run_config(
-                    cfg, gpu, cpu, cycles=cycles, warmup=warmup
-                )
+            cfg = configs[(topo, bw)] = baseline_config()
+            cfg.noc.topology = topo
+            cfg.noc.bandwidth_factor = bw
+    raw = simulate_configs(configs, benchmarks, cycles, warmup)
     base_ipc = {
-        gpu: raw[(Topology.MESH, bandwidths[0], gpu)].gpu_ipc
+        gpu: raw[((Topology.MESH, bandwidths[0]), gpu)].gpu_ipc
         for gpu in benchmarks
     }
     rows: List[Tuple[str, dict]] = []
     for topo in TOPOLOGIES:
         for bw in bandwidths:
             speedups = [
-                raw[(topo, bw, gpu)].gpu_ipc / base_ipc[gpu]
+                raw[((topo, bw), gpu)].gpu_ipc / base_ipc[gpu]
                 for gpu in benchmarks
             ]
             blocking = [
-                raw[(topo, bw, gpu)].mem_blocking_rate for gpu in benchmarks
+                raw[((topo, bw), gpu)].mem_blocking_rate for gpu in benchmarks
             ]
             label = f"{topo.value}-{bw:g}x"
             rows.append(

@@ -15,9 +15,8 @@ from repro.analysis.report import format_table, hmean
 from repro.config import baseline_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    simulate_configs,
 )
 
 #: (request VCs, reply VCs) splits over one shared physical network with
@@ -33,27 +32,23 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 6: AVCP GPU performance vs the baseline."""
     benchmarks = list(benchmarks or default_benchmarks(subset=5))
-    base = {}
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        base[gpu] = run_config(
-            baseline_config(), gpu, cpu, cycles=cycles, warmup=warmup
-        )
+    configs = {"base": baseline_config()}
+    for req_vcs, rep_vcs in VC_SPLITS:
+        cfg = configs[(req_vcs, rep_vcs)] = baseline_config()
+        # one physical network, same link width: the clogged links keep
+        # exactly their baseline bandwidth, which is the paper's point —
+        # VC allocation cannot raise link bandwidth
+        cfg.noc.separate_physical_networks = False
+        cfg.noc.request_vcs = req_vcs
+        cfg.noc.reply_vcs = rep_vcs
+    raw = simulate_configs(configs, benchmarks, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
         values = {}
         shared_sym = None
         for req_vcs, rep_vcs in VC_SPLITS:
-            cfg = baseline_config()
-            # one physical network, same link width: the clogged links keep
-            # exactly their baseline bandwidth, which is the paper's point —
-            # VC allocation cannot raise link bandwidth
-            cfg.noc.separate_physical_networks = False
-            cfg.noc.request_vcs = req_vcs
-            cfg.noc.reply_vcs = rep_vcs
-            res = run_config(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            speedup = res.gpu_ipc / base[gpu].gpu_ipc
+            res = raw[((req_vcs, rep_vcs), gpu)]
+            speedup = res.gpu_ipc / raw[("base", gpu)].gpu_ipc
             values[f"{req_vcs}req+{rep_vcs}rep"] = speedup
             if (req_vcs, rep_vcs) == VC_SPLITS[0]:
                 shared_sym = speedup

@@ -15,9 +15,8 @@ from repro.analysis.report import format_table
 from repro.config import RoutingPolicy, baseline_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    simulate_configs,
 )
 
 ADAPTIVE_POLICIES = (
@@ -34,18 +33,17 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 7: adaptive-routing GPU perf normalised to CDR."""
     benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    configs = {"cdr": baseline_config()}
+    for policy in ADAPTIVE_POLICIES:
+        configs[policy] = baseline_config()
+        configs[policy].noc.routing = policy
+    raw = simulate_configs(configs, benchmarks, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        base = run_config(
-            baseline_config(), gpu, cpu, cycles=cycles, warmup=warmup
-        )
-        values = {}
-        for policy in ADAPTIVE_POLICIES:
-            cfg = baseline_config()
-            cfg.noc.routing = policy
-            res = run_config(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            values[policy.value] = res.gpu_ipc / base.gpu_ipc
+        values = {
+            policy.value: raw[(policy, gpu)].gpu_ipc / raw[("cdr", gpu)].gpu_ipc
+            for policy in ADAPTIVE_POLICIES
+        }
         rows.append((gpu, values))
     text = format_table(
         "Fig. 7: adaptive routing vs CDR baseline "

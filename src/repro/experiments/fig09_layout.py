@@ -16,9 +16,8 @@ from repro.analysis.report import amean, format_table
 from repro.config import DimensionOrder, Layout, baseline_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    simulate_configs,
 )
 
 #: (layout, request order, reply order) configurations of Fig. 9
@@ -51,35 +50,24 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 9: average GPU and CPU perf per layout/routing."""
     benchmarks = list(benchmarks or default_benchmarks(subset=4))
-    raw = {}
-    for layout, req, rep in CONFIGS:
-        for gpu in benchmarks:
-            cfg = baseline_config()
-            cfg.layout = layout
-            cfg.noc.request_order = req
-            cfg.noc.reply_order = rep
-            cpu = cpu_corunners(gpu, 1)[0]
-            raw[(layout, req, rep, gpu)] = run_config(
-                cfg, gpu, cpu, cycles=cycles, warmup=warmup
-            )
+    configs = {}
+    for point in CONFIGS:
+        layout, req, rep = point
+        cfg = configs[point] = baseline_config()
+        cfg.layout = layout
+        cfg.noc.request_order = req
+        cfg.noc.reply_order = rep
+    raw = simulate_configs(configs, benchmarks, cycles, warmup)
     ref = CONFIGS[0]
-    ref_gpu = amean(
-        raw[(ref[0], ref[1], ref[2], gpu)].gpu_ipc for gpu in benchmarks
-    )
-    ref_cpu = amean(
-        raw[(ref[0], ref[1], ref[2], gpu)].cpu_ipc for gpu in benchmarks
-    )
+    ref_gpu = amean(raw[(ref, gpu)].gpu_ipc for gpu in benchmarks)
+    ref_cpu = amean(raw[(ref, gpu)].cpu_ipc for gpu in benchmarks)
     rows: List[Tuple[str, dict]] = []
-    for layout, req, rep in CONFIGS:
-        gpu_perf = amean(
-            raw[(layout, req, rep, gpu)].gpu_ipc for gpu in benchmarks
-        )
-        cpu_perf = amean(
-            raw[(layout, req, rep, gpu)].cpu_ipc for gpu in benchmarks
-        )
+    for point in CONFIGS:
+        gpu_perf = amean(raw[(point, gpu)].gpu_ipc for gpu in benchmarks)
+        cpu_perf = amean(raw[(point, gpu)].cpu_ipc for gpu in benchmarks)
         rows.append(
             (
-                _label(layout, req, rep),
+                _label(*point),
                 {
                     "gpu_perf": gpu_perf / ref_gpu if ref_gpu else 0.0,
                     "cpu_perf": cpu_perf / ref_cpu if ref_cpu else 0.0,

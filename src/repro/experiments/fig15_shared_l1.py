@@ -21,9 +21,8 @@ from repro.config import (
 )
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    simulate_configs,
 )
 
 #: evaluated configurations: (label, l1 organisation, CTA policy, DR?)
@@ -44,19 +43,19 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 15, normalised to the private-L1 round-robin base."""
     benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    configs = {"private-rr": baseline_config()}
+    for label, org, cta, use_dr in CONFIGS:
+        cfg = delegated_replies_config() if use_dr else baseline_config()
+        cfg.l1_org = org
+        cfg.cta_scheduler = cta
+        configs[label] = cfg
+    raw = simulate_configs(configs, benchmarks, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        base = run_config(
-            baseline_config(), gpu, cpu, cycles=cycles, warmup=warmup
-        )
-        values = {}
-        for label, org, cta, use_dr in CONFIGS:
-            cfg = delegated_replies_config() if use_dr else baseline_config()
-            cfg.l1_org = org
-            cfg.cta_scheduler = cta
-            res = run_config(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            values[label] = res.gpu_ipc / base.gpu_ipc
+        values = {
+            label: raw[(label, gpu)].gpu_ipc / raw[("private-rr", gpu)].gpu_ipc
+            for label, _, _, _ in CONFIGS
+        }
         rows.append((gpu, values))
     text = format_table(
         "Fig. 15: shared L1 schemes & CTA scheduling, vs private-RR "

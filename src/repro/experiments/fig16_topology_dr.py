@@ -14,9 +14,8 @@ from repro.analysis.report import amean, format_table
 from repro.config import Topology, baseline_config, delegated_replies_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    dr_over_baseline,
 )
 from repro.experiments.fig05_topology import TOPOLOGIES
 
@@ -29,18 +28,15 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 16: DR speedup per topology (vs that topology)."""
     benchmarks = list(benchmarks or default_benchmarks(subset=4))
+    pairs = {}
+    for topo in topologies:
+        base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
+        base_cfg.noc.topology = dr_cfg.noc.topology = topo
+        pairs[topo.value] = (base_cfg, dr_cfg)
+    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for topo in topologies:
-        speedups = []
-        for gpu in benchmarks:
-            cpu = cpu_corunners(gpu, 1)[0]
-            base_cfg = baseline_config()
-            base_cfg.noc.topology = topo
-            dr_cfg = delegated_replies_config()
-            dr_cfg.noc.topology = topo
-            base = run_config(base_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            dr = run_config(dr_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            speedups.append(dr.gpu_ipc / base.gpu_ipc)
+        speedups = [dr.gpu_ipc / base.gpu_ipc for base, dr in runs[topo.value]]
         rows.append(
             (
                 topo.value,

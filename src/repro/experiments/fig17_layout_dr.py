@@ -14,9 +14,8 @@ from repro.analysis.report import amean, format_table
 from repro.config import Layout, baseline_config, delegated_replies_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    dr_over_baseline,
 )
 from repro.sim.layout import apply_default_orders
 
@@ -30,15 +29,18 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figs. 17-18: per-layout DR speedup for GPU and CPU."""
     benchmarks = list(benchmarks or default_benchmarks(subset=4))
+    pairs = {
+        layout.value: (
+            apply_default_orders(baseline_config(layout=layout)),
+            apply_default_orders(delegated_replies_config(layout=layout)),
+        )
+        for layout in LAYOUTS
+    }
+    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for layout in LAYOUTS:
         gpu_speedups, cpu_speedups = [], []
-        for gpu in benchmarks:
-            cpu = cpu_corunners(gpu, 1)[0]
-            base_cfg = apply_default_orders(baseline_config(layout=layout))
-            dr_cfg = apply_default_orders(delegated_replies_config(layout=layout))
-            base = run_config(base_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            dr = run_config(dr_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
+        for base, dr in runs[layout.value]:
             gpu_speedups.append(dr.gpu_ipc / base.gpu_ipc)
             if base.cpu_ipc > 0:
                 cpu_speedups.append(dr.cpu_ipc / base.cpu_ipc)

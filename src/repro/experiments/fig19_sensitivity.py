@@ -27,9 +27,8 @@ from repro.config import (
 )
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    dr_over_baseline,
 )
 
 Mutator = Callable[[SystemConfig], None]
@@ -94,30 +93,6 @@ PANELS: Dict[str, List[Tuple[str, Mutator]]] = {
 }
 
 
-def run_panel(
-    panel: str,
-    benchmarks: Optional[Sequence[str]] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> List[Tuple[str, dict]]:
-    """DR speedup at every point of one sensitivity panel."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=3))
-    rows: List[Tuple[str, dict]] = []
-    for label, mutate in PANELS[panel]:
-        speedups = []
-        for gpu in benchmarks:
-            cpu = cpu_corunners(gpu, 1)[0]
-            base_cfg = baseline_config()
-            dr_cfg = delegated_replies_config()
-            mutate(base_cfg)
-            mutate(dr_cfg)
-            base = run_config(base_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            dr = run_config(dr_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-            speedups.append(dr.gpu_ipc / base.gpu_ipc)
-        rows.append((f"{panel}:{label}", {"dr_speedup": amean(speedups)}))
-    return rows
-
-
 def run(
     benchmarks: Optional[Sequence[str]] = None,
     panels: Optional[Sequence[str]] = None,
@@ -125,10 +100,20 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 19 (all panels unless a subset is requested)."""
-    panels = list(panels or PANELS.keys())
-    rows: List[Tuple[str, dict]] = []
-    for panel in panels:
-        rows.extend(run_panel(panel, benchmarks, cycles, warmup))
+    benchmarks = list(benchmarks or default_benchmarks(subset=3))
+    pairs = {}
+    for panel in panels or PANELS:
+        for label, mutate in PANELS[panel]:
+            base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
+            mutate(base_cfg)
+            mutate(dr_cfg)
+            pairs[f"{panel}:{label}"] = (base_cfg, dr_cfg)
+    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    rows: List[Tuple[str, dict]] = [
+        (point, {"dr_speedup": amean(dr.gpu_ipc / base.gpu_ipc
+                                     for base, dr in runs[point])})
+        for point in pairs
+    ]
     text = format_table(
         "Fig. 19: sensitivity analyses — DR speedup per design point "
         "(paper: consistent gains across the design space)",

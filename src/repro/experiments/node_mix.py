@@ -14,33 +14,13 @@ from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments.common import (
     ExperimentResult,
-    cpu_corunners,
     default_benchmarks,
-    run_config,
+    dr_over_baseline,
 )
 
 #: (n_cpu, n_gpu, n_mem) mixes on the 64-node fabric
 CPU_SWEEP = ((8, 48, 8), (16, 40, 8), (24, 32, 8))
 MEM_SWEEP = ((8, 52, 4), (8, 48, 8), (8, 40, 16))
-
-
-def _speedup_for_mix(
-    n_cpu: int,
-    n_gpu: int,
-    n_mem: int,
-    benchmarks: Sequence[str],
-    cycles: int,
-    warmup: int,
-) -> float:
-    speedups = []
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        base_cfg = baseline_config(n_cpu=n_cpu, n_gpu=n_gpu, n_mem=n_mem)
-        dr_cfg = delegated_replies_config(n_cpu=n_cpu, n_gpu=n_gpu, n_mem=n_mem)
-        base = run_config(base_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-        dr = run_config(dr_cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-        speedups.append(dr.gpu_ipc / base.gpu_ipc)
-    return amean(speedups)
 
 
 def run(
@@ -50,15 +30,20 @@ def run(
 ) -> ExperimentResult:
     """Regenerate the node-mix study."""
     benchmarks = list(benchmarks or default_benchmarks(subset=3))
-    rows: List[Tuple[str, dict]] = []
-    for n_cpu, n_gpu, n_mem in CPU_SWEEP:
-        s = _speedup_for_mix(n_cpu, n_gpu, n_mem, benchmarks, cycles, warmup)
-        rows.append((f"{n_cpu}cpu/{n_gpu}gpu/{n_mem}mem", {"dr_speedup": s}))
-    for n_cpu, n_gpu, n_mem in MEM_SWEEP:
-        if (n_cpu, n_gpu, n_mem) in CPU_SWEEP:
-            continue
-        s = _speedup_for_mix(n_cpu, n_gpu, n_mem, benchmarks, cycles, warmup)
-        rows.append((f"{n_cpu}cpu/{n_gpu}gpu/{n_mem}mem", {"dr_speedup": s}))
+    # one row per distinct mix: 8/48/8 sits in both sweeps
+    pairs = {
+        f"{n_cpu}cpu/{n_gpu}gpu/{n_mem}mem": (
+            baseline_config(n_cpu=n_cpu, n_gpu=n_gpu, n_mem=n_mem),
+            delegated_replies_config(n_cpu=n_cpu, n_gpu=n_gpu, n_mem=n_mem),
+        )
+        for n_cpu, n_gpu, n_mem in CPU_SWEEP + MEM_SWEEP
+    }
+    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    rows: List[Tuple[str, dict]] = [
+        (mix, {"dr_speedup": amean(dr.gpu_ipc / base.gpu_ipc
+                                   for base, dr in runs[mix])})
+        for mix in pairs
+    ]
     text = format_table(
         "Node mix: DR speedup vs node ratios "
         "(paper: 1.305/1.258/1.226 over CPU sweep; 1.382/1.305/1.107 over "

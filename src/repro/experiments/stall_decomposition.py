@@ -9,12 +9,12 @@ memory-node injection buffers (the paper's Fig. 1/Fig. 3 clogging loop).
 Delegated Replies drains those buffers, so the credit share collapses and
 the residue shifts to benign serialization/switch contention.
 
-Unlike the figure modules, this experiment calls ``run_simulation``
-directly rather than going through the shared mechanism sweep: stall
-attribution rides on telemetry, which is deliberately excluded from sweep
-cache keys (traced and untraced runs share one entry), so cached sweep
-results carry no stall data.  To keep the uncached cost reasonable the
-default benchmark set is the 4-benchmark representative subset.
+Stall attribution rides on telemetry, so these are *traced* twins of the
+mechanism sweep's jobs: same counters, but a result payload that carries
+the stall breakdown, which is why a telemetry-enabled spec has its own
+sweep key and shares nothing with Figs. 10-14.  To keep that extra cost
+reasonable the default benchmark set is the 4-benchmark representative
+subset.
 """
 
 from __future__ import annotations
@@ -26,33 +26,15 @@ from repro.experiments.common import (
     ExperimentResult,
     cpu_corunners,
     default_benchmarks,
-    default_cycles,
-    default_warmup,
+    job,
     mechanism_config,
+    simulate,
 )
 from repro.telemetry.blame import STALL_CLASSES
 
 #: the two mechanisms this decomposition contrasts (RP adds nothing here:
 #: its reply path is the baseline's)
 _MECHS = ("baseline", "dr")
-
-
-def _cpu_stalls(
-    gpu: str,
-    cpu: str,
-    mechanism: str,
-    cycles: int,
-    warmup: int,
-) -> Dict[str, int]:
-    """CPU-class stall cycles for one mix, simulated with telemetry on."""
-    from repro.sim.simulator import run_simulation
-
-    cfg = mechanism_config(mechanism)
-    cfg.telemetry.enabled = True          # aggregate-only: no trace file
-    cfg.telemetry.mode = "full"           # exact stall attribution
-    cfg.telemetry.stall_attribution = True
-    res = run_simulation(cfg, gpu, cpu, cycles=cycles, warmup=warmup)
-    return dict(res.stall_breakdown.get("CPU", {}))
 
 
 def run(
@@ -63,22 +45,36 @@ def run(
 ) -> ExperimentResult:
     """Decompose CPU stall cycles by class, baseline vs. DR."""
     benchmarks = list(benchmarks or default_benchmarks(subset=4))
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
+    configs = {}
+    for mech in _MECHS:
+        cfg = configs[mech] = mechanism_config(mech)
+        cfg.telemetry.enabled = True          # aggregate-only: no trace file
+        cfg.telemetry.mode = "full"           # exact stall attribution
+        cfg.telemetry.stall_attribution = True
+    mixes = [
+        (gpu, cpu) for gpu in benchmarks for cpu in cpu_corunners(gpu, n_mixes)
+    ]
+    raw = simulate(
+        {
+            (gpu, cpu, mech): job(configs[mech], gpu, cycles, warmup, cpu=cpu)
+            for gpu, cpu in mixes
+            for mech in _MECHS
+        }
+    )
 
     totals: Dict[str, Dict[str, int]] = {
         m: {name: 0 for name in STALL_CLASSES} for m in _MECHS
     }
     per_mix: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            mix = f"{gpu}/{cpu}"
-            per_mix[mix] = {}
-            for mech in _MECHS:
-                stalls = _cpu_stalls(gpu, cpu, mech, cycles, warmup)
-                per_mix[mix][mech] = stalls
-                for name, n in stalls.items():
-                    totals[mech][name] = totals[mech].get(name, 0) + n
+    for gpu, cpu in mixes:
+        mix = f"{gpu}/{cpu}"
+        per_mix[mix] = {}
+        for mech in _MECHS:
+            # CPU-class stall cycles of this mix
+            stalls = dict(raw[(gpu, cpu, mech)].stall_breakdown.get("CPU", {}))
+            per_mix[mix][mech] = stalls
+            for name, n in stalls.items():
+                totals[mech][name] = totals[mech].get(name, 0) + n
 
     grand = {m: sum(totals[m].values()) for m in _MECHS}
     rows: List[Tuple[str, dict]] = []

@@ -132,8 +132,8 @@ class ExploreEnv:
         #: episode ends after this many *unique* surrogate evaluations.
         self.budget = budget
         #: simulate() runs with telemetry + stall attribution enabled so
-        #: observations carry stall-class shares.  Telemetry is excluded
-        #: from sweep cache keys, so this never forks cache entries.
+        #: observations carry stall-class shares (a traced run is its own
+        #: sweep job: telemetry-enabled specs hash their telemetry section).
         self.observe_stalls = observe_stalls
         self._memo: Dict[Tuple[str, str], EvalRecord] = {}
         self._frontier = ParetoFrontier(OBJECTIVE_NAMES, SENSES)

@@ -35,7 +35,7 @@ from repro.analysis.energy import (
     STATIC_POWER_W,
     energy_report,
 )
-from repro.config.system import Mechanism, SystemConfig
+from repro.config.system import SystemConfig
 from repro.model.compose import Prediction
 from repro.sim.metrics import SimulationResult
 
@@ -68,7 +68,7 @@ SENSES: Tuple[str, ...] = tuple(o.sense for o in OBJECTIVES)
 def design_area_mm2(cfg: SystemConfig) -> float:
     """Total NoC area of a design, including the DR overhead it buys."""
     total = noc_area(cfg).total
-    if cfg.mechanism is Mechanism.DELEGATED_REPLIES:
+    if cfg.delegation_active:
         total += delegated_replies_overhead(cfg)["total"]
     return total
 

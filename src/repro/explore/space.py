@@ -106,6 +106,8 @@ def _apply_mechanism(cfg: SystemConfig, value: str) -> None:
         raise ValueError(
             f"unknown mechanism {value!r}; choose from {sorted(_MECHANISMS)}"
         ) from None
+    # the gene is the whole choice: flip both section switches so that
+    # SystemConfig.delegation_active / probing_active follow the selector
     cfg.delegation.enabled = cfg.mechanism is Mechanism.DELEGATED_REPLIES
     cfg.probing.enabled = cfg.mechanism is Mechanism.REALISTIC_PROBING
 
@@ -218,9 +220,9 @@ class SearchSpace:
             _set_path(cfg, path, v)
         # canonicalise sections the chosen mechanism never reads, so inert
         # gene differences cannot fork config hashes / cache entries
-        if cfg.mechanism is not Mechanism.DELEGATED_REPLIES:
+        if not cfg.delegation_active:
             cfg.delegation = DelegationConfig(enabled=False)
-        if cfg.mechanism is not Mechanism.REALISTIC_PROBING:
+        if not cfg.probing_active:
             cfg.probing = ProbingConfig(enabled=False)
         cfg.__post_init__()  # re-validate the node mix after mutation
         return cfg, gpu, cpu_corunners(gpu, 1)[0]

@@ -225,12 +225,12 @@ def _network_and_groups(
         mc = net.uniform_pairs(pl.mem_nodes, pl.cpu_nodes)
         mk("cpu_req", cm, CPU, REQ, f_req)
         mk("cpu_rep", mc, CPU, REP, f_cpu_rep)
-    if cfg.delegation.enabled or cfg.probing.enabled:
+    if cfg.delegation_active or cfg.probing_active:
         gg = net.uniform_pairs(pl.gpu_nodes, pl.gpu_nodes)
-        if cfg.delegation.enabled:
+        if cfg.delegation_active:
             mk("dreq", mg, GPU, REQ, f_req)
             mk("c2c", gg, GPU, REP, f_gpu_rep)
-        if cfg.probing.enabled:
+        if cfg.probing_active:
             mk("probe", gg, GPU, REQ, f_req)
             mk("nack", gg, GPU, REP, 1)
             mk("c2c_rp", gg, GPU, REP, f_gpu_rep)
@@ -288,8 +288,8 @@ def predict(
     n_gpu, n_cpu, n_mem = len(pl.gpu_nodes), len(pl.cpu_nodes), len(pl.mem_nodes)
     bw = net.bandwidth
 
-    delegation = cfg.delegation.enabled
-    probing = cfg.probing.enabled
+    delegation = cfg.delegation_active
+    probing = cfg.probing_active
 
     # --- static workload-derived probabilities ---------------------------
     gpu_hit = min(1.0, g.p_reuse ** K_GPU_REUSE)

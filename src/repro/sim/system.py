@@ -12,7 +12,6 @@ from typing import List, Optional
 from repro.config.system import (
     CtaScheduler,
     L1Organization,
-    Mechanism,
     SystemConfig,
 )
 from repro.coherence.software import SoftwareCoherenceController
@@ -107,11 +106,9 @@ class HeterogeneousSystem:
 
         # mechanism wiring
         self.delegation: Optional[DelegatedRepliesMechanism] = None
-        if cfg.mechanism is Mechanism.DELEGATED_REPLIES and cfg.delegation.enabled:
+        if cfg.delegation_active:
             self.delegation = DelegatedRepliesMechanism(cfg.delegation)
-        probing = (
-            cfg.mechanism is Mechanism.REALISTIC_PROBING and cfg.probing.enabled
-        )
+        probing = cfg.probing_active
 
         gpu_nodes = list(self.layout.gpu_nodes)
         self._clusters: List[SharedL1Cluster] = []

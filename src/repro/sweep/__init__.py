@@ -5,8 +5,8 @@ mechanism) cross products behind the paper's figures into explicit
 :class:`JobSpec` batches, runs them over a process pool, and persists
 every result to a content-addressed on-disk cache so re-runs and
 interrupted sweeps resume for free.  ``python -m repro.sweep`` exposes
-it on the command line; :func:`repro.experiments.common.mechanism_sweep`
-and :func:`~repro.experiments.common.run_config` route through it.
+it on the command line; every figure module reaches it through
+:func:`repro.experiments.common.simulate`.
 """
 
 from repro.sweep.cache import (

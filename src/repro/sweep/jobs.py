@@ -110,26 +110,33 @@ class JobSpec:
     def key(self) -> str:
         """Content hash of everything that determines the result.
 
-        The ``telemetry`` config section is excluded: tracing is
-        observation only (bit-identical counters with it on or off), so
-        a traced and an untraced run of the same config share one cache
-        entry.
+        A telemetry-*off* config hashes without its ``telemetry``
+        section, whatever the section holds.  Tracing leaves the
+        counters bit-identical but adds to the result *payload* (stall
+        breakdown, telemetry metrics), so a telemetry-enabled spec also
+        hashes the telemetry fields that shape that payload — all but
+        the output paths — and never aliases its untraced twin's entry.
         """
         config = json.loads(self.config_json)
-        config.pop("telemetry", None)
-        payload = _canonical_json(
-            {
-                "salt": code_salt(),
-                "config": config,
-                "gpu": self.gpu,
-                "cpu": self.cpu,
-                "cycles": self.cycles,
-                "warmup": self.warmup,
-                "kernel_flush_interval": self.kernel_flush_interval,
-                "faults": self.faults,
-                "backend": self.backend,
+        telemetry = config.pop("telemetry", None) or {}
+        fields = {
+            "salt": code_salt(),
+            "config": config,
+            "gpu": self.gpu,
+            "cpu": self.cpu,
+            "cycles": self.cycles,
+            "warmup": self.warmup,
+            "kernel_flush_interval": self.kernel_flush_interval,
+            "faults": self.faults,
+            "backend": self.backend,
+        }
+        if telemetry.get("enabled"):
+            fields["telemetry"] = {
+                name: value
+                for name, value in telemetry.items()
+                if name not in ("trace_path", "flight_dir")
             }
-        )
+        payload = _canonical_json(fields)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # -- materialisation --------------------------------------------------

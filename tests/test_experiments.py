@@ -7,7 +7,9 @@ and output shape, not the paper-scale numbers (the benchmark harness under
 
 import pytest
 
+from repro.config import baseline_config
 from repro.experiments import (
+    ablations,
     area_energy,
     clear_sweep_cache,
     fig02_locality,
@@ -25,13 +27,16 @@ from repro.experiments import (
     fig17_layout_dr,
     fig19_sensitivity,
     node_mix,
+    stall_decomposition,
 )
 from repro.experiments.common import (
     cpu_corunners,
     default_benchmarks,
+    job,
     mechanism_config,
     mechanism_sweep,
 )
+from repro.sweep import SweepRunner
 
 FAST = dict(cycles=400, warmup=250)
 BENCH2 = ["HS", "SC"]
@@ -62,7 +67,7 @@ class TestCommon:
     def test_sweep_is_cached(self):
         s1 = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline",))
         s2 = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline",))
-        assert s1 is s2
+        assert s1 == s2 and all(s1[k] is s2[k] for k in s1)
 
     def test_sweep_keys(self):
         s = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline", "dr"))
@@ -155,20 +160,94 @@ class TestFigureModules:
         assert str(r) == r.text
 
 
+#: the modules that enumerate their own specs (everything but the
+#: mechanism-sweep figures, fig02 and the chaos sweep)
+CONFIG_STUDIES = [
+    fig05_topology,
+    fig06_avcp,
+    fig07_adaptive,
+    fig09_layout,
+    fig15_shared_l1,
+    fig16_topology_dr,
+    fig17_layout_dr,
+    fig19_sensitivity,
+    node_mix,
+    ablations,
+    stall_decomposition,
+]
+TINY = dict(benchmarks=["HS"], cycles=100, warmup=60)
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Keys handed to ``SweepRunner.run``, one list per call."""
+    calls = []
+    run = SweepRunner.run
+
+    def recording_run(self, specs):
+        calls.append([spec.key() for spec in specs])
+        return run(self, specs)
+
+    monkeypatch.setattr(SweepRunner, "run", recording_run)
+    return calls
+
+
+class TestOneSweepPerFigure:
+    """Enumerate the specs, sweep once, tabulate — each spec once."""
+
+    @pytest.mark.parametrize(
+        "module", CONFIG_STUDIES, ids=lambda m: m.__name__.rsplit(".", 1)[-1]
+    )
+    def test_run_sweeps_at_most_once_without_duplicates(
+        self, module, submitted
+    ):
+        module.run(**TINY)
+        assert len(submitted) <= 1
+        for keys in submitted:
+            assert len(keys) == len(set(keys))
+        # and asking again simulates nothing
+        module.run(**TINY)
+        assert len(submitted) <= 1
+
+    def test_figures_share_the_private_rr_baseline(self, submitted):
+        fig07_adaptive.run(**TINY)
+        fig15_shared_l1.run(**TINY)
+        keys = [key for call in submitted for key in call]
+        baseline = job(
+            baseline_config(), "HS", TINY["cycles"], TINY["warmup"]
+        ).key()
+        assert keys.count(baseline) == 1
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize(
+        "module, kwargs",
+        [
+            (fig07_adaptive, {}),  # adaptive routing
+            (fig15_shared_l1, {}),  # shared L1 organisations
+            # 12x12 mesh and shared-vnet fabrics
+            (fig19_sensitivity, {"panels": ["mesh_size", "virtual_networks"]}),
+        ],
+        ids=["fig07", "fig15", "fig19"],
+    )
+    def test_parallel_sweep_renders_the_serial_table(
+        self, module, kwargs, monkeypatch
+    ):
+        serial = module.run(**TINY, **kwargs)
+        clear_sweep_cache()
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "2")
+        assert module.run(**TINY, **kwargs).text == serial.text
+
+
 class TestCallTimeWindowDefaults:
     """REPRO_CYCLES/REPRO_WARMUP are read at call time, not import time."""
 
     def test_defaults_follow_env_after_import(self, monkeypatch):
-        import repro.experiments as experiments
         from repro.experiments import common
 
         monkeypatch.setenv("REPRO_CYCLES", "555")
         monkeypatch.setenv("REPRO_WARMUP", "333")
         assert common.default_cycles() == 555
         assert common.default_warmup() == 333
-        # the legacy module constants resolve dynamically too
-        assert common.DEFAULT_CYCLES == 555
-        assert experiments.DEFAULT_WARMUP == 333
         monkeypatch.delenv("REPRO_CYCLES")
         assert common.default_cycles() == 3000
 

@@ -164,6 +164,38 @@ class TestValidationBudget:
             grid_specs("nope")
 
 
+@pytest.mark.parametrize(
+    "half_on",
+    [
+        {"delegation": {"enabled": True}},  # switch on, selector baseline
+        {"mechanism": "delegated_replies"},  # selector on, switch off
+        {"probing": {"enabled": True}},
+        {"mechanism": "realistic_probing"},
+    ],
+    ids=["dr-switch-only", "dr-selector-only",
+         "rp-switch-only", "rp-selector-only"],
+)
+def test_surrogate_and_simulator_agree_on_what_enables_a_mechanism(half_on):
+    # a mechanism needs its selector *and* its section switch; with only
+    # one of the two, the simulator builds the baseline machine, so the
+    # surrogate must predict the baseline's numbers, not the mechanism's
+    import dataclasses
+
+    from repro.config import baseline_config
+    from repro.config.loader import config_from_dict
+    from repro.sim.simulator import build_system
+
+    cfg = config_from_dict(half_on)
+    system = build_system(cfg, "HS", "canneal")
+    assert system.delegation is None
+    assert all(core.probe is None for core in system.gpu_cores)
+
+    pred = predict(cfg, "HS", "canneal")
+    base = predict(baseline_config(), "HS", "canneal")
+    assert dataclasses.replace(pred, mechanism=base.mechanism) == base
+    assert pred.delegated_fraction == 0.0
+
+
 def test_rho_cap_documented_range():
     # the screening threshold derives from RHO_CAP; pin the contract the
     # docs and tests above assume.

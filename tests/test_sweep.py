@@ -113,6 +113,20 @@ class TestResultCache:
         assert cache.get(key) is None
         assert not p.exists()  # evicted
 
+    def test_traced_spec_does_not_alias_untraced_entry(self, tmp_path):
+        # the cached *payload* differs with telemetry on (stall breakdown,
+        # telemetry metrics), so a traced spec run after its untraced twin
+        # against the same cache must simulate, not come back bare
+        traced_cfg = baseline_config()
+        traced_cfg.telemetry.enabled = True
+        traced_cfg.telemetry.mode = "full"
+        untraced, traced = tiny_spec(), tiny_spec(config=traced_cfg)
+        plain = run_sweep([untraced], cache=tmp_path)[untraced.key()]
+        assert plain.stall_breakdown == {} and not plain.telemetry_metrics
+        full = run_sweep([traced], cache=tmp_path)[traced.key()]
+        assert full.stall_breakdown and full.telemetry_metrics
+        assert full.counters == plain.counters  # observation only
+
     def test_clear_and_keys(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()

@@ -720,13 +720,25 @@ class TestConfigPlumbing:
         assert clone.telemetry == cfg.telemetry
 
     def test_sweep_key_ignores_telemetry(self):
-        plain = small_config()
-        traced = small_config()
-        traced.telemetry.enabled = True
-        traced.telemetry.trace_path = "/tmp/x.jsonl"
-        a = JobSpec.make(plain, "SC", "bodytrack")
-        b = JobSpec.make(traced, "SC", "bodytrack")
-        assert a.key() == b.key()
+        def key(**telemetry):
+            cfg = small_config()
+            for name, value in telemetry.items():
+                setattr(cfg.telemetry, name, value)
+            return JobSpec.make(cfg, "SC", "bodytrack").key()
+
+        # telemetry off: no telemetry field reaches the key
+        assert key() == key(mode="full", trace_path="/tmp/x.jsonl",
+                            sample_rate=0.5, probe_interval=50,
+                            ring_events=64, flight_dir="/tmp/flight")
+        # telemetry on: the output paths still do not ...
+        traced = key(enabled=True, mode="full")
+        assert traced == key(enabled=True, mode="full",
+                             trace_path="/tmp/x.jsonl",
+                             flight_dir="/tmp/flight")
+        # ... but what shapes the result payload does, and a traced run
+        # never shares an entry with its untraced twin
+        assert traced != key(enabled=True, mode="light")
+        assert traced != key()
 
     def test_sweep_key_still_sees_real_config(self):
         a = JobSpec.make(small_config(), "SC", "bodytrack")
