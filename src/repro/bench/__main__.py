@@ -161,11 +161,17 @@ def main(argv=None) -> int:
         except BackendError as exc:
             return backend_error_exit(exc)
         results[name] = res.as_dict()
+        skipped = ""
+        if "gpu_core_steps" in res.extra:
+            skipped = (
+                f", {res.extra['gpu_core_steps']} GPU core-steps run / "
+                f"{res.extra['gpu_core_steps_skipped']} slept through"
+            )
         print(
             f"{name:>12}: {res.cycles_per_sec:>8.1f} cycles/s "
             f"[{res.extra['backend']}] "
             f"({res.cycles} cycles in {res.wall_time_s:.2f}s, "
-            f"{res.packets_delivered} pkts)"
+            f"{res.packets_delivered} pkts{skipped})"
         )
 
     payload = {

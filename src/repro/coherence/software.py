@@ -44,8 +44,6 @@ class SoftwareCoherenceController:
         self.stats.flushes += 1
         for core in self.gpu_cores:
             self.stats.lines_invalidated += core.flush_l1()
-            core.stall_until = max(
-                getattr(core, "stall_until", 0), cycle + self.flush_penalty
-            )
+            core.stall(cycle + self.flush_penalty)
         for mem in self.memory_nodes:
             self.stats.pointers_dropped += mem.flush_pointers()

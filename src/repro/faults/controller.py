@@ -494,7 +494,7 @@ def quiesce(system, max_cycles: int = 40_000) -> int:
     number of unanswered requests plus stranded flits (0 = conserved).
     """
     for core in system.gpu_cores:
-        core.stall_until = 10 ** 9
+        core.stall(10 ** 9)
     for core in system.cpu_cores:
         core._countdown = 10 ** 9
         core._pending = None

@@ -34,6 +34,11 @@ class PrivateL1:
             return HIT, self.hit_latency
         return MISS, 0
 
+    def count_misses(self, n: int) -> None:
+        """What ``n`` accesses to absent lines leave behind (a sleeping
+        core's skipped read retries, settled in one go)."""
+        self.cache.misses += n
+
     def contains(self, block: int) -> bool:
         return self.cache.contains(block)
 

@@ -55,6 +55,7 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     gpu_reply_flits = 0
     gpu_hist: Dict[int, int] = {}
     for core in system.gpu_cores:
+        core.settle(system.cycle)  # count a sleeping core's skipped retries
         s = core.stats
         for k in agg:
             agg[k] += getattr(s, k)

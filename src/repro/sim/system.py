@@ -7,7 +7,7 @@ memory nodes into one steppable simulation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.config.system import (
     CtaScheduler,
@@ -218,7 +218,8 @@ class HeterogeneousSystem:
         for mem in self.memory_nodes:
             mem.step(cycle)
         for core in self.gpu_cores:
-            core.step(cycle)
+            if core.wake_at <= cycle:  # else asleep: nothing it can change
+                core.step(cycle)
         for core in self.cpu_cores:
             core.step(cycle)
         if self.faults is not None:
@@ -239,6 +240,15 @@ class HeterogeneousSystem:
         LLC core pointer (Section IV, coherence implications)."""
         self.kernel_flushes += 1
         self.coherence.kernel_boundary(self.cycle)
+
+    def scheduler_stats(self) -> Dict[str, int]:
+        """How many GPU core-steps ran and how many the endpoint
+        scheduler skipped (cores asleep on a known stall)."""
+        ran = sum(core.steps for core in self.gpu_cores)
+        return {
+            "gpu_core_steps": ran,
+            "gpu_core_steps_skipped": self.cycle * len(self.gpu_cores) - ran,
+        }
 
     # -- conveniences -----------------------------------------------------
 

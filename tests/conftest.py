@@ -38,14 +38,18 @@ def small_rp_config(**overrides) -> SystemConfig:
     return _small(realistic_probing_config, overrides)
 
 
-def all_awake(fabric):
-    """The scheduling reference: no router or NIC of ``fabric`` ever sleeps.
+def all_awake(fabric, gpu_cores=()):
+    """The scheduling reference: no router or NIC of ``fabric``, and none
+    of ``gpu_cores``, ever sleeps.
 
     The object kernel has one stepping order; what it skips is routers
-    and NICs with nothing to do (active sets, wake heap).  Marking every
-    router and NIC active before every cycle, through the public wake
-    API, turns that skipping off — so a run under ``all_awake`` is what a
-    sleeping run must equal counter for counter.
+    and NICs with nothing to do (active sets, wake heap), and a GPU core
+    skips the steps it knows to be failed issue retries (DESIGN.md,
+    "Endpoint scheduling contract").  Marking every router and NIC active
+    before every cycle and waking every core after it (so before the
+    next cycle's core steps; cores are built awake), through the public
+    wake API, turns that skipping off — so a run under ``all_awake`` is
+    what a sleeping run must equal counter for counter.
     """
     step = fabric.step
     nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
@@ -57,6 +61,8 @@ def all_awake(fabric):
         for node in range(len(fabric.nics)):
             fabric.mark_nic_active(node)
         step(cycle)
+        for core in gpu_cores:
+            core.wake()
 
     fabric.step = awake_step
     return fabric

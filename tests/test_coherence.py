@@ -111,6 +111,9 @@ class _FakeCore:
         self.flushed += 1
         return 7
 
+    def stall(self, until):
+        self.stall_until = max(self.stall_until, until)
+
 
 class _FakeMem:
     def flush_pointers(self):

@@ -20,7 +20,7 @@ from conftest import small_config, small_dr_config
 
 def drain(system, cycles=8000):
     for core in system.gpu_cores:
-        core.stall_until = 10 ** 9
+        core.stall(10 ** 9)
     for core in system.cpu_cores:
         core._countdown = 10 ** 9
         core._pending = None
@@ -102,7 +102,7 @@ class TestHostileDelegations:
         requester = system.gpu_cores[1].node_id
         victim = system.gpu_cores[0]
         for core in system.gpu_cores:
-            core.stall_until = 10 ** 9  # isolate the injected transaction
+            core.stall(10 ** 9)  # isolate the injected transaction
         # the requester believes it has an outstanding miss
         victim_block = 0x123456
         system.gpu_cores[1].mshrs.allocate(victim_block, ("local", 0))

@@ -1,11 +1,14 @@
 """Tests for the GPU SM core model, the FRQ and delegated-reply handling."""
 
+import heapq
+from collections import deque
+
 import pytest
 
 from repro.config import realistic_probing_config
 from repro.core.realistic_probing import ProbeEngine
-from repro.gpu.core import GpuCore
-from repro.gpu.shared_l1 import PrivateL1
+from repro.gpu.core import _WRITE_CAP, GpuCore
+from repro.gpu.shared_l1 import PrivateL1, SharedL1Cluster, SharedL1Port
 from repro.mem.address import AddressMap
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
@@ -225,3 +228,217 @@ class TestFlush:
         assert h.core.stats.mem_ops == 0
         h.run(100, start=100)
         assert h.core.stats.mem_ops > 0
+
+
+# ---------------------------------------------------------------------------
+# endpoint scheduling: sleep, settle, wake (DESIGN.md, "Endpoint scheduling
+# contract")
+# ---------------------------------------------------------------------------
+
+START = 100  # cycle of the first step in these tests
+
+
+def stalled_harness(stalled_warps, timed=(), write_warps=()):
+    """A core whose MSHR file (2 entries) is full of other lines, with
+    ``stalled_warps`` parked in the FIFO on read misses it cannot allocate
+    (``write_warps`` among them on writes over the cap) and ``timed``
+    ``(ready, warp)`` entries in the heap."""
+    cfg = small_config()
+    cfg.gpu_l1.mshrs = 2
+    cfg.gpu_core.warps = 16
+    h = Harness(cfg)
+    core = h.core
+    core.mshrs.allocate(0xA0, ("local", 14))
+    core.mshrs.allocate(0xA1, ("local", 15))
+    core.outstanding_writes = _WRITE_CAP
+    core._ready = list(timed)
+    heapq.heapify(core._ready)
+    # keys as left by one failed attempt per cycle, oldest first
+    core._stalled = deque(
+        (START - len(stalled_warps) + i + 1, w)
+        for i, w in enumerate(stalled_warps)
+    )
+    for w in stalled_warps:
+        core._pending_access[w] = (0x7000 + w, w in write_warps)
+    return h
+
+
+def core_state(core, cycle):
+    core.settle(cycle)
+    return {
+        "stalled": list(core._stalled),
+        "ready": sorted(core._ready),
+        "pending": list(core._pending_access),
+        "issue_stalls": core.stats.issue_stalls,
+        "mem_ops": core.stats.mem_ops,
+        "l1.misses": core.l1.misses,
+        "l1.hits": core.l1.hits,
+        "mshrs": sorted(core.mshrs.outstanding_blocks()),
+    }
+
+
+def run_pair(make, cycles):
+    """Step two identical cores ``cycles`` times, one woken before every
+    step; returns (always-awake core, sleeping core)."""
+    ref, opt = make().core, make().core
+    for cycle in range(START, START + cycles):
+        ref.wake()
+        ref.step(cycle)
+        opt.step(cycle)
+    return ref, opt
+
+
+class TestSleepAndSettle:
+    @pytest.mark.parametrize("skipped", [0, 1, 2, 4, 5, 6, 9, 10, 11, 57, 1000])
+    @pytest.mark.parametrize("writes", [(), (5,), (1, 7)])
+    def test_settle_equals_real_failed_steps(self, skipped, writes):
+        """k = 5 stalled warps, n skipped cycles (n < k, n == k, n >> k):
+        the replayed retries leave what n real failed steps leave."""
+        warps = [3, 1, 7, 5, 2]
+        ref, opt = run_pair(
+            lambda: stalled_harness(warps, write_warps=writes), 1 + skipped
+        )
+        end = START + 1 + skipped
+        # the watchdog sweep keeps its own clock while MSHRs are outstanding
+        sweeps = sum(c % GpuCore._SWEEP_PERIOD == 0 for c in range(START + 1, end))
+        assert ref.steps == 1 + skipped and opt.steps == 1 + sweeps
+        assert opt.wake_at > end
+        assert core_state(opt, end) == core_state(ref, end)
+        assert opt.stats.issue_stalls == 1 + skipped
+        reads = [w for w in warps if w not in writes]
+        assert (opt.l1.misses > 0) == bool(reads)
+
+    def test_settle_is_idempotent_and_leaves_the_core_asleep(self):
+        _ref, opt = run_pair(lambda: stalled_harness([4, 2, 9]), 8)
+        first = core_state(opt, START + 8)
+        wake_at = opt.wake_at
+        assert core_state(opt, START + 8) == first
+        assert opt.wake_at == wake_at > START + 8
+
+    def test_step_on_a_sleeping_core_is_a_noop(self):
+        """The benchmark's traced loop calls ``core.step`` on every core
+        itself; a sleeping core must ignore it and stay asleep."""
+        opt = stalled_harness([4, 2, 9]).core
+        opt.step(START)
+        wake_at, before = opt.wake_at, core_state(opt, START + 1)
+        assert wake_at > START + 1
+        opt.step(START + 1)
+        opt.step(START + 2)
+        assert opt.steps == 1 and opt.wake_at == wake_at
+        # nothing but the owed retries, which settle counts either way
+        after = core_state(opt, START + 3)
+        assert after["issue_stalls"] == before["issue_stalls"] + 2
+        assert after["pending"] == before["pending"]
+
+    @pytest.mark.parametrize("timed_warp", [0, 12])
+    @pytest.mark.parametrize("due", range(START - 1, START + 10))
+    def test_untried_warp_gets_its_turn_on_time(self, timed_warp, due):
+        """A timed warp ties a stalled one on ready cycle at some ``due``;
+        the warp id (lower / higher than every stalled warp) breaks the
+        tie.  The sleeping core must wake exactly for the timed warp's
+        attempt: same trace draws, same queues, every cycle after."""
+        def make():
+            return stalled_harness([3, 1, 7, 5], timed=[(due, timed_warp)])
+
+        for cycles in (4, 9, 14, 20):
+            ref, opt = run_pair(make, cycles)
+            end = START + cycles
+            assert core_state(opt, end) == core_state(ref, end), cycles
+        assert opt.steps < ref.steps
+
+    @pytest.mark.parametrize("lifted", ["l1", "mshr", "write"])
+    def test_stalled_warp_that_would_no_longer_fail_ends_the_sleep(self, lifted):
+        """Only the retries ahead of it are slept through: its line is
+        cached by now / outstanding by now / the write cap has room."""
+
+        def make():
+            h = stalled_harness([3, 1, 7, 5], write_warps=(7,))
+            if lifted == "l1":
+                h.core.l1.fill(0x7000 + 5)
+            elif lifted == "mshr":
+                h.core._pending_access[5] = (0xA1, False)
+            else:
+                h.core.outstanding_writes = _WRITE_CAP - 1
+            return h
+
+        ref, opt = run_pair(make, 12)
+        assert core_state(opt, START + 12) == core_state(ref, START + 12)
+        assert opt.stats.mem_ops == 1 and 1 < opt.steps < ref.steps
+
+    def test_fill_wakes_and_settles_before_the_next_issue(self):
+        def make():
+            h = stalled_harness([3, 1, 7, 5, 2])
+            h.core._pending_access[7] = (0xA0, False)  # the line in flight
+            return h
+
+        ref_h, opt_h = make(), make()
+        for cycle in range(START, START + 30):
+            for h in (ref_h, opt_h):
+                if cycle == START + 13:  # lands between two skipped steps
+                    h.deliver(
+                        Packet(4, 15, MessageType.READ_REPLY, TrafficClass.GPU,
+                               9, block=0xA0, created=cycle - 20),
+                        cycle - 1,
+                    )
+                if h is ref_h:
+                    h.core.wake()
+                h.core.step(cycle)
+        end = START + 30
+        assert core_state(opt_h.core, end) == core_state(ref_h.core, end)
+        assert opt_h.core.stats.mem_ops > 0
+        assert opt_h.core.steps < ref_h.core.steps
+
+    def test_stall_settles_against_the_old_stall_until(self):
+        """``stall`` on a sleeping core: retries skipped so far are still
+        owed, none after (both writers go through it)."""
+        ref, opt = run_pair(lambda: stalled_harness([4, 2, 9]), 6)
+        for core in (ref, opt):
+            core.stall(10 ** 9)
+        for cycle in range(START + 6, START + 12):
+            ref.wake()
+            ref.step(cycle)
+            opt.step(cycle)
+        assert ref.stats.issue_stalls == 6
+        assert core_state(opt, START + 12) == core_state(ref, START + 12)
+
+    def test_nic_refusal_is_not_slept_on(self):
+        """A full NIC queue drains without telling the core: a warp
+        stalled on it is retried every cycle."""
+        cfg = small_config()
+        cfg.noc.node_injection_queue_packets = 1
+        h = Harness(cfg)
+        for cycle in range(40):  # fabric never stepped: the queue stays full
+            h.core.step(cycle)
+        assert h.core.nic.queued(NetKind.REQUEST) == 1
+        assert h.core.steps == 40 and h.core.wake_at == 0
+
+    def test_shared_l1_and_probing_cores_never_sleep(self):
+        h = Harness(probing=True)
+        assert not h.core._may_sleep
+        cfg = small_config()
+        port = SharedL1Port(SharedL1Cluster(cfg.gpu_l1), 0)
+        h = Harness(cfg)
+        shared = GpuCore(15, 0, cfg, port, h.core.trace, h.fabric.nic(15),
+                         AddressMap((4,)))
+        assert not shared._may_sleep
+        for cycle in range(60):
+            shared.step(cycle)
+        assert shared.steps == 60
+
+
+class TestMissObserver:
+    def test_fires_once_per_primary_miss_not_per_retry(self):
+        """Fig. 2's hook: a primary miss refused by a full NIC queue is
+        retried every cycle but observed once, when it is allocated."""
+        cfg = small_config()
+        cfg.noc.node_injection_queue_packets = 1
+        h = Harness(cfg)
+        seen = []
+        h.core.miss_observer = lambda core, block: seen.append(block)
+        for cycle in range(50):  # fabric never stepped: one request fits
+            h.core.step(cycle)
+        assert h.core.stats.issue_stalls > 10
+        assert len(seen) == len(h.core.mshrs) == 1
+        h.run(400, start=50)
+        reads = [p for p in h.mem_seen if p.mtype is MessageType.READ_REQ]
+        assert len(seen) == len(reads)

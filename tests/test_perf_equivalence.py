@@ -13,22 +13,42 @@ the vector backend can cross-check.
 The second half asserts flit/packet conservation through the NoC under
 heavy delegation pressure: nothing the delegation path converts, rejects
 or re-routes may create or lose traffic.
+
+The last part is the same differential for the endpoints: a GPU core
+that knows its next steps are failed issue retries sleeps through them
+(DESIGN.md, "Endpoint scheduling contract") and must leave what a core
+woken before every cycle leaves — counters, raw L1 misses, stall counts
+and the issue queues themselves.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.harness import BENCH_CONFIGS
-from repro.config.system import DelegationConfig, NocConfig, RoutingPolicy
+from repro.config.system import (
+    DelegationConfig,
+    L1Organization,
+    NocConfig,
+    RoutingPolicy,
+)
 from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
+from repro.faults import quiesce
 from repro.faults.plan import FaultPlan, LinkDown, LinkUp, RouterFreeze
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system
 
-from conftest import all_awake, small_config, small_dr_config
+from repro.workloads.gpu import GPU_BENCHMARK_NAMES
+
+from conftest import (
+    all_awake,
+    small_config,
+    small_dr_config,
+    small_rp_config,
+)
 
 
 def _fabric_counters(fabric: NocFabric) -> dict:
@@ -69,7 +89,7 @@ def _run_synthetic(config_name: str, cycles: int, reference: bool) -> dict:
 
 def _assert_no_drift(ref: dict, opt: dict) -> None:
     diffs = {k: (ref[k], opt.get(k)) for k in ref if opt.get(k) != ref[k]}
-    assert not diffs, f"counters drifted when routers/NICs sleep: {diffs}"
+    assert not diffs, f"counters drifted when routers/NICs/cores sleep: {diffs}"
 
 
 @pytest.mark.parametrize("config_name", ["mesh8x8", "mesh8x8_dr", "shared_vnet"])
@@ -219,6 +239,137 @@ def test_packet_conservation_under_heavy_delegation():
     # request incremented) so sends == deliveries exactly
     assert delivered_pkts == sent_pkts
     assert delivered_flits == injected_flits
+
+
+# ---------------------------------------------------------------------------
+# endpoint scheduling: sleeping GPU cores
+# ---------------------------------------------------------------------------
+
+MECHANISMS = {
+    "baseline": small_config,
+    "dr": small_dr_config,
+    "rp": small_rp_config,
+}
+
+
+def _endpoint_state(system) -> dict:
+    """``collect_counters`` (which settles sleeping cores) plus what it
+    does not carry: raw L1 misses, per-core stalls, the issue queues."""
+    out = collect_counters(system)
+    for i, core in enumerate(system.gpu_cores):
+        out[f"core{i}.l1.misses"] = core.l1.misses
+        out[f"core{i}.issue_stalls"] = core.stats.issue_stalls
+        out[f"core{i}.ready"] = sorted(core._ready)
+        out[f"core{i}.stalled"] = list(core._stalled)
+    return out
+
+
+def _endpoint_pair(cfg_of, cycles, gpu="HS", finish=None, **build):
+    """Run the same system with every router, NIC and GPU core kept awake
+    and with sleeping on; returns (reference state, sleeping state,
+    sleeping system)."""
+    out = []
+    for reference in (True, False):
+        system = build_system(cfg_of(), gpu, "canneal", **build)
+        if reference:
+            all_awake(system.fabric, system.gpu_cores)
+        system.run(cycles)
+        if finish is not None:
+            finish(system)
+        out.append(_endpoint_state(system))
+    return out[0], out[1], system
+
+
+def _owes_retries(system) -> bool:
+    """Some core is asleep right now with skipped retries not yet counted."""
+    return any(
+        core.wake_at > system.cycle and core._stalled
+        and core._owed_from is not None and core._owed_from < system.cycle
+        for core in system.gpu_cores
+    )
+
+
+@pytest.mark.parametrize("flush", [0, 170], ids=["noflush", "flush170"])
+@pytest.mark.parametrize("backend", ["object", "vector"])
+@pytest.mark.parametrize("l1_org", list(L1Organization), ids=lambda o: o.value)
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_sleeping_cores_bit_identical(mechanism, l1_org, backend, flush):
+    def cfg_of():
+        return MECHANISMS[mechanism](l1_org=l1_org)
+
+    ref, opt, system = _endpoint_pair(
+        cfg_of, 500, backend=backend, kernel_flush_interval=flush
+    )
+    _assert_no_drift(ref, opt)
+    assert ref["gpu.issue_stalls"] > 0
+    if flush:
+        assert system.kernel_flushes == 2
+    # who may sleep is decided from what the core was built with
+    skipped = system.scheduler_stats()["gpu_core_steps_skipped"]
+    if mechanism != "rp" and l1_org is L1Organization.PRIVATE:
+        assert skipped > 0.5 * 500 * len(system.gpu_cores)
+    else:
+        assert skipped == 0
+
+
+def test_counters_read_mid_sleep():
+    """The run ends with cores asleep and retries owed; reading the
+    counters settles them without a further step (and reading twice
+    counts nothing twice)."""
+    owing = []
+    ref, opt, system = _endpoint_pair(
+        small_config, 700, finish=lambda s: owing.append(_owes_retries(s))
+    )
+    assert owing == [False, True]
+    _assert_no_drift(ref, opt)
+    assert _endpoint_state(system) == opt
+
+
+def test_quiesce_reaches_sleeping_cores():
+    """``faults.quiesce`` stalls cores that may be asleep with retries
+    owed: the drain conserves packets, the settled stall counts match the
+    all-awake run, and the drain itself is slept through."""
+    seen = []
+
+    def finish(system):
+        ran = system.scheduler_stats()["gpu_core_steps"]
+        seen.append((_owes_retries(system), quiesce(system)))
+        drain_steps = (system.cycle - 500) * len(system.gpu_cores)
+        seen.append(system.scheduler_stats()["gpu_core_steps"] - ran < drain_steps / 2)
+
+    ref, opt, system = _endpoint_pair(small_dr_config, 500, finish=finish)
+    assert seen == [(False, 0), False, (True, 0), True]
+    _assert_no_drift(ref, opt)
+    assert all(len(core.mshrs) == 0 for core in system.gpu_cores)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    gpu=st.sampled_from(GPU_BENCHMARK_NAMES),
+    mechanism=st.sampled_from(sorted(MECHANISMS)),
+    mshrs=st.integers(2, 32),
+    warps=st.integers(2, 48),
+    queue=st.integers(1, 16),
+    window=st.integers(50, 400),
+)
+# hostile corners kept pinned: tiny MSHR file and a one-packet NIC queue
+# reach the NIC-full and write-cap refusals the default sizes rarely hit
+@example(seed=1, gpu="BP", mechanism="baseline", mshrs=2, warps=48, queue=1, window=300)
+@example(seed=7, gpu="NN", mechanism="dr", mshrs=2, warps=2, queue=2, window=400)
+@example(seed=3, gpu="HS", mechanism="rp", mshrs=4, warps=16, queue=1, window=200)
+def test_sleeping_cores_property(seed, gpu, mechanism, mshrs, warps, queue, window):
+    """Generated differential, endpoint leg (ROADMAP correctness item)."""
+
+    def cfg_of():
+        cfg = MECHANISMS[mechanism](seed=seed)
+        cfg.gpu_l1.mshrs = mshrs
+        cfg.gpu_core.warps = warps
+        cfg.noc.node_injection_queue_packets = queue
+        return cfg
+
+    ref, opt, _system = _endpoint_pair(cfg_of, window, gpu=gpu)
+    _assert_no_drift(ref, opt)
 
 
 class TestBenchMemoryTelemetry:

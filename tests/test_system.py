@@ -77,7 +77,7 @@ class TestEndToEnd:
         system.run(500)
         # stop issuing and let everything drain
         for core in system.gpu_cores:
-            core.stall_until = 10 ** 9
+            core.stall(10 ** 9)
         for core in system.cpu_cores:
             core._blocked_on = None
             core._countdown = 10 ** 9
@@ -97,7 +97,7 @@ class TestEndToEnd:
         system = build_system(small_dr_config(), "HS", "vips")
         system.run(800)
         for core in system.gpu_cores:
-            core.stall_until = 10 ** 9
+            core.stall(10 ** 9)
         for core in system.cpu_cores:
             core._countdown = 10 ** 9
             core._pending = None
@@ -150,3 +150,24 @@ class TestMetricsPlumbing:
         assert 0 <= res.mem_reply_link_utilization <= 1.01
         breakdown = res.miss_breakdown()
         assert abs(sum(breakdown.values()) - 1.0) < 1e-6
+
+    def test_scheduler_stats_account_for_every_core_step(self):
+        """Self-observability of the endpoint scheduler: steps run plus
+        steps slept through is every core-step of the run, and neither
+        is a simulated counter (``stats_digest`` must not see them)."""
+        system = build_system(small_config(), "HS", "vips")
+        system.run(400)
+        stats = system.scheduler_stats()
+        assert set(stats) == {"gpu_core_steps", "gpu_core_steps_skipped"}
+        assert sum(stats.values()) == 400 * len(system.gpu_cores)
+        assert stats["gpu_core_steps_skipped"] > stats["gpu_core_steps"] > 0
+        assert not set(stats) & set(collect_counters(system))
+
+    def test_bench_fullsys_records_scheduler_stats(self):
+        from repro.bench.harness import run_bench
+
+        res = run_bench("fullsys", cycles=300)
+        d = res.as_dict()
+        # 30 warmup + 300 timed cycles on the 40-core chip
+        assert d["gpu_core_steps"] + d["gpu_core_steps_skipped"] == 330 * 40
+        assert "gpu_core_steps" not in run_bench("mesh8x8", cycles=200).as_dict()
