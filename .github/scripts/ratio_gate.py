@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""CI gates on a ratio of two timings taken inside one commit.
+
+    PYTHONPATH=src python .github/scripts/ratio_gate.py vector|telemetry|sweep
+
+``e2e_bench/run.py --compare`` judges one commit against another; these
+three claims compare two ways of running the *same* commit, so they live
+here, all under one protocol:
+
+* ``vector``    saturated 16x16 mesh, 500 cycles: the vector backend is
+                >= 3x the object kernel (typical margin ~7x).
+* ``telemetry`` ``mesh8x8_dr``, 1200 cycles: light-mode telemetry costs
+                < 10% over telemetry off, and both fabrics end on
+                identical per-network counters.
+* ``sweep``     16 probe jobs of 40 ms through ``SweepRunner``: 2 warm
+                workers are >= 1.2x inline.  A probe sleeps, and sleeps
+                overlap even on one core, so the ratio is the sweep
+                fabric's dispatch cost, not the runner's core count.
+
+Protocol: a gate is two callables returning wall seconds, a base and a
+contender.  Every round runs both back to back; round 0 warms caches,
+clocks and pools and is discarded; the gate's figure is the best paired
+ratio of the remaining rounds, which cancels drift a quotient of two
+minima cannot.  A timing that misses its threshold is retried once (a
+shared runner can ruin any single measurement).  An identity failure
+raises where it is seen and is never retried: it is a bug, not noise.
+Wrap in ``timeout 90``.
+"""
+
+from __future__ import annotations
+
+import atexit
+import sys
+import time
+from typing import Callable, Dict, List, NamedTuple
+
+from repro.bench import SCENARIOS, delivered, replay
+from repro.bench.traffic import Schedule
+
+WARMUP = 100
+
+
+class Gate(NamedTuple):
+    #: the two sides, each returning wall seconds; the figure is the
+    #: contender's speed in units of the base's, ``base() / contender()``
+    base: Callable[[], float]
+    contender: Callable[[], float]
+    #: the gate passes when its best ratio reaches this
+    threshold: float
+    rounds: int
+    #: one-line reading of a ratio for the log
+    describe: Callable[[float], str]
+
+
+def _timed_replay(fabric, schedule: Schedule, on_cycle=None) -> float:
+    """Wall seconds of ``schedule`` after an untimed ``WARMUP`` cycles."""
+    replay(fabric, schedule[:WARMUP], on_cycle=on_cycle)
+    t0 = time.perf_counter()
+    replay(fabric, schedule[WARMUP:], start=WARMUP, on_cycle=on_cycle)
+    return time.perf_counter() - t0
+
+
+def vector_gate() -> Gate:
+    scenario = SCENARIOS["mesh16x16_sat"]
+    schedule = scenario.schedule(WARMUP + 500)
+    seen: Dict[str, tuple] = {}
+
+    def run(backend: str) -> float:
+        fabric = scenario.build(backend)
+        wall = _timed_replay(fabric, schedule)
+        seen[backend] = delivered(fabric)
+        if len(seen) == 2 and seen["object"] != seen["vector"]:
+            raise AssertionError(f"backends delivered different traffic: {seen}")
+        return wall
+
+    return Gate(
+        lambda: run("object"), lambda: run("vector"), 3.0, rounds=2,
+        describe=lambda r: f"vector {r:.2f}x the object kernel (needs >= 3x)",
+    )
+
+
+def telemetry_gate() -> Gate:
+    from repro.config.system import TelemetryConfig
+    from repro.telemetry.collector import TelemetryCollector
+
+    scenario = SCENARIOS["mesh8x8_dr"]
+    schedule = scenario.schedule(WARMUP + 1200)
+    seen: Dict[bool, list] = {}
+
+    def run(light: bool) -> float:
+        fabric = scenario.build()
+        on_cycle = None
+        if light:
+            collector = TelemetryCollector(
+                TelemetryConfig(enabled=True, mode="light", probe_interval=200),
+                fabric, scenario.mem_nodes,
+            )
+            fabric.attach_telemetry(collector)
+            on_cycle = collector.on_cycle
+        wall = _timed_replay(fabric, schedule, on_cycle)
+        if light:
+            collector.finalize(len(schedule))
+        nets = {id(n): n for n in (fabric.request_net, fabric.reply_net)}
+        seen[light] = [
+            (n.packets_delivered, n.flits_delivered, n.total_flits_routed())
+            for n in nets.values()
+        ]
+        if len(seen) == 2 and seen[True] != seen[False]:
+            raise AssertionError(f"telemetry changed the run it watched: {seen}")
+        return wall
+
+    # light's speed >= 1/1.10 of off's is light's wall <= 1.10x off's
+    return Gate(
+        lambda: run(False), lambda: run(True), 1 / 1.10, rounds=5,
+        describe=lambda r: f"light telemetry {(1 / r - 1) * 100:+.1f}% "
+                           "over off (needs < 10%), counters identical",
+    )
+
+
+def _probe_job(spec_dict: Dict) -> Dict:
+    """An ideal sweep job: sleeps ``cycles`` milliseconds, returns a
+    minimal result, so the wall time around it is the sweep fabric's."""
+    from repro.sim.metrics import SimulationResult
+
+    ms = spec_dict["cycles"]
+    time.sleep(ms / 1000.0)
+    return {"result": SimulationResult(cycles=ms).to_dict(),
+            "wall_time_s": ms / 1000.0}
+
+
+def sweep_gate() -> Gate:
+    from repro.sweep import JobSpec, SweepRunner
+
+    # warmup varies so the 16 specs have 16 keys
+    probes = [
+        JobSpec.make({"probe": i}, gpu="probe", cpu=None, cycles=40, warmup=i,
+                     label=(f"probe{i}",))
+        for i in range(16)
+    ]
+    runners = {
+        jobs: SweepRunner(cache=None, jobs=jobs, max_retries=0, worker=_probe_job)
+        for jobs in (1, 2)
+    }
+    atexit.register(runners[2].close)
+    runners[2].warm()
+
+    def run(jobs: int) -> float:
+        t0 = time.perf_counter()
+        outcomes = runners[jobs].run(probes)
+        wall = time.perf_counter() - t0
+        if not all(o.status == "ok" for o in outcomes.values()):
+            raise AssertionError(f"probe jobs failed at {jobs} worker(s)")
+        return wall
+
+    return Gate(
+        lambda: run(1), lambda: run(2), 1.2, rounds=3,
+        describe=lambda r: f"2 warm workers {r:.2f}x inline (needs >= 1.2x)",
+    )
+
+
+GATES = {"vector": vector_gate, "telemetry": telemetry_gate, "sweep": sweep_gate}
+
+
+def best_ratio(gate: Gate) -> float:
+    ratios: List[float] = []
+    for rnd in range(gate.rounds + 1):
+        base, contender = gate.base(), gate.contender()
+        if rnd:  # round 0 is the warm-up
+            ratios.append(base / contender)
+    print("  per-round ratios: " + ", ".join(f"{r:.3f}" for r in ratios))
+    return max(ratios)
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) != 1 or argv[0] not in GATES:
+        print(f"usage: ratio_gate.py {'|'.join(GATES)}", file=sys.stderr)
+        return 2
+    gate = GATES[argv[0]]()
+    for attempt in ("first", "retry"):
+        ratio = best_ratio(gate)
+        passed = ratio >= gate.threshold
+        print(f"{'ok' if passed else 'FAIL'} ({attempt} attempt): "
+              + gate.describe(ratio))
+        if passed:
+            return 0
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -26,7 +26,7 @@ python -m repro.sweep status --benchmarks "$BENCHES" --cache-dir "$CACHE"
 
 echo "--- resume ---"
 python -m repro.sweep run --jobs 2 --resume --benchmarks "$BENCHES" \
-  --cache-dir "$CACHE" --manifest "$MANIFEST"
+  --cache-dir "$CACHE" --out "$MANIFEST"
 
 python - "$MANIFEST" <<'PY'
 import json

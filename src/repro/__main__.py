@@ -20,6 +20,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.cli import add_window_options, usage_error_exit
+
 
 def _cmd_list(_args) -> int:
     from repro.experiments import ALL_EXPERIMENTS
@@ -74,9 +76,9 @@ def _cmd_experiment(args) -> int:
               file=sys.stderr)
         return 2
     kwargs = {}
-    if args.cycles:
+    if args.cycles is not None:
         kwargs["cycles"] = args.cycles
-    if args.warmup:
+    if args.warmup is not None:
         kwargs["warmup"] = args.warmup
     if args.benchmarks:
         kwargs["benchmarks"] = args.benchmarks.split(",")
@@ -118,13 +120,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="CPU benchmark (Parsec name)")
     run_p.add_argument("--mechanism", choices=["baseline", "rp", "dr"],
                        default="baseline")
-    run_p.add_argument("--cycles", type=int, default=3000)
-    run_p.add_argument("--warmup", type=int, default=2000)
+    add_window_options(run_p, cycles=3000, warmup=2000)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper figure")
     exp_p.add_argument("name", help="experiment module, e.g. fig10_gpu_perf")
-    exp_p.add_argument("--cycles", type=int, default=None)
-    exp_p.add_argument("--warmup", type=int, default=None)
+    add_window_options(exp_p)
     exp_p.add_argument("--benchmarks", default=None,
                        help="comma-separated GPU benchmark subset")
 
@@ -137,7 +137,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "area": _cmd_area,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (KeyError, ValueError) as exc:
+        # an unknown benchmark, a malformed $REPRO_CYCLES, an unusable
+        # $REPRO_BACKEND (BackendError is a ValueError): usage errors
+        return usage_error_exit(exc)
 
 
 if __name__ == "__main__":

@@ -28,9 +28,9 @@ cycle (telemetry tooling, the fault-injection harness).
 
 Names listed in ``__all__`` are covered by the API-snapshot test
 (``tests/test_api.py``); removing or renaming one is a breaking change
-and must ship with a deprecation shim, like the
-``SimulationResult.cpu_avg_latency`` property that still serves the
-pre-rename spelling of ``cpu_latency_avg``.
+and takes a deprecation cycle (DESIGN.md, API-stability rules): the old
+spelling keeps working beside the new one until a ``CODE_VERSION`` bump
+has retired every cache entry that could still carry it, then it goes.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ def predict(
     (``cpu_latency_avg``, ``gpu_ipc``, ``mem_blocking_rate``, ...), and
     the prediction adds ``demand_rho``/``saturated``/``bottleneck`` for
     clogging assessment.  Validated accuracy against the simulator is
-    tracked by ``python -m repro.model validate`` and the
-    ``surrogate_accuracy`` entry of ``BENCH_noc.json``.
+    tracked by ``python -m repro.model validate``.
     """
     from repro.model.compose import predict as _model_predict
 

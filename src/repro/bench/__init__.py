@@ -1,41 +1,46 @@
-"""Performance benchmarks for the simulation kernel.
+"""Seeded synthetic traffic for the bare-fabric differential checks.
 
-``python -m repro.bench`` runs a fixed set of configurations against the
-hot-path simulation kernel (router arbitration, the active-set scheduler
-and the NIC injection loop) and writes machine-readable throughput numbers
-to ``BENCH_noc.json``.  The configs are chosen so regressions in the NoC
-kernel show up directly:
+This package measures nothing for the record: throughput numbers come
+from ``python3 e2e_bench/run.py`` (``--smoke``, ``--workload W``,
+``--compare A.json B.json``; baselines in ``e2e_bench/baseline/``).  What
+lives here is the traffic those checks replay — the schedule generators,
+the :func:`replay` driver and four named scenarios:
 
-* ``mesh8x8`` — 8x8 mesh, baseline NoC, light uniform-random traffic (the
-  latency-regime operating point).  NoC-kernel-bound and the headline
-  cycles/sec number: the active-set scheduler's win shows here.
-* ``mesh8x8_sat`` — the same mesh far past saturation; every router is
-  busy, so this isolates raw per-flit arbitration cost and guards against
-  scheduler bookkeeping overhead.
-* ``mesh8x8_dr`` — mesh with memory-node hotspot traffic and the
-  Delegated Replies policy attached, exercising the memory-node NIC path.
+* ``mesh8x8`` — 8x8 mesh, light uniform-random traffic (the
+  latency-regime operating point the active sets exploit).
+* ``mesh8x8_dr`` — memory-node hotspot traffic with the Delegated
+  Replies policy attached, exercising the memory-node NIC path.
 * ``shared_vnet`` — one physical network with request/reply virtual
-  networks (the AVCP substrate of Section III-B) at moderate load.
-* ``fullsys`` — a short full-system window (HS + canneal) tracking
-  end-to-end simulation throughput, cores and caches included.
+  networks at moderate load.
+* ``mesh16x16_sat`` — 16x16 mesh far past saturation, the scale the
+  vector backend exists for.
 
-The traffic generators are seeded LCGs whose decisions depend only on
-``(cycle, node)``, so two simulator builds replay the identical workload
-and their cycles/sec are directly comparable.
+``tests/test_perf_equivalence.py`` (sleeping == all-awake) and
+``tests/test_vector_kernel.py`` (object == vector) replay them, and
+``.github/scripts/ratio_gate.py`` times them for the ratios CI asserts
+inside one commit.
 """
 
-from repro.bench.harness import (
-    BENCH_CONFIGS,
+from repro.bench.traffic import (
+    SCENARIOS,
     BenchResult,
+    Lcg,
+    Scenario,
+    delivered,
+    hotspot_schedule,
+    replay,
     run_bench,
-    run_bench_isolated,
-    run_all,
+    uniform_schedule,
 )
 
 __all__ = [
-    "BENCH_CONFIGS",
+    "SCENARIOS",
     "BenchResult",
+    "Lcg",
+    "Scenario",
+    "delivered",
+    "hotspot_schedule",
+    "replay",
     "run_bench",
-    "run_bench_isolated",
-    "run_all",
+    "uniform_schedule",
 ]

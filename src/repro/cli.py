@@ -1,8 +1,8 @@
 """Shared command-line conventions for the ``repro.*`` CLIs.
 
-Every entry point (``repro.bench``, ``repro.sweep``, ``repro.telemetry``,
-``repro.faults``) spells the common flags identically by building them
-through these helpers:
+Every entry point (``repro.sweep``, ``repro.telemetry``, ``repro.faults``,
+``repro.model``, ``repro.explore``) spells the common flags identically by
+building them through these helpers:
 
 ``--cycles N``   measured-window length
 ``--warmup N``   warmup length
@@ -13,9 +13,8 @@ through these helpers:
 ``--format F``   human table vs machine JSON on stdout
 ``--backend B``  simulation engine (object | vector)
 
-Renamed or historical spellings stay functional via
-:func:`add_deprecated_alias`, which maps the old flag onto the canonical
-destination with a one-line ``stderr`` warning per use.
+A usage error — an unknown backend or benchmark, a malformed window —
+leaves through :func:`usage_error_exit`: one ``error:`` line, status 2.
 """
 
 from __future__ import annotations
@@ -28,13 +27,28 @@ from typing import Any, Callable, Optional, Union
 OUTPUT_FORMATS = ("table", "json")
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` that rejects integers below ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def add_cycles_option(
     parser: argparse.ArgumentParser,
     default: Optional[int] = None,
     help: str = "measured window in cycles "
     "(default: $REPRO_CYCLES or the command's built-in)",
 ) -> None:
-    parser.add_argument("--cycles", type=int, default=default, help=help)
+    parser.add_argument(
+        "--cycles", type=_int_at_least(1), default=default, help=help
+    )
 
 
 def add_warmup_option(
@@ -43,7 +57,9 @@ def add_warmup_option(
     help: str = "warmup cycles before measurement "
     "(default: $REPRO_WARMUP or the command's built-in)",
 ) -> None:
-    parser.add_argument("--warmup", type=int, default=default, help=help)
+    parser.add_argument(
+        "--warmup", type=_int_at_least(0), default=default, help=help
+    )
 
 
 def add_window_options(
@@ -115,14 +131,18 @@ def add_backend_option(
     )
 
 
-def backend_error_exit(exc: Exception) -> int:
-    """One-line ``error:`` exit shared by every ``--backend`` CLI.
+def usage_error_exit(exc: Exception) -> int:
+    """One-line ``error:`` exit shared by every CLI.
 
-    Prints the :class:`~repro.sim.engines.BackendError` message to
-    stderr (already a single line by contract) and returns the exit
-    status for the caller to hand to ``sys.exit``.
+    Prints the message of a usage error (a
+    :class:`~repro.sim.engines.BackendError`, an unknown benchmark's
+    ``KeyError``, a malformed window's ``ValueError`` — each a single
+    line by contract) to stderr and returns the exit status for the
+    caller to hand to ``sys.exit``.
     """
-    print(f"error: {exc}", file=sys.stderr)
+    # str(KeyError) is the repr of its argument, quotes and all
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 
@@ -142,32 +162,3 @@ def emit(
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render() if callable(render) else render)
-
-
-def add_deprecated_alias(
-    parser: argparse.ArgumentParser,
-    old: str,
-    new: str,
-    **kwargs,
-) -> None:
-    """Register ``old`` as a hidden alias of the already-added ``new`` flag.
-
-    Using the alias stores into ``new``'s destination and prints one
-    deprecation line on stderr, so old invocations keep working while
-    steering users to the canonical spelling.
-    """
-    dest = new.lstrip("-").replace("-", "_")
-
-    class _Alias(argparse.Action):
-        def __call__(self, _parser, namespace, values, option_string=None):
-            print(
-                f"warning: {option_string or old} is deprecated; "
-                f"use {new}",
-                file=sys.stderr,
-            )
-            setattr(namespace, dest, values)
-
-    parser.add_argument(
-        old, action=_Alias, dest=f"_deprecated{dest}",
-        help=argparse.SUPPRESS, **kwargs,
-    )

@@ -269,9 +269,11 @@ class TelemetryConfig:
     #: always-on tier: ring-buffer events, counter-array latency
     #: histograms, windowed probes, clogging detection, the flight
     #: recorder and the metrics registry.  ``"full"`` adds exact
-    #: per-cycle stall attribution (``stall_attribution`` below) — the
-    #: per-blocked-VC accounting that dominates telemetry cost on
-    #: saturated meshes.
+    #: per-cycle stall attribution (why each blocked head worm cannot
+    #: advance) — the per-blocked-VC accounting that dominates telemetry
+    #: cost on saturated meshes.  The probe-time blame chain walker that
+    #: attaches ``root_cause`` records to clogging episodes runs in both
+    #: modes (it is windowed, not per-cycle).
     mode: str = "light"
     #: per-packet trace destination; empty = aggregate-only (histograms,
     #: window probes and clogging detection, but no per-packet I/O).
@@ -290,27 +292,17 @@ class TelemetryConfig:
     clog_threshold: float = 0.9
     #: ... for at least this many consecutive windows is one episode.
     clog_min_windows: int = 2
-    #: per-cycle stall attribution (why each blocked head worm cannot
-    #: advance).  Only effective when ``enabled`` is True *and* ``mode``
-    #: is ``"full"`` — light mode never charges the per-blocked-VC
-    #: StallTable, whatever this flag says.  The probe-time blame chain
-    #: walker that attaches ``root_cause`` records to clogging episodes
-    #: runs in both modes (it is windowed, not per-cycle).
-    stall_attribution: bool = True
-    #: flight recorder: retain the most recent ``ring_events`` packet
-    #: events per network in the event ring and dump them (as ``RDMP``
-    #: files under ``flight_dir``) when the clogging detector opens an
-    #: episode or a fault fires.  Retention is always on; dumps are
-    #: written only when ``flight_dir`` is set.
-    flight_recorder: bool = True
-    #: ring capacity in events per network.  The retained tuples are
-    #: live objects the allocator keeps cycling through, so oversized
-    #: rings cost real cache pressure on the simulation itself — 512
-    #: per network (~1k events, a ~20-cycle lead-up window on a
-    #: saturated 8x8 mesh) keeps light mode under the
-    #: telemetry-overhead budget.  Raise it (with ``mode="full"`` money
-    #: already on the table) when a deeper flight window matters more
-    #: than hot-path cost.
+    #: flight-recorder ring capacity in events per network: the most
+    #: recent ``ring_events`` packet events are always retained, and
+    #: dumped (as ``RDMP`` files under ``flight_dir``) when the clogging
+    #: detector opens an episode or a fault fires.  The retained tuples
+    #: are live objects the allocator keeps cycling through, so
+    #: oversized rings cost real cache pressure on the simulation itself
+    #: — 512 per network (~1k events, a ~20-cycle lead-up window on a
+    #: saturated 8x8 mesh) keeps light mode under the telemetry-overhead
+    #: budget.  Raise it (with ``mode="full"`` money already on the
+    #: table) when a deeper flight window matters more than hot-path
+    #: cost.
     ring_events: int = 512
     #: directory for flight-recorder dumps; empty = keep the ring in
     #: memory but never write dump files.

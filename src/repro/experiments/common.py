@@ -15,8 +15,8 @@ runner's process-level parallelism (``REPRO_SWEEP_JOBS``) and on-disk
 result cache (``REPRO_SWEEP_CACHE``).
 
 Window lengths default to ``REPRO_CYCLES``/``REPRO_WARMUP``, read at
-*call* time (:func:`default_cycles`/:func:`default_warmup`) so the bench
-harness and tests can vary them after import.
+*call* time (:func:`default_cycles`/:func:`default_warmup`) so tests can
+vary them after import.
 """
 
 from __future__ import annotations
@@ -33,18 +33,34 @@ from repro.config import (
     realistic_probing_config,
 )
 from repro.sweep import JobSpec, mechanism_jobs, run_sweep
-from repro.workloads.gpu import GPU_BENCHMARK_NAMES
+from repro.workloads.gpu import GPU_BENCHMARK_NAMES, gpu_benchmark
 from repro.workloads.mixes import TABLE_II
+
+
+def _env_window(name: str, default: int, minimum: int) -> int:
+    """``$name`` as a window length, ``default`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value < minimum:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"${name} must be an integer >= {minimum}, got {raw!r}"
+        ) from None
+    return value
 
 
 def default_cycles() -> int:
     """Measured-window length: ``REPRO_CYCLES`` (read now), default 3000."""
-    return int(os.environ.get("REPRO_CYCLES", "3000"))
+    return _env_window("REPRO_CYCLES", 3000, minimum=1)
 
 
 def default_warmup() -> int:
     """Warmup-window length: ``REPRO_WARMUP`` (read now), default 2000."""
-    return int(os.environ.get("REPRO_WARMUP", "2000"))
+    return _env_window("REPRO_WARMUP", 2000, minimum=0)
 
 
 #: the three reply-delivery mechanisms compared throughout the evaluation
@@ -106,8 +122,9 @@ _RESULTS: Dict[str, SimulationResult] = {}
 
 
 def cpu_corunners(gpu_name: str, n_mixes: int) -> List[str]:
-    """The first ``n_mixes`` Table II CPU co-runners of a GPU benchmark."""
-    return list(TABLE_II[gpu_name.upper()][: max(1, n_mixes)])
+    """The first ``n_mixes`` Table II CPU co-runners of a GPU benchmark
+    (a ``KeyError`` naming the choices for one Table II does not list)."""
+    return list(TABLE_II[gpu_benchmark(gpu_name).name][: max(1, n_mixes)])
 
 
 def job(

@@ -50,7 +50,6 @@ def run(
         cfg = configs[mech] = mechanism_config(mech)
         cfg.telemetry.enabled = True          # aggregate-only: no trace file
         cfg.telemetry.mode = "full"           # exact stall attribution
-        cfg.telemetry.stall_attribution = True
     mixes = [
         (gpu, cpu) for gpu in benchmarks for cpu in cpu_corunners(gpu, n_mixes)
     ]

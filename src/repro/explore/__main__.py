@@ -33,8 +33,8 @@ from repro.cli import (
     add_out_option,
     add_seed_option,
     add_window_options,
-    backend_error_exit,
     emit,
+    usage_error_exit,
 )
 from repro.explore.objectives import OBJECTIVE_NAMES, SENSES
 from repro.explore.pareto import default_reference, hypervolume
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         return 130
     except BackendError as exc:
-        return backend_error_exit(exc)
+        return usage_error_exit(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

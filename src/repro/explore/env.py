@@ -212,7 +212,6 @@ class ExploreEnv:
         if self.observe_stalls:
             cfg.telemetry.enabled = True
             cfg.telemetry.mode = "full"
-            cfg.telemetry.stall_attribution = True
         result = _simulate(
             cfg, gpu, cpu=cpu, cycles=self.cycles, warmup=self.warmup
         )

@@ -38,8 +38,8 @@ from repro.cli import (
     add_out_option,
     add_seed_option,
     add_window_options,
-    backend_error_exit,
     emit,
+    usage_error_exit,
 )
 
 
@@ -90,7 +90,7 @@ def cmd_run(args) -> int:
         )
     except BackendError as exc:
         # e.g. --backend vector with a link-down plan: usage error
-        return backend_error_exit(exc)
+        return usage_error_exit(exc)
     result = run_simulation(
         cfg, args.gpu, cpu, cycles=cycles, warmup=warmup, system=system
     )

@@ -216,33 +216,16 @@ class SimulationResult:
             for f in dataclasses.fields(self)
         }
 
-    #: legacy field name -> current name; applied by :meth:`from_dict` so
-    #: cached sweep results and JSON manifests written by older code still
-    #: load (extend this table on any future field rename).
-    _FIELD_RENAMES = {
-        "cpu_avg_latency": "cpu_latency_avg",
-    }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "SimulationResult":
         """Rebuild from :meth:`to_dict` output.
 
-        Renamed fields are mapped through :attr:`_FIELD_RENAMES` (current
-        spellings win when both appear); unknown keys are ignored so cached
-        sweep results written by newer code (with extra fields) still load;
-        missing fields fall back to their dataclass defaults.
+        Unknown keys are ignored so cached sweep results written by
+        newer code (with extra fields) still load; missing fields fall
+        back to their dataclass defaults.
         """
         names = {f.name for f in dataclasses.fields(cls)}
-        out = {k: v for k, v in data.items() if k in names}
-        for old, new in cls._FIELD_RENAMES.items():
-            if old in data and new not in out:
-                out[new] = data[old]
-        return cls(**out)
-
-    @property
-    def cpu_avg_latency(self) -> float:
-        """Deprecated alias of :attr:`cpu_latency_avg`."""
-        return self.cpu_latency_avg
+        return cls(**{k: v for k, v in data.items() if k in names})
 
     @property
     def llc_direct_fraction(self) -> float:

@@ -41,15 +41,13 @@ from typing import List, Optional
 from repro.cli import (
     add_backend_option,
     add_batch_option,
-    add_deprecated_alias,
     add_format_option,
     add_jobs_option,
     add_seed_option,
     add_window_options,
-    backend_error_exit,
     emit,
+    usage_error_exit,
 )
-from repro.sim.engines import BackendError
 from repro.sweep.cache import ResultCache, default_cache_dir
 from repro.sweep.jobs import JobSpec, mechanism_jobs
 from repro.sweep.runner import JobOutcome, SweepRunner
@@ -396,7 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "(default 0.35)")
     run_p.add_argument("--out", default=None,
                        help="write a JSON run manifest to this path")
-    add_deprecated_alias(run_p, "--manifest", "--out")
     run_p.add_argument("--progress-log", default=None,
                        help="per-job JSONL progress log "
                             "(default: <cache-dir>/progress.jsonl)")
@@ -420,10 +417,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except BackendError as exc:
-        # an unusable --backend / $REPRO_BACKEND choice is a usage
-        # error, not a sweep failure: one line, exit 2
-        return backend_error_exit(exc)
+    except (KeyError, ValueError) as exc:
+        # an unusable --backend / $REPRO_BACKEND choice (BackendError is
+        # a ValueError), an unknown benchmark or mechanism, a malformed
+        # $REPRO_CYCLES: usage errors, not sweep failures
+        return usage_error_exit(exc)
 
 
 if __name__ == "__main__":

@@ -176,13 +176,10 @@ class TelemetryCollector:
         self._sample_below = int(rate * (1 << 32))
         self.detector = CloggingDetector(cfg.clog_threshold, cfg.clog_min_windows)
         self.detector.on_open = self._on_clog_open
-        #: exact stall attribution (None unless ``mode == "full"`` and
-        #: ``stall_attribution``): per-(net, router, port, class)
-        #: blocked-head-worm cycle counters
+        #: exact stall attribution (None unless ``mode == "full"``):
+        #: per-(net, router, port, class) blocked-head-worm cycle counters
         self.stalls: Optional[StallTable] = (
-            StallTable()
-            if cfg.mode == "full" and cfg.stall_attribution
-            else None
+            StallTable() if cfg.mode == "full" else None
         )
         self._stall_base: Dict = {}
         #: node -> blame accumulator for its currently-hot episode
@@ -199,14 +196,11 @@ class TelemetryCollector:
             [0] * _HIST_BUCKETS for _ in range(4)
         ]
         self._hist_tot: List[int] = [0, 0, 0, 0]
-        #: bounded event rings (request, reply), or None when neither the
-        #: flight recorder nor a trace sink needs them
-        if cfg.flight_recorder or self._tracing:
-            self._rings: Optional[List[EventRing]] = [
-                EventRing(cfg.ring_events), EventRing(cfg.ring_events)
-            ]
-        else:
-            self._rings = None
+        #: bounded event rings (request, reply): the flight recorder's
+        #: retention, and a trace sink's staging buffer
+        self._rings: List[EventRing] = [
+            EventRing(cfg.ring_events), EventRing(cfg.ring_events)
+        ]
         self._view = _EventView()
         self._trace_records = 0
         self._flight_dir = cfg.flight_dir
@@ -241,8 +235,8 @@ class TelemetryCollector:
             "clog_threshold": cfg.clog_threshold,
             "clog_min_windows": self.detector.min_windows,
             "stall_attribution": self.stalls is not None,
-            "flight_recorder": self._rings is not None and cfg.flight_recorder,
-            "ring_events": self._rings[0].capacity if self._rings else 0,
+            "flight_recorder": True,
+            "ring_events": self._rings[0].capacity,
         }
         width = getattr(fabric.topology, "width", 0)
         height = getattr(fabric.topology, "height", 0)
@@ -263,8 +257,8 @@ class TelemetryCollector:
 
     # -- packet lifecycle hooks ----------------------------------------
     #
-    # Shape of every hook: bump the per-code counter, then (when rings
-    # exist) append one raw fixed-width tuple straight into the deque —
+    # Shape of every hook: bump the per-code counter, then append one
+    # raw fixed-width tuple straight into the deque —
     # a single C call, no packing, no dicts.  Bit-packing happens only
     # at dump time (repro.telemetry.ring.write_dump); tracing runs also
     # maintain the head/drained counters so drains fire before the ring
@@ -273,47 +267,41 @@ class TelemetryCollector:
     def on_inject(self, pkt, cycle: int) -> None:
         """A NIC accepted ``pkt`` into its injection queue."""
         self._ev[0] += 1
-        rings = self._rings
-        if rings is not None:
-            ring = rings[pkt.net]
-            ring.events.append(
-                (0, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-                 pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
-            )
-            if self._tracing:
-                ring.head += 1
-                if ring.head - ring.drained >= ring.capacity:
-                    self._drain_events()
+        ring = self._rings[pkt.net]
+        ring.events.append(
+            (0, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
+             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
+        )
+        if self._tracing:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     def on_vc_alloc(self, pkt, cycle: int, vc: int) -> None:
         """``pkt``'s header won an injection VC and entered the network."""
         self._ev[1] += 1
-        rings = self._rings
-        if rings is not None:
-            ring = rings[pkt.net]
-            ring.events.append(
-                (1, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-                 pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, vc)
-            )
-            if self._tracing:
-                ring.head += 1
-                if ring.head - ring.drained >= ring.capacity:
-                    self._drain_events()
+        ring = self._rings[pkt.net]
+        ring.events.append(
+            (1, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
+             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, vc)
+        )
+        if self._tracing:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     def on_head(self, pkt, cycle: int) -> None:
         """``pkt``'s header flit reached its destination router."""
         self._ev[2] += 1
-        rings = self._rings
-        if rings is not None:
-            ring = rings[pkt.net]
-            ring.events.append(
-                (2, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-                 pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
-            )
-            if self._tracing:
-                ring.head += 1
-                if ring.head - ring.drained >= ring.capacity:
-                    self._drain_events()
+        ring = self._rings[pkt.net]
+        ring.events.append(
+            (2, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
+             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
+        )
+        if self._tracing:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     def on_deliver(self, pkt, cycle: int) -> None:
         """``pkt`` fully ejected at its destination NIC."""
@@ -330,34 +318,30 @@ class TelemetryCollector:
             shift = latency.bit_length() - 6
             row[((shift + 1) << 5) + ((latency >> shift) & 31)] += 1
         self._hist_tot[key] += latency
-        rings = self._rings
-        if rings is not None:
-            ring = rings[pkt.net]
-            ring.events.append(
-                (3, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-                 pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, latency)
-            )
-            if self._tracing:
-                ring.head += 1
-                if ring.head - ring.drained >= ring.capacity:
-                    self._drain_events()
+        ring = self._rings[pkt.net]
+        ring.events.append(
+            (3, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
+             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, latency)
+        )
+        if self._tracing:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     def on_delegate(self, reply, delegated, cycle: int) -> None:
         """A memory node converted ``reply`` into ``delegated`` (1-flit
         delegated request); the trace value is the delegate target node."""
         self._ev[4] += 1
-        rings = self._rings
-        if rings is not None:
-            ring = rings[reply.net]
-            ring.events.append(
-                (4, reply.mtype, reply.cls, reply.net, reply.size_flits,
-                 reply.src, reply.dst, cycle, reply.pid, reply.block,
-                 delegated.dst)
-            )
-            if self._tracing:
-                ring.head += 1
-                if ring.head - ring.drained >= ring.capacity:
-                    self._drain_events()
+        ring = self._rings[reply.net]
+        ring.events.append(
+            (4, reply.mtype, reply.cls, reply.net, reply.size_flits,
+             reply.src, reply.dst, cycle, reply.pid, reply.block,
+             delegated.dst)
+        )
+        if self._tracing:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     @property
     def events(self) -> Dict[str, int]:
@@ -428,10 +412,11 @@ class TelemetryCollector:
         traced run loses nothing to ring wraparound.  Sampling happens
         here, off the hot path.
         """
-        rings = self._rings
-        if rings is None or not self._tracing:
+        if not self._tracing:
             return
-        batches = [b for b in (ring.take_pending() for ring in rings) if b]
+        batches = [
+            b for b in (ring.take_pending() for ring in self._rings) if b
+        ]
         if not batches:
             return
         sink = self.sink
@@ -463,19 +448,13 @@ class TelemetryCollector:
                      node: Optional[int] = None) -> Optional[str]:
         """Dump the retained ring events as one ``RDMP`` file.
 
-        No-op unless the flight recorder is on and ``flight_dir`` is set;
-        at most :data:`_MAX_FLIGHT_DUMPS` files per run.  Returns the
-        dump path (also appended to :attr:`flight_dumps`) or None.
+        No-op unless ``flight_dir`` is set; at most
+        :data:`_MAX_FLIGHT_DUMPS` files per run.  Returns the dump path
+        (also appended to :attr:`flight_dumps`) or None.
         """
-        rings = self._rings
-        if (
-            rings is None
-            or not self.cfg.flight_recorder
-            or not self._flight_dir
-            or len(self.flight_dumps) >= _MAX_FLIGHT_DUMPS
-        ):
+        if not self._flight_dir or len(self.flight_dumps) >= _MAX_FLIGHT_DUMPS:
             return None
-        events = merge_events(*(r.snapshot() for r in rings))
+        events = merge_events(*(r.snapshot() for r in self._rings))
         meta = dict(self._meta)
         meta.update(
             {
@@ -654,9 +633,7 @@ class TelemetryCollector:
         m.gauge("windows").set(len(self.windows))
         m.gauge("clog_episodes").set(len(self.detector.episodes))
         m.gauge("trace_records").set(self._trace_records)
-        rings = self._rings
-        if rings is not None:
-            m.gauge("ring_retained").set(sum(len(r) for r in rings))
+        m.gauge("ring_retained").set(sum(len(r) for r in self._rings))
         return m.snapshot()
 
     def finalize(self, cycle: int) -> None:

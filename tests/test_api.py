@@ -36,8 +36,8 @@ EXPECTED_API = [
     "simulate",
 ]
 
-#: SimulationResult's field names; renames must go through
-#: SimulationResult._FIELD_RENAMES plus a property alias.
+#: SimulationResult's field names; a rename is a breaking change
+#: (DESIGN.md, API-stability rules).
 EXPECTED_RESULT_FIELDS = {
     "cycles", "counters", "n_gpu", "n_cpu", "n_mem",
     "gpu_ipc", "cpu_ipc", "cpu_latency_avg",
@@ -139,20 +139,6 @@ class TestResultSchema:
         clone = SimulationResult.from_dict(res.to_dict())
         assert clone.to_dict() == res.to_dict()
 
-    def test_from_dict_maps_legacy_rename(self):
-        legacy = SimulationResult(cycles=100).to_dict()
-        legacy["cpu_avg_latency"] = legacy.pop("cpu_latency_avg")
-        legacy["cpu_avg_latency"] = 42.5
-        res = SimulationResult.from_dict(legacy)
-        assert res.cpu_latency_avg == 42.5
-        # canonical spelling wins when both keys appear
-        both = dict(legacy, cpu_latency_avg=7.0)
-        assert SimulationResult.from_dict(both).cpu_latency_avg == 7.0
-
-    def test_deprecated_property_alias(self):
-        res = SimulationResult(cycles=1, cpu_latency_avg=3.5)
-        assert res.cpu_avg_latency == 3.5
-
     def test_unknown_keys_ignored(self):
         data = SimulationResult(cycles=5).to_dict()
         data["metric_from_the_future"] = 1.0
@@ -182,31 +168,3 @@ class TestCliConventions:
         assert (args.cycles, args.warmup, args.out) == (10, 5, "x.json")
         assert args.jobs is None and args.seed is None
         assert args.batch is None
-
-    def test_deprecated_alias_warns_and_maps(self, capsys):
-        import argparse
-
-        from repro.cli import add_deprecated_alias, add_out_option
-
-        p = argparse.ArgumentParser()
-        add_out_option(p)
-        add_deprecated_alias(p, "--manifest", "--out")
-        args = p.parse_args(["--manifest", "m.json"])
-        assert args.out == "m.json"
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_sweep_manifest_alias(self, capsys, tmp_path, monkeypatch):
-        """python -m repro.sweep run --manifest still works, with a nudge."""
-        from repro.sweep.__main__ import main
-
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
-        out = tmp_path / "manifest.json"
-        rc = main([
-            "run", "--benchmarks", "HS", "--mechanisms", "baseline",
-            "--cycles", "100", "--warmup", "50",
-            "--manifest", str(out),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert out.exists()
-        assert "deprecated" in captured.err

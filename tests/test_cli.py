@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.sweep.__main__ import main as sweep_main
 
 
 class TestList:
@@ -32,9 +33,13 @@ class TestRun:
         assert "delegated_fraction" in out
         assert "cpu_latency_avg" in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "NOPE", "--cycles", "100", "--warmup", "50"])
+    def test_unknown_benchmark_raises(self, capsys):
+        """``main`` turns the lookup's ``KeyError`` into the one-line
+        usage error, choices included."""
+        assert main(["run", "NOPE", "--cycles", "100", "--warmup", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown GPU benchmark 'NOPE'; choose from")
+        assert "HS" in err and err.count("\n") == 1
 
 
 class TestExperiment:
@@ -51,6 +56,46 @@ class TestExperiment:
         rc = main(["experiment", "fig99_nothing"])
         assert rc == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+FIG = ["experiment", "fig07_adaptive", "--benchmarks", "HS"]
+
+
+@pytest.mark.parametrize("cli,argv,env,expect", [
+    (main, ["run", "NOPE"], {}, "unknown GPU benchmark 'NOPE'; choose from"),
+    (sweep_main, ["run", "--benchmarks", "NOPE"], {},
+     "unknown GPU benchmark 'NOPE'; choose from"),
+    (main, FIG, {"REPRO_CYCLES": "abc"}, "$REPRO_CYCLES must be an integer >= 1"),
+    (sweep_main, ["list"], {"REPRO_CYCLES": "abc"},
+     "$REPRO_CYCLES must be an integer >= 1"),
+    (main, FIG, {"REPRO_CYCLES": "0"}, "$REPRO_CYCLES must be an integer >= 1"),
+    (main, FIG, {"REPRO_WARMUP": "abc"}, "$REPRO_WARMUP must be an integer >= 0"),
+    (sweep_main, ["list"], {"REPRO_WARMUP": "abc"},
+     "$REPRO_WARMUP must be an integer >= 0"),
+    (main, FIG + ["--cycles", "100", "--warmup", "50"], {"REPRO_BACKEND": "foo"},
+     "unknown backend 'foo'"),
+    (sweep_main, ["run", "--benchmarks", "HS", "--cycles", "100"],
+     {"REPRO_BACKEND": "foo"}, "unknown backend 'foo'"),
+    (main, FIG + ["--cycles", "0"], {}, "argument --cycles: must be >= 1, got 0"),
+    (sweep_main, ["list", "--cycles", "0"], {},
+     "argument --cycles: must be >= 1, got 0"),
+])
+def test_usage_errors_are_one_error_line(
+    cli, argv, env, expect, monkeypatch, capsys, tmp_path
+):
+    """Exit 2, exactly one ``error:`` line on stderr, no traceback."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
+    try:
+        status = cli(argv)
+    except SystemExit as exc:  # argparse's own exit for a bad flag value
+        status = exc.code
+    assert status == 2
+    err = capsys.readouterr().err
+    error_lines = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(error_lines) == 1 and expect in error_lines[0]
+    assert "Traceback" not in err
 
 
 class TestArea:

@@ -67,7 +67,7 @@ class TestDerive:
         window["cycle"] = 0
         res = derive_result(system, window)
         assert res.gpu_ipc == 0.0
-        assert res.cpu_avg_latency == 0.0
+        assert res.cpu_latency_avg == 0.0
         assert res.remote_hit_fraction == 0.0
 
     def test_breakdown_partition(self):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.bench.harness import BENCH_CONFIGS
+from repro.bench import SCENARIOS, replay
 from repro.config.system import (
     DelegationConfig,
     L1Organization,
@@ -78,12 +78,11 @@ def _fabric_counters(fabric: NocFabric) -> dict:
 
 
 def _run_synthetic(config_name: str, cycles: int, reference: bool) -> dict:
-    builder, _default = BENCH_CONFIGS[config_name]
-    drive, fabric = builder()
+    scenario = SCENARIOS[config_name]
+    fabric = scenario.build()
     if reference:
         all_awake(fabric)
-    for c in range(cycles):
-        drive(c)
+    replay(fabric, scenario.schedule(cycles))
     return _fabric_counters(fabric)
 
 
@@ -370,28 +369,3 @@ def test_sleeping_cores_property(seed, gpu, mechanism, mshrs, warps, queue, wind
 
     ref, opt, _system = _endpoint_pair(cfg_of, window, gpu=gpu)
     _assert_no_drift(ref, opt)
-
-
-class TestBenchMemoryTelemetry:
-    """run_bench results carry memory-behaviour signals (BENCH_noc.json)."""
-
-    def test_extras_report_rss_and_gc(self):
-        from repro.bench.harness import _GcWatch, _peak_rss_kb, run_bench
-
-        res = run_bench("mesh8x8", cycles=300)
-        assert res.extra["peak_rss_kb"] == _peak_rss_kb()
-        assert res.extra["peak_rss_kb"] > 0  # Linux: ru_maxrss available
-        gc_keys = [k for k in res.extra if k.startswith("gc_gen")]
-        assert gc_keys and all(res.extra[k] >= 0 for k in gc_keys)
-        d = res.as_dict()
-        assert d["peak_rss_kb"] == res.extra["peak_rss_kb"]
-
-    def test_gc_watch_counts_forced_collection(self):
-        import gc
-
-        from repro.bench.harness import _GcWatch
-
-        watch = _GcWatch()
-        gc.collect()
-        deltas = watch.deltas()
-        assert deltas["gc_gen2_collections"] >= 1

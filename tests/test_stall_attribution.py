@@ -198,7 +198,7 @@ class TestDisabled:
                               cycles=300, warmup=100)
         cfg = small_config()
         cfg.telemetry.enabled = True
-        cfg.telemetry.stall_attribution = False
+        cfg.telemetry.mode = "light"
         res = run_simulation(cfg, "SC", "bodytrack", cycles=300, warmup=100)
         assert res.stall_breakdown == {}
         assert res.counters == base.counters
@@ -206,7 +206,7 @@ class TestDisabled:
     def test_collector_skips_table_when_off(self):
         cfg = small_config()
         cfg.telemetry.enabled = True
-        cfg.telemetry.stall_attribution = False
+        cfg.telemetry.mode = "light"
         system = build_system(cfg, "SC", "bodytrack")
         assert system.telemetry.stalls is None
         system.run(200)  # hooks must tolerate the None table

@@ -24,7 +24,7 @@ class TestRun:
     def test_run_then_resume_from_cache(self, cache_dir, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         rc = run_cli("run", *SWEEP, "--jobs", "1",
-                     "--cache-dir", cache_dir, "--manifest", str(manifest))
+                     "--cache-dir", cache_dir, "--out", str(manifest))
         assert rc == 0
         data = json.loads(manifest.read_text())
         assert data["totals"] == {"ok": 1, "cached": 0, "failed": 0}
@@ -35,7 +35,7 @@ class TestRun:
         assert job["wall_time_s"] > 0
 
         rc = run_cli("run", *SWEEP, "--jobs", "1", "--resume",
-                     "--cache-dir", cache_dir, "--manifest", str(manifest))
+                     "--cache-dir", cache_dir, "--out", str(manifest))
         assert rc == 0
         data = json.loads(manifest.read_text())
         assert data["totals"] == {"ok": 0, "cached": 1, "failed": 0}

@@ -402,7 +402,7 @@ class TestIntegration:
         traced = run_simulation(cfg, "SC", "bodytrack",
                                 cycles=400, warmup=200)
         assert traced.counters == base.counters
-        assert traced.cpu_avg_latency == base.cpu_avg_latency
+        assert traced.cpu_latency_avg == base.cpu_latency_avg
 
     def test_trace_file_contents(self, tmp_path):
         cfg = _traced_config(tmp_path)
@@ -631,7 +631,7 @@ class TestCli:
         assert "episode root causes" in out
 
     def test_blame_reports_disabled_attribution(self, tmp_path, capsys):
-        cfg = _traced_config(tmp_path, stall_attribution=False)
+        cfg = _traced_config(tmp_path, mode="light")
         run_simulation(cfg, "SC", "bodytrack", cycles=400, warmup=200)
         assert telemetry_main(["blame", cfg.telemetry.trace_path]) == 0
         out = capsys.readouterr().out

@@ -2,10 +2,10 @@
 
 Both kernels implement the one per-cycle NoC contract (DESIGN.md,
 "Per-cycle NoC contract"); the object kernel is the readable oracle, the
-vector kernel the fast one.  Every test here drives the *identical* pre-generated packet schedule through both
-fabrics and asserts every observable counter — delivered packets/flits
-per network, per-type delivery counts, per-router routed/buffered flits,
-per-link flit counts, per-NIC injection/ejection counters, delegation
+vector kernel the fast one.  Every test here drives the *identical*
+pre-generated packet schedule (``repro.bench``) through both fabrics and
+asserts every observable counter — delivered packets/flits per network,
+per-type delivery counts, per-router routed/buffered flits, per-link flit counts, per-NIC injection/ejection counters, delegation
 counters and the full latency multiset — is bit-identical.
 """
 
@@ -13,69 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import _Lcg
+from repro.bench import Lcg, hotspot_schedule, replay, uniform_schedule
 from repro.config.system import DelegationConfig, NocConfig
-from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
-from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
+from repro.core.delegated_replies import DelegatedRepliesMechanism
+from repro.noc import MeshTopology, NocFabric, TrafficClass
 from repro.noc.packet import NetKind
 from repro.sim.engines import BackendError, build_fabric
 from repro.sim.vector.fabric import VectorFabric
-
-# ---------------------------------------------------------------------------
-# schedule generation (state-independent: both backends replay it verbatim)
-# ---------------------------------------------------------------------------
-
-
-def _uniform_schedule(n: int, cycles: int, permille: int, seed: int):
-    """Per-cycle packet specs, bench-harness style uniform traffic."""
-    rng = _Lcg(seed)
-    base, frac = divmod(n * permille, 1000)
-    sched = []
-    for _ in range(cycles):
-        k = base + (1 if rng.below(1000) < frac else 0)
-        cyc = []
-        for _ in range(k):
-            node = rng.below(n)
-            dst = rng.below(n - 1)
-            if dst >= node:
-                dst += 1
-            if rng.next() & 1:
-                cyc.append((node, dst, MessageType.READ_REQ,
-                            TrafficClass.GPU, 1, None))
-            else:
-                cyc.append((node, dst, MessageType.READ_REPLY,
-                            TrafficClass.GPU, 9, None))
-        sched.append(cyc)
-    return sched
-
-
-def _hotspot_schedule(n, mem_nodes, cycles: int, permille: int, seed: int):
-    """Hotspot requests onto memory nodes + delegatable replies back."""
-    rng = _Lcg(seed)
-    mem_set = set(mem_nodes)
-    compute = [node for node in range(n) if node not in mem_set]
-    req_base, req_frac = divmod(len(compute) * permille, 1000)
-    rep_base, rep_frac = divmod(len(mem_nodes) * permille * 2, 1000)
-    sched = []
-    for _ in range(cycles):
-        cyc = []
-        k = req_base + (1 if rng.below(1000) < req_frac else 0)
-        for _ in range(k):
-            node = compute[rng.below(len(compute))]
-            dst = mem_nodes[rng.below(len(mem_nodes))]
-            cyc.append((node, dst, MessageType.READ_REQ,
-                        TrafficClass.GPU, 1, None))
-        k = rep_base + (1 if rng.below(1000) < rep_frac else 0)
-        for _ in range(k):
-            m = mem_nodes[rng.below(len(mem_nodes))]
-            dst = compute[rng.below(len(compute))]
-            sharer = compute[rng.below(len(compute))]
-            meta = (True, sharer if sharer != dst else None)
-            cyc.append((m, dst, MessageType.READ_REPLY,
-                        TrafficClass.GPU, 9, meta))
-        sched.append(cyc)
-    return sched
-
 
 # ---------------------------------------------------------------------------
 # drivers + counter collection
@@ -90,15 +34,7 @@ def _drive(fabric, sched, latencies):
 
     for nic in fabric.nics:
         nic.handler = on_deliver
-    for cycle, cyc in enumerate(sched):
-        for node, dst, mtype, cls, size, meta in cyc:
-            txn = None
-            if meta is not None:
-                txn = ReplyMeta(llc_hit=meta[0], delegate_to=meta[1])
-            fabric.nic(node).try_send(
-                Packet(node, dst, mtype, cls, size, txn=txn), cycle
-            )
-        fabric.step(cycle)
+    replay(fabric, sched)
     return len(sched)
 
 
@@ -164,7 +100,7 @@ def _assert_identical(ref: dict, got: dict) -> None:
 def test_uniform_bit_identical(dims, permille, cycles):
     """mesh4x4/mesh8x8 x light-load/saturated uniform traffic."""
     n = dims[0] * dims[1]
-    sched = _uniform_schedule(n, cycles, permille, seed=dims[0] * permille)
+    sched = uniform_schedule(n, cycles, permille, seed=dims[0] * permille)
     cfg = NocConfig()
     ref = _run_backend("object", dims, cfg, sched)
     got = _run_backend("vector", dims, cfg, sched)
@@ -181,7 +117,7 @@ def test_delegation_bit_identical(dims, mem_nodes, permille):
     through _RouterView on the vector backend) stays bit-identical,
     including delegation/blocked/observed counters."""
     n = dims[0] * dims[1]
-    sched = _hotspot_schedule(n, mem_nodes, 600, permille, seed=permille)
+    sched = hotspot_schedule(n, mem_nodes, 600, permille, seed=permille)
     cfg = NocConfig()
     ref = _run_backend("object", dims, cfg, sched,
                        mem_nodes=mem_nodes, delegation=True)
@@ -193,7 +129,7 @@ def test_delegation_bit_identical(dims, mem_nodes, permille):
 def test_shared_network_bit_identical():
     """Single shared physical network with split VC ranges."""
     cfg = NocConfig(separate_physical_networks=False)
-    sched = _uniform_schedule(64, 700, 60, seed=3)
+    sched = uniform_schedule(64, 700, 60, seed=3)
     ref = _run_backend("object", (8, 8), cfg, sched)
     got = _run_backend("vector", (8, 8), cfg, sched)
     _assert_identical(ref, got)
@@ -201,7 +137,7 @@ def test_shared_network_bit_identical():
 
 def test_randomized_configs_bit_identical():
     """Property-style case: random NoC shape parameters, both backends."""
-    rng = _Lcg(99)
+    rng = Lcg(99)
     for trial in range(4):
         cfg = NocConfig(
             vcs_per_port=1 + rng.below(3),
@@ -215,7 +151,7 @@ def test_randomized_configs_bit_identical():
         )
         dims = (3 + rng.below(3), 3 + rng.below(3))
         permille = 20 + rng.below(300)
-        sched = _uniform_schedule(
+        sched = uniform_schedule(
             dims[0] * dims[1], 400, permille, seed=trial
         )
         ref = _run_backend("object", dims, cfg, sched)
@@ -231,7 +167,7 @@ def test_randomized_configs_bit_identical():
 def test_vector_packet_conservation():
     """After draining, every injected flit was delivered (vector backend)."""
     mem_nodes = (3, 7, 11, 15)
-    sched = _hotspot_schedule(16, mem_nodes, 800, 200, seed=11)
+    sched = hotspot_schedule(16, mem_nodes, 800, 200, seed=11)
     fabric = VectorFabric(MeshTopology(4, 4), NocConfig(),
                           mem_nodes=mem_nodes)
     mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
