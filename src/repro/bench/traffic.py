@@ -82,7 +82,8 @@ def uniform_schedule(n: int, cycles: int, permille: int, seed: int) -> Schedule:
 
 
 def hotspot_schedule(
-    n: int, mem_nodes: Sequence[int], cycles: int, permille: int, seed: int
+    n: int, mem_nodes: Sequence[int], cycles: int, permille: int, seed: int,
+    cpu_permille: int = 0,
 ) -> Schedule:
     """Hotspot requests onto memory nodes, delegatable replies back.
 
@@ -90,7 +91,9 @@ def hotspot_schedule(
     memory node answers (at twice the rate) with 9-flit GPU replies whose
     metadata names a sharer to delegate to, so on a fabric with the
     Delegated Replies policy attached the reply pressure triggers the
-    conversion path of Figure 4.
+    conversion path of Figure 4.  ``cpu_permille`` of the replies are
+    5-flit CPU replies instead (a 64 B line, never delegatable), which the
+    memory node's injection buffer must schedule ahead of the GPU ones.
     """
     rng = Lcg(seed)
     mem_set = set(mem_nodes)
@@ -109,6 +112,10 @@ def hotspot_schedule(
             src = mem_nodes[rng.below(len(mem_nodes))]
             dst = compute[rng.below(len(compute))]
             sharer = compute[rng.below(len(compute))]
+            if cpu_permille and rng.below(1000) < cpu_permille:
+                cyc.append((src, dst, MessageType.READ_REPLY,
+                            TrafficClass.CPU, 5, None))
+                continue
             meta = (True, sharer if sharer != dst else None)
             cyc.append((src, dst, MessageType.READ_REPLY,
                         TrafficClass.GPU, 9, meta))

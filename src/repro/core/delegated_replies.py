@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config.system import DelegationConfig
-from repro.noc.nic import MemoryNodeNic
+from repro.noc.nic import MemoryNodeNic, is_delegatable
 from repro.noc.packet import MessageType, Packet, TrafficClass
 
 
@@ -42,7 +42,6 @@ class ReplyMeta:
 class DelegationStats:
     delegations: int = 0
     delegatable_seen: int = 0
-    suppressed_not_blocked: int = 0
 
 
 class DelegatedRepliesMechanism:
@@ -60,7 +59,7 @@ class DelegatedRepliesMechanism:
     def _delegate(self, reply: Packet, cycle: int) -> Optional[Packet]:
         """Convert a delegatable reply into its 1-flit delegated request."""
         meta = reply.txn
-        if not isinstance(meta, ReplyMeta) or meta.delegate_to is None:
+        if not is_delegatable(meta):
             return None
         if reply.mtype is not MessageType.READ_REPLY:
             return None
@@ -80,8 +79,3 @@ class DelegatedRepliesMechanism:
         )
         self.stats.delegations += 1
         return delegated
-
-
-def is_delegatable(meta: object) -> bool:
-    """True when a reply's metadata marks it delegatable."""
-    return isinstance(meta, ReplyMeta) and meta.delegate_to is not None

@@ -250,14 +250,6 @@ class PhysicalNetwork:
             return 0.0
         return self.link_flits[rid][oport] / (self.cycles * self.bandwidth)
 
-    def utilization_of_links_into(self, rid: int) -> List[float]:
-        """Utilisation of every link pointing *towards* router ``rid``."""
-        out = []
-        for nb, _port in self._port_of[rid].items():
-            towards = self._port_of[nb][rid]
-            out.append(self.link_utilization(nb, towards))
-        return out
-
     def buffered_flits(self) -> int:
         return sum(r.buffered_flits() for r in self.routers)
 

@@ -9,7 +9,9 @@ The memory-node NIC implements the two scheduler behaviours the paper
 builds on:
 
 * CPU replies are selected before GPU replies (priority-based scheduling is
-  only effective once replies actually reach this buffer — Section II), and
+  only effective once replies actually reach this buffer — Section II): the
+  reply queue is kept in ``(cls, pid)`` order as replies are queued, so its
+  head *is* the scheduler's choice, and
 * when the reply network cannot accept a flit this cycle, the oldest
   *delegatable* reply is converted into a 1-flit delegated request on the
   (under-utilised) request network (Figure 4).  The delegation decision
@@ -64,7 +66,6 @@ class NodeInterface:
         #: delegated requests, back-pressuring the request network); see the
         #: ``eject_gate`` property below.
         self._eject_gate_fn: Optional[Callable[[Packet], bool]] = None
-        self.flits_injected = 0
         self.flits_injected_net: Dict[NetKind, int] = {
             NetKind.REQUEST: 0,
             NetKind.REPLY: 0,
@@ -78,6 +79,11 @@ class NodeInterface:
             TrafficClass.GPU: 0,
         }
         self.data_flits_received = 0
+
+    @property
+    def flits_injected(self) -> int:
+        by_net = self.flits_injected_net
+        return by_net[NetKind.REQUEST] + by_net[NetKind.REPLY]
 
     # -- endpoint-facing API -------------------------------------------
 
@@ -174,12 +180,9 @@ class NodeInterface:
                 budget -= self._inject_net(net, cycle, budget)
 
     def _select_head(self, net: NetKind) -> Optional[Packet]:
-        """The packet to inject next on ``net`` (FIFO for compute nodes)."""
+        """The packet to inject next on ``net``: the queue head."""
         q = self.queues[net]
         return q[0] if q else None
-
-    def _pop_head(self, net: NetKind, pkt: Packet) -> None:
-        self.queues[net].remove(pkt)
 
     def _inject_net(self, net: NetKind, cycle: int, budget: int) -> int:
         """Push up to ``budget`` flits into the local router.
@@ -229,7 +232,7 @@ class NodeInterface:
             vc = self._pick_vc(router, pkt, exclude=inflight)
             if vc < 0:
                 break
-            self._pop_head(net, pkt)
+            self.queues[net].popleft()
             pkt.injected = cycle
             if self.telemetry is not None:
                 self.telemetry.on_vc_alloc(pkt, cycle, vc)
@@ -240,7 +243,6 @@ class NodeInterface:
             if not is_tail:
                 inflight[vc] = [pkt, 1]
         if pushed_now:
-            self.flits_injected += pushed_now
             self.flits_injected_net[net] += pushed_now
         return pushed_now
 
@@ -257,23 +259,34 @@ class NodeInterface:
         return -1
 
 
-#: signature of the delegation policy: given a GPU reply packet, return the
-#: core to delegate to, or None to inject normally.
+#: signature of the delegation policy: given a GPU reply packet, return its
+#: 1-flit delegated request, or None to inject the reply normally.
 DelegationPolicy = Callable[[Packet, int], Optional[Packet]]
 
 
+def is_delegatable(meta: object) -> bool:
+    """True when a reply's metadata (``pkt.txn``) names a core to delegate
+    to (:class:`~repro.core.delegated_replies.ReplyMeta`)."""
+    return getattr(meta, "delegate_to", None) is not None
+
+
 class MemoryNodeNic(NodeInterface):
-    """Memory-node NIC with a flit-bounded reply injection buffer."""
+    """Memory-node NIC with a flit-bounded reply injection buffer.
+
+    Both backends run this class's ``try_send`` / ``can_enqueue`` /
+    ``_delegate_scan``; the vector backend's subclass only moves the
+    per-cycle accounting fields into kernel array rows.
+    """
 
     def __init__(
-        self,
-        node_id: int,
-        fabric,
-        queue_packets: int,
-        reply_buffer_flits: int,
+        self, node_id: int, fabric, queue_packets: int, reply_buffer_flits: int
     ) -> None:
         super().__init__(node_id, fabric, queue_packets)
         self.reply_buffer_flits = reply_buffer_flits
+        #: flits of the largest reply this node sends: a reply is admitted
+        #: only while one of these still fits.  ``MemoryNode`` sets it from
+        #: its config; 9 is a 128 B line on the default 16 B channel.
+        self.worst_reply_flits = 9
         self.blocked_cycles = 0
         self.observed_cycles = 0
         self.delegations = 0
@@ -288,6 +301,11 @@ class MemoryNodeNic(NodeInterface):
         #: delegation.  Equals queued flits plus un-injected in-flight
         #: flits, without rescanning the queue on every admission check.
         self._reply_occ = 0
+        #: a delegatable reply may be queued: set when one is sent, cleared
+        #: by a scan that reaches the end of the queue
+        self._delegatable = False
+        #: delegation scans of the reply queue actually run
+        self.policy_scans = 0
 
     def idle(self) -> bool:
         # memory-node NICs never leave the fabric's active set: blocked /
@@ -299,28 +317,32 @@ class MemoryNodeNic(NodeInterface):
         ok = super().try_send(pkt, cycle)
         if ok and pkt.net is NetKind.REPLY:
             self._reply_occ += pkt.size_flits
+            # the injection-buffer scheduler prioritises CPU replies: sink
+            # the new reply to its (cls, pid) place, so the FIFO head is
+            # always the packet the scheduler would pick.  Only GPU replies
+            # are delegatable and they stay in age order among themselves.
+            q = self.queues[NetKind.REPLY]
+            key = (pkt.cls, pkt.pid)
+            last = i = len(q) - 1
+            while i and (q[i - 1].cls, q[i - 1].pid) > key:
+                i -= 1
+            if i != last:
+                q.pop()
+                q.insert(i, pkt)
+            if is_delegatable(pkt.txn):
+                self._delegatable = True
         return ok
-
-    def _reply_occupancy(self) -> int:
-        return self._reply_occ
 
     def can_enqueue(self, net: NetKind) -> bool:
         if net is NetKind.REPLY:
-            # strict admission: the next (worst-case 9-flit) reply must fit
+            # strict admission: the next (worst-case) reply must fit
             # entirely; a buffer that cannot take one more reply is what the
             # paper calls a *blocked* memory node (Figure 3).
-            headroom = self.reply_buffer_flits - self._reply_occupancy()
-            return headroom >= 9
+            return (
+                self.reply_buffer_flits - self._reply_occ
+                >= self.worst_reply_flits
+            )
         return super().can_enqueue(net)
-
-    def _select_head(self, net: NetKind) -> Optional[Packet]:
-        q = self.queues[net]
-        if not q:
-            return None
-        if net is NetKind.REPLY:
-            # the injection-buffer scheduler prioritises CPU replies
-            return min(q, key=lambda p: (p.cls, p.pid))
-        return q[0]
 
     def inject_step(self, cycle: int) -> None:
         # the delegation trigger must observe *reply-network* progress only:
@@ -330,48 +352,57 @@ class MemoryNodeNic(NodeInterface):
         super().inject_step(cycle)
         moved = self.flits_injected_net[NetKind.REPLY] - before
         self._reply_occ -= moved
-        replies_moved = moved > 0
-        self._maybe_delegate(cycle, replies_moved)
+        # the memory node "cannot inject reply traffic" when its injection
+        # buffer is full (it is blocked, Figure 3) or when the reply router
+        # refused every flit this cycle (Figure 4, cycles 1-2)
+        if self._delegatable and not (
+            self.delegate_only_when_blocked
+            and moved
+            and self.can_enqueue(NetKind.REPLY)
+        ):
+            self._delegate_scan(cycle)
         self.observed_cycles += 1
         if not self.can_enqueue(NetKind.REPLY):
             self.blocked_cycles += 1
             if self.stall_tel is not None:
                 self.stall_tel.on_mem_reply_stall(self.node_id, cycle)
 
-    def _maybe_delegate(self, cycle: int, replies_moved: bool) -> None:
-        if self.delegation_policy is None:
+    def _delegate_scan(self, cycle: int) -> None:
+        """Convert the oldest delegatable queued replies into delegated
+        requests: at most ``max_delegations_per_cycle``, and only while the
+        request queue has room (checked before the policy builds one)."""
+        policy = self.delegation_policy
+        if policy is None:
             return
+        self.policy_scans += 1
+        requests = self.queues[NetKind.REQUEST]
         queue = self.queues[NetKind.REPLY]
-        if not queue:
-            return
-        # the memory node "cannot inject reply traffic" when its injection
-        # buffer is full (it is blocked, Figure 3) or when the reply router
-        # refused every flit this cycle (Figure 4, cycles 1-2)
-        reply_blocked = not replies_moved or not self.can_enqueue(NetKind.REPLY)
-        if self.delegate_only_when_blocked and not reply_blocked:
-            return
         done = 0
         for pkt in list(queue):
             # packets mid-injection are no longer in the queue, so every
             # queued reply is still whole and safe to delegate
-            if done >= self.max_delegations_per_cycle:
-                break
-            delegated = self.delegation_policy(pkt, cycle)
+            if not is_delegatable(pkt.txn):
+                continue
+            if (
+                done >= self.max_delegations_per_cycle
+                or len(requests) >= self.queue_packets
+            ):
+                return  # candidates remain: stay marked
+            delegated = policy(pkt, cycle)
             if delegated is None:
                 continue
-            if not self.can_enqueue(NetKind.REQUEST):
-                break  # request path full; keep the reply
             queue.remove(pkt)
             self._reply_occ -= pkt.size_flits
             # the reply never enters the reply network: undo its enqueue-time
             # accounting so noc.rep_packets counts actual reply traffic
             self.packets_sent_net[NetKind.REPLY] -= 1
-            self.queues[NetKind.REQUEST].append(delegated)
+            requests.append(delegated)
             self.packets_sent_net[NetKind.REQUEST] += 1
             self.delegations += 1
             done += 1
             if self.telemetry is not None:
                 self.telemetry.on_delegate(pkt, delegated, cycle)
+        self._delegatable = False
 
     @property
     def blocking_rate(self) -> float:

@@ -19,7 +19,7 @@ from repro.cache.llc import LlcRequest, LlcResult, LlcSlice
 from repro.config.system import SystemConfig
 from repro.core.delegated_replies import ReplyMeta
 from repro.mem.dram import MemoryController
-from repro.noc.nic import MemoryNodeNic
+from repro.noc.nic import MemoryNodeNic, is_delegatable
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 
 
@@ -59,6 +59,11 @@ class MemoryNode:
         self._overflow: Deque[LlcRequest] = deque()
         nic.handler = self.on_packet
         nic.eject_gate = self._eject_gate
+        # the reply buffer admits a reply while the largest one this node
+        # can send still fits (a read reply carrying the longer L1 line)
+        nic.worst_reply_flits = cfg.noc.flits_for(
+            max(cfg.gpu_l1.line_bytes, cfg.cpu_l1.line_bytes)
+        )
         #: ejection-gate state after the previous step; the fabric's
         #: active-set scheduler is woken on every closed -> open transition
         self._gate_was_open = True
@@ -162,7 +167,7 @@ class MemoryNode:
             created=cycle,
         )
         pkt.txn = self._reply_meta(result)
-        if isinstance(pkt.txn, ReplyMeta) and pkt.txn.delegate_to is not None:
+        if is_delegatable(pkt.txn):
             self.stats.delegatable_replies += 1
         return pkt
 

@@ -243,12 +243,20 @@ class HeterogeneousSystem:
 
     def scheduler_stats(self) -> Dict[str, int]:
         """How many GPU core-steps ran and how many the endpoint
-        scheduler skipped (cores asleep on a known stall)."""
+        scheduler skipped (cores asleep on a known stall); on the vector
+        backend also the Python calls its memory lanes cost — delegation
+        scans run (a node whose trigger did not fire, or with no
+        delegatable reply queued, runs none)."""
         ran = sum(core.steps for core in self.gpu_cores)
-        return {
+        stats = {
             "gpu_core_steps": ran,
             "gpu_core_steps_skipped": self.cycle * len(self.gpu_cores) - ran,
         }
+        if self.backend == "vector":
+            stats["mem_nic_policy_calls"] = sum(
+                mem.nic.policy_scans for mem in self.memory_nodes
+            )
+        return stats
 
     # -- conveniences -----------------------------------------------------
 

@@ -13,8 +13,9 @@ nodes, cores) talks to the vector backend through the exact surface
 * :class:`VectorNic` — compute-node NIC whose injection runs inside the
   kernel's batched step; its counters are views into kernel arrays,
 * :class:`_VecMemNic` — a real :class:`~repro.noc.nic.MemoryNodeNic`
-  (priority reply scheduling and delegation are reused verbatim) injecting
-  through a per-node :class:`_RouterView` bridge into the arrays.
+  (reply ordering, admission and the delegation scan are the object
+  backend's code) whose queues are the kernel's injection lanes and whose
+  per-cycle accounting fields are cells of the kernel's memory-lane rows.
 
 Features the arrays do not model fail fast with a one-line
 :class:`~repro.sim.engines.BackendError` (telemetry, adaptive routing;
@@ -28,15 +29,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import NetKind, Packet
-from repro.noc.router import LOCAL_PORT
 from repro.noc.routing import build_routing
 from repro.noc.topology import BaseTopology
 from repro.sim.engines import BackendError
 from repro.sim.vector.kernel import VectorKernel
 
 
-class _KindCounter:
-    """Read-only ``{NetKind: int}`` view over a ``(2, n)`` counter array."""
+class _NodeCounter:
+    """Read-only ``{NetKind | TrafficClass: int}`` view of one node's
+    column of a ``(2, n)`` kernel counter array."""
 
     __slots__ = ("_arr", "_node")
 
@@ -44,75 +45,8 @@ class _KindCounter:
         self._arr = arr
         self._node = node
 
-    def __getitem__(self, kind) -> int:
-        return int(self._arr[int(kind), self._node])
-
-
-class _ListCounter:
-    """Read-only ``{NetKind: int}`` view over a plain two-slot list."""
-
-    __slots__ = ("_l",)
-
-    def __init__(self, l: List[int]) -> None:
-        self._l = l
-
-    def __getitem__(self, kind) -> int:
-        return self._l[int(kind)]
-
-
-class _ClsCounter:
-    """Read-only ``{TrafficClass: int}`` view over a ``(2, n)`` array."""
-
-    __slots__ = ("_arr", "_node")
-
-    def __init__(self, arr, node: int) -> None:
-        self._arr = arr
-        self._node = node
-
-    def __getitem__(self, cls) -> int:
-        return int(self._arr[int(cls), self._node])
-
-
-class _OwnerRow:
-    """``router.owner[LOCAL_PORT]`` shaped view: index -> Packet | None."""
-
-    __slots__ = ("_K", "_base")
-
-    def __init__(self, kernel: VectorKernel, base: int) -> None:
-        self._K = kernel
-        self._base = base
-
-    def __getitem__(self, vc: int) -> Optional[Packet]:
-        i = self._K.owner[self._base + vc]
-        return self._K.pk_obj[i] if i >= 0 else None
-
-
-class _RouterView:
-    """Local-port injection surface of one router, bridging the object
-    NIC code (memory nodes) onto the kernel arrays.
-
-    Only the members :meth:`~repro.noc.nic.NodeInterface._inject_net` and
-    ``_pick_vc`` touch are provided: ``occ[LOCAL_PORT]`` /
-    ``owner[LOCAL_PORT]`` rows, ``vc_cap`` and ``accept_flit``.
-    """
-
-    __slots__ = ("_K", "_base", "occ", "owner", "vc_cap")
-
-    def __init__(self, kernel: VectorKernel, net_i: int, node: int) -> None:
-        self._K = kernel
-        row = net_i * kernel.n + node
-        base = row * kernel.PV + LOCAL_PORT * kernel.V
-        self._base = base
-        occ3 = kernel.occ.reshape(kernel.R, kernel.P, kernel.V)
-        self.occ = [occ3[row, LOCAL_PORT]]
-        self.owner = [_OwnerRow(kernel, base)]
-        self.vc_cap = kernel.cap
-
-    def accept_flit(
-        self, port: int, vc: int, pkt: Packet, is_tail: bool, cycle: int
-    ) -> None:
-        K = self._K
-        K.accept_one(self._base + vc, K.mem_index_of(pkt), is_tail, cycle)
+    def __getitem__(self, key) -> int:
+        return int(self._arr[int(key), self._node])
 
 
 class _RouterStats:
@@ -195,13 +129,6 @@ class VectorNet:
         g = (self._net_i * K.n + rid) * K.P + oport
         return int(K.link_flits[g]) / (self.cycles * self.bandwidth)
 
-    def utilization_of_links_into(self, rid: int) -> List[float]:
-        out = []
-        for nb, _port in self._port_of[rid].items():
-            towards = self._port_of[nb][rid]
-            out.append(self.link_utilization(nb, towards))
-        return out
-
 
 class VectorNic:
     """Compute-node NIC of the vector backend.
@@ -221,7 +148,6 @@ class VectorNic:
         "fault_guard",
         "_eject_gate_fn",
         "_queues",
-        "_sent",
         "flits_injected_net",
         "packets_sent_net",
         "flits_received",
@@ -242,12 +168,9 @@ class VectorNic:
             kernel.queues[0][node_id],
             kernel.queues[1][node_id],
         )
-        self._sent = [0, 0]
-        self.flits_injected_net = _KindCounter(
-            kernel.flits_injected_arr, node_id
-        )
-        self.packets_sent_net = _ListCounter(self._sent)
-        self.flits_received = _ClsCounter(kernel.flits_rx_arr, node_id)
+        self.flits_injected_net = _NodeCounter(kernel.flits_injected_arr, node_id)
+        self.packets_sent_net = [0, 0]  # indexed by NetKind
+        self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
 
     # -- endpoint-facing API -------------------------------------------
 
@@ -265,7 +188,7 @@ class VectorNic:
         if pkt.created < 0:
             pkt.created = cycle
         dq.append(pkt)
-        self._sent[k] += 1
+        self.packets_sent_net[k] += 1
         if self.fault_guard is not None:
             self.fault_guard.on_send(self.node_id, pkt, cycle)
         return True
@@ -279,10 +202,7 @@ class VectorNic:
     @eject_gate.setter
     def eject_gate(self, fn: Optional[Callable[[Packet], bool]]) -> None:
         self._eject_gate_fn = fn
-        if fn is None:
-            self._K.gate_nodes.pop(self.node_id, None)
-        else:
-            self._K.gate_nodes[self.node_id] = fn
+        self._K.set_gate(self.node_id, fn)
 
     def can_eject(self, pkt: Packet) -> bool:
         gate = self._eject_gate_fn
@@ -314,38 +234,77 @@ class VectorNic:
         return int(self._K.data_rx_arr[self.node_id])
 
 
+def _cell(arr: str, index: str = "_lane") -> property:
+    """A NIC attribute stored at ``kernel.<arr>[nic.<index>]``: the scalar
+    NIC code and the kernel's array ops share the one copy."""
+
+    def get(nic):
+        return getattr(nic._K, arr).item(getattr(nic, index))
+
+    def put(nic, value) -> None:
+        getattr(nic._K, arr)[getattr(nic, index)] = value
+
+    return property(get, put)
+
+
+class _Mirrored:
+    """A NIC attribute only the scalar side writes: a write also lands in
+    ``kernel.<arr>[nic._lane]`` for the array ops; having no ``__get__``,
+    reads are plain instance-attribute reads."""
+
+    def __init__(self, arr: str) -> None:
+        self._arr = arr
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __set__(self, nic, value) -> None:
+        nic.__dict__[self._name] = value
+        getattr(nic._K, self._arr)[nic._lane] = value
+
+
 class _VecMemNic(MemoryNodeNic):
     """Memory-node NIC on the vector backend.
 
-    Priority reply scheduling, the flit-bounded reply buffer and the
-    delegation hook are inherited verbatim; injection flows through the
-    fabric's :class:`_RouterView` bridge into the kernel arrays.  Only the
-    ejection gate needs kernel awareness (the batch step consults a
-    per-node gate registry instead of calling into sleeping routers).
+    ``try_send`` (CPU-first reply ordering), the flit-bounded admission
+    rule and the delegation scan are inherited; injection, reply-buffer
+    drain, the delegation trigger and blocked-cycle accounting run inside
+    the kernel (``_inject_*`` / ``_mem_account``), so this class only
+    points the inherited fields at the kernel's storage.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        fabric: "VectorFabric",
-        queue_packets: int,
-        reply_buffer_flits: int,
-        kernel: VectorKernel,
-    ) -> None:
-        super().__init__(node_id, fabric, queue_packets, reply_buffer_flits)
+    def __init__(self, node_id: int, fabric, kernel: VectorKernel, lane: int):
         self._K = kernel
+        self._lane = lane
+        self._occ = kernel.mem_occ
+        cfg = kernel.cfg
+        super().__init__(
+            node_id, fabric, cfg.node_injection_queue_packets,
+            cfg.mem_injection_buffer_flits,
+        )
+        self.queues = {
+            kind: kernel.queues[kind][node_id]
+            for kind in (NetKind.REQUEST, NetKind.REPLY)
+        }
+        self.flits_injected_net = _NodeCounter(kernel.flits_injected_arr, node_id)
+        self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
+
+    blocked_cycles = _cell("mem_blocked")
+    observed_cycles = _cell("mem_observed")
+    worst_reply_flits = _Mirrored("mem_worst")
+    delegate_only_when_blocked = _Mirrored("mem_only_blocked")
+    _delegatable = _Mirrored("mem_mark")
+    data_flits_received = _cell("data_rx_arr", "node_id")
+    eject_gate = VectorNic.eject_gate
+    deliver = VectorNic.deliver
 
     @property
-    def eject_gate(self) -> Optional[Callable[[Packet], bool]]:
-        return self._eject_gate_fn
+    def _reply_occ(self) -> int:  # read on every admission check
+        return self._occ.item(self._lane)
 
-    @eject_gate.setter
-    def eject_gate(self, fn: Optional[Callable[[Packet], bool]]) -> None:
-        self._eject_gate_fn = fn
-        if fn is None:
-            self._K.gate_nodes.pop(self.node_id, None)
-        else:
-            self._K.gate_nodes[self.node_id] = fn
+    @_reply_occ.setter
+    def _reply_occ(self, flits: int) -> None:
+        self._occ[self._lane] = flits
 
 
 class VectorFabric:
@@ -383,30 +342,15 @@ class VectorFabric:
             facades.append(shared)
             self.request_net = self.reply_net = shared
         self._net_list: Tuple[VectorNet, ...] = tuple(facades)
-        mem_set = set(mem_nodes)
-        self.nics: List = []
-        for node in range(topology.n):
-            if node in mem_set:
-                nic = _VecMemNic(
-                    node,
-                    self,
-                    cfg.node_injection_queue_packets,
-                    cfg.mem_injection_buffer_flits,
-                    kernel,
-                )
-            else:
-                nic = VectorNic(
-                    node, kernel, cfg.node_injection_queue_packets
-                )
-            self.nics.append(nic)
+        lane_of = {node: lane for lane, node in enumerate(kernel.mem_nodes)}
+        self.nics: List = [
+            _VecMemNic(node, self, kernel, lane_of[node])
+            if node in lane_of
+            else VectorNic(node, kernel, cfg.node_injection_queue_packets)
+            for node in range(topology.n)
+        ]
         kernel.nics = self.nics
         kernel.fabric = self
-        #: per-(kind, mem node) injection bridges for router_for
-        self._rviews: Dict[Tuple[int, int], _RouterView] = {}
-        for node in mem_set:
-            for kind in (0, 1):
-                net_i = kernel.net_of_kind[kind]
-                self._rviews[(kind, node)] = _RouterView(kernel, net_i, node)
         self.telemetry = None
         self.faults = None
 
@@ -426,21 +370,6 @@ class VectorFabric:
     def nic(self, node: int):
         return self.nics[node]
 
-    def router_for(self, node: int, net: NetKind) -> _RouterView:
-        view = self._rviews.get((int(net), node))
-        if view is None:
-            # compute nodes inject inside the kernel; a bridge view is
-            # only pre-built for memory nodes.  Build on demand for any
-            # other caller (tests, analysis helpers).
-            net_i = self.kernel.net_of_kind[int(net)]
-            view = _RouterView(self.kernel, net_i, node)
-            self._rviews[(int(net), node)] = view
-        return view
-
-    def vc_range_for(self, pkt: Packet) -> Tuple[int, int]:
-        k = int(pkt.net)
-        return (self.kernel.vlo_k[k], self.kernel.vhi_k[k])
-
     # -- simulation -----------------------------------------------------
 
     def mark_nic_active(self, node: int) -> None:
@@ -453,13 +382,6 @@ class VectorFabric:
         for net in self._net_list:
             net.cycles += 1
         self.kernel.step(cycle)
-        # memory-node NICs run the inherited object-kernel scheduler and
-        # delegation logic; ascending node order matches the oracle (all
-        # other NICs' injection is node-disjoint and creates no pids, so
-        # batching compute injection first is order-equivalent)
-        nics = self.nics
-        for node in self.kernel.mem_nodes:
-            nics[node].inject_step(cycle)
 
     def in_flight_flits(self) -> int:
         return int(self.kernel.occ.sum())

@@ -34,27 +34,36 @@ One cycle = ``bandwidth`` two-phase passes followed by NIC injection:
    arriving flits merge into or append to downstream rings, tails pop
    and promote the next ring entry to the head mirror.  Python-side
    effects (deliveries, fault hooks) run in the oracle's
-   (network, router, key) order; on the fault-free, memory-less fast
-   path the delivery counters are batched into array updates and only
-   the per-packet object bookkeeping loops.
+   (network, router, key) order; without a fault controller the delivery
+   counters are batched into array updates and only the per-packet
+   object bookkeeping (stamps, the NIC handler) loops.
 
-Injection batches every compute NIC per network kind: in-flight worms
-continue lowest-VC-first, then new worms start on free VCs.  With
-separate physical networks the (kind, node) injection lanes coincide
-with the router rows, so both kinds run fused in one batch; a shared
-network interleaves the kinds with the oracle's parity order and budget.
-Memory-node NICs keep their exact Python behaviour (priority scheduling,
-delegation) and talk to these arrays through a per-node bridge view.
+Injection batches every NIC per network kind: in-flight worms continue
+lowest-VC-first, then new worms start on free VCs.  With separate
+physical networks the (kind, node) injection lanes coincide with the
+router rows, so both kinds run fused in one batch; a shared network
+interleaves the kinds with the oracle's parity order and budget.
+
+Memory nodes are ordinary lanes of that batch.  Their reply deque is kept
+in the scheduler's ``(cls, pid)`` order by ``MemoryNodeNic.try_send``, so
+the batch's FIFO ``popleft`` picks CPU replies first.  What makes them
+memory nodes is a handful of ``(M,)`` rows over the ``M`` memory lanes
+(``mem_*``: reply-buffer occupancy, blocked / observed cycles, worst-case
+reply size, the delegation trigger's inputs) advanced by array ops after
+the batch (:meth:`VectorKernel._mem_account`).  Only the delegation
+*policy* stays Python — it builds ``Packet`` objects and draws packet ids
+— and it runs for exactly the lanes whose trigger fired while a
+delegatable reply may be queued, in ascending node order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.noc.packet import NetKind, Packet
+from repro.noc.packet import Packet
 from repro.noc.router import LOCAL_PORT
 
 #: sentinels for empty head slots.
@@ -109,6 +118,7 @@ class VectorKernel:
         self.Q = Q
         self.pipeline = cfg.router_pipeline_cycles - 1 + cfg.link_cycles
         self.bandwidth = max(1, round(cfg.bandwidth_factor))
+        self._mem_cap = cfg.mem_injection_buffer_flits
 
         # deterministic routing tables, flattened: [kind, rid, dst] -> oport
         rt = np.zeros(2 * n * n, dtype=_I64)
@@ -176,11 +186,8 @@ class VectorKernel:
         self.pk_cls = np.zeros(pc, dtype=_I64)
         self.pk_obj: List[Optional[Packet]] = [None] * pc
         self._free = list(range(pc - 1, -1, -1))
-        #: id(pkt) -> index, for packets entering through the memory-node
-        #: bridge (compute-node packets carry their index in-band)
-        self._mem_idx: Dict[int, int] = {}
 
-        # -- compute-node injection state -------------------------------
+        # -- injection state, one lane per (kind, node) -----------------
         self.infl_pkt = np.full((2, n, V), -1, dtype=_I64)
         self.infl_pushed = np.zeros((2, n, V), dtype=_I64)
         self.flits_injected_arr = np.zeros((2, n), dtype=_I64)
@@ -206,8 +213,30 @@ class VectorKernel:
             self._finj_flat = self.flits_injected_arr.reshape(R)
             self._q_flat = self.queues[0] + self.queues[1]
 
-        #: nodes whose NIC currently has an ejection gate installed
-        self.gate_nodes: Dict[int, object] = {}
+        #: per-node ejection gate (``nic.eject_gate``), and the input VCs
+        #: of the routers that have one (both networks)
+        self.gates: List[Optional[Callable[[Packet], bool]]] = [None] * n
+        self._gated_f = np.zeros(F, dtype=bool)
+        self._any_gate = False
+
+        # -- memory lanes: (M,) rows in ascending node order ------------
+        self.mem_nodes = tuple(sorted(mem_nodes))
+        M = len(self.mem_nodes)
+        self._mem_arr = np.array(self.mem_nodes, dtype=_I64)
+        #: reply-buffer occupancy in flits: queued replies plus the
+        #: un-injected flits of replies mid-injection
+        self.mem_occ = np.zeros(M, dtype=_I64)
+        self.mem_blocked = np.zeros(M, dtype=_I64)
+        self.mem_observed = np.zeros(M, dtype=_I64)
+        #: flits of the largest reply the node sends (admission headroom)
+        self.mem_worst = np.zeros(M, dtype=_I64)
+        #: delegate only when the reply path is blocked (Figure 4)
+        self.mem_only_blocked = np.ones(M, dtype=bool)
+        #: a delegatable reply may be queued (set by ``try_send``, cleared
+        #: by a scan that reaches the end of the queue)
+        self.mem_mark = np.zeros(M, dtype=bool)
+        #: reply flits injected per lane as of the previous cycle
+        self._mem_injected = np.zeros(M, dtype=_I64)
 
         # scratch
         self._gstamp = np.zeros(G, dtype=_I64)
@@ -223,8 +252,6 @@ class VectorKernel:
         #: wired by VectorFabric after construction
         self.fabric = None
         self.nics: List = []
-        self.mem_nodes = tuple(sorted(mem_nodes))
-        self._mem_set = set(mem_nodes)
 
     # ------------------------------------------------------------------
     # packet table
@@ -289,19 +316,6 @@ class VectorKernel:
         self.pk_hops[idxs] = 0
         self.pk_mtype[idxs] = data[:, 5]
         return idxs
-
-    def mem_index_of(self, pkt: Packet) -> int:
-        """Index of a bridge-side packet, registering it on first sight."""
-        i = self._mem_idx.get(id(pkt))
-        if i is None:
-            i = self.register(pkt)
-            self._mem_idx[id(pkt)] = i
-        return i
-
-    def _recycle(self, i: int, pkt: Packet) -> None:
-        self.pk_obj[i] = None
-        self._mem_idx.pop(id(pkt), None)
-        self._free.append(i)
 
     # ------------------------------------------------------------------
     # head mirror
@@ -406,7 +420,7 @@ class VectorKernel:
         self.owner[dvc] = np.where(tail, -1, pkt)
 
     def accept_one(self, f: int, i: int, is_tail: bool, cycle: int) -> None:
-        """Scalar ``accept_flit`` used by the memory-node bridge."""
+        """Scalar ``accept_flit`` (:meth:`_inject_node_kind`)."""
         if self.owner[f] == i:
             ql = int(self.qlen[f])
             if ql == 1:
@@ -433,6 +447,14 @@ class VectorKernel:
     # ------------------------------------------------------------------
     # the two-phase pass
     # ------------------------------------------------------------------
+
+    def set_gate(self, node: int, fn) -> None:
+        """Install (or with ``None`` remove) ``node``'s ejection gate."""
+        self.gates[node] = fn
+        self._gated_f.reshape(self.NN, self.n, self.PV)[:, node] = (
+            fn is not None
+        )
+        self._any_gate = fn is not None or any(self.gates)
 
     def _decide(self, cycle: int):
         """Phase A: admitted head worms -> switch-allocation winners.
@@ -479,16 +501,17 @@ class VectorKernel:
                 self.h_outvc[gi] = chosen[got]
                 self.h_dvc[gi] = dbase[got] + chosen[got]
                 admit[gi] = True
-        if self.gate_nodes:
+        if self._any_gate:
             # a NIC with an ejection gate: new worms (sent == 0) destined
             # there ask the gate scalar-side, exactly like the oracle
-            gated = np.flatnonzero(admit & ej & (self.h_sent == 0))
-            for f in gated.tolist():
-                rid = (f // self.PV) % self.n
-                gate = self.gate_nodes.get(rid)
-                if gate is not None:
-                    pkt = self.pk_obj[int(self.h_pkt[f])]
-                    if not gate(pkt):
+            gated = np.flatnonzero(
+                admit & ej & self._gated_f & (self.h_sent == 0)
+            )
+            if gated.size:
+                rids = ((gated // self.PV) % self.n).tolist()
+                pks = self.h_pkt[gated].tolist()
+                for f, rid, p in zip(gated.tolist(), rids, pks):
+                    if not self.gates[rid](self.pk_obj[p]):
                         admit[f] = False
         adm = np.flatnonzero(admit)
         if not adm.size:
@@ -552,7 +575,7 @@ class VectorKernel:
             di = np.flatnonzero(dmask)
             sub = np.argsort(rows[di], kind="stable")
             di = di[sub]
-            if fa is None and not self._mem_set:
+            if fa is None:
                 self._deliver_fast(rows[di], pkt[di], cycle)
             else:
                 for j in di.tolist():
@@ -579,7 +602,7 @@ class VectorKernel:
                 )
 
     def _deliver_fast(self, rows, pk, cycle: int) -> None:
-        """Fault-free deliveries to plain compute NICs, row-sorted.
+        """Deliveries with no fault controller installed, row-sorted.
 
         Counter updates run as array ops; only the per-packet object
         bookkeeping (delivery stamp, hop count, the NIC handler) loops.
@@ -641,14 +664,15 @@ class VectorKernel:
             dbt[key] = dbt.get(key, 0) + 1
             self.nics[rid].deliver(pkt, cycle)
         pkt.hops = int(self.pk_hops[p]) + 1
-        self._recycle(p, pkt)
+        self.pk_obj[p] = None
+        self._free.append(p)
 
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
 
     def _inject_fused(self, cycle: int) -> None:
-        """One flit per compute node on BOTH kinds at once (separate
+        """One flit per node on BOTH kinds at once (separate
         physical networks, bw == 1: the (kind, node) lanes are the router
         rows, and the two networks share no state)."""
         occ_loc = self._occ_loc_all
@@ -694,7 +718,7 @@ class VectorKernel:
             self._finj_flat[lanes_s] += 1
 
     def _inject_kind(self, k: int, cycle: int, allowed):
-        """One flit per compute node on network kind ``k`` (bw == 1,
+        """One flit per node on network kind ``k`` (bw == 1,
         shared physical network: the kinds contend for one budget).
 
         In-flight worms continue on the lowest eligible VC; nodes with no
@@ -761,8 +785,6 @@ class VectorKernel:
         """Reference-shaped per-node injection (any bandwidth)."""
         bw = self.bandwidth
         for node in range(self.n):
-            if node in self._mem_set:
-                continue
             if self.separate:
                 for k in (0, 1):
                     self._inject_node_kind(node, k, cycle, bw)
@@ -846,6 +868,31 @@ class VectorKernel:
                     allowed &= ~pushed
         else:
             self._inject_scalar(cycle)
+        if self.mem_nodes:
+            self._mem_account(cycle)
+
+    def _mem_account(self, cycle: int) -> None:
+        """Per-cycle memory-node behaviour over the memory lanes, after
+        injection: reply-buffer drain, the delegation trigger, and the
+        blocked / observed accounting of Figure 3."""
+        injected = self.flits_injected_arr[1, self._mem_arr]
+        moved = injected - self._mem_injected
+        self._mem_injected = injected
+        occ = self.mem_occ
+        occ -= moved
+        # blocked: the buffer cannot take one more worst-case reply
+        full = self._mem_cap - occ < self.mem_worst
+        # the node "cannot inject reply traffic" when it is blocked or the
+        # reply router refused every flit this cycle (Figure 4)
+        fire = self.mem_mark & (~self.mem_only_blocked | full | (moved == 0))
+        if fire.any():
+            # ascending node order: delegated packets draw their ids in
+            # the oracle's order
+            for lane in np.flatnonzero(fire).tolist():
+                self.nics[self.mem_nodes[lane]]._delegate_scan(cycle)
+            full = self._mem_cap - occ < self.mem_worst
+        self.mem_blocked += full
+        self.mem_observed += 1
 
     # ------------------------------------------------------------------
     # statistics helpers for the facades
@@ -859,13 +906,3 @@ class VectorKernel:
         n = self.n
         lo = net_i * n * self.PV
         return int(self.occ[lo:lo + n * self.PV].sum())
-
-    def router_buffered(self, net_i: int, rid: int) -> int:
-        lo = (net_i * self.n + rid) * self.PV
-        return int(self.occ[lo:lo + self.PV].sum())
-
-    def sync_packet_objects(self) -> None:
-        """Write array-held packet state back to the Python objects."""
-        for i, pkt in enumerate(self.pk_obj):
-            if pkt is not None:
-                pkt.hops = int(self.pk_hops[i])

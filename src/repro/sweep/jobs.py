@@ -38,7 +38,9 @@ from repro.config.system import SystemConfig
 #: packet-key order, shifting delivered-counter timings slightly.
 #: sweep-v6: the object kernel steps in the decide-then-commit order
 #: (DESIGN.md §6.1); object-backend results equal the vector backend's.
-CODE_VERSION = "sweep-v6"
+#: sweep-v7: the memory-node reply buffer admits on the config's
+#: worst-case reply size, not a fixed 9 flits (non-16 B channels move).
+CODE_VERSION = "sweep-v7"
 
 
 def code_salt() -> str:

@@ -1,11 +1,18 @@
 """Tests for node interfaces, the memory-node injection buffer and the
 delegation trigger."""
 
-from repro.config.system import NocConfig
-from repro.core.delegated_replies import ReplyMeta
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config.system import DelegationConfig, NocConfig
+from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import NetKind
+from repro.sim.engines import build_fabric
+from repro.sim.simulator import build_system
+
+from conftest import small_dr_config
 
 
 def make_fabric(mem_nodes=(5,), **noc_kw):
@@ -65,6 +72,91 @@ class TestMemoryNodeBuffer:
                 0,
             )
         assert not nic.can_enqueue(NetKind.REQUEST)
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_reply_buffer_never_overfills_on_a_narrow_channel(backend):
+    """At 8 B a GPU reply is 17 flits: admission must ask for 17 flits of
+    headroom, not the default channel's 9 (the 36-flit buffer used to
+    reach 44)."""
+    cfg = small_dr_config()
+    cfg.noc.channel_width_bytes = 8
+    system = build_system(cfg, "HS", "canneal", backend=backend)
+    peak = 0
+    for _ in range(500):
+        system.step()
+        for mem in system.memory_nodes:
+            assert mem.nic.worst_reply_flits == 17
+            assert mem.nic._reply_occ <= mem.nic.reply_buffer_flits
+            peak = max(peak, mem.nic._reply_occ)
+    assert peak > 36 - 17  # and the buffer does fill: a second reply fits
+
+
+@st.composite
+def _reply_queue_ops(draw):
+    """Sends of pre-built replies in any order (so pids arrive shuffled),
+    interleaved with delegation scans and head pops."""
+    kinds = draw(st.lists(st.sampled_from(["cpu", "gpu", "dgpu"]),
+                          min_size=1, max_size=12))
+    order = draw(st.permutations(range(len(kinds))))
+    ops = [("send", i) for i in order]
+    for _ in range(draw(st.integers(0, 8))):
+        ops.insert(draw(st.integers(0, len(ops))),
+                   (draw(st.sampled_from(["delegate", "pop"])), None))
+    return kinds, ops
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+@settings(max_examples=60, deadline=None)
+@given(_reply_queue_ops())
+def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
+    """The ordered reply deque: whatever the interleaving of CPU / GPU
+    sends and delegations, ``popleft()`` yields what a per-attempt
+    ``min(key=(cls, pid))`` over the queued replies would."""
+    kinds, ops = case
+    fabric = build_fabric(
+        backend, MeshTopology(4, 4),
+        NocConfig(mem_injection_buffer_flits=9 * 14), mem_nodes=(5,),
+    )
+    nic = fabric.nic(5)
+    DelegatedRepliesMechanism(DelegationConfig(enabled=True)).attach(nic)
+    pkts = [
+        reply(5, 0,
+              TrafficClass.CPU if kind == "cpu" else TrafficClass.GPU,
+              5 if kind == "cpu" else 9,
+              ReplyMeta(True, 9 if kind == "dgpu" else None))
+        for kind in kinds
+    ]
+    shadow = []
+    queue = nic.queues[NetKind.REPLY]
+
+    def pick():
+        return min(shadow, key=lambda p: (p.cls, p.pid))
+
+    for op, i in ops:
+        if op == "send":
+            assert nic.try_send(pkts[i], 0)
+            shadow.append(pkts[i])
+        elif op == "delegate":
+            before = nic.delegations
+            nic._delegate_scan(0)
+            oldest = [p for p in sorted(shadow, key=lambda p: p.pid)
+                      if p.txn.delegate_to is not None]
+            oldest = oldest[:nic.max_delegations_per_cycle]
+            assert nic.delegations - before == len(oldest)
+            for p in oldest:
+                shadow.remove(p)
+            nic.queues[NetKind.REQUEST].clear()
+        elif shadow:
+            want = pick()
+            assert queue.popleft() is want
+            shadow.remove(want)
+        assert nic._select_head(NetKind.REPLY) is (pick() if shadow else None)
+    while shadow:
+        want = pick()
+        assert queue.popleft() is want
+        shadow.remove(want)
+    assert not queue
 
 
 class TestDelegationTrigger:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import L1Organization, Mechanism
+from repro.config import L1Organization, Mechanism, delegated_replies_config
 from repro.sim.metrics import collect_counters, derive_result, diff_counters
 from repro.sim.simulator import build_system, run_simulation
 from repro.sim.system import HeterogeneousSystem
@@ -162,3 +162,17 @@ class TestMetricsPlumbing:
         assert sum(stats.values()) == 400 * len(system.gpu_cores)
         assert stats["gpu_core_steps_skipped"] > stats["gpu_core_steps"] > 0
         assert not set(stats) & set(collect_counters(system))
+
+    def test_vector_memory_lanes_scan_only_when_there_is_something_to_delegate(self):
+        """Quiet memory lanes cost no Python: a delegation scan runs at
+        most once per delegatable reply a node sent (plus one per node),
+        not once per node per cycle."""
+        system = build_system(
+            delegated_replies_config(), "HS", "canneal", backend="vector"
+        )
+        system.run(500)
+        scans = system.scheduler_stats()["mem_nic_policy_calls"]
+        mems = system.memory_nodes
+        delegatable = sum(m.stats.delegatable_replies for m in mems)
+        assert sum(m.nic.delegations for m in mems) >= 10
+        assert 0 < scans <= delegatable + len(mems) < 500 * len(mems) / 10

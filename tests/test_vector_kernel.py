@@ -113,9 +113,9 @@ def test_uniform_bit_identical(dims, permille, cycles):
 ])
 @pytest.mark.parametrize("permille", [40, 200])
 def test_delegation_bit_identical(dims, mem_nodes, permille):
-    """Hotspot + Delegated Replies: the memory-node NIC path (bridged
-    through _RouterView on the vector backend) stays bit-identical,
-    including delegation/blocked/observed counters."""
+    """Hotspot + Delegated Replies: the memory-node path (memory lanes of
+    the vector kernel's batch) stays bit-identical, including the
+    delegation/blocked/observed counters."""
     n = dims[0] * dims[1]
     sched = hotspot_schedule(n, mem_nodes, 600, permille, seed=permille)
     cfg = NocConfig()
@@ -124,6 +124,57 @@ def test_delegation_bit_identical(dims, mem_nodes, permille):
     got = _run_backend("vector", dims, cfg, sched,
                        mem_nodes=mem_nodes, delegation=True)
     _assert_identical(ref, got)
+
+
+@pytest.mark.parametrize("noc_kw", [
+    {},                                      # fused batch (_inject_fused)
+    {"bandwidth_factor": 2.0},               # per-node path (_inject_scalar)
+    {"separate_physical_networks": False},   # parity/budget (_inject_kind)
+], ids=["fused", "bw2", "shared"])
+@pytest.mark.parametrize("cpu_permille", [0, 300])
+def test_memory_lanes_bit_identical(noc_kw, cpu_permille):
+    """Every injection path that carries memory lanes, with and without
+    5-flit CPU replies competing for the reply buffer's head: the CPU-first
+    order, the 36-flit admission rule, the delegation trigger and the
+    blocked-cycle rows equal the object NIC's."""
+    mem_nodes = (7, 15, 23, 31, 39, 47, 55, 63)
+    sched = hotspot_schedule(64, mem_nodes, 600, 200, seed=17,
+                             cpu_permille=cpu_permille)
+    cfg = NocConfig(**noc_kw)
+    ref = _run_backend("object", (8, 8), cfg, sched,
+                       mem_nodes=mem_nodes, delegation=True)
+    got = _run_backend("vector", (8, 8), cfg, sched,
+                       mem_nodes=mem_nodes, delegation=True)
+    _assert_identical(ref, got)
+    assert sum(ref[f"nic{m}.delegations"] for m in mem_nodes) > 20
+    if cpu_permille:
+        # undelegatable replies let the buffer fill: blocked cycles exist
+        assert sum(ref[f"nic{m}.blocked"] for m in mem_nodes) > 0
+        # CPU replies overtook queued GPU ones: their median latency is
+        # far below the GPU replies' on the same clogged links
+        lat = {size: sorted(l for l, sz, _ in ref["latency_multiset"]
+                            if sz == size) for size in (5, 9)}
+        assert lat[5][len(lat[5]) // 2] < lat[9][len(lat[9]) // 2]
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_delegation_counts_agree_when_request_queue_is_full(backend):
+    """The policy builds a delegated packet only when the request queue
+    can take it: with a one-packet queue the mechanism's count and the
+    NICs' stay equal (it used to run ahead by one per refused cycle)."""
+    mem_nodes = (3, 7, 11, 15)
+    sched = hotspot_schedule(16, mem_nodes, 600, 200, seed=5)
+    fabric = build_fabric(
+        backend, MeshTopology(4, 4),
+        NocConfig(node_injection_queue_packets=1), mem_nodes=mem_nodes,
+    )
+    mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+    for m in mem_nodes:
+        mech.attach(fabric.nic(m))
+    replay(fabric, sched)
+    done = sum(fabric.nic(m).delegations for m in mem_nodes)
+    assert done > 20
+    assert mech.stats.delegations == mech.stats.delegatable_seen == done
 
 
 def test_shared_network_bit_identical():
@@ -182,12 +233,7 @@ def test_vector_packet_conservation():
         if fabric.in_flight_flits() == 0 and all(
             not fabric.kernel.queues[k][node]
             for k in (0, 1) for node in range(16)
-        ) and (fabric.kernel.infl_pkt < 0).all() and all(
-            not fabric.nic(m).queues[kind]
-            and not fabric.nic(m)._inflight[kind]
-            for m in mem_nodes
-            for kind in (NetKind.REQUEST, NetKind.REPLY)
-        ):
+        ) and (fabric.kernel.infl_pkt < 0).all():
             break
     else:
         raise AssertionError("vector fabric failed to drain")
@@ -204,7 +250,15 @@ def test_vector_packet_conservation():
     assert delivered_flits == injected_flits
     # the packet table fully recycled: nothing leaked
     assert all(obj is None for obj in fabric.kernel.pk_obj)
-    assert not fabric.kernel._mem_idx
+    # memory nodes are lanes of the same batch: their queues are the
+    # kernel's, their in-flight rows and reply buffers drained with it
+    for m in mem_nodes:
+        nic = fabric.nic(m)
+        assert nic.flits_injected_net[NetKind.REPLY] > 0
+        for kind in (NetKind.REQUEST, NetKind.REPLY):
+            assert nic.queues[kind] is fabric.kernel.queues[kind][m]
+        assert (fabric.kernel.infl_pkt[:, m] < 0).all()
+        assert nic._reply_occ == 0
 
 
 def test_vector_rejects_adaptive_routing():
@@ -253,6 +307,28 @@ def test_system_bit_identical(mk_cfg):
     cfg_fn = getattr(conftest, mk_cfg)
     obj = _system_result(cfg_fn(), "object")
     vec = _system_result(cfg_fn(), "vector")
+    assert vec.counters == obj.counters
+    assert vec.to_dict() == obj.to_dict()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bandwidth_factor", 2.0),
+    ("separate_physical_networks", False),
+    ("channel_width_bytes", 8),
+], ids=["bw2", "shared", "8B"])
+def test_system_bit_identical_noc_variants(field, value):
+    """The memory lanes on the kernel's other two injection paths and at a
+    channel width where a GPU reply is 17 flits, full system, DR on."""
+    import conftest
+
+    def cfg():
+        c = conftest.small_dr_config()
+        setattr(c.noc, field, value)
+        return c
+
+    obj = _system_result(cfg(), "object")
+    vec = _system_result(cfg(), "vector")
+    assert obj.counters["mem.delegations"] > 0
     assert vec.counters == obj.counters
     assert vec.to_dict() == obj.to_dict()
 
