@@ -144,7 +144,7 @@ def sweep_gates() -> List[Gate]:
 
     # warmup varies so the 16 specs have 16 keys
     probes = [
-        JobSpec.make({"probe": i}, gpu="probe", cpu=None, cycles=40, warmup=i,
+        JobSpec.make({"seed": i}, gpu="probe", cpu=None, cycles=40, warmup=i,
                      label=(f"probe{i}",))
         for i in range(16)
     ]

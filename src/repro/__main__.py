@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cli import add_window_options, usage_error_exit
+from repro.cli import add_mechanism_option, add_window_options, run_guarded
 
 
 def _cmd_list(_args) -> int:
@@ -41,7 +41,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments.common import mechanism_config
+    from repro.config import mechanism_config
     from repro.sim.simulator import run_simulation
 
     cfg = mechanism_config(args.mechanism)
@@ -118,8 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("gpu", help="GPU benchmark (Table II name)")
     run_p.add_argument("cpu", nargs="?", default=None,
                        help="CPU benchmark (Parsec name)")
-    run_p.add_argument("--mechanism", choices=["baseline", "rp", "dr"],
-                       default="baseline")
+    add_mechanism_option(run_p)
     add_window_options(run_p, cycles=3000, warmup=2000)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper figure")
@@ -137,12 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "area": _cmd_area,
     }[args.command]
-    try:
-        return handler(args)
-    except (KeyError, ValueError) as exc:
-        # an unknown benchmark, a malformed $REPRO_CYCLES, an unusable
-        # $REPRO_BACKEND (BackendError is a ValueError): usage errors
-        return usage_error_exit(exc)
+    return run_guarded(handler, args)
 
 
 if __name__ == "__main__":

@@ -95,8 +95,8 @@ def explore(
     ``sim_fraction`` of the evaluated designs, plus the mechanism
     reference anchors) are promoted to cycle-level :func:`simulate`
     ground truth via the sweep runner and its content-addressed cache.
-    ``space`` is a named demo space (``"mesh4x4"``, ``"mesh8x8"``,
-    ``"full"``) or a custom :class:`SearchSpace`.  Returns an
+    ``space`` is a named demo space (``"mesh4x4"``, ``"mesh8x8"``) or a
+    custom :class:`SearchSpace`.  Returns an
     :class:`~repro.explore.ExploreOutcome` whose ``frontier`` is a
     :class:`ParetoFrontier` and whose ``manifest()`` matches the JSON
     artifact of ``python -m repro.explore run``.

@@ -172,7 +172,7 @@ class Scenario:
             mem_nodes=self.mem_nodes,
         )
         if self.mem_nodes:
-            mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+            mech = DelegatedRepliesMechanism(DelegationConfig())
             for m in self.mem_nodes:
                 mech.attach(fabric.nic(m))
         return fabric

@@ -12,9 +12,18 @@ building them through these helpers:
 ``--seed N``     override the config's RNG seed
 ``--format F``   human table vs machine JSON on stdout
 ``--backend B``  simulation engine (object | vector)
+``--mechanism M`` reply-delivery mechanism (baseline | rp | dr)
 
-A usage error — an unknown backend or benchmark, a malformed window —
-leaves through :func:`usage_error_exit`: one ``error:`` line, status 2.
+Nothing about a design point is declared here.  The mechanism spellings
+come from :data:`repro.config.system.MECHANISMS`, and a flag that sets a
+config field (:func:`add_config_option`) takes its name, type, choices
+and documented default from the field's declaration in
+:mod:`repro.config.system`; legal ranges are checked there too, by
+``SystemConfig.validate()``, when the config is built into a system.
+
+Every ``main()`` runs its command through :func:`run_guarded`: a usage
+error — an unknown backend or benchmark, an illegal config value, a
+malformed window, an unreadable file — is one ``error:`` line, status 2.
 """
 
 from __future__ import annotations
@@ -131,14 +140,83 @@ def add_backend_option(
     )
 
 
+def add_mechanism_option(
+    parser: argparse.ArgumentParser,
+    default: str = "baseline",
+    help: str = "reply-delivery mechanism (default: %(default)s)",
+) -> None:
+    from repro.config.system import MECHANISMS
+
+    parser.add_argument(
+        "--mechanism", choices=MECHANISMS, default=default, help=help
+    )
+
+
+def add_config_option(
+    parser: argparse.ArgumentParser,
+    path: str,
+    flag: Optional[str] = None,
+    default: Any = None,
+    help: Optional[str] = None,
+) -> None:
+    """A flag that sets the ``SystemConfig`` field at dotted ``path``.
+
+    The flag's name (``--sample-rate`` for ``telemetry.sample_rate``
+    unless ``flag`` overrides it), value type, choices and the default
+    its help quotes are the field's declaration.  The parsed value is
+    stored under ``path`` and stays ``None`` — the config's own default
+    applies — unless the command pins a different ``default``;
+    :func:`set_config_options` applies what was given.
+    """
+    from repro.config.system import declared_field
+
+    typ, choices, declared = declared_field(path)
+    leaf = path.rsplit(".", 1)[-1]
+    shown = declared if default is None else default
+    parser.add_argument(
+        flag or "--" + leaf.replace("_", "-"),
+        dest=path,
+        metavar=None if choices else leaf.upper(),
+        type=str if choices else typ,
+        choices=choices,
+        default=default,
+        help=f"{help or leaf.replace('_', ' ')} "
+        f"(default: {'none' if shown == '' else shown})",
+    )
+
+
+def set_config_options(cfg, args: argparse.Namespace):
+    """Apply every :func:`add_config_option` flag that holds a value."""
+    from repro.config.system import nested
+
+    for path, value in vars(args).items():
+        if "." in path and value is not None:
+            cfg.update(nested(path, value))
+    return cfg
+
+
+def run_guarded(handler: Callable[[Any], int], args: Any) -> int:
+    """Run one command under the error contract every CLI shares.
+
+    A usage error is a ``KeyError`` (unknown benchmark), a ``ValueError``
+    (which ``ConfigError``, ``BackendError`` and JSON decoding errors
+    are) or an ``OSError`` (unreadable input, unwritable output); each
+    leaves through :func:`usage_error_exit`.
+    """
+    try:
+        return handler(args)
+    except BrokenPipeError:  # `... | head` is not a usage error
+        raise
+    except (KeyError, ValueError, OSError) as exc:
+        return usage_error_exit(exc)
+
+
 def usage_error_exit(exc: Exception) -> int:
     """One-line ``error:`` exit shared by every CLI.
 
-    Prints the message of a usage error (a
-    :class:`~repro.sim.engines.BackendError`, an unknown benchmark's
-    ``KeyError``, a malformed window's ``ValueError`` — each a single
-    line by contract) to stderr and returns the exit status for the
-    caller to hand to ``sys.exit``.
+    Prints the message of a usage error (a single line by contract) to
+    stderr and returns the exit status for the caller to hand to
+    ``sys.exit``.
     """
     # str(KeyError) is the repr of its argument, quotes and all
     message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -1,4 +1,4 @@
-"""Config-file layer: build a :class:`SystemConfig` from JSON.
+"""Config-file layer: a :class:`SystemConfig` to and from JSON.
 
 GPGPU-sim and gem5 drive their simulators from configuration files; this
 module plays that role so experiments can be described declaratively::
@@ -8,92 +8,36 @@ module plays that role so experiments can be described declaratively::
       "layout": "edge",
       "noc": {"channel_width_bytes": 8, "topology": "dragonfly"},
       "gpu_l1": {"size_bytes": 16384},
-      "delegation": {"enabled": true, "max_delegations_per_cycle": 1}
+      "delegation": {"max_delegations_per_cycle": 1}
     }
 
-Unknown keys fail loudly (a typo must never silently fall back to a
-default), enum fields accept their string values, and nested sections map
-onto the nested config dataclasses.
+``mechanism`` alone selects what runs.  Unknown keys, values outside a
+field's declared range or choices and wrong JSON types all fail with a
+one-line :class:`ConfigError` naming the dotted path; what is legal is
+read from the field declarations in :mod:`repro.config.system`, which
+also owns :func:`config_from_dict`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Union
 
-from repro.config.system import SystemConfig
+from repro.config.system import ConfigError, SystemConfig, config_from_dict
 
-
-class ConfigError(ValueError):
-    """A configuration file referenced an unknown field or a bad value."""
-
-
-def _coerce(value: Any, target_type) -> Any:
-    """Coerce a JSON value onto a dataclass field's type."""
-    if isinstance(target_type, type) and issubclass(target_type, enum.Enum):
-        try:
-            return target_type(value)
-        except ValueError:
-            options = [m.value for m in target_type]
-            raise ConfigError(
-                f"{value!r} is not a valid {target_type.__name__}; "
-                f"choose from {options}"
-            ) from None
-    if target_type is float and isinstance(value, int):
-        return float(value)
-    return value
-
-
-def _apply(obj, section: Dict[str, Any], path: str) -> None:
-    fields = {f.name: f for f in dataclasses.fields(obj)}
-    for key, value in section.items():
-        if key not in fields:
-            raise ConfigError(
-                f"unknown config key {path}{key!r}; valid keys: "
-                f"{sorted(fields)}"
-            )
-        current = getattr(obj, key)
-        if dataclasses.is_dataclass(current) and not isinstance(current, type):
-            if not isinstance(value, dict):
-                raise ConfigError(
-                    f"{path}{key} is a section and needs an object value"
-                )
-            _apply(current, value, f"{path}{key}.")
-            continue
-        ftype = type(current) if current is not None else None
-        if isinstance(current, bool) and not isinstance(value, bool):
-            raise ConfigError(f"{path}{key} expects a boolean")
-        setattr(obj, key, _coerce(value, ftype))
-
-
-def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
-    """Build a :class:`SystemConfig` from a (nested) plain dict."""
-    cfg = SystemConfig()
-    _apply(cfg, data, "")
-    cfg.__post_init__()  # re-validate the node mix after overrides
-    return cfg
+__all__ = ["ConfigError", "config_from_dict", "load_config", "save_config"]
 
 
 def load_config(path: Union[str, Path]) -> SystemConfig:
     """Load a :class:`SystemConfig` from a JSON file."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return config_from_dict(data)
-
-
-def dump_config(cfg: SystemConfig) -> Dict[str, Any]:
-    """Serialize a config back to a JSON-compatible dict (round-trips
-    through :func:`config_from_dict`)."""
-    return cfg.to_dict()
+        return config_from_dict(json.load(fh))
 
 
 def save_config(cfg: SystemConfig, path: Union[str, Path]) -> None:
-    """Write a config to a JSON file."""
+    """Write a config to a JSON file (round-trips through
+    :func:`load_config`)."""
     with open(path, "w") as fh:
-        json.dump(dump_config(cfg), fh, indent=2, sort_keys=True)
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

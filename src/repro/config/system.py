@@ -7,7 +7,22 @@ system behind FR-FCFS controllers.
 
 Everything the experiments sweep (topology, layout, routing, mechanism,
 cache sizes, channel width, VC organisation, node mix) is a field here so a
-single ``SystemConfig`` fully describes a simulation.
+single ``SystemConfig`` fully describes a simulation, and this module is
+the only place that knows four things about such a design point:
+
+* **which mechanism runs** — ``SystemConfig.mechanism`` is the whole
+  switch; the command-line spellings (:data:`MECHANISMS`) and
+  :func:`mechanism_config` live next to the enum.
+* **what is legal** — each field states its range or choices where it is
+  declared (:func:`_spec`; an undecorated number is ``>= 1``) and
+  :meth:`SystemConfig.validate` checks them all, plus the cross-field
+  rules, wherever a config crosses into execution (``config_from_dict``,
+  ``JobSpec.make``, ``HeterogeneousSystem``).
+* **what is identity** — :func:`canonical_config` leaves out what cannot
+  change the result (:func:`_section`'s ``live_when``, ``identity=False``);
+  ``config_hash()`` and ``JobSpec.key()`` both hash that form.
+* **how a field is set from data** — :meth:`SystemConfig.update`, for a
+  JSON file, an explore knob path and parsed CLI flags alike.
 """
 
 from __future__ import annotations
@@ -17,7 +32,30 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Optional, Tuple
+
+
+class ConfigError(ValueError):
+    """A configuration names an unknown field or holds an illegal value."""
+
+
+def _spec(default, **rule):
+    """A leaf field that states what is legal: ``lo``/``hi`` (inclusive
+    bounds; a number without them is ``>= 1``, ``lo=None`` lifts that),
+    ``above`` (exclusive lower bound), ``whole`` (a float holding a whole
+    number), ``choices`` (a string's legal values) — or what it is to the
+    identity: ``identity=False`` (the value cannot change a result),
+    ``also_live_when`` (a second condition, besides its section's
+    ``live_when``, under which the field is read)."""
+    return field(default=default, metadata=rule)
+
+
+def _section(cls, live_when: Tuple[str, Any]):
+    """A nested section that is read only while the field at the dotted
+    path ``live_when[0]`` holds ``live_when[1]``; otherwise it is inert
+    and :func:`canonical_config` leaves it out of the identity (all but
+    the fields whose own ``also_live_when`` holds)."""
+    return field(default_factory=cls, metadata={"live_when": live_when})
 
 
 class Topology(str, enum.Enum):
@@ -58,11 +96,33 @@ class Layout(str, enum.Enum):
 
 
 class Mechanism(str, enum.Enum):
-    """Reply-delivery mechanisms compared throughout the evaluation."""
+    """Reply-delivery mechanisms compared throughout the evaluation.
+
+    ``Mechanism(name)`` also accepts the command-line spellings of
+    :data:`MECHANISMS` (``rp``, ``dr``).
+    """
 
     BASELINE = "baseline"
     DELEGATED_REPLIES = "delegated_replies"
     REALISTIC_PROBING = "realistic_probing"
+
+    @classmethod
+    def _missing_(cls, value):
+        return _BY_CLI_SPELLING.get(value) if isinstance(value, str) else None
+
+
+#: the command-line spellings, in the order the figures list them
+MECHANISMS = ("baseline", "rp", "dr")
+_BY_CLI_SPELLING = dict(
+    zip(
+        MECHANISMS,
+        (
+            Mechanism.BASELINE,
+            Mechanism.REALISTIC_PROBING,
+            Mechanism.DELEGATED_REPLIES,
+        ),
+    )
+)
 
 
 class CtaScheduler(str, enum.Enum):
@@ -107,9 +167,15 @@ class NocConfig:
     node_injection_queue_packets: int = 16
     #: bandwidth multiplier applied to every link (2.0 doubles NoC bandwidth
     #: by letting each link move 2 flits/cycle, as in Fig. 5).
-    bandwidth_factor: float = 1.0
+    bandwidth_factor: float = _spec(1.0, lo=1, whole=True)
     #: CPU packets win switch allocation over GPU packets when True.
     cpu_priority: bool = True
+
+    @property
+    def link_flits_per_cycle(self) -> int:
+        """Flits every link moves per cycle: ``bandwidth_factor`` as the
+        whole number the fabrics, metrics and surrogate all count in."""
+        return max(1, round(self.bandwidth_factor))
 
     def flits_for(self, payload_bytes: int) -> int:
         """Number of flits for a packet carrying ``payload_bytes`` of data.
@@ -217,9 +283,10 @@ class CpuCoreConfig:
 
 @dataclass
 class DelegationConfig:
-    """Delegated Replies policy knobs (Section IV)."""
+    """Delegated Replies policy knobs (Section IV); read only while
+    ``SystemConfig.mechanism`` is ``DELEGATED_REPLIES`` — all but the
+    watchdog, which Realistic Probing's parked probes run under too."""
 
-    enabled: bool = False
     #: delegate only when the reply network cannot accept traffic this cycle
     #: (the paper's policy).  When False, delegate every delegatable reply
     #: (an ablation).
@@ -231,8 +298,11 @@ class DelegationConfig:
     #: outstanding MSHR entry for longer than this is re-sent to the LLC
     #: with the DNF bit.  Breaks the (rare) circular-delegation case where
     #: two cores' requests for the same block are delegated to each other
-    #: after an eviction/re-request race.
-    delayed_hit_timeout: int = 4096
+    #: after an eviction/re-request race.  A probe that finds its block
+    #: outstanding parks the same way, so the watchdog expires those too.
+    delayed_hit_timeout: int = _spec(
+        4096, also_live_when=("mechanism", Mechanism.REALISTIC_PROBING)
+    )
     #: merge same-block FRQ entries (the design point the paper *rejects*
     #: because only 4.8% of entries share a block; modelled here as an
     #: ablation — merged entries serve every merged requester with one L1
@@ -242,15 +312,15 @@ class DelegationConfig:
 
 @dataclass
 class ProbingConfig:
-    """Realistic Probing (RP) policy knobs (Section III-A)."""
+    """Realistic Probing (RP) policy knobs (Section III-A); read only
+    while ``SystemConfig.mechanism`` is ``REALISTIC_PROBING``."""
 
-    enabled: bool = False
     #: number of remote L1s probed per predicted-shared miss.
     probe_width: int = 6
     #: fraction of misses the sharing predictor flags as probe-worthy.
     #: RP's predictor is imperfect; the paper reports RP inflates NoC
     #: request count by 5.9x.
-    predictor_threshold: float = 0.5
+    predictor_threshold: float = _spec(0.5, lo=0.0, hi=1.0)
 
 
 @dataclass
@@ -259,9 +329,9 @@ class TelemetryConfig:
 
     Telemetry is strictly read-only instrumentation: enabling it must
     never change the simulation's counters.  It does add to the result
-    *payload* (stall breakdown, telemetry metrics), so sweep cache keys
-    (:meth:`repro.sweep.jobs.JobSpec.key`) ignore this section only
-    while ``enabled`` is False.
+    *payload* (stall breakdown, telemetry metrics), so the section is
+    part of a design point's identity while ``enabled`` — all but the
+    two output paths, which only say where the payload is written.
     """
 
     enabled: bool = False
@@ -274,22 +344,22 @@ class TelemetryConfig:
     #: cost on saturated meshes.  The probe-time blame chain walker that
     #: attaches ``root_cause`` records to clogging episodes runs in both
     #: modes (it is windowed, not per-cycle).
-    mode: str = "light"
+    mode: str = _spec("light", choices=("light", "full"))
     #: per-packet trace destination; empty = aggregate-only (histograms,
     #: window probes and clogging detection, but no per-packet I/O).
-    trace_path: str = ""
+    trace_path: str = _spec("", identity=False)
     #: ``jsonl`` (greppable) or ``bin`` (compact packed structs).
-    trace_format: str = "jsonl"
+    trace_format: str = _spec("jsonl", choices=("jsonl", "bin"))
     #: fraction of packets traced, decided by a stateless hash of the
     #: packet id so every lifecycle event of a packet is kept or dropped
     #: together (and the simulation's RNG streams are untouched).
-    sample_rate: float = 1.0
+    sample_rate: float = _spec(1.0, lo=0.0, hi=1.0)
     #: cycles per windowed probe of link/buffer/injection state.
     probe_interval: int = 200
     #: clogging-event detector: a memory node whose windowed reply-path
     #: pressure (max of injection-buffer occupancy and blocked-cycle
-    #: fraction) stays >= this threshold ...
-    clog_threshold: float = 0.9
+    #: fraction) stays >= this threshold (above 1: never; silences it) ...
+    clog_threshold: float = _spec(0.9, lo=0.0)
     #: ... for at least this many consecutive windows is one episode.
     clog_min_windows: int = 2
     #: flight-recorder ring capacity in events per network: the most
@@ -306,7 +376,7 @@ class TelemetryConfig:
     ring_events: int = 512
     #: directory for flight-recorder dumps; empty = keep the ring in
     #: memory but never write dump files.
-    flight_dir: str = ""
+    flight_dir: str = _spec("", identity=False)
 
 
 @dataclass
@@ -329,52 +399,103 @@ class SystemConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     gpu_core: GpuCoreConfig = field(default_factory=GpuCoreConfig)
     cpu_core: CpuCoreConfig = field(default_factory=CpuCoreConfig)
-    delegation: DelegationConfig = field(default_factory=DelegationConfig)
-    probing: ProbingConfig = field(default_factory=ProbingConfig)
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    seed: int = 42
+    delegation: DelegationConfig = _section(
+        DelegationConfig, live_when=("mechanism", Mechanism.DELEGATED_REPLIES)
+    )
+    probing: ProbingConfig = _section(
+        ProbingConfig, live_when=("mechanism", Mechanism.REALISTIC_PROBING)
+    )
+    telemetry: TelemetryConfig = _section(
+        TelemetryConfig, live_when=("telemetry.enabled", True)
+    )
+    seed: int = _spec(42, lo=None)  # any integer
     #: capacity scale applied to the GPU L1s and the LLC at system build.
     #: The paper simulates one billion instructions; this reproduction runs
     #: windows of a few thousand cycles, so cache capacities (and the
     #: synthetic footprints) are scaled down together to keep residence
     #: times short relative to the window — the standard scaled-working-set
     #: methodology.  Set to 1.0 for full Table I capacities.
-    sim_scale: float = 0.125
+    sim_scale: float = _spec(0.125, lo=None, above=0.0, hi=1.0)
 
     def __post_init__(self) -> None:
+        self._check_node_mix()
+
+    def _check_node_mix(self) -> None:
         total = self.n_gpu + self.n_cpu + self.n_mem
         if total != self.mesh_width * self.mesh_height:
-            raise ValueError(
-                f"node mix {self.n_gpu}+{self.n_cpu}+{self.n_mem}={total} does "
-                f"not fill the {self.mesh_width}x{self.mesh_height} fabric"
+            raise ConfigError(
+                f"node mix n_gpu+n_cpu+n_mem = {self.n_gpu}+{self.n_cpu}+"
+                f"{self.n_mem} = {total} does not fill the mesh_width x "
+                f"mesh_height = {self.mesh_width}x{self.mesh_height} fabric"
             )
 
     @property
     def n_nodes(self) -> int:
         return self.mesh_width * self.mesh_height
 
-    # A mechanism runs only when ``mechanism`` selects it *and* its
-    # section's ``enabled`` switch is on; anything else is the baseline.
-    # Simulator, surrogate and design-space decoder all ask here, so they
-    # cannot disagree on which machine a config describes.
+    # ``mechanism`` is the whole switch.  Simulator, surrogate and area
+    # model all ask here, so they cannot disagree on which machine a
+    # config describes.
 
     @property
     def delegation_active(self) -> bool:
         """Whether this system runs Delegated Replies."""
-        selected = self.mechanism is Mechanism.DELEGATED_REPLIES
-        return selected and self.delegation.enabled
+        return self.mechanism is Mechanism.DELEGATED_REPLIES
 
     @property
     def probing_active(self) -> bool:
         """Whether this system runs Realistic Probing."""
-        selected = self.mechanism is Mechanism.REALISTIC_PROBING
-        return selected and self.probing.enabled
+        return self.mechanism is Mechanism.REALISTIC_PROBING
+
+    def validate(self) -> "SystemConfig":
+        """Check every field against its declared range or choices, then
+        the cross-field rules; returns ``self``.
+
+        Raises a one-line :class:`ConfigError` naming the dotted path of
+        the first offending field.  One pass, no copies: cheap enough to
+        run at every boundary a config crosses into execution.
+        """
+        _validate_fields(self, "")
+        self._check_node_mix()
+        for path, cache, size in (
+            ("gpu_l1.size_bytes", self.gpu_l1, self.gpu_l1.size_bytes),
+            ("cpu_l1.size_bytes", self.cpu_l1, self.cpu_l1.size_bytes),
+            ("llc.slice_size_bytes", self.llc, self.llc.slice_size_bytes),
+        ):
+            one_set = cache.assoc * cache.line_bytes
+            if size < one_set:
+                raise ConfigError(
+                    f"{path} must hold at least one set "
+                    f"(assoc x line_bytes = {one_set}), got {size!r}"
+                )
+        worst_reply = self.noc.flits_for(
+            max(self.gpu_l1.line_bytes, self.cpu_l1.line_bytes)
+        )
+        if self.noc.mem_injection_buffer_flits < worst_reply:
+            raise ConfigError(
+                "noc.mem_injection_buffer_flits must hold one worst-case "
+                f"reply ({worst_reply} flits), got "
+                f"{self.noc.mem_injection_buffer_flits!r}"
+            )
+        return self
+
+    def update(self, data: Mapping[str, Any]) -> "SystemConfig":
+        """Set fields from a nested plain dict; returns ``self``.
+
+        The one way data becomes configuration — a JSON file, an explore
+        knob (``{"noc": {"vcs_per_port": 4}}``), parsed CLI flags.  An
+        unknown key is a :class:`ConfigError` (a typo must never fall
+        back to a default), enum fields accept their string values and
+        float fields whole numbers; ranges are :meth:`validate`'s job.
+        """
+        _update_fields(self, data, "")
+        return self
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible nested dict of every field, in declaration order.
 
         Enum fields collapse to their string values, so the result
-        round-trips through :func:`repro.config.loader.config_from_dict`.
+        round-trips through :func:`config_from_dict`.
         """
 
         def convert(value):
@@ -390,15 +511,18 @@ class SystemConfig:
         return convert(self)
 
     def config_hash(self) -> str:
-        """Stable content hash of the full configuration.
+        """Stable content hash of the design point.
 
-        Computed over the canonical (sorted-key, compact) JSON encoding of
-        :meth:`to_dict`, so the hash is independent of dict insertion order
-        and identical across processes and Python versions.  Two configs
-        hash equal iff every field (including nested sections) is equal.
+        Computed over the sorted-key, compact JSON encoding of
+        :func:`canonical_config`, so the hash is independent of dict
+        insertion order and identical across processes and Python
+        versions.  Two configs hash equal iff every field that can
+        change the result is equal.
         """
         payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
+            canonical_config(self.to_dict()),
+            sort_keys=True,
+            separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -421,20 +545,238 @@ class SystemConfig:
         return clone
 
 
+# ---------------------------------------------------------------------------
+# what the declaration above implies: legality, update-from-data, identity
+# ---------------------------------------------------------------------------
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _is_whole(value) -> bool:
+    return value % 1 == 0
+
+
+def _field_rule(f: dataclasses.Field):
+    """``(type, lo, hi, check, legal)`` for one leaf field: its value type
+    (read off the default), inclusive bounds, any further predicate, and
+    the words an error uses for what is legal."""
+    typ, md = type(f.default), f.metadata
+    lo = hi = check = None
+    legal = _TYPE_NAMES.get(typ)
+    if issubclass(typ, enum.Enum):
+        legal = f"one of {[m.value for m in typ]}"
+    elif "choices" in md:
+        check = md["choices"].__contains__
+        legal = f"one of {list(md['choices'])}"
+    elif typ in (int, float):
+        lo, hi = md.get("lo", 1), md.get("hi")
+        if md.get("above") is not None:
+            check = md["above"].__lt__
+            legal = f"in ({md['above']:g}, {hi:g}]"
+        elif md.get("whole"):
+            check, legal = _is_whole, f"a whole number >= {lo}"
+        elif lo is not None:
+            legal = f">= {lo}" if hi is None else f"in [{lo:g}, {hi:g}]"
+    return typ, lo, hi, check, legal
+
+
+#: config class -> (its leaf rules by field name, its sections' classes)
+_RULES: Dict[type, Tuple[dict, dict]] = {}
+
+
+def _read_declaration(cls) -> None:
+    leaves, sections = {}, {}
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            sections[f.name] = f.default_factory
+            _read_declaration(f.default_factory)
+        else:
+            leaves[f.name] = _field_rule(f)
+    _RULES[cls] = leaves, sections
+
+
+_read_declaration(SystemConfig)
+
+
+def _validate_fields(obj, path: str) -> None:
+    leaves, sections = _RULES[type(obj)]
+    for name, (typ, lo, hi, check, legal) in leaves.items():
+        value = getattr(obj, name)
+        kind = type(value)
+        if kind is not typ and not (typ is float and kind is int):
+            raise ConfigError(
+                f"{path}{name} expects {_TYPE_NAMES.get(typ, legal)}, "
+                f"got {value!r}"
+            )
+        # ``not >=`` rather than ``<`` so that NaN is out of every range
+        if (
+            (lo is not None and not value >= lo)
+            or (hi is not None and not value <= hi)
+            or (check is not None and not check(value))
+        ):
+            raise ConfigError(f"{path}{name} must be {legal}, got {value!r}")
+    for name, cls in sections.items():
+        section = getattr(obj, name)
+        if type(section) is not cls:
+            raise ConfigError(
+                f"{path}{name} expects a {cls.__name__}, got {section!r}"
+            )
+        _validate_fields(section, f"{path}{name}.")
+
+
+def _update_fields(obj, data: Mapping[str, Any], path: str) -> None:
+    if not isinstance(data, Mapping):
+        raise ConfigError(
+            f"{path.rstrip('.') or 'the config'} is a section and needs "
+            "an object value"
+        )
+    leaves, sections = _RULES[type(obj)]
+    for key, value in data.items():
+        if key in sections:
+            _update_fields(getattr(obj, key), value, f"{path}{key}.")
+            continue
+        if key not in leaves:
+            raise ConfigError(
+                f"unknown config key {path}{key!r}; valid keys: "
+                f"{sorted((*leaves, *sections))}"
+            )
+        typ, _lo, _hi, _check, legal = leaves[key]
+        if issubclass(typ, enum.Enum) and type(value) is not typ:
+            try:
+                value = typ(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}{key} must be {legal}, got {value!r}"
+                ) from None
+        elif typ is float and type(value) is int:
+            value = float(value)
+        setattr(obj, key, value)
+
+
+def declared_field(path: str) -> Tuple[type, Optional[list], Any]:
+    """``(value type, choices or None, default)`` of the leaf field at
+    dotted ``path``, as declared (what a CLI flag for it needs)."""
+    cls = SystemConfig
+    *sections, leaf = path.split(".")
+    for name in sections:
+        cls = _RULES[cls][1][name]
+    f = cls.__dataclass_fields__[leaf]
+    typ = type(f.default)
+    if issubclass(typ, enum.Enum):
+        return typ, [m.value for m in typ], f.default.value
+    choices = f.metadata.get("choices")
+    return typ, list(choices) if choices else None, f.default
+
+
+def nested(path: str, value: Any) -> Dict[str, Any]:
+    """One field as :meth:`SystemConfig.update` data: ``{"a": {"b":
+    value}}`` for the dotted path ``a.b``."""
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value
+
+
+def _lookup(data: Mapping[str, Any], dotted: str) -> Any:
+    for part in dotted.split("."):
+        data = data[part]
+    return data
+
+
+#: per conditionally-read section: its ``live_when`` (path, value) and
+#: the ``also_live_when`` of each of its fields that declares one
+_LIVE_WHEN = {
+    f.name: (
+        f.metadata["live_when"],
+        {
+            g.name: g.metadata["also_live_when"]
+            for g in dataclasses.fields(f.default_factory)
+            if "also_live_when" in g.metadata
+        },
+    )
+    for f in dataclasses.fields(SystemConfig)
+    if "live_when" in f.metadata
+}
+#: ``(section, field)`` of every field declared ``identity=False``
+_NON_IDENTITY = [
+    (section, f.name)
+    for section, cls in _RULES[SystemConfig][1].items()
+    for f in dataclasses.fields(cls)
+    if f.metadata.get("identity") is False
+]
+
+
+def canonical_config(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """The identity of a design point, computed on its ``to_dict`` form.
+
+    Empties every section whose ``live_when`` condition does not hold
+    (``delegation`` unless Delegated Replies runs, ``probing`` unless
+    Realistic Probing does, ``telemetry`` unless enabled) of all but the
+    fields whose own ``also_live_when`` does (the watchdog timeout under
+    Realistic Probing), and drops every field declared
+    ``identity=False`` (the telemetry output paths), so configs that
+    differ only in what nothing reads share one ``config_hash()`` and
+    one ``JobSpec.key()``.  The result still loads through
+    :func:`config_from_dict`: what was dropped reads as default.
+    """
+
+    def holds(when) -> bool:
+        return _lookup(data, when[0]) == when[1]
+
+    out = dict(data)
+    for section, (when, also) in _LIVE_WHEN.items():
+        if not holds(when):
+            out[section] = {
+                name: data[section][name]
+                for name, also_when in also.items()
+                if holds(also_when)
+            }
+    for section, name in _NON_IDENTITY:
+        out[section] = {k: v for k, v in out[section].items() if k != name}
+    return out
+
+
+def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
+    """Build a validated :class:`SystemConfig` from a nested plain dict."""
+    return SystemConfig().update(data).validate()
+
+
+def table1_mix(width: int, height: int) -> Dict[str, int]:
+    """Table I's node proportions on a ``width`` x ``height`` fabric — a
+    quarter CPU cores, an eighth memory nodes, the rest GPU cores (40/16/8
+    on the 8x8) — as the five ``SystemConfig`` fields that state it."""
+    nodes = width * height
+    n_cpu, n_mem = nodes // 4, nodes // 8
+    return {
+        "mesh_width": width,
+        "mesh_height": height,
+        "n_gpu": nodes - n_cpu - n_mem,
+        "n_cpu": n_cpu,
+        "n_mem": n_mem,
+    }
+
+
+def mechanism_config(mechanism: str, **overrides) -> SystemConfig:
+    """A fresh Table I config running one of :data:`MECHANISMS`."""
+    try:
+        cfg = SystemConfig(mechanism=Mechanism(mechanism))
+    except ValueError:
+        raise ConfigError(
+            f"unknown mechanism {mechanism!r}; choose from {MECHANISMS}"
+        ) from None
+    return cfg.copy(**overrides) if overrides else cfg
+
+
 def baseline_config(**overrides) -> SystemConfig:
     """The paper's baseline system (Table I, Fig. 1a, CDR YX-XY)."""
-    return SystemConfig().copy(**overrides) if overrides else SystemConfig()
+    return mechanism_config("baseline", **overrides)
 
 
 def delegated_replies_config(**overrides) -> SystemConfig:
-    """Baseline system with Delegated Replies enabled."""
-    cfg = SystemConfig(mechanism=Mechanism.DELEGATED_REPLIES)
-    cfg.delegation.enabled = True
-    return cfg.copy(**overrides) if overrides else cfg
+    """Baseline system running Delegated Replies."""
+    return mechanism_config("dr", **overrides)
 
 
 def realistic_probing_config(**overrides) -> SystemConfig:
-    """Baseline system with Realistic Probing (RP) enabled."""
-    cfg = SystemConfig(mechanism=Mechanism.REALISTIC_PROBING)
-    cfg.probing.enabled = True
-    return cfg.copy(**overrides) if overrides else cfg
+    """Baseline system running Realistic Probing (RP)."""
+    return mechanism_config("rp", **overrides)

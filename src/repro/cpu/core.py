@@ -44,10 +44,6 @@ class CpuCoreStats:
     #: snapshot for window diffing.
     lat_hist: LogHistogram = field(default_factory=LogHistogram)
 
-    @property
-    def avg_latency(self) -> float:
-        return self.total_latency / self.replies if self.replies else 0.0
-
 
 class CpuCore:
     """One latency-sensitive CPU core."""
@@ -160,7 +156,3 @@ class CpuCore:
         if self.trace.is_dependent():
             self._blocked_on = block
         return True
-
-    @property
-    def ipc(self) -> float:
-        return 0.0  # computed by the simulator against elapsed cycles

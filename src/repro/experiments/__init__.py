@@ -1,10 +1,8 @@
 """Per-figure experiment modules regenerating the paper's evaluation.
 
-Each module exposes ``run(...) -> ExperimentResult``; ``run_all`` executes
-every experiment in figure order and returns the concatenated report.
+Each module exposes ``run(...) -> ExperimentResult``;
+``ALL_EXPERIMENTS`` lists them in figure order.
 """
-
-from typing import Dict
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -12,7 +10,6 @@ from repro.experiments.common import (
     default_benchmarks,
     default_cycles,
     default_warmup,
-    mechanism_config,
     mechanism_sweep,
 )
 from repro.experiments import (
@@ -61,15 +58,6 @@ ALL_EXPERIMENTS = [
 ]
 
 
-def run_all(**kwargs) -> Dict[str, ExperimentResult]:
-    """Run every experiment; kwargs are forwarded to each ``run``."""
-    results = {}
-    for module in ALL_EXPERIMENTS:
-        result = module.run(**kwargs)
-        results[result.name] = result
-    return results
-
-
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
@@ -77,7 +65,5 @@ __all__ = [
     "default_benchmarks",
     "default_cycles",
     "default_warmup",
-    "mechanism_config",
     "mechanism_sweep",
-    "run_all",
 ]

@@ -15,12 +15,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.area import delegated_replies_overhead, noc_area
 from repro.analysis.energy import energy_report
 from repro.analysis.report import amean, format_table
-from repro.config import baseline_config
+from repro.config import baseline_config, mechanism_config
 from repro.experiments.common import (
     ExperimentResult,
     cpu_corunners,
     default_benchmarks,
-    mechanism_config,
     mechanism_sweep,
 )
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
+from repro.config import mechanism_config
 from repro.experiments.common import (
     ExperimentResult,
     cpu_corunners,
     default_benchmarks,
     default_cycles,
     default_warmup,
-    mechanism_config,
 )
 
 #: fault intensity levels (fraction of head flits sampled for

@@ -25,13 +25,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config.system import SystemConfig
+from repro.config.system import MECHANISMS, SystemConfig
 from repro.sim.metrics import SimulationResult
-from repro.config import (
-    baseline_config,
-    delegated_replies_config,
-    realistic_probing_config,
-)
 from repro.sweep import JobSpec, mechanism_jobs, run_sweep
 from repro.workloads.gpu import GPU_BENCHMARK_NAMES, gpu_benchmark
 from repro.workloads.mixes import TABLE_II
@@ -61,26 +56,6 @@ def default_cycles() -> int:
 def default_warmup() -> int:
     """Warmup-window length: ``REPRO_WARMUP`` (read now), default 2000."""
     return _env_window("REPRO_WARMUP", 2000, minimum=0)
-
-
-#: the three reply-delivery mechanisms compared throughout the evaluation
-MECHANISMS = ("baseline", "rp", "dr")
-
-_CONFIG_FACTORIES = {
-    "baseline": baseline_config,
-    "rp": realistic_probing_config,
-    "dr": delegated_replies_config,
-}
-
-
-def mechanism_config(mechanism: str) -> SystemConfig:
-    """A fresh config for one of ``baseline`` / ``rp`` / ``dr``."""
-    try:
-        return _CONFIG_FACTORIES[mechanism]()
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {mechanism!r}; choose from {MECHANISMS}"
-        ) from None
 
 
 def default_benchmarks(subset: Optional[int] = None) -> List[str]:

@@ -9,10 +9,10 @@ rates at nominal bandwidth.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table, hmean
-from repro.config import Topology, baseline_config
+from repro.config import SystemConfig, Topology, baseline_config
 from repro.experiments.common import (
     ExperimentResult,
     default_benchmarks,
@@ -27,6 +27,20 @@ TOPOLOGIES = (
 )
 
 
+def design_points(
+    bandwidths: Sequence[float] = (1.0, 2.0),
+) -> Dict[Tuple[Topology, float], SystemConfig]:
+    """``{(topology, bandwidth factor): config}``: the figure's grid (also
+    the ``fig05`` grid of :func:`repro.model.validate.grid_specs`)."""
+    configs = {}
+    for topo in TOPOLOGIES:
+        for bw in bandwidths:
+            cfg = configs[(topo, bw)] = baseline_config()
+            cfg.noc.topology = topo
+            cfg.noc.bandwidth_factor = bw
+    return configs
+
+
 def run(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
@@ -35,13 +49,9 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 5a (HM GPU perf vs mesh-1x) and Fig. 5b (blocking)."""
     benchmarks = list(benchmarks or default_benchmarks(subset=5))
-    configs = {}
-    for topo in TOPOLOGIES:
-        for bw in bandwidths:
-            cfg = configs[(topo, bw)] = baseline_config()
-            cfg.noc.topology = topo
-            cfg.noc.bandwidth_factor = bw
-    raw = simulate_configs(configs, benchmarks, cycles, warmup)
+    raw = simulate_configs(
+        design_points(bandwidths), benchmarks, cycles, warmup
+    )
     base_ipc = {
         gpu: raw[((Topology.MESH, bandwidths[0]), gpu)].gpu_ipc
         for gpu in benchmarks

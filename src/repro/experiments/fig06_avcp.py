@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.report import format_table, hmean
+from repro.analysis.report import format_table
 from repro.config import baseline_config
 from repro.experiments.common import (
     ExperimentResult,

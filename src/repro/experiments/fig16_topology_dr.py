@@ -8,16 +8,34 @@ in every topology.  Paper: +21.9% (flattened butterfly), +23.9%
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
-from repro.config import Topology, baseline_config, delegated_replies_config
+from repro.config import (
+    SystemConfig,
+    Topology,
+    baseline_config,
+    delegated_replies_config,
+)
 from repro.experiments.common import (
     ExperimentResult,
     default_benchmarks,
     dr_over_baseline,
 )
 from repro.experiments.fig05_topology import TOPOLOGIES
+
+
+def design_points(
+    topologies: Sequence[Topology] = TOPOLOGIES,
+) -> Dict[str, Tuple[SystemConfig, SystemConfig]]:
+    """``{topology: (baseline config, DR config)}``: the figure's grid (also
+    the ``fig16`` grid of :func:`repro.model.validate.grid_specs`)."""
+    pairs = {}
+    for topo in topologies:
+        base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
+        base_cfg.noc.topology = dr_cfg.noc.topology = topo
+        pairs[topo.value] = (base_cfg, dr_cfg)
+    return pairs
 
 
 def run(
@@ -28,12 +46,9 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 16: DR speedup per topology (vs that topology)."""
     benchmarks = list(benchmarks or default_benchmarks(subset=4))
-    pairs = {}
-    for topo in topologies:
-        base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
-        base_cfg.noc.topology = dr_cfg.noc.topology = topo
-        pairs[topo.value] = (base_cfg, dr_cfg)
-    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    runs = dr_over_baseline(
+        design_points(topologies), benchmarks, cycles, warmup
+    )
     rows: List[Tuple[str, dict]] = []
     for topo in topologies:
         speedups = [dr.gpu_ipc / base.gpu_ipc for base, dr in runs[topo.value]]

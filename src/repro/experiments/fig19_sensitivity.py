@@ -24,6 +24,7 @@ from repro.config import (
     SystemConfig,
     baseline_config,
     delegated_replies_config,
+    table1_mix,
 )
 from repro.experiments.common import (
     ExperimentResult,
@@ -65,12 +66,7 @@ def _virtual(vcs: int) -> Mutator:
 
 def _mesh(side: int) -> Mutator:
     def mut(cfg: SystemConfig) -> None:
-        n = side * side
-        cfg.mesh_width = side
-        cfg.mesh_height = side
-        cfg.n_cpu = n // 4
-        cfg.n_mem = n // 8
-        cfg.n_gpu = n - cfg.n_cpu - cfg.n_mem
+        cfg.update(table1_mix(side, side))
     return mut
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
+from repro.config import mechanism_config
 from repro.experiments.common import (
     ExperimentResult,
     cpu_corunners,
     default_benchmarks,
     job,
-    mechanism_config,
     simulate,
 )
 from repro.telemetry.blame import STALL_CLASSES

@@ -34,7 +34,7 @@ from repro.cli import (
     add_seed_option,
     add_window_options,
     emit,
-    usage_error_exit,
+    run_guarded,
 )
 from repro.explore.objectives import OBJECTIVE_NAMES, SENSES
 from repro.explore.pareto import default_reference, hypervolume
@@ -209,7 +209,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         {"name": n, "sense": s} for n, s in zip(OBJECTIVE_NAMES, SENSES)
     ]
     desc["reference_designs"] = [
-        space.decode_dict(g)["values"] for g in space.reference_genomes()
+        space.values(g) for g in space.reference_genomes()
     ]
 
     def render() -> str:
@@ -313,22 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.sim.engines import BackendError
-
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_guarded(args.func, args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    except BackendError as exc:
-        return usage_error_exit(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

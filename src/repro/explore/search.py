@@ -38,7 +38,6 @@ from repro.analysis.report import format_table
 from repro.explore.env import EvalRecord, ExploreEnv
 from repro.explore.objectives import OBJECTIVE_NAMES, OBJECTIVES, SENSES, from_result
 from repro.explore.pareto import (
-    FrontierPoint,
     ParetoFrontier,
     crowding_distance,
     default_reference,
@@ -326,16 +325,6 @@ class ExploreOutcome:
     @property
     def screened_out(self) -> int:
         return self.evaluated - self.simulated
-
-    def best(self) -> Optional[FrontierPoint]:
-        """The frontier point with the best victim metric (latency p95)."""
-        points = self.frontier.points
-        if not points:
-            return None
-        return min(
-            points,
-            key=lambda p: (p.objectives["cpu_latency_p95"], p.config_hash),
-        )
 
     def manifest(self) -> Dict[str, Any]:
         return {

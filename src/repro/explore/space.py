@@ -1,24 +1,18 @@
 """Typed knob spaces over :class:`SystemConfig` for design-space search.
 
 A :class:`SearchSpace` declares an ordered tuple of :class:`Knob`\\ s, each
-with a discrete value list and a target — either a dotted path into
-``SystemConfig`` (``noc.vcs_per_port``) or one of the special targets:
+with a discrete value list and a target: a dotted ``SystemConfig`` path
+(``noc.vcs_per_port``, ``mechanism``) set through
+:meth:`SystemConfig.update` like any other data, or ``gpu`` — the GPU
+workload, i.e. the injection intensity of the search point; the CPU
+co-runner follows Table II.
 
-* ``mechanism`` — reply-delivery mechanism (sets the enable flags the way
-  ``repro.experiments.common.mechanism_config`` does),
-* ``mesh`` — mesh size preset (width/height plus the matching GPU/CPU/MEM
-  node mix, since the fabric must be exactly filled),
-* ``gpu`` — the GPU workload, i.e. the injection intensity of the search
-  point; the CPU co-runner follows Table II.
-
-A *genome* is a tuple of value indices, one per knob — the action type of
-:class:`repro.explore.env.ExploreEnv` and the unit the evolutionary
-operators (mutation, crossover) act on.  ``decode`` turns a genome into a
-concrete ``(SystemConfig, gpu, cpu)`` triple and canonicalises unexpressed
-knobs (delegation thresholds under a baseline mechanism, probe width under
-non-RP) back to their defaults, so genomes that differ only in inert genes
-collapse to one config hash and share one surrogate memo / sweep cache
-entry.
+A *genome* is a tuple of value indices, one per knob — what the search
+policies propose and the evolutionary operators (mutation, crossover)
+act on.  ``decode`` turns a genome into a validated ``(SystemConfig, gpu,
+cpu)`` triple.  Genomes that differ only in inert genes (delegation
+thresholds under a baseline mechanism) decode to configs with one
+``config_hash()`` and so share one surrogate memo / sweep cache entry.
 """
 
 from __future__ import annotations
@@ -26,26 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config.system import (
-    DelegationConfig,
-    Mechanism,
-    ProbingConfig,
-    SystemConfig,
-    Topology,
-)
-
-#: mesh presets: width, height, and the node mix that fills the fabric
-#: (GPU-heavy ~62/25/12% split, matching Table I's 40/16/8 on 8x8).
-MESH_MIXES: Dict[str, Tuple[int, int, int, int, int]] = {
-    "4x4": (4, 4, 10, 4, 2),
-    "8x8": (8, 8, 40, 16, 8),
-}
-
-_MECHANISMS = {
-    "baseline": Mechanism.BASELINE,
-    "dr": Mechanism.DELEGATED_REPLIES,
-    "rp": Mechanism.REALISTIC_PROBING,
-}
+from repro.config.system import SystemConfig, Topology, nested, table1_mix
 
 Genome = Tuple[int, ...]
 
@@ -56,7 +31,7 @@ class Knob:
 
     name: str
     values: Tuple[Any, ...]
-    #: dotted ``SystemConfig`` path, or ``mechanism`` / ``mesh`` / ``gpu``.
+    #: dotted ``SystemConfig`` path, or ``gpu``.
     path: str
     #: the default value (reference designs use it); first value if unset.
     default: Any = None
@@ -78,40 +53,6 @@ class Knob:
         return self.values.index(self.default)
 
 
-def _set_path(cfg: SystemConfig, path: str, value: Any) -> None:
-    obj: Any = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        obj = getattr(obj, part)
-    if not hasattr(obj, parts[-1]):
-        raise AttributeError(f"config has no field {path!r}")
-    setattr(obj, parts[-1], value)
-
-
-def _apply_mesh(cfg: SystemConfig, preset: str) -> None:
-    try:
-        w, h, g, c, m = MESH_MIXES[preset]
-    except KeyError:
-        raise ValueError(
-            f"unknown mesh preset {preset!r}; choose from {sorted(MESH_MIXES)}"
-        ) from None
-    cfg.mesh_width, cfg.mesh_height = w, h
-    cfg.n_gpu, cfg.n_cpu, cfg.n_mem = g, c, m
-
-
-def _apply_mechanism(cfg: SystemConfig, value: str) -> None:
-    try:
-        cfg.mechanism = _MECHANISMS[value]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {value!r}; choose from {sorted(_MECHANISMS)}"
-        ) from None
-    # the gene is the whole choice: flip both section switches so that
-    # SystemConfig.delegation_active / probing_active follow the selector
-    cfg.delegation.enabled = cfg.mechanism is Mechanism.DELEGATED_REPLIES
-    cfg.probing.enabled = cfg.mechanism is Mechanism.REALISTIC_PROBING
-
-
 @dataclass
 class SearchSpace:
     """An ordered, finite knob space with genome encode/decode."""
@@ -119,7 +60,7 @@ class SearchSpace:
     name: str
     knobs: Tuple[Knob, ...]
     description: str = ""
-    #: mesh preset applied before the knobs (a ``mesh`` knob overrides it).
+    #: fabric size, ``<width>x<height>``, filled with Table I's node mix.
     mesh: str = "8x8"
     #: workload when the space has no ``gpu`` knob.
     gpu: str = "SC"
@@ -135,7 +76,7 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise ValueError("duplicate knob names")
         self._by_name = {k.name: i for i, k in enumerate(self.knobs)}
-        # fail fast on bad dotted paths / presets: decode the default genome
+        # fail fast on bad paths / values: decode the default genome
         self.decode(self.default_genome())
 
     # -- shape ------------------------------------------------------------
@@ -150,9 +91,6 @@ class SearchSpace:
         for k in self.knobs:
             total *= len(k.values)
         return total
-
-    def knob(self, name: str) -> Knob:
-        return self.knobs[self._by_name[name]]
 
     # -- genome <-> values ------------------------------------------------
 
@@ -191,52 +129,23 @@ class SearchSpace:
     # -- genome -> config -------------------------------------------------
 
     def decode(self, genome: Genome) -> Tuple[SystemConfig, str, str]:
-        """Decode a genome into ``(config, gpu, cpu)``.
-
-        Special knobs apply first (mesh preset, mechanism), then dotted
-        paths; finally inert sections are canonicalised (see module
-        docstring) and the node mix is re-validated.
-        """
+        """Decode a genome into a validated ``(config, gpu, cpu)``."""
         from repro.experiments.common import cpu_corunners
 
-        vals = self.values(genome)
-        cfg = SystemConfig() if self.mesh == "8x8" else _mesh_config(self.mesh)
+        try:
+            width, height = map(int, self.mesh.split("x"))
+        except (AttributeError, ValueError):
+            raise ValueError(
+                f"space mesh must be '<width>x<height>', got {self.mesh!r}"
+            ) from None
+        cfg = SystemConfig(**table1_mix(width, height))
         gpu = self.gpu
-        dotted: List[Tuple[str, Any]] = []
-        for k in self.knobs:
-            v = vals[k.name]
-            if k.path == "mesh":
-                _apply_mesh(cfg, v)
-            elif k.path == "gpu":
-                gpu = v
+        for k, value in zip(self.knobs, self.values(genome).values()):
+            if k.path == "gpu":
+                gpu = value
             else:
-                dotted.append((k.path, v))
-        for k in self.knobs:
-            if k.path == "mechanism":
-                _apply_mechanism(cfg, vals[k.name])
-        for path, v in dotted:
-            if path == "mechanism":
-                continue
-            _set_path(cfg, path, v)
-        # canonicalise sections the chosen mechanism never reads, so inert
-        # gene differences cannot fork config hashes / cache entries
-        if not cfg.delegation_active:
-            cfg.delegation = DelegationConfig(enabled=False)
-        if not cfg.probing_active:
-            cfg.probing = ProbingConfig(enabled=False)
-        cfg.__post_init__()  # re-validate the node mix after mutation
-        return cfg, gpu, cpu_corunners(gpu, 1)[0]
-
-    def decode_dict(self, genome: Genome) -> Dict[str, Any]:
-        """Genome as a portable dict: full config plus workload pair."""
-        cfg, gpu, cpu = self.decode(genome)
-        return {
-            "config": cfg.to_dict(),
-            "config_hash": cfg.config_hash(),
-            "gpu": gpu,
-            "cpu": cpu,
-            "values": self.values(genome),
-        }
+                cfg.update(nested(k.path, value))
+        return cfg.validate(), gpu, cpu_corunners(gpu, 1)[0]
 
     # -- evolutionary operators ------------------------------------------
 
@@ -309,13 +218,6 @@ class SearchSpace:
                 for k in self.knobs
             ],
         }
-
-
-def _mesh_config(preset: str) -> SystemConfig:
-    w, h, g, c, m = MESH_MIXES[preset]
-    return SystemConfig(
-        mesh_width=w, mesh_height=h, n_gpu=g, n_cpu=c, n_mem=m
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,45 +315,14 @@ def mesh8x8_space() -> SearchSpace:
     )
 
 
-def full_space() -> SearchSpace:
-    """Both mesh sizes in one space (mesh size becomes a searched knob)."""
-    return SearchSpace(
-        name="full",
-        description="mesh4x4 + mesh8x8 union with topology and bandwidth",
-        mesh="8x8",
-        cycles=6000,
-        warmup=2000,
-        knobs=(
-            Knob("mesh", ("4x4", "8x8"), "mesh", default="8x8"),
-            _workload_knob(),
-            Knob("mechanism", ("baseline", "dr"), "mechanism", default="baseline"),
-            *_delegation_knobs(),
-            Knob(
-                "topology",
-                (Topology.MESH, Topology.FLATTENED_BUTTERFLY),
-                "noc.topology",
-                default=Topology.MESH,
-            ),
-            Knob(
-                "bandwidth_factor",
-                (1.0, 2.0),
-                "noc.bandwidth_factor",
-                default=1.0,
-            ),
-            *_provisioning_knobs(),
-        ),
-    )
-
-
 SPACES = {
     "mesh4x4": mesh4x4_space,
     "mesh8x8": mesh8x8_space,
-    "full": full_space,
 }
 
 
 def demo_space(name: str) -> SearchSpace:
-    """Resolve a named demo space (``mesh4x4``, ``mesh8x8``, ``full``)."""
+    """Resolve a named demo space (``mesh4x4``, ``mesh8x8``)."""
     try:
         return SPACES[name]()
     except KeyError:

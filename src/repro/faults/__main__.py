@@ -35,11 +35,12 @@ from repro.cli import (
     add_batch_option,
     add_format_option,
     add_jobs_option,
+    add_mechanism_option,
     add_out_option,
     add_seed_option,
     add_window_options,
     emit,
-    usage_error_exit,
+    run_guarded,
 )
 
 
@@ -49,8 +50,7 @@ def _add_workload_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cpu", default=None,
                    help="CPU co-runner (default: the benchmark's first "
                         "Table II mix)")
-    p.add_argument("--mechanism", choices=("baseline", "rp", "dr"),
-                   default="dr")
+    add_mechanism_option(p, default="dr")
 
 
 def _build_plan(args, cfg, cycles: int, warmup: int):
@@ -70,7 +70,8 @@ def _build_plan(args, cfg, cycles: int, warmup: int):
 
 
 def cmd_run(args) -> int:
-    from repro.experiments.common import cpu_corunners, mechanism_config
+    from repro.config import mechanism_config
+    from repro.experiments.common import cpu_corunners
     from repro.faults.controller import quiesce
     from repro.sim.simulator import build_system, run_simulation
 
@@ -82,15 +83,10 @@ def cmd_run(args) -> int:
     plan = _build_plan(args, cfg, cycles, warmup)
     cpu = args.cpu or cpu_corunners(args.gpu, 1)[0]
 
-    from repro.sim.engines import BackendError
-
-    try:
-        system = build_system(
-            cfg, args.gpu, cpu, faults=plan, backend=args.backend
-        )
-    except BackendError as exc:
-        # e.g. --backend vector with a link-down plan: usage error
-        return usage_error_exit(exc)
+    # --backend vector with a link-down plan is a BackendError here
+    system = build_system(
+        cfg, args.gpu, cpu, faults=plan, backend=args.backend
+    )
     result = run_simulation(
         cfg, args.gpu, cpu, cycles=cycles, warmup=warmup, system=system
     )
@@ -145,7 +141,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from repro.experiments.common import mechanism_config
+    from repro.config import mechanism_config
 
     cfg = mechanism_config(args.mechanism)
     cycles = args.cycles if args.cycles is not None else 3000
@@ -208,8 +204,7 @@ def main(argv=None) -> int:
     add_format_option(run_p)
 
     plan_p = sub.add_parser("plan", help="emit a chaos FaultPlan as JSON")
-    plan_p.add_argument("--mechanism", choices=("baseline", "rp", "dr"),
-                        default="dr")
+    add_mechanism_option(plan_p, default="dr")
     add_window_options(plan_p)
     add_seed_option(plan_p)
     plan_p.add_argument("--intensity", type=float, default=0.1,
@@ -229,11 +224,8 @@ def main(argv=None) -> int:
     add_format_option(sweep_p)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "plan":
-        return cmd_plan(args)
-    return cmd_sweep(args)
+    handler = {"run": cmd_run, "plan": cmd_plan, "sweep": cmd_sweep}
+    return run_guarded(handler[args.command], args)
 
 
 if __name__ == "__main__":

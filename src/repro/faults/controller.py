@@ -147,15 +147,6 @@ class FaultController:
             for nic in self.fabric.nics:
                 nic.fault_guard = self
 
-    def detach(self) -> None:
-        self.fabric.faults = None
-        for net in self._nets:
-            net.faults = None
-            net.fault_down = frozenset()
-            net.fault_frozen = frozenset()
-        for nic in self.fabric.nics:
-            nic.fault_guard = None
-
     # -- per-cycle driver (called by HeterogeneousSystem.step) ----------
 
     def on_cycle(self, cycle: int) -> None:

@@ -137,8 +137,3 @@ class MemoryController:
             else:
                 remaining.append((done_cycle, req))
         self._completions = remaining
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0

@@ -16,7 +16,7 @@ Entry points:
 - ``python -m repro.model {predict,validate,screen}``.
 """
 
-from repro.model.compose import Prediction, predict, predict_spec
+from repro.model.compose import Prediction, predict
 from repro.model.queueing import ClassLoad, p95_of_mean, priority_waits
 from repro.model.saturation import SaturationReport, assess, keep_mask
 from repro.model.validate import ValidationReport, spearman, validate
@@ -30,7 +30,6 @@ __all__ = [
     "keep_mask",
     "p95_of_mean",
     "predict",
-    "predict_spec",
     "priority_waits",
     "spearman",
     "validate",

@@ -25,32 +25,26 @@ import sys
 from typing import List, Optional
 
 from repro.cli import (
+    add_config_option,
     add_format_option,
     add_jobs_option,
+    add_mechanism_option,
     add_out_option,
     add_window_options,
     emit,
+    run_guarded,
+    set_config_options,
 )
 from repro.model.compose import predict
 from repro.model.saturation import DEFAULT_BAND, assess, keep_mask
 from repro.model.validate import GRIDS, grid_specs, predictions_for, validate
 
 
-def _config_from_args(args):
-    from repro.config.system import Topology
-    from repro.experiments.common import mechanism_config
-
-    cfg = mechanism_config(args.mechanism)
-    if args.topology:
-        cfg.noc.topology = Topology(args.topology)
-    if args.bandwidth_factor is not None:
-        cfg.noc.bandwidth_factor = args.bandwidth_factor
-    return cfg
-
-
 def _cmd_predict(args) -> int:
-    cfg = _config_from_args(args)
-    pred = predict(cfg, args.gpu, args.cpu)
+    from repro.config import mechanism_config
+
+    cfg = set_config_options(mechanism_config(args.mechanism), args)
+    pred = predict(cfg.validate(), args.gpu, args.cpu)
     sat = assess(pred)
     payload = pred.to_dict()
     payload["saturation"] = sat.to_dict()
@@ -159,13 +153,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="GPU benchmark name (Table II)")
     pred_p.add_argument("--cpu", default=None,
                         help="CPU co-runner benchmark name")
-    pred_p.add_argument("--mechanism", default="baseline",
-                        choices=("baseline", "rp", "dr"),
-                        help="coherence mechanism (default baseline)")
-    pred_p.add_argument("--topology", default=None,
-                        help="override topology (mesh/crossbar/dragonfly/...)")
-    pred_p.add_argument("--bandwidth-factor", type=float, default=None,
-                        help="override the NoC bandwidth factor")
+    add_mechanism_option(pred_p)
+    add_config_option(pred_p, "noc.topology", help="NoC topology")
+    add_config_option(pred_p, "noc.bandwidth_factor",
+                      help="NoC link bandwidth multiplier")
     add_format_option(pred_p)
 
     val_p = sub.add_parser("validate",
@@ -190,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "validate": _cmd_validate,
         "screen": _cmd_screen,
     }[args.command]
-    return handler(args)
+    return run_guarded(handler, args)
 
 
 if __name__ == "__main__":

@@ -717,8 +717,3 @@ def predict(
         per_op = c.mem_interval + c.dep_fraction * cpu_miss * l_cpu
         pred.cpu_ipc = c.mem_interval / per_op
     return pred
-
-
-def predict_spec(spec) -> Prediction:
-    """Convenience: run :func:`predict` on a sweep ``JobSpec``."""
-    return predict(spec.system_config(), spec.gpu, spec.cpu)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.config.system import DimensionOrder, SystemConfig
-from repro.model.queueing import ClassLoad
 from repro.noc.packet import NetKind, TrafficClass
 from repro.noc.topology import BaseTopology, build_topology
 from repro.sim.layout import NodePlacement, build_layout
@@ -65,7 +64,7 @@ class NetworkModel:
             cfg.noc.topology, cfg.mesh_width, cfg.mesh_height
         )
         self.placement: NodePlacement = build_layout(cfg)
-        self.bandwidth = max(1, round(cfg.noc.bandwidth_factor))
+        self.bandwidth = cfg.noc.link_flits_per_cycle
         #: head-flit cycles spent per hop (router pipeline + link), the
         #: same constant the router model is built with.
         self.hop_cycles = (
@@ -149,48 +148,7 @@ class NetworkModel:
             if s != d
         ]
 
-    # -- load accumulation ------------------------------------------------
-
     def service_cycles(self, flits: int) -> float:
         """Link occupancy of one worm: flits at ``bandwidth`` flits/cycle."""
         return max(1.0, flits / self.bandwidth)
 
-    def accumulate(
-        self, groups: Sequence[FlowGroup]
-    ) -> Dict[LinkKey, List[ClassLoad]]:
-        """Per-link, per-class offered load for the groups' current rates."""
-        loads: Dict[LinkKey, List[ClassLoad]] = {}
-        for g in groups:
-            if g.rate <= 0.0:
-                continue
-            service = self.service_cycles(g.flits)
-            ci = int(g.cls)
-            for link, count in g.counts.items():
-                per_class = loads.get(link)
-                if per_class is None:
-                    per_class = [ClassLoad(), ClassLoad()]
-                    loads[link] = per_class
-                per_class[ci].add(g.rate * count, service)
-        return loads
-
-    def path_wait(
-        self,
-        group: FlowGroup,
-        waits: Dict[LinkKey, List[float]],
-        cap_per_link: float,
-    ) -> float:
-        """Expected queueing wait along the group's (weighted) route.
-
-        Each link's class wait is capped at ``cap_per_link``: the VC
-        buffers bounding a real queue keep the wait finite even where
-        the open M/G/1 formula diverges — excess backlog shows up as
-        endpoint throttling (handled by the closed-loop rate equations),
-        not as unbounded in-network waiting.
-        """
-        ci = int(group.cls)
-        total = 0.0
-        for link, count in group.counts.items():
-            w = waits.get(link)
-            if w is not None:
-                total += count * min(w[ci], cap_per_link)
-        return total

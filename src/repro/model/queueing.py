@@ -60,9 +60,6 @@ class ClassLoad:
     def rho(self) -> float:
         return self.work
 
-    def mean_service(self) -> float:
-        return self.work / self.rate if self.rate > 0 else 0.0
-
 
 def priority_waits(classes: Sequence[ClassLoad]) -> List[float]:
     """Mean queueing wait per class, highest priority first.

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config.system import SystemConfig, Topology, baseline_config
+from repro.config.system import mechanism_config, table1_mix
 from repro.model.compose import Prediction, predict
 from repro.sweep.cache import ResultCache
 from repro.sweep.jobs import JobSpec, mechanism_jobs
@@ -107,13 +107,6 @@ def _corunner(gpu: str) -> str:
     return cpu_corunners(gpu, 1)[0]
 
 
-def mesh4x4_config() -> SystemConfig:
-    """A 16-node system small enough for sub-second simulations."""
-    return SystemConfig(
-        mesh_width=4, mesh_height=4, n_gpu=10, n_cpu=4, n_mem=2
-    )
-
-
 def grid_specs(
     grid: str,
     cycles: Optional[int] = None,
@@ -121,17 +114,16 @@ def grid_specs(
 ) -> List[JobSpec]:
     """The JobSpecs of a named validation grid.
 
-    Specs are built exactly as the corresponding experiment module
-    builds them, so simulator ground truth shares cache entries with
-    ordinary figure regeneration.
+    The fig05/fig16 design points are the dicts the figure modules
+    themselves simulate and fig11 is the mechanism sweep, so simulator
+    ground truth shares cache entries with ordinary figure regeneration.
     """
+    from repro.experiments import fig05_topology, fig16_topology_dr
     from repro.experiments.common import (
         default_benchmarks,
         default_cycles,
         default_warmup,
-        mechanism_config,
     )
-    from repro.experiments.fig05_topology import TOPOLOGIES
 
     if grid == "fig11":
         return mechanism_jobs(
@@ -145,67 +137,36 @@ def grid_specs(
         # that the full grid still fits a CI smoke budget.
         cycles = 12000 if cycles is None else cycles
         warmup = 3000 if warmup is None else warmup
-        specs = []
-        for mech in ("baseline", "dr"):
-            for gpu in default_benchmarks(subset=4):
-                cfg = mechanism_config(mech)
-                small = mesh4x4_config()
-                cfg.mesh_width = small.mesh_width
-                cfg.mesh_height = small.mesh_height
-                cfg.n_gpu, cfg.n_cpu, cfg.n_mem = (
-                    small.n_gpu, small.n_cpu, small.n_mem
-                )
-                specs.append(
-                    JobSpec.make(
-                        cfg, gpu, _corunner(gpu),
-                        cycles=cycles, warmup=warmup,
-                        label=("mesh4x4", mech, gpu),
-                    )
-                )
-        return specs
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
-    if grid == "fig05":
-        specs = []
-        for topo in TOPOLOGIES:
-            for bw in (1.0, 2.0):
-                for gpu in default_benchmarks(subset=5):
-                    cfg = baseline_config()
-                    cfg.noc.topology = topo
-                    cfg.noc.bandwidth_factor = bw
-                    specs.append(
-                        JobSpec.make(
-                            cfg, gpu, _corunner(gpu),
-                            cycles=cycles, warmup=warmup,
-                            label=(topo.value, f"{bw:g}x", gpu),
-                        )
-                    )
-        return specs
-    if grid == "fig16":
-        specs = []
-        for topo in TOPOLOGIES:
-            for mech in ("baseline", "dr"):
-                for gpu in default_benchmarks(subset=4):
-                    cfg = mechanism_config(mech)
-                    cfg.noc.topology = topo
-                    specs.append(
-                        JobSpec.make(
-                            cfg, gpu, _corunner(gpu),
-                            cycles=cycles, warmup=warmup,
-                            label=(topo.value, mech, gpu),
-                        )
-                    )
-        return specs
-    raise ValueError(f"unknown grid {grid!r}; choose from {GRIDS}")
-
-
-def _reseeded(spec: JobSpec, seed: int) -> JobSpec:
-    cfg = spec.system_config()
-    cfg.seed = seed
-    return JobSpec.make(
-        cfg, spec.gpu, spec.cpu, cycles=spec.cycles, warmup=spec.warmup,
-        label=spec.label, backend=spec.backend,
-    )
+        benchmarks = default_benchmarks(subset=4)
+        points = {
+            ("mesh4x4", mech): mechanism_config(mech, **table1_mix(4, 4))
+            for mech in ("baseline", "dr")
+        }
+    elif grid == "fig05":
+        benchmarks = default_benchmarks(subset=5)
+        points = {
+            (topo.value, f"{bw:g}x"): cfg
+            for (topo, bw), cfg in fig05_topology.design_points().items()
+        }
+    elif grid == "fig16":
+        benchmarks = default_benchmarks(subset=4)
+        points = {
+            (topo, mech): cfg
+            for topo, pair in fig16_topology_dr.design_points().items()
+            for mech, cfg in zip(("baseline", "dr"), pair)
+        }
+    else:
+        raise ValueError(f"unknown grid {grid!r}; choose from {GRIDS}")
+    return [
+        JobSpec.make(
+            cfg, gpu, _corunner(gpu),
+            cycles=default_cycles() if cycles is None else cycles,
+            warmup=default_warmup() if warmup is None else warmup,
+            label=(*point, gpu),
+        )
+        for point, cfg in points.items()
+        for gpu in benchmarks
+    ]
 
 
 # --- statistics -----------------------------------------------------------
@@ -272,7 +233,7 @@ def validate(
 
     # a point's ground truth is the mean over its seed replicas
     replicas = [
-        [spec] + [_reseeded(spec, s) for s in REPLICA_SEEDS.get(grid, ())]
+        [spec] + [spec.reseeded(s) for s in REPLICA_SEEDS.get(grid, ())]
         for spec in specs
     ]
     runner = SweepRunner(cache=cache, jobs=jobs)

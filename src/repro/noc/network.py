@@ -39,7 +39,7 @@ class PhysicalNetwork:
         self.routing = routing
         self.vcs = vcs
         self.vc_range = vc_range_for
-        self.bandwidth = max(1, round(cfg.bandwidth_factor))
+        self.bandwidth = cfg.link_flits_per_cycle
         self.escape_vc_active = routing.adaptive
         #: attached telemetry collector (None = disabled; hooks are one
         #: ``is not None`` check each).
@@ -179,9 +179,6 @@ class PhysicalNetwork:
                 self.telemetry.on_deliver(pkt, cycle)
             self.nics[rid].deliver(pkt, cycle)
 
-    def count_link_flit(self, rid: int, oport: int) -> None:
-        self.link_flits[rid][oport] += 1
-
     # -- stepping and statistics ----------------------------------------
 
     def mark_router_active(self, rid: int) -> None:
@@ -269,7 +266,7 @@ class NocFabric:
         self.topology = topology
         self.cfg = cfg
         self.separate_networks = cfg.separate_physical_networks
-        self.bandwidth = max(1, round(cfg.bandwidth_factor))
+        self.bandwidth = cfg.link_flits_per_cycle
         routing = build_routing(topology, cfg)
         self.routing = routing
         if self.separate_networks:
@@ -358,16 +355,6 @@ class NocFabric:
             net.telemetry = collector
             net.stall_tel = stall_tel
 
-    def detach_telemetry(self) -> None:
-        """Restore the disabled (all hooks ``None``) state."""
-        self.telemetry = None
-        for nic in self.nics:
-            nic.telemetry = None
-            nic.stall_tel = None
-        for net in self._net_list:
-            net.telemetry = None
-            net.stall_tel = None
-
     # -- endpoint API ---------------------------------------------------
 
     def nic(self, node: int) -> NodeInterface:
@@ -425,10 +412,3 @@ class NocFabric:
     def in_flight_flits(self) -> int:
         """Flits buffered in routers (conservation checks in tests)."""
         return sum(net.buffered_flits() for net in self._net_list)
-
-    def memory_blocking_rates(self) -> Dict[int, float]:
-        return {
-            nic.node_id: nic.blocking_rate
-            for nic in self.nics
-            if isinstance(nic, MemoryNodeNic)
-        }

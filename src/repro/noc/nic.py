@@ -210,7 +210,7 @@ class NodeInterface:
                     break
                 entry = inflight[vc]
                 pkt, pushed = entry
-                # credit + write-lock check, inlined from router.can_accept
+                # credit + write-lock check on the router's input VC
                 if occ_row[vc] >= cap:
                     continue
                 owner = owner_row[vc]

@@ -131,13 +131,6 @@ class Router:
     # buffer interface used by upstream routers and node interfaces
     # ------------------------------------------------------------------
 
-    def can_accept(self, port: int, vc: int, pkt: Packet) -> bool:
-        """True if one flit of ``pkt`` can enter input VC ``(port, vc)``."""
-        if self.occ[port][vc] >= self.vc_cap:
-            return False
-        owner = self.owner[port][vc]
-        return owner is None or owner is pkt
-
     def accept_flit(self, port: int, vc: int, pkt: Packet, is_tail: bool, cycle: int) -> None:
         """Receive one flit of ``pkt`` into input VC ``(port, vc)``."""
         q = self.buf[port][vc]
@@ -192,10 +185,6 @@ class Router:
         """Total free buffer space on an input port (congestion metric)."""
         occ = self.occ[port]
         return self.vc_cap * self.vcs - sum(occ)
-
-    def free_flits_range(self, port: int, vlo: int, vhi: int) -> int:
-        occ = self.occ[port]
-        return self.vc_cap * (vhi - vlo) - sum(occ[vlo:vhi])
 
     def buffered_flits(self) -> int:
         return sum(sum(row) for row in self.occ)

@@ -287,7 +287,7 @@ def derive_result(system: HeterogeneousSystem, window: Dict[str, float]) -> Simu
     res.mem_blocking_rate = (
         window.get("mem.blocked_cycles", 0) / observed if observed else 0.0
     )
-    bw = max(1, round(cfg.noc.bandwidth_factor))
+    bw = cfg.noc.link_flits_per_cycle
     res.mem_reply_link_utilization = window.get(
         "mem.reply_flits_injected", 0
     ) / (cycles * max(1, cfg.n_mem) * bw)

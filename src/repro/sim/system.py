@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.config.system import (
-    CtaScheduler,
-    L1Organization,
-    SystemConfig,
-)
+from repro.config.system import L1Organization, SystemConfig
 from repro.coherence.software import SoftwareCoherenceController
 from repro.core.delegated_replies import DelegatedRepliesMechanism
 from repro.core.realistic_probing import ProbeEngine
@@ -79,7 +75,7 @@ class HeterogeneousSystem:
         faults: Optional[FaultPlan] = None,
         backend: Optional[str] = None,
     ) -> None:
-        cfg = _apply_sim_scale(cfg)
+        cfg = _apply_sim_scale(cfg.validate())
         self.cfg = cfg
         # resolve + feature-check the simulation backend up front so an
         # unusable combination fails with one line before any wiring
@@ -258,16 +254,3 @@ class HeterogeneousSystem:
             )
         return stats
 
-    # -- conveniences -----------------------------------------------------
-
-    def gpu_core_at(self, node: int) -> GpuCore:
-        for core in self.gpu_cores:
-            if core.node_id == node:
-                return core
-        raise KeyError(node)
-
-    def memory_node_at(self, node: int) -> MemoryNode:
-        for mem in self.memory_nodes:
-            if mem.node_id == node:
-                return mem
-        raise KeyError(node)

@@ -320,7 +320,7 @@ class VectorFabric:
         self.topology = topology
         self.cfg = cfg
         self.separate_networks = cfg.separate_physical_networks
-        self.bandwidth = max(1, round(cfg.bandwidth_factor))
+        self.bandwidth = cfg.link_flits_per_cycle
         routing = build_routing(topology, cfg)
         if routing.adaptive:
             raise BackendError(
@@ -362,9 +362,6 @@ class VectorFabric:
             "use backend='object' for traced runs"
         )
 
-    def detach_telemetry(self) -> None:
-        pass  # nothing was ever attached
-
     # -- endpoint API ---------------------------------------------------
 
     def nic(self, node: int):
@@ -385,10 +382,3 @@ class VectorFabric:
 
     def in_flight_flits(self) -> int:
         return int(self.kernel.occ.sum())
-
-    def memory_blocking_rates(self) -> Dict[int, float]:
-        return {
-            nic.node_id: nic.blocking_rate
-            for nic in self.nics
-            if isinstance(nic, MemoryNodeNic)
-        }

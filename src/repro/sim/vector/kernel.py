@@ -117,7 +117,7 @@ class VectorKernel:
         Q = cap + 1
         self.Q = Q
         self.pipeline = cfg.router_pipeline_cycles - 1 + cfg.link_cycles
-        self.bandwidth = max(1, round(cfg.bandwidth_factor))
+        self.bandwidth = cfg.link_flits_per_cycle
         self._mem_cap = cfg.mem_injection_buffer_flits
 
         # deterministic routing tables, flattened: [kind, rid, dst] -> oport

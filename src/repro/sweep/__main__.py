@@ -46,7 +46,7 @@ from repro.cli import (
     add_seed_option,
     add_window_options,
     emit,
-    usage_error_exit,
+    run_guarded,
 )
 from repro.sweep.cache import ResultCache, default_cache_dir
 from repro.sweep.jobs import JobSpec, mechanism_jobs
@@ -69,22 +69,7 @@ def _specs_from_args(args) -> List[JobSpec]:
         backend=getattr(args, "backend", None),
     )
     if getattr(args, "seed", None) is not None:
-        # a different seed is a different simulation (and cache key):
-        # rebuild each spec around the reseeded config
-        specs = [
-            JobSpec.make(
-                {**json.loads(s.config_json), "seed": args.seed},
-                s.gpu,
-                s.cpu,
-                cycles=s.cycles,
-                warmup=s.warmup,
-                kernel_flush_interval=s.kernel_flush_interval,
-                label=s.label,
-                faults=s.faults,
-                backend=s.backend,
-            )
-            for s in specs
-        ]
+        specs = [s.reseeded(args.seed) for s in specs]
     return specs
 
 
@@ -415,13 +400,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "status": _cmd_status,
         "clean": _cmd_clean,
     }[args.command]
-    try:
-        return handler(args)
-    except (KeyError, ValueError) as exc:
-        # an unusable --backend / $REPRO_BACKEND choice (BackendError is
-        # a ValueError), an unknown benchmark or mechanism, a malformed
-        # $REPRO_CYCLES: usage errors, not sweep failures
-        return usage_error_exit(exc)
+    # usage errors (an unusable backend, an unknown benchmark or
+    # mechanism, a malformed $REPRO_CYCLES) are not sweep failures
+    return run_guarded(handler, args)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,13 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config.loader import config_from_dict
-from repro.config.system import SystemConfig
+from repro.config.system import (
+    MECHANISMS,
+    SystemConfig,
+    canonical_config,
+    config_from_dict,
+    mechanism_config,
+)
 
 #: bump when a change to the simulator alters results for identical
 #: configs — every on-disk cache entry becomes stale at once.
@@ -89,7 +94,9 @@ class JobSpec:
         from repro.sim.engines import resolve_backend
 
         if isinstance(config, SystemConfig):
-            config = config.to_dict()
+            config = config.validate().to_dict()
+        else:
+            config = config_from_dict(config).to_dict()
         if faults is not None and not isinstance(faults, str):
             if isinstance(faults, dict):
                 faults = _canonical_json(faults)
@@ -112,18 +119,15 @@ class JobSpec:
     def key(self) -> str:
         """Content hash of everything that determines the result.
 
-        A telemetry-*off* config hashes without its ``telemetry``
-        section, whatever the section holds.  Tracing leaves the
-        counters bit-identical but adds to the result *payload* (stall
-        breakdown, telemetry metrics), so a telemetry-enabled spec also
-        hashes the telemetry fields that shape that payload — all but
-        the output paths — and never aliases its untraced twin's entry.
+        The config enters in its canonical form
+        (:func:`repro.config.system.canonical_config`, the one
+        ``SystemConfig.config_hash`` hashes): sections and fields that
+        cannot change the result are left out, so inert twins share one
+        cache entry and a traced spec never aliases its untraced twin.
         """
-        config = json.loads(self.config_json)
-        telemetry = config.pop("telemetry", None) or {}
         fields = {
             "salt": code_salt(),
-            "config": config,
+            "config": canonical_config(json.loads(self.config_json)),
             "gpu": self.gpu,
             "cpu": self.cpu,
             "cycles": self.cycles,
@@ -132,14 +136,15 @@ class JobSpec:
             "faults": self.faults,
             "backend": self.backend,
         }
-        if telemetry.get("enabled"):
-            fields["telemetry"] = {
-                name: value
-                for name, value in telemetry.items()
-                if name not in ("trace_path", "flight_dir")
-            }
         payload = _canonical_json(fields)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def reseeded(self, seed: int) -> "JobSpec":
+        """This job at another RNG seed: a different simulation and key."""
+        config = config_from_dict(
+            {**json.loads(self.config_json), "seed": seed}
+        ).to_dict()
+        return dataclasses.replace(self, config_json=_canonical_json(config))
 
     # -- materialisation --------------------------------------------------
 
@@ -204,12 +209,10 @@ def mechanism_jobs(
     # imported lazily: experiments.common routes its sweep through this
     # package, so a module-level import would be circular
     from repro.experiments.common import (
-        MECHANISMS,
         cpu_corunners,
         default_benchmarks,
         default_cycles,
         default_warmup,
-        mechanism_config,
     )
 
     benchmarks = list(benchmarks or default_benchmarks())

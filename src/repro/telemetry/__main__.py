@@ -23,11 +23,15 @@ import struct
 import sys
 
 from repro.cli import (
+    add_config_option,
     add_format_option,
+    add_mechanism_option,
     add_out_option,
     add_seed_option,
     add_window_options,
     emit,
+    run_guarded,
+    set_config_options,
 )
 from repro.telemetry.report import (
     load_summary,
@@ -49,48 +53,40 @@ def _add_trace_parser(sub) -> None:
         "trace", help="run a traced simulation and write a trace file"
     )
     add_out_option(p, required=True, help="trace output path")
-    p.add_argument("--format", choices=("jsonl", "bin"), default="jsonl")
+    add_config_option(p, "telemetry.trace_format", flag="--format",
+                      help="trace encoding")
     p.add_argument("--gpu", default="SC",
                    help="GPU benchmark (default SC, the clogging-heavy one)")
     p.add_argument("--cpu", default=None,
                    help="CPU co-runner (default: the benchmark's first "
                         "Table II mix)")
-    p.add_argument("--mechanism", choices=("baseline", "rp", "dr"),
-                   default="baseline")
+    add_mechanism_option(p)
     add_window_options(p, cycles=2000, warmup=1000)
     add_seed_option(p)
-    p.add_argument("--sample-rate", type=float, default=1.0)
-    p.add_argument("--probe-interval", type=int, default=200)
-    p.add_argument("--clog-threshold", type=float, default=0.9)
-    p.add_argument("--clog-min-windows", type=int, default=2)
-    p.add_argument("--mode", choices=("light", "full"), default="full",
-                   help="instrumentation tier; the CLI defaults to full "
-                        "(exact stall attribution for the blame reports) "
-                        "where the config default is light")
-    p.add_argument("--flight-dir", default="",
-                   help="directory for flight-recorder RDMP dumps "
-                        "(written when a clogging episode opens or a "
-                        "fault fires; default: no dumps)")
+    for field in ("sample_rate", "probe_interval", "clog_threshold",
+                  "clog_min_windows"):
+        add_config_option(p, f"telemetry.{field}")
+    add_config_option(p, "telemetry.mode", default="full",
+                      help="instrumentation tier; the CLI defaults to full "
+                           "(exact stall attribution for the blame reports) "
+                           "where the config default is light")
+    add_config_option(p, "telemetry.flight_dir",
+                      help="directory for flight-recorder RDMP dumps "
+                           "(written when a clogging episode opens or a "
+                           "fault fires; empty: no dumps)")
 
 
 def cmd_trace(args) -> int:
     # simulator imports are deferred so the reader subcommands stay light
-    from repro.experiments.common import cpu_corunners, mechanism_config
+    from repro.config import mechanism_config
+    from repro.experiments.common import cpu_corunners
     from repro.sim.simulator import run_simulation
 
-    cfg = mechanism_config(args.mechanism)
+    cfg = set_config_options(mechanism_config(args.mechanism), args)
     if args.seed is not None:
         cfg.seed = args.seed
-    tel = cfg.telemetry
-    tel.enabled = True
-    tel.trace_path = args.out
-    tel.trace_format = args.format
-    tel.sample_rate = args.sample_rate
-    tel.probe_interval = args.probe_interval
-    tel.clog_threshold = args.clog_threshold
-    tel.clog_min_windows = args.clog_min_windows
-    tel.mode = args.mode
-    tel.flight_dir = args.flight_dir
+    cfg.telemetry.enabled = True
+    cfg.telemetry.trace_path = args.out
     cpu = args.cpu or cpu_corunners(args.gpu, 1)[0]
     result = run_simulation(
         cfg, args.gpu, cpu, cycles=args.cycles, warmup=args.warmup
@@ -109,9 +105,9 @@ def cmd_trace(args) -> int:
         f"  mem blocking rate {result.mem_blocking_rate:.3f}  "
         f"delegated fraction {result.delegated_fraction:.3f}"
     )
-    if args.flight_dir:
+    if cfg.telemetry.flight_dir:
         dumps = int(result.telemetry_metrics.get("flight.dumps", 0))
-        print(f"  flight dumps: {dumps} -> {args.flight_dir}")
+        print(f"  flight dumps: {dumps} -> {cfg.telemetry.flight_dir}")
     return 0
 
 
@@ -138,8 +134,10 @@ def main(argv=None) -> int:
         # the shared table/json switch; note the `trace` subcommand's
         # --format is a different thing (jsonl/bin trace encoding)
         add_format_option(p)
-    args = parser.parse_args(argv)
+    return run_guarded(_dispatch, parser.parse_args(argv))
 
+
+def _dispatch(args) -> int:
     if args.command == "trace":
         return cmd_trace(args)
     # a broken trace gets a one-line diagnosis, not a traceback: missing

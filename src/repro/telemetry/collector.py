@@ -158,10 +158,6 @@ class TelemetryCollector:
         fabric,
         mem_nodes: Tuple[int, ...] = (),
     ) -> None:
-        if cfg.mode not in ("light", "full"):
-            raise ValueError(
-                f"unknown telemetry mode {cfg.mode!r}; choose light or full"
-            )
         self.cfg = cfg
         self.fabric = fabric
         self.mem_nodes = tuple(mem_nodes)

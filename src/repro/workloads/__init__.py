@@ -15,13 +15,7 @@ from repro.workloads.gpu import (
     SharedWavefront,
     gpu_benchmark,
 )
-from repro.workloads.mixes import (
-    TABLE_II,
-    WorkloadMix,
-    mixes_for_gpu,
-    primary_mix,
-    workload_mixes,
-)
+from repro.workloads.mixes import TABLE_II
 
 __all__ = [
     "CPU_BENCHMARKS",
@@ -34,10 +28,6 @@ __all__ = [
     "GpuTraceGenerator",
     "SharedWavefront",
     "TABLE_II",
-    "WorkloadMix",
     "cpu_benchmark",
     "gpu_benchmark",
-    "mixes_for_gpu",
-    "primary_mix",
-    "workload_mixes",
 ]

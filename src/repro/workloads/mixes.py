@@ -7,11 +7,7 @@ GPU benchmark and all 16 CPU cores to the CPU benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-from repro.workloads.cpu import CpuBenchmarkProfile, cpu_benchmark
-from repro.workloads.gpu import GpuBenchmarkProfile, gpu_benchmark
+from typing import Dict, Tuple
 
 #: Table II: GPU benchmark -> its three co-running CPU benchmarks.
 TABLE_II: Dict[str, Tuple[str, str, str]] = {
@@ -27,36 +23,3 @@ TABLE_II: Dict[str, Tuple[str, str, str]] = {
     "SRAD": ("fluidanimate", "ferret", "x264"),
     "BP": ("blackscholes", "bodytrack", "ferret"),
 }
-
-
-@dataclass(frozen=True)
-class WorkloadMix:
-    """One heterogeneous workload: a GPU benchmark plus a CPU benchmark."""
-
-    gpu: GpuBenchmarkProfile
-    cpu: CpuBenchmarkProfile
-
-    @property
-    def name(self) -> str:
-        return f"{self.gpu.name}+{self.cpu.name}"
-
-
-def workload_mixes() -> List[WorkloadMix]:
-    """All 33 CPU-GPU mixes of Table II, in table order."""
-    mixes = []
-    for gpu_name, cpu_names in TABLE_II.items():
-        for cpu_name in cpu_names:
-            mixes.append(WorkloadMix(gpu_benchmark(gpu_name), cpu_benchmark(cpu_name)))
-    return mixes
-
-
-def mixes_for_gpu(gpu_name: str) -> List[WorkloadMix]:
-    """The three mixes containing a given GPU benchmark."""
-    cpu_names = TABLE_II[gpu_name.upper()]
-    gpu = gpu_benchmark(gpu_name)
-    return [WorkloadMix(gpu, cpu_benchmark(c)) for c in cpu_names]
-
-
-def primary_mix(gpu_name: str) -> WorkloadMix:
-    """The first Table II mix for a GPU benchmark (used by quick runs)."""
-    return mixes_for_gpu(gpu_name)[0]

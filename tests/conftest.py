@@ -9,6 +9,7 @@ from repro.config import (
     baseline_config,
     delegated_replies_config,
     realistic_probing_config,
+    table1_mix,
 )
 
 
@@ -18,9 +19,7 @@ def _small(make_config, overrides) -> SystemConfig:
     Baseline column-major layout: 4 CPU nodes (west column), 2 memory
     nodes, 10 GPU nodes.
     """
-    cfg = make_config(
-        mesh_width=4, mesh_height=4, n_cpu=4, n_mem=2, n_gpu=10
-    )
+    cfg = make_config(**table1_mix(4, 4))
     for name, value in overrides.items():
         setattr(cfg, name, value)
     return cfg

@@ -9,7 +9,7 @@ from repro.analysis.area import (
     noc_area,
     router_area,
 )
-from repro.analysis.energy import EnergyReport, energy_report
+from repro.analysis.energy import energy_report
 from repro.analysis.report import amean, format_table, geomean, hmean
 from repro.config import Topology, baseline_config
 from repro.sim.metrics import SimulationResult

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.__main__ import main
+from repro.faults.__main__ import main as faults_main
+from repro.model.__main__ import main as model_main
 from repro.sweep.__main__ import main as sweep_main
+from repro.telemetry.__main__ import main as telemetry_main
 
 
 class TestList:
@@ -79,6 +82,18 @@ FIG = ["experiment", "fig07_adaptive", "--benchmarks", "HS"]
     (main, FIG + ["--cycles", "0"], {}, "argument --cycles: must be >= 1, got 0"),
     (sweep_main, ["list", "--cycles", "0"], {},
      "argument --cycles: must be >= 1, got 0"),
+    (model_main, ["predict", "--gpu", "HS", "--topology", "torus"], {},
+     "argument --topology: invalid choice: 'torus'"),
+    (model_main, ["predict", "--gpu", "NOPE"], {},
+     "unknown GPU benchmark 'NOPE'; choose from"),
+    (model_main, ["predict", "--gpu", "HS", "--bandwidth-factor", "0.5"], {},
+     "noc.bandwidth_factor must be a whole number >= 1, got 0.5"),
+    (telemetry_main, ["trace", "--out", "t.jsonl", "--gpu", "NOPE"], {},
+     "unknown GPU benchmark 'NOPE'; choose from"),
+    (telemetry_main, ["trace", "--out", "t.jsonl", "--sample-rate", "7"], {},
+     "telemetry.sample_rate must be in [0, 1], got 7.0"),
+    (faults_main, ["run", "--gpu", "NOPE"], {},
+     "unknown GPU benchmark 'NOPE'; choose from"),
 ])
 def test_usage_errors_are_one_error_line(
     cli, argv, env, expect, monkeypatch, capsys, tmp_path

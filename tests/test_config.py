@@ -104,12 +104,12 @@ class TestFactories:
     def test_dr_factory_enables_delegation(self):
         cfg = delegated_replies_config()
         assert cfg.mechanism is Mechanism.DELEGATED_REPLIES
-        assert cfg.delegation.enabled
+        assert cfg.delegation_active and not cfg.probing_active
 
     def test_rp_factory_enables_probing(self):
         cfg = realistic_probing_config()
         assert cfg.mechanism is Mechanism.REALISTIC_PROBING
-        assert cfg.probing.enabled
+        assert cfg.probing_active and not cfg.delegation_active
 
     def test_factory_overrides(self):
         cfg = baseline_config(layout=Layout.EDGE)
@@ -143,7 +143,7 @@ class TestStableSerialisation:
 
         d = delegated_replies_config().to_dict()
         assert d["mechanism"] == "delegated_replies"
-        assert d["delegation"]["enabled"] is True
+        assert "enabled" not in d["delegation"]  # mechanism is the switch
         json.dumps(d)  # no enums or dataclasses left behind
 
     def test_round_trips_through_loader(self):

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.config import Layout, Mechanism, SystemConfig, Topology
+from repro.config import Mechanism, SystemConfig, Topology
 from repro.config.loader import (
     ConfigError,
     config_from_dict,
-    dump_config,
     load_config,
     save_config,
 )
@@ -28,13 +27,13 @@ class TestFromDict:
             {
                 "noc": {"channel_width_bytes": 8, "topology": "dragonfly"},
                 "gpu_l1": {"size_bytes": 16384},
-                "delegation": {"enabled": True},
+                "delegation": {"frq_merge": True},
             }
         )
         assert cfg.noc.channel_width_bytes == 8
         assert cfg.noc.topology is Topology.DRAGONFLY
         assert cfg.gpu_l1.size_bytes == 16384
-        assert cfg.delegation.enabled
+        assert cfg.delegation.frq_merge
 
     def test_unknown_key_fails_loudly(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -54,7 +53,7 @@ class TestFromDict:
 
     def test_bool_field_rejects_non_bool(self):
         with pytest.raises(ConfigError, match="boolean"):
-            config_from_dict({"delegation": {"enabled": 1}})
+            config_from_dict({"delegation": {"frq_merge": 1}})
 
     def test_node_mix_revalidated(self):
         with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ class TestRoundTrip:
         cfg = config_from_dict(
             {"layout": "edge", "noc": {"vcs_per_port": 4}}
         )
-        data = dump_config(cfg)
+        data = cfg.to_dict()
         rebuilt = config_from_dict(data)
         assert rebuilt == cfg
         assert data["layout"] == "edge"
@@ -100,7 +99,6 @@ class TestRoundTrip:
             "mesh_width": 4, "mesh_height": 4,
             "n_gpu": 10, "n_cpu": 4, "n_mem": 2,
             "mechanism": "delegated_replies",
-            "delegation": {"enabled": True},
         }))
         cfg = load_config(path)
         res = run_simulation(cfg, "HS", None, cycles=300, warmup=200)

@@ -7,7 +7,7 @@ and output shape, not the paper-scale numbers (the benchmark harness under
 
 import pytest
 
-from repro.config import baseline_config
+from repro.config import baseline_config, mechanism_config
 from repro.experiments import (
     ablations,
     area_energy,
@@ -33,7 +33,6 @@ from repro.experiments.common import (
     cpu_corunners,
     default_benchmarks,
     job,
-    mechanism_config,
     mechanism_sweep,
 )
 from repro.sweep import SweepRunner

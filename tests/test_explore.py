@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.config import ConfigError
 from repro.explore.env import ExploreEnv
 from repro.explore.objectives import OBJECTIVE_NAMES, SENSES, from_prediction
 from repro.explore.pareto import (
@@ -212,11 +213,19 @@ class TestSearchSpace:
             demo_space("mesh2x2")
 
     def test_bad_knob_path_fails_fast(self):
-        with pytest.raises(AttributeError):
+        with pytest.raises(ConfigError, match="noc.'not_a_field'"):
             SearchSpace(
                 name="broken", mesh="4x4",
                 knobs=(Knob("x", (1, 2), "noc.not_a_field"),
                        Knob("y", (1, 2), "noc.vcs_per_port")),
+            )
+
+    @pytest.mark.parametrize("mesh", ["4by4", "4x", "4x4x4", None])
+    def test_bad_mesh_fails_fast_naming_the_field(self, mesh):
+        with pytest.raises(ValueError, match="mesh must be '<width>x<height>'"):
+            SearchSpace(
+                name="broken", mesh=mesh,
+                knobs=(Knob("y", (1, 2), "noc.vcs_per_port"),),
             )
 
 
@@ -231,17 +240,6 @@ class TestExploreEnv:
         r1, r2 = env.evaluate(a), env.evaluate(b)
         assert r1 is r2  # inert-gene twins share one memo entry
         assert env.evaluations == 1
-
-    def test_step_reward_and_done(self):
-        space = demo_space("mesh4x4")
-        env = ExploreEnv(space, budget=2)
-        obs = env.reset()
-        assert set(OBJECTIVE_NAMES) <= set(obs["objectives"])
-        g = space.encode({"mechanism": "dr"})
-        obs, reward, done, info = env.step(g)
-        assert reward >= 0.0
-        assert done  # 2 unique evaluations reached the budget
-        assert info["evaluations"] == 2
 
     def test_spec_matches_sweep_convention(self):
         space = demo_space("mesh4x4")

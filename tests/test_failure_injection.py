@@ -10,7 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.config import delegated_replies_config
 from repro.noc import MessageType, Packet, TrafficClass
 from repro.sim.simulator import build_system, run_simulation
 from repro.workloads.gpu import gpu_benchmark

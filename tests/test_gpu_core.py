@@ -5,7 +5,6 @@ from collections import deque
 
 import pytest
 
-from repro.config import realistic_probing_config
 from repro.core.realistic_probing import ProbeEngine
 from repro.gpu.core import _WRITE_CAP, GpuCore
 from repro.gpu.shared_l1 import PrivateL1, SharedL1Cluster, SharedL1Port
@@ -165,9 +164,7 @@ class TestFrq:
 
 class TestProbing:
     def test_probe_request_inflation(self):
-        cfg = small_config()
-        cfg.probing.enabled = True
-        h = Harness(cfg=cfg, probing=True)
+        h = Harness(cfg=small_config(), probing=True)
         h.run(300)
         probes = [p for p in h.mem_seen if p.mtype is MessageType.PROBE_REQ]
         # probes go to other cores, not the memory node

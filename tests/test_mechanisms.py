@@ -1,7 +1,5 @@
 """Tests for the Delegated Replies mechanism and the RP probe engine."""
 
-import pytest
-
 from repro.config.system import DelegationConfig, ProbingConfig
 from repro.core.delegated_replies import (
     DelegatedRepliesMechanism,
@@ -21,7 +19,7 @@ def reply(dst=9, block=0x40, meta=None, cls=TrafficClass.GPU,
 
 class TestDelegationPolicy:
     def setup_method(self):
-        self.mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+        self.mech = DelegatedRepliesMechanism(DelegationConfig())
 
     def test_delegatable_reply_becomes_1flit_request(self):
         pkt = reply(dst=9, block=0x40, meta=ReplyMeta(True, delegate_to=7))
@@ -69,7 +67,7 @@ class TestDelegationPolicy:
 
 class TestProbeEngine:
     def make(self, width=4):
-        cfg = ProbingConfig(enabled=True, probe_width=width)
+        cfg = ProbingConfig(probe_width=width)
         gpu_nodes = list(range(20, 30))
         return ProbeEngine(cfg, 25, gpu_nodes), gpu_nodes
 
@@ -85,7 +83,7 @@ class TestProbeEngine:
         assert set(eng.targets_for(0)) == {24, 26}
 
     def test_probe_width_capped_by_core_count(self):
-        cfg = ProbingConfig(enabled=True, probe_width=50)
+        cfg = ProbingConfig(probe_width=50)
         eng = ProbeEngine(cfg, 1, [0, 1, 2])
         assert len(eng.targets_for(0)) == 2
 

@@ -13,13 +13,13 @@ Two pinned guarantees ride tier-1:
 import json
 
 import pytest
+from conftest import small_config
 
 from repro.model.compose import Prediction, RHO_CAP, predict
 from repro.model.saturation import assess, keep_mask, screening_score
 from repro.model.validate import (
     MEDIAN_ERROR_BUDGET,
     grid_specs,
-    mesh4x4_config,
     spearman,
     validate,
 )
@@ -30,7 +30,7 @@ def bw_sweep_specs(cycles=400, warmup=200):
     """NN across link bandwidths: spans clogged -> free (the knee)."""
     specs = []
     for bwf in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        cfg = mesh4x4_config()
+        cfg = small_config()
         cfg.noc.bandwidth_factor = bwf
         specs.append(
             JobSpec.make(
@@ -86,7 +86,7 @@ class TestKeepMask:
 
 class TestAssess:
     def test_clogged_verdict_names_the_bottleneck(self):
-        pred = predict(mesh4x4_config(), "HS", "bodytrack")
+        pred = predict(small_config(), "HS", "bodytrack")
         rep = assess(pred)
         assert rep.saturated
         assert rep.demand_rho > 1.0
@@ -96,7 +96,7 @@ class TestAssess:
         assert rep.bottleneck in {**rep.clogged_links, **rep.near_links}
 
     def test_unsaturated_verdict(self):
-        cfg = mesh4x4_config()
+        cfg = small_config()
         cfg.noc.bandwidth_factor = 32.0
         rep = assess(predict(cfg, "NN", "blackscholes"))
         assert not rep.saturated
@@ -157,43 +157,65 @@ class TestValidationBudget:
         assert d["passed"] is True
         assert len(d["points"]) == report.n_points
 
-    def test_grid_specs_are_cache_stable(self):
+    def test_grid_specs_are_cache_stable(self, monkeypatch):
         keys = [s.key() for s in grid_specs("mesh4x4")]
         assert keys == [s.key() for s in grid_specs("mesh4x4")]
         with pytest.raises(ValueError):
             grid_specs("nope")
 
+        # ... and shared with figure regeneration: the fig05 grid is the
+        # set of jobs fig05_topology hands the sweep runner at the same
+        # window and benchmark subset
+        from repro.experiments import common, fig05_topology
+
+        class Captured(Exception):
+            pass
+
+        def capture(specs, jobs=None):
+            raise Captured({spec.key() for spec in specs})
+
+        monkeypatch.setattr(common, "run_sweep", capture)
+        common.clear_sweep_cache()
+        with pytest.raises(Captured) as simulated:
+            fig05_topology.run(
+                common.default_benchmarks(subset=5), cycles=123, warmup=45
+            )
+        grid = grid_specs("fig05", cycles=123, warmup=45)
+        assert {s.key() for s in grid} == simulated.value.args[0]
+        assert len(grid) == 4 * 2 * 5
+
 
 @pytest.mark.parametrize(
-    "half_on",
+    "data",
     [
-        {"delegation": {"enabled": True}},  # switch on, selector baseline
-        {"mechanism": "delegated_replies"},  # selector on, switch off
-        {"probing": {"enabled": True}},
+        {"delegation": {"only_when_blocked": False}},  # section, no selector
+        {"mechanism": "delegated_replies"},  # the selector alone
+        {"probing": {"probe_width": 3}},
         {"mechanism": "realistic_probing"},
     ],
     ids=["dr-switch-only", "dr-selector-only",
          "rp-switch-only", "rp-selector-only"],
 )
-def test_surrogate_and_simulator_agree_on_what_enables_a_mechanism(half_on):
-    # a mechanism needs its selector *and* its section switch; with only
-    # one of the two, the simulator builds the baseline machine, so the
-    # surrogate must predict the baseline's numbers, not the mechanism's
-    import dataclasses
-
-    from repro.config import baseline_config
-    from repro.config.loader import config_from_dict
+def test_surrogate_and_simulator_agree_on_what_enables_a_mechanism(data):
+    # ``mechanism`` is the whole switch: the selector alone runs the
+    # mechanism, and a mechanism's section without its selector is inert
+    # — for the simulator, the surrogate and the config hash alike
+    from repro.config import Mechanism, config_from_dict, mechanism_config
     from repro.sim.simulator import build_system
 
-    cfg = config_from_dict(half_on)
+    cfg = config_from_dict(data)
+    reference = mechanism_config(cfg.mechanism.value)
     system = build_system(cfg, "HS", "canneal")
-    assert system.delegation is None
-    assert all(core.probe is None for core in system.gpu_cores)
+    runs_dr = cfg.mechanism is Mechanism.DELEGATED_REPLIES
+    runs_rp = cfg.mechanism is Mechanism.REALISTIC_PROBING
+    assert (system.delegation is not None) == runs_dr
+    assert all((core.probe is not None) == runs_rp
+               for core in system.gpu_cores)
 
     pred = predict(cfg, "HS", "canneal")
-    base = predict(baseline_config(), "HS", "canneal")
-    assert dataclasses.replace(pred, mechanism=base.mechanism) == base
-    assert pred.delegated_fraction == 0.0
+    assert pred == predict(reference, "HS", "canneal")
+    assert (pred.delegated_fraction > 0.0) == runs_dr
+    assert cfg.config_hash() == reference.config_hash()
 
 
 def test_rho_cap_documented_range():

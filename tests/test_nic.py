@@ -119,7 +119,7 @@ def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
         NocConfig(mem_injection_buffer_flits=9 * 14), mem_nodes=(5,),
     )
     nic = fabric.nic(5)
-    DelegatedRepliesMechanism(DelegationConfig(enabled=True)).attach(nic)
+    DelegatedRepliesMechanism(DelegationConfig()).attach(nic)
     pkts = [
         reply(5, 0,
               TrafficClass.CPU if kind == "cpu" else TrafficClass.GPU,

@@ -191,7 +191,7 @@ def test_packet_conservation_under_heavy_delegation():
     """
     mem_nodes = (3, 7, 11, 15)
     fabric = NocFabric(MeshTopology(4, 4), NocConfig(), mem_nodes=mem_nodes)
-    mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
         mech.attach(fabric.nic(m))
     for nic in fabric.nics:

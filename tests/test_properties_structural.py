@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import MshrFile
-from repro.config.loader import config_from_dict, dump_config
+from repro.config.loader import config_from_dict
 from repro.config.system import DimensionOrder, Topology
 from repro.noc.topology import build_topology
 from repro.workloads.gpu import (
@@ -115,7 +115,7 @@ class TestConfigRoundTripProperties:
                 }
             }
         )
-        assert config_from_dict(dump_config(cfg)) == cfg
+        assert config_from_dict(cfg.to_dict()) == cfg
 
 
 class TestGeneratorProperties:

@@ -1,12 +1,9 @@
 """Tests for the wormhole router and network fabric."""
 
-import pytest
-
 from repro.config.system import NocConfig
 from repro.noc import (
     MeshTopology,
     MessageType,
-    NetKind,
     NocFabric,
     Packet,
     TrafficClass,

@@ -7,7 +7,7 @@ from repro.config.system import (
     NocConfig,
     RoutingPolicy,
 )
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.noc.packet import MessageType, Packet, TrafficClass
 from repro.noc.routing import (
     DeterministicRouting,
     DyXYRouting,

@@ -1,11 +1,8 @@
 """Integration tests: the fully assembled system end to end."""
 
-import pytest
-
-from repro.config import L1Organization, Mechanism, delegated_replies_config
-from repro.sim.metrics import collect_counters, derive_result, diff_counters
+from repro.config import L1Organization, delegated_replies_config
+from repro.sim.metrics import collect_counters, diff_counters
 from repro.sim.simulator import build_system, run_simulation
-from repro.sim.system import HeterogeneousSystem
 
 from conftest import small_config, small_dr_config
 

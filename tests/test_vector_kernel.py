@@ -75,7 +75,7 @@ def _run_backend(backend, dims, cfg, sched, mem_nodes=(), delegation=False):
     else:
         fabric = VectorFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
     if delegation:
-        mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+        mech = DelegatedRepliesMechanism(DelegationConfig())
         for m in mem_nodes:
             mech.attach(fabric.nic(m))
     latencies: list = []
@@ -168,7 +168,7 @@ def test_delegation_counts_agree_when_request_queue_is_full(backend):
         backend, MeshTopology(4, 4),
         NocConfig(node_injection_queue_packets=1), mem_nodes=mem_nodes,
     )
-    mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
         mech.attach(fabric.nic(m))
     replay(fabric, sched)
@@ -221,7 +221,7 @@ def test_vector_packet_conservation():
     sched = hotspot_schedule(16, mem_nodes, 800, 200, seed=11)
     fabric = VectorFabric(MeshTopology(4, 4), NocConfig(),
                           mem_nodes=mem_nodes)
-    mech = DelegatedRepliesMechanism(DelegationConfig(enabled=True))
+    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
         mech.attach(fabric.nic(m))
     latencies: list = []

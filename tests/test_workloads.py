@@ -11,8 +11,6 @@ from repro.workloads import (
     TABLE_II,
     cpu_benchmark,
     gpu_benchmark,
-    mixes_for_gpu,
-    workload_mixes,
 )
 from repro.workloads.gpu import _PRIVATE_REGION, _SHARED_REGION
 
@@ -23,7 +21,7 @@ class TestTableII:
         assert set(TABLE_II) == set(GPU_BENCHMARKS)
 
     def test_thirty_three_mixes(self):
-        assert len(workload_mixes()) == 33
+        assert sum(len(cpus) for cpus in TABLE_II.values()) == 33
 
     def test_each_gpu_bench_has_three_corunners(self):
         for gpu, cpus in TABLE_II.items():
@@ -50,11 +48,6 @@ class TestTableII:
             gpu_benchmark("NOPE")
         with pytest.raises(KeyError):
             cpu_benchmark("nope")
-
-    def test_mixes_for_gpu(self):
-        mixes = mixes_for_gpu("HS")
-        assert [m.cpu.name for m in mixes] == ["bodytrack", "ferret", "x264"]
-        assert mixes[0].name == "HS+bodytrack"
 
 
 class TestGpuGenerator:
