@@ -7,11 +7,13 @@
 claims compare two ways of running the *same* commit, so they live here,
 all under one protocol:
 
-* ``vector``    two measurements: saturated 16x16 mesh, 500 cycles, the
+* ``vector``    three measurements: saturated 16x16 mesh, 500 cycles, the
                 vector backend is >= 3x the object kernel (typical margin
-                ~7x); and ``mesh8x8_dr``, 800 cycles — 8 memory nodes,
+                ~7x); ``mesh8x8_dr``, 800 cycles — 8 memory nodes,
                 delegation firing — >= 1.5x, so the memory lanes falling
-                back to per-node Python would fail CI.
+                back to per-node Python would fail CI; and the 16x16
+                schedule on a ``bandwidth_factor=2`` fabric, 300 cycles,
+                >= 3.5x (typical ~6x; a per-node injection loop is ~2.5x).
 * ``telemetry`` ``mesh8x8_dr``, 1200 cycles: light-mode telemetry costs
                 < 10% over telemetry off, and both fabrics end on
                 identical per-network counters.
@@ -63,13 +65,16 @@ def _timed_replay(fabric, schedule: Schedule, on_cycle=None) -> float:
     return time.perf_counter() - t0
 
 
-def _vector_gate(name: str, cycles: int, threshold: float) -> Gate:
-    scenario = SCENARIOS[name]
-    schedule = scenario.schedule(WARMUP + cycles)
+def _vector_gate(
+    name: str, schedule: Schedule, build: Callable[[str], object],
+    threshold: float,
+) -> Gate:
+    """Object vs vector on ``schedule``; ``build(backend)`` makes the
+    fabric."""
     seen: Dict[str, tuple] = {}
 
     def run(backend: str) -> float:
-        fabric = scenario.build(backend)
+        fabric = build(backend)
         wall = _timed_replay(fabric, schedule)
         seen[backend] = delivered(fabric)
         if len(seen) == 2 and seen["object"] != seen["vector"]:
@@ -84,9 +89,22 @@ def _vector_gate(name: str, cycles: int, threshold: float) -> Gate:
 
 
 def vector_gates() -> List[Gate]:
+    from repro.config.system import NocConfig
+    from repro.noc import MeshTopology
+    from repro.sim.engines import build_fabric
+
+    sat, dr = SCENARIOS["mesh16x16_sat"], SCENARIOS["mesh8x8_dr"]
     return [
-        _vector_gate("mesh16x16_sat", 500, 3.0),
-        _vector_gate("mesh8x8_dr", 800, 1.5),
+        _vector_gate("mesh16x16_sat", sat.schedule(WARMUP + 500), sat.build, 3.0),
+        _vector_gate("mesh8x8_dr", dr.schedule(WARMUP + 800), dr.build, 1.5),
+        _vector_gate(
+            "mesh16x16_sat at bandwidth_factor=2", sat.schedule(WARMUP + 300),
+            lambda backend: build_fabric(
+                backend, MeshTopology(sat.width, sat.height),
+                NocConfig(bandwidth_factor=2.0),
+            ),
+            3.5,
+        ),
     ]
 
 

@@ -23,8 +23,14 @@ from typing import List, Optional
 from repro.cli import add_mechanism_option, add_window_options, run_guarded
 
 
-def _cmd_list(_args) -> int:
+def _experiments() -> dict:
+    """``{name: module}`` of the figure modules, in paper order."""
     from repro.experiments import ALL_EXPERIMENTS
+
+    return {m.__name__.rsplit(".", 1)[-1]: m for m in ALL_EXPERIMENTS}
+
+
+def _cmd_list(_args) -> int:
     from repro.workloads import CPU_BENCHMARK_NAMES, GPU_BENCHMARK_NAMES, TABLE_II
 
     print("GPU benchmarks (Table II):")
@@ -33,8 +39,7 @@ def _cmd_list(_args) -> int:
     print("\nCPU benchmarks (Parsec):")
     print("  " + ", ".join(CPU_BENCHMARK_NAMES))
     print("\nExperiments:")
-    for module in ALL_EXPERIMENTS:
-        name = module.__name__.rsplit(".", 1)[-1]
+    for name, module in _experiments().items():
         doc = (module.__doc__ or "").strip().splitlines()[0]
         print(f"  {name:22s} {doc}")
     return 0
@@ -67,14 +72,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    import importlib
-
-    try:
-        module = importlib.import_module(f"repro.experiments.{args.name}")
-    except ImportError:
-        print(f"unknown experiment {args.name!r}; see `python -m repro list`",
-              file=sys.stderr)
-        return 2
+    module = _experiments().get(args.name)
+    if module is None:
+        raise KeyError(
+            f"unknown experiment {args.name!r}; see `python -m repro list`"
+        )
     kwargs = {}
     if args.cycles is not None:
         kwargs["cycles"] = args.cycles

@@ -34,6 +34,10 @@ _NET_KINDS = (NetKind.REQUEST, NetKind.REPLY)
 class NodeInterface:
     """Injection/ejection interface of a compute (CPU or GPU) node."""
 
+    #: the network kind whose queue a subclass bounds by its own rule, so
+    #: ``try_send`` must not apply the packet bound to it (none here)
+    _flit_bounded: Optional[NetKind] = None
+
     def __init__(self, node_id: int, fabric, queue_packets: int) -> None:
         self.node_id = node_id
         self.fabric = fabric
@@ -95,14 +99,24 @@ class NodeInterface:
         return len(self.queues[net]) < self.queue_packets
 
     def try_send(self, pkt: Packet, cycle: int) -> bool:
-        """Queue ``pkt`` for injection; False if the queue is full."""
-        if not self.can_enqueue(pkt.net):
+        """Queue ``pkt`` for injection; False if the queue is full.
+
+        The one send path of both backends, and the hottest endpoint call
+        of a saturated run: the packet bound is checked in line.
+        """
+        net = pkt.net
+        q = self.queues[net]
+        depth = len(q)
+        if depth >= self.queue_packets and net is not self._flit_bounded:
             return False
         if pkt.created < 0:
             pkt.created = cycle
-        self.queues[pkt.net].append(pkt)
-        self.packets_sent_net[pkt.net] += 1
-        self.fabric.mark_nic_active(self.node_id)
+        q.append(pkt)
+        self.packets_sent_net[net] += 1
+        if not depth:
+            # a NIC leaves the fabric's active set only once every queue is
+            # empty, so only a first packet can find it asleep
+            self.fabric.mark_nic_active(self.node_id)
         if self.telemetry is not None:
             self.telemetry.on_inject(pkt, cycle)
         if self.fault_guard is not None:
@@ -278,6 +292,9 @@ class MemoryNodeNic(NodeInterface):
     per-cycle accounting fields into kernel array rows.
     """
 
+    #: replies are admitted by ``can_enqueue``'s flit rule alone
+    _flit_bounded = NetKind.REPLY
+
     def __init__(
         self, node_id: int, fabric, queue_packets: int, reply_buffer_flits: int
     ) -> None:
@@ -314,6 +331,8 @@ class MemoryNodeNic(NodeInterface):
         return False
 
     def try_send(self, pkt: Packet, cycle: int) -> bool:
+        if pkt.net is NetKind.REPLY and not self.can_enqueue(NetKind.REPLY):
+            return False
         ok = super().try_send(pkt, cycle)
         if ok and pkt.net is NetKind.REPLY:
             self._reply_occ += pkt.size_flits

@@ -10,12 +10,14 @@ nodes, cores) talks to the vector backend through the exact surface
   ``engines`` registry for ``backend="vector"``),
 * :class:`VectorNet` — drop-in for ``PhysicalNetwork`` statistics and
   fault-controller surfaces,
-* :class:`VectorNic` — compute-node NIC whose injection runs inside the
-  kernel's batched step; its counters are views into kernel arrays,
-* :class:`_VecMemNic` — a real :class:`~repro.noc.nic.MemoryNodeNic`
-  (reply ordering, admission and the delegation scan are the object
-  backend's code) whose queues are the kernel's injection lanes and whose
-  per-cycle accounting fields are cells of the kernel's memory-lane rows.
+* :class:`VectorNic` — a real :class:`~repro.noc.nic.NodeInterface` (the
+  endpoint half is the object backend's code) whose queues are the
+  kernel's injection lanes, drained by its batched step, and whose
+  counters are views into kernel arrays,
+* :class:`_VecMemNic` — a ``VectorNic`` that is also a real
+  :class:`~repro.noc.nic.MemoryNodeNic` (reply ordering, admission and
+  the delegation scan are the object backend's code) whose per-cycle
+  accounting fields are cells of the kernel's memory-lane rows.
 
 Features the arrays do not model fail fast with a one-line
 :class:`~repro.sim.engines.BackendError` (telemetry, adaptive routing;
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.system import NocConfig
-from repro.noc.nic import MemoryNodeNic
+from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
 from repro.noc.routing import build_routing
 from repro.noc.topology import BaseTopology
@@ -36,8 +38,8 @@ from repro.sim.vector.kernel import VectorKernel
 
 
 class _NodeCounter:
-    """Read-only ``{NetKind | TrafficClass: int}`` view of one node's
-    column of a ``(2, n)`` kernel counter array."""
+    """``{NetKind | TrafficClass: int}`` view of one node's column of a
+    ``(2, n)`` kernel counter array."""
 
     __slots__ = ("_arr", "_node")
 
@@ -47,6 +49,9 @@ class _NodeCounter:
 
     def __getitem__(self, key) -> int:
         return int(self._arr[int(key), self._node])
+
+    def __setitem__(self, key, value: int) -> None:
+        self._arr[int(key), self._node] = value
 
 
 class _RouterStats:
@@ -130,110 +135,6 @@ class VectorNet:
         return int(K.link_flits[g]) / (self.cycles * self.bandwidth)
 
 
-class VectorNic:
-    """Compute-node NIC of the vector backend.
-
-    ``try_send`` appends to a per-(kind, node) queue the kernel drains in
-    its batched injection step; every counter the rest of the tree reads
-    is a view into the kernel's arrays.
-    """
-
-    __slots__ = (
-        "node_id",
-        "_K",
-        "queue_packets",
-        "handler",
-        "telemetry",
-        "stall_tel",
-        "fault_guard",
-        "_eject_gate_fn",
-        "_queues",
-        "flits_injected_net",
-        "packets_sent_net",
-        "flits_received",
-    )
-
-    def __init__(
-        self, node_id: int, kernel: VectorKernel, queue_packets: int
-    ) -> None:
-        self.node_id = node_id
-        self._K = kernel
-        self.queue_packets = queue_packets
-        self.handler: Optional[Callable[[Packet, int], None]] = None
-        self.telemetry = None
-        self.stall_tel = None
-        self.fault_guard = None
-        self._eject_gate_fn: Optional[Callable[[Packet], bool]] = None
-        self._queues = (
-            kernel.queues[0][node_id],
-            kernel.queues[1][node_id],
-        )
-        self.flits_injected_net = _NodeCounter(kernel.flits_injected_arr, node_id)
-        self.packets_sent_net = [0, 0]  # indexed by NetKind
-        self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
-
-    # -- endpoint-facing API -------------------------------------------
-
-    def queued(self, net: NetKind) -> int:
-        return len(self._queues[int(net)])
-
-    def can_enqueue(self, net: NetKind) -> bool:
-        return len(self._queues[int(net)]) < self.queue_packets
-
-    def try_send(self, pkt: Packet, cycle: int) -> bool:
-        k = pkt.net
-        dq = self._queues[k]
-        if len(dq) >= self.queue_packets:
-            return False
-        if pkt.created < 0:
-            pkt.created = cycle
-        dq.append(pkt)
-        self.packets_sent_net[k] += 1
-        if self.fault_guard is not None:
-            self.fault_guard.on_send(self.node_id, pkt, cycle)
-        return True
-
-    # -- ejection -------------------------------------------------------
-
-    @property
-    def eject_gate(self) -> Optional[Callable[[Packet], bool]]:
-        return self._eject_gate_fn
-
-    @eject_gate.setter
-    def eject_gate(self, fn: Optional[Callable[[Packet], bool]]) -> None:
-        self._eject_gate_fn = fn
-        self._K.set_gate(self.node_id, fn)
-
-    def can_eject(self, pkt: Packet) -> bool:
-        gate = self._eject_gate_fn
-        if gate is not None:
-            return gate(pkt)
-        return True
-
-    def notify_eject_ready(self) -> None:
-        pass  # gates are re-evaluated every pass; nothing sleeps on them
-
-    def deliver(self, pkt: Packet, cycle: int) -> None:
-        if self.fault_guard is not None:
-            self.fault_guard.on_deliver(self.node_id, pkt, cycle)
-        K = self._K
-        K.flits_rx_arr[int(pkt.cls), self.node_id] += pkt.size_flits
-        if pkt.size_flits > 1:
-            K.data_rx_arr[self.node_id] += pkt.size_flits - 1
-        if self.handler is not None:
-            self.handler(pkt, cycle)
-
-    # -- counters -------------------------------------------------------
-
-    @property
-    def flits_injected(self) -> int:
-        return int(self._K.flits_injected_arr[:, self.node_id].sum())
-
-    @property
-    def data_flits_received(self) -> int:
-        return int(self._K.data_rx_arr[self.node_id])
-
-
 def _cell(arr: str, index: str = "_lane") -> property:
     """A NIC attribute stored at ``kernel.<arr>[nic.<index>]``: the scalar
     NIC code and the kernel's array ops share the one copy."""
@@ -245,6 +146,39 @@ def _cell(arr: str, index: str = "_lane") -> property:
         getattr(nic._K, arr)[getattr(nic, index)] = value
 
     return property(get, put)
+
+
+class VectorNic(NodeInterface):
+    """Compute-node NIC of the vector backend.
+
+    The endpoint half (``try_send``, ``queued``, ``can_enqueue``,
+    ``can_eject`` and the telemetry / fault hook sites) is inherited; this
+    class only points it at kernel storage: the queues are the kernel's
+    injection lanes, drained by its batched step, and every counter the
+    rest of the tree reads is a view into the kernel's arrays.
+    """
+
+    def __init__(self, node_id: int, fabric, kernel: VectorKernel, *rest):
+        # ``rest``: what the next constructor takes after the queue bound
+        # (a memory NIC's reply-buffer size)
+        self._K = kernel
+        super().__init__(
+            node_id, fabric, kernel.cfg.node_injection_queue_packets, *rest
+        )
+        self.queues = {
+            kind: kernel.queues[kind][node_id]
+            for kind in (NetKind.REQUEST, NetKind.REPLY)
+        }
+        self.flits_injected_net = _NodeCounter(kernel.flits_injected_arr, node_id)
+        self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
+
+    data_flits_received = _cell("data_rx_arr", "node_id")
+
+    @NodeInterface.eject_gate.setter
+    def eject_gate(self, fn: Optional[Callable[[Packet], bool]]) -> None:
+        # gates are re-evaluated every pass: nothing sleeps on the old one
+        self._eject_gate_fn = fn
+        self._K.set_gate(self.node_id, fn)
 
 
 class _Mirrored:
@@ -263,40 +197,29 @@ class _Mirrored:
         getattr(nic._K, self._arr)[nic._lane] = value
 
 
-class _VecMemNic(MemoryNodeNic):
+class _VecMemNic(VectorNic, MemoryNodeNic):
     """Memory-node NIC on the vector backend.
 
     ``try_send`` (CPU-first reply ordering), the flit-bounded admission
-    rule and the delegation scan are inherited; injection, reply-buffer
-    drain, the delegation trigger and blocked-cycle accounting run inside
-    the kernel (``_inject_*`` / ``_mem_account``), so this class only
-    points the inherited fields at the kernel's storage.
+    rule and the delegation scan are ``MemoryNodeNic``'s; injection,
+    reply-buffer drain, the delegation trigger and blocked-cycle accounting
+    run inside the kernel (``_inject`` / ``_mem_account``), so on top of
+    :class:`VectorNic` this class only stores the memory-node fields in
+    the kernel's memory-lane rows.
     """
 
     def __init__(self, node_id: int, fabric, kernel: VectorKernel, lane: int):
-        self._K = kernel
         self._lane = lane
         self._occ = kernel.mem_occ
-        cfg = kernel.cfg
         super().__init__(
-            node_id, fabric, cfg.node_injection_queue_packets,
-            cfg.mem_injection_buffer_flits,
+            node_id, fabric, kernel, kernel.cfg.mem_injection_buffer_flits
         )
-        self.queues = {
-            kind: kernel.queues[kind][node_id]
-            for kind in (NetKind.REQUEST, NetKind.REPLY)
-        }
-        self.flits_injected_net = _NodeCounter(kernel.flits_injected_arr, node_id)
-        self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
 
     blocked_cycles = _cell("mem_blocked")
     observed_cycles = _cell("mem_observed")
     worst_reply_flits = _Mirrored("mem_worst")
     delegate_only_when_blocked = _Mirrored("mem_only_blocked")
     _delegatable = _Mirrored("mem_mark")
-    data_flits_received = _cell("data_rx_arr", "node_id")
-    eject_gate = VectorNic.eject_gate
-    deliver = VectorNic.deliver
 
     @property
     def _reply_occ(self) -> int:  # read on every admission check
@@ -346,7 +269,7 @@ class VectorFabric:
         self.nics: List = [
             _VecMemNic(node, self, kernel, lane_of[node])
             if node in lane_of
-            else VectorNic(node, kernel, cfg.node_injection_queue_packets)
+            else VectorNic(node, self, kernel)
             for node in range(topology.n)
         ]
         kernel.nics = self.nics

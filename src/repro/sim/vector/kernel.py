@@ -38,11 +38,13 @@ One cycle = ``bandwidth`` two-phase passes followed by NIC injection:
    counters are batched into array updates and only the per-packet
    object bookkeeping (stamps, the NIC handler) loops.
 
-Injection batches every NIC per network kind: in-flight worms continue
-lowest-VC-first, then new worms start on free VCs.  With separate
-physical networks the (kind, node) injection lanes coincide with the
-router rows, so both kinds run fused in one batch; a shared network
-interleaves the kinds with the oracle's parity order and budget.
+Injection (:meth:`VectorKernel._inject`, the kernel's only implementation
+of it) batches every NIC at any bandwidth: per lane and within its flit
+budget, in-flight worms continue lowest-VC-first, then new worms start on
+free VCs.  With separate physical networks the (kind, node) injection
+lanes coincide with the router rows, so both kinds run in one batch; a
+shared network has one lane per node and runs the kinds in the oracle's
+parity order, carrying each lane's remaining budget from one to the other.
 
 Memory nodes are ordinary lanes of that batch.  Their reply deque is kept
 in the scheduler's ``(cls, pid)`` order by ``MemoryNodeNic.try_send``, so
@@ -104,8 +106,6 @@ class VectorKernel:
             self.vhi_k = (cfg.request_vcs, V)
         self._vlo_arr = np.array(self.vlo_k, dtype=_I64)
         self._vhi_arr = np.array(self.vhi_k, dtype=_I64)
-        #: net_i of each NetKind (separate: request=0, reply=1; shared: 0)
-        self.net_of_kind = (0, 1) if separate else (0, 0)
         R = self.NN * n
         self.P, self.V, self.R = P, V, R
         self.PV = P * V
@@ -199,19 +199,32 @@ class VectorKernel:
         self.queues: List[List] = [
             [deque() for _ in range(n)] for _ in range(2)
         ]
-        # local-port (n, V) views per net_i for the injection batch
-        occ3 = self.occ.reshape(R, P, V)
-        own3 = self.owner.reshape(R, P, V)
-        self._occ_loc = [occ3[i * n:(i + 1) * n, LOCAL_PORT] for i in range(self.NN)]
-        self._own_loc = [own3[i * n:(i + 1) * n, LOCAL_PORT] for i in range(self.NN)]
+        # The injection batches of _inject.  A lane is one router's local
+        # input port, so there are R of them.  With separate physical
+        # networks the (kind, node) lanes are the router rows and both
+        # kinds inject as one batch; a shared network has one lane per
+        # node and a batch per kind, each over the kind's VC range.  A
+        # batch is: the (lane, vc) ids of those input VCs, views of the
+        # in-flight packet and flits pushed per (lane, vc) and of the
+        # flits injected per lane, and the lanes' queues.
+        loc = np.arange(F, dtype=_I64).reshape(R, P, V)[:, LOCAL_PORT]
         if separate:
-            # (kind, node) injection lanes == router rows: fused views
-            self._occ_loc_all = occ3[:, LOCAL_PORT]        # (R, V)
-            self._own_loc_all = own3[:, LOCAL_PORT]
-            self._infl_flat = self.infl_pkt.reshape(R, V)
-            self._pushed_flat = self.infl_pushed.reshape(R, V)
-            self._finj_flat = self.flits_injected_arr.reshape(R)
-            self._q_flat = self.queues[0] + self.queues[1]
+            self._batches = ((
+                loc.copy(),
+                self.infl_pkt.reshape(R, V), self.infl_pushed.reshape(R, V),
+                self.flits_injected_arr.reshape(R),
+                self.queues[0] + self.queues[1],
+            ),)
+        else:
+            self._batches = tuple(
+                (
+                    loc[:, lo:hi].copy(),
+                    self.infl_pkt[k, :, lo:hi], self.infl_pushed[k, :, lo:hi],
+                    self.flits_injected_arr[k],
+                    self.queues[k],
+                )
+                for k, (lo, hi) in enumerate(zip(self.vlo_k, self.vhi_k))
+            )
 
         #: per-node ejection gate (``nic.eject_gate``), and the input VCs
         #: of the routers that have one (both networks)
@@ -271,25 +284,8 @@ class VectorKernel:
         self.pk_obj.extend([None] * old)
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def register(self, pkt: Packet) -> int:
-        """Enter ``pkt`` into the packet table, returning its index."""
-        free = self._free
-        if not free:
-            self._grow_packets()
-            free = self._free
-        i = free.pop()
-        self.pk_size[i] = pkt.size_flits
-        self.pk_dst[i] = pkt.dst
-        self.pk_netk[i] = int(pkt.net)
-        self.pk_key[i] = (pkt.cls << 48) | pkt.pid
-        self.pk_hops[i] = 0
-        self.pk_mtype[i] = int(pkt.mtype)
-        self.pk_cls[i] = int(pkt.cls)
-        self.pk_obj[i] = pkt
-        return i
-
     def register_many(self, objs) -> np.ndarray:
-        """Batched :meth:`register` for the injection step."""
+        """Enter ``objs`` into the packet table, returning their indices."""
         need = len(objs)
         free = self._free
         while len(free) < need:
@@ -418,31 +414,6 @@ class VectorKernel:
         self.qlen[dvc] += 1
         self.occ[dvc] += 1
         self.owner[dvc] = np.where(tail, -1, pkt)
-
-    def accept_one(self, f: int, i: int, is_tail: bool, cycle: int) -> None:
-        """Scalar ``accept_flit`` (:meth:`_inject_node_kind`)."""
-        if self.owner[f] == i:
-            ql = int(self.qlen[f])
-            if ql == 1:
-                self.h_avail[f] += 1
-            else:
-                pos = (int(self.qhead[f]) + ql - 1) % self.Q
-                self.ent_avail[f * self.Q + pos] += 1
-        else:
-            ready = cycle + self.pipeline
-            ql = int(self.qlen[f])
-            if ql == 0:
-                one = np.array([f], dtype=_I64)
-                self._set_heads(one, np.array([i], dtype=_I64), 1, ready)
-            else:
-                pos = (int(self.qhead[f]) + ql) % self.Q
-                fi = f * self.Q + pos
-                self.ent_pkt[fi] = i
-                self.ent_avail[fi] = 1
-                self.ent_ready[fi] = ready
-            self.qlen[f] += 1
-        self.occ[f] += 1
-        self.owner[f] = -1 if is_tail else i
 
     # ------------------------------------------------------------------
     # the two-phase pass
@@ -671,181 +642,64 @@ class VectorKernel:
     # injection
     # ------------------------------------------------------------------
 
-    def _inject_fused(self, cycle: int) -> None:
-        """One flit per node on BOTH kinds at once (separate
-        physical networks, bw == 1: the (kind, node) lanes are the router
-        rows, and the two networks share no state)."""
-        occ_loc = self._occ_loc_all
-        own_loc = self._own_loc_all
-        ip = self._infl_flat
-        cont = (
-            (ip >= 0)
-            & (occ_loc < self.cap)
-            & ((own_loc < 0) | (own_loc == ip))
-        )
-        has_cont = cont.any(axis=1)
-        lanes_c = np.flatnonzero(has_cont)
-        if lanes_c.size:
-            vcs = np.argmax(cont[lanes_c], axis=1)
-            pk = ip[lanes_c, vcs]
-            pushed = self._pushed_flat[lanes_c, vcs] + 1
-            tl = pushed == self.pk_size[pk]
-            dvc = lanes_c * self.PV + vcs
-            self._accept_cont(dvc, tl)
-            self._pushed_flat[lanes_c, vcs] = pushed
-            ip[lanes_c[tl], vcs[tl]] = -1
-            self._finj_flat[lanes_c] += 1
-        qf = self._q_flat
-        qlens = np.fromiter(map(len, qf), _I64, count=self.R)
-        start = ~has_cont & (qlens > 0)
-        if not start.any():
-            return
-        free = (own_loc < 0) & (occ_loc < self.cap) & (ip < 0)
-        can = free.any(axis=1) & start
-        lanes_s = np.flatnonzero(can)
-        if lanes_s.size:
-            vcs = np.argmax(free[lanes_s], axis=1)
-            objs = [qf[lane].popleft() for lane in lanes_s.tolist()]
-            idxs = self.register_many(objs)
-            for pkt in objs:
-                pkt.injected = cycle
-            tl = self.pk_size[idxs] == 1
-            dvc = lanes_s * self.PV + vcs
-            self._accept_new(dvc, idxs, tl, cycle)
-            multi = ~tl
-            ip[lanes_s[multi], vcs[multi]] = idxs[multi]
-            self._pushed_flat[lanes_s[multi], vcs[multi]] = 1
-            self._finj_flat[lanes_s] += 1
+    def _inject(self, cycle: int) -> None:
+        """NIC injection for every node at once (§6.1 step 2).
 
-    def _inject_kind(self, k: int, cycle: int, allowed):
-        """One flit per node on network kind ``k`` (bw == 1,
-        shared physical network: the kinds contend for one budget).
-
-        In-flight worms continue on the lowest eligible VC; nodes with no
-        eligible continuation start the queue head on the lowest free VC.
-        Returns the per-node pushed mask (shared-net budget accounting).
+        Per lane, while its flit budget lasts: the in-flight worms on the
+        lowest eligible VCs continue, one flit each; then queued packets
+        start on the lowest free VC of the kind's range, one header flit
+        per pass.  A VC is free when it has no owner, has credit and
+        carries no in-flight injection — read afresh each pass, so a VC
+        whose worm pushed its tail this cycle, or which just took a whole
+        single-flit packet, may be picked again.
         """
-        net_i = self.net_of_kind[k]
-        occ_loc = self._occ_loc[net_i]
-        own_loc = self._own_loc[net_i]
-        ip = self.infl_pkt[k]
-        cont = (
-            (ip >= 0)
-            & (occ_loc < self.cap)
-            & ((own_loc < 0) | (own_loc == ip))
-        )
-        if allowed is not None:
-            cont &= allowed[:, None]
-        has_cont = cont.any(axis=1)
-        base = (net_i * self.n) * self.PV + LOCAL_PORT * self.V
-        nodes_c = np.flatnonzero(has_cont)
-        if nodes_c.size:
-            vcs = np.argmax(cont[nodes_c], axis=1)
-            pk = ip[nodes_c, vcs]
-            pushed = self.infl_pushed[k][nodes_c, vcs] + 1
-            tl = pushed == self.pk_size[pk]
-            dvc = base + nodes_c * self.PV + vcs
-            self._accept_cont(dvc, tl)
-            self.infl_pushed[k][nodes_c, vcs] = pushed
-            if tl.any():
-                self.infl_pkt[k][nodes_c[tl], vcs[tl]] = -1
-            self.flits_injected_arr[k][nodes_c] += 1
-        qk = self.queues[k]
-        qlens = np.fromiter(map(len, qk), _I64, count=self.n)
-        start = (~has_cont) & (qlens > 0)
-        if allowed is not None:
-            start &= allowed
-        if not start.any():
-            return has_cont
-        free = (own_loc < 0) & (occ_loc < self.cap) & (ip < 0)
-        vlo, vhi = self.vlo_k[k], self.vhi_k[k]
-        if vlo > 0:
-            free[:, :vlo] = False
-        if vhi < self.V:
-            free[:, vhi:] = False
-        can = free.any(axis=1) & start
-        nodes_s = np.flatnonzero(can)
-        if nodes_s.size:
-            vcs = np.argmax(free[nodes_s], axis=1)
-            objs = [qk[node].popleft() for node in nodes_s.tolist()]
-            idxs = self.register_many(objs)
-            for pkt in objs:
-                pkt.injected = cycle
-            tl = self.pk_size[idxs] == 1
-            dvc = base + nodes_s * self.PV + vcs
-            self._accept_new(dvc, idxs, tl, cycle)
-            multi = ~tl
-            if multi.any():
-                self.infl_pkt[k][nodes_s[multi], vcs[multi]] = idxs[multi]
-                self.infl_pushed[k][nodes_s[multi], vcs[multi]] = 1
-            self.flits_injected_arr[k][nodes_s] += 1
-        return has_cont | can
-
-    def _inject_scalar(self, cycle: int) -> None:
-        """Reference-shaped per-node injection (any bandwidth)."""
-        bw = self.bandwidth
-        for node in range(self.n):
-            if self.separate:
-                for k in (0, 1):
-                    self._inject_node_kind(node, k, cycle, bw)
-            else:
-                order = (1, 0) if cycle & 1 else (0, 1)
-                budget = bw
-                for k in order:
-                    if budget <= 0:
-                        break
-                    budget -= self._inject_node_kind(node, k, cycle, budget)
-
-    def _inject_node_kind(self, node: int, k: int, cycle: int, budget: int) -> int:
-        net_i = self.net_of_kind[k]
-        base = (net_i * self.n + node) * self.PV + LOCAL_PORT * self.V
-        ip = self.infl_pkt[k][node]
-        pushed_now = 0
-        live = np.flatnonzero(ip >= 0)
-        for vc in live.tolist():
-            if budget <= 0:
-                break
-            f = base + vc
-            p = int(ip[vc])
-            if self.occ[f] >= self.cap:
-                continue
-            ow = int(self.owner[f])
-            if ow >= 0 and ow != p:
-                continue
-            npushed = int(self.infl_pushed[k][node, vc]) + 1
-            is_tail = npushed == int(self.pk_size[p])
-            self.accept_one(f, p, is_tail, cycle)
-            pushed_now += 1
-            budget -= 1
-            if is_tail:
-                self.infl_pkt[k][node, vc] = -1
-            else:
-                self.infl_pushed[k][node, vc] = npushed
-        dq = self.queues[k][node]
-        while budget > 0 and dq:
-            vc = -1
-            for c in range(self.vlo_k[k], self.vhi_k[k]):
-                if ip[c] >= 0:
-                    continue
-                f = base + c
-                if self.owner[f] < 0 and self.occ[f] < self.cap:
-                    vc = c
+        cap = self.cap
+        budget = np.full(self.R, self.bandwidth, dtype=_I64)
+        # a shared network injects the reply kind first on odd cycles and
+        # carries what is left of each lane's budget to the other kind
+        batches = self._batches[::-1] if cycle & 1 else self._batches
+        for loc, ip, sent, finj, queues in batches:
+            had = budget.copy()
+            occ = self.occ[loc]
+            own = self.owner[loc]
+            cont = (ip >= 0) & (occ < cap) & ((own < 0) | (own == ip))
+            nvc = cont.shape[1]
+            for vc in range(nvc):  # lowest VC first, while budget lasts
+                col = cont[:, vc]
+                col &= budget > 0
+                budget -= col
+            lanes, vcs = np.nonzero(cont)
+            if lanes.size:
+                pushed = sent[lanes, vcs] + 1
+                tl = pushed == self.pk_size[ip[lanes, vcs]]
+                self._accept_cont(loc[lanes, vcs], tl)
+                sent[lanes, vcs] = pushed
+                ip[lanes[tl], vcs[tl]] = -1
+            qlens = np.fromiter(map(len, queues), _I64, count=len(queues))
+            for _ in range(self.bandwidth):
+                want = (budget > 0) & (qlens > 0)
+                if not want.any():
                     break
-            if vc < 0:
-                break
-            pkt = dq.popleft()
-            p = self.register(pkt)
-            pkt.injected = cycle
-            is_tail = pkt.size_flits == 1
-            self.accept_one(base + vc, p, is_tail, cycle)
-            pushed_now += 1
-            budget -= 1
-            if not is_tail:
-                self.infl_pkt[k][node, vc] = p
-                self.infl_pushed[k][node, vc] = 1
-        if pushed_now:
-            self.flits_injected_arr[k][node] += pushed_now
-        return pushed_now
+                free = (self.owner[loc] < 0) & (self.occ[loc] < cap) & (ip < 0)
+                lowest = np.full(len(queues), -1, dtype=_I64)
+                for vc in range(nvc - 1, -1, -1):
+                    lowest[free[:, vc]] = vc
+                lanes = np.flatnonzero(want & (lowest >= 0))
+                if not lanes.size:
+                    break
+                vcs = lowest[lanes]
+                objs = [queues[lane].popleft() for lane in lanes.tolist()]
+                idxs = self.register_many(objs)
+                for pkt in objs:
+                    pkt.injected = cycle
+                tl = self.pk_size[idxs] == 1
+                self._accept_new(loc[lanes, vcs], idxs, tl, cycle)
+                multi = ~tl
+                ip[lanes[multi], vcs[multi]] = idxs[multi]
+                sent[lanes[multi], vcs[multi]] = 1
+                budget[lanes] -= 1
+                qlens[lanes] -= 1
+            finj += had - budget
 
     # ------------------------------------------------------------------
     # one cycle
@@ -857,17 +711,7 @@ class VectorKernel:
             if movers is None:
                 break
             self._commit(movers, cycle)
-        if self.bandwidth == 1:
-            if self.separate:
-                self._inject_fused(cycle)
-            else:
-                order = (1, 0) if cycle & 1 else (0, 1)
-                allowed = np.ones(self.n, dtype=bool)
-                for k in order:
-                    pushed = self._inject_kind(k, cycle, allowed)
-                    allowed &= ~pushed
-        else:
-            self._inject_scalar(cycle)
+        self._inject(cycle)
         if self.mem_nodes:
             self._mem_account(cycle)
 

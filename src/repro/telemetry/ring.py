@@ -205,9 +205,8 @@ def read_dump(path: Union[str, Path], max_schema: int) -> Iterator[Dict]:
     :func:`repro.telemetry.trace.read_trace` yields for ``RTEL`` traces.
     Raises ``ValueError`` on schema versions newer than ``max_schema``.
     """
-    from repro.telemetry.trace import PACKET_EVENTS
+    from repro.telemetry.trace import event_record
 
-    mtype_names, cls_names = _enum_names()
     with open(path, "rb") as fh:
         magic = fh.read(len(DUMP_MAGIC))
         if magic != DUMP_MAGIC:
@@ -230,24 +229,6 @@ def read_dump(path: Union[str, Path], max_schema: int) -> Iterator[Dict]:
                 return  # truncated tail (interrupted dump): stop cleanly
             w0, cycle, pid, block, value = _EVENT_WORDS.unpack(buf)
             code, mtype, cls, net, flits, src, dst = unpack_w0(w0)
-            d = {
-                "ev": PACKET_EVENTS[code],
-                "cycle": cycle,
-                "pid": pid,
-                "src": src,
-                "dst": dst,
-                "block": block,
-                "mtype": mtype_names[mtype],
-                "cls": cls_names[cls],
-                "net": "request" if net == 0 else "reply",
-                "flits": flits,
-            }
-            if value >= 0:
-                d["value"] = value
-            yield d
-
-
-def _enum_names():
-    from repro.noc.packet import MessageType, TrafficClass
-
-    return [m.name for m in MessageType], [c.name for c in TrafficClass]
+            yield event_record(
+                code, cycle, pid, src, dst, block, mtype, cls, net, flits, value
+            )

@@ -20,10 +20,11 @@ consumer (the CLI, tests, notebooks) is backend-agnostic.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, IO, Iterator, Tuple, Union
 
 #: packet lifecycle event codes (binary tag byte; JSONL uses the names).
 PACKET_EVENTS = ("inject", "vc_alloc", "head", "deliver", "delegate")
@@ -55,18 +56,36 @@ class TraceSink:
         raise NotImplementedError
 
 
-def _packet_dict(event: str, cycle: int, pkt, value: int) -> Dict[str, Any]:
+@functools.lru_cache(maxsize=None)
+def _enum_names() -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(message-type names, traffic-class names)``, indexed by enum value.
+
+    Imported on first use: plain readers stay importable without the noc
+    package.
+    """
+    from repro.noc.packet import MessageType, TrafficClass
+
+    return tuple(m.name for m in MessageType), tuple(c.name for c in TrafficClass)
+
+
+def event_record(
+    code: int, cycle: int, pid: int, src: int, dst: int, block: int,
+    mtype: int, cls: int, net: int, flits: int, value: int,
+) -> Dict[str, Any]:
+    """The record of one packet event, as the JSONL sink writes it and
+    every reader yields it, from the event's numeric fields."""
+    mtype_names, cls_names = _enum_names()
     d = {
-        "ev": event,
+        "ev": PACKET_EVENTS[code],
         "cycle": cycle,
-        "pid": pkt.pid,
-        "src": pkt.src,
-        "dst": pkt.dst,
-        "block": pkt.block,
-        "mtype": pkt.mtype.name,
-        "cls": pkt.cls.name,
-        "net": "request" if int(pkt.net) == 0 else "reply",
-        "flits": pkt.size_flits,
+        "pid": pid,
+        "src": src,
+        "dst": dst,
+        "block": block,
+        "mtype": mtype_names[mtype],
+        "cls": cls_names[cls],
+        "net": "request" if net == 0 else "reply",
+        "flits": flits,
     }
     if value >= 0:
         d["value"] = value
@@ -85,7 +104,10 @@ class JsonlTraceSink(TraceSink):
             self._owns = True
 
     def packet_event(self, event: str, cycle: int, pkt, value: int = -1) -> None:
-        self._fh.write(json.dumps(_packet_dict(event, cycle, pkt, value)))
+        self._fh.write(json.dumps(event_record(
+            _EVENT_CODE[event], cycle, pkt.pid, pkt.src, pkt.dst, pkt.block,
+            pkt.mtype, pkt.cls, pkt.net, pkt.size_flits, value,
+        )))
         self._fh.write("\n")
 
     def record(self, payload: Dict[str, Any]) -> None:
@@ -157,22 +179,8 @@ def open_sink(path: Union[str, Path], fmt: str = "jsonl") -> TraceSink:
 # reading
 # ---------------------------------------------------------------------------
 
-# lazy imports keep this module usable without the noc package (pure readers)
-_MTYPE_NAMES: Optional[List[str]] = None
-_CLS_NAMES: Optional[List[str]] = None
-
-
-def _enum_names() -> None:
-    global _MTYPE_NAMES, _CLS_NAMES
-    if _MTYPE_NAMES is None:
-        from repro.noc.packet import MessageType, TrafficClass
-
-        _MTYPE_NAMES = [m.name for m in MessageType]
-        _CLS_NAMES = [c.name for c in TrafficClass]
-
 
 def _read_binary(fh: IO[bytes]) -> Iterator[Dict[str, Any]]:
-    _enum_names()
     size = _PACKET_STRUCT.size
     while True:
         tag = fh.read(1)
@@ -185,24 +193,7 @@ def _read_binary(fh: IO[bytes]) -> Iterator[Dict[str, Any]]:
         buf = fh.read(size)
         if len(buf) < size:
             return  # truncated tail record (interrupted run): stop cleanly
-        cycle, pid, src, dst, block, mtype, cls, net, flits, value = (
-            _PACKET_STRUCT.unpack(buf)
-        )
-        d = {
-            "ev": PACKET_EVENTS[tag[0]],
-            "cycle": cycle,
-            "pid": pid,
-            "src": src,
-            "dst": dst,
-            "block": block,
-            "mtype": _MTYPE_NAMES[mtype],  # type: ignore[index]
-            "cls": _CLS_NAMES[cls],  # type: ignore[index]
-            "net": "request" if net == 0 else "reply",
-            "flits": flits,
-        }
-        if value >= 0:
-            d["value"] = value
-        yield d
+        yield event_record(tag[0], *_PACKET_STRUCT.unpack(buf))
 
 
 def read_trace(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:

@@ -60,6 +60,20 @@ class TestExperiment:
         assert rc == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_import_error_inside_a_figure_is_not_an_unknown_name(
+        self, monkeypatch
+    ):
+        """Only the name lookup says "unknown experiment": a figure
+        module's own failed import surfaces as what it is."""
+        from repro.experiments import fig07_adaptive
+
+        def run(**_kw):
+            raise ImportError("No module named 'matplotlib'")
+
+        monkeypatch.setattr(fig07_adaptive, "run", run)
+        with pytest.raises(ImportError, match="matplotlib"):
+            main(["experiment", "fig07_adaptive"])
+
 
 FIG = ["experiment", "fig07_adaptive", "--benchmarks", "HS"]
 
@@ -94,6 +108,12 @@ FIG = ["experiment", "fig07_adaptive", "--benchmarks", "HS"]
      "telemetry.sample_rate must be in [0, 1], got 7.0"),
     (faults_main, ["run", "--gpu", "NOPE"], {},
      "unknown GPU benchmark 'NOPE'; choose from"),
+    (main, ["experiment", "nope"], {}, "unknown experiment 'nope'"),
+    # importable, but not figure modules: not what `list` prints
+    (main, ["experiment", "common"], {}, "unknown experiment 'common'"),
+    (main, ["experiment", "__init__"], {}, "unknown experiment '__init__'"),
+    (main, ["experiment", "fig10_gpu_perf.x"], {},
+     "unknown experiment 'fig10_gpu_perf.x'"),
 ])
 def test_usage_errors_are_one_error_line(
     cli, argv, env, expect, monkeypatch, capsys, tmp_path

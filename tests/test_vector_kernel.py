@@ -16,8 +16,9 @@ import pytest
 from repro.bench import Lcg, hotspot_schedule, replay, uniform_schedule
 from repro.config.system import DelegationConfig, NocConfig
 from repro.core.delegated_replies import DelegatedRepliesMechanism
-from repro.noc import MeshTopology, NocFabric, TrafficClass
+from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
+from repro.noc.router import LOCAL_PORT
 from repro.sim.engines import BackendError, build_fabric
 from repro.sim.vector.fabric import VectorFabric
 
@@ -127,13 +128,16 @@ def test_delegation_bit_identical(dims, mem_nodes, permille):
 
 
 @pytest.mark.parametrize("noc_kw", [
-    {},                                      # fused batch (_inject_fused)
-    {"bandwidth_factor": 2.0},               # per-node path (_inject_scalar)
-    {"separate_physical_networks": False},   # parity/budget (_inject_kind)
-], ids=["fused", "bw2", "shared"])
+    {},                                      # one batch, one pass
+    {"bandwidth_factor": 2.0},               # several starts per lane
+    {"separate_physical_networks": False},   # parity order, shared budget
+    {"bandwidth_factor": 3.0},
+    {"separate_physical_networks": False, "bandwidth_factor": 2.0},
+], ids=["fused", "bw2", "shared", "bw3", "shared-bw2"])
 @pytest.mark.parametrize("cpu_permille", [0, 300])
 def test_memory_lanes_bit_identical(noc_kw, cpu_permille):
-    """Every injection path that carries memory lanes, with and without
+    """Every bandwidth / network organisation the one injection step
+    carries memory lanes through, with and without
     5-flit CPU replies competing for the reply buffer's head: the CPU-first
     order, the 36-flit admission rule, the delegation trigger and the
     blocked-cycle rows equal the object NIC's."""
@@ -199,6 +203,7 @@ def test_randomized_configs_bit_identical():
             separate_physical_networks=bool(rng.next() & 1),
             request_vcs=1 + rng.below(2),
             reply_vcs=1 + rng.below(2),
+            bandwidth_factor=float(1 + rng.below(3)),
         )
         dims = (3 + rng.below(3), 3 + rng.below(3))
         permille = 20 + rng.below(300)
@@ -208,6 +213,81 @@ def test_randomized_configs_bit_identical():
         ref = _run_backend("object", dims, cfg, sched)
         got = _run_backend("vector", dims, cfg, sched)
         _assert_identical(ref, got)
+
+
+# ---------------------------------------------------------------------------
+# injection start rules (DESIGN.md §6.1 step 2), both kernels
+# ---------------------------------------------------------------------------
+
+
+def _local_occupancy(fabric, node, kind=NetKind.REQUEST):
+    """Flits buffered per VC of ``node``'s local input port on ``kind``."""
+    if isinstance(fabric, NocFabric):
+        return list(fabric.router_for(node, kind).occ[LOCAL_PORT])
+    K = fabric.kernel
+    row = (int(kind) if K.separate else 0) * K.n + node
+    return K.occ.reshape(K.R, K.P, K.V)[row, LOCAL_PORT].tolist()
+
+
+def _request(src, dst, size):
+    return Packet(src, dst, MessageType.READ_REQ, TrafficClass.GPU, size)
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_single_flit_packets_share_a_vc_within_a_cycle(backend):
+    """A VC that just took a whole single-flit packet is free again: at
+    bandwidth 2 both queued requests enter VC 0 in one cycle (the k-th
+    start does not take the k-th free VC)."""
+    fabric = build_fabric(backend, MeshTopology(4, 4),
+                          NocConfig(bandwidth_factor=2.0))
+    first, second = _request(0, 5, 1), _request(0, 10, 1)
+    assert fabric.nic(0).try_send(first, 0)
+    assert fabric.nic(0).try_send(second, 0)
+    fabric.step(0)
+    assert first.injected == second.injected == 0
+    assert _local_occupancy(fabric, 0) == [2, 0]
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_tail_frees_its_vc_for_a_start_in_the_same_cycle(backend):
+    """A worm started this cycle pushes only its header; the cycle its tail
+    is pushed, the next queued packet starts on the VC it released."""
+    fabric = build_fabric(backend, MeshTopology(4, 4),
+                          NocConfig(bandwidth_factor=2.0))
+    worm, follower = _request(0, 5, 2), _request(0, 10, 1)
+    assert fabric.nic(0).try_send(worm, 0)
+    fabric.step(0)
+    assert _local_occupancy(fabric, 0) == [1, 0]  # header only, budget 2
+    assert fabric.nic(0).try_send(follower, 1)
+    fabric.step(1)
+    assert follower.injected == 1
+    assert _local_occupancy(fabric, 0) == [3, 0]
+
+
+def test_packet_table_growth_bit_identical():
+    """More packets in flight than the packet table was built for: the
+    table doubles mid-run and every counter still equals the oracle's."""
+    rng = Lcg(5)
+    sched = []
+    for _ in range(120):
+        cyc = []
+        for _ in range(300):
+            src = rng.below(256)
+            dst = rng.below(255)
+            cyc.append((src, dst + (dst >= src), MessageType.READ_REQ,
+                        TrafficClass.GPU, 1, None))
+        sched.append(cyc)
+    cfg = NocConfig(node_injection_queue_packets=64, vc_depth_flits=8,
+                    vcs_per_port=4)
+    counters = {}
+    for backend in ("object", "vector"):
+        fabric = build_fabric(backend, MeshTopology(16, 16), cfg)
+        latencies: list = []
+        _drive(fabric, sched, latencies)
+        counters[backend] = _collect(fabric)
+        counters[backend]["latency_multiset"] = sorted(latencies)
+    _assert_identical(counters["object"], counters["vector"])
+    assert len(fabric.kernel.pk_obj) > 4096
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +397,7 @@ def test_system_bit_identical(mk_cfg):
     ("channel_width_bytes", 8),
 ], ids=["bw2", "shared", "8B"])
 def test_system_bit_identical_noc_variants(field, value):
-    """The memory lanes on the kernel's other two injection paths and at a
+    """The memory lanes at 2x bandwidth, on a shared network and at a
     channel width where a GPU reply is 17 flits, full system, DR on."""
     import conftest
 
