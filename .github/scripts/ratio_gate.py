@@ -7,13 +7,21 @@
 claims compare two ways of running the *same* commit, so they live here,
 all under one protocol:
 
-* ``vector``    three measurements: saturated 16x16 mesh, 500 cycles, the
-                vector backend is >= 3x the object kernel (typical margin
-                ~7x); ``mesh8x8_dr``, 800 cycles — 8 memory nodes,
-                delegation firing — >= 1.5x, so the memory lanes falling
-                back to per-node Python would fail CI; and the 16x16
-                schedule on a ``bandwidth_factor=2`` fabric, 300 cycles,
-                >= 3.5x (typical ~6x; a per-node injection loop is ~2.5x).
+* ``vector``    three bare-fabric measurements: saturated 16x16 mesh, 500
+                cycles, the vector backend is >= 3x the object kernel
+                (typical margin ~7x); ``mesh8x8_dr``, 800 cycles — 8
+                memory nodes, delegation firing — >= 1.5x, so the memory
+                lanes falling back to per-node Python would fail CI; and
+                the 16x16 schedule on a ``bandwidth_factor=2`` fabric, 300
+                cycles, >= 3.5x (typical ~6x; a per-node injection loop
+                is ~2.5x).  Then the two sides of the selection rule
+                (``repro.sim.engines.VECTOR_ABOVE_NODES``) on full
+                systems, HS + canneal, 200 warm-up + 300 timed cycles,
+                equal ``collect_counters``, 3 rounds: DR on a 12x12
+                mesh, the selected vector kernel >= 1.1x object (single
+                rounds read 1.0-1.3x, median 1.15x); the baseline on the
+                8x8, the selected object kernel >= 1.1x vector (1.25-
+                1.65x).
 * ``telemetry`` ``mesh8x8_dr``, 1200 cycles: light-mode telemetry costs
                 < 10% over telemetry off, and both fabrics end on
                 identical per-network counters.
@@ -88,8 +96,41 @@ def _vector_gate(
     )
 
 
+def _selection_gate(cfg, slower: str, threshold: float) -> Gate:
+    """Full-system HS + canneal on ``cfg``: the kernel the code selects for
+    it against ``slower``, the other one."""
+    from repro.sim.engines import select_backend
+    from repro.sim.metrics import collect_counters
+    from repro.sim.simulator import build_system
+
+    selected = select_backend(None, cfg.n_nodes, cfg.noc)
+    if selected == slower:
+        raise AssertionError(f"{slower} is selected where it should lose")
+    seen: Dict[str, dict] = {}
+
+    def run(backend: str) -> float:
+        system = build_system(cfg, "HS", "canneal", backend=backend)
+        system.run(200)  # untimed warm-up
+        t0 = time.perf_counter()
+        system.run(300)
+        wall = time.perf_counter() - t0
+        seen[backend] = collect_counters(system)
+        if len(seen) == 2 and seen[selected] != seen[slower]:
+            raise AssertionError("the two kernels ended on different counters")
+        return wall
+
+    name = f"{cfg.mechanism.value} {cfg.mesh_width}x{cfg.mesh_height}"
+    return Gate(
+        lambda: run(slower), lambda: run(selected), threshold, rounds=3,
+        describe=lambda r: f"{name}: selected {selected} {r:.2f}x {slower} "
+                           f"(needs >= {threshold:g}x)",
+    )
+
+
 def vector_gates() -> List[Gate]:
-    from repro.config.system import NocConfig
+    from repro.config import (
+        NocConfig, baseline_config, delegated_replies_config, table1_mix,
+    )
     from repro.noc import MeshTopology
     from repro.sim.engines import build_fabric
 
@@ -105,6 +146,10 @@ def vector_gates() -> List[Gate]:
             ),
             3.5,
         ),
+        _selection_gate(
+            delegated_replies_config(**table1_mix(12, 12)), "object", 1.1
+        ),
+        _selection_gate(baseline_config(), "vector", 1.1),
     ]
 
 

@@ -83,12 +83,7 @@ def noc_area(cfg: SystemConfig) -> AreaReport:
     noc = cfg.noc
     width = noc.channel_width_bytes * noc.bandwidth_factor
     topo = build_topology(noc.topology, cfg.mesh_width, cfg.mesh_height)
-    if noc.separate_physical_networks:
-        networks = 2
-        vcs = noc.vcs_per_port
-    else:
-        networks = 1
-        vcs = noc.request_vcs + noc.reply_vcs
+    networks, vcs = noc.physical_networks, noc.network_vcs
     buffers = crossbars = allocators = 0.0
     for rid in range(topo.n):
         ports = 1 + len(topo.neighbors(rid))

@@ -84,7 +84,6 @@ def explore(
     warmup: Optional[int] = None,
     cache="auto",
     progress=None,
-    backend: Optional[str] = None,
 ):
     """Multi-objective design-space search over a :class:`SearchSpace`.
 
@@ -117,7 +116,6 @@ def explore(
         warmup=warmup,
         cache=cache,
         progress=progress,
-        backend=backend,
     )
 
 
@@ -173,14 +171,16 @@ def simulate(
             recovery (see :mod:`repro.faults`).  ``None`` (the default)
             leaves the simulation bit-identical to a build without the
             fault layer.
-        backend: simulation engine to run on: ``"object"`` (the
-            per-object reference kernel, supports everything) or
-            ``"vector"`` (the struct-of-arrays batch kernel — much
-            faster on large or saturated meshes; no telemetry, adaptive
-            routing, or non-loss fault plans).  ``None`` (the default)
-            honours the ``REPRO_BACKEND`` environment variable and
-            falls back to ``"object"``.  Unknown or unusable choices
-            raise :class:`BackendError` with a one-line message; see
+        backend: kernel to run on: ``"object"`` (the per-object
+            reference kernel, runs everything) or ``"vector"`` (the
+            struct-of-arrays batch kernel; no telemetry, adaptive
+            routing, or non-loss fault plans).  The two return the same
+            numbers.  ``None`` (the default) honours the
+            ``REPRO_BACKEND`` environment variable, else takes the
+            faster kernel that can do the run — ``vector`` on a mesh of
+            more than 100 nodes (:func:`repro.sim.engines.
+            select_backend`).  Unknown or unusable choices raise
+            :class:`BackendError` with a one-line message; see
             :func:`available_backends`.
     """
     return run_simulation(

@@ -11,7 +11,6 @@ building them through these helpers:
 ``--out PATH``   primary output file
 ``--seed N``     override the config's RNG seed
 ``--format F``   human table vs machine JSON on stdout
-``--backend B``  simulation engine (object | vector)
 ``--mechanism M`` reply-delivery mechanism (baseline | rp | dr)
 
 Nothing about a design point is declared here.  The mechanism spellings
@@ -125,18 +124,6 @@ def add_format_option(
 ) -> None:
     parser.add_argument(
         "--format", choices=OUTPUT_FORMATS, default=default, help=help
-    )
-
-
-def add_backend_option(
-    parser: argparse.ArgumentParser,
-    help: str = "simulation engine "
-    "(default: $REPRO_BACKEND or the command's built-in)",
-) -> None:
-    from repro.sim.engines import available_backends
-
-    parser.add_argument(
-        "--backend", choices=available_backends(), default=None, help=help
     )
 
 

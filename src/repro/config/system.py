@@ -168,14 +168,46 @@ class NocConfig:
     #: bandwidth multiplier applied to every link (2.0 doubles NoC bandwidth
     #: by letting each link move 2 flits/cycle, as in Fig. 5).
     bandwidth_factor: float = _spec(1.0, lo=1, whole=True)
-    #: CPU packets win switch allocation over GPU packets when True.
-    cpu_priority: bool = True
+    #: Table I's CPU-over-GPU priority, stated for the record: every
+    #: arbiter ranks CPU packets first and nothing reads this to switch
+    #: that off, so ``False`` still simulates the priority.
+    cpu_priority: bool = _spec(True, identity=False)
 
     @property
     def link_flits_per_cycle(self) -> int:
         """Flits every link moves per cycle: ``bandwidth_factor`` as the
         whole number the fabrics, metrics and surrogate all count in."""
         return max(1, round(self.bandwidth_factor))
+
+    # The fabric as both kernels, the area model and the surrogate read
+    # it: nothing else looks at the VC and pipeline fields above.
+
+    @property
+    def physical_networks(self) -> int:
+        """Two (a request and a reply network) or one shared by both."""
+        return 2 if self.separate_physical_networks else 1
+
+    @property
+    def network_vcs(self) -> int:
+        """VCs per port of one physical network."""
+        if self.separate_physical_networks:
+            return self.vcs_per_port
+        return self.request_vcs + self.reply_vcs
+
+    @property
+    def vc_ranges(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """The ``(lo, hi)`` VCs a request / a reply may use on its
+        physical network, indexed by ``NetKind``: all of them on its own
+        network, its virtual network's share of a shared one."""
+        if self.separate_physical_networks:
+            return ((0, self.vcs_per_port),) * 2
+        return (0, self.request_vcs), (self.request_vcs, self.network_vcs)
+
+    @property
+    def hop_cycles(self) -> int:
+        """Cycles a head flit spends per hop: the router pipeline, whose
+        last stage overlaps the link traversal."""
+        return self.router_pipeline_cycles - 1 + self.link_cycles
 
     def flits_for(self, payload_bytes: int) -> int:
         """Number of flits for a packet carrying ``payload_bytes`` of data.
@@ -250,10 +282,13 @@ class DramConfig:
     banks: int = 16
     t_cl: int = 12
     t_rp: int = 12
-    t_rc: int = 40
-    t_ras: int = 28
+    #: Table I values stated for the record: the bank model times an
+    #: access from ``t_rp`` / ``t_rcd`` / ``t_cl`` / ``t_ccd`` / ``t_wr``
+    #: and the burst, and never reads these three.
+    t_rc: int = _spec(40, identity=False)
+    t_ras: int = _spec(28, identity=False)
     t_rcd: int = 12
-    t_rrd: int = 6
+    t_rrd: int = _spec(6, identity=False)
     t_ccd: int = 2
     t_wr: int = 12
     #: data-burst cycles per 128 B access; sets peak per-controller bandwidth.
@@ -269,9 +304,10 @@ class GpuCoreConfig:
     warps: int = 48
     #: memory instructions issued per warp slot per cycle.
     issue_width: int = 1
-    #: instructions retired per issued memory operation (amortises the
-    #: compute instructions between memory operations).
-    insts_per_mem_op: int = 8
+    #: instructions retired per issued memory operation.  Superseded:
+    #: each GPU benchmark profile's ``compute_gap`` states the compute
+    #: between its memory operations, and nothing reads this.
+    insts_per_mem_op: int = _spec(8, identity=False)
 
 
 @dataclass

@@ -11,7 +11,7 @@ design tool that searches that space.  The pieces:
 * :mod:`repro.explore.pareto` — dominance, non-dominated sorting,
   crowding, hypervolume and the :class:`ParetoFrontier` container.
 * :mod:`repro.explore.env` — :class:`ExploreEnv`: a space bound to a
-  window and backend; memoised surrogate ``evaluate`` + sweep ``spec``.
+  window; memoised surrogate ``evaluate`` + sweep ``spec``.
 * :mod:`repro.explore.search` — seeded NSGA-II + random-search baseline
   and the hybrid :func:`explore` driver (surrogate-screen everything,
   simulate only frontier-band survivors through the sweep cache).

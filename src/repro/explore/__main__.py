@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table
 from repro.cli import (
-    add_backend_option,
     add_batch_option,
     add_format_option,
     add_jobs_option,
@@ -117,7 +116,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         cache=args.cache_dir if args.cache_dir else "auto",
         progress=progress,
-        backend=args.backend,
     )
     manifest = outcome.manifest()
     if args.out:
@@ -282,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_seed_option(run, help="search RNG seed (default: 0)")
     add_window_options(run)
-    add_backend_option(run, help="simulation engine for the ground-truth "
-                                 "promotions (surrogate scoring is "
-                                 "backend-free)")
     add_jobs_option(run)
     add_batch_option(run)
     add_out_option(run, help="write the frontier manifest JSON here")

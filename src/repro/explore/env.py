@@ -1,8 +1,8 @@
 """Evaluation substrate of the search: genome -> surrogate score, job.
 
 :class:`ExploreEnv` binds a :class:`SearchSpace` to a simulation window
-and backend and answers the two questions the search policies ask of a
-genome: ``evaluate()`` scores it with the analytical surrogate
+and answers the two questions the search policies ask of a genome:
+``evaluate()`` scores it with the analytical surrogate
 (milliseconds, memoised by config hash so inert-gene duplicates are
 free) and ``spec()`` names the cycle-level simulation that would
 ground-truth it.  The hybrid driver (:func:`repro.explore.search.explore`)
@@ -89,7 +89,7 @@ class EvalRecord:
 
 
 class ExploreEnv:
-    """A search space bound to a simulation window and backend."""
+    """A search space bound to a simulation window."""
 
     def __init__(
         self,
@@ -97,14 +97,10 @@ class ExploreEnv:
         *,
         cycles: Optional[int] = None,
         warmup: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.space = demo_space(space) if isinstance(space, str) else space
         self.cycles = self.space.cycles if cycles is None else cycles
         self.warmup = self.space.warmup if warmup is None else warmup
-        #: simulation engine ground-truth promotions run on (None:
-        #: $REPRO_BACKEND / object — see repro.sim.engines)
-        self.backend = backend
         self._memo: Dict[Tuple[str, str], EvalRecord] = {}
         #: unique designs scored so far
         self.evaluations = 0
@@ -132,7 +128,6 @@ class ExploreEnv:
                 gpu,
                 cfg.config_hash()[:8],
             ),
-            backend=self.backend,
         )
 
     def evaluate(self, genome: Genome) -> EvalRecord:

@@ -46,7 +46,6 @@ from repro.explore.pareto import (
     non_dominated_sort,
 )
 from repro.explore.space import Genome, SearchSpace, demo_space
-from repro.sim.engines import resolve_backend
 from repro.sweep.cache import ENV_CACHE_DIR, ResultCache
 from repro.sweep.runner import SweepRunner, stall_shares
 
@@ -303,7 +302,6 @@ class ExploreOutcome:
     population: int
     cycles: int
     warmup: int
-    backend: str
     surrogate_only: bool
     sim_fraction: float
     records: List[EvalRecord]
@@ -337,7 +335,6 @@ class ExploreOutcome:
                 "population": self.population,
                 "cycles": self.cycles,
                 "warmup": self.warmup,
-                "backend": self.backend,
                 "surrogate_only": self.surrogate_only,
                 "sim_fraction": self.sim_fraction,
             },
@@ -493,7 +490,6 @@ def explore(
     warmup: Optional[int] = None,
     cache: Union[ResultCache, str, None] = "auto",
     progress: Optional[ProgressFn] = None,
-    backend: Optional[str] = None,
 ) -> ExploreOutcome:
     """Run one hybrid design-space exploration; see module docstring.
 
@@ -506,7 +502,7 @@ def explore(
     space = demo_space(space) if isinstance(space, str) else space
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algo {algo!r}; choose from {ALGORITHMS}")
-    env = ExploreEnv(space, cycles=cycles, warmup=warmup, backend=backend)
+    env = ExploreEnv(space, cycles=cycles, warmup=warmup)
 
     if progress:
         progress(
@@ -607,7 +603,6 @@ def explore(
         population=population,
         cycles=env.cycles,
         warmup=env.warmup,
-        backend=resolve_backend(backend),
         surrogate_only=surrogate_only,
         sim_fraction=sim_fraction,
         records=records,

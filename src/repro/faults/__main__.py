@@ -31,7 +31,6 @@ import json
 import sys
 
 from repro.cli import (
-    add_backend_option,
     add_batch_option,
     add_format_option,
     add_jobs_option,
@@ -55,17 +54,13 @@ def _add_workload_options(p: argparse.ArgumentParser) -> None:
 
 def _build_plan(args, cfg, cycles: int, warmup: int):
     from repro.faults.plan import FaultPlan, chaos_plan
-    from repro.sim.engines import resolve_backend
 
     if getattr(args, "plan", None):
         with open(args.plan) as fh:
             return FaultPlan.from_dict(json.load(fh))
-    # the vector backend only injects loss faults, so a generated chaos
-    # plan for it skips the link-down/up schedule instead of erroring
-    loss_only = resolve_backend(getattr(args, "backend", None)) == "vector"
     return chaos_plan(
         cfg, args.intensity, seed=args.seed or 0,
-        warmup=warmup, cycles=cycles, link_down=not loss_only,
+        warmup=warmup, cycles=cycles,
     )
 
 
@@ -83,10 +78,9 @@ def cmd_run(args) -> int:
     plan = _build_plan(args, cfg, cycles, warmup)
     cpu = args.cpu or cpu_corunners(args.gpu, 1)[0]
 
-    # --backend vector with a link-down plan is a BackendError here
-    system = build_system(
-        cfg, args.gpu, cpu, faults=plan, backend=args.backend
-    )
+    # the plan picks the kernel: link-down/up events need the object one
+    # (a BackendError here under REPRO_BACKEND=vector)
+    system = build_system(cfg, args.gpu, cpu, faults=plan)
     result = run_simulation(
         cfg, args.gpu, cpu, cycles=cycles, warmup=warmup, system=system
     )
@@ -198,9 +192,6 @@ def main(argv=None) -> int:
                        help="chaos intensity in [0,1] (default 0.1)")
     run_p.add_argument("--plan", default=None,
                        help="JSON FaultPlan file (overrides --intensity)")
-    add_backend_option(run_p,
-                       help="simulation engine; vector accepts loss-only "
-                            "plans (flit_drop/flit_corrupt)")
     add_format_option(run_p)
 
     plan_p = sub.add_parser("plan", help="emit a chaos FaultPlan as JSON")

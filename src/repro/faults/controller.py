@@ -53,7 +53,7 @@ from repro.faults.plan import (
     RouterFreeze,
     sorted_events,
 )
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.noc.packet import MessageType, Packet, TrafficClass
 from repro.noc.topology import PartitionedTopologyError, degraded_route_table
 
 __all__ = ["FaultController", "PartitionedTopologyError", "quiesce"]
@@ -107,7 +107,7 @@ class FaultController:
         #: per-net per-directed-link [p_drop, p_corrupt]
         self._lossy: Dict[str, Dict[Tuple[int, int], List[float]]] = {}
         #: per-net healthy next-hop tables while the link mask is dirty
-        self._detour: Dict[str, List[List[int]]] = {}
+        self._detour: Dict[str, Optional[List[List[int]]]] = {}
         #: pid -> damage kind (0 drop, 1 corrupt) for in-flight packets
         self._damaged: Dict[int, int] = {}
         #: retransmit guard: (node, group, block) -> entry list
@@ -177,10 +177,11 @@ class FaultController:
         return self._nets
 
     def _ports(self, net, a: int, b: int, bidir: bool):
+        port_of = net.topology.port_of
         try:
-            ports = [(a, net._port_of[a][b])]
+            ports = [(a, port_of[a][b])]
             if bidir:
-                ports.append((b, net._port_of[b][a]))
+                ports.append((b, port_of[b][a]))
         except KeyError:
             raise ValueError(
                 f"fault names link {a}<->{b}, but those routers are not "
@@ -229,21 +230,13 @@ class FaultController:
 
     def _refresh_link_state(self, net) -> None:
         down = self._down[net.name]
-        if down:
-            # raises PartitionedTopologyError when a destination becomes
-            # unreachable — fail fast rather than silently losing traffic
-            tbl = self._detour[net.name] = degraded_route_table(
-                net.topology, net._port_of, down
-            )
-            # swap the detours in where the dimension-order tables were
-            kinds = {NetKind.REQUEST: tbl, NetKind.REPLY: tbl}
-            net._dor_tables = kinds
-            if not net.routing.adaptive:
-                net._det_tables = kinds
-        else:
-            # healthy again: restore the configured dimension-order tables
-            self._detour.pop(net.name, None)
-            net._build_route_tables()
+        # raises PartitionedTopologyError when a destination becomes
+        # unreachable — fail fast rather than silently losing traffic
+        detour = degraded_route_table(net.topology, down) if down else None
+        self._detour[net.name] = detour
+        # the detours go in where the dimension-order tables were; healthy
+        # again (None), the configured dimension-order tables come back
+        net.set_route_tables(detour)
         self._wake_all(net)
 
     def _wake_all(self, net) -> None:

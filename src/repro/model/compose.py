@@ -460,16 +460,18 @@ def predict(
     rate_cap = rate_mem
     saturated = False
     # request packets the fabric can actually park in front of a later
-    # arrival (see UPSTREAM_PKTS_MAX): VC buffers per router hop short
-    # of the memory router itself, or — on single-stage / short-path
+    # arrival (see UPSTREAM_PKTS_MAX): the VC buffers a request may use
+    # per router hop short of the memory router itself, or — on
+    # single-stage / short-path
     # topologies where the path holds nothing — the head-of-line slots
     # of the other sources contending at the final switch (~half a
     # request per GPU source; the rest of their backlog parks in private
     # injection queues where it delays nobody).
+    req_lo, req_hi = cfg.noc.vc_ranges[NetKind.REQUEST]
     upstream_pkts_cap = min(
         UPSTREAM_PKTS_MAX,
         max(
-            cfg.noc.vcs_per_port * cfg.noc.vc_depth_flits
+            (req_hi - req_lo) * cfg.noc.vc_depth_flits
             * (groups["gpu_req"].mean_hops - 1.0),
             0.5 * n_gpu,
         ),

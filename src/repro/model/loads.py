@@ -67,9 +67,7 @@ class NetworkModel:
         self.bandwidth = cfg.noc.link_flits_per_cycle
         #: head-flit cycles spent per hop (router pipeline + link), the
         #: same constant the router model is built with.
-        self.hop_cycles = (
-            cfg.noc.router_pipeline_cycles - 1 + cfg.noc.link_cycles
-        )
+        self.hop_cycles = cfg.noc.hop_cycles
         self._route_cache: Dict[Tuple[int, int, DimensionOrder], List[int]] = {}
 
     # -- routing ----------------------------------------------------------

@@ -11,7 +11,7 @@ them on the right physical network and VC range.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic, NodeInterface
@@ -19,6 +19,9 @@ from repro.noc.packet import NetKind, Packet
 from repro.noc.router import LOCAL_PORT, Router
 from repro.noc.routing import RoutingAlgorithm, build_routing
 from repro.noc.topology import BaseTopology
+
+#: the physical networks' names, by how many there are
+NETWORK_NAMES = {1: ("shared",), 2: ("request", "reply")}
 
 
 class PhysicalNetwork:
@@ -30,15 +33,14 @@ class PhysicalNetwork:
         topology: BaseTopology,
         cfg: NocConfig,
         routing: RoutingAlgorithm,
-        vcs: int,
-        vc_range_for: Callable[[Packet], Tuple[int, int]],
     ) -> None:
         self.name = name
         self.topology = topology
         self.cfg = cfg
         self.routing = routing
-        self.vcs = vcs
-        self.vc_range = vc_range_for
+        self.vcs = cfg.network_vcs
+        #: ``(lo, hi)`` VCs a packet may use here, indexed by ``pkt.net``
+        self.vc_ranges = cfg.vc_ranges
         self.bandwidth = cfg.link_flits_per_cycle
         self.escape_vc_active = routing.adaptive
         #: attached telemetry collector (None = disabled; hooks are one
@@ -59,31 +61,24 @@ class PhysicalNetwork:
         #: routers currently frozen by a RouterFreeze event.
         self.fault_frozen: frozenset = frozenset()
         self.nics: List[NodeInterface] = []
-        n = topology.n
-        self.routers: List[Router] = []
-        #: per-router map neighbour-id -> output-port index
-        self._port_of: List[Dict[int, int]] = []
-        for rid in range(n):
-            neighbors = topology.neighbors(rid)
-            router = Router(
+        port_of = self._port_of = topology.port_of
+        self.routers: List[Router] = [
+            Router(
                 rid,
                 self,
-                nports=1 + len(neighbors),
-                vcs=vcs,
+                nports=1 + len(ports),
+                vcs=self.vcs,
                 vc_cap=cfg.vc_depth_flits,
-                pipeline=cfg.router_pipeline_cycles - 1 + cfg.link_cycles,
+                pipeline=cfg.hop_cycles,
             )
-            self.routers.append(router)
-            self._port_of.append(
-                {nb: 1 + i for i, nb in enumerate(neighbors)}
-            )
+            for rid, ports in enumerate(port_of)
+        ]
         # wire downstream pointers (and the reverse upstream pointers the
         # drain-wake credit events need)
-        for rid in range(n):
-            router = self.routers[rid]
-            for nb, port in self._port_of[rid].items():
+        for router, ports in zip(self.routers, port_of):
+            for nb, port in ports.items():
                 down = self.routers[nb]
-                dport = self._port_of[nb][rid]
+                dport = port_of[nb][router.rid]
                 router.downstream[port] = (down, dport)
                 down.upstream[dport] = router
         #: flits moved per directed link, indexed [rid][oport]
@@ -101,37 +96,30 @@ class PhysicalNetwork:
         #: min-heap of (cycle, rid) wake-ups for routers sleeping through
         #: a known pipeline dwell
         self._wakes: List[Tuple[int, int]] = []
-        self._build_route_tables()
+        self.set_route_tables()
 
     # -- routing tables -------------------------------------------------
 
-    def _build_route_tables(self) -> None:
-        """Precompute per-(router, destination) output ports for the two
-        dimension orders in use.
+    def set_route_tables(
+        self, detour: Optional[List[List[int]]] = None
+    ) -> None:
+        """Route on the topology's dimension-order tables for the
+        configured request / reply orders, or — while links are down —
+        on one ``detour`` table (``table[rid][dst] -> port``) for both.
 
-        ``_dor_tables[net_kind][rid][dst]`` is the port a dimension-order
-        hop takes (``LOCAL_PORT`` when ``dst == rid``); the escape-VC check
-        always uses it.  When the configured policy is deterministic (CDR)
+        ``_dor_tables[pkt.net][rid][dst]`` is the port the escape-VC check
+        always uses.  When the configured policy is deterministic (CDR)
         the same tables back ``route`` directly, turning the per-flit
         topology walk into two list lookups.
         """
-        topo, cfg = self.topology, self.cfg
-        n = topo.n
-        per_order: Dict[object, List[List[int]]] = {}
-        for order in {cfg.request_order, cfg.reply_order}:
-            tbl = []
-            for rid in range(n):
-                port_of = self._port_of[rid]
-                row = [LOCAL_PORT] * n
-                for dst in range(n):
-                    if dst != rid:
-                        row[dst] = port_of[topo.route_next(rid, dst, order)]
-                tbl.append(row)
-            per_order[order] = tbl
-        self._dor_tables: Dict[NetKind, List[List[int]]] = {
-            NetKind.REQUEST: per_order[cfg.request_order],
-            NetKind.REPLY: per_order[cfg.reply_order],
-        }
+        if detour is None:
+            topo, cfg = self.topology, self.cfg
+            self._dor_tables = (
+                topo.dor_ports(cfg.request_order),
+                topo.dor_ports(cfg.reply_order),
+            )
+        else:
+            self._dor_tables = (detour, detour)
         self._det_tables = None if self.routing.adaptive else self._dor_tables
 
     # -- hooks used by routers -----------------------------------------
@@ -269,46 +257,17 @@ class NocFabric:
         self.bandwidth = cfg.link_flits_per_cycle
         routing = build_routing(topology, cfg)
         self.routing = routing
-        if self.separate_networks:
-            vcs = cfg.vcs_per_port
-
-            def full_range(pkt: Packet, _v: int = vcs) -> Tuple[int, int]:
-                return (0, _v)
-
-            self.request_net = PhysicalNetwork(
-                "request", topology, cfg, routing, vcs, full_range
-            )
-            self.reply_net = PhysicalNetwork(
-                "reply", topology, cfg, routing, vcs, full_range
-            )
-            self._nets = {
-                NetKind.REQUEST: self.request_net,
-                NetKind.REPLY: self.reply_net,
-            }
-        else:
-            vcs = cfg.request_vcs + cfg.reply_vcs
-
-            def split_range(
-                pkt: Packet,
-                _rq: int = cfg.request_vcs,
-                _total: int = vcs,
-            ) -> Tuple[int, int]:
-                if pkt.net is NetKind.REQUEST:
-                    return (0, _rq)
-                return (_rq, _total)
-
-            shared = PhysicalNetwork(
-                "shared", topology, cfg, routing, vcs, split_range
-            )
-            self.request_net = shared
-            self.reply_net = shared
-            self._nets = {NetKind.REQUEST: shared, NetKind.REPLY: shared}
         #: the distinct physical networks, in deterministic stepping order
-        self._net_list: Tuple[PhysicalNetwork, ...] = (
-            (self.request_net,)
-            if self.request_net is self.reply_net
-            else (self.request_net, self.reply_net)
+        self._net_list: Tuple[PhysicalNetwork, ...] = tuple(
+            PhysicalNetwork(name, topology, cfg, routing)
+            for name in NETWORK_NAMES[cfg.physical_networks]
         )
+        self.request_net, self.reply_net = self._net_list[0], self._net_list[-1]
+        self._nets = {
+            NetKind.REQUEST: self.request_net,
+            NetKind.REPLY: self.reply_net,
+        }
+        self._vc_ranges = cfg.vc_ranges
         mem_set = set(mem_nodes)
         self.nics: List[NodeInterface] = []
         for node in range(topology.n):
@@ -364,7 +323,7 @@ class NocFabric:
         return self._nets[net].routers[node]
 
     def vc_range_for(self, pkt: Packet) -> Tuple[int, int]:
-        return self._nets[pkt.net].vc_range(pkt)
+        return self._vc_ranges[pkt.net]
 
     # -- simulation -----------------------------------------------------
 

@@ -353,7 +353,7 @@ class Router:
         self, iport: int, ivc: int, oport: int, pkt: Packet, down, dport
     ) -> bool:
         """Allocate a downstream VC with credit for a worm's header."""
-        vlo, vhi = self.net.vc_range(pkt)
+        vlo, vhi = self.net.vc_ranges[pkt.net]
         escape_only_dor = self.net.escape_vc_active
         for vc in range(vlo, vhi):
             if escape_only_dor and vc == vlo and oport != self.net.dor_port(self, pkt):

@@ -8,12 +8,19 @@ topology-independent (Section III-B, Fig. 5).
 
 A topology provides the adjacency (``neighbors``), a deterministic minimal
 route (``route_next``), and for the mesh the set of minimal next hops used
-by the adaptive routing schemes (``adaptive_candidates``).
+by the adaptive routing schemes (``adaptive_candidates``).  It is also the
+one description of the fabric's wiring every kernel is built from: which
+output port of a router faces which neighbour (``port_of``) and the
+dimension-order output port per (router, destination) (``dor_ports``).
+A topology never changes once constructed, so :func:`build_topology`
+hands every caller of one shape the same object and its tables are built
+once per process.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.config.system import DimensionOrder, Topology as TopologyKind
@@ -29,9 +36,7 @@ class PartitionedTopologyError(RuntimeError):
 
 
 def degraded_route_table(
-    topo: "BaseTopology",
-    port_of: Sequence[Dict[int, int]],
-    down: Set[Tuple[int, int]],
+    topo: "BaseTopology", down: Set[Tuple[int, int]]
 ) -> List[List[int]]:
     """Healthy next-hop table detouring around down links.
 
@@ -43,7 +48,7 @@ def degraded_route_table(
     the local/ejection port, when ``dst == rid``); raises
     :class:`PartitionedTopologyError` when any pair is disconnected.
     """
-    n = topo.n
+    n, port_of = topo.n, topo.port_of
     healthy: List[List[int]] = [
         sorted(
             nb for nb in topo.neighbors(rid)
@@ -93,6 +98,7 @@ class BaseTopology:
     def __init__(self, n: int) -> None:
         self.n = n
         self._neighbors: List[List[int]] = [[] for _ in range(n)]
+        self._dor_ports: Dict[DimensionOrder, List[List[int]]] = {}
 
     def _connect(self, a: int, b: int) -> None:
         """Add a bidirectional link between routers ``a`` and ``b``."""
@@ -102,6 +108,35 @@ class BaseTopology:
 
     def neighbors(self, router: int) -> Sequence[int]:
         return self._neighbors[router]
+
+    @cached_property
+    def port_of(self) -> List[Dict[int, int]]:
+        """Per router, neighbour id -> output port: port 0 is the local
+        (injection / ejection) port, neighbour ``i`` sits on port
+        ``1 + i``."""
+        return [
+            {nb: 1 + i for i, nb in enumerate(nbrs)}
+            for nbrs in self._neighbors
+        ]
+
+    def dor_ports(self, order: DimensionOrder) -> List[List[int]]:
+        """``table[rid][dst]`` -> output port of the dimension-order hop
+        (port 0, ejection, when ``dst == rid``).
+
+        Built once per order and shared, read-only, by every network of
+        every fabric on this topology.
+        """
+        table = self._dor_ports.get(order)
+        if table is None:
+            route_next = self.route_next
+            table = self._dor_ports[order] = [
+                [
+                    0 if dst == rid else ports[route_next(rid, dst, order)]
+                    for dst in range(self.n)
+                ]
+                for rid, ports in enumerate(self.port_of)
+            ]
+        return table
 
     def links(self) -> List[Tuple[int, int]]:
         """All undirected inter-router links (for the area/energy models)."""
@@ -290,8 +325,10 @@ class DragonflyTopology(BaseTopology):
         return hops
 
 
+@lru_cache(maxsize=16)
 def build_topology(kind: TopologyKind, width: int, height: int) -> BaseTopology:
-    """Construct the requested topology for a ``width x height`` node grid."""
+    """The requested topology for a ``width x height`` node grid (shared:
+    every caller asking for one shape gets the same immutable object)."""
     n = width * height
     if kind is TopologyKind.MESH:
         return MeshTopology(width, height)

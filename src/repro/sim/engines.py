@@ -1,43 +1,46 @@
-"""Backend-selection layer: the simulation-engine registry.
+"""Which kernel steps the NoC fabric: one rule, decided here and only here.
 
-``repro.api.simulate()`` (and every CLI behind it) picks a *backend* — an
-implementation of the NoC fabric's per-cycle kernel:
+Two implementations of the per-cycle contract of DESIGN.md §6.1 return
+the same counters, so the choice between them is a speed choice, never a
+modelling one: ``object``, the per-object kernel
+(:class:`repro.noc.network.NocFabric`) that runs everything and is the
+readable oracle, and ``vector``, the struct-of-arrays batch kernel
+(:class:`repro.sim.vector.fabric.VectorFabric`) whose cost barely grows
+with node count and which lacks what :data:`OBJECT_ONLY` lists.
 
-``object``
-    The per-object kernel (:class:`repro.noc.network.NocFabric`): Python
-    routers/NICs stepped by the active-set scheduler.  Supports
-    everything (telemetry, adaptive routing, every fault plan) and is the
-    readable oracle the fast path is validated against.
-
-``vector``
-    The struct-of-arrays batch kernel
-    (:class:`repro.sim.vector.fabric.VectorFabric`): flit/VC/credit/link
-    state in preallocated numpy arrays, the whole network advanced in
-    batch per-cycle array ops.  ~10x the object kernel on saturated
-    meshes; validated counter-identical to the object kernel (both
-    implement the per-cycle contract of DESIGN.md §6.1).  Unsupported
-    features fail fast with a one-line :class:`BackendError` instead of
-    silently diverging.
-
-The two return the same numbers, so choosing a backend is a speed
-choice, never a modelling one.
-
-The registry is deliberately tiny: a name → (build, check) table plus the
-three helpers the rest of the tree uses.  ``resolve_backend(None)`` honours
-the ``REPRO_BACKEND`` environment variable so whole pipelines can be
-switched without touching call sites.
+:func:`select_backend` picks: with no name, the faster kernel that can do
+the run; with a name — the ``backend=`` argument where one run is built,
+else ``$REPRO_BACKEND``, the override every entry point honours so any
+command can be cross-checked on the other kernel — it checks and obeys.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-#: environment variable consulted when no explicit backend is passed.
+from repro.config.system import NocConfig, RoutingPolicy, Topology
+
+#: names a kernel for every run that does not pass ``backend=``.
 ENV_VAR = "REPRO_BACKEND"
 
-#: the backend used when neither the caller nor the environment chose one.
-DEFAULT_BACKEND = "object"
+#: the vector kernel is the faster one on a mesh of more than this many
+#: nodes, and on no other topology at any size tried: the measured table
+#: is DESIGN.md §12, and ``ratio_gate.py vector`` re-measures both sides.
+VECTOR_ABOVE_NODES = 100
+
+#: what a run can need that only the object kernel has: what an error
+#: calls it, and the test for it.  Closing one of the vector kernel's gaps
+#: deletes its row.
+OBJECT_ONLY = (
+    ("telemetry", lambda noc, telemetry, faults: telemetry),
+    ("adaptive routing", lambda noc, telemetry, faults:
+        noc.routing is not RoutingPolicy.CDR),
+    ("link-down or router-freeze fault events", lambda noc, telemetry, faults:
+        faults is not None
+        and any(ev.kind not in ("flit_drop", "flit_corrupt")
+                for ev in faults.events)),
+)
 
 
 class BackendError(ValueError):
@@ -48,92 +51,50 @@ class BackendError(ValueError):
     """
 
 
-# -- engine implementations -------------------------------------------------
-
-
-def _build_object(topology, noc_cfg, mem_nodes):
-    from repro.noc.network import NocFabric
-
-    return NocFabric(topology, noc_cfg, mem_nodes=mem_nodes)
-
-
-def _check_object(telemetry_enabled: bool, faults) -> None:
-    return None  # the object kernel supports everything
-
-
-def _build_vector(topology, noc_cfg, mem_nodes):
-    from repro.sim.vector.fabric import VectorFabric
-
-    return VectorFabric(topology, noc_cfg, mem_nodes=mem_nodes)
-
-
-def _check_vector(telemetry_enabled: bool, faults) -> None:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        raise BackendError(
-            "backend 'vector' requires numpy, which is not installed; "
-            "use backend='object'"
-        ) from None
-    if telemetry_enabled:
-        raise BackendError(
-            "backend 'vector' does not support telemetry; "
-            "use backend='object' for traced runs"
-        )
-    if faults is not None:
-        for ev in faults.events:
-            if ev.kind not in ("flit_drop", "flit_corrupt"):
-                raise BackendError(
-                    f"backend 'vector' does not support fault event "
-                    f"'{ev.kind}'; use backend='object' for "
-                    f"link-down/router-freeze plans"
-                )
-
-
-#: name -> {"build": (topology, noc_cfg, mem_nodes) -> fabric,
-#:          "check": (telemetry_enabled, faults) -> None | raises}
-_ENGINES: Dict[str, Dict[str, Callable]] = {
-    "object": {"build": _build_object, "check": _check_object},
-    "vector": {"build": _build_vector, "check": _check_vector},
-}
-
-
-# -- public helpers ---------------------------------------------------------
-
-
 def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_ENGINES))
+    """The kernel names, sorted."""
+    return ("object", "vector")
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name: explicit > ``$REPRO_BACKEND`` > default.
+def select_backend(
+    name: Optional[str],
+    n_nodes: int,
+    noc_cfg: NocConfig,
+    telemetry: bool = False,
+    faults=None,
+) -> str:
+    """The kernel for one run: ``name`` (else ``$REPRO_BACKEND``) checked
+    and obeyed, else the faster kernel that can do the run.
 
-    Raises :class:`BackendError` (one line) for unknown names.
+    Raises a one-line :class:`BackendError` for an unknown name and for
+    ``vector`` named together with something on :data:`OBJECT_ONLY`.
     """
-    if name is None:
-        name = os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-    if name not in _ENGINES:
+    needs = [
+        need for need, test in OBJECT_ONLY if test(noc_cfg, telemetry, faults)
+    ]
+    name = name or os.environ.get(ENV_VAR)
+    if not name:
+        big_mesh = (
+            noc_cfg.topology is Topology.MESH and n_nodes > VECTOR_ABOVE_NODES
+        )
+        return "vector" if big_mesh and not needs else "object"
+    if name not in available_backends():
         raise BackendError(
             f"unknown backend {name!r} "
             f"(available: {', '.join(available_backends())})"
         )
-    return name
-
-
-def validate_backend(
-    name: Optional[str] = None,
-    *,
-    telemetry: bool = False,
-    faults=None,
-) -> str:
-    """Resolve ``name`` and check it supports the requested features."""
-    name = resolve_backend(name)
-    _ENGINES[name]["check"](telemetry, faults)
+    if name == "vector" and needs:
+        raise BackendError(
+            f"backend 'vector' does not support {needs[0]}; "
+            "use backend='object'"
+        )
     return name
 
 
 def build_fabric(name: Optional[str], topology, noc_cfg, mem_nodes=()):
-    """Construct the fabric for ``name`` (resolving env/default)."""
-    name = resolve_backend(name)
-    return _ENGINES[name]["build"](topology, noc_cfg, tuple(mem_nodes))
+    """Construct the fabric on the kernel :func:`select_backend` gives."""
+    if select_backend(name, topology.n, noc_cfg) == "vector":
+        from repro.sim.vector.fabric import VectorFabric as Fabric
+    else:
+        from repro.noc.network import NocFabric as Fabric
+    return Fabric(topology, noc_cfg, mem_nodes=tuple(mem_nodes))

@@ -81,9 +81,9 @@ def run_simulation(
             arguments are ignored for construction then).
         faults: optional :class:`~repro.faults.plan.FaultPlan` installing
             the fault-injection layer (see :mod:`repro.faults`).
-        backend: simulation engine name (``"object"`` | ``"vector"``;
-            see :mod:`repro.sim.engines`).  ``None`` honours
-            ``$REPRO_BACKEND`` and defaults to ``"object"``.
+        backend: kernel to run on (``"object"`` | ``"vector"``).  ``None``
+            honours ``$REPRO_BACKEND``, else takes the faster kernel that
+            can do the run (:func:`repro.sim.engines.select_backend`).
     """
     if system is None:
         system = build_system(

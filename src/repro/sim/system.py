@@ -27,7 +27,7 @@ from repro.gpu.shared_l1 import (
 from repro.mem.address import AddressMap
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.topology import build_topology
-from repro.sim.engines import build_fabric, validate_backend
+from repro.sim.engines import build_fabric, select_backend
 from repro.sim.layout import NodePlacement, build_layout
 from repro.sim.memory_node import MemoryNode
 from repro.telemetry.collector import TelemetryCollector
@@ -77,10 +77,10 @@ class HeterogeneousSystem:
     ) -> None:
         cfg = _apply_sim_scale(cfg.validate())
         self.cfg = cfg
-        # resolve + feature-check the simulation backend up front so an
-        # unusable combination fails with one line before any wiring
-        self.backend = validate_backend(
-            backend, telemetry=cfg.telemetry.enabled, faults=faults
+        # choose the kernel up front, so a named one that cannot do this
+        # run fails with one line before any wiring
+        self.backend = select_backend(
+            backend, cfg.n_nodes, cfg.noc, cfg.telemetry.enabled, faults
         )
         self.layout: NodePlacement = build_layout(cfg)
         self.topology = build_topology(

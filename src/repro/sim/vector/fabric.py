@@ -6,8 +6,8 @@ so the rest of the tree (metrics collection, the fault controller, memory
 nodes, cores) talks to the vector backend through the exact surface
 :class:`~repro.noc.network.NocFabric` exposes:
 
-* :class:`VectorFabric` — drop-in for ``NocFabric`` (built by the
-  ``engines`` registry for ``backend="vector"``),
+* :class:`VectorFabric` — drop-in for ``NocFabric`` (what
+  ``engines.build_fabric`` builds when the vector kernel is selected),
 * :class:`VectorNet` — drop-in for ``PhysicalNetwork`` statistics and
   fault-controller surfaces,
 * :class:`VectorNic` — a real :class:`~repro.noc.nic.NodeInterface` (the
@@ -19,9 +19,9 @@ nodes, cores) talks to the vector backend through the exact surface
   the delegation scan are the object backend's code) whose per-cycle
   accounting fields are cells of the kernel's memory-lane rows.
 
-Features the arrays do not model fail fast with a one-line
-:class:`~repro.sim.engines.BackendError` (telemetry, adaptive routing;
-the ``engines`` check layer additionally rejects non-loss fault plans).
+What the arrays do not model is listed once, in
+:data:`repro.sim.engines.OBJECT_ONLY`; asking this fabric for any of it is
+refused there, with a one-line :class:`~repro.sim.engines.BackendError`.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.system import NocConfig
+from repro.noc.network import NETWORK_NAMES
 from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
 from repro.noc.routing import build_routing
 from repro.noc.topology import BaseTopology
-from repro.sim.engines import BackendError
+from repro.sim.engines import select_backend
 from repro.sim.vector.kernel import VectorKernel
 
 
@@ -96,7 +97,6 @@ class VectorNet:
         self.faults = None
         self.fault_down: frozenset = frozenset()
         self.fault_frozen: frozenset = frozenset()
-        self._port_of = kernel.port_of
         self.packets_delivered = 0
         self.flits_delivered = 0
         self.cycles = 0
@@ -123,7 +123,7 @@ class VectorNet:
         out = []
         for rid in range(K.n):
             g0 = (base + rid) * K.P
-            nports = 1 + len(self._port_of[rid])
+            nports = 1 + len(self.topology.port_of[rid])
             out.append([int(K.link_flits[g0 + p]) for p in range(nports)])
         return out
 
@@ -244,26 +244,16 @@ class VectorFabric:
         self.cfg = cfg
         self.separate_networks = cfg.separate_physical_networks
         self.bandwidth = cfg.link_flits_per_cycle
-        routing = build_routing(topology, cfg)
-        if routing.adaptive:
-            raise BackendError(
-                "backend 'vector' does not support adaptive routing "
-                f"({cfg.routing!r}); use backend='object'"
-            )
-        self.routing = routing
+        select_backend("vector", topology.n, cfg)  # refuses adaptive routing
+        self.routing = build_routing(topology, cfg)
         facades: List[VectorNet] = []
-        kernel = VectorKernel(
-            topology, cfg, mem_nodes, facades, self.separate_networks
-        )
+        kernel = VectorKernel(topology, cfg, mem_nodes, facades)
         self.kernel = kernel
-        if self.separate_networks:
-            facades.append(VectorNet("request", kernel, 0))
-            facades.append(VectorNet("reply", kernel, 1))
-            self.request_net, self.reply_net = facades
-        else:
-            shared = VectorNet("shared", kernel, 0)
-            facades.append(shared)
-            self.request_net = self.reply_net = shared
+        facades.extend(
+            VectorNet(name, kernel, net_i)
+            for net_i, name in enumerate(NETWORK_NAMES[cfg.physical_networks])
+        )
+        self.request_net, self.reply_net = facades[0], facades[-1]
         self._net_list: Tuple[VectorNet, ...] = tuple(facades)
         lane_of = {node: lane for lane, node in enumerate(kernel.mem_nodes)}
         self.nics: List = [
@@ -280,10 +270,7 @@ class VectorFabric:
     # -- telemetry ------------------------------------------------------
 
     def attach_telemetry(self, collector) -> None:
-        raise BackendError(
-            "backend 'vector' does not support telemetry; "
-            "use backend='object' for traced runs"
-        )
+        select_backend("vector", self.topology.n, self.cfg, telemetry=True)
 
     # -- endpoint API ---------------------------------------------------
 

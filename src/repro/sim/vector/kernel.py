@@ -61,7 +61,7 @@ delegatable reply may be queued, in ascending node order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -78,34 +78,20 @@ _I64 = np.int64
 class VectorKernel:
     """All mutable NoC state as preallocated numpy arrays."""
 
-    def __init__(self, topology, cfg, mem_nodes, net_facades, separate: bool):
+    def __init__(self, topology, cfg, mem_nodes, net_facades):
         self.topology = topology
         self.cfg = cfg
         self.nets = net_facades          # VectorNet facades, by net_i
         # (the list is filled by VectorFabric after construction)
-        self.NN = 2 if separate else 1   # distinct physical networks
-        self.separate = separate
+        self.NN = cfg.physical_networks
+        separate = self.separate = self.NN == 2
         n = topology.n
         self.n = n
-        # geometry
-        port_of: List[Dict[int, int]] = []
-        nports = []
-        for rid in range(n):
-            nbrs = topology.neighbors(rid)
-            port_of.append({nb: 1 + i for i, nb in enumerate(nbrs)})
-            nports.append(1 + len(nbrs))
-        self.port_of = port_of
-        P = max(nports)
-        if separate:
-            V = cfg.vcs_per_port
-            self.vlo_k = (0, 0)
-            self.vhi_k = (V, V)
-        else:
-            V = cfg.request_vcs + cfg.reply_vcs
-            self.vlo_k = (0, cfg.request_vcs)
-            self.vhi_k = (cfg.request_vcs, V)
-        self._vlo_arr = np.array(self.vlo_k, dtype=_I64)
-        self._vhi_arr = np.array(self.vhi_k, dtype=_I64)
+        # geometry: the topology's port map, the config's VC ranges
+        port_of = topology.port_of
+        P = 1 + max(map(len, port_of))
+        V = cfg.network_vcs
+        self._vlo_arr, self._vhi_arr = np.array(cfg.vc_ranges, dtype=_I64).T
         R = self.NN * n
         self.P, self.V, self.R = P, V, R
         self.PV = P * V
@@ -116,26 +102,17 @@ class VectorKernel:
         self.cap = cap
         Q = cap + 1
         self.Q = Q
-        self.pipeline = cfg.router_pipeline_cycles - 1 + cfg.link_cycles
+        self.pipeline = cfg.hop_cycles
         self.bandwidth = cfg.link_flits_per_cycle
         self._mem_cap = cfg.mem_injection_buffer_flits
 
-        # deterministic routing tables, flattened: [kind, rid, dst] -> oport
-        rt = np.zeros(2 * n * n, dtype=_I64)
-        for kind, order in (
-            (0, cfg.request_order),
-            (1, cfg.reply_order),
-        ):
-            base = kind * n * n
-            for rid in range(n):
-                row = base + rid * n
-                pmap = port_of[rid]
-                for dst in range(n):
-                    if dst != rid:
-                        rt[row + dst] = pmap[
-                            topology.route_next(rid, dst, order)
-                        ]
-        self.route_tab = rt
+        # the topology's dimension-order tables, flattened:
+        # [kind, rid, dst] -> oport
+        self.route_tab = np.array(
+            [topology.dor_ports(cfg.request_order),
+             topology.dor_ports(cfg.reply_order)],
+            dtype=_I64,
+        ).ravel()
 
         # downstream input-port flat-VC base per output group (-1: local
         # ejection or unused port slot)
@@ -223,7 +200,7 @@ class VectorKernel:
                     self.flits_injected_arr[k],
                     self.queues[k],
                 )
-                for k, (lo, hi) in enumerate(zip(self.vlo_k, self.vhi_k))
+                for k, (lo, hi) in enumerate(cfg.vc_ranges)
             )
 
         #: per-node ejection gate (``nic.eject_gate``), and the input VCs

@@ -21,7 +21,7 @@ Examples::
     python -m repro.sweep clean
 
 The sweep selection flags (``--benchmarks``, ``--n-mixes``,
-``--mechanisms``, ``--cycles``, ``--warmup``, ``--backend``) describe the same
+``--mechanisms``, ``--cycles``, ``--warmup``) describe the same
 (GPU benchmark x CPU co-runner x mechanism) cross product Figures 10-14
 read; defaults regenerate the Fig. 10 sweep.  Window lengths default to
 ``REPRO_CYCLES``/``REPRO_WARMUP``.  The cache lives in ``--cache-dir``
@@ -39,7 +39,6 @@ import time
 from typing import List, Optional
 
 from repro.cli import (
-    add_backend_option,
     add_batch_option,
     add_format_option,
     add_jobs_option,
@@ -66,7 +65,6 @@ def _specs_from_args(args) -> List[JobSpec]:
         cycles=args.cycles,
         warmup=args.warmup,
         mechanisms=mechanisms,
-        backend=getattr(args, "backend", None),
     )
     if getattr(args, "seed", None) is not None:
         specs = [s.reseeded(args.seed) for s in specs]
@@ -342,7 +340,6 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                    help="comma-separated subset of baseline,rp,dr")
     add_window_options(p)
     add_seed_option(p)
-    add_backend_option(p)
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory "
                         "(default: $REPRO_SWEEP_CACHE or .repro_sweep_cache)")

@@ -73,9 +73,10 @@ class JobSpec:
     #: None for a fault-free run.  Part of the cache key: a chaos run and
     #: a clean run of the same config are different results.
     faults: Optional[str] = None
-    #: simulation engine (see :mod:`repro.sim.engines`).  Part of the
-    #: cache key although the backends are pinned counter-identical, so
-    #: a divergence in one kernel cannot hide behind the other's cache.
+    #: the kernel the job runs on, chosen by :meth:`make`
+    #: (:func:`repro.sim.engines.select_backend`).  Part of the cache key
+    #: although the kernels are pinned counter-identical, so a divergence
+    #: in one cannot hide behind the other's cache.
     backend: str = "object"
 
     @classmethod
@@ -91,19 +92,19 @@ class JobSpec:
         faults: Any = None,
         backend: Optional[str] = None,
     ) -> "JobSpec":
-        from repro.sim.engines import resolve_backend
+        from repro.sim.engines import select_backend
 
         if isinstance(config, SystemConfig):
-            config = config.validate().to_dict()
+            cfg = config.validate()
         else:
-            config = config_from_dict(config).to_dict()
+            cfg = config_from_dict(config)
         if faults is not None and not isinstance(faults, str):
             if isinstance(faults, dict):
                 faults = _canonical_json(faults)
             else:  # a FaultPlan
                 faults = faults.canonical_json()
-        return cls(
-            config_json=_canonical_json(config),
+        spec = cls(
+            config_json=_canonical_json(cfg.to_dict()),
             gpu=gpu,
             cpu=cpu,
             cycles=int(cycles),
@@ -111,8 +112,14 @@ class JobSpec:
             kernel_flush_interval=int(kernel_flush_interval),
             label=tuple(label),
             faults=faults,
-            backend=resolve_backend(backend),
         )
+        # chosen from the config and the plan the worker will rebuild, so
+        # a spec no kernel can run is refused here, not in a worker
+        chosen = select_backend(
+            backend, cfg.n_nodes, cfg.noc, cfg.telemetry.enabled,
+            spec.fault_plan(),
+        )
+        return dataclasses.replace(spec, backend=chosen)
 
     # -- identity ---------------------------------------------------------
 
@@ -198,7 +205,6 @@ def mechanism_jobs(
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
     mechanisms: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> List[JobSpec]:
     """Enumerate the paper's mechanism sweep (Figs. 10-14, energy study).
 
@@ -231,7 +237,6 @@ def mechanism_jobs(
                         cycles=cycles,
                         warmup=warmup,
                         label=(gpu, cpu, mech),
-                        backend=backend,
                     )
                 )
     return specs

@@ -201,7 +201,7 @@ def classify_head(router, port: int, vc: int, cycle: int) -> Tuple[Optional[str]
             return STALL_CLASSES[VC_ALLOC], (down, dport, ovc)
         return None, None
     # header without an allocated VC: scan the candidates read-only
-    vlo, vhi = net.vc_range(pkt)
+    vlo, vhi = net.vc_ranges[pkt.net]
     escape_only = net.escape_vc_active
     blocker = -1
     for cand in range(vlo, vhi):

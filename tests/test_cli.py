@@ -106,6 +106,8 @@ FIG = ["experiment", "fig07_adaptive", "--benchmarks", "HS"]
      "unknown GPU benchmark 'NOPE'; choose from"),
     (telemetry_main, ["trace", "--out", "t.jsonl", "--sample-rate", "7"], {},
      "telemetry.sample_rate must be in [0, 1], got 7.0"),
+    (telemetry_main, ["trace", "--out", "t.jsonl"], {"REPRO_BACKEND": "vector"},
+     "backend 'vector' does not support telemetry"),
     (faults_main, ["run", "--gpu", "NOPE"], {},
      "unknown GPU benchmark 'NOPE'; choose from"),
     (main, ["experiment", "nope"], {}, "unknown experiment 'nope'"),

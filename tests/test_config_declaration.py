@@ -432,3 +432,19 @@ def test_names_the_repo_benchmark_imports_keep_their_call_shapes():
         warmup=specs[1].warmup, label=specs[1].label,
     )
     assert again.key() == specs[1].reseeded(2).key() != specs[1].key()
+
+
+def test_the_five_unread_table1_fields_do_not_fork_the_identity():
+    """``cpu_priority``, ``insts_per_mem_op`` and the three DRAM timings
+    nothing reads are stated for the record, not identity: their twin is
+    the baseline's design point and cache entry."""
+    base, twin = baseline_config(), baseline_config()
+    twin.noc.cpu_priority = False
+    twin.gpu_core.insts_per_mem_op = 4
+    twin.dram.t_rc, twin.dram.t_ras, twin.dram.t_rrd = 48, 32, 8
+    assert twin.to_dict() != base.to_dict()
+    assert twin.validate().config_hash() == base.config_hash()
+    assert (
+        JobSpec.make(twin, "HS", "canneal").key()
+        == JobSpec.make(base, "HS", "canneal").key()
+    )

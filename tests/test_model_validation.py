@@ -222,3 +222,21 @@ def test_rho_cap_documented_range():
     # the screening threshold derives from RHO_CAP; pin the contract the
     # docs and tests above assume.
     assert 0.7 < RHO_CAP < 1.0
+
+
+def test_shared_network_surrogate_reads_the_request_virtual_network():
+    # on one shared physical network (AVCP, Figs. 6 and 19) the simulator
+    # reads request_vcs / reply_vcs and never vcs_per_port; the
+    # surrogate's upstream-parking cap must follow the same field
+    from repro.config import baseline_config
+
+    def latency(request_vcs, vcs_per_port):
+        cfg = baseline_config()
+        cfg.noc.separate_physical_networks = False
+        cfg.noc.request_vcs, cfg.noc.reply_vcs = request_vcs, 4 - request_vcs
+        cfg.noc.vcs_per_port = vcs_per_port
+        return predict(cfg, "HS", "canneal").cpu_latency_avg
+
+    assert latency(1, 2) == latency(1, 4)
+    assert latency(2, 2) == latency(2, 4)
+    assert latency(1, 2) != latency(2, 2)

@@ -153,3 +153,44 @@ class TestBuildTopology:
         topo = build_topology(kind, 8, 8)
         for r in range(topo.n):
             assert len(topo.neighbors(r)) >= 1
+
+
+class TestOneFabricDescription:
+    """``port_of`` / ``dor_ports`` are the wiring and the dimension-order
+    tables both kernels are built from."""
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("order", list(DimensionOrder))
+    @pytest.mark.parametrize("kind", list(Topology))
+    def test_dor_ports_is_route_next_through_port_of(self, kind, order, side):
+        topo = build_topology(kind, side, side)
+        table = topo.dor_ports(order)
+        for rid in range(topo.n):
+            ports = topo.port_of[rid]
+            assert sorted(ports.values()) == list(range(1, 1 + len(ports)))
+            for dst in range(topo.n):
+                expect = (
+                    0 if dst == rid
+                    else ports[topo.route_next(rid, dst, order)]
+                )
+                assert table[rid][dst] == expect
+
+    def test_every_fabric_on_a_topology_reads_the_same_tables(self):
+        from repro.config.system import NocConfig
+        from repro.noc import NocFabric
+        from repro.noc.packet import NetKind
+
+        cfg = NocConfig()
+        topo = build_topology(cfg.topology, 4, 4)
+        assert build_topology(cfg.topology, 4, 4) is topo
+        nets = [
+            net for _ in range(2)
+            for net in NocFabric(topo, cfg)._net_list
+        ]
+        assert len(nets) == 4
+        for net in nets:
+            for kind, order in (
+                (NetKind.REQUEST, cfg.request_order),
+                (NetKind.REPLY, cfg.reply_order),
+            ):
+                assert net._dor_tables[kind] is topo.dor_ports(order)
