@@ -9,19 +9,20 @@ all under one protocol:
 
 * ``vector``    three bare-fabric measurements: saturated 16x16 mesh, 500
                 cycles, the vector backend is >= 3x the object kernel
-                (typical margin ~7x); ``mesh8x8_dr``, 800 cycles — 8
-                memory nodes, delegation firing — >= 1.5x, so the memory
-                lanes falling back to per-node Python would fail CI; and
-                the 16x16 schedule on a ``bandwidth_factor=2`` fabric, 300
-                cycles, >= 3.5x (typical ~6x; a per-node injection loop
-                is ~2.5x).  Then the two sides of the selection rule
-                (``repro.sim.engines.VECTOR_ABOVE_NODES``) on full
+                (reads 5.7-6.5x); ``mesh8x8_dr``, 800 cycles — 8 memory
+                nodes, delegation firing — >= 1.2x (reads 1.3-1.5x since
+                the object kernel keeps one record per input VC; it was
+                1.7-2x against the six-table router, so this is a floor
+                under the memory lanes, not a margin); and the 16x16
+                schedule on a ``bandwidth_factor=2`` fabric, 300 cycles,
+                >= 3.5x (reads 5.3-7.0x; a per-node injection loop is
+                ~2.5x).  Then the two sides of the selection rule
+                (``repro.sim.engines.VECTOR_ABOVE_NODES`` = 144) on full
                 systems, HS + canneal, 200 warm-up + 300 timed cycles,
-                equal ``collect_counters``, 3 rounds: DR on a 12x12
+                equal ``collect_counters``, 3 rounds: DR on a 16x16
                 mesh, the selected vector kernel >= 1.1x object (single
-                rounds read 1.0-1.3x, median 1.15x); the baseline on the
-                8x8, the selected object kernel >= 1.1x vector (1.25-
-                1.65x).
+                rounds read 1.17-1.43x); the baseline on the 8x8, the
+                selected object kernel >= 1.3x vector (1.45-1.92x).
 * ``telemetry`` ``mesh8x8_dr``, 1200 cycles: light-mode telemetry costs
                 < 10% over telemetry off, and both fabrics end on
                 identical per-network counters.
@@ -137,7 +138,7 @@ def vector_gates() -> List[Gate]:
     sat, dr = SCENARIOS["mesh16x16_sat"], SCENARIOS["mesh8x8_dr"]
     return [
         _vector_gate("mesh16x16_sat", sat.schedule(WARMUP + 500), sat.build, 3.0),
-        _vector_gate("mesh8x8_dr", dr.schedule(WARMUP + 800), dr.build, 1.5),
+        _vector_gate("mesh8x8_dr", dr.schedule(WARMUP + 800), dr.build, 1.2),
         _vector_gate(
             "mesh16x16_sat at bandwidth_factor=2", sat.schedule(WARMUP + 300),
             lambda backend: build_fabric(
@@ -147,9 +148,9 @@ def vector_gates() -> List[Gate]:
             3.5,
         ),
         _selection_gate(
-            delegated_replies_config(**table1_mix(12, 12)), "object", 1.1
+            delegated_replies_config(**table1_mix(16, 16)), "object", 1.1
         ),
-        _selection_gate(baseline_config(), "vector", 1.1),
+        _selection_gate(baseline_config(), "vector", 1.3),
     ]
 
 

@@ -41,7 +41,7 @@ def link_loads(net: PhysicalNetwork) -> List[LinkLoad]:
             loads.append(
                 LinkLoad(
                     src=rid,
-                    dst=down[0].rid,
+                    dst=down[0].router.rid,
                     utilization=net.link_utilization(rid, oport),
                     flits=flits,
                 )

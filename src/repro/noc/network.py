@@ -79,12 +79,10 @@ class PhysicalNetwork:
             for nb, port in ports.items():
                 down = self.routers[nb]
                 dport = port_of[nb][router.rid]
-                router.downstream[port] = (down, dport)
+                router.downstream[port] = down.inputs[dport]
                 down.upstream[dport] = router
         #: flits moved per directed link, indexed [rid][oport]
-        self.link_flits: List[List[int]] = [
-            [0] * r.nports for r in self.routers
-        ]
+        self.link_flits: List[List[int]] = [r.link_flits for r in self.routers]
         self.packets_delivered = 0
         self.flits_delivered = 0
         self.cycles = 0
@@ -146,10 +144,11 @@ class PhysicalNetwork:
         return self._dor_tables[pkt.net][router.rid][pkt.dst]
 
     def downstream_free(self, cur: int, nxt: int) -> int:
-        """Free buffer flits at ``nxt``'s input port fed by ``cur``."""
+        """Free buffer flits at ``nxt``'s input port fed by ``cur`` (the
+        adaptive policies' congestion metric)."""
         down = self.routers[nxt]
-        dport = self._port_of[nxt][cur]
-        return down.free_flits(dport)
+        row = down.inputs[self._port_of[nxt][cur]]
+        return down.vc_cap * down.vcs - sum(ivc.occ for ivc in row)
 
     def eject_flit(self, rid: int, pkt: Packet, is_tail: bool, cycle: int) -> None:
         if is_tail:
@@ -285,6 +284,11 @@ class NocFabric:
             self.nics.append(nic)
         for net in self._net_list:
             net.nics = self.nics
+        for nic in self.nics:
+            nic._local = {
+                kind: net.routers[nic.node_id].inputs[LOCAL_PORT]
+                for kind, net in self._nets.items()
+            }
         #: NICs with queued or in-flight work; memory-node NICs stay pinned
         #: because their per-cycle blocked/observed accounting and the
         #: delegation trigger must run every cycle.
@@ -357,8 +361,8 @@ class NocFabric:
                 net.decide(cycle, moves)
             if not moves:
                 break
-            for router, iport, ivc, oport, q in moves:
-                router._move_flit(iport, ivc, oport, cycle, q)
+            for router, ivc, oport in moves:
+                router._move_flit(ivc, oport, cycle)
             del moves[:]
         active = self._active_nics
         nics = self.nics

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.noc.packet import NetKind, Packet, TrafficClass
-from repro.noc.router import LOCAL_PORT
+from repro.noc.router import InputVC
 
 #: both network kinds, in injection order (hoisted off the hot path)
 _NET_KINDS = (NetKind.REQUEST, NetKind.REPLY)
@@ -53,6 +53,9 @@ class NodeInterface:
             NetKind.REQUEST: {},
             NetKind.REPLY: {},
         }
+        #: per network, the local router's LOCAL_PORT row of input-VC
+        #: records — the VCs this NIC feeds; set by ``NocFabric`` at wiring.
+        self._local: Dict[NetKind, List[InputVC]] = {}
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
         #: attached :class:`~repro.telemetry.collector.TelemetryCollector`
@@ -206,11 +209,10 @@ class NodeInterface:
         of flits pushed.
         """
         pushed_now = 0
-        router = self.fabric.router_for(self.node_id, net)
+        row = self._local[net]
+        router = row[0].router
         inflight = self._inflight[net]
         accept = router.accept_flit
-        occ_row = router.occ[LOCAL_PORT]
-        owner_row = router.owner[LOCAL_PORT]
         cap = router.vc_cap
         # continue in-flight worms first (wormhole: must finish), lowest VC
         # first.  Sorting matters: dict order here is VC-*allocation* order,
@@ -225,33 +227,39 @@ class NodeInterface:
                 entry = inflight[vc]
                 pkt, pushed = entry
                 # credit + write-lock check on the router's input VC
-                if occ_row[vc] >= cap:
+                ivc = row[vc]
+                if ivc.occ >= cap:
                     continue
-                owner = owner_row[vc]
+                owner = ivc.owner
                 if owner is not None and owner is not pkt:
                     continue
                 is_tail = pushed + 1 == pkt.size_flits
-                accept(LOCAL_PORT, vc, pkt, is_tail, cycle)
+                accept(ivc, pkt, is_tail, cycle)
                 pushed_now += 1
                 budget -= 1
                 if is_tail:
                     del inflight[vc]
                 else:
                     entry[1] = pushed + 1
-        # start new worms on free VCs
+        # start new worms, each on the lowest VC of its packet's range that
+        # has no owner, has credit and carries no injection of ours
         while budget > 0:
             pkt = self._select_head(net)
             if pkt is None:
                 break
-            vc = self._pick_vc(router, pkt, exclude=inflight)
-            if vc < 0:
-                break
+            vlo, vhi = self.fabric.vc_range_for(pkt)
+            for vc in range(vlo, vhi):
+                ivc = row[vc]
+                if vc not in inflight and ivc.owner is None and ivc.occ < cap:
+                    break
+            else:
+                break  # no startable VC
             self.queues[net].popleft()
             pkt.injected = cycle
             if self.telemetry is not None:
                 self.telemetry.on_vc_alloc(pkt, cycle, vc)
             is_tail = pkt.size_flits == 1
-            accept(LOCAL_PORT, vc, pkt, is_tail, cycle)
+            accept(ivc, pkt, is_tail, cycle)
             pushed_now += 1
             budget -= 1
             if not is_tail:
@@ -259,18 +267,6 @@ class NodeInterface:
         if pushed_now:
             self.flits_injected_net[net] += pushed_now
         return pushed_now
-
-    def _pick_vc(self, router, pkt: Packet, exclude) -> int:
-        vlo, vhi = self.fabric.vc_range_for(pkt)
-        owner_row = router.owner[LOCAL_PORT]
-        occ_row = router.occ[LOCAL_PORT]
-        cap = router.vc_cap
-        for vc in range(vlo, vhi):
-            if vc in exclude:
-                continue
-            if owner_row[vc] is None and occ_row[vc] < cap:
-                return vc
-        return -1
 
 
 #: signature of the delegation policy: given a GPU reply packet, return its

@@ -16,9 +16,9 @@ The router models:
   routes, which keeps the adaptive schemes of Section III-B deadlock-free.
 
 Worms are *counter-based*: a buffer entry is ``[packet, flits_here,
-ready_cycle]`` and the router tracks how many flits of the head worm it has
-already forwarded.  This gives flit-level bandwidth and blocking behaviour
-without per-flit objects.
+ready_cycle, priority_key]`` and the router tracks how many flits of the
+head worm it has already forwarded.  This gives flit-level bandwidth and
+blocking behaviour without per-flit objects.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from repro.noc.packet import Packet
 #: output/input port index of the local node interface.
 LOCAL_PORT = 0
 
-# buffer entry field indices
+# buffer entry field indices; the fourth field, read only by ``decide``'s
+# unpacking, is the arbitration key: class-major, then age, in one int
+# (pid is monotone and far below 2**48), the order of the (cls, pid) tuple
 _PKT, _AVAIL, _READY = 0, 1, 2
 
 # stall-attribution charge indices.  These mirror the first seven entries
@@ -46,6 +48,37 @@ _ST_SERIALIZATION = 5
 _ST_EJECT = 6
 
 
+class InputVC:
+    """One input virtual channel of a router: the unit that arbitrates,
+    holds credit and is pointed at by its feeder — the upstream worm's
+    ``InputVC.out``, or the local NIC's row of records (DESIGN.md §6)."""
+
+    __slots__ = (
+        "router", "port", "vc",
+        "q", "occ", "owner", "route_out", "out", "sent", "stall",
+    )
+
+    def __init__(self, router: "Router", port: int, vc: int) -> None:
+        self.router = router
+        self.port = port
+        self.vc = vc
+        #: buffered worms, oldest first: ``[packet, flits_here, ready, key]``
+        self.q: deque = deque()
+        #: flits buffered here (the credit count its feeder tests)
+        self.occ = 0
+        #: worm currently streaming *into* this VC (write lock).
+        self.owner: Optional[Packet] = None
+        #: chosen output port for the head worm (-1 unset).
+        self.route_out = -1
+        #: the downstream input VC allocated to the head worm (None unset).
+        self.out: Optional["InputVC"] = None
+        #: flits of the head worm already forwarded from this router.
+        self.sent = 0
+        #: stall class of the open attribution record (-1: none), kept by
+        #: the collector's hooks; stalls are reported only when it changes
+        self.stall = -1
+
+
 class Router:
     """One NoC router; created and stepped by :class:`PhysicalNetwork`."""
 
@@ -56,16 +89,12 @@ class Router:
         "vcs",
         "vc_cap",
         "pipeline",
-        "buf",
-        "occ",
-        "owner",
-        "route_out",
-        "out_vc",
-        "sent",
+        "inputs",
         "active",
         "downstream",
         "upstream",
         "flits_routed",
+        "link_flits",
         "rescan",
         "wake_at",
         "wake_armed",
@@ -86,34 +115,26 @@ class Router:
         self.vcs = vcs
         self.vc_cap = vc_cap
         self.pipeline = pipeline
-        self.buf: List[List[deque]] = [
-            [deque() for _ in range(vcs)] for _ in range(nports)
+        #: all per-VC state, one record each, indexed ``[port][vc]``.
+        self.inputs: List[List[InputVC]] = [
+            [InputVC(self, port, vc) for vc in range(vcs)]
+            for port in range(nports)
         ]
-        self.occ = [[0] * vcs for _ in range(nports)]
-        #: worm currently streaming *into* each input VC (write lock).
-        self.owner: List[List[Optional[Packet]]] = [
-            [None] * vcs for _ in range(nports)
-        ]
-        #: chosen output port for the head worm of each input VC (-1 unset).
-        self.route_out = [[-1] * vcs for _ in range(nports)]
-        #: allocated downstream VC for the head worm (-1 unset).
-        self.out_vc = [[-1] * vcs for _ in range(nports)]
-        #: flits of the head worm already forwarded from this router.
-        self.sent = [[0] * vcs for _ in range(nports)]
-        #: input VCs that currently hold any worm state, mapped to their
-        #: (never empty) buffer deque; kept exact so the network can skip
-        #: idle routers entirely (and the arbiter the buffer indexing).
-        self.active: Dict[Tuple[int, int], deque] = {}
-        #: output port -> (downstream router, downstream input port);
-        #: filled in by the network during wiring.  Entry for LOCAL_PORT is
-        #: None (ejection goes to the node interface).
-        self.downstream: List[Optional[Tuple["Router", int]]] = [None] * nports
+        #: the input VCs whose buffer is not empty, an insertion-ordered
+        #: set; kept exact so the network can skip idle routers entirely.
+        self.active: Dict[InputVC, None] = {}
+        #: output port -> the downstream router's input-port row of
+        #: records; filled in by the network during wiring.  Entry for
+        #: LOCAL_PORT is None (ejection goes to the node interface).
+        self.downstream: List[Optional[List[InputVC]]] = [None] * nports
         #: router feeding each input port (None for LOCAL_PORT: the NIC).
         #: Each input port has exactly one upstream, so a flit draining
         #: from it is a precise credit event for that neighbour.
         self.upstream: List[Optional["Router"]] = [None] * nports
         #: total flits moved through this router (energy model input).
         self.flits_routed = 0
+        #: flits sent per output port (a row of the network's ``link_flits``)
+        self.link_flits = [0] * nports
         #: outcome of the last :meth:`decide` pass, read by the network's
         #: active-set scheduler.  ``rescan`` means the pass produced a move
         #: or some head worm waits on a condition no wake event reports
@@ -131,40 +152,34 @@ class Router:
     # buffer interface used by upstream routers and node interfaces
     # ------------------------------------------------------------------
 
-    def accept_flit(self, port: int, vc: int, pkt: Packet, is_tail: bool, cycle: int) -> None:
-        """Receive one flit of ``pkt`` into input VC ``(port, vc)``."""
-        q = self.buf[port][vc]
-        owner_row = self.owner[port]
-        if owner_row[vc] is pkt:
-            if q and q[-1][_PKT] is pkt:
-                q[-1][_AVAIL] += 1
-            else:
-                # continuation of a worm whose buffered flits already
-                # drained: the path is established, body flits flow
-                # without re-paying the router pipeline
-                q.append([pkt, 1, cycle])
-                self.active[(port, vc)] = q
+    def accept_flit(self, ivc: InputVC, pkt: Packet, is_tail: bool, cycle: int) -> None:
+        """Receive one flit of ``pkt`` into this router's input VC ``ivc``."""
+        q = ivc.q
+        if ivc.owner is pkt:
+            # body flit: the worm's entry stays (last) in the queue until
+            # its tail has been forwarded, drained or not
+            q[-1][_AVAIL] += 1
         else:
             # header flit of a new worm in this VC
-            q.append([pkt, 1, cycle + self.pipeline])
-            owner_row[vc] = pkt
-            self.active[(port, vc)] = q
+            q.append([pkt, 1, cycle + self.pipeline, (pkt.cls << 48) | pkt.pid])
+            ivc.owner = pkt
+            self.active[ivc] = None
             # telemetry: head arrival (once per worm, at its destination
             # router only) and the pipeline-dwell stall record.  The dwell
             # record opens *here*, not in arbitration: the router sleeps
             # through the dwell on a timed wake and would otherwise never
-            # observe it, while a router kept awake re-observes it every
-            # cycle as a no-op — opening at arrival keeps both charges equal.
+            # observe it, while a router kept awake sees it in every pass
+            # — opening at arrival keeps both charges equal.
             # The worm is first visible to per-cycle accounting at cycle+1.
             tel = self.net.telemetry
             if tel is not None and pkt.dst == self.rid:
                 tel.on_head(pkt, cycle)
             stel = self.net.stall_tel
             if stel is not None and self.pipeline and len(q) == 1:
-                stel.on_stall(self, port, vc, pkt, _ST_PIPELINE, cycle + 1)
-        self.occ[port][vc] += 1
+                stel.on_stall(ivc, pkt, _ST_PIPELINE, cycle + 1)
+        ivc.occ += 1
         if is_tail:
-            owner_row[vc] = None
+            ivc.owner = None
         # every arriving flit is a wake-up event for the scheduler: it may
         # unblock a head worm that was waiting for upstream flits (inline
         # membership guard — the receiver is usually awake already).  While
@@ -181,13 +196,8 @@ class Router:
             else:
                 net.mark_router_active(self.rid)
 
-    def free_flits(self, port: int) -> int:
-        """Total free buffer space on an input port (congestion metric)."""
-        occ = self.occ[port]
-        return self.vc_cap * self.vcs - sum(occ)
-
     def buffered_flits(self) -> int:
-        return sum(sum(row) for row in self.occ)
+        return sum(v.occ for row in self.inputs for v in row)
 
     # ------------------------------------------------------------------
     # per-cycle switch traversal
@@ -198,13 +208,13 @@ class Router:
         contract (DESIGN.md, "Per-cycle NoC contract").
 
         Admits candidates and picks winners against the state left by the
-        previous pass, and *appends* ``(router, iport, ivc, oport, queue)``
-        to ``moves`` instead of moving anything: the fabric applies every
+        previous pass, and *appends* ``(router, input VC, oport)`` to
+        ``moves`` instead of moving anything: the fabric applies every
         router's moves afterwards (:meth:`_move_flit`), so all routers
         arbitrate against the same start-of-pass state and no flit or
         credit ripples through several routers within one pass.  VC
-        allocations (``out_vc``) are made here and persist even when the
-        worm then loses switch allocation.
+        allocations (``InputVC.out``) are made here and persist even when
+        the worm then loses switch allocation.
 
         ``self.rescan``/``self.wake_at`` classify the outcome so the
         network can skip this router until something can change: worms
@@ -213,111 +223,99 @@ class Router:
         wake on ``accept_flit``, the drain-wake in ``_move_flit`` or
         ``notify_eject_ready``; route failures, dead links and adaptive
         re-routes — and any pass that produced a move — force a rescan.
+
+        A blocked head is reported (``on_stall``) only when its class
+        differs from ``InputVC.stall``, that of its open record: observing
+        the same class again charges nothing.
         """
-        # output port -> (priority key, iport, ivc); built lazily — the
+        # output port -> (priority key, input VC); built lazily — the
         # overwhelmingly common case is zero or one candidate.
-        winners: Optional[Dict[int, Tuple[int, int, int, deque]]] = None
-        win_key = win_iport = win_ivc = win_oport = -1
-        win_q: Optional[deque] = None
+        winners: Optional[Dict[int, Tuple[int, InputVC]]] = None
+        win_key = win_oport = -1
+        win_ivc: Optional[InputVC] = None
         ncand = 0
-        route_out = self.route_out
-        out_vc = self.out_vc
-        sent = self.sent
-        downstream = self.downstream
+        cap = self.vc_cap
         rescan = False
         wake_at = -1
         tel = net.stall_tel
         fa = net.faults
         cands = None if tel is None else []
-        for (iport, ivc), q in self.active.items():
-            head = q[0]
-            if head[_AVAIL] == 0:
-                if tel is not None:
-                    tel.on_stall(
-                        self, iport, ivc, head[_PKT], _ST_SERIALIZATION, cycle
-                    )
+        for ivc in self.active:
+            pkt, avail, ready, key = ivc.q[0]
+            if avail == 0:
+                if tel is not None and ivc.stall != _ST_SERIALIZATION:
+                    tel.on_stall(ivc, pkt, _ST_SERIALIZATION, cycle)
                 continue  # waiting for upstream flits; accept_flit wakes us
-            ready = head[_READY]
             if cycle < ready:
                 if wake_at < 0 or ready < wake_at:
                     wake_at = ready  # pipeline dwell: wake exactly then
-                if tel is not None:
-                    tel.on_stall(self, iport, ivc, head[_PKT], _ST_PIPELINE, cycle)
+                if tel is not None and ivc.stall != _ST_PIPELINE:
+                    tel.on_stall(ivc, pkt, _ST_PIPELINE, cycle)
                 continue
-            pkt: Packet = head[_PKT]
-            oport = route_out[iport][ivc]
+            oport = ivc.route_out
             if oport < 0:
                 oport = net.route(self, pkt)
                 if oport < 0:
                     rescan = True
-                    if tel is not None:
-                        tel.on_stall(self, iport, ivc, pkt, _ST_ROUTE, cycle)
+                    if tel is not None and ivc.stall != _ST_ROUTE:
+                        tel.on_stall(ivc, pkt, _ST_ROUTE, cycle)
                     continue  # no admissible output this cycle
-                route_out[iport][ivc] = oport
+                ivc.route_out = oport
             if oport == LOCAL_PORT:
                 # ejection: gate new worms on endpoint acceptance.  A closed
                 # gate is sleepable: the endpoint calls notify_eject_ready
                 # when it drains the capacity the gate was refusing on.
-                if sent[iport][ivc] == 0 and not net.nics[self.rid].can_eject(pkt):
-                    if tel is not None:
-                        tel.on_stall(self, iport, ivc, pkt, _ST_EJECT, cycle)
+                if ivc.sent == 0 and not net.nics[self.rid].can_eject(pkt):
+                    if tel is not None and ivc.stall != _ST_EJECT:
+                        tel.on_stall(ivc, pkt, _ST_EJECT, cycle)
                     continue
             else:
+                dvc = ivc.out
                 if fa is not None and (self.rid, oport) in net.fault_down:
                     # chosen link is down: hold the worm here and, unless
                     # a VC is already allocated on it, allow a re-route so
                     # the detour tables take over next cycle
-                    if out_vc[iport][ivc] < 0:
-                        route_out[iport][ivc] = -1
+                    if dvc is None:
+                        ivc.route_out = -1
                     rescan = True
-                    if tel is not None:
-                        tel.on_stall(self, iport, ivc, pkt, _ST_ROUTE, cycle)
+                    if tel is not None and ivc.stall != _ST_ROUTE:
+                        tel.on_stall(ivc, pkt, _ST_ROUTE, cycle)
                     continue
-                ovc = out_vc[iport][ivc]
-                down, dport = downstream[oport]
-                if ovc >= 0:
+                if dvc is not None:
                     # fast path: established worm, check credit + write lock
-                    if down.occ[dport][ovc] >= down.vc_cap:
-                        if tel is not None:
-                            tel.on_stall(self, iport, ivc, pkt, _ST_CREDIT, cycle)
+                    if dvc.occ >= cap:
+                        if tel is not None and ivc.stall != _ST_CREDIT:
+                            tel.on_stall(ivc, pkt, _ST_CREDIT, cycle)
                         continue  # credit stall: downstream drain wakes us
-                    owner = down.owner[dport][ovc]
+                    owner = dvc.owner
                     if owner is not None and owner is not pkt:
-                        if tel is not None:
-                            tel.on_stall(
-                                self, iport, ivc, pkt, _ST_VC_ALLOC, cycle
-                            )
+                        if tel is not None and ivc.stall != _ST_VC_ALLOC:
+                            tel.on_stall(ivc, pkt, _ST_VC_ALLOC, cycle)
                         continue  # lock holder streams from *this* router:
                         # its tail (our move) or a drain wakes us
-                elif not self._allocate_vc(iport, ivc, oport, pkt, down, dport):
-                    if net.escape_vc_active and out_vc[iport][ivc] < 0:
+                elif not self._allocate_vc(ivc, oport, pkt):
+                    if net.escape_vc_active:
                         # adaptive choice stuck before VC allocation: allow a
                         # re-route next cycle so the escape (DOR) path stays
                         # reachable (deadlock freedom).
-                        route_out[iport][ivc] = -1
+                        ivc.route_out = -1
                         rescan = True
-                    if tel is not None:
-                        tel.on_stall(self, iport, ivc, pkt, _ST_VC_ALLOC, cycle)
+                    if tel is not None and ivc.stall != _ST_VC_ALLOC:
+                        tel.on_stall(ivc, pkt, _ST_VC_ALLOC, cycle)
                     continue  # VC-allocation stall: every candidate VC is
                     # held by our own worms or credit-full — a drain or our
                     # own tail delivery wakes us
             ncand += 1
             if cands is not None:
-                cands.append((iport, ivc, pkt))
+                cands.append((ivc, pkt))
             if winners is None:
                 if ncand == 1:
-                    # priority packed into one int: class-major, then age
-                    # (pid is monotone and far below 2**48), identical
-                    # ordering to the (cls, pid) tuple without allocating
-                    win_key = (pkt.cls << 48) | pkt.pid
-                    win_iport, win_ivc, win_oport = iport, ivc, oport
-                    win_q = q
+                    win_key, win_ivc, win_oport = key, ivc, oport
                     continue
-                winners = {win_oport: (win_key, win_iport, win_ivc, win_q)}
-            key = (pkt.cls << 48) | pkt.pid
+                winners = {win_oport: (win_key, win_ivc)}
             cur = winners.get(oport)
             if cur is None or key < cur[0]:
-                winners[oport] = (key, iport, ivc, q)
+                winners[oport] = (key, ivc)
         if ncand == 0:
             self.rescan = rescan
             self.wake_at = wake_at
@@ -325,63 +323,60 @@ class Router:
         self.rescan = True
         if winners is None:
             # single candidate (the dominant exit): wins unopposed
-            moves.append((self, win_iport, win_ivc, win_oport, win_q))
+            moves.append((self, win_ivc, win_oport))
             return
         # the crossbar transfers at most one flit per input port and one
         # per output port per cycle (Section II's switch constraints);
         # winners is per-output already, now enforce per-input uniqueness
         taken_inputs = set()
-        moved_vcs = None if tel is None else set()
-        for oport, (key, iport, ivc, q) in sorted(
+        moved = None if tel is None else set()
+        for oport, (key, ivc) in sorted(
             winners.items(), key=lambda kv: kv[1][0]
         ):
-            if iport in taken_inputs:
+            if ivc.port in taken_inputs:
                 continue
-            taken_inputs.add(iport)
-            moves.append((self, iport, ivc, oport, q))
-            if moved_vcs is not None:
-                moved_vcs.add((iport, ivc))
+            taken_inputs.add(ivc.port)
+            moves.append((self, ivc, oport))
+            if moved is not None:
+                moved.add(ivc)
         if tel is not None:
             # every candidate that did not move lost switch allocation to
             # a higher-priority worm (or to per-input uniqueness) — charge
             # it so each blocked head worm is billed exactly one class.
-            for iport, ivc, pkt in cands:
-                if (iport, ivc) not in moved_vcs:
-                    tel.on_stall(self, iport, ivc, pkt, _ST_SWITCH, cycle)
+            for ivc, pkt in cands:
+                if ivc not in moved and ivc.stall != _ST_SWITCH:
+                    tel.on_stall(ivc, pkt, _ST_SWITCH, cycle)
 
-    def _allocate_vc(
-        self, iport: int, ivc: int, oport: int, pkt: Packet, down, dport
-    ) -> bool:
+    def _allocate_vc(self, ivc: InputVC, oport: int, pkt: Packet) -> bool:
         """Allocate a downstream VC with credit for a worm's header."""
-        vlo, vhi = self.net.vc_ranges[pkt.net]
-        escape_only_dor = self.net.escape_vc_active
+        net = self.net
+        vlo, vhi = net.vc_ranges[pkt.net]
+        if net.escape_vc_active and oport != net.dor_port(self, pkt):
+            vlo += 1  # escape VC is reserved for dimension-order hops
+        cap = self.vc_cap
+        row = self.downstream[oport]
         for vc in range(vlo, vhi):
-            if escape_only_dor and vc == vlo and oport != self.net.dor_port(self, pkt):
-                continue  # escape VC is reserved for dimension-order hops
-            if down.owner[dport][vc] is None and down.occ[dport][vc] < down.vc_cap:
-                self.out_vc[iport][ivc] = vc
+            dvc = row[vc]
+            if dvc.owner is None and dvc.occ < cap:
+                ivc.out = dvc
                 return True
         return False
 
-    def _move_flit(
-        self, iport: int, ivc: int, oport: int, cycle: int, q: deque
-    ) -> None:
+    def _move_flit(self, ivc: InputVC, oport: int, cycle: int) -> None:
         """Apply one move chosen by :meth:`decide` (the only commit path)."""
         net = self.net
-        tel = net.stall_tel
-        if tel is not None:
-            tel.on_advance(self, iport, ivc, cycle)
+        if ivc.stall >= 0:
+            net.stall_tel.on_advance(ivc, cycle)  # closes the open record
+        q = ivc.q
         head = q[0]
         pkt: Packet = head[_PKT]
         head[_AVAIL] -= 1
-        self.occ[iport][ivc] -= 1
-        sent_row = self.sent[iport]
-        nsent = sent_row[ivc] + 1
-        sent_row[ivc] = nsent
+        ivc.occ -= 1
+        nsent = ivc.sent + 1
         self.flits_routed += 1
         # drain-wake: freeing a buffer slot is the credit event the (unique)
         # upstream feeder of this input port may be sleeping on
-        up = self.upstream[iport]
+        up = self.upstream[ivc.port]
         if up is not None and up.active and up.rid not in net._active_ids:
             net.mark_router_active(up.rid)
         is_tail = nsent == pkt.size_flits
@@ -389,18 +384,19 @@ class Router:
             if is_tail:
                 net.eject_flit(self.rid, pkt, is_tail, cycle)
         else:
-            down, dport = self.downstream[oport]
-            ovc = self.out_vc[iport][ivc]
-            down.accept_flit(dport, ovc, pkt, is_tail, cycle)
-            net.link_flits[self.rid][oport] += 1
+            dvc = ivc.out
+            dvc.router.accept_flit(dvc, pkt, is_tail, cycle)
+            self.link_flits[oport] += 1
             fa = net.faults
             if fa is not None and nsent == 1:
                 fa.on_link_head(net, self.rid, oport, pkt)
         if is_tail:
             pkt.hops += 1
             q.popleft()
-            self.route_out[iport][ivc] = -1
-            self.out_vc[iport][ivc] = -1
-            sent_row[ivc] = 0
+            ivc.route_out = -1
+            ivc.out = None
+            ivc.sent = 0
             if not q:
-                self.active.pop((iport, ivc), None)
+                self.active.pop(ivc, None)
+        else:
+            ivc.sent = nsent

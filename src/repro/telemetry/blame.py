@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import NetKind
-from repro.noc.router import LOCAL_PORT, _AVAIL, _PKT, _READY
+from repro.noc.router import LOCAL_PORT, InputVC, _AVAIL, _PKT, _READY
 
 #: the fixed stall taxonomy, in charge-index order.
 STALL_CLASSES = (
@@ -159,12 +159,11 @@ class StallTable:
 # blame chains: read-only re-classification + downstream walking
 # ---------------------------------------------------------------------------
 
-#: continuation key: (downstream router, downstream input port, vc)
-NextHop = Optional[Tuple[object, int, int]]
 
-
-def classify_head(router, port: int, vc: int, cycle: int) -> Tuple[Optional[str], NextHop]:
-    """Why can the head worm of input VC ``(port, vc)`` not advance?
+def classify_head(
+    ivc: InputVC, cycle: int
+) -> Tuple[Optional[str], Optional[InputVC]]:
+    """Why can the head worm of input VC ``ivc`` not advance?
 
     Read-only re-derivation of the arbitration checks in
     :meth:`repro.noc.router.Router.decide`.  Returns ``(stall
@@ -174,7 +173,7 @@ def classify_head(router, port: int, vc: int, cycle: int) -> Tuple[Optional[str]
     worm is the blocker.  Heads whose route is not yet computed are
     approximated with the dimension-order port (exact for CDR configs).
     """
-    q = router.buf[port][vc]
+    q = ivc.q
     if not q:
         return None, None
     head = q[0]
@@ -183,40 +182,38 @@ def classify_head(router, port: int, vc: int, cycle: int) -> Tuple[Optional[str]
         return STALL_CLASSES[SERIALIZATION], None
     if cycle < head[_READY]:
         return STALL_CLASSES[PIPELINE], None
+    router = ivc.router
     net = router.net
-    oport = router.route_out[port][vc]
+    oport = ivc.route_out
     if oport < 0:
         oport = net.dor_port(router, pkt)
     if oport == LOCAL_PORT:
-        if router.sent[port][vc] == 0 and not net.nics[router.rid].can_eject(pkt):
+        if ivc.sent == 0 and not net.nics[router.rid].can_eject(pkt):
             return STALL_CLASSES[EJECT], None
         return None, None
-    down, dport = router.downstream[oport]
-    ovc = router.out_vc[port][vc]
-    if ovc >= 0:
-        if down.occ[dport][ovc] >= down.vc_cap:
-            return STALL_CLASSES[CREDIT], (down, dport, ovc)
-        owner = down.owner[dport][ovc]
+    cap = router.vc_cap
+    dvc = ivc.out
+    if dvc is not None:
+        if dvc.occ >= cap:
+            return STALL_CLASSES[CREDIT], dvc
+        owner = dvc.owner
         if owner is not None and owner is not pkt:
-            return STALL_CLASSES[VC_ALLOC], (down, dport, ovc)
+            return STALL_CLASSES[VC_ALLOC], dvc
         return None, None
     # header without an allocated VC: scan the candidates read-only
+    row = router.downstream[oport]
     vlo, vhi = net.vc_ranges[pkt.net]
-    escape_only = net.escape_vc_active
-    blocker = -1
-    for cand in range(vlo, vhi):
-        if escape_only and cand == vlo and oport != net.dor_port(router, pkt):
-            continue
-        if down.owner[dport][cand] is None and down.occ[dport][cand] < down.vc_cap:
-            return None, None  # allocatable this cycle: movable
-        if blocker < 0:
-            blocker = cand
-    if blocker < 0:
+    if net.escape_vc_active and oport != net.dor_port(router, pkt):
+        vlo += 1  # the escape VC is reserved for dimension-order hops
+    if vlo == vhi:
         return STALL_CLASSES[ROUTE], None  # escape-only port with no VC
-    return STALL_CLASSES[VC_ALLOC], (down, dport, blocker)
+    for dvc in row[vlo:vhi]:
+        if dvc.owner is None and dvc.occ < cap:
+            return None, None  # allocatable this cycle: movable
+    return STALL_CLASSES[VC_ALLOC], row[vlo]
 
 
-def walk_chain(router, port: int, vc: int, cycle: int, max_hops: int = 64) -> List[Dict]:
+def walk_chain(ivc: InputVC, cycle: int, max_hops: int = 64) -> List[Dict]:
     """Follow one blocked head worm downstream to its terminal blocker.
 
     Returns the chain as hop dicts, upstream victim first; the last entry
@@ -227,25 +224,24 @@ def walk_chain(router, port: int, vc: int, cycle: int, max_hops: int = 64) -> Li
     """
     hops: List[Dict] = []
     visited = set()
-    r, p, v = router, port, vc
     while True:
-        key = (id(r), p, v)
-        if key in visited:
+        r = ivc.router
+        if ivc in visited:
             hops.append({"node": r.rid, "net": r.net.name, "class": "cyclic"})
             break
-        visited.add(key)
-        q = r.buf[p][v]
+        visited.add(ivc)
+        q = ivc.q
         if not q:
             hops.append({"node": r.rid, "net": r.net.name, "class": "drained"})
             break
-        klass, nxt = classify_head(r, p, v, cycle)
+        klass, nxt = classify_head(ivc, cycle)
         pkt = q[0][_PKT]
         hops.append(
             {
                 "node": r.rid,
                 "net": r.net.name,
-                "port": p,
-                "vc": v,
+                "port": ivc.port,
+                "vc": ivc.vc,
                 "cls": pkt.cls.name,
                 "dst": pkt.dst,
                 "class": klass or "moving",
@@ -256,7 +252,7 @@ def walk_chain(router, port: int, vc: int, cycle: int, max_hops: int = 64) -> Li
             and nxt is not None
             and len(hops) < max_hops
         ):
-            r, p, v = nxt
+            ivc = nxt
             continue
         break
     term = hops[-1]
@@ -280,15 +276,11 @@ def survey_stalls(nets, cycle: int, max_hops: int = 64) -> Dict[Tuple[int, str],
     groups: Dict[Tuple[int, str], Dict] = {}
     for net in nets:
         for router in net.routers:
-            if not router.active:
-                continue
-            for (port, vc), q in router.active.items():
-                if not q:
-                    continue
-                klass, _ = classify_head(router, port, vc, cycle)
+            for ivc in router.active:
+                klass, _ = classify_head(ivc, cycle)
                 if klass is None:
                     continue
-                chain = walk_chain(router, port, vc, cycle, max_hops=max_hops)
+                chain = walk_chain(ivc, cycle, max_hops=max_hops)
                 term = chain[-1]
                 gkey = (term["node"], term["class"])
                 g = groups.get(gkey)

@@ -368,21 +368,27 @@ class TelemetryCollector:
 
     # -- stall-attribution hooks (mode == "full" only) -------------------
 
-    def on_stall(self, router, port: int, vc: int, pkt, klass: int, cycle: int) -> None:
-        """Head worm of ``router``'s input VC ``(port, vc)`` is blocked on
-        stall class ``klass`` this cycle (deferred charging; see
-        :class:`~repro.telemetry.blame.StallTable`)."""
+    def on_stall(self, ivc, pkt, klass: int, cycle: int) -> None:
+        """Head worm ``pkt`` of input VC ``ivc`` is blocked on stall class
+        ``klass`` from this cycle (deferred charging; see
+        :class:`~repro.telemetry.blame.StallTable`).  ``ivc.stall``
+        remembers the class, so the router reports only a change of it."""
         st = self.stalls
         if st is not None:
+            ivc.stall = klass
+            router = ivc.router
             st.observe(
-                router.net.name, router.rid, port, vc, int(pkt.cls), klass, cycle
+                router.net.name, router.rid, ivc.port, ivc.vc,
+                int(pkt.cls), klass, cycle,
             )
 
-    def on_advance(self, router, port: int, vc: int, cycle: int) -> None:
-        """A flit of ``(port, vc)``'s head worm moved: close its record."""
+    def on_advance(self, ivc, cycle: int) -> None:
+        """A flit of ``ivc``'s blocked head worm moved: close its record."""
         st = self.stalls
         if st is not None:
-            st.advance(router.net.name, router.rid, port, vc, cycle)
+            ivc.stall = -1
+            router = ivc.router
+            st.advance(router.net.name, router.rid, ivc.port, ivc.vc, cycle)
 
     def on_mem_reply_stall(self, node: int, cycle: int) -> None:
         """Memory node ``node``'s reply injection buffer cannot take one

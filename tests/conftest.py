@@ -11,6 +11,7 @@ from repro.config import (
     realistic_probing_config,
     table1_mix,
 )
+from repro.noc.router import LOCAL_PORT
 
 
 def _small(make_config, overrides) -> SystemConfig:
@@ -65,6 +66,59 @@ def all_awake(fabric, gpu_cores=()):
 
     fabric.step = awake_step
     return fabric
+
+
+def assert_fabric_invariants(fabric) -> None:
+    """What must hold of an object-kernel fabric between any two cycles
+    (a first slice of ROADMAP item 1(b)).
+
+    Per input VC: the credit count is in range and equals the flits its
+    entries hold; every buffered worm has fully arrived except, at most,
+    the last one, and that one is ``owner``; a VC is in its router's
+    active set exactly while it buffers something; the head worm's
+    downstream VC is a record of the input port its route leads to,
+    inside the packet's VC range; fewer flits of the head have left than
+    it has.  Per fabric: every injected flit is buffered, delivered, or
+    part of a worm that is half-way out of an ejection port (so not
+    under a fault plan that drops or corrupts flits).
+    """
+    buffered = delivered = ejecting = 0
+    for net in fabric._net_list:
+        delivered += net.flits_delivered
+        for router in net.routers:
+            for row in router.inputs:
+                for ivc in row:
+                    at = (net.name, router.rid, ivc.port, ivc.vc)
+                    q = ivc.q
+                    assert 0 <= ivc.occ <= router.vc_cap, at
+                    assert ivc.occ == sum(entry[1] for entry in q), at
+                    assert bool(q) == (ivc in router.active), at
+                    assert ivc.owner is None or ivc.owner is q[-1][0], at
+                    for i, (pkt, avail, _ready, _key) in enumerate(q):
+                        arrived = avail + (ivc.sent if i == 0 else 0)
+                        if pkt is ivc.owner:
+                            assert arrived < pkt.size_flits, at
+                        else:
+                            assert arrived == pkt.size_flits, at
+                    buffered += ivc.occ
+                    if not q:
+                        assert ivc.route_out == -1 and ivc.out is None, at
+                        assert ivc.sent == 0, at
+                        continue
+                    head = q[0][0]
+                    assert ivc.sent < head.size_flits, at
+                    if ivc.route_out == LOCAL_PORT:
+                        ejecting += ivc.sent
+                    out = ivc.out
+                    if out is not None:
+                        assert ivc.route_out > LOCAL_PORT, at
+                        assert router.downstream[ivc.route_out][out.vc] is out, at
+                        vlo, vhi = net.vc_ranges[head.net]
+                        assert vlo <= out.vc < vhi, at
+                    else:
+                        assert ivc.sent == 0 or ivc.route_out == LOCAL_PORT, at
+    injected = sum(nic.flits_injected for nic in fabric.nics)
+    assert injected == buffered + delivered + ejecting
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from repro.sim.simulator import build_system, run_simulation
 from repro.sweep import JobSpec
 
 MESH = NocConfig()
+#: a node count past the crossover (a 14x14 mesh)
+BIG = 196
 LOSS = FaultPlan(events=[FlitDrop(at=0, a=0, b=1, p=0.1)])
 LINK_DOWN = FaultPlan(events=[FlitDrop(at=0, a=0, b=1, p=0.1),
                               LinkDown(at=5, a=1, b=2)])
@@ -30,21 +32,21 @@ def _no_env(monkeypatch):
 
 @pytest.mark.parametrize("nodes,noc,telemetry,faults,expect", [
     (8 * 8, MESH, False, None, "object"),
-    (10 * 10, MESH, False, None, "object"),
-    (11 * 11, MESH, False, None, "vector"),
+    (12 * 12, MESH, False, None, "object"),
+    (13 * 13, MESH, False, None, "vector"),
     (16 * 16, MESH, False, None, "vector"),
     # node count alone is the wrong observable: the high-radix
-    # topologies lose on the vector kernel even at 144 nodes
-    (144, NocConfig(topology=Topology.CROSSBAR), False, None, "object"),
-    (144, NocConfig(topology=Topology.FLATTENED_BUTTERFLY), False, None,
+    # topologies lose on the vector kernel whatever their size
+    (BIG, NocConfig(topology=Topology.CROSSBAR), False, None, "object"),
+    (BIG, NocConfig(topology=Topology.FLATTENED_BUTTERFLY), False, None,
      "object"),
-    (144, NocConfig(topology=Topology.DRAGONFLY), False, None, "object"),
+    (BIG, NocConfig(topology=Topology.DRAGONFLY), False, None, "object"),
     # a big mesh that needs what only the object kernel has
-    (144, MESH, True, None, "object"),
-    (144, NocConfig(routing=RoutingPolicy.DYXY), False, None, "object"),
-    (144, MESH, False, LINK_DOWN, "object"),
-    (144, MESH, False, FREEZE, "object"),
-    (144, MESH, False, LOSS, "vector"),
+    (BIG, MESH, True, None, "object"),
+    (BIG, NocConfig(routing=RoutingPolicy.DYXY), False, None, "object"),
+    (BIG, MESH, False, LINK_DOWN, "object"),
+    (BIG, MESH, False, FREEZE, "object"),
+    (BIG, MESH, False, LOSS, "vector"),
 ])
 def test_unnamed_selection_is_the_faster_kernel_that_can_do_the_run(
     nodes, noc, telemetry, faults, expect
@@ -52,7 +54,7 @@ def test_unnamed_selection_is_the_faster_kernel_that_can_do_the_run(
     assert select_backend(None, nodes, noc, telemetry, faults) == expect
 
 
-@pytest.mark.parametrize("nodes", [64, 144])
+@pytest.mark.parametrize("nodes", [64, BIG])
 @pytest.mark.parametrize("name", ["object", "vector"])
 def test_a_named_kernel_is_obeyed_on_either_side_of_the_threshold(name, nodes):
     assert select_backend(name, nodes, MESH) == name
@@ -68,17 +70,17 @@ def test_vector_named_with_a_listed_need_is_one_line_naming_it(
     noc, telemetry, faults, need
 ):
     with pytest.raises(BackendError) as exc:
-        select_backend("vector", 144, noc, telemetry, faults)
+        select_backend("vector", BIG, noc, telemetry, faults)
     msg = str(exc.value)
     assert need in msg and "'vector'" in msg and "\n" not in msg
     # the object kernel runs all of it
-    assert select_backend("object", 144, noc, telemetry, faults) == "object"
+    assert select_backend("object", BIG, noc, telemetry, faults) == "object"
 
 
 def test_env_var_is_read_only_when_no_name_is_passed(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "vector")
     assert select_backend(None, 64, MESH) == "vector"
-    assert select_backend("object", 144, MESH) == "object"
+    assert select_backend("object", BIG, MESH) == "object"
     with pytest.raises(BackendError, match="telemetry"):
         select_backend(None, 64, MESH, telemetry=True)
     monkeypatch.setenv(ENV_VAR, "turbo")
@@ -93,7 +95,7 @@ def test_env_var_is_read_only_when_no_name_is_passed(monkeypatch):
 )
 def test_a_mesh_past_the_crossover_runs_on_vector_and_equals_object(make):
     def run(backend):
-        cfg = make(**table1_mix(11, 11))
+        cfg = make(**table1_mix(13, 13))
         system = build_system(cfg, "HS", "canneal", backend=backend)
         result = run_simulation(
             cfg, "HS", "canneal", cycles=200, warmup=300, system=system
@@ -111,8 +113,9 @@ def test_build_system_selects_from_the_config():
 
     assert chosen(baseline_config()) == "object"
     def big():
-        return baseline_config(**table1_mix(12, 12))
+        return baseline_config(**table1_mix(14, 14))
 
+    assert chosen(baseline_config(**table1_mix(12, 12))) == "object"
     assert chosen(big()) == "vector"
     crossbar = big()
     crossbar.noc.topology = Topology.CROSSBAR
@@ -137,9 +140,9 @@ def test_a_spec_no_kernel_can_run_is_refused_at_make(monkeypatch):
 
 def test_job_specs_carry_the_selected_kernel():
     small = JobSpec.make(baseline_config(), "HS", "canneal")
-    big = JobSpec.make(baseline_config(**table1_mix(12, 12)), "HS", "canneal")
+    big = JobSpec.make(baseline_config(**table1_mix(14, 14)), "HS", "canneal")
     pinned = JobSpec.make(
-        baseline_config(**table1_mix(12, 12)), "HS", "canneal",
+        baseline_config(**table1_mix(14, 14)), "HS", "canneal",
         backend="object",
     )
     assert (small.backend, big.backend, pinned.backend) == (

@@ -213,7 +213,7 @@ class TestDelegationTrigger:
         fab, nic, made = self._nic_with_policy(buffer_flits=36)
         router = fab.router_for(5, NetKind.REPLY)
         for vc in range(router.vcs):  # reply router full: no reply can inject
-            router.occ[0][vc] = router.vc_cap
+            router.inputs[0][vc].occ = router.vc_cap
         nic.try_send(reply(5, 0, meta=ReplyMeta(True, delegate_to=9)), 0)
         nic.try_send(
             Packet(5, 0, MessageType.READ_REQ, TrafficClass.GPU, 1), 0

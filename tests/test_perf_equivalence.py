@@ -45,6 +45,7 @@ from repro.workloads.gpu import GPU_BENCHMARK_NAMES
 
 from conftest import (
     all_awake,
+    assert_fabric_invariants,
     small_config,
     small_dr_config,
     small_rp_config,
@@ -82,7 +83,10 @@ def _run_synthetic(config_name: str, cycles: int, reference: bool) -> dict:
     fabric = scenario.build()
     if reference:
         all_awake(fabric)
-    replay(fabric, scenario.schedule(cycles))
+    replay(
+        fabric, scenario.schedule(cycles),
+        on_cycle=lambda cycle: cycle % 50 or assert_fabric_invariants(fabric),
+    )
     return _fabric_counters(fabric)
 
 
@@ -145,7 +149,9 @@ def test_full_system_counters_bit_identical(make_cfg, faults):
         system = build_system(make_cfg(), "HS", "canneal", faults=faults)
         if reference:
             all_awake(system.fabric)
-        system.run(700)
+        for _ in range(14):
+            system.run(50)
+            assert_fabric_invariants(system.fabric)
         out = collect_counters(system)
         if system.telemetry is not None:
             system.telemetry.stalls.flush(system.cycle)

@@ -76,7 +76,7 @@ class TestFlitConservation:
                 for router in net.routers:
                     for port in range(router.nports):
                         for vc in range(router.vcs):
-                            occ = router.occ[port][vc]
+                            occ = router.inputs[port][vc].occ
                             assert 0 <= occ <= router.vc_cap
 
     @settings(max_examples=15, deadline=None)

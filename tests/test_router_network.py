@@ -1,6 +1,9 @@
 """Tests for the wormhole router and network fabric."""
 
-from repro.config.system import NocConfig
+import pytest
+
+from repro.config.system import NocConfig, RoutingPolicy
+from repro.faults.plan import FaultPlan, LinkDown
 from repro.noc import (
     MeshTopology,
     MessageType,
@@ -8,6 +11,9 @@ from repro.noc import (
     Packet,
     TrafficClass,
 )
+from repro.sim.simulator import build_system
+
+from conftest import assert_fabric_invariants, small_dr_config
 
 
 def make_fabric(width=4, height=4, mem_nodes=(5,), **noc_kw):
@@ -120,7 +126,7 @@ class TestBackpressure:
                 for router in net.routers:
                     for port in range(router.nports):
                         for vc in range(router.vcs):
-                            assert router.occ[port][vc] <= router.vc_cap
+                            assert router.inputs[port][vc].occ <= router.vc_cap
 
     def test_ejection_gate_blocks_worm(self):
         fab, delivered = make_fabric()
@@ -198,3 +204,68 @@ class TestVirtualNetworks:
         for cyc in range(300):
             fab.step(cyc)
         assert len(delivered) == 2
+
+
+def _adaptive():
+    cfg = small_dr_config()
+    cfg.noc.routing = RoutingPolicy.FOOTPRINT
+    return cfg, None
+
+
+def _link_down():
+    return small_dr_config(), FaultPlan(events=[LinkDown(at=150, a=5, b=6)])
+
+
+class TestDownstreamPointer:
+    """``InputVC.out`` is the head worm's allocated downstream VC: set by
+    VC allocation, cleared with the tail, never left behind by a path
+    that takes the worm's route back."""
+
+    def test_cleared_by_the_tail(self):
+        fab, delivered = make_fabric()
+        sent = 0
+        for src in range(16):
+            for dst in (3, 12):
+                if src != dst:
+                    sent += fab.nic(src).try_send(
+                        Packet(src, dst, MessageType.READ_REPLY,
+                               TrafficClass.GPU, 9), 0)
+        for cyc in range(1500):
+            fab.step(cyc)
+            assert_fabric_invariants(fab)
+        assert len(delivered) == sent
+        for router in fab.reply_net.routers:
+            for row in router.inputs:
+                for ivc in row:
+                    assert ivc.out is None and ivc.route_out == -1
+                    assert ivc.sent == 0 and ivc.owner is None and ivc.occ == 0
+
+    @pytest.mark.parametrize("make", [_adaptive, _link_down])
+    def test_unset_when_the_route_is_taken_back(self, make):
+        # adaptive routing takes back the route of a header that found no
+        # VC on its chosen port, a downed link that of the headers waiting
+        # for it: the pass leaves a head it arbitrated without a route
+        cfg, plan = make()
+        system = build_system(cfg, "HS", "canneal", faults=plan)
+        records = [
+            ivc
+            for net in system.fabric._net_list
+            for router in net.routers
+            for row in router.inputs
+            for ivc in row
+        ]
+        taken_back = 0
+        for cycle in range(500):
+            # heads this cycle's pass will arbitrate: flits here, dwell over
+            ready = {
+                ivc: ivc.q[0][0]
+                for ivc in records
+                if ivc.q and ivc.q[0][1] and ivc.q[0][2] <= cycle
+            }
+            system.run(1)
+            for ivc, head in ready.items():
+                if ivc.route_out < 0 and ivc.q and ivc.q[0][0] is head:
+                    taken_back += 1
+                    assert ivc.out is None and ivc.sent == 0
+            assert_fabric_invariants(system.fabric)
+        assert taken_back > 0

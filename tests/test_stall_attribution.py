@@ -14,11 +14,13 @@ The two load-bearing guarantees:
 
 import json
 
+from repro.bench.traffic import SCENARIOS, replay
+from repro.config.system import TelemetryConfig
 from repro.noc import router as router_mod
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system, run_simulation
 from repro.sweep.runner import stall_shares
-from repro.telemetry import read_trace
+from repro.telemetry import TelemetryCollector, read_trace
 from repro.telemetry.blame import (
     ANY_CLS,
     CREDIT,
@@ -26,6 +28,7 @@ from repro.telemetry.blame import (
     PIPELINE,
     REPLY_BUFFER,
     STALL_CLASSES,
+    SWITCH,
     BlameAccumulator,
     StallTable,
     classify_head,
@@ -157,7 +160,7 @@ class TestConservation:
             for net in nets:
                 for r in net.routers:
                     k = (net.name, r.rid)
-                    pres[k] = sum(1 for q in r.active.values() if q)
+                    pres[k] = sum(1 for ivc in r.active if ivc.q)
                     prev[k] = r.flits_routed
             system.run(1)
             for net in nets:
@@ -260,13 +263,11 @@ class TestBlameChains:
         checked = 0
         for net in nets:
             for r in net.routers:
-                for (port, vc), q in list(r.active.items()):
-                    if not q:
-                        continue
-                    klass, nxt = classify_head(r, port, vc, system.cycle)
+                for ivc in list(r.active):
+                    klass, nxt = classify_head(ivc, system.cycle)
                     if klass is None:
                         continue
-                    chain = walk_chain(r, port, vc, system.cycle)
+                    chain = walk_chain(ivc, system.cycle)
                     assert chain[0]["class"] == klass
                     assert chain[0]["node"] == r.rid
                     if klass in ("credit", "vc_alloc"):
@@ -274,6 +275,39 @@ class TestBlameChains:
                     checked += 1
         assert checked > 10  # SC at cycle 800: plenty of blocked heads
         assert collect_counters(system) == before  # walker is read-only
+
+        # ... and is the arbiter's own verdict: on a saturated bare-fabric
+        # replay (no ejection gates, one pass a cycle) the state
+        # classify_head reads before a step is the state decide reads in
+        # it, so every head it calls blocked must carry that class in
+        # InputVC.stall afterwards — set by decide this cycle, or kept
+        # from the pass a sleeping router last ran (the §6.2 wake rules
+        # say it cannot have changed) — and every head it calls movable
+        # moved, lost the switch, or moved and was refilled.
+        scenario = SCENARIOS["mesh8x8_dr"]
+        fabric = scenario.build()
+        fabric.attach_telemetry(TelemetryCollector(
+            TelemetryConfig(enabled=True, mode="full"), fabric,
+            scenario.mem_nodes,
+        ))
+        schedule = scenario.schedule(700)
+        replay(fabric, schedule[:400])
+        blocked = 0
+        for cycle in range(400, 700):
+            verdict = {
+                ivc: classify_head(ivc, cycle)[0]
+                for net in fabric._net_list
+                for r in net.routers
+                for ivc in r.active
+            }
+            replay(fabric, schedule[cycle:cycle + 1], start=cycle)
+            for ivc, klass in verdict.items():
+                if klass is None:
+                    assert ivc.stall in (-1, SWITCH, PIPELINE)
+                else:
+                    assert STALL_CLASSES[ivc.stall] == klass
+                    blocked += 1
+        assert blocked > 10_000
 
     def test_survey_groups_by_terminal(self):
         system = self._saturated()

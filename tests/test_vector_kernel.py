@@ -21,6 +21,9 @@ from repro.noc.packet import NetKind
 from repro.noc.router import LOCAL_PORT
 from repro.sim.engines import BackendError, build_fabric
 from repro.sim.vector.fabric import VectorFabric
+from repro.telemetry.blame import classify_head
+
+from conftest import assert_fabric_invariants
 
 # ---------------------------------------------------------------------------
 # drivers + counter collection
@@ -35,7 +38,10 @@ def _drive(fabric, sched, latencies):
 
     for nic in fabric.nics:
         nic.handler = on_deliver
-    replay(fabric, sched)
+    check = None
+    if isinstance(fabric, NocFabric):
+        check = lambda cycle: cycle % 50 or assert_fabric_invariants(fabric)
+    replay(fabric, sched, on_cycle=check)
     return len(sched)
 
 
@@ -223,7 +229,7 @@ def test_randomized_configs_bit_identical():
 def _local_occupancy(fabric, node, kind=NetKind.REQUEST):
     """Flits buffered per VC of ``node``'s local input port on ``kind``."""
     if isinstance(fabric, NocFabric):
-        return list(fabric.router_for(node, kind).occ[LOCAL_PORT])
+        return [v.occ for v in fabric.router_for(node, kind).inputs[LOCAL_PORT]]
     K = fabric.kernel
     row = (int(kind) if K.separate else 0) * K.n + node
     return K.occ.reshape(K.R, K.P, K.V)[row, LOCAL_PORT].tolist()
@@ -262,6 +268,47 @@ def test_tail_frees_its_vc_for_a_start_in_the_same_cycle(backend):
     fabric.step(1)
     assert follower.injected == 1
     assert _local_occupancy(fabric, 0) == [3, 0]
+
+
+def test_two_headers_allocate_one_downstream_vc():
+    """Two worms become ready in router 5 in the same cycle and both route
+    to its one VC towards router 9: both allocate it before either header
+    moves (on the object kernel both ``InputVC.out`` are that one record),
+    the older takes the switch and with it the write lock, and the younger
+    stalls on VC allocation until the older's tail has passed — so the
+    worms never interleave and arrive at least a worm's length apart, at
+    the same cycles on both kernels."""
+    size = 5
+    offer = [[(src, 13, MessageType.READ_REPLY, TrafficClass.GPU, size, None)
+              for src in (4, 6)]] + [[]] * 40
+    arrivals = {}
+    for backend in ("object", "vector"):
+        fabric = build_fabric(backend, MeshTopology(4, 4),
+                              NocConfig(vcs_per_port=1))
+        got = arrivals[backend] = []
+        fabric.nic(13).handler = lambda pkt, cycle: got.append((pkt.src, cycle))
+        shared, verdicts = [], set()
+
+        def watch(cycle):
+            # router 5's input VCs fed by node 4 (port 2) and node 6 (port 3)
+            older, younger = (fabric.reply_net.routers[5].inputs[port][0]
+                              for port in (2, 3))
+            if older.out is not None and older.out is younger.out:
+                shared.append(cycle)
+                assert younger.sent == 0
+                verdicts.add(classify_head(younger, cycle + 1)[0])
+
+        replay(fabric, offer,
+               on_cycle=watch if isinstance(fabric, NocFabric) else None)
+        if isinstance(fabric, NocFabric):
+            assert len(shared) >= size  # from the allocation to the tail
+            assert "vc_alloc" in verdicts
+            assert verdicts <= {"vc_alloc", "credit"}  # a full VC reads credit
+            assert_fabric_invariants(fabric)
+    (first, t_first), (second, t_second) = arrivals["object"]
+    assert (first, second) == (4, 6)
+    assert t_second - t_first >= size
+    assert arrivals["vector"] == arrivals["object"]
 
 
 def test_packet_table_growth_bit_identical():
