@@ -11,9 +11,9 @@ set -euo pipefail
 OUT=/tmp/chaos-smoke.txt
 
 # plan round-trip: emit a chaos plan, replay it from the file
-python -m repro.faults plan --intensity 0.1 --seed 1 \
+python -m repro faults plan --intensity 0.1 --seed 1 \
   --cycles 1200 --warmup 400 --out /tmp/chaos-plan.json
-python -m repro.faults run --gpu SC --mechanism dr \
+python -m repro faults run --gpu SC --mechanism dr \
   --cycles 1200 --warmup 400 --plan /tmp/chaos-plan.json \
   | tee "$OUT"
 
@@ -26,7 +26,7 @@ grep -Eq "lost: 0$" "$OUT"
 grep -q "OK: every injected fault recovered" "$OUT"
 
 # determinism: the same plan twice gives identical fault counters
-python -m repro.faults run --gpu SC --mechanism dr \
+python -m repro faults run --gpu SC --mechanism dr \
   --cycles 1200 --warmup 400 --plan /tmp/chaos-plan.json > /tmp/chaos-2.txt
 diff "$OUT" /tmp/chaos-2.txt
 echo "chaos smoke OK"

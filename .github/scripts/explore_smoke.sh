@@ -15,15 +15,15 @@ BUDGET=32
 POP=12
 SEED=0
 
-python -m repro.explore run --space "$SPACE" --surrogate-only \
+python -m repro explore run --space "$SPACE" --surrogate-only \
   --algo nsga2 --budget "$BUDGET" --population "$POP" --seed "$SEED" \
   --out /tmp/explore-nsga2.json --format json > /dev/null
-python -m repro.explore run --space "$SPACE" --surrogate-only \
+python -m repro explore run --space "$SPACE" --surrogate-only \
   --algo random --budget "$BUDGET" --population "$POP" --seed "$SEED" \
   --out /tmp/explore-random.json --format json > /dev/null
 
 # same seed, same manifest (modulo wall time): the search is reproducible
-python -m repro.explore run --space "$SPACE" --surrogate-only \
+python -m repro explore run --space "$SPACE" --surrogate-only \
   --algo nsga2 --budget "$BUDGET" --population "$POP" --seed "$SEED" \
   --out /tmp/explore-nsga2-again.json --format json > /dev/null
 python - <<'EOF'
@@ -45,7 +45,7 @@ print(f"frontier: {n} points, {a['counts']['evaluated']} evaluated")
 EOF
 
 # nsga2 must beat random at equal budget under a shared reference
-python -m repro.explore frontier /tmp/explore-nsga2.json \
+python -m repro explore frontier /tmp/explore-nsga2.json \
   --compare /tmp/explore-random.json --format json > /tmp/explore-cmp.json
 python - <<'EOF'
 import json

@@ -3,7 +3,7 @@
 #
 # Starts a 9-job mechanism sweep (3 GPU benchmarks x 3 mechanisms) on two
 # workers, interrupts it once a few jobs have landed in the cache, then
-# re-runs with --resume and asserts the second run reused cached jobs and
+# re-runs the same command and asserts the second run reused cached jobs and
 # completed everything.  The caller wraps this script in `timeout 90`.
 set -euo pipefail
 
@@ -12,7 +12,7 @@ CACHE=/tmp/sweep-cache
 MANIFEST=/tmp/sweep-manifest.json
 rm -rf "$CACHE" "$MANIFEST"
 
-python -m repro.sweep run --jobs 2 --benchmarks "$BENCHES" \
+python -m repro sweep run --jobs 2 --benchmarks "$BENCHES" \
   --cache-dir "$CACHE" &
 pid=$!
 sleep 12
@@ -22,10 +22,10 @@ kill "$pid" 2>/dev/null || true
 wait "$pid" || true
 
 echo "--- after interrupt ---"
-python -m repro.sweep status --benchmarks "$BENCHES" --cache-dir "$CACHE"
+python -m repro sweep status --benchmarks "$BENCHES" --cache-dir "$CACHE"
 
 echo "--- resume ---"
-python -m repro.sweep run --jobs 2 --resume --benchmarks "$BENCHES" \
+python -m repro sweep run --jobs 2 --benchmarks "$BENCHES" \
   --cache-dir "$CACHE" --out "$MANIFEST"
 
 python - "$MANIFEST" <<'PY'

@@ -6,19 +6,19 @@
 # The caller wraps this script in `timeout 60`.
 set -euo pipefail
 
-TRACE=/tmp/telemetry-smoke.bin
+TRACE=/tmp/telemetry-smoke.jsonl
 rm -f "$TRACE"
 
-python -m repro.telemetry trace --out "$TRACE" --format bin \
+python -m repro telemetry trace --out "$TRACE" \
   --gpu SC --mechanism baseline --cycles 1500 --warmup 500 \
-  --probe-interval 100
+  --set telemetry.probe_interval=100
 
 echo "--- report ---"
-python -m repro.telemetry report "$TRACE" | tee /tmp/telemetry-report.txt
+python -m repro telemetry report "$TRACE" | tee /tmp/telemetry-report.txt
 echo "--- events ---"
-python -m repro.telemetry events "$TRACE" | tee /tmp/telemetry-events.txt
+python -m repro telemetry events "$TRACE" | tee /tmp/telemetry-events.txt
 echo "--- blame ---"
-python -m repro.telemetry blame "$TRACE" | tee /tmp/telemetry-blame.txt
+python -m repro telemetry blame "$TRACE" | tee /tmp/telemetry-blame.txt
 
 # per-class latency percentiles are present for both networks
 grep -q "latency percentiles" /tmp/telemetry-report.txt

@@ -47,41 +47,12 @@ __all__ = [
 ]
 
 
-def run_simulation(*args, **kwargs):
-    """Convenience wrapper around :func:`repro.sim.simulator.run_simulation`.
+def __getattr__(name: str):
+    """The library names of ``__all__`` that live in :mod:`repro.api`
+    (``simulate``, ``run_simulation``, ``predict``, ``explore``), looked
+    up there on first use (PEP 562) so ``import repro`` stays cheap."""
+    if name in __all__:
+        import repro.api
 
-    Imported lazily so ``import repro`` stays cheap.
-    """
-    from repro.sim.simulator import run_simulation as _run
-
-    return _run(*args, **kwargs)
-
-
-def simulate(*args, **kwargs):
-    """Convenience wrapper around :func:`repro.api.simulate`.
-
-    Imported lazily so ``import repro`` stays cheap.
-    """
-    from repro.api import simulate as _simulate
-
-    return _simulate(*args, **kwargs)
-
-
-def predict(*args, **kwargs):
-    """Convenience wrapper around :func:`repro.api.predict`.
-
-    Imported lazily so ``import repro`` stays cheap.
-    """
-    from repro.api import predict as _predict
-
-    return _predict(*args, **kwargs)
-
-
-def explore(*args, **kwargs):
-    """Convenience wrapper around :func:`repro.api.explore`.
-
-    Imported lazily so ``import repro`` stays cheap.
-    """
-    from repro.api import explore as _explore
-
-    return _explore(*args, **kwargs)
+        return getattr(repro.api, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

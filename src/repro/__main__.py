@@ -1,26 +1,57 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>``, the only one.
 
 Commands:
 
 * ``list``                     — benchmarks, mixes and experiments
-* ``run GPU [CPU]``            — simulate one workload mix
+* ``run --gpu GPU``            — simulate one workload mix
 * ``experiment NAME``          — regenerate one paper figure/table
 * ``area``                     — print the area model's numbers
 
+and one group per subsystem, each registered by the ``cli`` module beside
+the code it drives and imported only when it is the first argument:
+
+* ``sweep {list,run,status,clean}``
+* ``telemetry {trace,report,hist,timeline,events,blame}``
+* ``faults {run,plan,sweep}``
+* ``model {predict,validate,screen}``
+* ``explore {run,frontier,show}``
+
 Examples::
 
-    python -m repro run HS bodytrack --mechanism dr --cycles 3000
+    python -m repro run --gpu HS --cpu bodytrack --mechanism dr --cycles 3000
+    python -m repro run --gpu SC --set noc.topology=crossbar
     python -m repro experiment fig10_gpu_perf
-    python -m repro list
+    python -m repro sweep run --jobs 4
+
+What a command line means — the job block, the shared options, the
+output formats, the error contract — is :mod:`repro.cli`; the library
+door is :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
-from repro.cli import add_mechanism_option, add_window_options, run_guarded
+from repro.cli import (
+    add_command,
+    add_job_block,
+    add_options,
+    job_from_args,
+    run_guarded,
+)
+
+#: group name -> its one-line help; ``repro.<name>.cli.register`` fills it
+GROUPS = {
+    "sweep": "parallel, cached, resumable experiment sweeps",
+    "telemetry": "per-packet tracing, latency histograms and "
+                 "clogging-event reports",
+    "faults": "deterministic fault injection and recovery checking",
+    "model": "analytical surrogate performance model",
+    "explore": "multi-objective design-space exploration",
+}
 
 
 def _experiments() -> dict:
@@ -46,22 +77,20 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.config import mechanism_config
     from repro.sim.simulator import run_simulation
 
-    cfg = mechanism_config(args.mechanism)
+    spec = job_from_args(args)
     result = run_simulation(
-        cfg, args.gpu, args.cpu, cycles=args.cycles, warmup=args.warmup
+        spec.system_config(), spec.gpu, spec.cpu,
+        cycles=spec.cycles, warmup=spec.warmup,
     )
-    print(f"workload:            {args.gpu}"
-          + (f" + {args.cpu}" if args.cpu else ""))
+    print(f"workload:            {spec.gpu} + {spec.cpu}")
     print(f"mechanism:           {args.mechanism}")
     print(f"gpu_ipc:             {result.gpu_ipc:.4f}")
     print(f"gpu_data_rate:       {result.gpu_data_rate:.4f} flits/cyc/core")
     print(f"mem_blocking_rate:   {result.mem_blocking_rate:.3f}")
-    if args.cpu:
-        print(f"cpu_ipc:             {result.cpu_ipc:.4f}")
-        print(f"cpu_latency_avg:     {result.cpu_latency_avg:.1f} cycles")
+    print(f"cpu_ipc:             {result.cpu_ipc:.4f}")
+    print(f"cpu_latency_avg:     {result.cpu_latency_avg:.1f} cycles")
     if args.mechanism == "dr":
         bd = result.miss_breakdown()
         print(f"delegated_fraction:  {result.delegated_fraction:.3f}")
@@ -107,39 +136,46 @@ def _cmd_area(_args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command tree.  A group's subcommands exist only when ``group``
+    names it, so ``repro list`` never imports what ``repro explore`` needs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Delegated Replies (HPCA 2022) reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list benchmarks and experiments")
-
-    run_p = sub.add_parser("run", help="simulate one workload mix")
-    run_p.add_argument("gpu", help="GPU benchmark (Table II name)")
-    run_p.add_argument("cpu", nargs="?", default=None,
-                       help="CPU benchmark (Parsec name)")
-    add_mechanism_option(run_p)
-    add_window_options(run_p, cycles=3000, warmup=2000)
-
-    exp_p = sub.add_parser("experiment", help="regenerate a paper figure")
+    add_command(sub, "list", _cmd_list, "list benchmarks and experiments")
+    add_job_block(add_command(
+        sub, "run", _cmd_run,
+        "simulate one workload mix (built-in window 2000+3000 cycles)"))
+    exp_p = add_command(sub, "experiment", _cmd_experiment,
+                        "regenerate a paper figure")
     exp_p.add_argument("name", help="experiment module, e.g. fig10_gpu_perf")
-    add_window_options(exp_p)
-    exp_p.add_argument("--benchmarks", default=None,
-                       help="comma-separated GPU benchmark subset")
+    add_options(exp_p, "cycles", "warmup", "benchmarks")
+    add_command(sub, "area", _cmd_area, "print the area model's numbers")
 
-    sub.add_parser("area", help="print the area model's numbers")
+    for name, help_text in GROUPS.items():
+        group_p = sub.add_parser(name, help=help_text, description=help_text)
+        if name == group:
+            importlib.import_module(f"repro.{name}.cli").register(
+                group_p.add_subparsers(dest="subcommand", required=True)
+            )
+    return parser
 
-    args = parser.parse_args(argv)
-    handler = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "experiment": _cmd_experiment,
-        "area": _cmd_area,
-    }[args.command]
-    return run_guarded(handler, args)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    try:
+        return run_guarded(args.handler, args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:  # e.g. `... telemetry report trace | head`
+        sys.exit(0)

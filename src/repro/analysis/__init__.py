@@ -6,7 +6,6 @@ from repro.analysis.area import (
     delegated_replies_overhead,
     frq_area,
     noc_area,
-    router_area,
 )
 from repro.analysis.energy import EnergyReport, energy_report
 from repro.analysis.report import amean, format_table, geomean, hmean
@@ -23,5 +22,4 @@ __all__ = [
     "geomean",
     "hmean",
     "noc_area",
-    "router_area",
 ]

@@ -65,14 +65,6 @@ class AreaReport:
         }
 
 
-def router_area(ports: int, vcs: int, vc_depth: int, width_bytes: float) -> float:
-    """Area of one router (mm²)."""
-    buffers = BUFFER_MM2_PER_BYTE * ports * vcs * vc_depth * width_bytes
-    crossbar = CROSSBAR_MM2_PER_PORT2_BYTE2 * (ports ** 2) * (width_bytes ** 2)
-    allocator = ALLOCATOR_MM2_PER_PORT_VC * ports * vcs
-    return buffers + crossbar + allocator
-
-
 def noc_area(cfg: SystemConfig) -> AreaReport:
     """Total NoC area for the configured topology and channel width.
 

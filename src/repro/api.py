@@ -15,13 +15,13 @@ Everything an external caller needs lives behind this one module:
 config and workload is keyword-only so call sites stay readable and
 new options never break positional callers.  For batches,
 :func:`run_sweep` plus :class:`JobSpec` is the campaign entry point —
-warm worker pools (``jobs``), chunked submission (``batch``), on-disk
-result caching and retries, see :mod:`repro.sweep`.  :func:`predict` is
+warm worker pools (``jobs``), chunked submission, on-disk result
+caching and retries, see :mod:`repro.sweep`.  :func:`predict` is
 the millisecond analytical counterpart of :func:`simulate`: same
 (config, workload, co-runner) signature, a
 :class:`~repro.model.Prediction` instead of a
 :class:`SimulationResult` — use it for what-if scans and to pre-screen
-sweeps (``repro.sweep run --screen surrogate``).  The lower-level
+sweeps (``repro sweep run --screen surrogate``).  The lower-level
 :func:`run_simulation` / :func:`build_system` pair is re-exported for
 callers that need to drive a :class:`HeterogeneousSystem` cycle by
 cycle (telemetry tooling, the fault-injection harness).
@@ -39,6 +39,7 @@ from typing import Optional
 
 from repro.config.system import SystemConfig
 from repro.explore.pareto import ParetoFrontier
+from repro.explore.search import explore
 from repro.explore.space import SearchSpace
 from repro.faults.plan import FaultPlan, chaos_plan
 from repro.sim.engines import BackendError, available_backends
@@ -69,56 +70,6 @@ __all__ = [
 ]
 
 
-def explore(
-    space="mesh4x4",
-    *,
-    algo: str = "nsga2",
-    budget: int = 64,
-    population: int = 16,
-    seed: int = 0,
-    surrogate_only: bool = False,
-    sim_fraction: float = 0.2,
-    jobs: Optional[int] = None,
-    batch: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    cache="auto",
-    progress=None,
-):
-    """Multi-objective design-space search over a :class:`SearchSpace`.
-
-    Runs a seeded NSGA-II (or uniform-random baseline) search that
-    optimises latency p95, throughput, and the ``repro.analysis``
-    area/energy models jointly.  Every candidate is scored by the
-    :func:`predict` surrogate; only frontier-band survivors (at most
-    ``sim_fraction`` of the evaluated designs, plus the mechanism
-    reference anchors) are promoted to cycle-level :func:`simulate`
-    ground truth via the sweep runner and its content-addressed cache.
-    ``space`` is a named demo space (``"mesh4x4"``, ``"mesh8x8"``) or a
-    custom :class:`SearchSpace`.  Returns an
-    :class:`~repro.explore.ExploreOutcome` whose ``frontier`` is a
-    :class:`ParetoFrontier` and whose ``manifest()`` matches the JSON
-    artifact of ``python -m repro.explore run``.
-    """
-    from repro.explore.search import explore as _explore
-
-    return _explore(
-        space,
-        algo=algo,
-        budget=budget,
-        population=population,
-        seed=seed,
-        surrogate_only=surrogate_only,
-        sim_fraction=sim_fraction,
-        jobs=jobs,
-        batch=batch,
-        cycles=cycles,
-        warmup=warmup,
-        cache=cache,
-        progress=progress,
-    )
-
-
 def predict(
     cfg: SystemConfig,
     workload: str,
@@ -135,7 +86,7 @@ def predict(
     (``cpu_latency_avg``, ``gpu_ipc``, ``mem_blocking_rate``, ...), and
     the prediction adds ``demand_rho``/``saturated``/``bottleneck`` for
     clogging assessment.  Validated accuracy against the simulator is
-    tracked by ``python -m repro.model validate``.
+    tracked by ``python -m repro model validate``.
     """
     from repro.model.compose import predict as _model_predict
 

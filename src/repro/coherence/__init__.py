@@ -1,21 +1,11 @@
-"""Coherence: GPU software coherence and the CPU-domain MESI directory."""
+"""Coherence: GPU software coherence (flushes and pointer invalidation)."""
 
-from repro.coherence.mesi import (
-    CoherenceAction,
-    DirectoryEntry,
-    MesiDirectory,
-    MesiState,
-)
 from repro.coherence.software import (
     CoherenceStats,
     SoftwareCoherenceController,
 )
 
 __all__ = [
-    "CoherenceAction",
     "CoherenceStats",
-    "DirectoryEntry",
-    "MesiDirectory",
-    "MesiState",
     "SoftwareCoherenceController",
 ]

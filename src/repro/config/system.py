@@ -32,7 +32,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 
 class ConfigError(ValueError):
@@ -384,8 +384,6 @@ class TelemetryConfig:
     #: per-packet trace destination; empty = aggregate-only (histograms,
     #: window probes and clogging detection, but no per-packet I/O).
     trace_path: str = _spec("", identity=False)
-    #: ``jsonl`` (greppable) or ``bin`` (compact packed structs).
-    trace_format: str = _spec("jsonl", choices=("jsonl", "bin"))
     #: fraction of packets traced, decided by a stateless hash of the
     #: packet id so every lifecycle event of a packet is kept or dropped
     #: together (and the simulation's RNG streams are untouched).
@@ -690,19 +688,23 @@ def _update_fields(obj, data: Mapping[str, Any], path: str) -> None:
         setattr(obj, key, value)
 
 
-def declared_field(path: str) -> Tuple[type, Optional[list], Any]:
-    """``(value type, choices or None, default)`` of the leaf field at
-    dotted ``path``, as declared (what a CLI flag for it needs)."""
+def declared_field(path: str) -> type:
+    """The value type of the leaf field at dotted ``path``, as declared
+    (what ``--set PATH=VALUE`` needs to read its text); a ``ConfigError``
+    naming the legal keys for a path that is not a leaf."""
     cls = SystemConfig
     *sections, leaf = path.split(".")
-    for name in sections:
-        cls = _RULES[cls][1][name]
-    f = cls.__dataclass_fields__[leaf]
-    typ = type(f.default)
-    if issubclass(typ, enum.Enum):
-        return typ, [m.value for m in typ], f.default.value
-    choices = f.metadata.get("choices")
-    return typ, list(choices) if choices else None, f.default
+    try:
+        for name in sections:
+            cls = _RULES[cls][1][name]
+        typ = _RULES[cls][0][leaf][0]
+    except KeyError:
+        leaves, subsections = _RULES[cls]
+        raise ConfigError(
+            f"unknown config field {path!r}; {cls.__name__} has "
+            f"{sorted((*leaves, *subsections))}"
+        ) from None
+    return typ
 
 
 def nested(path: str, value: Any) -> Dict[str, Any]:

@@ -1,22 +1,8 @@
-"""CPU core model: Netrace-style dependency-driven traffic and traces."""
+"""CPU core model: Netrace-style dependency-driven traffic."""
 
 from repro.cpu.core import CpuCore, CpuCoreStats
-from repro.cpu.trace_file import (
-    TraceRecord,
-    TraceReplayer,
-    capture_trace,
-    iter_trace,
-    read_trace,
-    write_trace,
-)
 
 __all__ = [
     "CpuCore",
     "CpuCoreStats",
-    "TraceRecord",
-    "TraceReplayer",
-    "capture_trace",
-    "iter_trace",
-    "read_trace",
-    "write_trace",
 ]

@@ -51,7 +51,6 @@ def run(
     intensities: Sequence[float] = INTENSITIES,
     seed: int = 0,
     jobs: Optional[int] = None,
-    batch: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep fault intensity x mechanism; report degradation + recovery."""
     from repro.faults.plan import chaos_plan
@@ -84,7 +83,7 @@ def run(
                     specs.append(spec)
                     index[(gpu, cpu, mech, level)] = spec
 
-    results = run_sweep(specs, jobs=jobs, batch=batch)
+    results = run_sweep(specs, jobs=jobs)
 
     rows: List[Tuple[str, dict]] = []
     total_lost = 0

@@ -48,14 +48,14 @@ def _env_window(name: str, default: int, minimum: int) -> int:
     return value
 
 
-def default_cycles() -> int:
-    """Measured-window length: ``REPRO_CYCLES`` (read now), default 3000."""
-    return _env_window("REPRO_CYCLES", 3000, minimum=1)
+def default_cycles(builtin: int = 3000) -> int:
+    """Measured-window length: ``REPRO_CYCLES`` (read now), else ``builtin``."""
+    return _env_window("REPRO_CYCLES", builtin, minimum=1)
 
 
-def default_warmup() -> int:
-    """Warmup-window length: ``REPRO_WARMUP`` (read now), default 2000."""
-    return _env_window("REPRO_WARMUP", 2000, minimum=0)
+def default_warmup(builtin: int = 2000) -> int:
+    """Warmup-window length: ``REPRO_WARMUP`` (read now), else ``builtin``."""
+    return _env_window("REPRO_WARMUP", builtin, minimum=0)
 
 
 def default_benchmarks(subset: Optional[int] = None) -> List[str]:

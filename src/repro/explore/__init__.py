@@ -16,7 +16,7 @@ design tool that searches that space.  The pieces:
   and the hybrid :func:`explore` driver (surrogate-screen everything,
   simulate only frontier-band survivors through the sweep cache).
 
-``python -m repro.explore {run,frontier,show}`` is the CLI face;
+``python -m repro explore {run,frontier,show}`` is the CLI face;
 :func:`repro.api.explore` the library one.
 """
 

@@ -1,4 +1,4 @@
-"""Command-line face of the explore subsystem.
+"""The ``python -m repro explore`` commands.
 
 * ``run``      — execute one hybrid search and write a frontier manifest
 * ``frontier`` — inspect a manifest (table/JSON); ``--compare`` scores two
@@ -8,13 +8,13 @@
 
 Examples::
 
-    python -m repro.explore run --space mesh4x4 --budget 64 --seed 7 \\
+    python -m repro explore run --space mesh4x4 --budget 64 --seed 7 \\
         --out frontier.json
-    python -m repro.explore run --space mesh4x4 --algo random \\
+    python -m repro explore run --space mesh4x4 --algo random \\
         --surrogate-only --format json
-    python -m repro.explore frontier frontier.json
-    python -m repro.explore frontier nsga2.json --compare random.json
-    python -m repro.explore show --space mesh8x8
+    python -m repro explore frontier frontier.json
+    python -m repro explore frontier nsga2.json --compare random.json
+    python -m repro explore show --space mesh8x8
 """
 
 from __future__ import annotations
@@ -25,16 +25,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table
-from repro.cli import (
-    add_batch_option,
-    add_format_option,
-    add_jobs_option,
-    add_out_option,
-    add_seed_option,
-    add_window_options,
-    emit,
-    run_guarded,
-)
+from repro.cli import add_command, add_options, emit
 from repro.explore.objectives import OBJECTIVE_NAMES, SENSES
 from repro.explore.pareto import default_reference, hypervolume
 from repro.explore.search import (
@@ -93,9 +84,6 @@ def _frontier_vectors(data: Dict[str, Any]) -> List[Tuple[float, ...]]:
     ]
 
 
-# --- commands --------------------------------------------------------------
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     progress = (
         (lambda msg: print(msg, file=sys.stderr))
@@ -111,18 +99,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         surrogate_only=args.surrogate_only,
         sim_fraction=args.sim_fraction,
         jobs=args.jobs,
-        batch=args.batch,
         cycles=args.cycles,
         warmup=args.warmup,
         cache=args.cache_dir if args.cache_dir else "auto",
         progress=progress,
     )
-    manifest = outcome.manifest()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        if progress:
-            progress(f"manifest written to {args.out}")
 
     def render() -> str:
         lines = [outcome.table()]
@@ -136,7 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         return "\n".join(lines)
 
-    emit(args.format, manifest, render)
+    emit(args, outcome.manifest(), render)
     return 0 if len(outcome.frontier) else 1
 
 
@@ -196,7 +177,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             )
         return out
 
-    emit(args.format, payload, render)
+    emit(args, payload, render)
     return 0
 
 
@@ -233,25 +214,18 @@ def cmd_show(args: argparse.Namespace) -> int:
             )
         return "\n".join(lines)
 
-    emit(args.format, desc, render)
+    emit(args, desc, render)
     return 0
 
 
-# --- parser ----------------------------------------------------------------
+def register(sub) -> None:
+    """Add the ``explore`` group's commands to the subparsers action."""
+    space = dict(choices=sorted(SPACES), default="mesh4x4",
+                 help="named search space (default: %(default)s)")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.explore",
-        description="multi-objective design-space exploration",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one search, emit a frontier manifest")
-    run.add_argument(
-        "--space", choices=sorted(SPACES), default="mesh4x4",
-        help="named search space (default: %(default)s)",
-    )
+    run = add_command(sub, "run", cmd_run,
+                      "run one search, emit a frontier manifest")
+    run.add_argument("--space", **space)
     run.add_argument(
         "--algo", choices=ALGORITHMS, default="nsga2",
         help="search policy (default: %(default)s)",
@@ -273,48 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="max fraction of evaluated candidates promoted to "
         "simulation (default: %(default)s)",
     )
-    run.add_argument(
-        "--cache-dir", default=None,
-        help="sweep result cache directory "
-        "(default: $REPRO_SWEEP_CACHE, else no persistence)",
+    add_options(
+        run, "cache-dir", "seed", "cycles", "warmup", "jobs", "out", "format",
+        cache_dir=dict(help="sweep result cache directory "
+                            "(default: $REPRO_SWEEP_CACHE, else no persistence)"),
+        seed=dict(help="search RNG seed (default: 0)"),
+        out=dict(help="write the frontier manifest JSON here"),
     )
-    add_seed_option(run, help="search RNG seed (default: 0)")
-    add_window_options(run)
-    add_jobs_option(run)
-    add_batch_option(run)
-    add_out_option(run, help="write the frontier manifest JSON here")
-    add_format_option(run)
-    run.set_defaults(func=cmd_run)
 
-    frontier = sub.add_parser(
-        "frontier", help="inspect or compare frontier manifests"
-    )
+    frontier = add_command(sub, "frontier", cmd_frontier,
+                           "inspect or compare frontier manifests")
     frontier.add_argument("manifest", help="explore manifest JSON path")
     frontier.add_argument(
         "--compare", default=None,
         help="second manifest; score both frontiers at a shared reference",
     )
-    add_format_option(frontier)
-    frontier.set_defaults(func=cmd_frontier)
+    add_options(frontier, "format")
 
-    show = sub.add_parser("show", help="describe a named search space")
-    show.add_argument(
-        "--space", choices=sorted(SPACES), default="mesh4x4",
-        help="named search space (default: %(default)s)",
-    )
-    add_format_option(show)
-    show.set_defaults(func=cmd_show)
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return run_guarded(args.func, args)
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    show = add_command(sub, "show", cmd_show, "describe a named search space")
+    show.add_argument("--space", **space)
+    add_options(show, "format")

@@ -485,16 +485,21 @@ def explore(
     surrogate_only: bool = False,
     sim_fraction: float = DEFAULT_SIM_FRACTION,
     jobs: Optional[int] = None,
-    batch: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
     cache: Union[ResultCache, str, None] = "auto",
     progress: Optional[ProgressFn] = None,
 ) -> ExploreOutcome:
-    """Run one hybrid design-space exploration; see module docstring.
+    """Run one hybrid design-space exploration (also ``repro.api.explore``).
 
-    ``cache="auto"`` follows the ``run_sweep`` convention: persist to
-    disk only when ``REPRO_SWEEP_CACHE`` is set.  With
+    A seeded NSGA-II (or uniform-random baseline) search optimising
+    latency p95, throughput and the ``repro.analysis`` area/energy
+    models jointly; see the module docstring for the surrogate-then-
+    simulate split.  ``space`` is a named demo space (``"mesh4x4"``,
+    ``"mesh8x8"``) or a custom :class:`SearchSpace`; the outcome's
+    ``manifest()`` is the JSON artifact of ``python -m repro explore
+    run``.  ``cache="auto"`` follows the ``run_sweep`` convention:
+    persist to disk only when ``REPRO_SWEEP_CACHE`` is set.  With
     ``surrogate_only`` no simulation happens and the frontier is built
     from surrogate scores alone (the CI smoke mode).
     """
@@ -545,9 +550,7 @@ def explore(
                 f"simulating {len(survivors)}/{len(records)} survivors "
                 f"(cap {sim_fraction:.0%})"
             )
-        runner = SweepRunner(
-            cache=_resolve_cache(cache), jobs=jobs, batch=batch
-        )
+        runner = SweepRunner(cache=_resolve_cache(cache), jobs=jobs)
         try:
             outcomes = runner.run(list(specs.values()))
         finally:

@@ -11,7 +11,7 @@ Entry points:
 
 * :func:`repro.api.simulate` / :func:`repro.sim.simulator.run_simulation`
   accept ``faults=FaultPlan(...)``.
-* ``python -m repro.faults`` — chaos harness CLI (single runs, plan
+* ``python -m repro faults`` — chaos harness CLI (single runs, plan
   authoring, intensity sweeps).
 * :func:`chaos_plan` — canonical fault scenario at a given intensity.
 """

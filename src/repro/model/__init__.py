@@ -12,8 +12,8 @@ Entry points:
 - :func:`repro.model.validate.validate` — surrogate vs simulator on the
   fig05/fig11/fig16 grids (error + rank correlation report).
 - :func:`repro.model.saturation.keep_mask` — the screening policy behind
-  ``repro.sweep run --screen surrogate``.
-- ``python -m repro.model {predict,validate,screen}``.
+  ``repro sweep run --screen surrogate``.
+- ``python -m repro model {predict,validate,screen}``.
 """
 
 from repro.model.compose import Prediction, predict

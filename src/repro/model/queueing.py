@@ -82,11 +82,6 @@ def priority_waits(classes: Sequence[ClassLoad]) -> List[float]:
     return waits
 
 
-def total_rho(classes: Sequence[ClassLoad]) -> float:
-    """Total offered utilisation of the link, all classes combined."""
-    return sum(c.rho for c in classes)
-
-
 def p95_of_mean(mean: float) -> float:
     """Approximate 95th percentile of a sojourn with the given mean.
 

@@ -12,7 +12,6 @@ from repro.noc.analysis import (
     hottest_links,
     link_loads,
     link_utilization_summary,
-    node_injection_loads,
     render_mesh_heatmap,
 )
 from repro.noc.network import NocFabric, PhysicalNetwork
@@ -48,7 +47,6 @@ __all__ = [
     "hottest_links",
     "link_loads",
     "link_utilization_summary",
-    "node_injection_loads",
     "render_mesh_heatmap",
     "CrossbarTopology",
     "DeterministicRouting",

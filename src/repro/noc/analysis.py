@@ -13,7 +13,7 @@ becomes a one-liner::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.noc.network import PhysicalNetwork
 from repro.noc.topology import MeshTopology
@@ -66,16 +66,6 @@ def link_utilization_summary(net: PhysicalNetwork) -> dict:
         "p95": loads[int(0.95 * (len(loads) - 1))],
         "links": len(loads),
     }
-
-
-def node_injection_loads(net: PhysicalNetwork) -> List[Tuple[int, float]]:
-    """Per-node injection-link utilization (the clogging bottleneck for
-    memory nodes), computed from each NIC's injected-flit counters."""
-    out = []
-    cycles = max(1, net.cycles)
-    for nic in net.nics:
-        out.append((nic.node_id, nic.flits_injected / (cycles * net.bandwidth)))
-    return out
 
 
 def render_value_heatmap(

@@ -4,7 +4,7 @@ The sweep subsystem turns the (GPU benchmark x CPU co-runner x
 mechanism) cross products behind the paper's figures into explicit
 :class:`JobSpec` batches, runs them over a process pool, and persists
 every result to a content-addressed on-disk cache so re-runs and
-interrupted sweeps resume for free.  ``python -m repro.sweep`` exposes
+interrupted sweeps resume for free.  ``python -m repro sweep`` exposes
 it on the command line; every figure module reaches it through
 :func:`repro.experiments.common.simulate`.
 """
@@ -23,13 +23,11 @@ from repro.sweep.jobs import (
     mechanism_jobs,
 )
 from repro.sweep.runner import (
-    ENV_BATCH,
     ENV_JOBS,
     JobOutcome,
     ScreenDecision,
     SweepError,
     SweepRunner,
-    default_batch,
     default_jobs,
     pool_context,
     run_job_batch,
@@ -40,7 +38,6 @@ from repro.sweep.runner import (
 __all__ = [
     "CODE_VERSION",
     "DEFAULT_CACHE_DIRNAME",
-    "ENV_BATCH",
     "ENV_CACHE_DIR",
     "ENV_JOBS",
     "JobOutcome",
@@ -51,7 +48,6 @@ __all__ = [
     "SweepRunner",
     "code_salt",
     "dedupe",
-    "default_batch",
     "default_cache_dir",
     "default_jobs",
     "mechanism_jobs",

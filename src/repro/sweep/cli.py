@@ -1,52 +1,38 @@
-"""CLI entry point: ``python -m repro.sweep``.
-
-Subcommands:
+"""The ``python -m repro sweep`` commands.
 
 * ``list``    — enumerate the sweep's jobs, their keys and cache state
-* ``run``     — execute the sweep (``--jobs N`` workers, cached results
-  are reused by default so an interrupted run resumes where it stopped;
-  ``--force`` recomputes everything)
+* ``run``     — execute the sweep (``--jobs N`` workers; cached results
+  are reused, so an interrupted run resumes where it stopped when it is
+  run again; ``--force`` recomputes everything)
 * ``status``  — cached/missing breakdown for the sweep + cache totals
 * ``clean``   — delete every cache entry
 
 Examples::
 
-    python -m repro.sweep run --jobs 4                  # full Fig. 10 sweep
-    python -m repro.sweep run --jobs 2 --benchmarks HS,SC --resume
-    python -m repro.sweep run --jobs 4 --batch 8        # fixed 8-job chunks
-    python -m repro.sweep run --screen surrogate        # hybrid sweep: only
+    python -m repro sweep run --jobs 4                  # full Fig. 10 sweep
+    python -m repro sweep run --jobs 2 --benchmarks HS,SC
+    python -m repro sweep run --screen surrogate        # hybrid sweep: only
                                                         # near/past-knee points
-    python -m repro.sweep list --mechanisms baseline,dr
-    python -m repro.sweep status
-    python -m repro.sweep clean
+    python -m repro sweep list --mechanisms baseline,dr
+    python -m repro sweep status
 
-The sweep selection flags (``--benchmarks``, ``--n-mixes``,
-``--mechanisms``, ``--cycles``, ``--warmup``) describe the same
-(GPU benchmark x CPU co-runner x mechanism) cross product Figures 10-14
-read; defaults regenerate the Fig. 10 sweep.  Window lengths default to
-``REPRO_CYCLES``/``REPRO_WARMUP``.  The cache lives in ``--cache-dir``
+The selection flags (``--benchmarks``, ``--n-mixes``, ``--mechanisms``,
+``--cycles``, ``--warmup``) describe the same (GPU benchmark x CPU
+co-runner x mechanism) cross product Figures 10-14 read; defaults
+regenerate the Fig. 10 sweep.  The cache lives in ``--cache-dir``
 (default: ``$REPRO_SWEEP_CACHE`` or ``.repro_sweep_cache``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import signal
 import sys
 import time
-from typing import List, Optional
+from typing import List
 
-from repro.cli import (
-    add_batch_option,
-    add_format_option,
-    add_jobs_option,
-    add_seed_option,
-    add_window_options,
-    emit,
-    run_guarded,
-)
+from repro.cli import add_command, add_options, emit
 from repro.sweep.cache import ResultCache, default_cache_dir
 from repro.sweep.jobs import JobSpec, mechanism_jobs
 from repro.sweep.runner import JobOutcome, SweepRunner
@@ -66,7 +52,7 @@ def _specs_from_args(args) -> List[JobSpec]:
         warmup=args.warmup,
         mechanisms=mechanisms,
     )
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         specs = [s.reseeded(args.seed) for s in specs]
     return specs
 
@@ -76,9 +62,7 @@ def _cache_from_args(args) -> ResultCache:
 
 
 def _progress_log_path(args, cache: ResultCache) -> str:
-    if getattr(args, "progress_log", None):
-        return args.progress_log
-    return str(cache.root / "progress.jsonl")
+    return args.progress_log or str(cache.root / "progress.jsonl")
 
 
 class ProgressLog:
@@ -129,16 +113,19 @@ def _read_progress(path: str) -> List[dict]:
     return segment
 
 
-def _summarize_progress(path: str) -> None:
-    segment = _read_progress(path)
-    if not segment:
-        print(f"progress: no progress log at {path}")
-        return
-    start = segment[0] if segment[0].get("rec") == "start" else {}
-    jobs = [r for r in segment if r.get("rec") == "job"]
-    end = next(
+def _segment_end(segment: List[dict]):
+    """The marker record that closed a run segment, or None while it runs."""
+    return next(
         (r for r in segment if r.get("rec") in ("end", "interrupted")), None
     )
+
+
+def _summarize_progress(path: str, segment: List[dict]) -> str:
+    if not segment:
+        return f"progress: no progress log at {path}"
+    start = segment[0] if segment[0].get("rec") == "start" else {}
+    jobs = [r for r in segment if r.get("rec") == "job"]
+    end = _segment_end(segment)
     total = start.get("total", max((r.get("total", 0) for r in jobs), default=0))
     counts: dict = {}
     retried = 0
@@ -154,11 +141,12 @@ def _summarize_progress(path: str) -> None:
         state = ("finished in {:.1f}s".format(end.get("wall_time_s", 0.0))
                  if end["rec"] == "end" else "interrupted")
     by_status = ", ".join(f"{n} {s}" for s, n in sorted(counts.items()))
-    print(f"last run: {len(jobs)}/{total} job(s) done ({by_status or 'none'})"
-          f" — {state}")
+    text = (f"last run: {len(jobs)}/{total} job(s) done "
+            f"({by_status or 'none'}) — {state}")
     if simulated:
-        print(f"          {wall:.1f}s simulation time, "
-              f"{wall / simulated:.2f}s/job, {retried} job(s) retried")
+        text += (f"\n          {wall:.1f}s simulation time, "
+                 f"{wall / simulated:.2f}s/job, {retried} job(s) retried")
+    return text
 
 
 def _cmd_list(args) -> int:
@@ -177,39 +165,35 @@ def _cmd_status(args) -> int:
     cache = _cache_from_args(args)
     cached = sum(1 for s in specs if cache.contains(s.key()))
     total_entries = sum(1 for _ in cache.keys())
-    if getattr(args, "format", "table") == "json":
-        segment = _read_progress(_progress_log_path(args, cache))
-        jobs = [r for r in segment if r.get("rec") == "job"]
-        end = next(
-            (r for r in segment if r.get("rec") in ("end", "interrupted")),
-            None,
-        )
-        emit("json", {
-            "sweep": {
-                "total": len(specs),
-                "cached": cached,
-                "to_run": len(specs) - cached,
-            },
-            "cache": {
-                "dir": str(cache.root),
-                "entries": total_entries,
-                "size_bytes": cache.size_bytes(),
-            },
-            "last_run": {
-                "jobs_done": len(jobs),
-                "state": (
-                    "none" if not segment
-                    else "running" if end is None
-                    else end["rec"]
-                ),
-            },
-        }, "")
-        return 0
-    print(f"sweep:   {cached}/{len(specs)} job(s) cached, "
-          f"{len(specs) - cached} to run")
-    print(f"cache:   {cache.root} — {total_entries} entr(ies), "
-          f"{cache.size_bytes() / 1024:.1f} KiB")
-    _summarize_progress(_progress_log_path(args, cache))
+    log_path = _progress_log_path(args, cache)
+    segment = _read_progress(log_path)
+    end = _segment_end(segment)
+    emit(args, {
+        "sweep": {
+            "total": len(specs),
+            "cached": cached,
+            "to_run": len(specs) - cached,
+        },
+        "cache": {
+            "dir": str(cache.root),
+            "entries": total_entries,
+            "size_bytes": cache.size_bytes(),
+        },
+        "last_run": {
+            "jobs_done": sum(1 for r in segment if r.get("rec") == "job"),
+            "state": (
+                "none" if not segment
+                else "running" if end is None
+                else end["rec"]
+            ),
+        },
+    }, lambda: (
+        f"sweep:   {cached}/{len(specs)} job(s) cached, "
+        f"{len(specs) - cached} to run\n"
+        f"cache:   {cache.root} — {total_entries} entr(ies), "
+        f"{cache.size_bytes() / 1024:.1f} KiB\n"
+        + _summarize_progress(log_path, segment)
+    ))
     return 0
 
 
@@ -262,9 +246,8 @@ def _cmd_run(args) -> int:
         max_retries=args.retries,
         use_cache=not args.force,
         progress=progress,
-        batch=args.batch,
     )
-    if getattr(args, "screen", None) == "surrogate":
+    if args.screen == "surrogate":
         decision = runner.screen(specs, band=args.screen_band)
         print(f"screen:  surrogate kept {len(decision.kept)}/{len(specs)} "
               f"job(s) (band {decision.band:g}); "
@@ -274,7 +257,7 @@ def _cmd_run(args) -> int:
         "rec": "start",
         "total": len(specs),
         "workers": runner.jobs,
-        "batch": runner.batch or "adaptive",
+        "batch": "adaptive",
     })
     t0 = time.perf_counter()
     interrupted = False
@@ -282,7 +265,7 @@ def _cmd_run(args) -> int:
         outcomes = runner.run(specs)
     except KeyboardInterrupt:
         print("\ninterrupted — completed jobs are cached; "
-              "re-run with --resume to continue", file=sys.stderr)
+              "run again to continue", file=sys.stderr)
         interrupted = True
         outcomes = {}
     finally:
@@ -300,68 +283,53 @@ def _cmd_run(args) -> int:
             counts[out.status] = counts.get(out.status, 0) + 1
         simulated = [o for o in outcomes.values() if o.status == "ok"]
         rate = len(simulated) / wall if wall > 0 else 0.0
-        print(f"{len(outcomes)} job(s): {counts['ok']} simulated, "
-              f"{counts['cached']} from cache, {counts['failed']} failed "
-              f"in {wall:.1f}s ({rate:.2f} jobs/s)")
-        if args.out:
-            manifest = {
-                "workers": runner.jobs,
-                "batch": runner.batch or "adaptive",
-                "wall_time_s": round(wall, 3),
-                "totals": counts,
-                "cache_dir": str(cache.root),
-                "jobs": [o.as_dict() for o in outcomes.values()],
+        manifest = {
+            "workers": runner.jobs,
+            "batch": "adaptive",
+            "wall_time_s": round(wall, 3),
+            "totals": counts,
+            "cache_dir": str(cache.root),
+            "jobs": [o.as_dict() for o in outcomes.values()],
+        }
+        if decision is not None:
+            manifest["screen"] = {
+                "mode": "surrogate",
+                "band": decision.band,
+                "kept": len(decision.kept),
+                "screened_out": len(decision.skipped),
             }
-            if decision is not None:
-                manifest["screen"] = {
-                    "mode": "surrogate",
-                    "band": decision.band,
-                    "kept": len(decision.kept),
-                    "screened_out": len(decision.skipped),
-                }
-                manifest["screened_out"] = decision.skipped_records()
-            with open(args.out, "w") as fh:
-                json.dump(manifest, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.out}")
+            manifest["screened_out"] = decision.skipped_records()
+        emit(args, manifest,
+             f"{len(outcomes)} job(s): {counts['ok']} simulated, "
+             f"{counts['cached']} from cache, {counts['failed']} failed "
+             f"in {wall:.1f}s ({rate:.2f} jobs/s)")
         if counts["failed"]:
             return 1
     return 130 if interrupted else 0
 
 
-def _add_sweep_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--benchmarks", default=None,
-                   help="comma-separated GPU benchmarks (default: all 11)")
+def _add_sweep_options(p) -> None:
+    add_options(p, "benchmarks")
     p.add_argument("--subset", type=int, default=None,
-                   help="representative benchmark subset size")
+                   help="representative benchmark subset size "
+                        "(default: all 11 benchmarks)")
     p.add_argument("--n-mixes", type=int, default=1,
                    help="Table II CPU co-runners per GPU benchmark")
     p.add_argument("--mechanisms", default=None,
                    help="comma-separated subset of baseline,rp,dr")
-    add_window_options(p)
-    add_seed_option(p)
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory "
-                        "(default: $REPRO_SWEEP_CACHE or .repro_sweep_cache)")
+    add_options(p, "cycles", "warmup", "seed", "cache-dir",
+                cache_dir=dict(help="result cache directory (default: "
+                                    "$REPRO_SWEEP_CACHE or .repro_sweep_cache)"))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
-        description="parallel, cached, resumable experiment sweeps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def register(sub) -> None:
+    """Add the ``sweep`` group's commands to the subparsers action ``sub``."""
+    _add_sweep_options(
+        add_command(sub, "list", _cmd_list, "enumerate jobs and cache state"))
 
-    list_p = sub.add_parser("list", help="enumerate jobs and cache state")
-    _add_sweep_options(list_p)
-
-    run_p = sub.add_parser("run", help="execute the sweep")
+    run_p = add_command(sub, "run", _cmd_run, "execute the sweep")
     _add_sweep_options(run_p)
-    add_jobs_option(run_p)
-    add_batch_option(run_p)
-    run_p.add_argument("--resume", action="store_true",
-                       help="reuse cached results (the default; flag kept "
-                            "for explicit resume-after-interrupt runs)")
+    add_options(run_p, "jobs")
     run_p.add_argument("--force", action="store_true",
                        help="ignore cached results and recompute everything")
     run_p.add_argument("--retries", type=int, default=2,
@@ -374,33 +342,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="screening guard band below the knee as a "
                             "fraction of the saturation threshold "
                             "(default 0.35)")
-    run_p.add_argument("--out", default=None,
-                       help="write a JSON run manifest to this path")
-    run_p.add_argument("--progress-log", default=None,
+    add_options(run_p, "out", out=dict(help="write a JSON run manifest here"))
+
+    status_p = add_command(sub, "status", _cmd_status,
+                           "cached/missing breakdown")
+    _add_sweep_options(status_p)
+    add_options(status_p, "format")
+    for p in (run_p, status_p):
+        p.add_argument("--progress-log", default=None,
                        help="per-job JSONL progress log "
                             "(default: <cache-dir>/progress.jsonl)")
 
-    status_p = sub.add_parser("status", help="cached/missing breakdown")
-    _add_sweep_options(status_p)
-    add_format_option(status_p)
-    status_p.add_argument("--progress-log", default=None,
-                          help="progress log to summarise "
-                               "(default: <cache-dir>/progress.jsonl)")
-
-    clean_p = sub.add_parser("clean", help="delete every cache entry")
-    _add_sweep_options(clean_p)
-
-    args = parser.parse_args(argv)
-    handler = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "status": _cmd_status,
-        "clean": _cmd_clean,
-    }[args.command]
-    # usage errors (an unusable backend, an unknown benchmark or
-    # mechanism, a malformed $REPRO_CYCLES) are not sweep failures
-    return run_guarded(handler, args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    _add_sweep_options(
+        add_command(sub, "clean", _cmd_clean, "delete every cache entry"))

@@ -12,8 +12,9 @@ Execution model:
   pay the import tax either.  With one worker — or a single job — jobs
   run inline in this process, which is also the reference path the
   determinism tests compare against.
-* Jobs are submitted in *chunks* (``batch`` specs per future, adaptive
-  by default) so pickle/IPC round-trips amortise across short jobs.
+* Jobs are submitted in *chunks* (several specs per future, sized from
+  ``len(pending) / workers``) so pickle/IPC round-trips amortise across
+  short jobs.
   Each job inside a chunk still succeeds or fails individually, and the
   parent persists and reports every job the moment its chunk lands, so
   the :class:`ResultCache` granularity stays per-job.
@@ -54,7 +55,6 @@ from repro.sweep.cache import ENV_CACHE_DIR, ResultCache
 from repro.sweep.jobs import JobSpec, dedupe
 
 ENV_JOBS = "REPRO_SWEEP_JOBS"
-ENV_BATCH = "REPRO_SWEEP_BATCH"
 
 #: adaptive batching aims at this many chunks per worker: enough slack
 #: that a straggler chunk cannot idle the other workers for long, few
@@ -106,34 +106,23 @@ def stall_shares(
     return out
 
 
-def _env_worker_count(env: str, fallback: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(env)
-    if raw is None:
-        return fallback
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(
-            f"warning: ignoring {env}={raw!r} (not an integer); "
-            f"using {'adaptive' if fallback is None else fallback}",
-            file=sys.stderr,
-        )
-        return fallback
-
-
 def default_jobs() -> int:
     """Worker count when unspecified (``REPRO_SWEEP_JOBS``, default 1).
 
     A malformed value (``REPRO_SWEEP_JOBS=two``) warns once on stderr
     and falls back to 1 instead of crashing the whole sweep.
     """
-    return _env_worker_count(ENV_JOBS, 1)
-
-
-def default_batch() -> Optional[int]:
-    """Chunk size when unspecified (``REPRO_SWEEP_BATCH``, default
-    ``None`` = adaptive)."""
-    return _env_worker_count(ENV_BATCH, None)
+    raw = os.environ.get(ENV_JOBS)
+    if raw is None:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        print(
+            f"warning: ignoring {ENV_JOBS}={raw!r} (not an integer); using 1",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -312,9 +301,10 @@ class SweepRunner:
     The runner owns a warm worker pool: created lazily on the first
     parallel round, reused across retry rounds and subsequent ``run()``
     calls, torn down by :meth:`close` (or the context-manager exit).
-    ``batch`` controls how many specs ride one future — ``None`` picks a
-    chunk size adaptive to ``len(pending) / workers``, ``1`` submits
-    per-job (the pre-batching wire format).
+    The chunk size — how many specs ride one future — adapts to
+    ``len(pending) / workers``; ``batch`` pins it and is a test seam like
+    ``worker`` and ``backoff_base_s`` (``1`` submits per-job, the
+    pre-batching wire format), not something a caller tunes.
     """
 
     def __init__(
@@ -337,7 +327,7 @@ class SweepRunner:
         self.worker = worker
         self.use_cache = use_cache
         self.progress = progress
-        self.batch = default_batch() if batch is None else max(1, int(batch))
+        self.batch = None if batch is None else max(1, int(batch))
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
         #: pools built over this runner's lifetime — the warm-pool tests
@@ -585,16 +575,14 @@ def run_sweep(
     use_cache: bool = True,
     max_retries: int = 2,
     progress: Optional[ProgressFn] = None,
-    batch: Optional[int] = None,
 ) -> Dict[str, SimulationResult]:
     """Run a batch of specs and return ``{key: SimulationResult}``.
 
     ``cache="auto"`` (the default) persists to disk only when
     ``REPRO_SWEEP_CACHE`` is set, keeping plain library calls hermetic;
     pass a directory (or :class:`ResultCache`) to force persistence, or
-    ``None`` to disable it.  ``batch`` sets the jobs-per-future chunk
-    size (default: adaptive, see :class:`SweepRunner`).  Raises
-    :class:`SweepError` if any job still fails after retries.
+    ``None`` to disable it.  Raises :class:`SweepError` if any job still
+    fails after retries.
     """
     if cache == "auto":
         cache = ResultCache() if os.environ.get(ENV_CACHE_DIR) else None
@@ -606,7 +594,6 @@ def run_sweep(
         max_retries=max_retries,
         use_cache=use_cache,
         progress=progress,
-        batch=batch,
     ) as runner:
         outcomes = runner.run(specs)
     failed = [o for o in outcomes.values() if o.status == "failed"]

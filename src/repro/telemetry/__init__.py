@@ -22,7 +22,7 @@ cannot show.  This package adds the missing instruments:
   per-(router, port, class) stall attribution for every cycle a head worm
   fails to advance, plus hop-by-hop backpressure chains that attach
   ``root_cause`` records to clogging episodes.
-* ``python -m repro.telemetry {trace,report,hist,timeline,events,blame}``
+* ``python -m repro telemetry {trace,report,hist,timeline,events,blame}``
   — run a traced simulation and render reports from trace files.
 """
 
@@ -60,17 +60,14 @@ from repro.telemetry.report import (
     render_timeline,
 )
 from repro.telemetry.trace import (
-    BinaryTraceSink,
     JsonlTraceSink,
     NullTraceSink,
     PACKET_EVENTS,
     TraceSink,
-    open_sink,
     read_trace,
 )
 
 __all__ = [
-    "BinaryTraceSink",
     "BlameAccumulator",
     "CloggingDetector",
     "Counter",
@@ -92,7 +89,6 @@ __all__ = [
     "classify_head",
     "load_summary",
     "merge_events",
-    "open_sink",
     "pack_w0",
     "read_dump",
     "read_trace",

@@ -51,7 +51,7 @@ from repro.telemetry.blame import (
 from repro.telemetry.hist import LogHistogram
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.ring import EventRing, merge_events, write_dump
-from repro.telemetry.trace import NullTraceSink, PACKET_EVENTS, open_sink
+from repro.telemetry.trace import JsonlTraceSink, NullTraceSink, PACKET_EVENTS
 
 #: schema version stamped into every trace's ``meta`` record (v2: packed
 #: ring pipeline, ``RDMP`` flight dumps, ``metrics`` in the summary).
@@ -162,7 +162,7 @@ class TelemetryCollector:
         self.fabric = fabric
         self.mem_nodes = tuple(mem_nodes)
         if cfg.trace_path:
-            self.sink = open_sink(cfg.trace_path, cfg.trace_format)
+            self.sink = JsonlTraceSink(cfg.trace_path)
             self._tracing = True
         else:
             self.sink = NullTraceSink()

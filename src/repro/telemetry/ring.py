@@ -202,7 +202,7 @@ def read_dump(path: Union[str, Path], max_schema: int) -> Iterator[Dict]:
 
     The first record is the embedded ``meta`` blob (with ``rec="meta"``
     and the file's ``schema``); packed events follow as the same dicts
-    :func:`repro.telemetry.trace.read_trace` yields for ``RTEL`` traces.
+    :func:`repro.telemetry.trace.read_trace` yields for a JSONL trace.
     Raises ``ValueError`` on schema versions newer than ``max_schema``.
     """
     from repro.telemetry.trace import event_record

@@ -3,43 +3,27 @@
 A *trace* is an append-only stream of event records.  Packet lifecycle
 events (``inject``, ``vc_alloc``, ``head``, ``deliver``, ``delegate``)
 carry a fixed tuple of packet fields; aggregate records (``meta``,
-``win``, ``hist``, ``clog``, ``summary``) carry free-form payloads.  Two
-backends implement the same :class:`TraceSink` protocol:
+``win``, ``hist``, ``clog``, ``summary``) carry free-form payloads.
+:class:`JsonlTraceSink` writes one JSON object per line — greppable,
+diffable, loads into pandas with one call; :class:`NullTraceSink` keeps
+the aggregates and drops the per-packet I/O.
 
-* :class:`JsonlTraceSink` — one JSON object per line; greppable,
-  diffable, loads into pandas with one call.
-* :class:`BinaryTraceSink` — packet events as 42-byte packed structs
-  behind a magic header; aggregate records as length-prefixed JSON
-  blobs.  ~6x smaller than JSONL for packet-dominated traces.
-
-:func:`read_trace` auto-detects the backend from the file's magic and
-yields identical dicts for both — plus a third format, the ``RDMP``
-flight-recorder ring dumps of :mod:`repro.telemetry.ring` — so every
-consumer (the CLI, tests, notebooks) is backend-agnostic.
+:func:`read_trace` reads that file and, told apart by its magic, the
+``RDMP`` flight-recorder ring dumps of :mod:`repro.telemetry.ring`
+(a different producer: a bounded ring, packed), yielding the same dicts
+for both, so every consumer (the CLI, tests, notebooks) reads either.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import struct
 from pathlib import Path
 from typing import Any, Dict, IO, Iterator, Tuple, Union
 
-#: packet lifecycle event codes (binary tag byte; JSONL uses the names).
+#: packet lifecycle events; a ring event's code is its index here.
 PACKET_EVENTS = ("inject", "vc_alloc", "head", "deliver", "delegate")
 _EVENT_CODE = {name: i for i, name in enumerate(PACKET_EVENTS)}
-
-#: binary file magic + format version
-MAGIC = b"RTEL"
-VERSION = 1
-
-#: tag byte marking a length-prefixed JSON aggregate record
-_JSON_TAG = 0xFE
-
-#: packet-event payload: cycle, pid, src, dst, block, mtype, cls, net,
-#: flits, value (latency on deliver, delegate target on delegate, -1 else)
-_PACKET_STRUCT = struct.Struct("<QQiiqBBBHi")
 
 
 class TraceSink:
@@ -120,39 +104,6 @@ class JsonlTraceSink(TraceSink):
             self._fh.close()
 
 
-class BinaryTraceSink(TraceSink):
-    """Compact packed-struct backend for packet-dominated traces."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._fh = open(path, "wb")
-        self._fh.write(MAGIC + struct.pack("<H", VERSION))
-
-    def packet_event(self, event: str, cycle: int, pkt, value: int = -1) -> None:
-        self._fh.write(bytes((_EVENT_CODE[event],)))
-        self._fh.write(
-            _PACKET_STRUCT.pack(
-                cycle,
-                pkt.pid,
-                pkt.src,
-                pkt.dst,
-                pkt.block,
-                int(pkt.mtype),
-                int(pkt.cls),
-                int(pkt.net),
-                pkt.size_flits,
-                value,
-            )
-        )
-
-    def record(self, payload: Dict[str, Any]) -> None:
-        blob = json.dumps(payload).encode("utf-8")
-        self._fh.write(bytes((_JSON_TAG,)) + struct.pack("<I", len(blob)) + blob)
-
-    def close(self) -> None:
-        self._fh.flush()
-        self._fh.close()
-
-
 class NullTraceSink(TraceSink):
     """Discards everything (histograms/probes only, no per-packet I/O)."""
 
@@ -166,43 +117,18 @@ class NullTraceSink(TraceSink):
         return None
 
 
-def open_sink(path: Union[str, Path], fmt: str = "jsonl") -> TraceSink:
-    """Open a trace sink of the requested format (``jsonl`` or ``bin``)."""
-    if fmt == "jsonl":
-        return JsonlTraceSink(path)
-    if fmt == "bin":
-        return BinaryTraceSink(path)
-    raise ValueError(f"unknown trace format {fmt!r}; choose jsonl or bin")
-
-
 # ---------------------------------------------------------------------------
 # reading
 # ---------------------------------------------------------------------------
 
 
-def _read_binary(fh: IO[bytes]) -> Iterator[Dict[str, Any]]:
-    size = _PACKET_STRUCT.size
-    while True:
-        tag = fh.read(1)
-        if not tag:
-            return
-        if tag[0] == _JSON_TAG:
-            (length,) = struct.unpack("<I", fh.read(4))
-            yield json.loads(fh.read(length).decode("utf-8"))
-            continue
-        buf = fh.read(size)
-        if len(buf) < size:
-            return  # truncated tail record (interrupted run): stop cleanly
-        yield event_record(tag[0], *_PACKET_STRUCT.unpack(buf))
-
-
 def read_trace(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
-    """Yield every record of a trace file, whatever its backend.
+    """Yield every record of a trace file or flight dump.
 
-    Auto-detects the three on-disk formats from the file's magic: ``RTEL``
-    packed binary traces, ``RDMP`` ring/flight-recorder dumps and (the
-    fallback) JSONL.  Unknown schema versions raise ``ValueError`` with a
-    one-line diagnosis — the CLI surfaces it as an ``error:`` line.
+    Tells the two on-disk formats apart by the file's magic: ``RDMP``
+    ring/flight-recorder dumps, else JSONL.  Unknown schema versions
+    raise ``ValueError`` with a one-line diagnosis — the CLI surfaces it
+    as an ``error:`` line.
     """
     # the dump reader is imported lazily, mirroring the enum-name imports:
     # plain-JSONL consumers stay importable without the ring module
@@ -210,19 +136,8 @@ def read_trace(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
 
     path = Path(path)
     with open(path, "rb") as probe:
-        head = probe.read(max(len(MAGIC), len(DUMP_MAGIC)))
-    if head[: len(MAGIC)] == MAGIC:
-        with open(path, "rb") as fh:
-            fh.read(len(MAGIC))
-            (version,) = struct.unpack("<H", fh.read(2))
-            if version != VERSION:
-                raise ValueError(
-                    f"RTEL trace version v{version} is not supported "
-                    f"(this reader speaks v{VERSION})"
-                )
-            yield from _read_binary(fh)
-        return
-    if head[: len(DUMP_MAGIC)] == DUMP_MAGIC:
+        head = probe.read(len(DUMP_MAGIC))
+    if head == DUMP_MAGIC:
         from repro.telemetry.collector import TRACE_SCHEMA
 
         yield from read_dump(path, max_schema=TRACE_SCHEMA)

@@ -7,7 +7,6 @@ from repro.analysis.area import (
     delegated_replies_overhead,
     frq_area,
     noc_area,
-    router_area,
 )
 from repro.analysis.energy import energy_report
 from repro.analysis.report import amean, format_table, geomean, hmean
@@ -57,7 +56,10 @@ class TestAreaCalibration:
         assert noc_area(cfg).total > 5 * noc_area(baseline_config()).total
 
     def test_router_area_monotonic_in_width(self):
-        assert router_area(5, 2, 4, 32) > router_area(5, 2, 4, 16)
+        wide = baseline_config()
+        wide.noc.channel_width_bytes = 32
+        routers = lambda r: r.buffers + r.crossbars + r.allocators
+        assert routers(noc_area(wide)) > routers(noc_area(baseline_config()))
 
     def test_pointer_area_scales_with_llc(self):
         cfg = baseline_config()

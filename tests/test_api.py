@@ -14,7 +14,7 @@ from repro.sim.metrics import SimulationResult
 
 #: the frozen public surface — editing this list IS the API review.
 #: run_sweep/JobSpec added with the warm-pool + batching runner so
-#: campaign callers get the batch knob without importing repro.sweep.
+#: campaign callers need not import repro.sweep.
 #: explore/SearchSpace/ParetoFrontier added with the design-space
 #: exploration subsystem (repro.explore).
 #: available_backends/BackendError added with the backend-selection
@@ -84,7 +84,7 @@ class TestApiSurface:
         spec = api.JobSpec.make(
             small_config(), "BP", "canneal", cycles=200, warmup=120
         )
-        out = api.run_sweep([spec], jobs=1, cache=None, batch=1)
+        out = api.run_sweep([spec], jobs=1, cache=None)
         assert isinstance(out[spec.key()], SimulationResult)
 
     def test_simulate_accepts_fault_plan(self):
@@ -147,24 +147,15 @@ class TestResultSchema:
 
 class TestCliConventions:
     def test_shared_flags_spelled_identically(self):
-        """Every repro CLI spells the shared flags the same way."""
+        """Every command takes the shared flags from the one table."""
         import argparse
 
-        from repro.cli import (
-            add_batch_option,
-            add_jobs_option,
-            add_out_option,
-            add_seed_option,
-            add_window_options,
-        )
+        from repro.cli import add_options
 
         p = argparse.ArgumentParser()
-        add_window_options(p, cycles=10, warmup=5)
-        add_jobs_option(p)
-        add_batch_option(p)
-        add_out_option(p, default="x.json")
-        add_seed_option(p)
+        add_options(p, "cycles", "warmup", "jobs", "out", "seed",
+                    cycles=dict(default=10), warmup=dict(default=5),
+                    out=dict(default="x.json"))
         args = p.parse_args([])
         assert (args.cycles, args.warmup, args.out) == (10, 5, "x.json")
         assert args.jobs is None and args.seed is None
-        assert args.batch is None

@@ -43,6 +43,14 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="chanel_width"):
             config_from_dict({"noc": {"chanel_width": 8}})
 
+    def test_retired_trace_format_key_is_an_unknown_key(self):
+        """A saved config from before JSONL became the only trace
+        encoding gets what any unknown key gets."""
+        with pytest.raises(
+            ConfigError, match="unknown config key telemetry.'trace_format'"
+        ):
+            config_from_dict({"telemetry": {"trace_format": "jsonl"}})
+
     def test_bad_enum_value_lists_options(self):
         with pytest.raises(ConfigError, match="torus"):
             config_from_dict({"noc": {"topology": "torus"}})

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.__main__ import main
 from repro.config import ConfigError
 from repro.explore.env import ExploreEnv
 from repro.explore.objectives import OBJECTIVE_NAMES, SENSES, from_prediction
@@ -361,11 +362,9 @@ class TestHybridExplore:
 
 class TestExploreCli:
     def _run_json(self, tmp_path, extra=(), seed="3"):
-        from repro.explore.__main__ import main
-
         out = tmp_path / f"m{seed}{len(tuple(extra))}.json"
         rc = main([
-            "run", "--space", "mesh4x4", "--surrogate-only",
+            "explore", "run", "--space", "mesh4x4", "--surrogate-only",
             "--budget", "14", "--population", "6", "--seed", seed,
             "--out", str(out), "--format", "json", *extra,
         ])
@@ -398,17 +397,15 @@ class TestExploreCli:
         assert da == db
 
     def test_frontier_inspect_and_compare(self, tmp_path, capsys):
-        from repro.explore.__main__ import main
-
         nsga2 = self._run_json(tmp_path)
         capsys.readouterr()
         rnd = self._run_json(tmp_path, extra=("--algo", "random"))
         capsys.readouterr()
-        rc = main(["frontier", str(nsga2), "--format", "json"])
+        rc = main(["explore", "frontier", str(nsga2), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["frontier"]["points"]
-        rc = main(["frontier", str(nsga2), "--compare", str(rnd),
+        rc = main(["explore", "frontier", str(nsga2), "--compare", str(rnd),
                    "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -417,18 +414,14 @@ class TestExploreCli:
         assert cmp["hypervolume"] >= 0 and cmp["other_hypervolume"] >= 0
 
     def test_frontier_rejects_non_manifest(self, tmp_path, capsys):
-        from repro.explore.__main__ import main
-
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
-        rc = main(["frontier", str(bogus)])
+        rc = main(["explore", "frontier", str(bogus)])
         assert rc == 2
         assert "not an explore manifest" in capsys.readouterr().err
 
     def test_show(self, capsys):
-        from repro.explore.__main__ import main
-
-        rc = main(["show", "--space", "mesh8x8", "--format", "json"])
+        rc = main(["explore", "show", "--space", "mesh8x8", "--format", "json"])
         desc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert desc["size"] == 3 * 3 * 2 * 3 * 2 * 2 * 2 * 3 * 3

@@ -7,6 +7,7 @@ import json
 import pytest
 from conftest import small_config, small_dr_config
 
+from repro.__main__ import main
 from repro.faults import (
     FaultPlan,
     FlitCorrupt,
@@ -217,15 +218,13 @@ class TestChaosSweepJob:
 
 class TestFaultsCli:
     def test_plan_then_run_round_trip(self, tmp_path, capsys):
-        from repro.faults.__main__ import main
-
         out = tmp_path / "plan.json"
-        assert main(["plan", "--intensity", "0.1", "--seed", "2",
+        assert main(["faults", "plan", "--intensity", "0.1", "--seed", "2",
                      "--out", str(out)]) == 0
         plan = FaultPlan.from_dict(json.loads(out.read_text()))
         assert plan.active
 
-        rc = main(["run", "--gpu", "BP", "--mechanism", "dr",
+        rc = main(["faults", "run", "--gpu", "BP", "--mechanism", "dr",
                    "--cycles", "600", "--warmup", "200",
                    "--plan", str(out)])
         stdout = capsys.readouterr().out
@@ -233,18 +232,14 @@ class TestFaultsCli:
         assert "OK: every injected fault recovered" in stdout
 
     def test_run_reports_counters(self, capsys):
-        from repro.faults.__main__ import main
-
-        rc = main(["run", "--gpu", "BP", "--cycles", "600",
+        rc = main(["faults", "run", "--gpu", "BP", "--cycles", "600",
                    "--warmup", "200", "--intensity", "0.1", "--seed", "4"])
         stdout = capsys.readouterr().out
         assert rc == 0
         assert "retransmits" in stdout and "lost" in stdout
 
     def test_run_emits_json(self, capsys):
-        from repro.faults.__main__ import main
-
-        rc = main(["run", "--gpu", "BP", "--cycles", "600",
+        rc = main(["faults", "run", "--gpu", "BP", "--cycles", "600",
                    "--warmup", "200", "--intensity", "0.1", "--seed", "4",
                    "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -255,9 +250,7 @@ class TestFaultsCli:
         assert payload["mechanism"] == "dr"
 
     def test_sweep_emits_json(self, capsys):
-        from repro.faults.__main__ import main
-
-        rc = main(["sweep", "--benchmarks", "BP", "--cycles", "400",
+        rc = main(["faults", "sweep", "--benchmarks", "BP", "--cycles", "400",
                    "--warmup", "200", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0

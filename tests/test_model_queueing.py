@@ -16,7 +16,6 @@ from repro.model.queueing import (
     ClassLoad,
     p95_of_mean,
     priority_waits,
-    total_rho,
 )
 from conftest import small_config
 
@@ -66,7 +65,7 @@ class TestPriorityWaits:
 
     def test_total_rho_mixes_classes(self):
         cls = loads(0.1, 0.05)
-        assert math.isclose(total_rho(cls), 0.1 * 1.0 + 0.05 * 9.0)
+        assert math.isclose(sum(c.rho for c in cls), 0.1 * 1.0 + 0.05 * 9.0)
 
     def test_p95_factor(self):
         assert p95_of_mean(0.0) == 0.0

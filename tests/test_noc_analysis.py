@@ -6,7 +6,6 @@ from repro.noc.analysis import (
     hottest_links,
     link_loads,
     link_utilization_summary,
-    node_injection_loads,
     render_mesh_heatmap,
 )
 from repro.noc.topology import CrossbarTopology
@@ -65,7 +64,11 @@ class TestLinkLoads:
 class TestInjectionLoads:
     def test_source_node_dominates(self):
         fab = loaded_fabric()
-        loads = dict(node_injection_loads(fab.reply_net))
+        net = fab.reply_net
+        loads = {
+            nic.node_id: nic.flits_injected / (net.cycles * net.bandwidth)
+            for nic in net.nics
+        }
         assert loads[0] == max(loads.values())
         assert loads[0] > 0.5
 

@@ -24,7 +24,6 @@ from repro.sweep import (
     SweepError,
     SweepRunner,
     dedupe,
-    default_batch,
     default_jobs,
     mechanism_jobs,
     run_job_batch,
@@ -311,8 +310,11 @@ class TestDeterminism:
             for spec in specs
         }
         serial = run_sweep(specs, jobs=1, cache=None)
-        # jobs=4 with an explicit batch exercises the chunked pool path
-        parallel = run_sweep(specs, jobs=4, cache=None, batch=2)
+        # jobs=4 with a pinned chunk size exercises the chunked pool path
+        with SweepRunner(jobs=4, batch=2) as runner:
+            parallel = {
+                k: o.result for k, o in runner.run(specs).items()
+            }
 
         for spec in specs:
             k = spec.key()
@@ -348,15 +350,6 @@ class TestEnvKnobs:
         assert default_jobs() == 3
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "0")
         assert default_jobs() == 1  # clamped
-
-    def test_default_batch(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_SWEEP_BATCH", raising=False)
-        assert default_batch() is None  # adaptive
-        monkeypatch.setenv("REPRO_SWEEP_BATCH", "8")
-        assert default_batch() == 8
-        monkeypatch.setenv("REPRO_SWEEP_BATCH", "garbage")
-        assert default_batch() is None
-        assert "REPRO_SWEEP_BATCH" in capsys.readouterr().err
 
 
 class TestStallShares:

@@ -1,11 +1,11 @@
-"""Tests for the ``python -m repro.sweep`` command-line interface."""
+"""Tests for the ``python -m repro sweep`` commands."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.sweep.__main__ import main
+from repro.__main__ import main
 
 SWEEP = ["--benchmarks", "HS", "--mechanisms", "baseline",
          "--cycles", "150", "--warmup", "100"]
@@ -17,7 +17,7 @@ def cache_dir(tmp_path):
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    return main(["sweep", *argv])
 
 
 class TestRun:
@@ -34,7 +34,7 @@ class TestRun:
         assert job["attempts"] == 1
         assert job["wall_time_s"] > 0
 
-        rc = run_cli("run", *SWEEP, "--jobs", "1", "--resume",
+        rc = run_cli("run", *SWEEP, "--jobs", "1",
                      "--cache-dir", cache_dir, "--out", str(manifest))
         assert rc == 0
         data = json.loads(manifest.read_text())
@@ -45,21 +45,6 @@ class TestRun:
         assert run_cli("run", *SWEEP, "--force", "--cache-dir", cache_dir) == 0
         out = capsys.readouterr().out
         assert "1 simulated, 0 from cache" in out
-
-    def test_batch_flag_runs_pooled_and_lands_in_manifest(
-        self, cache_dir, tmp_path, capsys
-    ):
-        manifest = tmp_path / "manifest.json"
-        rc = run_cli("run", "--benchmarks", "HS,SC",
-                     "--mechanisms", "baseline",
-                     "--cycles", "150", "--warmup", "100",
-                     "--jobs", "2", "--batch", "2",
-                     "--cache-dir", cache_dir, "--out", str(manifest))
-        assert rc == 0
-        data = json.loads(manifest.read_text())
-        assert data["workers"] == 2
-        assert data["batch"] == 2
-        assert data["totals"] == {"ok": 2, "cached": 0, "failed": 0}
 
     def test_default_batch_recorded_as_adaptive(self, cache_dir, tmp_path,
                                                 capsys):

@@ -4,15 +4,15 @@ Covers the subsystem layers (bucketed histograms, event rings and
 ``RDMP`` dumps, trace sinks, metrics registry, collector/detector with
 the flight recorder), the simulator integration (bit-identical results
 with telemetry on vs. off, percentile accuracy against exact samples)
-and the ``python -m repro.telemetry`` reader CLI, including one-line
+and the ``python -m repro telemetry`` reader CLI, including one-line
 errors on unknown trace versions.
 """
 
 import json
-import struct
 
 import pytest
 
+from repro.__main__ import main
 from repro.config import SystemConfig, TelemetryConfig
 from repro.config.loader import config_from_dict
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
@@ -34,12 +34,15 @@ from repro.telemetry import (
     unpack_w0,
     write_dump,
 )
-from repro.telemetry.__main__ import main as telemetry_main
-from repro.telemetry.trace import MAGIC, BinaryTraceSink, JsonlTraceSink
+from repro.telemetry.trace import JsonlTraceSink
 
 import sys
 sys.path.insert(0, "tests")
 from conftest import small_config
+
+
+def telemetry_main(argv):
+    return main(["telemetry", *argv])
 
 
 def _lcg_values(n, seed=7):
@@ -147,31 +150,17 @@ class TestTraceSinks:
             ("deliver", 19, pkts[1], 10),
         ]
 
-    def test_jsonl_bin_equivalent(self, tmp_path):
-        jpath, bpath = tmp_path / "t.jsonl", tmp_path / "t.bin"
-        events = self._events()  # one packet set: pids are global
-        for sink in (JsonlTraceSink(str(jpath)), BinaryTraceSink(str(bpath))):
-            for ev, cycle, pkt, value in events:
-                sink.packet_event(ev, cycle, pkt, value=value)
-            sink.record({"rec": "meta", "schema": 1, "nodes": 4})
-            sink.close()
-        jrecs = list(read_trace(str(jpath)))
-        brecs = list(read_trace(str(bpath)))
-        assert jrecs == brecs
-        assert jrecs[0]["ev"] == "inject" and jrecs[0]["pid"] == jrecs[1]["pid"]
-        assert jrecs[2]["value"] == 10
-        assert jrecs[3]["rec"] == "meta"
-
-    def test_binary_tolerates_truncated_tail(self, tmp_path):
-        path = tmp_path / "t.bin"
-        sink = BinaryTraceSink(str(path))
+    def test_jsonl_round_trip(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = JsonlTraceSink(str(path))
         for ev, cycle, pkt, value in self._events():
             sink.packet_event(ev, cycle, pkt, value=value)
+        sink.record({"rec": "meta", "schema": 1, "nodes": 4})
         sink.close()
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])
         recs = list(read_trace(str(path)))
-        assert len(recs) == 2  # last event dropped, no exception
+        assert recs[0]["ev"] == "inject" and recs[0]["pid"] == recs[1]["pid"]
+        assert recs[2]["value"] == 10
+        assert recs[3]["rec"] == "meta"
 
 
 class TestSampling:
@@ -382,11 +371,10 @@ class TestMetricsRegistry:
         assert list(m.snapshot()) == ["alpha", "zeta"]
 
 
-def _traced_config(tmp_path, fmt="jsonl", **tel):
+def _traced_config(tmp_path, **tel):
     cfg = small_config()
     cfg.telemetry.enabled = True
-    cfg.telemetry.trace_path = str(tmp_path / f"trace.{fmt}")
-    cfg.telemetry.trace_format = fmt
+    cfg.telemetry.trace_path = str(tmp_path / "trace.jsonl")
     cfg.telemetry.probe_interval = tel.pop("probe_interval", 100)
     for k, v in tel.items():
         setattr(cfg.telemetry, k, v)
@@ -542,16 +530,6 @@ class TestFlightRecorder:
 
 
 class TestReaderVersions:
-    def test_rtel_future_version_is_one_line_error(self, tmp_path, capsys):
-        path = tmp_path / "future.rtel"
-        path.write_bytes(MAGIC + struct.pack("<H", 99))
-        with pytest.raises(ValueError, match="v99 is not supported"):
-            list(read_trace(str(path)))
-        assert telemetry_main(["report", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "v99" in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_rdmp_future_schema_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "future.rdmp"
         write_dump(path, {"nodes": 4}, [], schema=99)
@@ -573,22 +551,19 @@ class TestReaderVersions:
         assert len(err.strip().splitlines()) == 1
 
     def test_current_formats_all_read(self, tmp_path):
-        # RTEL and JSONL via a traced run, RDMP via a ring dump: one
-        # read_trace auto-detects all three
-        for fmt in ("jsonl", "bin"):
-            sub = tmp_path / fmt
-            sub.mkdir(exist_ok=True)
-            cfg = _traced_config(sub, fmt=fmt)
-            run_simulation(cfg, "SC", "bodytrack", cycles=300, warmup=100)
-            assert list(read_trace(cfg.telemetry.trace_path))[0]["rec"] == "meta"
+        # JSONL via a traced run, RDMP via a ring dump: one read_trace
+        # tells the two apart
+        cfg = _traced_config(tmp_path)
+        run_simulation(cfg, "SC", "bodytrack", cycles=300, warmup=100)
+        assert list(read_trace(cfg.telemetry.trace_path))[0]["rec"] == "meta"
         dump = tmp_path / "d.rdmp"
         write_dump(dump, {}, [_ring_event(5)], schema=2)
         assert [r["cycle"] for r in list(read_trace(str(dump)))[1:]] == [5]
 
 
 class TestCli:
-    def _make_trace(self, tmp_path, fmt="jsonl"):
-        cfg = _traced_config(tmp_path, fmt=fmt)
+    def _make_trace(self, tmp_path):
+        cfg = _traced_config(tmp_path)
         run_simulation(cfg, "SC", "bodytrack", cycles=600, warmup=200)
         return cfg.telemetry.trace_path
 
@@ -600,7 +575,7 @@ class TestCli:
         assert "p99" in out and "reply" in out
 
     def test_hist_filters(self, tmp_path, capsys):
-        path = self._make_trace(tmp_path, fmt="bin")
+        path = self._make_trace(tmp_path)
         assert telemetry_main(["hist", path, "--net", "reply",
                                "--cls", "GPU"]) == 0
         out = capsys.readouterr().out
@@ -715,7 +690,6 @@ class TestConfigPlumbing:
         cfg = SystemConfig()
         cfg.telemetry.enabled = True
         cfg.telemetry.sample_rate = 0.5
-        cfg.telemetry.trace_format = "bin"
         clone = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert clone.telemetry == cfg.telemetry
 
