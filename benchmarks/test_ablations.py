@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import ablations
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_ablations(run_once):

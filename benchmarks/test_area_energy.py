@@ -5,7 +5,7 @@ import pytest
 from conftest import MIXES, record, subset
 
 from repro.experiments import area_energy
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_area_energy(run_once):

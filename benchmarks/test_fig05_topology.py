@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import fig05_topology
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_fig05_topology(run_once):

@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import fig06_avcp
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_fig06_avcp(run_once):

@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import fig09_layout
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_fig09_layout(run_once):

@@ -4,7 +4,7 @@ from conftest import record, subset
 
 from repro.analysis.report import amean
 from repro.experiments import fig15_shared_l1
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_fig15_shared_l1(run_once):

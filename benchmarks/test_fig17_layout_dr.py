@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import fig17_layout_dr
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_fig17_fig18_layout_dr(run_once):

@@ -3,7 +3,7 @@
 from conftest import record, subset
 
 from repro.experiments import node_mix
-from repro.experiments.common import default_benchmarks
+from repro.sweep.jobs import default_benchmarks
 
 
 def test_node_mix(run_once):

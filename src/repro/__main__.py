@@ -77,13 +77,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.sim.simulator import run_simulation
-
     spec = job_from_args(args)
-    result = run_simulation(
-        spec.system_config(), spec.gpu, spec.cpu,
-        cycles=spec.cycles, warmup=spec.warmup,
-    )
+    result = spec.run()
     print(f"workload:            {spec.gpu} + {spec.cpu}")
     print(f"mechanism:           {args.mechanism}")
     print(f"gpu_ipc:             {result.gpu_ipc:.4f}")

@@ -15,8 +15,8 @@ Everything an external caller needs lives behind this one module:
 config and workload is keyword-only so call sites stay readable and
 new options never break positional callers.  For batches,
 :func:`run_sweep` plus :class:`JobSpec` is the campaign entry point —
-warm worker pools (``jobs``), chunked submission, on-disk result
-caching and retries, see :mod:`repro.sweep`.  :func:`predict` is
+warm worker pools (``jobs``), on-disk result caching and retries,
+see :mod:`repro.sweep`.  :func:`predict` is
 the millisecond analytical counterpart of :func:`simulate`: same
 (config, workload, co-runner) signature, a
 :class:`~repro.model.Prediction` instead of a

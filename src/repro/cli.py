@@ -14,7 +14,8 @@ stated here, once:
   command that simulates or predicts one design point (``run``,
   ``telemetry trace``, ``faults run|plan``, ``model predict``) takes
   exactly this block and turns it into the same
-  :class:`~repro.sweep.JobSpec` the figures are made of.  Nothing about
+  :class:`~repro.sweep.JobSpec` the figures are made of, by the same
+  rule (:func:`repro.sweep.jobs.job`).  Nothing about
   a design point is declared here: types and choices are the fields'
   declarations (:func:`repro.config.system.declared_field`), legality is
   ``SystemConfig.validate()``.
@@ -39,6 +40,7 @@ from repro.config.system import (
     mechanism_config,
     nested,
 )
+from repro.sweep.jobs import JobSpec, job
 
 OUTPUT_FORMATS = ("table", "json")
 
@@ -140,19 +142,17 @@ def _apply_setting(cfg, assignment: str) -> None:
 
 def job_from_args(args: argparse.Namespace, cycles: int = 3000,
                   warmup: int = 2000,
-                  preset: Optional[Mapping[str, Any]] = None):
+                  preset: Optional[Mapping[str, Any]] = None) -> JobSpec:
     """The :class:`~repro.sweep.JobSpec` a parsed job block names.
 
-    This is :func:`repro.experiments.common.job`, the rule the figures
-    use: the CPU is the flag, else the GPU benchmark's first Table II
-    co-runner; a window is the flag, else ``$REPRO_CYCLES`` /
-    ``$REPRO_WARMUP``, else the command's built-in (``cycles`` /
-    ``warmup``).  ``preset`` is the command's own starting point
-    (``telemetry trace`` turns tracing on); ``--set`` comes after it,
-    ``--seed`` last, and the spec is validated.
+    This is :func:`repro.sweep.jobs.job`, the rule the figures use: the
+    CPU is the flag, else the GPU benchmark's first Table II co-runner;
+    a window is the flag, else ``$REPRO_CYCLES`` / ``$REPRO_WARMUP``,
+    else the command's built-in (``cycles`` / ``warmup``).  ``preset``
+    is the command's own starting point (``telemetry trace`` turns
+    tracing on); ``--set`` comes after it, ``--seed`` last, and the spec
+    is validated.
     """
-    from repro.experiments.common import default_cycles, default_warmup, job
-
     cfg = mechanism_config(args.mechanism)
     if preset:
         cfg.update(preset)
@@ -160,13 +160,8 @@ def job_from_args(args: argparse.Namespace, cycles: int = 3000,
         _apply_setting(cfg, assignment)
     if args.seed is not None:
         cfg.seed = args.seed
-    return job(
-        cfg,
-        args.gpu,
-        default_cycles(cycles) if args.cycles is None else args.cycles,
-        default_warmup(warmup) if args.warmup is None else args.warmup,
-        args.cpu,
-    )
+    return job(cfg, args.gpu, args.cycles, args.warmup, args.cpu,
+               builtin=(cycles, warmup))
 
 
 def run_guarded(handler: Callable[[Any], int], args: Any) -> int:

@@ -19,7 +19,8 @@ the only place that knows four things about such a design point:
   rules, wherever a config crosses into execution (``config_from_dict``,
   ``JobSpec.make``, ``HeterogeneousSystem``).
 * **what is identity** — :func:`canonical_config` leaves out what cannot
-  change the result (:func:`_section`'s ``live_when``, ``identity=False``);
+  change the result (a section's or a field's ``live_when``,
+  ``identity=False``);
   ``config_hash()`` and ``JobSpec.key()`` both hash that form.
 * **how a field is set from data** — :meth:`SystemConfig.update`, for a
   JSON file, an explore knob path and parsed CLI flags alike.
@@ -45,8 +46,10 @@ def _spec(default, **rule):
     ``above`` (exclusive lower bound), ``whole`` (a float holding a whole
     number), ``choices`` (a string's legal values) — or what it is to the
     identity: ``identity=False`` (the value cannot change a result),
-    ``also_live_when`` (a second condition, besides its section's
-    ``live_when``, under which the field is read)."""
+    ``live_when`` (the one condition under which the field is read: a
+    dotted path and the value it must hold), ``also_live_when`` (a
+    second condition, besides its section's ``live_when``, under which
+    the field is read)."""
     return field(default=default, metadata=rule)
 
 
@@ -142,14 +145,21 @@ class L1Organization(str, enum.Enum):
 
 @dataclass
 class NocConfig:
-    """Network-on-chip parameters (Table I plus mechanism-level knobs)."""
+    """Network-on-chip parameters (Table I plus mechanism-level knobs).
+
+    Table I's CPU-over-GPU priority is not a field: every arbiter ranks
+    CPU packets first and nothing can switch that off.
+    """
 
     topology: Topology = Topology.MESH
     routing: RoutingPolicy = RoutingPolicy.CDR
     request_order: DimensionOrder = DimensionOrder.YX
     reply_order: DimensionOrder = DimensionOrder.XY
     channel_width_bytes: int = 16
-    vcs_per_port: int = 2
+    #: VCs per port of each physical network when there are two.
+    vcs_per_port: int = _spec(
+        2, live_when=("noc.separate_physical_networks", True)
+    )
     vc_depth_flits: int = 4
     router_pipeline_cycles: int = 4
     link_cycles: int = 1
@@ -158,8 +168,12 @@ class NocConfig:
     separate_physical_networks: bool = True
     #: VCs per virtual network when sharing one physical network.  AVCP
     #: asymmetrically splits these between request and reply traffic.
-    request_vcs: int = 2
-    reply_vcs: int = 2
+    request_vcs: int = _spec(
+        2, live_when=("noc.separate_physical_networks", False)
+    )
+    reply_vcs: int = _spec(
+        2, live_when=("noc.separate_physical_networks", False)
+    )
     #: memory-node reply injection buffer capacity, in flits.  When the
     #: buffer is full the memory node *blocks* (Figure 3).
     mem_injection_buffer_flits: int = 36
@@ -168,10 +182,6 @@ class NocConfig:
     #: bandwidth multiplier applied to every link (2.0 doubles NoC bandwidth
     #: by letting each link move 2 flits/cycle, as in Fig. 5).
     bandwidth_factor: float = _spec(1.0, lo=1, whole=True)
-    #: Table I's CPU-over-GPU priority, stated for the record: every
-    #: arbiter ranks CPU packets first and nothing reads this to switch
-    #: that off, so ``False`` still simulates the priority.
-    cpu_priority: bool = _spec(True, identity=False)
 
     @property
     def link_flits_per_cycle(self) -> int:
@@ -231,7 +241,9 @@ class GpuCacheConfig:
     mshrs: int = 32
     hit_latency: int = 4
     #: max delegated requests buffered at a GPU core (Section IV).
-    frq_entries: int = 8
+    frq_entries: int = _spec(
+        8, live_when=("mechanism", Mechanism.DELEGATED_REPLIES)
+    )
 
     @property
     def num_sets(self) -> int:
@@ -277,18 +289,18 @@ class LlcConfig:
 
 @dataclass
 class DramConfig:
-    """GDDR5 timing parameters in memory-controller cycles (Table I)."""
+    """GDDR5 timing parameters in memory-controller cycles (Table I).
+
+    The bank model times an access from ``t_rp`` / ``t_rcd`` / ``t_cl`` /
+    ``t_ccd`` / ``t_wr`` and the burst.  Table I also lists tRC = 40,
+    tRAS = 28 and tRRD = 6; the model never reads them, so they are not
+    fields.
+    """
 
     banks: int = 16
     t_cl: int = 12
     t_rp: int = 12
-    #: Table I values stated for the record: the bank model times an
-    #: access from ``t_rp`` / ``t_rcd`` / ``t_cl`` / ``t_ccd`` / ``t_wr``
-    #: and the burst, and never reads these three.
-    t_rc: int = _spec(40, identity=False)
-    t_ras: int = _spec(28, identity=False)
     t_rcd: int = 12
-    t_rrd: int = _spec(6, identity=False)
     t_ccd: int = 2
     t_wr: int = 12
     #: data-burst cycles per 128 B access; sets peak per-controller bandwidth.
@@ -299,15 +311,15 @@ class DramConfig:
 
 @dataclass
 class GpuCoreConfig:
-    """GPU SM model parameters (Table I, scaled-down knobs for simulation)."""
+    """GPU SM model parameters (Table I, scaled-down knobs for simulation).
+
+    The compute between a warp's memory operations is not a field here:
+    each GPU benchmark profile's ``compute_gap`` states it.
+    """
 
     warps: int = 48
     #: memory instructions issued per warp slot per cycle.
     issue_width: int = 1
-    #: instructions retired per issued memory operation.  Superseded:
-    #: each GPU benchmark profile's ``compute_gap`` states the compute
-    #: between its memory operations, and nothing reads this.
-    insts_per_mem_op: int = _spec(8, identity=False)
 
 
 @dataclass
@@ -735,12 +747,13 @@ _LIVE_WHEN = {
     for f in dataclasses.fields(SystemConfig)
     if "live_when" in f.metadata
 }
-#: ``(section, field)`` of every field declared ``identity=False``
-_NON_IDENTITY = [
-    (section, f.name)
+#: ``(section, field, live_when)`` of every leaf that is identity only
+#: under its own ``live_when`` — or never (``identity=False``: ``None``)
+_CONDITIONAL_FIELDS = [
+    (section, f.name, f.metadata.get("live_when"))
     for section, cls in _RULES[SystemConfig][1].items()
     for f in dataclasses.fields(cls)
-    if f.metadata.get("identity") is False
+    if f.metadata.get("identity") is False or "live_when" in f.metadata
 ]
 
 
@@ -751,11 +764,13 @@ def canonical_config(data: Mapping[str, Any]) -> Dict[str, Any]:
     (``delegation`` unless Delegated Replies runs, ``probing`` unless
     Realistic Probing does, ``telemetry`` unless enabled) of all but the
     fields whose own ``also_live_when`` does (the watchdog timeout under
-    Realistic Probing), and drops every field declared
-    ``identity=False`` (the telemetry output paths), so configs that
-    differ only in what nothing reads share one ``config_hash()`` and
-    one ``JobSpec.key()``.  The result still loads through
-    :func:`config_from_dict`: what was dropped reads as default.
+    Realistic Probing), drops every field whose own ``live_when`` does
+    not hold (the shared-network VC split on separate networks and the
+    reverse, the FRQ depth unless Delegated Replies runs) and every
+    field declared ``identity=False`` (the telemetry output paths), so
+    configs that differ only in what nothing reads share one
+    ``config_hash()`` and one ``JobSpec.key()``.  The result still loads
+    through :func:`config_from_dict`: what was dropped reads as default.
     """
 
     def holds(when) -> bool:
@@ -769,8 +784,11 @@ def canonical_config(data: Mapping[str, Any]) -> Dict[str, Any]:
                 for name, also_when in also.items()
                 if holds(also_when)
             }
-    for section, name in _NON_IDENTITY:
-        out[section] = {k: v for k, v in out[section].items() if k != name}
+    for section, name, when in _CONDITIONAL_FIELDS:
+        if when is None or not holds(when):
+            out[section] = {
+                k: v for k, v in out[section].items() if k != name
+            }
     return out
 
 

@@ -7,9 +7,6 @@ Each module exposes ``run(...) -> ExperimentResult``;
 from repro.experiments.common import (
     ExperimentResult,
     clear_sweep_cache,
-    default_benchmarks,
-    default_cycles,
-    default_warmup,
     mechanism_sweep,
 )
 from repro.experiments import (
@@ -62,8 +59,5 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
     "clear_sweep_cache",
-    "default_benchmarks",
-    "default_cycles",
-    "default_warmup",
     "mechanism_sweep",
 ]

@@ -16,12 +16,8 @@ from repro.analysis.area import delegated_replies_overhead, noc_area
 from repro.analysis.energy import energy_report
 from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, mechanism_config
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    mechanism_sweep,
-)
+from repro.experiments.common import ExperimentResult, mechanism_sweep
+from repro.sweep.jobs import cpu_corunners, default_benchmarks
 
 
 def area_rows() -> List[Tuple[str, dict]]:

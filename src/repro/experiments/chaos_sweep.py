@@ -26,13 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.config import mechanism_config
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    default_cycles,
-    default_warmup,
-)
+from repro.experiments.common import ExperimentResult
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 
 #: fault intensity levels (fraction of head flits sampled for
 #: drop/corrupt on memory reply links); 0.0 is the fault-free anchor
@@ -57,33 +52,30 @@ def run(
     from repro.sweep import JobSpec, run_sweep
 
     benchmarks = list(benchmarks or default_benchmarks(subset=2))
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
 
-    specs: List[JobSpec] = []
     index: Dict[Tuple[str, str, str, float], JobSpec] = {}
     for gpu in benchmarks:
         for cpu in cpu_corunners(gpu, n_mixes):
             for mech in _MECHS:
                 cfg = mechanism_config(mech)
+                # the clean job states the window the plans are cut to
+                clean = job(cfg, gpu, cycles, warmup, cpu)
                 for level in intensities:
                     plan = (
                         chaos_plan(
                             cfg, level, seed=seed,
-                            warmup=warmup, cycles=cycles,
+                            warmup=clean.warmup, cycles=clean.cycles,
                         )
                         if level > 0
                         else None
                     )
-                    spec = JobSpec.make(
-                        cfg, gpu, cpu, cycles=cycles, warmup=warmup,
+                    index[(gpu, cpu, mech, level)] = job(
+                        cfg, gpu, clean.cycles, clean.warmup, cpu,
                         label=(gpu, cpu, mech, f"i{level:g}"),
                         faults=plan,
                     )
-                    specs.append(spec)
-                    index[(gpu, cpu, mech, level)] = spec
 
-    results = run_sweep(specs, jobs=jobs)
+    results = run_sweep(list(index.values()), jobs=jobs)
 
     rows: List[Tuple[str, dict]] = []
     total_lost = 0

@@ -3,9 +3,10 @@
 Each ``figNN_*`` module exposes ``run(...) -> ExperimentResult`` that
 regenerates one paper figure/table: same rows, same normalisations.
 Every module runs its simulations the same way: enumerate one
-:class:`~repro.sweep.JobSpec` per point the figure needs (:func:`job`;
-:func:`simulate_configs` and :func:`dr_over_baseline` do it for the two
-common shapes), hand the whole batch to :func:`simulate`, tabulate.
+:class:`~repro.sweep.JobSpec` per point the figure needs
+(:func:`repro.sweep.jobs.job`, the rule that picks the co-runner and the
+window; :func:`simulate_configs` and :func:`dr_over_baseline` call it for
+the two common shapes), hand the whole batch to :func:`simulate`, tabulate.
 :func:`simulate` keeps one process-level memo indexed by
 ``JobSpec.key()`` and passes only the specs it has not seen to a single
 :func:`repro.sweep.run_sweep` call, so a spec is simulated once per
@@ -13,62 +14,17 @@ process whichever figure asks first (the unmodified baseline of Figs. 5,
 7, 15, 16 and the ablations is one simulation), and every figure gets the
 runner's process-level parallelism (``REPRO_SWEEP_JOBS``) and on-disk
 result cache (``REPRO_SWEEP_CACHE``).
-
-Window lengths default to ``REPRO_CYCLES``/``REPRO_WARMUP``, read at
-*call* time (:func:`default_cycles`/:func:`default_warmup`) so tests can
-vary them after import.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.system import MECHANISMS, SystemConfig
 from repro.sim.metrics import SimulationResult
 from repro.sweep import JobSpec, mechanism_jobs, run_sweep
-from repro.workloads.gpu import GPU_BENCHMARK_NAMES, gpu_benchmark
-from repro.workloads.mixes import TABLE_II
-
-
-def _env_window(name: str, default: int, minimum: int) -> int:
-    """``$name`` as a window length, ``default`` when unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"${name} must be an integer >= {minimum}, got {raw!r}"
-        ) from None
-    return value
-
-
-def default_cycles(builtin: int = 3000) -> int:
-    """Measured-window length: ``REPRO_CYCLES`` (read now), else ``builtin``."""
-    return _env_window("REPRO_CYCLES", builtin, minimum=1)
-
-
-def default_warmup(builtin: int = 2000) -> int:
-    """Warmup-window length: ``REPRO_WARMUP`` (read now), else ``builtin``."""
-    return _env_window("REPRO_WARMUP", builtin, minimum=0)
-
-
-def default_benchmarks(subset: Optional[int] = None) -> List[str]:
-    """The 11 Table II GPU benchmarks, optionally a representative subset.
-
-    The subset keeps the paper's extremes: HS (best case), SC (LLC-bound,
-    worst case), 3DCON (remote misses) and NN (low miss rate).
-    """
-    if subset is None:
-        return list(GPU_BENCHMARK_NAMES)
-    representative = ["HS", "SC", "3DCON", "NN", "2DCON", "BP", "MM",
-                      "LPS", "BT", "LUD", "SRAD"]
-    return representative[: max(1, subset)]
+from repro.sweep.jobs import job
 
 
 @dataclass
@@ -94,33 +50,6 @@ class ExperimentResult:
 
 #: every simulation the experiment modules have run in this process
 _RESULTS: Dict[str, SimulationResult] = {}
-
-
-def cpu_corunners(gpu_name: str, n_mixes: int) -> List[str]:
-    """The first ``n_mixes`` Table II CPU co-runners of a GPU benchmark
-    (a ``KeyError`` naming the choices for one Table II does not list)."""
-    return list(TABLE_II[gpu_benchmark(gpu_name).name][: max(1, n_mixes)])
-
-
-def job(
-    cfg: SystemConfig,
-    gpu: str,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    cpu: Optional[str] = None,
-) -> JobSpec:
-    """The sweep job for one design point of a figure.
-
-    ``cpu`` defaults to the GPU benchmark's first Table II co-runner,
-    the windows to ``REPRO_CYCLES``/``REPRO_WARMUP``.
-    """
-    return JobSpec.make(
-        cfg,
-        gpu,
-        cpu or cpu_corunners(gpu, 1)[0],
-        cycles=default_cycles() if cycles is None else cycles,
-        warmup=default_warmup() if warmup is None else warmup,
-    )
 
 
 def simulate(
@@ -155,8 +84,8 @@ def simulate_configs(
     """Run ``{point: config}`` on every benchmark: ``{(point, gpu): result}``.
 
     The shape of a config study — a handful of design points, each
-    evaluated on the same GPU benchmarks (see :func:`job` for the
-    co-runner and windows).
+    evaluated on the same GPU benchmarks (see
+    :func:`repro.sweep.jobs.job` for the co-runner and windows).
     """
     return simulate(
         {

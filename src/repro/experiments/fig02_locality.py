@@ -13,24 +13,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.config import baseline_config
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    default_cycles,
-    default_warmup,
-)
-from repro.sim.simulator import build_system
+from repro.experiments.common import ExperimentResult
+from repro.sweep.jobs import JobSpec, default_benchmarks, job
 
 
-def measure_locality(
-    gpu: str,
-    cpu: Optional[str],
-    cycles: int,
-    warmup: int,
-) -> float:
+def measure_locality(spec: JobSpec) -> float:
     """Fraction of primary L1 misses present in >=1 remote GPU L1."""
-    system = build_system(baseline_config(), gpu, cpu)
+    system = spec.build()
     counters = {"misses": 0, "remote": 0}
     cores = system.gpu_cores
 
@@ -46,10 +35,10 @@ def measure_locality(
                 counters["remote"] += 1
                 return
 
-    system.run(warmup)
+    system.run(spec.warmup)
     for core in cores:
         core.miss_observer = observer
-    system.run(cycles)
+    system.run(spec.cycles)
     if counters["misses"] == 0:
         return 0.0
     return counters["remote"] / counters["misses"]
@@ -61,13 +50,9 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 2 (one bar per GPU benchmark + the mean)."""
-    benchmarks = list(benchmarks or default_benchmarks())
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
     rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        frac = measure_locality(gpu, cpu, cycles, warmup)
+    for gpu in benchmarks or default_benchmarks():
+        frac = measure_locality(job(baseline_config(), gpu, cycles, warmup))
         rows.append((gpu, {"remote_l1_fraction": frac}))
     text = format_table(
         "Fig. 2: fraction of L1 misses present in a remote L1 "

@@ -13,11 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table, hmean
 from repro.config import SystemConfig, Topology, baseline_config
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    simulate_configs,
-)
+from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.sweep.jobs import default_benchmarks
 
 TOPOLOGIES = (
     Topology.MESH,

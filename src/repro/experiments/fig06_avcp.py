@@ -13,11 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.config import baseline_config
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    simulate_configs,
-)
+from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.sweep.jobs import default_benchmarks
 
 #: (request VCs, reply VCs) splits over one shared physical network with
 #: the baseline's aggregate 4 VCs.  "2+2" is the symmetric reference;

@@ -14,11 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.config import DimensionOrder, Layout, baseline_config
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    simulate_configs,
-)
+from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.sweep.jobs import default_benchmarks
 
 #: (layout, request order, reply order) configurations of Fig. 9
 CONFIGS: Tuple[Tuple[Layout, DimensionOrder, DimensionOrder], ...] = (

@@ -13,12 +13,8 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    mechanism_sweep,
-)
+from repro.experiments.common import ExperimentResult, mechanism_sweep
+from repro.sweep.jobs import cpu_corunners, default_benchmarks
 
 
 def _by_cpu(

@@ -13,12 +13,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    mechanism_sweep,
-)
+from repro.experiments.common import ExperimentResult, mechanism_sweep
+from repro.sweep.jobs import cpu_corunners, default_benchmarks
 
 
 def run(

@@ -19,11 +19,8 @@ from repro.config import (
     baseline_config,
     delegated_replies_config,
 )
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    simulate_configs,
-)
+from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.sweep.jobs import default_benchmarks
 
 #: evaluated configurations: (label, l1 organisation, CTA policy, DR?)
 CONFIGS = (

@@ -17,11 +17,8 @@ from repro.config import (
     baseline_config,
     delegated_replies_config,
 )
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    dr_over_baseline,
-)
+from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.sweep.jobs import default_benchmarks
 from repro.experiments.fig05_topology import TOPOLOGIES
 
 

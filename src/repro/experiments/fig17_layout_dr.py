@@ -12,11 +12,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.config import Layout, baseline_config, delegated_replies_config
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    dr_over_baseline,
-)
+from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.sweep.jobs import default_benchmarks
 from repro.sim.layout import apply_default_orders
 
 LAYOUTS = (Layout.BASELINE, Layout.EDGE, Layout.CLUSTERED, Layout.DISTRIBUTED)

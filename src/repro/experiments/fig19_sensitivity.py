@@ -26,11 +26,8 @@ from repro.config import (
     delegated_replies_config,
     table1_mix,
 )
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    dr_over_baseline,
-)
+from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.sweep.jobs import default_benchmarks
 
 Mutator = Callable[[SystemConfig], None]
 

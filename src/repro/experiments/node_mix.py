@@ -12,11 +12,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, delegated_replies_config
-from repro.experiments.common import (
-    ExperimentResult,
-    default_benchmarks,
-    dr_over_baseline,
-)
+from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.sweep.jobs import default_benchmarks
 
 #: (n_cpu, n_gpu, n_mem) mixes on the 64-node fabric
 CPU_SWEEP = ((8, 48, 8), (16, 40, 8), (24, 32, 8))

@@ -23,13 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.config import mechanism_config
-from repro.experiments.common import (
-    ExperimentResult,
-    cpu_corunners,
-    default_benchmarks,
-    job,
-    simulate,
-)
+from repro.experiments.common import ExperimentResult, simulate
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 from repro.telemetry.blame import STALL_CLASSES
 
 #: the two mechanisms this decomposition contrasts (RP adds nothing here:

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.explore.objectives import from_prediction
 from repro.explore.pareto import FrontierPoint
 from repro.explore.space import Genome, SearchSpace, demo_space
-from repro.sweep.jobs import JobSpec
+from repro.sweep.jobs import JobSpec, job
 
 
 @dataclass
@@ -115,12 +115,12 @@ class ExploreEnv:
         the same configuration.
         """
         cfg, gpu, cpu = self.space.decode(genome)
-        return JobSpec.make(
+        return job(
             cfg,
             gpu,
+            self.cycles,
+            self.warmup,
             cpu,
-            cycles=self.cycles,
-            warmup=self.warmup,
             label=(
                 "explore",
                 self.space.name,

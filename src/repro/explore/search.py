@@ -28,7 +28,6 @@ baseline-vs-DR comparison.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -46,7 +45,7 @@ from repro.explore.pareto import (
     non_dominated_sort,
 )
 from repro.explore.space import Genome, SearchSpace, demo_space
-from repro.sweep.cache import ENV_CACHE_DIR, ResultCache
+from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepRunner, stall_shares
 
 ALGORITHMS = ("nsga2", "random")
@@ -385,16 +384,6 @@ class ExploreOutcome:
         return table + "(* = simulated ground truth)\n"
 
 
-def _resolve_cache(
-    cache: Union[ResultCache, str, None]
-) -> Optional[ResultCache]:
-    if cache == "auto":
-        return ResultCache() if os.environ.get(ENV_CACHE_DIR) else None
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
-
-
 def _select_survivors(
     records: Sequence[EvalRecord],
     anchors: Sequence[_RecordKey],
@@ -550,7 +539,7 @@ def explore(
                 f"simulating {len(survivors)}/{len(records)} survivors "
                 f"(cap {sim_fraction:.0%})"
             )
-        runner = SweepRunner(cache=_resolve_cache(cache), jobs=jobs)
+        runner = SweepRunner(cache=cache, jobs=jobs)
         try:
             outcomes = runner.run(list(specs.values()))
         finally:

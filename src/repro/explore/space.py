@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config.system import SystemConfig, Topology, nested, table1_mix
+from repro.sweep.jobs import cpu_corunners
 
 Genome = Tuple[int, ...]
 
@@ -130,8 +131,6 @@ class SearchSpace:
 
     def decode(self, genome: Genome) -> Tuple[SystemConfig, str, str]:
         """Decode a genome into a validated ``(config, gpu, cpu)``."""
-        from repro.experiments.common import cpu_corunners
-
         try:
             width, height = map(int, self.mesh.split("x"))
         except (AttributeError, ValueError):

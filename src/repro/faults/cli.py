@@ -31,12 +31,14 @@ import json
 import sys
 
 from repro.cli import add_command, add_job_block, add_options, emit, job_from_args
+from repro.faults.controller import quiesce
+from repro.faults.plan import FaultPlan, chaos_plan
+from repro.sweep.jobs import job
 
 
 def _job_and_plan(args):
-    """The job block's spec and the fault plan to run it under."""
-    from repro.faults.plan import FaultPlan, chaos_plan
-
+    """The job block's (fault-free) spec and the fault plan for it:
+    ``--plan``'s file, else a chaos plan cut to its config and window."""
     spec = job_from_args(args, cycles=3000, warmup=1000)
     if getattr(args, "plan", None):
         with open(args.plan) as fh:
@@ -47,20 +49,23 @@ def _job_and_plan(args):
     )
 
 
-def cmd_run(args) -> int:
-    from repro.faults.controller import quiesce
-    from repro.sim.simulator import build_system, run_simulation
-
-    spec, plan = _job_and_plan(args)
-    cfg = spec.system_config()
-
+def _chaos_job(args):
+    """The job ``faults run`` executes: the job block's, its fault plan
+    inside the spec (and so inside its key and its choice of kernel)."""
+    clean, plan = _job_and_plan(args)
     # the plan picks the kernel: link-down/up events need the object one
     # (a BackendError here under REPRO_BACKEND=vector)
-    system = build_system(cfg, spec.gpu, spec.cpu, faults=plan)
-    result = run_simulation(
-        cfg, spec.gpu, spec.cpu, cycles=spec.cycles, warmup=spec.warmup,
-        system=system,
+    return job(
+        clean.system_config(), clean.gpu, clean.cycles, clean.warmup,
+        clean.cpu, faults=plan,
     )
+
+
+def cmd_run(args) -> int:
+    spec = _chaos_job(args)
+    plan = spec.fault_plan()
+    system = spec.build()
+    result = spec.run(system)
     # drain: stop injecting and let every outstanding transaction finish
     # (or exhaust its retries) so conservation is checkable
     leftover = quiesce(system)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from repro.cli import add_command, add_job_block, add_options, emit, job_from_args
 from repro.model.compose import predict
-from repro.model.saturation import DEFAULT_BAND, assess, keep_mask
-from repro.model.validate import GRIDS, grid_specs, predictions_for, validate
+from repro.model.saturation import DEFAULT_BAND, assess, screen
+from repro.model.validate import GRIDS, grid_specs, validate
 
 
 def _cmd_predict(args) -> int:
@@ -87,18 +87,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    specs = grid_specs(args.grid, cycles=args.cycles, warmup=args.warmup)
-    preds = predictions_for(specs)
-    mask = keep_mask(preds, band=args.band)
-    rows = []
-    for spec, pred, keep in zip(specs, preds, mask):
-        rows.append({
+    decision = screen(
+        grid_specs(args.grid, cycles=args.cycles, warmup=args.warmup),
+        band=args.band,
+    )
+    rows = [
+        {
             "label": "/".join(spec.label) or spec.describe(),
             "key": spec.key(),
             "demand_rho": round(pred.demand_rho, 3),
             "keep": keep,
-        })
-    kept = sum(mask)
+        }
+        for spec, pred, keep in zip(
+            decision.specs, decision.predictions, decision.keep
+        )
+    ]
+    kept = sum(decision.keep)
 
     def render() -> str:
         lines = [f"== surrogate screen: {args.grid} (band {args.band:g}) =="]

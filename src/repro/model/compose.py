@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config.system import SystemConfig
 from repro.gpu.core import _WRITE_CAP as GPU_WRITE_CAP
 from repro.model.loads import FlowGroup, LinkKey, NetworkModel
-from repro.model.queueing import p95_of_mean
+from repro.model.queueing import cpu_gpu_waits, p95_of_mean
 from repro.noc.packet import NetKind, TrafficClass
 from repro.workloads.cpu import cpu_benchmark
 from repro.workloads.gpu import gpu_benchmark
@@ -551,8 +551,7 @@ def predict(
             l_gpu_new = None  # from path composition below
 
         # 4. waits at carried rates ---------------------------------------
-        # inline M/G/1 non-preemptive priority per link (see
-        # repro.model.queueing.priority_waits): CPU ahead of GPU.
+        # M/G/1 non-preemptive priority per link: CPU ahead of GPU.
         w_cpu_link = [0.0] * n_links
         w_gpu_link = [0.0] * n_links
         for i in range(n_links):
@@ -560,14 +559,9 @@ def predict(
             rho_g = rate_mem * gw_work[i]
             if rho_c + rho_g <= _EPS:
                 continue
-            res = 0.5 * (rate_cpu_req * cw_work2[i] + rate_mem * gw_work2[i])
-            rem_c = 1.0 - rho_c
-            w_cpu_link[i] = res / rem_c if rem_c > 0.0 else math.inf
-            rem_all = rem_c - rho_g
-            w_gpu_link[i] = (
-                res / (rem_c * rem_all)
-                if rem_c > 0.0 and rem_all > 0.0
-                else math.inf
+            w_cpu_link[i], w_gpu_link[i] = cpu_gpu_waits(
+                rho_c, rho_g,
+                0.5 * (rate_cpu_req * cw_work2[i] + rate_mem * gw_work2[i]),
             )
 
         # backlog: carried read flow times the latency in excess of free

@@ -2,8 +2,9 @@
 
 Each directed link (router-to-router, injection or ejection) is modelled
 as a single server shared by the two traffic classes, CPU and GPU, with
-non-preemptive head-of-line priority for CPU — the switch-allocation
-policy ``NocConfig.cpu_priority`` implements cycle by cycle.  Packet
+non-preemptive head-of-line priority for CPU — Table I's CPU-over-GPU
+priority, which every arbiter of the simulated routers applies cycle by
+cycle.  Packet
 service time is the link occupancy of one worm: ``size_flits`` cycles at
 one flit per cycle, divided by the link's bandwidth factor.
 
@@ -30,56 +31,33 @@ the surrogate needs; DESIGN.md section 10 discusses where it bends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Tuple
 
 #: exponential-tail factor: for an exponential sojourn time the 95th
 #: percentile is ``ln(20) ~ 3.0`` times the mean.
 P95_FACTOR = math.log(20.0)
 
 
-@dataclass
-class ClassLoad:
-    """Aggregate per-class arrival process at one link.
+def cpu_gpu_waits(
+    rho_cpu: float, rho_gpu: float, residual: float
+) -> Tuple[float, float]:
+    """Mean queueing waits ``(CPU, GPU)`` at one link, CPU served first.
 
-    ``rate`` is packets/cycle; ``work`` and ``work_sq`` accumulate
-    ``rate * E[S]`` and ``rate * E[S^2]`` so heterogeneous packet sizes
-    (1-flit requests, 9-flit replies) mix exactly.
+    ``rho_*`` is each class's utilisation (its ``sum of rate_i *
+    service_i``, so 1-flit requests and 9-flit replies mix exactly) and
+    ``residual`` is :math:`R`, half the ``sum of rate_i * service_i^2``
+    over both classes.  ``math.inf`` for a class whose priority level is
+    saturated.  The GPU's remaining capacity is taken as ``(1 - rho_cpu)
+    - rho_gpu``, in that order: every prediction depends on the bits.
     """
-
-    rate: float = 0.0
-    work: float = 0.0       # sum of rate_i * service_i       (= rho)
-    work_sq: float = 0.0    # sum of rate_i * service_i^2
-
-    def add(self, rate: float, service_cycles: float) -> None:
-        self.rate += rate
-        self.work += rate * service_cycles
-        self.work_sq += rate * service_cycles * service_cycles
-
-    @property
-    def rho(self) -> float:
-        return self.work
-
-
-def priority_waits(classes: Sequence[ClassLoad]) -> List[float]:
-    """Mean queueing wait per class, highest priority first.
-
-    ``classes[0]`` (CPU) is served ahead of ``classes[1]`` (GPU) and so
-    on.  Returns one wait per class; ``math.inf`` for classes whose
-    priority level is saturated.
-    """
-    residual = 0.5 * sum(c.work_sq for c in classes)
-    waits: List[float] = []
-    rho_above = 0.0
-    for cls in classes:
-        rho_upto = rho_above + cls.rho
-        denom = (1.0 - rho_above) * (1.0 - rho_upto)
-        if denom <= 0.0:
-            waits.append(math.inf)
-        else:
-            waits.append(residual / denom)
-        rho_above = rho_upto
-    return waits
+    rem_cpu = 1.0 - rho_cpu
+    if rem_cpu <= 0.0:
+        return math.inf, math.inf
+    rem_all = rem_cpu - rho_gpu
+    return (
+        residual / rem_cpu,
+        residual / (rem_cpu * rem_all) if rem_all > 0.0 else math.inf,
+    )
 
 
 def p95_of_mean(mean: float) -> float:

@@ -12,9 +12,10 @@ hybrid sweep screens on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.model.compose import RHO_CAP, Prediction
+from repro.model.compose import RHO_CAP, Prediction, predict
+from repro.sweep.jobs import JobSpec
 
 #: carried utilisation above which a link is reported as clogged.
 CLOGGED_RHO = 0.90
@@ -96,3 +97,53 @@ def keep_mask(preds: Sequence[Prediction], band: float = DEFAULT_BAND) -> List[b
     anchor = min(range(len(preds)), key=lambda i: screening_score(preds[i]))
     keep[anchor] = True
     return keep
+
+
+@dataclass
+class ScreenDecision:
+    """A screening pass over a sweep's specs: every spec's prediction
+    and whether it deserves a real simulation."""
+
+    specs: Sequence[JobSpec]
+    predictions: List[Prediction]
+    keep: List[bool]
+    band: float
+
+    @property
+    def kept(self) -> List[JobSpec]:
+        return [s for s, keep in zip(self.specs, self.keep) if keep]
+
+    @property
+    def skipped(self) -> List[Tuple[JobSpec, Prediction]]:
+        return [
+            (s, p)
+            for s, p, keep in zip(self.specs, self.predictions, self.keep)
+            if not keep
+        ]
+
+    def skipped_records(self) -> List[Dict[str, Any]]:
+        """Manifest-ready records of the screened-out points."""
+        return [
+            {
+                "key": spec.key(),
+                "label": list(spec.label) or [spec.describe()],
+                "demand_rho": round(pred.demand_rho, 3),
+                "predicted_cpu_latency": round(pred.cpu_latency_avg, 1),
+            }
+            for spec, pred in self.skipped
+        ]
+
+
+def screen(specs: Sequence[JobSpec], band: float = DEFAULT_BAND) -> ScreenDecision:
+    """Partition specs with the surrogate (the hybrid sweep's first half).
+
+    Predicts every spec (milliseconds per point) and keeps the points
+    :func:`keep_mask` keeps.  The caller simulates ``decision.kept``;
+    ``decision.skipped`` says what was screened out, for the manifest.
+    Screening never touches a cache or a spec, so the jobs that do run
+    produce bit-identical results to an unscreened sweep.
+    """
+    predictions = [predict(s.system_config(), s.gpu, s.cpu) for s in specs]
+    return ScreenDecision(
+        specs, predictions, keep_mask(predictions, band=band), band
+    )

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config.system import mechanism_config, table1_mix
-from repro.model.compose import Prediction, predict
+from repro.model.compose import predict
 from repro.sweep.cache import ResultCache
-from repro.sweep.jobs import JobSpec, mechanism_jobs
+from repro.sweep.jobs import JobSpec, default_benchmarks, job, mechanism_jobs
 from repro.sweep.runner import SweepRunner
 
 GRIDS = ("fig05", "fig11", "fig16", "mesh4x4")
@@ -101,12 +101,6 @@ class ValidationReport:
 # --- grids ----------------------------------------------------------------
 
 
-def _corunner(gpu: str) -> str:
-    from repro.experiments.common import cpu_corunners
-
-    return cpu_corunners(gpu, 1)[0]
-
-
 def grid_specs(
     grid: str,
     cycles: Optional[int] = None,
@@ -119,11 +113,6 @@ def grid_specs(
     ground truth shares cache entries with ordinary figure regeneration.
     """
     from repro.experiments import fig05_topology, fig16_topology_dr
-    from repro.experiments.common import (
-        default_benchmarks,
-        default_cycles,
-        default_warmup,
-    )
 
     if grid == "fig11":
         return mechanism_jobs(
@@ -158,12 +147,7 @@ def grid_specs(
     else:
         raise ValueError(f"unknown grid {grid!r}; choose from {GRIDS}")
     return [
-        JobSpec.make(
-            cfg, gpu, _corunner(gpu),
-            cycles=default_cycles() if cycles is None else cycles,
-            warmup=default_warmup() if warmup is None else warmup,
-            label=(*point, gpu),
-        )
+        job(cfg, gpu, cycles, warmup, label=(*point, gpu))
         for point, cfg in points.items()
         for gpu in benchmarks
     ]
@@ -300,7 +284,3 @@ def validate(
         )
     return report
 
-
-def predictions_for(specs: Sequence[JobSpec]) -> List[Prediction]:
-    """Surrogate predictions for a list of sweep specs (screening path)."""
-    return [predict(s.system_config(), s.gpu, s.cpu) for s in specs]

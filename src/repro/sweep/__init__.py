@@ -5,8 +5,9 @@ mechanism) cross products behind the paper's figures into explicit
 :class:`JobSpec` batches, runs them over a process pool, and persists
 every result to a content-addressed on-disk cache so re-runs and
 interrupted sweeps resume for free.  ``python -m repro sweep`` exposes
-it on the command line; every figure module reaches it through
-:func:`repro.experiments.common.simulate`.
+it on the command line; the figure modules, the validation grids and
+the explore search all enumerate their jobs with :func:`repro.sweep.jobs.job`
+and hand them to :func:`run_sweep` / :class:`SweepRunner`.
 """
 
 from repro.sweep.cache import (
@@ -25,12 +26,10 @@ from repro.sweep.jobs import (
 from repro.sweep.runner import (
     ENV_JOBS,
     JobOutcome,
-    ScreenDecision,
     SweepError,
     SweepRunner,
     default_jobs,
     pool_context,
-    run_job_batch,
     run_sweep,
     simulate_job,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "JobOutcome",
     "JobSpec",
     "ResultCache",
-    "ScreenDecision",
     "SweepError",
     "SweepRunner",
     "code_salt",
@@ -52,7 +50,6 @@ __all__ = [
     "default_jobs",
     "mechanism_jobs",
     "pool_context",
-    "run_job_batch",
     "run_sweep",
     "simulate_job",
 ]

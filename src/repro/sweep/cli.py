@@ -33,16 +33,15 @@ import time
 from typing import List
 
 from repro.cli import add_command, add_options, emit
+from repro.model.saturation import screen
 from repro.sweep.cache import ResultCache, default_cache_dir
-from repro.sweep.jobs import JobSpec, mechanism_jobs
+from repro.sweep.jobs import JobSpec, default_benchmarks, mechanism_jobs
 from repro.sweep.runner import JobOutcome, SweepRunner
 
 
 def _specs_from_args(args) -> List[JobSpec]:
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
     if benchmarks is None and args.subset:
-        from repro.experiments.common import default_benchmarks
-
         benchmarks = default_benchmarks(subset=args.subset)
     mechanisms = args.mechanisms.split(",") if args.mechanisms else None
     specs = mechanism_jobs(
@@ -248,7 +247,7 @@ def _cmd_run(args) -> int:
         progress=progress,
     )
     if args.screen == "surrogate":
-        decision = runner.screen(specs, band=args.screen_band)
+        decision = screen(specs, band=args.screen_band)
         print(f"screen:  surrogate kept {len(decision.kept)}/{len(specs)} "
               f"job(s) (band {decision.band:g}); "
               f"{len(decision.skipped)} screened out", flush=True)
@@ -257,7 +256,6 @@ def _cmd_run(args) -> int:
         "rec": "start",
         "total": len(specs),
         "workers": runner.jobs,
-        "batch": "adaptive",
     })
     t0 = time.perf_counter()
     interrupted = False
@@ -285,7 +283,6 @@ def _cmd_run(args) -> int:
         rate = len(simulated) / wall if wall > 0 else 0.0
         manifest = {
             "workers": runner.jobs,
-            "batch": "adaptive",
             "wall_time_s": round(wall, 3),
             "totals": counts,
             "cache_dir": str(cache.root),

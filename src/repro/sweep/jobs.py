@@ -12,6 +12,17 @@ The ``label`` field is bookkeeping only (e.g. the ``(gpu, cpu,
 mechanism)`` triple the experiment modules key their sweeps by) and is
 deliberately excluded from the hash: two specs describing the same
 simulation share one cache entry regardless of how callers name them.
+
+The rule that turns a design point into a job lives here too, beside the
+spec it fills in: :func:`job` (the CPU is the caller's, else the GPU
+benchmark's first Table II co-runner; a window is the caller's, else
+``$REPRO_CYCLES`` / ``$REPRO_WARMUP``, else the built-in).  The figure
+modules, the ``python -m repro`` job block, the validation grids, the
+explore spaces and the chaos sweep all call it.  And one pair of methods
+turns a spec back into a simulation: :meth:`JobSpec.build` and
+:meth:`JobSpec.run` hand *every* field of the spec to the simulator, so
+the sweep workers and the one-job commands cannot run different jobs
+from one spec.
 """
 
 from __future__ import annotations
@@ -29,6 +40,13 @@ from repro.config.system import (
     config_from_dict,
     mechanism_config,
 )
+from repro.faults.plan import FaultPlan
+from repro.sim.engines import select_backend
+from repro.sim.metrics import SimulationResult
+from repro.sim.simulator import build_system, run_simulation
+from repro.sim.system import HeterogeneousSystem
+from repro.workloads.gpu import GPU_BENCHMARK_NAMES, gpu_benchmark
+from repro.workloads.mixes import TABLE_II
 
 #: bump when a change to the simulator alters results for identical
 #: configs — every on-disk cache entry becomes stale at once.
@@ -92,8 +110,6 @@ class JobSpec:
         faults: Any = None,
         backend: Optional[str] = None,
     ) -> "JobSpec":
-        from repro.sim.engines import select_backend
-
         if isinstance(config, SystemConfig):
             cfg = config.validate()
         else:
@@ -159,13 +175,37 @@ class JobSpec:
         """Rebuild the full :class:`SystemConfig` this spec describes."""
         return config_from_dict(json.loads(self.config_json))
 
-    def fault_plan(self):
+    def fault_plan(self) -> Optional[FaultPlan]:
         """Rebuild the :class:`~repro.faults.plan.FaultPlan`, or None."""
         if self.faults is None:
             return None
-        from repro.faults.plan import FaultPlan
-
         return FaultPlan.from_dict(json.loads(self.faults))
+
+    def build(self) -> HeterogeneousSystem:
+        """The system this spec describes: its config and workload pair,
+        on its kernel, under its fault plan and flush interval."""
+        return build_system(
+            self.system_config(),
+            self.gpu,
+            self.cpu,
+            self.kernel_flush_interval,
+            self.fault_plan(),
+            backend=self.backend,
+        )
+
+    def run(
+        self, system: Optional[HeterogeneousSystem] = None
+    ) -> SimulationResult:
+        """Simulate this job's window and return its result.
+
+        ``system`` is one :meth:`build` returned, for a caller that
+        needs it afterwards (``faults run`` drains it).
+        """
+        system = self.build() if system is None else system
+        return run_simulation(
+            system.cfg, self.gpu, self.cpu,
+            cycles=self.cycles, warmup=self.warmup, system=system,
+        )
 
     def describe(self) -> str:
         if self.label:
@@ -199,6 +239,80 @@ def dedupe(specs: Sequence[JobSpec]) -> List[JobSpec]:
     return out
 
 
+def _env_window(name: str, default: int, minimum: int) -> int:
+    """``$name`` as a window length, ``default`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value < minimum:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"${name} must be an integer >= {minimum}, got {raw!r}"
+        ) from None
+    return value
+
+
+def default_cycles(builtin: int = 3000) -> int:
+    """Measured-window length: ``REPRO_CYCLES`` (read now), else ``builtin``."""
+    return _env_window("REPRO_CYCLES", builtin, minimum=1)
+
+
+def default_warmup(builtin: int = 2000) -> int:
+    """Warmup-window length: ``REPRO_WARMUP`` (read now), else ``builtin``."""
+    return _env_window("REPRO_WARMUP", builtin, minimum=0)
+
+
+def default_benchmarks(subset: Optional[int] = None) -> List[str]:
+    """The 11 Table II GPU benchmarks, optionally a representative subset.
+
+    The subset keeps the paper's extremes: HS (best case), SC (LLC-bound,
+    worst case), 3DCON (remote misses) and NN (low miss rate).
+    """
+    if subset is None:
+        return list(GPU_BENCHMARK_NAMES)
+    representative = ["HS", "SC", "3DCON", "NN", "2DCON", "BP", "MM",
+                      "LPS", "BT", "LUD", "SRAD"]
+    return representative[: max(1, subset)]
+
+
+def cpu_corunners(gpu_name: str, n_mixes: int) -> List[str]:
+    """The first ``n_mixes`` Table II CPU co-runners of a GPU benchmark
+    (a ``KeyError`` naming the choices for one Table II does not list)."""
+    return list(TABLE_II[gpu_benchmark(gpu_name).name][: max(1, n_mixes)])
+
+
+def job(
+    cfg: SystemConfig,
+    gpu: str,
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+    cpu: Optional[str] = None,
+    label: Sequence[str] = (),
+    faults: Any = None,
+    builtin: Tuple[int, int] = (3000, 2000),
+) -> JobSpec:
+    """The job for one design point: a Table I config x a Table II mix x
+    a window — the one rule every figure and command shares.
+
+    ``cpu`` defaults to the GPU benchmark's first Table II co-runner; a
+    window to ``$REPRO_CYCLES`` / ``$REPRO_WARMUP`` (read now, so tests
+    can vary them after import), else ``builtin`` — ``(cycles, warmup)``,
+    the figures' 3000 + 2000 unless a command states its own.
+    """
+    return JobSpec.make(
+        cfg,
+        gpu,
+        cpu or cpu_corunners(gpu, 1)[0],
+        cycles=default_cycles(builtin[0]) if cycles is None else cycles,
+        warmup=default_warmup(builtin[1]) if warmup is None else warmup,
+        label=label,
+        faults=faults,
+    )
+
+
 def mechanism_jobs(
     benchmarks: Optional[Sequence[str]] = None,
     n_mixes: int = 1,
@@ -212,31 +326,11 @@ def mechanism_jobs(
     mechanism), labelled ``(gpu, cpu, mechanism)`` — the key the
     experiment modules index their sweeps by.
     """
-    # imported lazily: experiments.common routes its sweep through this
-    # package, so a module-level import would be circular
-    from repro.experiments.common import (
-        cpu_corunners,
-        default_benchmarks,
-        default_cycles,
-        default_warmup,
-    )
-
-    benchmarks = list(benchmarks or default_benchmarks())
     mechanisms = tuple(mechanisms or MECHANISMS)
-    cycles = default_cycles() if cycles is None else cycles
-    warmup = default_warmup() if warmup is None else warmup
-    specs: List[JobSpec] = []
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            for mech in mechanisms:
-                specs.append(
-                    JobSpec.make(
-                        mechanism_config(mech),
-                        gpu,
-                        cpu,
-                        cycles=cycles,
-                        warmup=warmup,
-                        label=(gpu, cpu, mech),
-                    )
-                )
-    return specs
+    return [
+        job(mechanism_config(mech), gpu, cycles, warmup, cpu,
+            label=(gpu, cpu, mech))
+        for gpu in benchmarks or default_benchmarks()
+        for cpu in cpu_corunners(gpu, n_mixes)
+        for mech in mechanisms
+    ]

@@ -7,21 +7,19 @@ Execution model:
 * Pending jobs run on one *warm* ``ProcessPoolExecutor`` (``jobs``
   workers) that the runner keeps alive across retry rounds — and across
   ``run()`` calls — so process start-up and module imports are paid once
-  per worker, not once per round.  A pool ``initializer`` pre-imports
-  :mod:`repro.sim.simulator`, so the first job on each worker does not
-  pay the import tax either.  With one worker — or a single job — jobs
-  run inline in this process, which is also the reference path the
+  per worker, not once per round.  With one worker — or a single job —
+  jobs run inline in this process, which is also the reference path the
   determinism tests compare against.
-* Jobs are submitted in *chunks* (several specs per future, sized from
-  ``len(pending) / workers``) so pickle/IPC round-trips amortise across
-  short jobs.
-  Each job inside a chunk still succeeds or fails individually, and the
-  parent persists and reports every job the moment its chunk lands, so
-  the :class:`ResultCache` granularity stays per-job.
+* One future carries one job.  A job is a whole simulation (>= 0.27 s at
+  the repo benchmark's shortest windows) and a future's round trip is
+  about a millisecond, so there is nothing for a coarser grain to
+  amortise, and a job succeeds, fails, persists and reports on its own
+  by construction.  The inline and the pool path settle a job through
+  the same attempt function.
 * The pool uses the ``fork`` start method where the platform offers it
   (workers inherit the parent's already-imported modules for free) and
-  falls back to ``spawn`` elsewhere; the initializer covers the spawn
-  case.
+  falls back to ``spawn`` elsewhere, where unpickling the first task
+  imports this module and with it the simulator.
 * Each result is persisted to the :class:`ResultCache` *as it arrives*,
   so an interrupted sweep resumes from exactly the jobs that finished.
 * Failed jobs are retried in later rounds; the first retry runs
@@ -30,7 +28,7 @@ Execution model:
   and only failures that survive a retry round trigger the capped
   exponential backoff.  A job that exhausts its attempts is reported as
   ``failed`` without aborting the rest of the sweep.  A worker process
-  dying (``BrokenProcessPool``) fails only the chunks in flight; the
+  dying (``BrokenProcessPool``) fails only the jobs in flight; the
   pool is rebuilt before the next retry round.
 
 Simulations are deterministic functions of their :class:`JobSpec`, so
@@ -44,7 +42,7 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,14 +53,6 @@ from repro.sweep.cache import ENV_CACHE_DIR, ResultCache
 from repro.sweep.jobs import JobSpec, dedupe
 
 ENV_JOBS = "REPRO_SWEEP_JOBS"
-
-#: adaptive batching aims at this many chunks per worker: enough slack
-#: that a straggler chunk cannot idle the other workers for long, few
-#: enough that per-future pickle/IPC overhead stays amortised.
-CHUNKS_PER_WORKER = 4
-#: adaptive chunk-size ceiling, so one chunk never starves the
-#: per-job progress stream (and the incremental cache) for too long.
-MAX_ADAPTIVE_BATCH = 32
 
 
 def stall_shares(
@@ -132,26 +122,12 @@ def pool_context() -> multiprocessing.context.BaseContext:
     parent's imported modules (the simulator import tax is already
     paid) and start in milliseconds.  Elsewhere (Windows, macOS
     pythons configured spawn-only) this falls back to ``spawn``, where
-    the pool initializer pre-imports the simulator so the cost lands
-    once per worker at pool start, never per job.
+    a worker imports the simulator once, unpickling its first task.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-def _worker_init() -> None:
-    """Pool initializer: pre-import the simulator in the worker.
-
-    Import errors are deliberately swallowed — a failing import should
-    surface as a per-job error (with retries and a per-job message),
-    not as an opaque broken pool.
-    """
-    try:
-        import repro.sim.simulator  # noqa: F401
-    except Exception:  # pragma: no cover - exercised via job failure
-        pass
 
 
 def _worker_ready(delay_s: float) -> int:
@@ -163,49 +139,17 @@ def _worker_ready(delay_s: float) -> int:
 def simulate_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: run one job and return its serialised result.
 
-    Takes and returns plain dicts so the payload pickles cheaply and the
-    parent never depends on worker-side object identity.
+    The wire form of :meth:`JobSpec.run`: takes and returns plain dicts
+    so the payload pickles cheaply and the parent never depends on
+    worker-side object identity.
     """
-    from repro.sim.simulator import run_simulation
-
     spec = JobSpec.from_dict(spec_dict)
     t0 = time.perf_counter()
-    result = run_simulation(
-        spec.system_config(),
-        spec.gpu,
-        spec.cpu,
-        cycles=spec.cycles,
-        warmup=spec.warmup,
-        kernel_flush_interval=spec.kernel_flush_interval,
-        faults=spec.fault_plan(),
-        backend=spec.backend,
-    )
+    result = spec.run()
     return {
         "result": result.to_dict(),
         "wall_time_s": time.perf_counter() - t0,
     }
-
-
-def run_job_batch(
-    worker: Callable[[Dict[str, Any]], Dict[str, Any]],
-    spec_dicts: List[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Worker entry point for a chunk: run each job, isolate each error.
-
-    One future carries the whole chunk (amortising submit/pickle/IPC
-    overhead across short jobs), but every job inside it still succeeds
-    or fails on its own: a raising job yields an ``{"ok": False}``
-    record instead of poisoning its chunk-mates.
-    """
-    results: List[Dict[str, Any]] = []
-    for spec_dict in spec_dicts:
-        try:
-            results.append({"ok": True, "payload": worker(spec_dict)})
-        except Exception as exc:  # noqa: BLE001 - retried, then surfaced
-            results.append(
-                {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            )
-    return results
 
 
 @dataclass
@@ -258,27 +202,6 @@ class JobOutcome:
         return d
 
 
-@dataclass
-class ScreenDecision:
-    """Outcome of a surrogate screening pass over a sweep's specs."""
-
-    kept: List[JobSpec]
-    skipped: List[Any]  # (JobSpec, repro.model.Prediction) pairs
-    band: float
-
-    def skipped_records(self) -> List[Dict[str, Any]]:
-        """Manifest-ready records of the screened-out points."""
-        return [
-            {
-                "key": spec.key(),
-                "label": list(spec.label) or [spec.describe()],
-                "demand_rho": round(pred.demand_rho, 3),
-                "predicted_cpu_latency": round(pred.cpu_latency_avg, 1),
-            }
-            for spec, pred in self.skipped
-        ]
-
-
 class SweepError(RuntimeError):
     """Raised by :func:`run_sweep` when jobs exhaust their retries."""
 
@@ -301,15 +224,15 @@ class SweepRunner:
     The runner owns a warm worker pool: created lazily on the first
     parallel round, reused across retry rounds and subsequent ``run()``
     calls, torn down by :meth:`close` (or the context-manager exit).
-    The chunk size — how many specs ride one future — adapts to
-    ``len(pending) / workers``; ``batch`` pins it and is a test seam like
-    ``worker`` and ``backoff_base_s`` (``1`` submits per-job, the
-    pre-batching wire format), not something a caller tunes.
+    ``cache`` is a :class:`ResultCache`, a directory, ``None`` (keep
+    nothing) or ``"auto"`` — persist only when ``REPRO_SWEEP_CACHE`` is
+    set, which keeps plain library calls hermetic.  ``worker`` and
+    ``backoff_base_s`` are test seams, not something a caller tunes.
     """
 
     def __init__(
         self,
-        cache: Optional[ResultCache] = None,
+        cache: Union[ResultCache, str, Path, None] = None,
         jobs: Optional[int] = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.25,
@@ -317,9 +240,12 @@ class SweepRunner:
         worker: Callable[[Dict[str, Any]], Dict[str, Any]] = simulate_job,
         use_cache: bool = True,
         progress: Optional[ProgressFn] = None,
-        batch: Optional[int] = None,
     ) -> None:
-        self.cache = cache
+        if cache == "auto":
+            cache = ResultCache() if os.environ.get(ENV_CACHE_DIR) else None
+        elif cache is not None and not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
+        self.cache: Optional[ResultCache] = cache
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.max_retries = max(0, int(max_retries))
         self.backoff_base_s = backoff_base_s
@@ -327,7 +253,6 @@ class SweepRunner:
         self.worker = worker
         self.use_cache = use_cache
         self.progress = progress
-        self.batch = None if batch is None else max(1, int(batch))
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
         #: pools built over this runner's lifetime — the warm-pool tests
@@ -342,9 +267,7 @@ class SweepRunner:
             self._close_pool(wait=True)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=pool_context(),
-                initializer=_worker_init,
+                max_workers=workers, mp_context=pool_context()
             )
             self._pool_workers = workers
             self.pools_created += 1
@@ -359,11 +282,10 @@ class SweepRunner:
     def warm(self, workers: Optional[int] = None) -> None:
         """Spin the pool up ahead of time (best-effort readiness barrier).
 
-        Long campaigns and benchmarks call this so worker start-up and
-        the initializer's simulator pre-import happen before the first
-        (timed) job.  Each barrier task sleeps briefly, which pushes the
-        queue across all workers instead of letting the first-started
-        worker drain it alone.
+        Long campaigns and benchmarks call this so worker start-up
+        happens before the first (timed) job.  Each barrier task sleeps
+        briefly, which pushes the queue across all workers instead of
+        letting the first-started worker drain it alone.
         """
         workers = self.jobs if workers is None else max(1, int(workers))
         if workers <= 1:
@@ -397,6 +319,28 @@ class SweepRunner:
         total = len(unique)
         done = 0
 
+        def landed(out: JobOutcome) -> None:
+            nonlocal done
+            done += 1
+            if self.progress is not None:
+                self.progress(out, done, total)
+
+        def attempt(
+            out: JobOutcome, payload_of: Callable[[], Dict[str, Any]]
+        ) -> bool:
+            """One attempt of one job, the same on both paths: take its
+            payload (the inline call, a future's result), then persist
+            and report it — or keep the error for the retry round."""
+            out.attempts += 1
+            try:
+                payload = payload_of()
+            except Exception as exc:  # noqa: BLE001 - retried, then surfaced
+                out.error = f"{type(exc).__name__}: {exc}"
+                return False
+            self._complete(out, payload)
+            landed(out)
+            return True
+
         pending: List[JobOutcome] = []
         for out in outcomes.values():
             hit = (
@@ -407,8 +351,7 @@ class SweepRunner:
             if hit is not None:
                 out.status = "cached"
                 out.result = hit
-                done += 1
-                self._report(out, done, total)
+                landed(out)
             else:
                 pending.append(out)
 
@@ -422,43 +365,17 @@ class SweepRunner:
                 # survived a retry round (carried over again) back off.
                 time.sleep(self._backoff(round_no - 1))
             if self.jobs == 1 or len(pending) == 1:
-                failures = self._run_inline(pending, lambda: done, total)
+                pending = [
+                    out for out in pending
+                    if not attempt(
+                        out, lambda: self.worker(out.spec.to_dict())
+                    )
+                ]
             else:
-                failures = self._run_pool(pending, lambda: done, total)
-            done += len(pending) - len(failures)
-            pending = failures
+                pending = self._run_pool(pending, attempt)
         for out in pending:
             out.status = "failed"
         return outcomes
-
-    def screen(
-        self, specs: Sequence[JobSpec], band: float = 0.35
-    ) -> "ScreenDecision":
-        """Partition specs with the analytical surrogate (hybrid sweep).
-
-        Runs :func:`repro.model.predict` over every spec (milliseconds
-        per point) and keeps only the points whose predicted demand
-        utilisation lands within ``band`` of the saturation knee — plus
-        the lowest-scoring point as an unclogged far-field anchor, see
-        :func:`repro.model.saturation.keep_mask`.  The caller then
-        passes ``decision.kept`` to :meth:`run`; skipped specs are
-        reported in ``decision.skipped`` so manifests can record what
-        the surrogate screened out.  Screening never touches the cache,
-        so the jobs that do run produce bit-identical results to an
-        unscreened sweep.
-        """
-        # imported lazily: repro.model sits on top of repro.sweep, so a
-        # module-level import here would be circular.
-        from repro.model.compose import predict
-        from repro.model.saturation import keep_mask
-
-        preds = [predict(s.system_config(), s.gpu, s.cpu) for s in specs]
-        mask = keep_mask(preds, band=band)
-        kept = [s for s, keep in zip(specs, mask) if keep]
-        skipped = [
-            (s, p) for s, p, keep in zip(specs, preds, mask) if not keep
-        ]
-        return ScreenDecision(kept=kept, skipped=skipped, band=band)
 
     # -- internals --------------------------------------------------------
 
@@ -466,16 +383,6 @@ class SweepRunner:
         return min(
             self.backoff_cap_s, self.backoff_base_s * (2 ** (round_no - 1))
         )
-
-    def _chunk_size(self, n_pending: int, workers: int) -> int:
-        if self.batch is not None:
-            return self.batch
-        target = -(-n_pending // (workers * CHUNKS_PER_WORKER))
-        return max(1, min(MAX_ADAPTIVE_BATCH, target))
-
-    def _report(self, outcome: JobOutcome, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(outcome, done, total)
 
     def _complete(self, out: JobOutcome, payload: Dict[str, Any]) -> None:
         out.result = SimulationResult.from_dict(payload["result"])
@@ -492,70 +399,26 @@ class SweepRunner:
                 },
             )
 
-    def _run_inline(
-        self, pending: List[JobOutcome], done_base, total: int
-    ) -> List[JobOutcome]:
-        failures: List[JobOutcome] = []
-        completed = 0
-        for out in pending:
-            out.attempts += 1
-            try:
-                payload = self.worker(out.spec.to_dict())
-            except Exception as exc:  # noqa: BLE001 - retried, then surfaced
-                out.error = f"{type(exc).__name__}: {exc}"
-                failures.append(out)
-                continue
-            self._complete(out, payload)
-            completed += 1
-            self._report(out, done_base() + completed, total)
-        return failures
-
     def _run_pool(
-        self, pending: List[JobOutcome], done_base, total: int
+        self, pending: List[JobOutcome], attempt: Callable[..., bool]
     ) -> List[JobOutcome]:
-        failures: List[JobOutcome] = []
-        completed = 0
+        """One round on the warm pool, one future per job; returns the
+        jobs that failed this round."""
         pool = self._ensure_pool(min(self.jobs, len(pending)))
-        chunk_size = self._chunk_size(len(pending), self._pool_workers)
+        failures: List[JobOutcome] = []
         pool_broken = False
         try:
-            futures: Dict[Any, List[JobOutcome]] = {}
-            for i in range(0, len(pending), chunk_size):
-                chunk = pending[i:i + chunk_size]
-                for out in chunk:
-                    out.attempts += 1
-                futures[
-                    pool.submit(
-                        run_job_batch,
-                        self.worker,
-                        [o.spec.to_dict() for o in chunk],
+            futures = {
+                pool.submit(self.worker, out.spec.to_dict()): out
+                for out in pending
+            }
+            for fut in as_completed(futures):
+                if not attempt(futures[fut], fut.result):
+                    # its worker died (crash, lost pickle) or it raised
+                    failures.append(futures[fut])
+                    pool_broken |= isinstance(
+                        fut.exception(), BrokenProcessPool
                     )
-                ] = chunk
-            waiting = set(futures)
-            while waiting:
-                finished, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    chunk = futures[fut]
-                    try:
-                        results = fut.result()
-                    except Exception as exc:  # noqa: BLE001 - retried
-                        # the chunk died with its worker (crash, lost
-                        # pickle, broken pool): every job in it retries
-                        error = f"{type(exc).__name__}: {exc}"
-                        for out in chunk:
-                            out.error = error
-                            failures.append(out)
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broken = True
-                        continue
-                    for out, res in zip(chunk, results):
-                        if res.get("ok"):
-                            self._complete(out, res["payload"])
-                            completed += 1
-                            self._report(out, done_base() + completed, total)
-                        else:
-                            out.error = res.get("error", "worker error")
-                            failures.append(out)
         except BaseException:
             # interrupt or pool breakage: everything persisted so far is
             # on disk; drop in-flight work and surface the exception
@@ -584,10 +447,6 @@ def run_sweep(
     ``None`` to disable it.  Raises :class:`SweepError` if any job still
     fails after retries.
     """
-    if cache == "auto":
-        cache = ResultCache() if os.environ.get(ENV_CACHE_DIR) else None
-    elif cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
     with SweepRunner(
         cache=cache,
         jobs=jobs,

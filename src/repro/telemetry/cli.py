@@ -30,18 +30,13 @@ from repro.telemetry import report
 
 
 def cmd_trace(args) -> int:
-    # simulator imports are deferred so the reader subcommands stay light
-    from repro.sim.simulator import run_simulation
-
     # full mode (exact stall attribution, what `blame` reads) where the
     # config default is light; `--set telemetry.mode=light` wins
     spec = job_from_args(args, cycles=2000, warmup=1000, preset={"telemetry": {
         "enabled": True, "mode": "full", "trace_path": args.out,
     }})
     cfg = spec.system_config()
-    result = run_simulation(
-        cfg, spec.gpu, spec.cpu, cycles=spec.cycles, warmup=spec.warmup
-    )
+    result = spec.run()
     print(
         f"traced {spec.gpu}/{spec.cpu}/{args.mechanism}: "
         f"{spec.warmup}+{spec.cycles} cycles -> {args.out}"

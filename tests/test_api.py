@@ -13,7 +13,7 @@ import repro.api as api
 from repro.sim.metrics import SimulationResult
 
 #: the frozen public surface — editing this list IS the API review.
-#: run_sweep/JobSpec added with the warm-pool + batching runner so
+#: run_sweep/JobSpec added with the warm-pool runner so
 #: campaign callers need not import repro.sweep.
 #: explore/SearchSpace/ParetoFrontier added with the design-space
 #: exploration subsystem (repro.explore).

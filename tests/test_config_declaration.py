@@ -207,11 +207,13 @@ def _holds(cfg: SystemConfig, when) -> bool:
 
 def _declared_inert(cfg: SystemConfig, path: str, f) -> bool:
     """Whether the declaration says nothing reads the leaf ``path`` on
-    ``cfg``: it is ``identity=False``, or its section's ``live_when``
-    does not hold (and it is not that switch itself) and neither does
-    its own ``also_live_when``."""
+    ``cfg``: it is ``identity=False``, or its own ``live_when`` does not
+    hold, or its section's ``live_when`` does not hold (and it is not
+    that switch itself) and neither does its own ``also_live_when``."""
     if f.metadata.get("identity") is False:
         return True
+    if "live_when" in f.metadata:
+        return not _holds(cfg, f.metadata["live_when"])
     top = SystemConfig.__dataclass_fields__[path.split(".")[0]]
     when = top.metadata.get("live_when")
     return not (
@@ -222,11 +224,12 @@ def _declared_inert(cfg: SystemConfig, path: str, f) -> bool:
     )
 
 
-def _configs(mechanism: Mechanism, telemetry: bool, **overrides):
+def _configs(mechanism: Mechanism, telemetry: bool, shared: bool, **overrides):
     """A factory of equal fresh configs, so twins never share a section."""
     def make():
         cfg = mechanism_config(mechanism.value, **overrides)
         cfg.telemetry.enabled = telemetry
+        cfg.noc.separate_physical_networks = not shared
         return cfg
     return make
 
@@ -237,14 +240,18 @@ traced_or_not = pytest.mark.parametrize(
 each_mechanism = pytest.mark.parametrize(
     "mechanism", list(Mechanism), ids=lambda m: m.value
 )
+two_networks_or_one = pytest.mark.parametrize(
+    "shared", [False, True], ids=["separate", "shared"]
+)
 
 
+@two_networks_or_one
 @traced_or_not
 @each_mechanism
 def test_inert_fields_share_an_identity_and_live_fields_fork_it(
-    mechanism, telemetry
+    mechanism, telemetry, shared
 ):
-    make = _configs(mechanism, telemetry)
+    make = _configs(mechanism, telemetry, shared)
     base = make()
     inert = {p for p, f in LEAVES if _declared_inert(base, p, f)}
     assert ("telemetry.mode" in inert) == (not telemetry)
@@ -258,6 +265,14 @@ def test_inert_fields_share_an_identity_and_live_fields_fork_it(
     assert ("delegation.delayed_hit_timeout" in inert) == (
         mechanism is Mechanism.BASELINE
     )
+    # nobody queues delegated requests unless Delegated Replies runs
+    assert ("gpu_l1.frq_entries" in inert) == (
+        mechanism is not Mechanism.DELEGATED_REPLIES
+    )
+    # each network organisation reads its own VC counts only
+    assert ("noc.vcs_per_port" in inert) == shared
+    assert ("noc.request_vcs" in inert) == (not shared)
+    assert ("noc.reply_vcs" in inert) == (not shared)
     for path, f in LEAVES:
         twin = make()
         _set(twin, path, _other_value(f, _get(base, path)))
@@ -266,10 +281,11 @@ def test_inert_fields_share_an_identity_and_live_fields_fork_it(
         assert (_spec_key(twin) == _spec_key(base)) == same, path
 
 
+@two_networks_or_one
 @traced_or_not
 @each_mechanism
 def test_what_the_identity_leaves_out_cannot_move_a_result(
-    mechanism, telemetry, tmp_path, monkeypatch
+    mechanism, telemetry, shared, tmp_path, monkeypatch
 ):
     """The ground truth under the test above: "inert" is taken from the
     hash itself (changing the field alone keeps ``config_hash()``), every
@@ -278,7 +294,7 @@ def test_what_the_identity_leaves_out_cannot_move_a_result(
     — two design points aliased to one cache entry — fails here."""
     from repro.model import compose
 
-    make = _configs(mechanism, telemetry, **table1_mix(4, 4))
+    make = _configs(mechanism, telemetry, shared, **table1_mix(4, 4))
     base, twin = make(), make()
     for path, f in LEAVES:
         if type(f.default) is str and "choices" not in f.metadata:
@@ -432,19 +448,3 @@ def test_names_the_repo_benchmark_imports_keep_their_call_shapes():
         warmup=specs[1].warmup, label=specs[1].label,
     )
     assert again.key() == specs[1].reseeded(2).key() != specs[1].key()
-
-
-def test_the_five_unread_table1_fields_do_not_fork_the_identity():
-    """``cpu_priority``, ``insts_per_mem_op`` and the three DRAM timings
-    nothing reads are stated for the record, not identity: their twin is
-    the baseline's design point and cache entry."""
-    base, twin = baseline_config(), baseline_config()
-    twin.noc.cpu_priority = False
-    twin.gpu_core.insts_per_mem_op = 4
-    twin.dram.t_rc, twin.dram.t_ras, twin.dram.t_rrd = 48, 32, 8
-    assert twin.to_dict() != base.to_dict()
-    assert twin.validate().config_hash() == base.config_hash()
-    assert (
-        JobSpec.make(twin, "HS", "canneal").key()
-        == JobSpec.make(base, "HS", "canneal").key()
-    )

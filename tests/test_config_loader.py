@@ -51,6 +51,27 @@ class TestFromDict:
         ):
             config_from_dict({"telemetry": {"trace_format": "jsonl"}})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("noc", "cpu_priority", True),
+            ("dram", "t_rc", 40),
+            ("dram", "t_ras", 28),
+            ("dram", "t_rrd", 6),
+            ("gpu_core", "insts_per_mem_op", 8),
+        ],
+    )
+    def test_retired_unread_table1_key_is_an_unknown_key(
+        self, section, key, value
+    ):
+        """The five Table I values nothing read are prose in the class
+        docstrings now; a saved config still carrying one (even at its
+        old default) gets what any unknown key gets."""
+        with pytest.raises(
+            ConfigError, match=f"unknown config key {section}.'{key}'"
+        ):
+            config_from_dict({section: {key: value}})
+
     def test_bad_enum_value_lists_options(self):
         with pytest.raises(ConfigError, match="torus"):
             config_from_dict({"noc": {"topology": "torus"}})

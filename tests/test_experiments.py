@@ -29,12 +29,8 @@ from repro.experiments import (
     node_mix,
     stall_decomposition,
 )
-from repro.experiments.common import (
-    cpu_corunners,
-    default_benchmarks,
-    job,
-    mechanism_sweep,
-)
+from repro.experiments.common import mechanism_sweep
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 from repro.sweep import SweepRunner
 
 FAST = dict(cycles=400, warmup=250)
@@ -241,14 +237,14 @@ class TestCallTimeWindowDefaults:
     """REPRO_CYCLES/REPRO_WARMUP are read at call time, not import time."""
 
     def test_defaults_follow_env_after_import(self, monkeypatch):
-        from repro.experiments import common
+        from repro.sweep import jobs
 
         monkeypatch.setenv("REPRO_CYCLES", "555")
         monkeypatch.setenv("REPRO_WARMUP", "333")
-        assert common.default_cycles() == 555
-        assert common.default_warmup() == 333
+        assert jobs.default_cycles() == 555
+        assert jobs.default_warmup() == 333
         monkeypatch.delenv("REPRO_CYCLES")
-        assert common.default_cycles() == 3000
+        assert jobs.default_cycles() == 3000
 
     def test_mechanism_sweep_uses_env_windows(self, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLES", "180")

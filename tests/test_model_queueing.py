@@ -11,21 +11,23 @@ contends.
 import math
 
 from repro.model.compose import predict
-from repro.model.queueing import (
-    P95_FACTOR,
-    ClassLoad,
-    p95_of_mean,
-    priority_waits,
-)
+from repro.model.queueing import P95_FACTOR, cpu_gpu_waits, p95_of_mean
 from conftest import small_config
 
 
 def loads(cpu_rate, gpu_rate, cpu_ser=1.0, gpu_ser=9.0):
-    cpu = ClassLoad()
-    cpu.add(cpu_rate, cpu_ser)
-    gpu = ClassLoad()
-    gpu.add(gpu_rate, gpu_ser)
-    return [cpu, gpu]
+    """``(rho_cpu, rho_gpu, residual)`` of one link, as compose builds
+    them: ``rho = rate * E[S]``, ``R = sum of rate * E[S^2] / 2``."""
+    return (
+        cpu_rate * cpu_ser,
+        gpu_rate * gpu_ser,
+        0.5 * (cpu_rate * cpu_ser ** 2 + gpu_rate * gpu_ser ** 2),
+    )
+
+
+def priority_waits(load):
+    """``[CPU wait, GPU wait]`` of the surrogate's one wait function."""
+    return list(cpu_gpu_waits(*load))
 
 
 class TestPriorityWaits:
@@ -36,7 +38,7 @@ class TestPriorityWaits:
     def test_light_load_wait_is_residual_service(self):
         # a single class at rho << 1: W = lambda E[S^2] / 2 (1 - rho)
         lam, ser = 0.01, 9.0
-        (wait,) = priority_waits([loads(0.0, lam, gpu_ser=ser)[1]])
+        wait = priority_waits(loads(0.0, lam, gpu_ser=ser))[1]
         expected = 0.5 * lam * ser * ser / (1.0 - lam * ser)
         assert math.isclose(wait, expected, rel_tol=1e-12)
 
@@ -64,8 +66,12 @@ class TestPriorityWaits:
                 assert waits[0] <= waits[1]
 
     def test_total_rho_mixes_classes(self):
-        cls = loads(0.1, 0.05)
-        assert math.isclose(sum(c.rho for c in cls), 0.1 * 1.0 + 0.05 * 9.0)
+        rho_cpu, rho_gpu, residual = loads(0.1, 0.05)
+        assert math.isclose(rho_cpu + rho_gpu, 0.1 * 1.0 + 0.05 * 9.0)
+        # the GPU waits behind that total, the CPU behind its own load
+        w_cpu, w_gpu = cpu_gpu_waits(rho_cpu, rho_gpu, residual)
+        assert math.isclose(w_cpu, residual / 0.9)
+        assert math.isclose(w_gpu, residual / (0.9 * 0.45))
 
     def test_p95_factor(self):
         assert p95_of_mean(0.0) == 0.0

@@ -16,7 +16,7 @@ import pytest
 from conftest import small_config
 
 from repro.model.compose import Prediction, RHO_CAP, predict
-from repro.model.saturation import assess, keep_mask, screening_score
+from repro.model.saturation import assess, keep_mask, screen, screening_score
 from repro.model.validate import (
     MEDIAN_ERROR_BUDGET,
     grid_specs,
@@ -106,7 +106,7 @@ class TestAssess:
 class TestScreening:
     def test_screen_keeps_at_most_half_of_a_saturation_sweep(self):
         specs = bw_sweep_specs()
-        decision = SweepRunner(cache=None).screen(specs)
+        decision = screen(specs)
         assert 0 < len(decision.kept) <= len(specs) // 2
         # saturated low-bandwidth points simulate, far field is skipped
         kept_labels = {s.label for s in decision.kept}
@@ -131,7 +131,7 @@ class TestScreening:
 
         runner = SweepRunner(cache=ResultCache(tmp_path / "screened"), jobs=2)
         try:
-            decision = runner.screen(specs)
+            decision = screen(specs)
             screened = runner.run(decision.kept)
         finally:
             runner.close()
@@ -167,6 +167,7 @@ class TestValidationBudget:
         # set of jobs fig05_topology hands the sweep runner at the same
         # window and benchmark subset
         from repro.experiments import common, fig05_topology
+        from repro.sweep.jobs import default_benchmarks
 
         class Captured(Exception):
             pass
@@ -178,7 +179,7 @@ class TestValidationBudget:
         common.clear_sweep_cache()
         with pytest.raises(Captured) as simulated:
             fig05_topology.run(
-                common.default_benchmarks(subset=5), cycles=123, warmup=45
+                default_benchmarks(subset=5), cycles=123, warmup=45
             )
         grid = grid_specs("fig05", cycles=123, warmup=45)
         assert {s.key() for s in grid} == simulated.value.args[0]

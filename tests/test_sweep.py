@@ -1,21 +1,27 @@
 """Tests for the ``repro.sweep`` subsystem.
 
 Covers spec hashing, the on-disk result cache, the runner's retry and
-resume behaviour, the warm-pool/batching executor (pool reuse across
-retry rounds, chunked submission, crash recovery, kill-mid-batch
-resume), and the determinism contract: a parallel sweep must produce
+resume behaviour, the warm-pool executor (pool reuse across retry
+rounds, one future per job, crash recovery, kill-mid-run resume), the
+layering of the job rule, and the determinism contract: a parallel sweep must produce
 byte-identical ``SimulationResult`` payloads to the one-worker path and
 to the pre-refactor sequential ``run_simulation`` loop.
 """
 
+import ast
 import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+from conftest import small_dr_config
 
+import repro
 from repro.config import baseline_config, delegated_replies_config
+from repro.experiments import chaos_sweep
+from repro.faults.plan import chaos_plan
+from repro.model.validate import grid_specs
 from repro.sim.simulator import run_simulation
 from repro.sweep import (
     JobOutcome,
@@ -26,11 +32,10 @@ from repro.sweep import (
     dedupe,
     default_jobs,
     mechanism_jobs,
-    run_job_batch,
     run_sweep,
 )
-from repro.sweep.jobs import code_salt
-from repro.sweep.runner import stall_shares
+from repro.sweep.jobs import code_salt, job
+from repro.sweep.runner import simulate_job, stall_shares
 
 TINY = dict(cycles=200, warmup=120)
 
@@ -86,6 +91,158 @@ class TestJobSpec:
     def test_system_config_round_trips(self):
         cfg = delegated_replies_config()
         assert JobSpec.make(cfg, "HS", **TINY).system_config() == cfg
+
+
+class TestLayering:
+    def test_the_job_rule_sits_below_everything_that_uses_it(self):
+        """``repro.sweep`` (where ``job()`` lives), ``repro.explore`` and
+        ``repro/cli.py`` never reach up into ``repro.experiments`` — not
+        at module level, not inside a function — and inside ``repro.sweep``
+        only the command-line door knows the surrogate exists."""
+        src = Path(repro.__file__).parent
+
+        def imported(path):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names.add(node.module)
+                    names.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+            return names
+
+        def reaches(path, package):
+            return any(
+                name == package or name.startswith(package + ".")
+                for name in imported(path)
+            )
+
+        sweep = sorted((src / "sweep").glob("*.py"))
+        explore = sorted((src / "explore").glob("*.py"))
+        assert len(sweep) >= 5 and len(explore) >= 5
+        assert [
+            str(p.relative_to(src))
+            for p in [*sweep, *explore, src / "cli.py"]
+            if reaches(p, "repro.experiments")
+        ] == []
+        assert [
+            p.name for p in sweep if reaches(p, "repro.model")
+        ] == ["cli.py"]
+
+
+class TestJobRule:
+    """``job()`` is the one rule for the co-runner and the window; what
+    enumerates jobs calls it and so inherits it."""
+
+    @pytest.fixture
+    def no_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CYCLES", raising=False)
+        monkeypatch.delenv("REPRO_WARMUP", raising=False)
+
+    def test_window_is_argument_then_env_then_builtin(
+        self, no_env, monkeypatch
+    ):
+        def window(*args, **kwargs):
+            spec = job(baseline_config(), "HS", *args, **kwargs)
+            return spec.cycles, spec.warmup
+
+        assert window() == (3000, 2000)
+        assert window(builtin=(700, 300)) == (700, 300)
+        # read at call time, not import time
+        monkeypatch.setenv("REPRO_CYCLES", "555")
+        monkeypatch.setenv("REPRO_WARMUP", "333")
+        assert window() == window(builtin=(700, 300)) == (555, 333)
+        assert window(90) == (90, 333)
+        assert window(90, 0) == (90, 0)
+        monkeypatch.setenv("REPRO_WARMUP", "-1")
+        with pytest.raises(ValueError, match=r"\$REPRO_WARMUP must be"):
+            window()
+
+    def test_cpu_is_the_argument_else_the_first_table2_corunner(self):
+        assert job(baseline_config(), "HS", **TINY).cpu == "bodytrack"
+        assert job(baseline_config(), "HS", cpu="canneal", **TINY).cpu == "canneal"
+        with pytest.raises(KeyError, match="unknown GPU benchmark"):
+            job(baseline_config(), "nope", **TINY)
+
+    @pytest.mark.parametrize("enumerate_jobs", [
+        pytest.param(
+            lambda **w: mechanism_jobs(["HS"], **w), id="mechanism_jobs"),
+        pytest.param(
+            lambda **w: grid_specs("fig16", **w), id="grid_specs-fig16"),
+        pytest.param(
+            lambda **w: _chaos_sweep_jobs(**w), id="chaos_sweep"),
+    ])
+    def test_enumerators_inherit_the_window_rule(
+        self, no_env, monkeypatch, enumerate_jobs
+    ):
+        def windows(**window):
+            return {(s.cycles, s.warmup) for s in enumerate_jobs(**window)}
+
+        assert windows() == {(3000, 2000)}
+        monkeypatch.setenv("REPRO_CYCLES", "180")
+        monkeypatch.setenv("REPRO_WARMUP", "120")
+        assert windows() == {(180, 120)}
+        assert windows(cycles=90) == {(90, 120)}
+        assert windows(cycles=90, warmup=0) == {(90, 0)}
+
+
+def _chaos_sweep_jobs(**window):
+    """The specs ``chaos_sweep.run`` hands the runner (nothing simulated)."""
+    class Captured(Exception):
+        pass
+
+    def capture(specs, jobs=None):
+        raise Captured(specs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.sweep.run_sweep", capture)
+        with pytest.raises(Captured) as handed:
+            chaos_sweep.run(["HS"], intensities=(0.0, 0.1), **window)
+    specs = handed.value.args[0]
+    assert [s.faults is not None for s in specs] == [False, True] * 2
+    return specs
+
+
+class TestSameSpecSameRun:
+    """One function runs a spec, so the pool worker and the one-job
+    commands cannot simulate different jobs from the same spec."""
+
+    def test_every_field_of_the_spec_reaches_the_simulator(self):
+        cfg = small_dr_config()
+        spec = JobSpec.make(
+            cfg, "HS", "bodytrack", cycles=300, warmup=200,
+            kernel_flush_interval=200,
+            faults=chaos_plan(cfg, 0.1, seed=3, link_down=False),
+            backend="vector",
+        )
+        system = spec.build()
+        assert system.backend == "vector"
+        assert system.faults is not None
+        assert system.faults.plan.plan_hash() == spec.fault_plan().plan_hash()
+        assert system.kernel_flush_interval == 200
+        result = spec.run()
+        assert result.to_dict() == simulate_job(spec.to_dict())["result"]
+        assert result == spec.run(system)
+        assert result.counters["fault.drops"] > 0 and system.kernel_flushes == 2
+
+    def test_faults_run_executes_a_spec_that_carries_its_plan(self):
+        from repro.__main__ import build_parser
+        from repro.cli import job_from_args
+        from repro.faults import cli as faults_cli
+
+        args = build_parser("faults").parse_args([
+            "faults", "run", "--gpu", "HS", "--cycles", "300",
+            "--warmup", "200", "--intensity", "0.2",
+        ])
+        spec = faults_cli._chaos_job(args)
+        clean = job_from_args(args)
+        assert spec.faults is not None and clean.faults is None
+        assert spec.key() != clean.key()
+        assert (spec.config_json, spec.gpu, spec.cpu, spec.cycles,
+                spec.warmup) == (clean.config_json, clean.gpu, clean.cpu,
+                                 clean.cycles, clean.warmup)
 
 
 class TestResultCache:
@@ -310,8 +467,7 @@ class TestDeterminism:
             for spec in specs
         }
         serial = run_sweep(specs, jobs=1, cache=None)
-        # jobs=4 with a pinned chunk size exercises the chunked pool path
-        with SweepRunner(jobs=4, batch=2) as runner:
+        with SweepRunner(jobs=4) as runner:
             parallel = {
                 k: o.result for k, o in runner.run(specs).items()
             }
@@ -326,7 +482,7 @@ class TestDeterminism:
 
 
 class TestEnvKnobs:
-    """REPRO_SWEEP_JOBS / REPRO_SWEEP_BATCH parsing, incl. garbage values."""
+    """REPRO_SWEEP_JOBS parsing, incl. garbage values."""
 
     def test_default_jobs_garbage_warns_and_falls_back(
         self, monkeypatch, capsys
@@ -419,8 +575,8 @@ class TestRetryBackoff:
         assert sleeps == [0.25, 0.5]
 
 
-class TestWarmPoolAndBatching:
-    """Pool lifecycle and chunked submission over real worker processes."""
+class TestWarmPool:
+    """Pool lifecycle and per-job futures over real worker processes."""
 
     @pytest.fixture
     def flag_dir(self, tmp_path, monkeypatch):
@@ -428,20 +584,6 @@ class TestWarmPoolAndBatching:
         d.mkdir()
         monkeypatch.setenv(_FLAG_ENV, str(d))
         return d
-
-    def test_adaptive_chunk_size(self):
-        runner = SweepRunner(jobs=4)
-        assert runner._chunk_size(1, 4) == 1
-        assert runner._chunk_size(16, 4) == 1
-        assert runner._chunk_size(64, 4) == 4
-        assert runner._chunk_size(100_000, 4) == 32  # capped
-        assert SweepRunner(jobs=4, batch=7)._chunk_size(100_000, 4) == 7
-
-    def test_run_job_batch_isolates_per_job_errors(self):
-        dicts = [tiny_spec().to_dict(), tiny_spec(gpu="SC").to_dict()]
-        res = run_job_batch(_sc_fails_worker, dicts)
-        assert res[0]["ok"] is True
-        assert res[1]["ok"] is False and "boom" in res[1]["error"]
 
     def test_warm_pool_reused_across_retry_rounds(self, flag_dir):
         specs = [tiny_spec(gpu=f"g{i}") for i in range(4)]
@@ -460,13 +602,12 @@ class TestWarmPoolAndBatching:
         assert runner.pools_created == 1, "retry round rebuilt the pool"
         assert wall < 20, "first retry should not sleep the 30s backoff"
 
-    def test_batched_chunk_failures_stay_per_job(self, tmp_path):
+    def test_one_raising_job_fails_alone(self, tmp_path):
         cache = ResultCache(tmp_path)
         good = [tiny_spec(gpu=g) for g in ("HS", "BP", "3DCON")]
         bad = tiny_spec(gpu="SC")
         runner = SweepRunner(
-            cache=cache, jobs=2, batch=4, max_retries=0,
-            worker=_sc_fails_worker,
+            cache=cache, jobs=2, max_retries=0, worker=_sc_fails_worker,
         )
         outcomes = runner.run(good + [bad])
         runner.close()
@@ -489,7 +630,7 @@ class TestWarmPoolAndBatching:
         assert g0.attempts == 2
         assert runner.pools_created == 2, "broken pool was not rebuilt"
 
-    def test_kill_mid_batch_resume_recovers_cached_jobs(self, tmp_path):
+    def test_kill_mid_run_resume_recovers_cached_jobs(self, tmp_path):
         cache = ResultCache(tmp_path)
         specs = [tiny_spec(gpu=f"g{i}") for i in range(6)]
         reported = []
@@ -500,7 +641,7 @@ class TestWarmPoolAndBatching:
                 raise KeyboardInterrupt
 
         runner = SweepRunner(
-            cache=cache, jobs=2, batch=1, max_retries=0,
+            cache=cache, jobs=2, max_retries=0,
             worker=_slow_ok_worker, progress=interrupt_after_two,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -511,7 +652,7 @@ class TestWarmPoolAndBatching:
             assert cache.contains(out.key)
 
         resumed_runner = SweepRunner(
-            cache=cache, jobs=2, batch=2, worker=_slow_ok_worker
+            cache=cache, jobs=2, worker=_slow_ok_worker
         )
         resumed = resumed_runner.run(specs)
         resumed_runner.close()

@@ -46,14 +46,6 @@ class TestRun:
         out = capsys.readouterr().out
         assert "1 simulated, 0 from cache" in out
 
-    def test_default_batch_recorded_as_adaptive(self, cache_dir, tmp_path,
-                                                capsys):
-        manifest = tmp_path / "manifest.json"
-        rc = run_cli("run", *SWEEP, "--cache-dir", cache_dir,
-                     "--out", str(manifest))
-        assert rc == 0
-        assert json.loads(manifest.read_text())["batch"] == "adaptive"
-
 
 class TestIntrospection:
     def test_list_shows_cache_state(self, cache_dir, capsys):
