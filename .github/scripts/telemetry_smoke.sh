@@ -2,16 +2,20 @@
 # CI check: a traced simulation produces a trace the telemetry CLI can
 # report on, including per-class latency percentiles and at least one
 # detected clogging episode on the paper's high-GPU-load scenario
-# (SC on the 8x8 mesh saturates the memory nodes' reply paths).
+# (SC on the 8x8 mesh saturates the memory nodes' reply paths), and the
+# flight dump written when that episode opens is itself a trace the CLI
+# reports on.
 # The caller wraps this script in `timeout 60`.
 set -euo pipefail
 
 TRACE=/tmp/telemetry-smoke.jsonl
-rm -f "$TRACE"
+FLIGHT=/tmp/telemetry-smoke-flight
+rm -rf "$TRACE" "$FLIGHT"
 
 python -m repro telemetry trace --out "$TRACE" \
   --gpu SC --mechanism baseline --cycles 1500 --warmup 500 \
-  --set telemetry.probe_interval=100
+  --set telemetry.probe_interval=100 \
+  --set telemetry.flight_dir="$FLIGHT"
 
 echo "--- report ---"
 python -m repro telemetry report "$TRACE" | tee /tmp/telemetry-report.txt
@@ -32,4 +36,8 @@ grep -q "mesh stall heatmap" /tmp/telemetry-blame.txt
 # at least one episode's blame chain walk named a memory node's full
 # reply injection buffer as the root cause (the paper's Fig. 3 loop)
 awk '/episode root causes/,0' /tmp/telemetry-blame.txt | grep -q "reply_buffer"
+# the first flight dump reads like any trace
+DUMP=$(ls "$FLIGHT"/flight-*.jsonl | head -n 1)
+echo "--- report: $DUMP ---"
+python -m repro telemetry report "$DUMP" | grep "latency percentiles"
 echo "telemetry smoke OK"

@@ -410,7 +410,7 @@ class TelemetryConfig:
     clog_min_windows: int = 2
     #: flight-recorder ring capacity in events per network: the most
     #: recent ``ring_events`` packet events are always retained, and
-    #: dumped (as ``RDMP`` files under ``flight_dir``) when the clogging
+    #: dumped (as small trace files under ``flight_dir``) when the clogging
     #: detector opens an episode or a fault fires.  The retained tuples
     #: are live objects the allocator keeps cycling through, so
     #: oversized rings cost real cache pressure on the simulation itself

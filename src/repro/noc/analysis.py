@@ -30,23 +30,23 @@ class LinkLoad:
 
 
 def link_loads(net: PhysicalNetwork) -> List[LinkLoad]:
-    """Every directed inter-router link with its measured utilization."""
-    loads = []
-    for rid, router in enumerate(net.routers):
-        for oport in range(1, router.nports):
-            down = router.downstream[oport]
-            if down is None:
-                continue
-            flits = net.link_flits[rid][oport]
-            loads.append(
-                LinkLoad(
-                    src=rid,
-                    dst=down[0].router.rid,
-                    utilization=net.link_utilization(rid, oport),
-                    flits=flits,
-                )
-            )
-    return loads
+    """Every directed inter-router link with its measured utilization.
+
+    Links are enumerated from the topology's port map and read through
+    ``link_flits`` / ``link_utilization``: the surface both kernels'
+    networks expose.
+    """
+    link_flits = net.link_flits
+    return [
+        LinkLoad(
+            src=rid,
+            dst=nb,
+            utilization=net.link_utilization(rid, oport),
+            flits=link_flits[rid][oport],
+        )
+        for rid, ports in enumerate(net.topology.port_of)
+        for nb, oport in ports.items()
+    ]
 
 
 def hottest_links(net: PhysicalNetwork, n: int = 10) -> List[LinkLoad]:

@@ -8,12 +8,13 @@ cannot show.  This package adds the missing instruments:
   latency histograms (p50/p95/p99/p99.9 without raw samples); always on
   in the CPU/GPU cores and surfaced through ``SimulationResult``.
 * :class:`~repro.telemetry.collector.TelemetryCollector` — per-packet
-  lifecycle events through a packed :class:`~repro.telemetry.ring.EventRing`
-  pipeline (decoded and flushed to a :class:`~repro.telemetry.trace.TraceSink`
-  in deferred batches, with deterministic sampling), windowed
-  link/buffer/injection probes, a clogging-event detector, an always-on
-  flight recorder that dumps the retained ring as ``RDMP`` files when an
-  episode opens or a fault fires, and a
+  lifecycle events through an :class:`~repro.telemetry.ring.EventRing`
+  pipeline (written to the trace file by one
+  :class:`~repro.telemetry.trace.JsonlTraceSink` in deferred batches,
+  with deterministic sampling), windowed link/buffer/injection probes, a
+  clogging-event detector, an always-on flight recorder that writes the
+  retained ring out as a small trace of its own when an episode opens or
+  a fault fires, and a
   :class:`~repro.telemetry.metrics.MetricsRegistry` of cheap named
   counters/gauges.  Enabled via ``SystemConfig.telemetry``; two tiers
   (``mode="light"`` / ``"full"``); bit-identical and near-zero-cost when
@@ -42,14 +43,7 @@ from repro.telemetry.hist import (
     bucket_index,
 )
 from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry
-from repro.telemetry.ring import (
-    EventRing,
-    merge_events,
-    pack_w0,
-    read_dump,
-    unpack_w0,
-    write_dump,
-)
+from repro.telemetry.ring import EventRing, merge_events
 from repro.telemetry.report import (
     TraceSummary,
     load_summary,
@@ -59,13 +53,7 @@ from repro.telemetry.report import (
     render_report,
     render_timeline,
 )
-from repro.telemetry.trace import (
-    JsonlTraceSink,
-    NullTraceSink,
-    PACKET_EVENTS,
-    TraceSink,
-    read_trace,
-)
+from repro.telemetry.trace import JsonlTraceSink, PACKET_EVENTS, read_trace
 
 __all__ = [
     "BlameAccumulator",
@@ -77,23 +65,17 @@ __all__ = [
     "JsonlTraceSink",
     "LogHistogram",
     "MetricsRegistry",
-    "NullTraceSink",
     "PACKET_EVENTS",
     "STALL_CLASSES",
     "StallTable",
     "TelemetryCollector",
-    "TraceSink",
     "TraceSummary",
     "bucket_bounds",
     "bucket_index",
     "classify_head",
     "load_summary",
     "merge_events",
-    "pack_w0",
-    "read_dump",
     "read_trace",
-    "unpack_w0",
-    "write_dump",
     "render_blame",
     "render_events",
     "render_hist",

@@ -17,13 +17,12 @@ Example — produce and inspect a trace of the paper's clogging scenario::
 
 ``trace`` takes the job block (:mod:`repro.cli`); the telemetry knobs are
 config fields like any other: ``--set telemetry.sample_rate=0.5``,
-``--set telemetry.flight_dir=DIR`` (flight-recorder ``RDMP`` dumps,
-written when a clogging episode opens or a fault fires).
+``--set telemetry.flight_dir=DIR`` (flight-recorder dumps — small
+traces every reader command takes — written when a clogging episode
+opens or a fault fires).
 """
 
 from __future__ import annotations
-
-import struct
 
 from repro.cli import add_command, add_job_block, add_options, emit, job_from_args
 from repro.telemetry import report
@@ -60,26 +59,25 @@ def cmd_trace(args) -> int:
 def cmd_read(args) -> int:
     """The five reader commands: load the trace, print one view of it."""
     # a broken trace gets a one-line diagnosis, not a traceback: missing
-    # file (OSError), truncated/garbled JSON or text (ValueError covers
-    # json.JSONDecodeError and UnicodeDecodeError), torn dump framing
-    # (struct.error)
+    # file (OSError), garbled JSON or text (ValueError covers
+    # json.JSONDecodeError and UnicodeDecodeError)
     try:
         summary = report.load_summary(args.trace)
     except OSError as exc:
         raise OSError(
             f"cannot read trace {args.trace!r}: {exc.strerror or exc}"
         ) from None
-    except (ValueError, struct.error) as exc:
+    except ValueError as exc:
         raise ValueError(
             f"{args.trace!r} is not a readable trace "
-            f"(truncated or not a trace file): {exc}"
+            f"(garbled or not a trace file): {exc}"
         ) from None
     if summary.records == 0:
         raise ValueError(f"trace {args.trace!r} is empty (no records)")
     view = {"net": args.net, "cls": args.cls} if args.subcommand == "hist" else {}
-    payload = getattr(report, f"payload_{args.subcommand}")
+    payload = getattr(report, f"payload_{args.subcommand}")(summary, **view)
     render = getattr(report, f"render_{args.subcommand}")
-    emit(args, payload(summary, **view), lambda: render(summary, **view))
+    emit(args, payload, lambda: render(payload))
     return 0
 
 
@@ -100,7 +98,7 @@ def register(sub) -> None:
         ("blame", "stall-attribution matrix and episode root causes"),
     ):
         p = add_command(sub, name, cmd_read, help_text)
-        p.add_argument("trace", help="trace file (JSONL) or RDMP flight dump")
+        p.add_argument("trace", help="trace file or flight dump (JSONL)")
         if name == "hist":
             p.add_argument("--net", choices=("request", "reply"), default=None,
                            help="only this network's histograms")

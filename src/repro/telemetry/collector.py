@@ -13,12 +13,13 @@ The *enabled* hot path is a ring-buffer event pipeline
 counter, folds delivered latencies into preallocated bucket-counter rows
 (no dict lookups, no ``LogHistogram`` objects on the hot path) and
 appends one fixed-width raw tuple to the per-network event ring — a
-single C-level deque append.  Sampling, sink serialisation and dump
-bit-packing all happen in deferred batches at window/finalize
-boundaries.  The ring doubles as a **flight recorder**: it always
-retains the most recent events, and the collector dumps them as a
-packed ``RDMP`` file when the clogging detector *opens* an episode or a
-fault fires.
+single C-level deque append.  Sampling and serialisation happen in
+deferred batches at window/finalize boundaries, where one
+:class:`~repro.telemetry.trace.JsonlTraceSink` turns ring tuples into
+trace lines.  The ring doubles as a **flight recorder**: it always
+retains the most recent events, and the collector writes them out as a
+small trace of their own when the clogging detector *opens* an episode
+or a fault fires.
 
 Two instrumentation tiers (``TelemetryConfig.mode``):
 
@@ -37,7 +38,7 @@ cannot change results.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.system import TelemetryConfig
 from repro.telemetry.blame import (
@@ -50,12 +51,8 @@ from repro.telemetry.blame import (
 )
 from repro.telemetry.hist import LogHistogram
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.ring import EventRing, merge_events, write_dump
-from repro.telemetry.trace import JsonlTraceSink, NullTraceSink, PACKET_EVENTS
-
-#: schema version stamped into every trace's ``meta`` record (v2: packed
-#: ring pipeline, ``RDMP`` flight dumps, ``metrics`` in the summary).
-TRACE_SCHEMA = 2
+from repro.telemetry.ring import EventRing, merge_events
+from repro.telemetry.trace import JsonlTraceSink, PACKET_EVENTS, TRACE_SCHEMA
 
 #: counter-array histogram row length: covers every bucket index a
 #: 64-bit latency can map to at the default 2^5 sub-bucket resolution.
@@ -63,18 +60,6 @@ _HIST_BUCKETS = 1920
 
 #: hard cap on flight-recorder dump files per run (noise guard).
 _MAX_FLIGHT_DUMPS = 8
-
-class _EventView:
-    """Mutable packet stand-in for deferred ``sink.packet_event`` calls.
-
-    One instance is reused for every drained ring event — sinks consume
-    the fields synchronously, so no aliasing can be observed.  The enum
-    fields carry the live packet's real enum members (ring tuples store
-    them verbatim), so sinks see exactly what a live Packet gives them.
-    """
-
-    __slots__ = ("pid", "src", "dst", "block", "mtype", "cls", "net",
-                 "size_flits")
 
 
 class CloggingDetector:
@@ -161,12 +146,11 @@ class TelemetryCollector:
         self.cfg = cfg
         self.fabric = fabric
         self.mem_nodes = tuple(mem_nodes)
-        if cfg.trace_path:
-            self.sink = JsonlTraceSink(cfg.trace_path)
-            self._tracing = True
-        else:
-            self.sink = NullTraceSink()
-            self._tracing = False
+        #: the trace writer; None = aggregate-only (no trace file), and
+        #: then no trace record is built either
+        self.sink: Optional[JsonlTraceSink] = (
+            JsonlTraceSink(cfg.trace_path) if cfg.trace_path else None
+        )
         rate = min(1.0, max(0.0, cfg.sample_rate))
         self._sample_all = rate >= 1.0
         self._sample_below = int(rate * (1 << 32))
@@ -193,14 +177,15 @@ class TelemetryCollector:
         ]
         self._hist_tot: List[int] = [0, 0, 0, 0]
         #: bounded event rings (request, reply): the flight recorder's
-        #: retention, and a trace sink's staging buffer
+        #: retention, and the trace writer's staging buffer
         self._rings: List[EventRing] = [
             EventRing(cfg.ring_events), EventRing(cfg.ring_events)
         ]
-        self._view = _EventView()
         self._trace_records = 0
         self._flight_dir = cfg.flight_dir
         self.flight_dumps: List[str] = []
+        #: nodes whose episode opened during the probe in progress
+        self._opened: List[int] = []
         self.metrics = MetricsRegistry()
         self.interval = max(1, int(cfg.probe_interval))
         self._window_start = 0
@@ -238,7 +223,8 @@ class TelemetryCollector:
         height = getattr(fabric.topology, "height", 0)
         if width and height:
             meta["mesh"] = [width, height]
-        self.sink.record(meta)
+        if self.sink is not None:
+            self.sink.record(meta)
 
     # -- sampling -------------------------------------------------------
 
@@ -255,8 +241,7 @@ class TelemetryCollector:
     #
     # Shape of every hook: bump the per-code counter, then append one
     # raw fixed-width tuple straight into the deque —
-    # a single C call, no packing, no dicts.  Bit-packing happens only
-    # at dump time (repro.telemetry.ring.write_dump); tracing runs also
+    # a single C call, no packing, no dicts.  Tracing runs also
     # maintain the head/drained counters so drains fire before the ring
     # would evict an unflushed event.
 
@@ -268,7 +253,7 @@ class TelemetryCollector:
             (0, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
              pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
         )
-        if self._tracing:
+        if self.sink is not None:
             ring.head += 1
             if ring.head - ring.drained >= ring.capacity:
                 self._drain_events()
@@ -281,7 +266,7 @@ class TelemetryCollector:
             (1, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
              pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, vc)
         )
-        if self._tracing:
+        if self.sink is not None:
             ring.head += 1
             if ring.head - ring.drained >= ring.capacity:
                 self._drain_events()
@@ -294,7 +279,7 @@ class TelemetryCollector:
             (2, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
              pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
         )
-        if self._tracing:
+        if self.sink is not None:
             ring.head += 1
             if ring.head - ring.drained >= ring.capacity:
                 self._drain_events()
@@ -319,7 +304,7 @@ class TelemetryCollector:
             (3, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
              pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, latency)
         )
-        if self._tracing:
+        if self.sink is not None:
             ring.head += 1
             if ring.head - ring.drained >= ring.capacity:
                 self._drain_events()
@@ -334,7 +319,7 @@ class TelemetryCollector:
              reply.src, reply.dst, cycle, reply.pid, reply.block,
              delegated.dst)
         )
-        if self._tracing:
+        if self.sink is not None:
             ring.head += 1
             if ring.head - ring.drained >= ring.capacity:
                 self._drain_events()
@@ -354,14 +339,14 @@ class TelemetryCollector:
         ``rec`` is a complete trace record (``rec="fault"``) whose
         ``fault`` key names the event (``flit_drop`` / ``flit_corrupt`` /
         ``fault_stall``); it is counted in :attr:`events`, written to the
-        trace sink unsampled (faults are rare and every one matters) and
+        trace unsampled (faults are rare and every one matters) and
         — first occurrence per run — triggers a flight-recorder dump of
         the events leading up to it.
         """
         name = rec.get("fault", "fault")
         first = name not in self._fault_events
         self._fault_events[name] = self._fault_events.get(name, 0) + 1
-        if self._tracing:
+        if self.sink is not None:
             self.sink.record(rec)
         if first:
             self._flight_dump(f"fault-{name}", rec.get("cycle", -1))
@@ -407,55 +392,51 @@ class TelemetryCollector:
     # -- deferred ring drains and flight dumps ---------------------------
 
     def _drain_events(self) -> None:
-        """Flush undrained ring events to the trace sink, in cycle order.
+        """Flush undrained ring events to the trace, in cycle order.
 
         Called at window/finalize boundaries, and from the hooks when a
         tracing ring is about to overwrite an undrained slot — so a
         traced run loses nothing to ring wraparound.  Sampling happens
         here, off the hot path.
         """
-        if not self._tracing:
+        sink = self.sink
+        if sink is None:
             return
         batches = [
             b for b in (ring.take_pending() for ring in self._rings) if b
         ]
         if not batches:
             return
-        sink = self.sink
-        view = self._view
         sample_all = self._sample_all
         below = self._sample_below
         written = 0
         for ev in merge_events(*batches):
-            pid = ev[8]
-            if not sample_all and ((pid * 2654435761) & 0xFFFFFFFF) >= below:
+            if not sample_all and ((ev[8] * 2654435761) & 0xFFFFFFFF) >= below:
                 continue
-            view.pid = pid
-            view.mtype = ev[1]
-            view.cls = ev[2]
-            view.net = ev[3]
-            view.size_flits = ev[4]
-            view.src = ev[5]
-            view.dst = ev[6]
-            view.block = ev[9]
-            sink.packet_event(PACKET_EVENTS[ev[0]], ev[7], view, value=ev[10])
+            sink.event(ev)
             written += 1
         self._trace_records += written
 
     def _on_clog_open(self, node: int, cycle: int) -> None:
-        """Detector callback: a node's hot streak reached ``min_windows``."""
-        self._flight_dump("clog", cycle, node=node)
+        """Detector callback: a node's hot streak reached ``min_windows``.
+
+        Every node that opens at one probe would snapshot the same two
+        rings, so the probe collects them and writes one dump for all.
+        """
+        self._opened.append(node)
 
     def _flight_dump(self, trigger: str, cycle: int,
-                     node: Optional[int] = None) -> Optional[str]:
-        """Dump the retained ring events as one ``RDMP`` file.
+                     nodes: Sequence[int] = ()) -> None:
+        """Write the retained ring events out as one small trace file.
 
-        No-op unless ``flight_dir`` is set; at most
-        :data:`_MAX_FLIGHT_DUMPS` files per run.  Returns the dump path
-        (also appended to :attr:`flight_dumps`) or None.
+        A ``meta`` line (the run's, plus what triggered the dump) and
+        then every retained event, unsampled, as the trace would carry
+        it.  No-op unless ``flight_dir`` is set; at most
+        :data:`_MAX_FLIGHT_DUMPS` files per run.  The path is appended
+        to :attr:`flight_dumps`.
         """
         if not self._flight_dir or len(self.flight_dumps) >= _MAX_FLIGHT_DUMPS:
-            return None
+            return
         events = merge_events(*(r.snapshot() for r in self._rings))
         meta = dict(self._meta)
         meta.update(
@@ -465,21 +446,25 @@ class TelemetryCollector:
                 "events_retained": len(events),
             }
         )
-        if node is not None:
-            meta["dump_node"] = node
-        suffix = "" if node is None else f"-n{node}"
+        if nodes:
+            meta["dump_nodes"] = list(nodes)
         directory = Path(self._flight_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"flight-c{cycle}-{trigger}{suffix}.rdmp"
-        write_dump(path, meta, events, TRACE_SCHEMA)
-        self.flight_dumps.append(str(path))
+        path = str(directory / f"flight-c{cycle}-{trigger}.jsonl")
+        dump = JsonlTraceSink(path)
+        try:
+            dump.record(meta)
+            for ev in events:
+                dump.event(ev)
+        finally:
+            dump.close()
+        self.flight_dumps.append(path)
         self.metrics.counter("flight.dumps").inc()
-        if self._tracing:
+        if self.sink is not None:
             self.sink.record(
                 {"rec": "flight", "trigger": trigger, "cycle": cycle,
-                 "node": node, "path": str(path)}
+                 "nodes": list(nodes), "path": path}
             )
-        return str(path)
 
     # -- windowed probes -------------------------------------------------
 
@@ -490,10 +475,10 @@ class TelemetryCollector:
             self._next_probe = cycle + self.interval
 
     def _probe(self, cycle: int) -> None:
-        if self._tracing:
-            # batch boundary: packet events stream out before the window
-            # record that closes over them
-            self._drain_events()
+        # batch boundary: packet events stream out before the window
+        # record that closes over them
+        self._drain_events()
+        sink = self.sink
         interval = max(1, cycle - self._window_start + 1)
         record: Dict = {
             "rec": "win",
@@ -560,14 +545,19 @@ class TelemetryCollector:
                 acc = self._blame.pop(node, None)
                 if acc is not None:
                     episode["root_cause"] = acc.root_cause()
-                self.sink.record(episode)
+                if sink is not None:
+                    sink.record(episode)
             elif signals[node] < self.detector.threshold:
                 # hot blip too short to count as an episode: drop its blame
                 self._blame.pop(node, None)
+        if self._opened:
+            self._flight_dump("clog", cycle, sorted(self._opened))
+            self._opened.clear()
         if mem:
             record["mem"] = mem
         self.windows.append(record)
-        self.sink.record(record)
+        if sink is not None:
+            sink.record(record)
         self._window_start = cycle + 1
 
     # -- measured-window stall accounting ---------------------------------
@@ -639,8 +629,8 @@ class TelemetryCollector:
         return m.snapshot()
 
     def finalize(self, cycle: int) -> None:
-        """Flush rings and open episodes, write histogram + summary
-        records, close the sink."""
+        """Flush rings and open episodes; a traced run then writes its
+        histogram, stall and summary records and closes the trace."""
         if self._finalized:
             return
         self._finalized = True
@@ -648,11 +638,16 @@ class TelemetryCollector:
         st = self.stalls
         if st is not None:
             st.flush(cycle)
-        for episode in self.detector.flush():
+        closed = self.detector.flush()
+        for episode in closed:
             acc = self._blame.pop(episode["node"], None)
             if acc is not None:
                 episode["root_cause"] = acc.root_cause()
-            self.sink.record(episode)
+        sink = self.sink
+        if sink is None:
+            return
+        for episode in closed:
+            sink.record(episode)
         for key in range(4):
             hist = self._row_histogram(key)
             if not hist.count:
@@ -665,7 +660,7 @@ class TelemetryCollector:
                     "cls": "CPU" if (key & 1) == 0 else "GPU",
                 }
             )
-            self.sink.record(payload)
+            sink.record(payload)
         if st is not None:
             for (net, rid, port, cls), row in sorted(st.counts.items()):
                 classes = {
@@ -673,7 +668,7 @@ class TelemetryCollector:
                 }
                 if not classes:
                     continue
-                self.sink.record(
+                sink.record(
                     {
                         "rec": "stall",
                         "net": net,
@@ -684,7 +679,7 @@ class TelemetryCollector:
                         "classes": classes,
                     }
                 )
-        self.sink.record(
+        sink.record(
             {
                 "rec": "summary",
                 "cycle": cycle,
@@ -694,4 +689,4 @@ class TelemetryCollector:
                 "metrics": self.metrics_snapshot(),
             }
         )
-        self.sink.close()
+        sink.close()

@@ -35,6 +35,9 @@ class TraceSummary:
     summary: Optional[Dict] = None
     #: total records read — 0 distinguishes an empty/unreadable trace.
     records: int = 0
+    #: the file ends before its writer finished it (a run killed
+    #: mid-trace, a torn dump): what was read is reported, and says so.
+    truncated: bool = False
 
 
 def load_summary(path: Union[str, Path]) -> TraceSummary:
@@ -74,57 +77,39 @@ def load_summary(path: Union[str, Path]) -> TraceSummary:
             out.summary = record
     out.hists = dict(sampled)
     out.hists.update(exact)
+    # a trace closes with its summary record; a flight dump's meta says
+    # how many events follow it
+    if "dump" in out.meta:
+        out.truncated = (
+            sum(out.events.values()) < out.meta.get("events_retained", 0)
+        )
+    else:
+        out.truncated = out.summary is None
     return out
 
 
 # ---------------------------------------------------------------------------
-# machine payloads (--format json)
+# views: payload_X folds the summary into one JSON-able dict (what
+# ``--format json`` prints); render_X prints that dict as a table
 # ---------------------------------------------------------------------------
 
 
-def _hist_rows(
-    s: TraceSummary,
-    net: Optional[str] = None,
-    cls: Optional[str] = None,
-) -> List[Dict]:
-    rows = []
-    for (hnet, hcls), hist in sorted(s.hists.items()):
-        if net is not None and hnet != net:
-            continue
-        if cls is not None and hcls != cls:
-            continue
-        rows.append({"net": hnet, "cls": hcls, **hist.summary()})
-    return rows
-
-
-def _fold_stalls(s: TraceSummary):
-    """Aggregate stall records per (net, router) and memory node.
-
-    Shared between the human blame table and the JSON payload so both
-    views always report the same numbers.
-    """
-    routers: Dict[Tuple[str, int], Dict[str, int]] = {}
-    mem_rows: Dict[int, List[int]] = {}
-    for rec in s.stalls:
-        net, rid = rec["net"], rec["router"]
-        if net == "mem":
-            row = mem_rows.setdefault(rid, [0, 0])
-            row[min(1, rec["port"])] += sum(rec["classes"].values())
-            continue
-        agg = routers.setdefault((net, rid), {})
-        for name, n in rec["classes"].items():
-            agg[name] = agg.get(name, 0) + n
-    return routers, mem_rows
+def _episodes(s: TraceSummary) -> List[Dict]:
+    return sorted(s.episodes, key=lambda e: (e["start"], e["node"]))
 
 
 def payload_report(s: TraceSummary) -> Dict:
-    """The ``report`` view as a JSON-able dict."""
+    """The ``report`` view: meta, event totals, per-class latency rows."""
     payload = {
         "path": s.path,
         "meta": dict(s.meta),
         "records": s.records,
+        "truncated": s.truncated,
         "events": {k: v for k, v in s.events.items() if v},
-        "latency": _hist_rows(s),
+        "latency": [
+            {"net": net, "cls": cls, **hist.summary()}
+            for (net, cls), hist in sorted(s.hists.items())
+        ],
         "windows": len(s.windows),
         "episodes": len(s.episodes),
     }
@@ -140,19 +125,14 @@ def payload_hist(
     net: Optional[str] = None,
     cls: Optional[str] = None,
 ) -> Dict:
-    """The ``hist`` view: per-(net, class) summaries plus full buckets."""
-    rows = []
-    for (hnet, hcls), hist in sorted(s.hists.items()):
-        if net is not None and hnet != net:
-            continue
-        if cls is not None and hcls != cls:
-            continue
-        rows.append({
-            "net": hnet,
-            "cls": hcls,
-            "summary": hist.summary(),
-            "hist": hist.to_dict(),
-        })
+    """The ``hist`` view: per-(net, class) summaries plus full buckets,
+    optionally filtered by net/class."""
+    rows = [
+        {"net": hnet, "cls": hcls, "summary": hist.summary(),
+         "hist": hist.to_dict()}
+        for (hnet, hcls), hist in sorted(s.hists.items())
+        if net in (None, hnet) and cls in (None, hcls)
+    ]
     return {"path": s.path, "histograms": rows}
 
 
@@ -163,14 +143,24 @@ def payload_timeline(s: TraceSummary) -> Dict:
 
 def payload_events(s: TraceSummary) -> Dict:
     """The ``events`` view: the clogging-episode records."""
-    episodes = sorted(s.episodes, key=lambda e: (e["start"], e["node"]))
-    return {"path": s.path, "episodes": episodes}
+    return {"path": s.path, "episodes": _episodes(s)}
 
 
 def payload_blame(s: TraceSummary) -> Dict:
-    """The ``blame`` view: per-router stall totals, memory pressure and
-    attributed episodes."""
-    routers, mem_rows = _fold_stalls(s)
+    """The ``blame`` view: stall records folded per (net, router) over
+    ports and traffic classes, worst first; memory-side pressure per
+    node; the episodes with their root causes."""
+    routers: Dict[Tuple[str, int], Dict[str, int]] = {}
+    mem_rows: Dict[int, List[int]] = {}
+    for rec in s.stalls:
+        net, rid = rec["net"], rec["router"]
+        if net == "mem":
+            row = mem_rows.setdefault(rid, [0, 0])
+            row[min(1, rec["port"])] += sum(rec["classes"].values())
+            continue
+        agg = routers.setdefault((net, rid), {})
+        for name, n in rec["classes"].items():
+            agg[name] = agg.get(name, 0) + n
     router_rows = [
         {"net": net, "router": rid, "total": sum(agg.values()),
          "classes": dict(agg)}
@@ -184,16 +174,12 @@ def payload_blame(s: TraceSummary) -> Dict:
     ]
     return {
         "path": s.path,
+        "meta": dict(s.meta),
         "stall_attribution": s.meta.get("stall_attribution", True),
         "routers": router_rows,
         "mem": mem,
-        "episodes": sorted(s.episodes, key=lambda e: (e["start"], e["node"])),
+        "episodes": _episodes(s),
     }
-
-
-# ---------------------------------------------------------------------------
-# renderers
-# ---------------------------------------------------------------------------
 
 
 def _bar(value: float, width: int = 12) -> str:
@@ -201,17 +187,20 @@ def _bar(value: float, width: int = 12) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def render_report(s: TraceSummary) -> str:
-    """The headline view: meta, event totals, per-class latency table."""
-    lines = [f"telemetry report: {s.path}"]
-    if s.meta:
+def render_report(p: Dict) -> str:
+    """The headline view, from :func:`payload_report`."""
+    meta = p["meta"]
+    lines = [f"telemetry report: {p['path']}"]
+    if meta:
         lines.append(
-            f"  {s.meta.get('nodes', '?')} nodes, mem nodes "
-            f"{s.meta.get('mem_nodes', [])}, sample rate "
-            f"{s.meta.get('sample_rate', 1.0)}, probe interval "
-            f"{s.meta.get('probe_interval', '?')}"
+            f"  {meta.get('nodes', '?')} nodes, mem nodes "
+            f"{meta.get('mem_nodes', [])}, sample rate "
+            f"{meta.get('sample_rate', 1.0)}, probe interval "
+            f"{meta.get('probe_interval', '?')}"
         )
-    counts = ", ".join(f"{k}={v}" for k, v in s.events.items() if v)
+    if p["truncated"]:
+        lines.append("  truncated trace: it ends before its closing record")
+    counts = ", ".join(f"{k}={v}" for k, v in p["events"].items())
     lines.append(f"  events: {counts or 'none'}")
     lines.append("")
     lines.append("  latency percentiles (cycles) per network / class:")
@@ -220,21 +209,21 @@ def render_report(s: TraceSummary) -> str:
         f"{'p50':>7} {'p95':>7} {'p99':>7} {'p99.9':>8} {'max':>7}"
     )
     lines.append(header)
-    if not s.hists:
+    if not p["latency"]:
         lines.append("  (no delivered packets recorded)")
-    for (net, cls), hist in sorted(s.hists.items()):
-        info = hist.summary()
+    for info in p["latency"]:
         lines.append(
-            f"  {net:<8} {cls:<4} {info['count']:>8} {info['mean']:>8.1f} "
+            f"  {info['net']:<8} {info['cls']:<4} {info['count']:>8} "
+            f"{info['mean']:>8.1f} "
             f"{info['p50']:>7.0f} {info['p95']:>7.0f} {info['p99']:>7.0f} "
             f"{info['p99.9']:>8.0f} {info['max']:>7}"
         )
     lines.append("")
     lines.append(
-        f"  windows: {len(s.windows)}   clogging episodes: {len(s.episodes)}"
+        f"  windows: {p['windows']}   clogging episodes: {p['episodes']}"
     )
-    if s.episodes:
-        worst = max(s.episodes, key=lambda e: e.get("severity", 0.0))
+    worst = p.get("worst_episode")
+    if worst:
         lines.append(
             f"  worst episode: node {worst['node']} cycles "
             f"{worst['start']}-{worst['end']} severity {worst['severity']}"
@@ -242,38 +231,32 @@ def render_report(s: TraceSummary) -> str:
     return "\n".join(lines)
 
 
-def render_hist(
-    s: TraceSummary,
-    net: Optional[str] = None,
-    cls: Optional[str] = None,
-) -> str:
-    """ASCII latency histograms, optionally filtered by net/class."""
+def render_hist(p: Dict) -> str:
+    """ASCII latency histograms, from :func:`payload_hist`."""
     lines: List[str] = []
-    for (hnet, hcls), hist in sorted(s.hists.items()):
-        if net is not None and hnet != net:
-            continue
-        if cls is not None and hcls != cls:
-            continue
-        info = hist.summary()
+    for row in p["histograms"]:
+        info = row["summary"]
         lines.append(
-            f"{hnet}/{hcls}: n={info['count']} mean={info['mean']} "
+            f"{row['net']}/{row['cls']}: n={info['count']} mean={info['mean']} "
             f"p50={info['p50']:.0f} p99={info['p99']:.0f}"
         )
-        lines.append(hist.ascii())
+        lines.append(LogHistogram.from_dict(row["hist"]).ascii())
         lines.append("")
     return "\n".join(lines).rstrip() or "(no matching histograms)"
 
 
-def render_timeline(s: TraceSummary) -> str:
-    """Per-window link-occupancy / injection-rate timeline."""
-    if not s.windows:
+def render_timeline(p: Dict) -> str:
+    """Per-window link-occupancy / injection-rate timeline, from
+    :func:`payload_timeline`."""
+    windows = p["windows"]
+    if not windows:
         return "(no window records in trace)"
-    net_names = sorted(s.windows[0].get("nets", {}))
+    net_names = sorted(windows[0].get("nets", {}))
     header = f"{'cycle':>8}  " + "".join(
         f"{name + ' util':>22}  " for name in net_names
     ) + f"{'inj/cyc':>8}  {'mem occ(max)':>18}"
     lines = [header]
-    for win in s.windows:
+    for win in windows:
         cells = [f"{win['cycle']:>8}  "]
         for name in net_names:
             util = win["nets"].get(name, {}).get("link_util", 0.0)
@@ -299,41 +282,39 @@ def _chain_text(chain: List[Dict]) -> str:
     return " -> ".join(parts)
 
 
-def render_blame(s: TraceSummary) -> str:
-    """Stall-attribution view: per-router blame matrix, mesh heatmap,
-    memory-side pressure counters and the episode root-cause table."""
-    if not s.stalls:
-        if s.meta.get("stall_attribution") is False:
+def render_blame(p: Dict) -> str:
+    """Stall-attribution view, from :func:`payload_blame`: per-router
+    blame matrix, mesh heatmap, memory-side pressure counters and the
+    episode root-cause table."""
+    routers, mem_rows, episodes = p["routers"], p["mem"], p["episodes"]
+    if not routers and not mem_rows:
+        if p["stall_attribution"] is False:
             return "stall attribution was disabled for this trace"
         return "no stall records in trace (nothing ever blocked)"
-    # fold per (net, router) over ports and traffic classes
-    routers, mem_rows = _fold_stalls(s)
     node_total: Dict[int, int] = {}
-    for (_net, rid), agg in routers.items():
-        node_total[rid] = node_total.get(rid, 0) + sum(agg.values())
-    lines = [f"blame report: {s.path}", ""]
+    for row in routers:
+        rid = row["router"]
+        node_total[rid] = node_total.get(rid, 0) + row["total"]
+    lines = [f"blame report: {p['path']}", ""]
     cols = [c for c in STALL_CLASSES
-            if any(c in agg for agg in routers.values())]
+            if any(c in row["classes"] for row in routers)]
     lines.append("  per-router stall cycles (blocked head-worm cycles "
                  "by class; top 12 by total):")
     header = f"  {'net':<8} {'router':>6} {'total':>9}"
     for c in cols:
         header += f" {c:>13}"
     lines.append(header)
-    ranked = sorted(
-        routers.items(), key=lambda kv: -sum(kv[1].values())
-    )
-    for (net, rid), agg in ranked[:12]:
-        row = f"  {net:<8} {rid:>6} {sum(agg.values()):>9}"
+    for row in routers[:12]:
+        line = f"  {row['net']:<8} {row['router']:>6} {row['total']:>9}"
         for c in cols:
-            row += f" {agg.get(c, 0):>13}"
-        lines.append(row)
-    if len(ranked) > 12:
-        lines.append(f"  ... {len(ranked) - 12} more routers with stalls")
-    mesh = s.meta.get("mesh")
+            line += f" {row['classes'].get(c, 0):>13}"
+        lines.append(line)
+    if len(routers) > 12:
+        lines.append(f"  ... {len(routers) - 12} more routers with stalls")
+    mesh = p["meta"].get("mesh")
     if mesh and node_total:
         width, height = mesh
-        mem_nodes = set(s.meta.get("mem_nodes", []))
+        mem_nodes = set(p["meta"].get("mem_nodes", []))
         values = [float(node_total.get(n, 0)) for n in range(width * height)]
         roles = ["M" if n in mem_nodes else "G" for n in range(width * height)]
         peak = int(max(values))
@@ -352,23 +333,23 @@ def render_blame(s: TraceSummary) -> str:
         lines.append("")
         lines.append("  memory-node reply-buffer pressure (cycles):")
         lines.append(f"  {'node':>6} {'inject-blocked':>15} {'drain-refused':>14}")
-        for node in sorted(mem_rows):
-            blocked, refused = mem_rows[node]
-            lines.append(f"  {node:>6} {blocked:>15} {refused:>14}")
+        for row in mem_rows:
+            lines.append(f"  {row['node']:>6} {row['inject_blocked']:>15} "
+                         f"{row['drain_refused']:>14}")
     lines.append("")
-    attributed = [e for e in s.episodes if "root_cause" in e]
-    if not s.episodes:
+    if not episodes:
         lines.append("  no clogging episodes detected")
     else:
-        lines.append(f"  episode root causes ({len(attributed)}/"
-                     f"{len(s.episodes)} episodes attributed):")
+        attributed = sum("root_cause" in e for e in episodes)
+        lines.append(f"  episode root causes ({attributed}/"
+                     f"{len(episodes)} episodes attributed):")
         lines.append(
             f"  {'node':>6} {'start':>9} {'end':>9} {'severity':>9} "
             f"{'root cause':>12} {'chains':>7} {'depth':>6}  victims"
         )
         best_sample = None
         best_depth = 0
-        for e in sorted(s.episodes, key=lambda e: (e["start"], e["node"])):
+        for e in episodes:
             rc = e.get("root_cause")
             if rc is None:
                 lines.append(
@@ -396,18 +377,17 @@ def render_blame(s: TraceSummary) -> str:
     return "\n".join(lines)
 
 
-def render_events(s: TraceSummary) -> str:
-    """Clogging-episode table."""
-    if not s.episodes:
+def render_events(p: Dict) -> str:
+    """Clogging-episode table, from :func:`payload_events`."""
+    episodes = p["episodes"]
+    if not episodes:
         return "no clogging episodes detected"
     lines = [
-        f"{len(s.episodes)} clogging episode(s)",
+        f"{len(episodes)} clogging episode(s)",
         f"{'node':>6} {'start':>10} {'end':>10} {'windows':>8} "
         f"{'severity':>9} {'peak':>7}",
     ]
-    for episode in sorted(
-        s.episodes, key=lambda e: (e["start"], e["node"])
-    ):
+    for episode in episodes:
         lines.append(
             f"{episode['node']:>6} {episode['start']:>10} "
             f"{episode['end']:>10} {episode['windows']:>8} "

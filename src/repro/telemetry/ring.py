@@ -3,104 +3,38 @@
 Per-event dict/record construction is what made always-on telemetry
 cost ~45% on saturated meshes.  The hooks now append one fixed-width
 raw tuple per event into a bounded per-network ring and everything
-record-shaped (sampling, JSON/struct serialisation, bit-packing)
-happens in deferred batches at window/finalize boundaries, off the
-per-event path.
+record-shaped (sampling, JSON serialisation) happens in deferred
+batches at window/finalize boundaries, off the per-event path.
 
 The ring is a ``collections.deque(maxlen=capacity)``: appends and
 evictions are single C calls, which measures ~6x cheaper per event than
 bit-packing into a preallocated ``array('q')`` in CPython — the packing
 arithmetic itself (six shifts and ors per event) dominated the packed
-variant, so packing is deferred to dump time where it amortises against
-file I/O.  The bounded deque still gives the ring contract: the most
+variant.  The bounded deque still gives the ring contract: the most
 recent ``capacity`` events per network are always retained.
 
 That retention is the **flight recorder**: when the clogging detector
-opens an episode (or a fault fires) the collector dumps the retained
-events as a compact ``RDMP`` file — bit-packed five-word records, the
-layout below — that :func:`repro.telemetry.trace.read_trace` decodes
-like any other trace.
+opens an episode (or a fault fires) the collector writes the retained
+events out as a small trace file, through the trace's own writer
+(:class:`repro.telemetry.trace.JsonlTraceSink`).
 
-In-memory event tuples are ``EVENT_FIELDS`` wide::
+Event tuples are ``EVENT_FIELDS`` wide, and
+:func:`repro.telemetry.trace.event_record` takes them as they are::
 
     (code, mtype, cls, net, flits, src, dst, cycle, pid, block, value)
 
-``RDMP`` packs each into five 64-bit words (63 bits used in the first;
-the sign bit stays clear so signed i64 never overflows)::
-
-    w0  bits  0-3   event code (index into PACKET_EVENTS)
-        bits  4-8   message type
-        bit   9     traffic class
-        bit   10    network kind (0 request / 1 reply)
-        bits 11-22  packet size in flits
-        bits 23-42  source node
-        bits 43-62  destination node
-    w1  cycle
-    w2  packet id
-    w3  block address
-    w4  value (-1 = none; latency on deliver, target on delegate)
+``code`` indexes ``PACKET_EVENTS``; ``value`` is -1 for none, the
+latency on ``deliver``, the VC on ``vc_alloc`` and the target node on
+``delegate``.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from collections import deque
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, List, Tuple
 
 #: fields per in-memory ring event tuple.
 EVENT_FIELDS = 11
-
-#: 64-bit words per packed ``RDMP`` dump event.
-STRIDE = 5
-
-#: ``RDMP`` flight-/ring-dump file magic; the u16 after it carries the
-#: trace schema version (``repro.telemetry.collector.TRACE_SCHEMA``).
-DUMP_MAGIC = b"RDMP"
-
-_DUMP_HEAD = struct.Struct("<HI")  # schema version, meta-blob length
-_DUMP_COUNT = struct.Struct("<I")  # packed event count
-_EVENT_WORDS = struct.Struct("<5q")
-
-# w0 field offsets/masks (see module docstring)
-_MTYPE_SHIFT = 4
-_CLS_SHIFT = 9
-_NET_SHIFT = 10
-_FLITS_SHIFT = 11
-_SRC_SHIFT = 23
-_DST_SHIFT = 43
-_CODE_MASK = 0xF
-_MTYPE_MASK = 0x1F
-_FLITS_MASK = 0xFFF
-_NODE_MASK = 0xFFFFF
-
-
-def pack_w0(code: int, mtype: int, cls: int, net: int, flits: int,
-            src: int, dst: int) -> int:
-    """Pack the small event fields into the first dump word."""
-    return (
-        code
-        | (mtype << _MTYPE_SHIFT)
-        | (cls << _CLS_SHIFT)
-        | (net << _NET_SHIFT)
-        | (flits << _FLITS_SHIFT)
-        | (src << _SRC_SHIFT)
-        | (dst << _DST_SHIFT)
-    )
-
-
-def unpack_w0(w0: int):
-    """``(code, mtype, cls, net, flits, src, dst)`` from a packed word."""
-    return (
-        w0 & _CODE_MASK,
-        (w0 >> _MTYPE_SHIFT) & _MTYPE_MASK,
-        (w0 >> _CLS_SHIFT) & 1,
-        (w0 >> _NET_SHIFT) & 1,
-        (w0 >> _FLITS_SHIFT) & _FLITS_MASK,
-        (w0 >> _SRC_SHIFT) & _NODE_MASK,
-        (w0 >> _DST_SHIFT) & _NODE_MASK,
-    )
 
 
 class EventRing:
@@ -167,68 +101,3 @@ def merge_events(*batches: Iterable[Tuple]) -> List[Tuple]:
         merged.extend(batch)
     merged.sort(key=lambda ev: ev[7])
     return merged
-
-
-def write_dump(
-    path: Union[str, Path],
-    meta: Dict[str, Any],
-    events: Iterable[Tuple],
-    schema: int,
-) -> None:
-    """Write a ring dump: magic, schema, JSON meta blob, packed events.
-
-    ``events`` are in-memory ring tuples (:data:`EVENT_FIELDS` wide);
-    each is bit-packed into :data:`STRIDE` words here, off the hot path.
-    """
-    events = list(events)
-    blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(DUMP_MAGIC)
-        fh.write(_DUMP_HEAD.pack(schema, len(blob)))
-        fh.write(blob)
-        fh.write(_DUMP_COUNT.pack(len(events)))
-        pack = _EVENT_WORDS.pack
-        for code, mtype, cls, net, flits, src, dst, cycle, pid, block, value in events:
-            fh.write(
-                pack(
-                    pack_w0(code, mtype, cls, net, flits, src, dst),
-                    cycle, pid, block, value,
-                )
-            )
-
-
-def read_dump(path: Union[str, Path], max_schema: int) -> Iterator[Dict]:
-    """Yield trace-shaped records from an ``RDMP`` ring dump.
-
-    The first record is the embedded ``meta`` blob (with ``rec="meta"``
-    and the file's ``schema``); packed events follow as the same dicts
-    :func:`repro.telemetry.trace.read_trace` yields for a JSONL trace.
-    Raises ``ValueError`` on schema versions newer than ``max_schema``.
-    """
-    from repro.telemetry.trace import event_record
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(DUMP_MAGIC))
-        if magic != DUMP_MAGIC:
-            raise ValueError(f"not a ring dump (bad magic {magic!r})")
-        schema, blob_len = _DUMP_HEAD.unpack(fh.read(_DUMP_HEAD.size))
-        if schema > max_schema:
-            raise ValueError(
-                f"ring dump schema v{schema} is newer than this reader "
-                f"(supports <= v{max_schema})"
-            )
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
-        meta.setdefault("rec", "meta")
-        meta.setdefault("schema", schema)
-        yield meta
-        (count,) = _DUMP_COUNT.unpack(fh.read(_DUMP_COUNT.size))
-        size = _EVENT_WORDS.size
-        for _ in range(count):
-            buf = fh.read(size)
-            if len(buf) < size:
-                return  # truncated tail (interrupted dump): stop cleanly
-            w0, cycle, pid, block, value = _EVENT_WORDS.unpack(buf)
-            code, mtype, cls, net, flits, src, dst = unpack_w0(w0)
-            yield event_record(
-                code, cycle, pid, src, dst, block, mtype, cls, net, flits, value
-            )

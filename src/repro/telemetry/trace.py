@@ -1,17 +1,14 @@
-"""Per-packet trace sinks: the Netrace-style exchange format.
+"""The trace file: the Netrace-style exchange format, written and read.
 
-A *trace* is an append-only stream of event records.  Packet lifecycle
-events (``inject``, ``vc_alloc``, ``head``, ``deliver``, ``delegate``)
-carry a fixed tuple of packet fields; aggregate records (``meta``,
-``win``, ``hist``, ``clog``, ``summary``) carry free-form payloads.
-:class:`JsonlTraceSink` writes one JSON object per line — greppable,
-diffable, loads into pandas with one call; :class:`NullTraceSink` keeps
-the aggregates and drops the per-packet I/O.
-
-:func:`read_trace` reads that file and, told apart by its magic, the
-``RDMP`` flight-recorder ring dumps of :mod:`repro.telemetry.ring`
-(a different producer: a bounded ring, packed), yielding the same dicts
-for both, so every consumer (the CLI, tests, notebooks) reads either.
+A *trace* is an append-only stream of records, one JSON object per line
+— greppable, diffable, loads into pandas with one call.  Packet
+lifecycle events (``inject``, ``vc_alloc``, ``head``, ``deliver``,
+``delegate``) carry a fixed set of packet fields; aggregate records
+(``meta``, ``win``, ``hist``, ``clog``, ``summary``) carry free-form
+payloads.  A flight-recorder dump is a small trace: a ``meta`` line
+followed by the retained events, written by the same
+:class:`JsonlTraceSink` through the same :func:`event_record`, so every
+consumer of :func:`read_trace` (the CLI, tests, notebooks) reads either.
 """
 
 from __future__ import annotations
@@ -23,21 +20,11 @@ from typing import Any, Dict, IO, Iterator, Tuple, Union
 
 #: packet lifecycle events; a ring event's code is its index here.
 PACKET_EVENTS = ("inject", "vc_alloc", "head", "deliver", "delegate")
-_EVENT_CODE = {name: i for i, name in enumerate(PACKET_EVENTS)}
 
-
-class TraceSink:
-    """Protocol for trace backends (duck-typed; subclassing optional)."""
-
-    def packet_event(self, event: str, cycle: int, pkt, value: int = -1) -> None:
-        raise NotImplementedError
-
-    def record(self, payload: Dict[str, Any]) -> None:
-        """Write one aggregate (non-packet) record."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
+#: schema version stamped into every trace's ``meta`` record (v2: ring
+#: pipeline, ``metrics`` in the summary; v3: flight dumps are traces,
+#: one per trigger cycle, naming ``dump_nodes``).  Older traces read.
+TRACE_SCHEMA = 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,12 +39,10 @@ def _enum_names() -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(m.name for m in MessageType), tuple(c.name for c in TrafficClass)
 
 
-def event_record(
-    code: int, cycle: int, pid: int, src: int, dst: int, block: int,
-    mtype: int, cls: int, net: int, flits: int, value: int,
-) -> Dict[str, Any]:
-    """The record of one packet event, as the JSONL sink writes it and
-    every reader yields it, from the event's numeric fields."""
+def event_record(ev: Tuple) -> Dict[str, Any]:
+    """The record of one packet event, as a trace carries it, from the
+    event's ring tuple (field order in :mod:`repro.telemetry.ring`)."""
+    code, mtype, cls, net, flits, src, dst, cycle, pid, block, value = ev
     mtype_names, cls_names = _enum_names()
     d = {
         "ev": PACKET_EVENTS[code],
@@ -76,8 +61,8 @@ def event_record(
     return d
 
 
-class JsonlTraceSink(TraceSink):
-    """One JSON object per line; human-greppable."""
+class JsonlTraceSink:
+    """Writes a trace: one JSON object per line."""
 
     def __init__(self, path: Union[str, Path, IO[str]]) -> None:
         if hasattr(path, "write"):
@@ -87,14 +72,12 @@ class JsonlTraceSink(TraceSink):
             self._fh = open(path, "w")
             self._owns = True
 
-    def packet_event(self, event: str, cycle: int, pkt, value: int = -1) -> None:
-        self._fh.write(json.dumps(event_record(
-            _EVENT_CODE[event], cycle, pkt.pid, pkt.src, pkt.dst, pkt.block,
-            pkt.mtype, pkt.cls, pkt.net, pkt.size_flits, value,
-        )))
-        self._fh.write("\n")
+    def event(self, ev: Tuple) -> None:
+        """Write one packet event from its ring tuple."""
+        self.record(event_record(ev))
 
     def record(self, payload: Dict[str, Any]) -> None:
+        """Write one aggregate (non-packet) record."""
         self._fh.write(json.dumps(payload))
         self._fh.write("\n")
 
@@ -104,56 +87,32 @@ class JsonlTraceSink(TraceSink):
             self._fh.close()
 
 
-class NullTraceSink(TraceSink):
-    """Discards everything (histograms/probes only, no per-packet I/O)."""
-
-    def packet_event(self, event: str, cycle: int, pkt, value: int = -1) -> None:
-        return None
-
-    def record(self, payload: Dict[str, Any]) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# reading
-# ---------------------------------------------------------------------------
-
-
 def read_trace(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
-    """Yield every record of a trace file or flight dump.
+    """Yield every record of a trace file (or flight dump: same format).
 
-    Tells the two on-disk formats apart by the file's magic: ``RDMP``
-    ring/flight-recorder dumps, else JSONL.  Unknown schema versions
-    raise ``ValueError`` with a one-line diagnosis — the CLI surfaces it
-    as an ``error:`` line.
+    A final line that does not parse is a torn tail — the writer was
+    killed mid-line — and ends the stream cleanly; a bad line anywhere
+    else, a file whose first line is bad, or a schema version newer than
+    this reader raises ``ValueError`` with a one-line diagnosis the CLI
+    surfaces as an ``error:`` line.
     """
-    # the dump reader is imported lazily, mirroring the enum-name imports:
-    # plain-JSONL consumers stay importable without the ring module
-    from repro.telemetry.ring import DUMP_MAGIC, read_dump
-
-    path = Path(path)
-    with open(path, "rb") as probe:
-        head = probe.read(len(DUMP_MAGIC))
-    if head == DUMP_MAGIC:
-        from repro.telemetry.collector import TRACE_SCHEMA
-
-        yield from read_dump(path, max_schema=TRACE_SCHEMA)
-        return
     with open(path) as fh:
         first = True
+        torn = None
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            if torn is not None:
+                raise torn  # a line follows the bad one: not a torn tail
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                torn = exc
+                continue
             if first:
                 first = False
                 if record.get("rec") == "meta":
-                    from repro.telemetry.collector import TRACE_SCHEMA
-
                     schema = record.get("schema", 1)
                     if isinstance(schema, int) and schema > TRACE_SCHEMA:
                         raise ValueError(
@@ -161,3 +120,5 @@ def read_trace(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
                             f"reader (supports <= v{TRACE_SCHEMA})"
                         )
             yield record
+        if torn is not None and first:
+            raise torn  # nothing before it parsed: not a trace at all

@@ -13,7 +13,7 @@ from repro.sim.simulator import build_system
 
 import sys
 sys.path.insert(0, "tests")
-from conftest import small_config
+from conftest import small_config, small_dr_config
 
 
 def loaded_fabric(cycles=300):
@@ -46,6 +46,23 @@ class TestLinkLoads:
         hot_pairs = {(l.src, l.dst) for l in hot}
         assert hot_pairs <= {(0, 1), (1, 2), (2, 3)}
         assert hot[0].utilization >= hot[-1].utilization
+
+    def test_same_loads_on_both_kernels(self):
+        # the helpers read only what both kernels' networks expose (the
+        # vector kernel is what the code itself selects above 144 nodes)
+        per_backend = []
+        for backend in ("object", "vector"):
+            system = build_system(small_dr_config(), "SC", "bodytrack",
+                                  backend=backend)
+            system.run(300)
+            net = system.fabric.reply_net
+            loads = link_loads(net)
+            assert hottest_links(net, n=5) == sorted(
+                loads, key=lambda l: -l.utilization)[:5]
+            assert link_utilization_summary(net)["links"] == len(loads)
+            per_backend.append(loads)
+        assert per_backend[0] == per_backend[1]
+        assert any(load.flits for load in per_backend[0])
 
     def test_idle_network_summary(self):
         fab = NocFabric(MeshTopology(4, 4), NocConfig(), mem_nodes=())

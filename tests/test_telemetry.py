@@ -1,8 +1,8 @@
 """Tests for repro.telemetry: histograms, tracing, collector, CLI.
 
-Covers the subsystem layers (bucketed histograms, event rings and
-``RDMP`` dumps, trace sinks, metrics registry, collector/detector with
-the flight recorder), the simulator integration (bit-identical results
+Covers the subsystem layers (bucketed histograms, event rings, the
+trace writer and reader, metrics registry, collector/detector with the
+flight recorder), the simulator integration (bit-identical results
 with telemetry on vs. off, percentile accuracy against exact samples)
 and the ``python -m repro telemetry`` reader CLI, including one-line
 errors on unknown trace versions.
@@ -15,7 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.config import SystemConfig, TelemetryConfig
 from repro.config.loader import config_from_dict
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.noc.packet import MessageType, NetKind, TrafficClass
 from repro.sim.metrics import collect_counters, derive_result
 from repro.sim.simulator import build_system, run_simulation
 from repro.sweep.jobs import JobSpec
@@ -29,10 +29,7 @@ from repro.telemetry import (
     bucket_index,
     load_summary,
     merge_events,
-    pack_w0,
     read_trace,
-    unpack_w0,
-    write_dump,
 )
 from repro.telemetry.trace import JsonlTraceSink
 
@@ -136,30 +133,31 @@ class TestLogHistogram:
         assert hist.ascii() == "(empty histogram)"
 
 
-class TestTraceSinks:
-    def _events(self):
-        pkts = [
-            Packet(src=1, dst=2, mtype=MessageType.READ_REQ,
-                   cls=TrafficClass.CPU, size_flits=1, block=17, created=5),
-            Packet(src=2, dst=1, mtype=MessageType.READ_REPLY,
-                   cls=TrafficClass.GPU, size_flits=9, block=17, created=9),
-        ]
-        return [
-            ("inject", 5, pkts[0], -1),
-            ("vc_alloc", 6, pkts[0], 0),
-            ("deliver", 19, pkts[1], 10),
-        ]
+def _ring_event(cycle, pid=1, code=0, value=-1):
+    """A raw ring tuple shaped like the collector's hook appends."""
+    return (code, MessageType.READ_REQ, TrafficClass.CPU, NetKind.REQUEST,
+            1, 2, 9, cycle, pid, 0x80, value)
 
+
+class TestTraceSinks:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sink = JsonlTraceSink(str(path))
-        for ev, cycle, pkt, value in self._events():
-            sink.packet_event(ev, cycle, pkt, value=value)
+        sink.event(_ring_event(5, pid=7))
+        sink.event(_ring_event(6, pid=7, code=1, value=0))
+        sink.event((3, MessageType.READ_REPLY, TrafficClass.GPU,
+                    NetKind.REPLY, 9, 2, 1, 19, 8, 17, 10))
         sink.record({"rec": "meta", "schema": 1, "nodes": 4})
         sink.close()
         recs = list(read_trace(str(path)))
         assert recs[0]["ev"] == "inject" and recs[0]["pid"] == recs[1]["pid"]
+        assert recs[0] == {
+            "ev": "inject", "cycle": 5, "pid": 7, "src": 2, "dst": 9,
+            "block": 0x80, "mtype": "READ_REQ", "cls": "CPU",
+            "net": "request", "flits": 1,
+        }
         assert recs[2]["value"] == 10
+        assert recs[2]["net"] == "reply" and recs[2]["cls"] == "GPU"
         assert recs[3]["rec"] == "meta"
 
 
@@ -257,12 +255,6 @@ class TestCloggingDetector:
         assert opened == []
 
 
-def _ring_event(cycle, pid=1, code=0, value=-1):
-    """A raw ring tuple shaped like the collector's hook appends."""
-    return (code, MessageType.READ_REQ, TrafficClass.CPU, NetKind.REQUEST,
-            1, 2, 9, cycle, pid, 0x80, value)
-
-
 class TestEventRing:
     def test_bounded_retention(self):
         ring = EventRing(4)
@@ -292,13 +284,6 @@ class TestEventRing:
         # sees them until capacity evicts them
         assert [e[7] for e in ring.snapshot()] == [0, 1, 2]
 
-    def test_pack_round_trip_extremes(self):
-        for fields in ((0, 0, 0, 0, 0, 0, 0),
-                       (4, 17, 1, 1, 4095, 0xFFFFF, 0xFFFFF)):
-            w0 = pack_w0(*fields)
-            assert unpack_w0(w0) == fields
-            assert 0 <= w0 < (1 << 63)  # sign bit clear: safe as i64
-
     def test_merge_is_cycle_ordered_and_stable(self):
         req = [_ring_event(1, pid=1), _ring_event(5, pid=2)]
         rep = [_ring_event(1, pid=3), _ring_event(4, pid=4)]
@@ -306,43 +291,6 @@ class TestEventRing:
         assert [e[7] for e in merged] == [1, 1, 4, 5]
         # ties keep batch order: request-net before reply-net
         assert [e[8] for e in merged] == [1, 3, 4, 2]
-
-    def test_dump_round_trip_via_read_trace(self, tmp_path):
-        path = tmp_path / "ring.rdmp"
-        write_dump(path, {"nodes": 16, "dump": "clog"},
-                   [_ring_event(200, pid=42),
-                    _ring_event(210, pid=99, code=3, value=17)],
-                   schema=2)
-        recs = list(read_trace(str(path)))
-        assert recs[0]["rec"] == "meta"
-        assert recs[0]["schema"] == 2 and recs[0]["dump"] == "clog"
-        assert recs[1] == {
-            "ev": "inject", "cycle": 200, "pid": 42, "src": 2, "dst": 9,
-            "block": 0x80, "mtype": "READ_REQ", "cls": "CPU",
-            "net": "request", "flits": 1,
-        }
-        assert recs[2]["ev"] == "deliver" and recs[2]["value"] == 17
-
-    def test_dump_truncated_tail_stops_cleanly(self, tmp_path):
-        path = tmp_path / "torn.rdmp"
-        write_dump(path, {}, [_ring_event(c) for c in range(4)], schema=2)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-13])  # tear the last packed event
-        recs = list(read_trace(str(path)))
-        assert [r["cycle"] for r in recs[1:]] == [0, 1, 2]
-
-    def test_dump_bad_magic_raises(self, tmp_path):
-        from repro.telemetry import read_dump
-
-        path = tmp_path / "bad.rdmp"
-        path.write_bytes(b"XXXX not a dump")
-        # read_dump itself rejects the magic; read_trace's auto-detection
-        # would instead fall through to the JSONL reader (and its own
-        # one-line "not a readable trace" ValueError)
-        with pytest.raises(ValueError, match="bad magic"):
-            list(read_dump(str(path), max_schema=2))
-        with pytest.raises(ValueError):
-            list(read_trace(str(path)))
 
 
 class TestMetricsRegistry:
@@ -400,7 +348,7 @@ class TestIntegration:
         for rec in recs:
             k = rec.get("rec", rec.get("ev"))
             kinds[k] = kinds.get(k, 0) + 1
-        assert recs[0]["rec"] == "meta" and recs[0]["schema"] == 2
+        assert recs[0]["rec"] == "meta" and recs[0]["schema"] == 3
         assert kinds.get("win", 0) >= 5
         assert kinds.get("deliver", 0) > 0
         assert kinds.get("hist", 0) >= 2  # at least CPU+GPU reply classes
@@ -479,11 +427,11 @@ class TestFlightRecorder:
         cfg = _traced_config(tmp_path, clog_threshold=0.8,
                              clog_min_windows=2, flight_dir=str(flights))
         run_simulation(cfg, "SC", "bodytrack", cycles=1200, warmup=400)
-        dumps = sorted(flights.glob("flight-*-clog*.rdmp"))
+        dumps = sorted(flights.glob("flight-*-clog*.jsonl"))
         assert dumps, "clog episode opened but no flight dump written"
         recs = list(read_trace(str(dumps[0])))
         meta, events = recs[0], recs[1:]
-        assert meta["dump"] == "clog" and "dump_node" in meta
+        assert meta["dump"] == "clog" and "dump_nodes" in meta
         assert meta["events_retained"] == len(events) > 0
         cycles = [r["cycle"] for r in events]
         assert cycles == sorted(cycles)
@@ -521,6 +469,60 @@ class TestFlightRecorder:
                                 "cycle": 50 + i})
         assert len(tel.flight_dumps) == 8
 
+    def test_one_dump_per_probe_leaves_cap_for_a_fault(self, tmp_path):
+        # the paper's 8x8 chip under SC: several memory nodes turn hot at
+        # the same probe.  They share one dump (same rings, same cycle),
+        # so the per-run cap counts distinct event sets and a later fault
+        # still gets its lead-up recorded.
+        cfg = SystemConfig()
+        cfg.telemetry.enabled = True
+        cfg.telemetry.probe_interval = 50
+        cfg.telemetry.clog_min_windows = 1
+        cfg.telemetry.flight_dir = str(tmp_path / "fl")
+        system = build_system(cfg, "SC", "bodytrack")
+        system.run(250)
+        tel = system.telemetry
+        opened = {}
+        for path in tel.flight_dumps:
+            meta = next(read_trace(path))
+            assert meta["dump_nodes"] == sorted(meta["dump_nodes"])
+            opened[meta["dump_cycle"]] = meta["dump_nodes"]
+        # one file per probe cycle, and more nodes opened than the cap
+        assert len(opened) == len(tel.flight_dumps) < 8
+        assert sum(len(nodes) for nodes in opened.values()) >= 8
+        assert max(len(nodes) for nodes in opened.values()) > 1
+        tel.on_fault_event({"rec": "fault", "fault": "flit_drop",
+                            "cycle": 250})
+        assert any("fault-flit_drop" in p for p in tel.flight_dumps)
+
+    def test_dump_lines_are_trace_lines(self, tmp_path):
+        # a dump is written by the trace's writer: at sample_rate 1 every
+        # event line of every dump is, byte for byte, a line of the trace
+        cfg = _traced_config(tmp_path, clog_threshold=0.8,
+                             clog_min_windows=1, sample_rate=1.0,
+                             flight_dir=str(tmp_path / "fl"))
+        system = build_system(cfg, "SC", "bodytrack")
+        system.run(300)
+        system.telemetry.on_fault_event(
+            {"rec": "fault", "fault": "flit_drop", "cycle": 299})
+        system.telemetry.finalize(system.cycle)
+        with open(cfg.telemetry.trace_path) as fh:
+            trace_lines = set(fh)
+        flight_recs = [r for r in read_trace(cfg.telemetry.trace_path)
+                       if r.get("rec") == "flight"]
+        dumps = system.telemetry.flight_dumps
+        assert len(dumps) >= 2
+        assert [r["path"] for r in flight_recs] == dumps
+        for path, flight in zip(dumps, flight_recs):
+            with open(path) as fh:
+                meta, *events = fh.readlines()
+            meta = json.loads(meta)
+            assert meta["rec"] == "meta" and meta["dump"] == flight["trigger"]
+            assert meta["dump_cycle"] == flight["cycle"]
+            assert meta.get("dump_nodes", []) == flight["nodes"]
+            assert meta["events_retained"] == len(events) > 0
+            assert set(events) <= trace_lines
+
     def test_no_dir_retains_but_never_writes(self, tmp_path):
         cfg = _traced_config(tmp_path, clog_threshold=0.8,
                              clog_min_windows=2)  # flight_dir unset
@@ -530,16 +532,6 @@ class TestFlightRecorder:
 
 
 class TestReaderVersions:
-    def test_rdmp_future_schema_is_one_line_error(self, tmp_path, capsys):
-        path = tmp_path / "future.rdmp"
-        write_dump(path, {"nodes": 4}, [], schema=99)
-        with pytest.raises(ValueError, match="newer than this reader"):
-            list(read_trace(str(path)))
-        assert telemetry_main(["events", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "v99" in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_jsonl_future_schema_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "future.jsonl"
         path.write_text(json.dumps({"rec": "meta", "schema": 99}) + "\n")
@@ -551,14 +543,26 @@ class TestReaderVersions:
         assert len(err.strip().splitlines()) == 1
 
     def test_current_formats_all_read(self, tmp_path):
-        # JSONL via a traced run, RDMP via a ring dump: one read_trace
-        # tells the two apart
-        cfg = _traced_config(tmp_path)
-        run_simulation(cfg, "SC", "bodytrack", cycles=300, warmup=100)
+        # a trace and a flight dump are one format: one read_trace
+        cfg = _traced_config(tmp_path, flight_dir=str(tmp_path / "fl"))
+        system = build_system(cfg, "SC", "bodytrack")
+        system.run(100)
+        system.telemetry.on_fault_event(
+            {"rec": "fault", "fault": "flit_drop", "cycle": 99})
+        system.telemetry.finalize(system.cycle)
         assert list(read_trace(cfg.telemetry.trace_path))[0]["rec"] == "meta"
-        dump = tmp_path / "d.rdmp"
-        write_dump(dump, {}, [_ring_event(5)], schema=2)
-        assert [r["cycle"] for r in list(read_trace(str(dump)))[1:]] == [5]
+        (dump,) = system.telemetry.flight_dumps
+        recs = list(read_trace(dump))
+        assert recs[0]["rec"] == "meta" and recs[0]["schema"] == 3
+        assert len(recs) > 1 and all("ev" in r for r in recs[1:])
+
+    def test_v2_trace_still_reads(self, tmp_path):
+        path = tmp_path / "v2.jsonl"
+        sink = JsonlTraceSink(str(path))
+        sink.record({"rec": "meta", "schema": 2, "nodes": 4})
+        sink.event(_ring_event(5))
+        sink.close()
+        assert [r.get("cycle") for r in read_trace(str(path))] == [None, 5]
 
 
 class TestCli:
@@ -635,6 +639,32 @@ class TestCli:
         assert "is not a readable trace" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_torn_last_line_is_a_truncated_trace(self, tmp_path, capsys):
+        # a traced run killed mid-write: the first half of a real trace,
+        # cut inside a line, still reports what it holds
+        whole = open(self._make_trace(tmp_path)).read()
+        cut = whole.index("\n", len(whole) // 2) + 40
+        assert whole[cut - 1] != "\n" and whole[cut] != "\n"
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(whole[:cut])
+        recs = list(read_trace(str(torn)))
+        assert len(recs) == whole[:cut].count("\n")
+        summary = load_summary(str(torn))
+        assert summary.truncated
+        assert summary.events["deliver"] > 0 and summary.windows
+        assert not load_summary(self._make_trace(tmp_path)).truncated
+        assert telemetry_main(["report", str(torn)]) == 0
+        out = capsys.readouterr().out
+        assert "truncated trace" in out and "latency percentiles" in out
+        assert f"windows: {len(summary.windows)}" in out
+        # the same bad line with a good one after it is not a torn tail
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(whole[:cut] + "\n" + whole.splitlines()[1] + "\n")
+        assert telemetry_main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a readable trace" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_readers_emit_json(self, tmp_path, capsys):
         """Every reader honours the shared --format json switch."""
         import json
@@ -672,6 +702,37 @@ class TestCli:
         telemetry_main(["blame", path])
         table = capsys.readouterr().out
         assert str(top["total"]) in table
+
+    def test_hist_json_matches_table_rows(self, tmp_path, capsys):
+        path = self._make_trace(tmp_path)
+        argv = ["hist", path, "--net", "reply"]
+        telemetry_main(argv + ["--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["histograms"]
+        assert [(r["net"], r["cls"]) for r in rows] == [
+            ("reply", "CPU"), ("reply", "GPU")]
+        telemetry_main(argv)
+        heads = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("reply/")]
+        assert heads == [
+            f"{r['net']}/{r['cls']}: n={r['summary']['count']} "
+            f"mean={r['summary']['mean']} p50={r['summary']['p50']:.0f} "
+            f"p99={r['summary']['p99']:.0f}" for r in rows
+        ]
+
+    def test_events_json_matches_table_rows(self, tmp_path, capsys):
+        cfg = _traced_config(tmp_path, clog_threshold=0.8, clog_min_windows=1)
+        run_simulation(cfg, "SC", "bodytrack", cycles=600, warmup=200)
+        path = cfg.telemetry.trace_path
+        telemetry_main(["events", path, "--format", "json"])
+        episodes = json.loads(capsys.readouterr().out)["episodes"]
+        assert len(episodes) >= 2
+        telemetry_main(["events", path])
+        table = capsys.readouterr().out.splitlines()
+        assert table[0] == f"{len(episodes)} clogging episode(s)"
+        assert [tuple(line.split()[:4]) for line in table[2:]] == [
+            (str(e["node"]), str(e["start"]), str(e["end"]),
+             str(e["windows"])) for e in episodes
+        ]
 
     def test_load_summary_uses_full_histograms(self, tmp_path):
         # sampled traces still report exact percentiles: the final "hist"
