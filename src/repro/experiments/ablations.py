@@ -97,7 +97,3 @@ def run(
         text=text,
         data={"benchmarks": benchmarks},
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

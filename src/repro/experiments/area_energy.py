@@ -110,7 +110,3 @@ def run(
         text=text,
         data=summary,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

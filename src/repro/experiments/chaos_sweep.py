@@ -140,7 +140,3 @@ def run(
             "intensities": list(intensities),
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

@@ -68,7 +68,3 @@ def run(
         text=text,
         data={"mean": amean([r[1]["remote_l1_fraction"] for r in rows])},
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

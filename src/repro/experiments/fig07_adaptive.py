@@ -55,7 +55,3 @@ def run(
         rows=rows,
         text=text,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

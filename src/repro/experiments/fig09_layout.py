@@ -86,7 +86,3 @@ def run(
         text=text,
         data={"benchmarks": benchmarks},
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

@@ -67,7 +67,3 @@ def run(
             "dr_over_rp": dr_mean / rp_mean if rp_mean else 0.0,
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

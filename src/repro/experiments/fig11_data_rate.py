@@ -54,7 +54,3 @@ def run(
         text=text,
         data={"dr_mean_gain": amean([r[1]["dr_gain"] for r in rows])},
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

@@ -79,7 +79,3 @@ def run(
         text=text,
         data={"mean_ratio": amean([r[1]["dr_latency_ratio"] for r in rows])},
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

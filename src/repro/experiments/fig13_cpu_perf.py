@@ -67,7 +67,3 @@ def run(
             "clogged_mean_speedup": amean(maxima),
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

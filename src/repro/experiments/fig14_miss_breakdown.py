@@ -65,7 +65,3 @@ def run(
             "mean_remote_hit_rate": amean(hit_of_delegated),
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

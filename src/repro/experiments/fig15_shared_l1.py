@@ -72,7 +72,3 @@ def run(
             "dr_on_dyneb_rr": hmean(dyneb_dr) / hmean(dyneb) if dyneb else 0.0,
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

@@ -106,7 +106,3 @@ def run(
             "stall_cycle_ratio": stall_ratio,
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().text)

@@ -22,12 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.analysis.report import format_table
 from repro.cli import add_command, add_options, emit
-from repro.explore.objectives import OBJECTIVE_NAMES, SENSES
-from repro.explore.pareto import default_reference, hypervolume
+from repro.explore.objectives import (
+    OBJECTIVE_NAMES,
+    SENSES,
+    score_frontiers,
+    vector,
+)
+from repro.explore.pareto import ParetoFrontier
 from repro.explore.search import (
     ALGORITHMS,
     DEFAULT_BUDGET,
@@ -37,51 +42,51 @@ from repro.explore.search import (
 )
 from repro.explore.space import SPACES, demo_space
 
+_MANIFEST_KEYS = ("explore", "counts", "hypervolume", "frontier", "evaluations")
+
 
 def _load_manifest(path: str) -> Dict[str, Any]:
     with open(path) as fh:
         data = json.load(fh)
-    if "frontier" not in data or "evaluations" not in data:
+    if not all(k in data for k in _MANIFEST_KEYS):
         raise ValueError(f"{path}: not an explore manifest")
     return data
 
 
-def _frontier_rows(
-    frontier: Dict[str, Any]
-) -> List[Tuple[str, Dict[str, float]]]:
-    rows = []
-    points = sorted(
-        frontier.get("points", []),
-        key=lambda p: (
-            p["objectives"].get("cpu_latency_p95", 0.0),
-            p["config_hash"],
-        ),
+def _frontier_table(data: Dict[str, Any]) -> str:
+    """The frontier table of a manifest (``explore run`` and ``explore
+    frontier`` both print it), then the DR-dominance verdict."""
+    meta, counts = data["explore"], data["counts"]
+    title = (
+        f"{meta['space']} frontier ({meta['algo']}, seed {meta['seed']}, "
+        f"{counts['evaluated']} evaluated / {counts['simulated']} simulated, "
+        f"hv {data['hypervolume']:.4g})"
     )
-    for p in points:
-        mech = p.get("values", {}).get("mechanism", p.get("mechanism", ""))
-        mark = "*" if p.get("source") == "simulated" else ""
-        rows.append(
-            (
-                f"{mech}/{p.get('gpu', '?')}/{p['config_hash'][:8]}{mark}",
-                dict(p["objectives"]),
-            )
+    points = sorted(
+        data["frontier"]["points"],
+        key=lambda p: (p["objectives"]["cpu_latency_p95"], p["config_hash"]),
+    )
+    rows = [
+        (
+            f"{p['values'].get('mechanism', p['mechanism'])}/{p['gpu']}/"
+            f"{p['config_hash'][:8]}{'*' if p['source'] == 'simulated' else ''}",
+            dict(p["objectives"]),
         )
-    return rows
-
-
-def _manifest_vectors(data: Dict[str, Any]) -> List[Tuple[float, ...]]:
-    """Surrogate objective vectors of every evaluation in a manifest."""
-    return [
-        tuple(float(r["objectives"][n]) for n in OBJECTIVE_NAMES)
-        for r in data.get("evaluations", [])
+        for p in points
     ]
-
-
-def _frontier_vectors(data: Dict[str, Any]) -> List[Tuple[float, ...]]:
-    return [
-        tuple(float(p["objectives"][n]) for n in OBJECTIVE_NAMES)
-        for p in data["frontier"].get("points", [])
-    ]
+    out = format_table(
+        title, rows, columns=list(OBJECTIVE_NAMES), mean=None,
+        label_header="design",
+    ) + "(* = simulated ground truth)\n"
+    dom = data.get("dr_dominance")
+    if dom is not None:
+        verdict = "holds" if dom["holds"] else "does NOT hold"
+        out += (
+            f"\nDR-dominates-baseline ({', '.join(dom['objectives'])}, "
+            f"{dom['tier']}, gpu {dom['gpu']}): {verdict} "
+            f"({len(dom['dominating'])} dominating design(s))"
+        )
+    return out
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -104,31 +109,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         cache=args.cache_dir if args.cache_dir else "auto",
         progress=progress,
     )
-
-    def render() -> str:
-        lines = [outcome.table()]
-        dom = outcome.dr_dominance
-        if dom is not None:
-            verdict = "holds" if dom["holds"] else "does NOT hold"
-            lines.append(
-                f"DR-dominates-baseline ({', '.join(dom['objectives'])}, "
-                f"{dom['tier']}, gpu {dom['gpu']}): {verdict} "
-                f"({len(dom['dominating'])} dominating design(s))"
-            )
-        return "\n".join(lines)
-
-    emit(args, outcome.manifest(), render)
+    manifest = outcome.manifest()
+    emit(args, manifest, lambda: _frontier_table(manifest))
     return 0 if len(outcome.frontier) else 1
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     data = _load_manifest(args.manifest)
-    meta = data.get("explore", {})
+    meta = data["explore"]
     payload: Dict[str, Any] = {
         "manifest": args.manifest,
         "explore": meta,
-        "counts": data.get("counts", {}),
-        "hypervolume": data.get("hypervolume"),
+        "counts": data["counts"],
+        "hypervolume": data["hypervolume"],
         "dr_dominance": data.get("dr_dominance"),
         "frontier": data["frontier"],
     }
@@ -136,15 +129,20 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     if args.compare:
         other = _load_manifest(args.compare)
         # union reference so both frontiers are scored in the same box
-        vectors = _manifest_vectors(data) + _manifest_vectors(other)
-        if not vectors:
+        evaluated = [
+            vector(r["objectives"])
+            for m in (data, other) for r in m["evaluations"]
+        ]
+        if not evaluated:
             raise ValueError("manifests carry no evaluations to compare")
-        ref = default_reference(vectors, SENSES)
-        hv_a = hypervolume(_frontier_vectors(data), ref, SENSES)
-        hv_b = hypervolume(_frontier_vectors(other), ref, SENSES)
+        ref, (hv_a, hv_b) = score_frontiers(
+            evaluated,
+            [ParetoFrontier.from_dict(m["frontier"]).vectors()
+             for m in (data, other)],
+        )
         compare = {
             "other": args.compare,
-            "other_algo": other.get("explore", {}).get("algo"),
+            "other_algo": other["explore"].get("algo"),
             "reference": dict(zip(OBJECTIVE_NAMES, ref)),
             "hypervolume": round(hv_a, 6),
             "other_hypervolume": round(hv_b, 6),
@@ -155,25 +153,13 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         payload["compare"] = compare
 
     def render() -> str:
-        title = (
-            f"{meta.get('space', '?')} frontier "
-            f"({meta.get('algo', '?')}, seed {meta.get('seed', '?')}, "
-            f"hv {data.get('hypervolume')})"
-        )
-        out = format_table(
-            title,
-            _frontier_rows(data["frontier"]),
-            columns=list(OBJECTIVE_NAMES),
-            mean=None,
-            label_header="design",
-        )
-        out += "(* = simulated ground truth)\n"
+        out = _frontier_table(data)
         if compare is not None:
             out += (
                 f"\nshared-reference hypervolume: "
                 f"{compare['hypervolume']:.6g} ({meta.get('algo')}) vs "
                 f"{compare['other_hypervolume']:.6g} "
-                f"({compare['other_algo']}) -> winner: {compare['winner']}\n"
+                f"({compare['other_algo']}) -> winner: {compare['winner']}"
             )
         return out
 

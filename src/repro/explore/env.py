@@ -13,7 +13,7 @@ result cache and fills in the records' ``sim_objectives``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.explore.objectives import from_prediction
 from repro.explore.pareto import FrontierPoint
@@ -41,6 +41,11 @@ class EvalRecord:
     sim_objectives: Optional[Dict[str, float]] = None
     sim_metrics: Dict[str, float] = field(default_factory=dict)
     cached: bool = False
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        """The design's identity: ``(config_hash, gpu)``."""
+        return (self.config_hash, self.gpu)
 
     @property
     def source(self) -> str:
@@ -101,9 +106,18 @@ class ExploreEnv:
         self.space = demo_space(space) if isinstance(space, str) else space
         self.cycles = self.space.cycles if cycles is None else cycles
         self.warmup = self.space.warmup if warmup is None else warmup
+        #: every design scored so far, by key, in first-seen order: the
+        #: search's record stream
         self._memo: Dict[Tuple[str, str], EvalRecord] = {}
-        #: unique designs scored so far
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        """Unique designs scored so far."""
+        return len(self._memo)
+
+    def records(self) -> List[EvalRecord]:
+        """Every design scored so far, in first-seen order."""
+        return list(self._memo.values())
 
     # -- evaluation -------------------------------------------------------
 
@@ -154,5 +168,4 @@ class ExploreEnv:
             bottleneck=pred.bottleneck,
         )
         self._memo[key] = record
-        self.evaluations += 1
         return record

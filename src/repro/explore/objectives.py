@@ -26,7 +26,7 @@ geometry of the frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.area import delegated_replies_overhead, noc_area
 from repro.analysis.energy import (
@@ -36,6 +36,7 @@ from repro.analysis.energy import (
     energy_report,
 )
 from repro.config.system import SystemConfig
+from repro.explore.pareto import Vector, default_reference, hypervolume
 from repro.model.compose import Prediction
 from repro.sim.metrics import SimulationResult
 
@@ -63,6 +64,25 @@ OBJECTIVES: Tuple[Objective, ...] = (
 
 OBJECTIVE_NAMES: Tuple[str, ...] = tuple(o.name for o in OBJECTIVES)
 SENSES: Tuple[str, ...] = tuple(o.sense for o in OBJECTIVES)
+
+
+def vector(objectives: Mapping[str, float]) -> Tuple[float, ...]:
+    """An objective dict as a vector in :data:`OBJECTIVE_NAMES` order."""
+    return tuple(float(objectives[n]) for n in OBJECTIVE_NAMES)
+
+
+def score_frontiers(
+    evaluated: Sequence[Vector], frontiers: Sequence[Sequence[Vector]]
+) -> Tuple[Tuple[float, ...], List[float]]:
+    """Shared-reference scoring: ``(reference, hypervolume per frontier)``.
+
+    The reference point spans every evaluated vector (surrogate values,
+    which every evaluation has), so frontiers from different searches
+    over one space are scored in the same box once their evaluation
+    sets are unioned.
+    """
+    ref = default_reference(evaluated, SENSES)
+    return ref, [hypervolume(f, ref, SENSES) for f in frontiers]
 
 
 def design_area_mm2(cfg: SystemConfig) -> float:

@@ -15,7 +15,7 @@ up to four objectives).  2D closed-form cases are pinned by unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 Vector = Sequence[float]
@@ -119,6 +119,23 @@ def crowding_distance(rows: Sequence[Vector]) -> List[float]:
     return dist
 
 
+def crowded_fronts(
+    rows: Sequence[Vector], senses: Sequence[str]
+) -> List[List[Tuple[int, float]]]:
+    """NSGA-II's crowded-comparison ranking of ``rows``.
+
+    The fronts of :func:`non_dominated_sort`, best first, each as
+    ``(row index, crowding distance)`` pairs ordered most isolated first,
+    ties by index.  Environmental selection, the tournaments and the
+    simulation-promotion band all rank by it.
+    """
+    ranked = []
+    for front in non_dominated_sort(rows, senses):
+        crowd = crowding_distance([rows[i] for i in front])
+        ranked.append(sorted(zip(front, crowd), key=lambda p: (-p[1], p[0])))
+    return ranked
+
+
 def default_reference(
     rows: Sequence[Vector],
     senses: Sequence[str],
@@ -210,17 +227,7 @@ class FrontierPoint:
         return tuple(float(self.objectives[n]) for n in names)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "config_hash": self.config_hash,
-            "gpu": self.gpu,
-            "cpu": self.cpu,
-            "mechanism": self.mechanism,
-            "values": dict(self.values),
-            "objectives": dict(self.objectives),
-            "source": self.source,
-            "job_key": self.job_key,
-            "metrics": dict(self.metrics),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FrontierPoint":
@@ -238,72 +245,38 @@ class FrontierPoint:
 
 
 class ParetoFrontier:
-    """A maintained non-dominated set of :class:`FrontierPoint`.
+    """The Pareto frontier of some :class:`FrontierPoint` s.
 
-    ``insert`` keeps the set minimal: a new point is rejected if any
-    member dominates it (or ties it exactly), and evicts every member it
-    dominates.  Membership order is insertion order of the survivors, so
-    a frontier built from a deterministic evaluation stream serialises
-    identically run to run.
+    The one frontier rule: front 0 of :func:`non_dominated_sort`, minus
+    any point whose objective vector equals an earlier point's.  Members
+    keep their given order, so a frontier built from a deterministic
+    evaluation stream serialises identically run to run.
     """
 
     def __init__(
         self,
         objective_names: Sequence[str],
         senses: Sequence[str],
+        points: Sequence[FrontierPoint] = (),
     ) -> None:
         if len(objective_names) != len(senses):
             raise ValueError("one sense per objective required")
         self.objective_names = tuple(objective_names)
         self.senses = tuple(senses)
-        self._points: List[FrontierPoint] = []
-
-    # -- content ----------------------------------------------------------
+        vectors = [p.vector(self.objective_names) for p in points]
+        fronts = non_dominated_sort(vectors, self.senses)
+        seen = set()
+        self.points: List[FrontierPoint] = []
+        for i in fronts[0] if fronts else ():
+            if vectors[i] not in seen:
+                seen.add(vectors[i])
+                self.points.append(points[i])
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self):
-        return iter(self._points)
-
-    @property
-    def points(self) -> List[FrontierPoint]:
-        return list(self._points)
-
-    def insert(self, point: FrontierPoint) -> bool:
-        """Offer a point; returns True iff it joined the frontier."""
-        vec = point.vector(self.objective_names)
-        survivors: List[FrontierPoint] = []
-        for member in self._points:
-            mvec = member.vector(self.objective_names)
-            if dominates(mvec, vec, self.senses) or mvec == vec:
-                return False
-            if not dominates(vec, mvec, self.senses):
-                survivors.append(member)
-        survivors.append(point)
-        self._points = survivors
-        return True
-
-    def extend(self, points: Sequence[FrontierPoint]) -> int:
-        return sum(1 for p in points if self.insert(p))
-
-    # -- indicators -------------------------------------------------------
+        return len(self.points)
 
     def vectors(self) -> List[Tuple[float, ...]]:
-        return [p.vector(self.objective_names) for p in self._points]
-
-    def hypervolume(self, reference: Optional[Vector] = None) -> float:
-        """Hypervolume of the frontier; reference defaults to the
-        members' own nadir plus margin (pass a shared reference to
-        compare frontiers)."""
-        rows = self.vectors()
-        if not rows:
-            return 0.0
-        if reference is None:
-            reference = default_reference(rows, self.senses)
-        return hypervolume(rows, reference, self.senses)
-
-    # -- serialisation ----------------------------------------------------
+        return [p.vector(self.objective_names) for p in self.points]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -311,18 +284,14 @@ class ParetoFrontier:
                 {"name": n, "sense": s}
                 for n, s in zip(self.objective_names, self.senses)
             ],
-            "points": [p.to_dict() for p in self._points],
+            "points": [p.to_dict() for p in self.points],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ParetoFrontier":
         objs = data["objectives"]
-        front = cls(
-            [o["name"] for o in objs], [o["sense"] for o in objs]
+        return cls(
+            [o["name"] for o in objs],
+            [o["sense"] for o in objs],
+            [FrontierPoint.from_dict(p) for p in data.get("points", [])],
         )
-        # points in a serialised frontier are already mutually
-        # non-dominated; insert re-checks anyway (cheap, and tolerant of
-        # hand-edited manifests)
-        for p in data.get("points", []):
-            front.insert(FrontierPoint.from_dict(p))
-        return front

@@ -33,17 +33,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.report import format_table
 from repro.explore.env import EvalRecord, ExploreEnv
-from repro.explore.objectives import OBJECTIVE_NAMES, OBJECTIVES, SENSES, from_result
-from repro.explore.pareto import (
-    ParetoFrontier,
-    crowding_distance,
-    default_reference,
-    dominates,
-    hypervolume,
-    non_dominated_sort,
+from repro.explore.objectives import (
+    OBJECTIVE_NAMES,
+    OBJECTIVES,
+    SENSES,
+    from_result,
+    score_frontiers,
+    vector,
 )
+from repro.explore.pareto import ParetoFrontier, crowded_fronts, dominates
 from repro.explore.space import Genome, SearchSpace, demo_space
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepRunner, stall_shares
@@ -54,51 +53,31 @@ DEFAULT_POPULATION = 16
 #: ceiling on the simulated share of evaluated candidates (the hybrid
 #: screen's whole point); the acceptance gate checks <= 0.20.
 DEFAULT_SIM_FRACTION = 0.2
-
-_RecordKey = Tuple[str, str]  # (config_hash, gpu)
+#: NSGA-II variation: crossover probability per child; the per-knob
+#: mutation rate is :meth:`SearchSpace.mutate`'s default, 1/n_knobs.
+CROSSOVER_RATE = 0.9
 
 ProgressFn = Callable[[str], None]
 
 
-def _record_key(r: EvalRecord) -> _RecordKey:
-    return (r.config_hash, r.gpu)
-
-
-class _Evaluator:
-    """Orders the env's memoised evaluations into a unique stream."""
-
-    def __init__(self, env: ExploreEnv) -> None:
-        self.env = env
-        self.ordered: Dict[_RecordKey, EvalRecord] = {}
-
-    def __call__(self, genome: Genome) -> EvalRecord:
-        record = self.env.evaluate(genome)
-        self.ordered.setdefault(_record_key(record), record)
-        return record
-
-    @property
-    def count(self) -> int:
-        return len(self.ordered)
-
-    def records(self) -> List[EvalRecord]:
-        return list(self.ordered.values())
+def _frontier(records: Sequence[EvalRecord]) -> ParetoFrontier:
+    return ParetoFrontier(
+        OBJECTIVE_NAMES, SENSES, [r.frontier_point() for r in records]
+    )
 
 
 def _history_entry(
     generation: int, records: Sequence[EvalRecord]
 ) -> Dict[str, Any]:
     """Progress snapshot: surrogate-frontier hypervolume so far."""
-    vectors = [
-        tuple(r.objectives[n] for n in OBJECTIVE_NAMES) for r in records
-    ]
-    fronts = non_dominated_sort(vectors, SENSES)
-    front0 = fronts[0] if fronts else []
-    ref = default_reference(vectors, SENSES)
-    hv = hypervolume([vectors[i] for i in front0], ref, SENSES)
+    frontier = _frontier(records)
+    _, (hv,) = score_frontiers(
+        [vector(r.objectives) for r in records], [frontier.vectors()]
+    )
     return {
         "generation": generation,
         "evaluations": len(records),
-        "frontier_size": len(front0),
+        "frontier_size": len(frontier),
         "hypervolume": round(hv, 6),
     }
 
@@ -124,18 +103,16 @@ def _initial_population(
 
 
 def _rank_population(
-    genomes: Sequence[Genome], ev: _Evaluator
+    genomes: Sequence[Genome], env: ExploreEnv
 ) -> Dict[Genome, Tuple[int, float]]:
-    """Genome -> (front index, crowding distance) on surrogate objectives."""
-    vectors = [
-        tuple(ev(g).objectives[n] for n in OBJECTIVE_NAMES) for g in genomes
-    ]
-    ranks: Dict[Genome, Tuple[int, float]] = {}
-    for front_idx, front in enumerate(non_dominated_sort(vectors, SENSES)):
-        crowd = crowding_distance([vectors[i] for i in front])
-        for i, d in zip(front, crowd):
-            ranks[genomes[i]] = (front_idx, d)
-    return ranks
+    """Genome -> crowded-comparison key ``(front index, -crowding)`` on
+    surrogate objectives (lower is better)."""
+    vectors = [vector(env.evaluate(g).objectives) for g in genomes]
+    return {
+        genomes[i]: (front_idx, -d)
+        for front_idx, front in enumerate(crowded_fronts(vectors, SENSES))
+        for i, d in front
+    }
 
 
 def _tournament(
@@ -143,15 +120,10 @@ def _tournament(
     genomes: Sequence[Genome],
     ranks: Dict[Genome, Tuple[int, float]],
 ) -> Genome:
-    """Binary tournament under the crowded-comparison operator."""
+    """Binary tournament under the crowded-comparison operator (the
+    first draw wins a tie)."""
     a, b = rng.choice(genomes), rng.choice(genomes)
-    fa, da = ranks[a]
-    fb, db = ranks[b]
-    if fa != fb:
-        return a if fa < fb else b
-    if da != db:
-        return a if da > db else b
-    return a
+    return a if ranks[a] <= ranks[b] else b
 
 
 def nsga2_search(
@@ -160,43 +132,42 @@ def nsga2_search(
     budget: int = DEFAULT_BUDGET,
     population: int = DEFAULT_POPULATION,
     seed: int = 0,
-    mutation_rate: Optional[float] = None,
-    crossover_rate: float = 0.9,
 ) -> Tuple[List[EvalRecord], List[Dict[str, Any]]]:
-    """NSGA-II over the env's space until ``budget`` unique evaluations.
+    """NSGA-II over the env's space until it holds ``budget`` unique
+    evaluations.
 
-    Returns the evaluated records in first-seen order plus a
+    Returns the env's records in first-seen order plus a
     per-generation history (evaluations, frontier size, hypervolume).
     """
     rng = random.Random(seed)
     space = env.space
-    ev = _Evaluator(env)
+    evaluate = env.evaluate
 
     pop = _initial_population(space, rng, population)
     known: set = set()  # genomes evaluated within the budget
     for g in pop:
-        if ev.count >= budget:
+        if env.evaluations >= budget:
             break
-        ev(g)
+        evaluate(g)
         known.add(g)
     pop = [g for g in pop if g in known]
-    history = [_history_entry(0, ev.records())]
+    history = [_history_entry(0, env.records())]
 
     generation = 0
     stall_rounds = 0
-    while ev.count < budget and stall_rounds < 5:
+    while env.evaluations < budget and stall_rounds < 5:
         generation += 1
-        ranks = _rank_population(pop, ev)
+        ranks = _rank_population(pop, env)
         offspring: List[Genome] = []
         for _ in range(population):
             p1 = _tournament(rng, pop, ranks)
             p2 = _tournament(rng, pop, ranks)
             child = (
                 space.crossover(p1, p2, rng)
-                if rng.random() < crossover_rate
+                if rng.random() < CROSSOVER_RATE
                 else p1
             )
-            child = space.mutate(child, rng, mutation_rate)
+            child = space.mutate(child, rng)
             # walk duplicates away from already-evaluated genomes so the
             # budget is spent on novel near-frontier designs instead of
             # memo hits (bounded, so exhausted basins still terminate)
@@ -206,49 +177,40 @@ def nsga2_search(
                 tries += 1
             offspring.append(child)
 
-        before = ev.count
+        before = env.evaluations
         for g in offspring:
             if g in known:
                 continue
-            if ev.count >= budget:
+            if env.evaluations >= budget:
                 break
-            ev(g)
+            evaluate(g)
             known.add(g)
         # a whole generation of duplicates means the space (or this
         # basin) is exhausted; stop instead of spinning on the memo
-        stall_rounds = stall_rounds + 1 if ev.count == before else 0
+        stall_rounds = stall_rounds + 1 if env.evaluations == before else 0
 
         # environmental selection over parents + offspring, deduplicated
         # by decoded design so inert-gene twins can't crowd the pool;
         # offspring the budget guard skipped never joined `known` and are
         # excluded, so selection cannot trigger fresh evaluations
-        union: List[Genome] = []
-        seen_keys = set()
-        for g in list(pop) + [g for g in offspring if g in known]:
-            key = _record_key(ev(g))
-            if key not in seen_keys:
-                seen_keys.add(key)
-                union.append(g)
-        vectors = [
-            tuple(ev(g).objectives[n] for n in OBJECTIVE_NAMES)
-            for g in union
-        ]
+        first_of: Dict[Tuple[str, str], Genome] = {}
+        for g in pop + [g for g in offspring if g in known]:
+            first_of.setdefault(evaluate(g).key, g)
+        union = list(first_of.values())
+        vectors = [vector(evaluate(g).objectives) for g in union]
+        # whole fronts while they fit (in population order), then the
+        # most isolated members of the first front that does not
         next_pop: List[Genome] = []
-        for front in non_dominated_sort(vectors, SENSES):
-            if len(next_pop) + len(front) <= population:
-                next_pop.extend(union[i] for i in front)
-            else:
-                crowd = crowding_distance([vectors[i] for i in front])
-                order = sorted(
-                    range(len(front)), key=lambda j: (-crowd[j], front[j])
-                )
-                room = population - len(next_pop)
-                next_pop.extend(union[front[j]] for j in order[:room])
+        for front in crowded_fronts(vectors, SENSES):
+            room = population - len(next_pop)
+            if len(front) > room:
+                next_pop.extend(union[i] for i, _ in front[:room])
                 break
+            next_pop.extend(union[i] for i in sorted(i for i, _ in front))
         pop = next_pop
-        history.append(_history_entry(generation, ev.records()))
+        history.append(_history_entry(generation, env.records()))
 
-    return ev.records(), history
+    return env.records(), history
 
 
 def random_search(
@@ -266,23 +228,22 @@ def random_search(
     """
     rng = random.Random(seed)
     space = env.space
-    ev = _Evaluator(env)
     for g in space.reference_genomes():
-        if ev.count >= budget:
+        if env.evaluations >= budget:
             break
-        ev(g)
-    history = [_history_entry(0, ev.records())]
+        env.evaluate(g)
+    history = [_history_entry(0, env.records())]
     attempts = 0
     chunk = 0
-    while ev.count < budget and attempts < budget * 50:
+    while env.evaluations < budget and attempts < budget * 50:
         attempts += 1
-        ev(space.random_genome(rng))
-        if ev.count // population > chunk:
-            chunk = ev.count // population
-            history.append(_history_entry(chunk, ev.records()))
-    if history[-1]["evaluations"] != ev.count:
-        history.append(_history_entry(chunk + 1, ev.records()))
-    return ev.records(), history
+        env.evaluate(space.random_genome(rng))
+        if env.evaluations // population > chunk:
+            chunk = env.evaluations // population
+            history.append(_history_entry(chunk, env.records()))
+    if history[-1]["evaluations"] != env.evaluations:
+        history.append(_history_entry(chunk + 1, env.records()))
+    return env.records(), history
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +280,6 @@ class ExploreOutcome:
     def evaluated(self) -> int:
         return len(self.records)
 
-    @property
-    def screened_out(self) -> int:
-        return self.evaluated - self.simulated
-
     def manifest(self) -> Dict[str, Any]:
         return {
             "schema": "explore-v1",
@@ -340,7 +297,7 @@ class ExploreOutcome:
             "counts": {
                 "evaluated": self.evaluated,
                 "simulated": self.simulated,
-                "screened_out": self.screened_out,
+                "screened_out": self.evaluated - self.simulated,
                 "cached": self.cached,
                 "failed": self.failed,
             },
@@ -355,88 +312,40 @@ class ExploreOutcome:
             "wall_time_s": round(self.wall_time_s, 3),
         }
 
-    def table(self) -> str:
-        rows = []
-        for p in sorted(
-            self.frontier.points,
-            key=lambda p: (p.objectives["cpu_latency_p95"], p.config_hash),
-        ):
-            mech = p.values.get("mechanism", p.mechanism)
-            mark = "*" if p.source == "simulated" else ""
-            rows.append(
-                (
-                    f"{mech}/{p.gpu}/{p.config_hash[:8]}{mark}",
-                    dict(p.objectives),
-                )
-            )
-        title = (
-            f"{self.space} frontier ({self.algo}, seed {self.seed}, "
-            f"{self.evaluated} evaluated / {self.simulated} simulated, "
-            f"hv {self.hypervolume:.4g})"
-        )
-        table = format_table(
-            title,
-            rows,
-            columns=list(OBJECTIVE_NAMES),
-            mean=None,
-            label_header="design",
-        )
-        return table + "(* = simulated ground truth)\n"
-
 
 def _select_survivors(
     records: Sequence[EvalRecord],
-    anchors: Sequence[_RecordKey],
+    anchors: Sequence[Tuple[str, str]],
     max_sims: int,
 ) -> List[EvalRecord]:
     """Frontier-band selection of candidates worth cycle-level truth.
 
-    Anchors first, then the non-dominated-sort fronts of the surrogate
-    objectives, best front outward, each front ordered by crowding
-    distance so the promoted band spreads along the frontier instead of
-    clustering.
+    Anchors first, then the surrogate objectives' crowded-comparison
+    ranking, best front outward, so the promoted band spreads along the
+    frontier instead of clustering.
     """
-    chosen: List[EvalRecord] = []
-    chosen_keys = set()
-    by_key = {_record_key(r): r for r in records}
-    for key in anchors:
-        r = by_key.get(key)
-        if r is not None and key not in chosen_keys:
-            chosen_keys.add(key)
-            chosen.append(r)
-    vectors = [
-        tuple(r.objectives[n] for n in OBJECTIVE_NAMES) for r in records
-    ]
-    for front in non_dominated_sort(vectors, SENSES):
-        if len(chosen) >= max_sims:
-            break
-        crowd = crowding_distance([vectors[i] for i in front])
-        order = sorted(range(len(front)), key=lambda j: (-crowd[j], front[j]))
-        for j in order:
+    by_key = {r.key: r for r in records}
+    chosen = {key: by_key[key] for key in anchors if key in by_key}
+    vectors = [vector(r.objectives) for r in records]
+    for front in crowded_fronts(vectors, SENSES):
+        for i, _ in front:
             if len(chosen) >= max_sims:
-                break
-            r = records[front[j]]
-            key = _record_key(r)
-            if key not in chosen_keys:
-                chosen_keys.add(key)
-                chosen.append(r)
-    return chosen
+                return list(chosen.values())
+            chosen.setdefault(records[i].key, records[i])
+    return list(chosen.values())
 
 
 def _dr_dominance(
     records: Sequence[EvalRecord],
-    baseline_key: Optional[_RecordKey],
+    baseline_key: Optional[Tuple[str, str]],
     simulated_tier: bool,
 ) -> Optional[Dict[str, Any]]:
     """Does some DR design dominate the reference baseline on
     (latency p95, throughput) at the anchor's (high) injection level?"""
-    if simulated_tier:
-        pool = [r for r in records if r.sim_objectives is not None]
-    else:
-        pool = list(records)
-    base = next(
-        (r for r in pool if _record_key(r) == baseline_key), None
-    )
+    pool = [
+        r for r in records if r.sim_objectives is not None or not simulated_tier
+    ]
+    base = next((r for r in pool if r.key == baseline_key), None)
     if base is None:
         return None
     names = ("cpu_latency_p95", "throughput")
@@ -512,20 +421,12 @@ def explore(
             env, budget=budget, population=population, seed=seed
         )
 
-    surrogate_frontier = ParetoFrontier(OBJECTIVE_NAMES, SENSES)
-    surrogate_frontier.extend([r.frontier_point() for r in records])
+    surrogate_frontier = _frontier(records)
 
-    anchor_keys = [
-        _record_key(env.evaluate(g)) for g in space.reference_genomes()
-    ]
+    anchors = [env.evaluate(g) for g in space.reference_genomes()]
+    anchor_keys = [r.key for r in anchors]
     baseline_key = next(
-        (
-            _record_key(r)
-            for g in space.reference_genomes()
-            for r in [env.evaluate(g)]
-            if r.mechanism == "baseline"
-        ),
-        None,
+        (r.key for r in anchors if r.mechanism == "baseline"), None
     )
 
     simulated = cached = failed = 0
@@ -533,7 +434,7 @@ def explore(
         max_sims = max(len(anchor_keys), int(sim_fraction * len(records)))
         max_sims = min(max_sims, len(records))
         survivors = _select_survivors(records, anchor_keys, max_sims)
-        specs = {_record_key(r): env.spec(r.genome) for r in survivors}
+        specs = {r.key: env.spec(r.genome) for r in survivors}
         if progress:
             progress(
                 f"simulating {len(survivors)}/{len(records)} survivors "
@@ -545,7 +446,7 @@ def explore(
         finally:
             runner.close()
         for r in survivors:
-            spec = specs[_record_key(r)]
+            spec = specs[r.key]
             out = outcomes.get(spec.key())
             if out is None or out.result is None:
                 failed += 1
@@ -566,26 +467,14 @@ def explore(
             simulated += 1
             cached += int(r.cached)
 
+    # the simulated tier is the frontier once anything was simulated;
+    # until then (surrogate-only, or every job failed) the surrogate one
     tier = [r for r in records if r.sim_objectives is not None]
-    frontier = ParetoFrontier(OBJECTIVE_NAMES, SENSES)
-    if surrogate_only or not tier:
-        frontier.extend([r.frontier_point() for r in records])
-    else:
-        frontier.extend([r.frontier_point() for r in tier])
-
-    # the reference point spans every evaluation (surrogate values, which
-    # every record has), so frontiers from different runs over the same
-    # space can be compared after unioning their evaluation sets
-    all_vectors = [
-        tuple(r.objectives[n] for n in OBJECTIVE_NAMES) for r in records
-    ]
-    ref_vec = default_reference(all_vectors, SENSES)
-    reference = dict(zip(OBJECTIVE_NAMES, ref_vec))
-    hv = hypervolume(frontier.vectors(), ref_vec, SENSES)
-
-    dr_dom = _dr_dominance(
-        records, baseline_key, simulated_tier=bool(tier) and not surrogate_only
+    frontier = _frontier(tier) if tier else surrogate_frontier
+    ref_vec, (hv,) = score_frontiers(
+        [vector(r.objectives) for r in records], [frontier.vectors()]
     )
+    dr_dom = _dr_dominance(records, baseline_key, simulated_tier=bool(tier))
 
     return ExploreOutcome(
         space=space.name,
@@ -604,7 +493,7 @@ def explore(
         simulated=simulated,
         cached=cached,
         failed=failed,
-        reference=reference,
+        reference=dict(zip(OBJECTIVE_NAMES, ref_vec)),
         hypervolume=hv,
         dr_dominance=dr_dom,
         wall_time_s=time.perf_counter() - t0,

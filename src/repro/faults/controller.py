@@ -106,8 +106,6 @@ class FaultController:
         self._frozen: Dict[str, Set[int]] = {net.name: set() for net in nets}
         #: per-net per-directed-link [p_drop, p_corrupt]
         self._lossy: Dict[str, Dict[Tuple[int, int], List[float]]] = {}
-        #: per-net healthy next-hop tables while the link mask is dirty
-        self._detour: Dict[str, Optional[List[List[int]]]] = {}
         #: pid -> damage kind (0 drop, 1 corrupt) for in-flight packets
         self._damaged: Dict[int, int] = {}
         #: retransmit guard: (node, group, block) -> entry list
@@ -233,9 +231,9 @@ class FaultController:
         # raises PartitionedTopologyError when a destination becomes
         # unreachable — fail fast rather than silently losing traffic
         detour = degraded_route_table(net.topology, down) if down else None
-        self._detour[net.name] = detour
-        # the detours go in where the dimension-order tables were; healthy
-        # again (None), the configured dimension-order tables come back
+        # the detours go in where the dimension-order tables were, for
+        # every routing policy; healthy again (None), the configured
+        # tables (and adaptivity) come back
         net.set_route_tables(detour)
         self._wake_all(net)
 
@@ -247,19 +245,6 @@ class FaultController:
                 net.mark_router_active(router.rid)
 
     # -- hooks from the NoC hot path (gated on ``net.faults``) -----------
-
-    def route_port(self, net, rid: int, dst: int) -> int:
-        """Healthy next-hop port while the link mask is dirty, else -1.
-
-        Backs ``PhysicalNetwork.route`` under adaptive routing, which has
-        no precomputed table to swap.  Adaptivity is deliberately
-        suspended while links are down: minimal-path choice sets cannot
-        see the health mask, the BFS detour tables can.
-        """
-        tbl = self._detour.get(net.name)
-        if tbl is None:
-            return -1
-        return tbl[rid][dst]
 
     def on_link_head(self, net, rid: int, oport: int, pkt: Packet) -> None:
         """Sample loss for ``pkt``'s head flit crossing ``(rid, oport)``."""

@@ -106,9 +106,11 @@ class PhysicalNetwork:
         on one ``detour`` table (``table[rid][dst] -> port``) for both.
 
         ``_dor_tables[pkt.net][rid][dst]`` is the port the escape-VC check
-        always uses.  When the configured policy is deterministic (CDR)
-        the same tables back ``route`` directly, turning the per-flit
-        topology walk into two list lookups.
+        always uses.  When the configured policy is deterministic (CDR),
+        or links are down, the same tables back ``route`` directly,
+        turning the per-flit topology walk into two list lookups; an
+        adaptive policy is suspended while a detour is installed, since
+        its minimal-path choice sets cannot see the health mask.
         """
         if detour is None:
             topo, cfg = self.topology, self.cfg
@@ -116,9 +118,11 @@ class PhysicalNetwork:
                 topo.dor_ports(cfg.request_order),
                 topo.dor_ports(cfg.reply_order),
             )
+            adaptive = self.routing.adaptive
         else:
             self._dor_tables = (detour, detour)
-        self._det_tables = None if self.routing.adaptive else self._dor_tables
+            adaptive = False
+        self._det_tables = None if adaptive else self._dor_tables
 
     # -- hooks used by routers -----------------------------------------
 
@@ -129,14 +133,6 @@ class PhysicalNetwork:
             return tables[pkt.net][router.rid][pkt.dst]
         if pkt.dst == router.rid:
             return LOCAL_PORT
-        fa = self.faults
-        if fa is not None:
-            # links are down: adaptivity is suspended in favour of the
-            # fault-aware detour tables (minimal-path choice sets cannot
-            # see the health mask)
-            port = fa.route_port(self, router.rid, pkt.dst)
-            if port >= 0:
-                return port
         nxt = self.routing.next_hop(self, router.rid, pkt)
         return self._port_of[router.rid][nxt]
 

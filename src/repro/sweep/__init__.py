@@ -19,7 +19,6 @@ from repro.sweep.cache import (
 from repro.sweep.jobs import (
     CODE_VERSION,
     JobSpec,
-    code_salt,
     dedupe,
     mechanism_jobs,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ResultCache",
     "SweepError",
     "SweepRunner",
-    "code_salt",
     "dedupe",
     "default_cache_dir",
     "default_jobs",

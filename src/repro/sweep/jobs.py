@@ -66,11 +66,6 @@ from repro.workloads.mixes import TABLE_II
 CODE_VERSION = "sweep-v7"
 
 
-def code_salt() -> str:
-    """The cache-key salt (``REPRO_SWEEP_SALT`` overrides the built-in)."""
-    return os.environ.get("REPRO_SWEEP_SALT", CODE_VERSION)
-
-
 def _canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -149,7 +144,7 @@ class JobSpec:
         cache entry and a traced spec never aliases its untraced twin.
         """
         fields = {
-            "salt": code_salt(),
+            "salt": CODE_VERSION,
             "config": canonical_config(json.loads(self.config_json)),
             "gpu": self.gpu,
             "cpu": self.cpu,

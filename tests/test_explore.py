@@ -14,6 +14,7 @@ from repro.explore.objectives import OBJECTIVE_NAMES, SENSES, from_prediction
 from repro.explore.pareto import (
     FrontierPoint,
     ParetoFrontier,
+    crowded_fronts,
     crowding_distance,
     default_reference,
     dominates,
@@ -86,6 +87,14 @@ class TestCrowding:
         ]
 
 
+    def test_crowded_fronts_rank_isolated_first(self):
+        rows = [(1.0, 4.0), (2.0, 2.5), (2.2, 2.2), (4.0, 1.0), (5.0, 5.0)]
+        fronts = crowded_fronts(rows, ("min", "min"))
+        # boundaries (inf) by index, then row 2 (crowding 1.17) before
+        # row 1 (1.0); the dominated row is front 1
+        assert [[i for i, _ in f] for f in fronts] == [[0, 3, 2, 1], [4]]
+
+
 class TestHypervolume:
     def test_closed_form_2d(self):
         # min/min: one point at (1, 1) under reference (3, 3) covers 2x2
@@ -137,27 +146,30 @@ class TestParetoFrontier:
         # trailing objectives held constant so 2D intuition applies
         return (a, b, 1.0, 1.0)
 
-    def test_insert_and_evict(self):
-        f = ParetoFrontier(OBJECTIVE_NAMES, SENSES)
-        assert f.insert(self._point(0, self._vec(5.0, 5.0)))
-        # dominated candidate rejected (higher latency, lower throughput)
-        assert not f.insert(self._point(1, self._vec(6.0, 4.0)))
-        assert len(f) == 1
-        # dominating candidate evicts the incumbent
-        assert f.insert(self._point(2, self._vec(4.0, 6.0)))
-        assert len(f) == 1
-        assert f.points[0].config_hash == "h2"
+    def _frontier(self, *vecs):
+        points = [self._point(i, v) for i, v in enumerate(vecs)]
+        return ParetoFrontier(OBJECTIVE_NAMES, SENSES, points)
+
+    def test_dominated_points_are_not_members(self):
+        # h1 is dominated by h0 (higher latency, lower throughput); h2
+        # dominates h0, wherever it sits in the stream
+        f = self._frontier(self._vec(5.0, 5.0), self._vec(6.0, 4.0),
+                           self._vec(4.0, 6.0))
+        assert [p.config_hash for p in f.points] == ["h2"]
 
     def test_incomparable_coexist(self):
-        f = ParetoFrontier(OBJECTIVE_NAMES, SENSES)
-        f.insert(self._point(0, self._vec(1.0, 1.0)))
-        f.insert(self._point(1, self._vec(2.0, 2.0)))
+        f = self._frontier(self._vec(1.0, 1.0), self._vec(2.0, 2.0))
         assert len(f) == 2
 
+    def test_equal_vector_is_one_member(self):
+        # a design whose vector equals a member's is not a second member;
+        # the first one in the stream stays
+        f = self._frontier(self._vec(1.0, 1.0), self._vec(2.0, 2.0),
+                           self._vec(1.0, 1.0))
+        assert [p.config_hash for p in f.points] == ["h0", "h1"]
+
     def test_round_trip(self):
-        f = ParetoFrontier(OBJECTIVE_NAMES, SENSES)
-        f.insert(self._point(0, self._vec(1.0, 1.0)))
-        f.insert(self._point(1, self._vec(2.0, 2.0)))
+        f = self._frontier(self._vec(1.0, 1.0), self._vec(2.0, 2.0))
         clone = ParetoFrontier.from_dict(f.to_dict())
         assert clone.to_dict() == f.to_dict()
 
@@ -273,6 +285,15 @@ class TestSearchPolicies:
             for g in space.reference_genomes()
         }
         assert anchor_hashes <= {r.config_hash for r in records}
+
+
+    def test_history_frontier_is_the_manifest_frontier(self):
+        # one frontier rule; this run evaluates designs whose vectors
+        # equal a frontier member's
+        data = explore("mesh4x4", budget=32, population=12, seed=0,
+                       surrogate_only=True).manifest()
+        assert (data["history"][-1]["frontier_size"]
+                == len(data["surrogate_frontier"]["points"]))
 
 
 class TestDeterminism:
@@ -412,6 +433,20 @@ class TestExploreCli:
         cmp = payload["compare"]
         assert cmp["winner"] in (str(nsga2), str(rnd), "tie")
         assert cmp["hypervolume"] >= 0 and cmp["other_hypervolume"] >= 0
+
+    def test_run_and_frontier_print_one_table(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        rc = main([
+            "explore", "run", "--space", "mesh4x4", "--surrogate-only",
+            "--budget", "14", "--population", "6", "--seed", "3",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        printed_by_run = capsys.readouterr().out
+        assert main(["explore", "frontier", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert "DR-dominates-baseline" in table
+        assert printed_by_run == table + f"wrote {out}\n"
 
     def test_frontier_rejects_non_manifest(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"

@@ -34,7 +34,7 @@ from repro.sweep import (
     mechanism_jobs,
     run_sweep,
 )
-from repro.sweep.jobs import code_salt, job
+from repro.sweep.jobs import job
 from repro.sweep.runner import simulate_job, stall_shares
 
 TINY = dict(cycles=200, warmup=120)
@@ -75,10 +75,10 @@ class TestJobSpec:
     def test_salt_invalidates_keys(self, monkeypatch, tmp_path):
         # a key written under an older code version is a clean miss under
         # the current one, not an error
-        monkeypatch.setenv("REPRO_SWEEP_SALT", "sweep-v5")
-        stale_key = tiny_spec().key()
-        monkeypatch.delenv("REPRO_SWEEP_SALT")
-        assert code_salt() != "sweep-v5"
+        with monkeypatch.context() as m:
+            m.setattr(repro.sweep.jobs, "CODE_VERSION", "sweep-v5")
+            stale_key = tiny_spec().key()
+        assert repro.sweep.jobs.CODE_VERSION != "sweep-v5"
         assert tiny_spec().key() != stale_key
         assert ResultCache(tmp_path).get(tiny_spec().key()) is None
 
