@@ -1,59 +1,60 @@
-"""Shared helpers for the per-figure benchmark harness.
+"""The paper-claims loop: ``pytest benchmarks/ --benchmark-only``.
 
-Each ``test_figNN_*`` target regenerates one paper figure/table via
-``pytest benchmarks/ --benchmark-only``.  The rendered tables are written
-to ``benchmarks/results/`` (they are the data behind EXPERIMENTS.md) and
-basic shape assertions check the paper's qualitative conclusions — who
-wins, in which direction — rather than absolute numbers.
-
-Environment knobs:
-
-* ``REPRO_CYCLES`` / ``REPRO_WARMUP``: measured/warmup window per run
-  (defaults 3000/2000).
-* ``REPRO_BENCH_SUBSET``: number of GPU benchmarks for the heavier
-  multi-configuration studies (default varies per figure; the
-  mechanism-comparison figures always use all 11).
-* ``REPRO_MIXES``: CPU co-runners per GPU benchmark in the mechanism
-  sweep (default 2; the paper uses 3).
-
-Per-figure pytest-benchmark times depend on test order: the figure
-modules share one per-process result memo, so the first figure to need a
-spec (e.g. the unmodified 8x8 baseline) pays for its simulation and later
-ones get it for free.  Compare whole-suite wall time, or run one figure
-per process.
+``test_claims.py`` runs each figure that has rows in
+:data:`repro.experiments.claims.CLAIMS` once, as ``module.run()`` (the
+specs ``python -m repro experiment NAME`` runs under the same
+environment), writes its table to ``results/<figure>.txt`` and judges
+every row; the verdicts, the ``REPRO_*`` settings, the code version and
+per-figure wall seconds go to ``results/claims.json``, which
+EXPERIMENTS.md's ledger is rendered from.  ``REPRO_CYCLES`` /
+``REPRO_WARMUP`` set the windows (3000/2000), ``REPRO_BENCH_SUBSET`` the
+GPU benchmarks of a multi-configuration study (3-6 by figure; the
+mechanism figures run all 11), ``REPRO_MIXES`` the co-runners per GPU
+benchmark (2), ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_CACHE`` the workers
+and the result cache.  Figures share one per-process result memo, so a
+figure's wall time depends on test order; compare whole-suite times.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import ALL_EXPERIMENTS
+from repro.sweep.jobs import CODE_VERSION
+
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: CPU co-runners per GPU benchmark in the shared mechanism sweep
-MIXES = int(os.environ.get("REPRO_MIXES", "2"))
+CLAIMS_JSON = RESULTS_DIR / "claims.json"
 
 
-def subset(default: int) -> int:
-    return int(os.environ.get("REPRO_BENCH_SUBSET", str(default)))
+def run_settings() -> dict:
+    """The ``REPRO_*`` environment (a cache path only as "set")."""
+    return {k: "set" if k == "REPRO_SWEEP_CACHE" else v
+            for k, v in os.environ.items() if k.startswith("REPRO_") and v}
 
 
-def record(result) -> None:
-    """Persist an experiment's rendered table and echo it to the log."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{result.name}.txt"
-    path.write_text(result.text)
-    print()
-    print(result.text)
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def _run(fn):
-        return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-    return _run
+@pytest.fixture(scope="session")
+def ledger():
+    """``{figure: {"wall_s", "rows"}}`` of this session, merged at the end
+    into ``claims.json`` when that was written under the same settings and
+    code version, replacing it otherwise."""
+    figures = {}
+    yield figures
+    if not figures:
+        return
+    doc = {"code_version": CODE_VERSION, "settings": run_settings(),
+           "figures": {}}
+    if CLAIMS_JSON.exists():
+        old = json.loads(CLAIMS_JSON.read_text(encoding="utf-8"))
+        if (old["code_version"], old["settings"]) == \
+                (doc["code_version"], doc["settings"]):
+            doc["figures"] = old["figures"]
+    doc["figures"].update(figures)
+    order = [m.__name__.rsplit(".", 1)[-1] for m in ALL_EXPERIMENTS]
+    doc["figures"] = dict(sorted(doc["figures"].items(),
+                                 key=lambda item: order.index(item[0])))
+    CLAIMS_JSON.write_text(json.dumps(doc, indent=1, ensure_ascii=False)
+                           + "\n", encoding="utf-8")

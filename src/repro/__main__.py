@@ -4,7 +4,8 @@ Commands:
 
 * ``list``                     — benchmarks, mixes and experiments
 * ``run --gpu GPU``            — simulate one workload mix
-* ``experiment NAME``          — regenerate one paper figure/table
+* ``experiment NAME``          — regenerate one paper figure/table and
+  judge it against its rows of :mod:`repro.experiments.claims`
 * ``area``                     — print the area model's numbers
 
 and one group per subsystem, each registered by the ``cli`` module beside
@@ -110,6 +111,10 @@ def _cmd_experiment(args) -> int:
         kwargs["benchmarks"] = args.benchmarks.split(",")
     result = module.run(**kwargs)
     print(result.text)
+    from repro.experiments.claims import judge
+
+    for verdict in judge(result):
+        print(verdict)
     return 0
 
 

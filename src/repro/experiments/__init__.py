@@ -1,7 +1,9 @@
 """Per-figure experiment modules regenerating the paper's evaluation.
 
 Each module exposes ``run(...) -> ExperimentResult``;
-``ALL_EXPERIMENTS`` lists them in figure order.
+``ALL_EXPERIMENTS`` lists them in figure order, and
+:mod:`repro.experiments.claims` holds the paper's claims their results
+are judged by.
 """
 
 from repro.experiments.common import (

@@ -131,7 +131,6 @@ def run(
     text += verdict + "\n"
     return ExperimentResult(
         name="chaos_sweep",
-        description="graceful degradation under injected link faults",
         rows=rows,
         text=text,
         data={

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from repro.config.system import MECHANISMS, SystemConfig
 from repro.sim.metrics import SimulationResult
 from repro.sweep import JobSpec, mechanism_jobs, run_sweep
-from repro.sweep.jobs import job
+from repro.sweep.jobs import default_mixes, job
 
 
 @dataclass
@@ -32,13 +32,9 @@ class ExperimentResult:
     """Output of one experiment: rows, a rendered table and raw data."""
 
     name: str
-    description: str
     rows: List[Tuple[str, Mapping[str, float]]]
     text: str
     data: Dict = field(default_factory=dict)
-
-    def column(self, name: str) -> List[float]:
-        return [r[1][name] for r in self.rows if name in r[1]]
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text
@@ -124,7 +120,7 @@ def dr_over_baseline(
 
 def mechanism_sweep(
     benchmarks: Sequence[str],
-    n_mixes: int = 1,
+    n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
     mechanisms: Sequence[str] = MECHANISMS,
@@ -134,9 +130,12 @@ def mechanism_sweep(
 
     The sweep behind Figures 10-14 and the energy study, keyed
     ``(gpu, cpu, mechanism)``; a view over :func:`simulate`'s memo, so
-    those figures share one set of simulations.
+    those figures share one set of simulations (``n_mixes`` defaults to
+    :func:`repro.sweep.jobs.default_mixes`, as theirs does).
     """
-    specs = mechanism_jobs(benchmarks, n_mixes, cycles, warmup, mechanisms)
+    specs = mechanism_jobs(
+        benchmarks, n_mixes or default_mixes(), cycles, warmup, mechanisms
+    )
     return simulate({spec.label: spec for spec in specs}, jobs=jobs)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table, hmean
 from repro.config import SystemConfig, Topology, baseline_config
 from repro.experiments.common import ExperimentResult, simulate_configs
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 TOPOLOGIES = (
     Topology.MESH,
@@ -45,7 +45,7 @@ def run(
     bandwidths: Sequence[float] = (1.0, 2.0),
 ) -> ExperimentResult:
     """Regenerate Fig. 5a (HM GPU perf vs mesh-1x) and Fig. 5b (blocking)."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    benchmarks = list(benchmarks or figure_benchmarks(5))
     raw = simulate_configs(
         design_points(bandwidths), benchmarks, cycles, warmup
     )
@@ -74,15 +74,13 @@ def run(
                 )
             )
     text = format_table(
-        "Fig. 5: topology & bandwidth vs mesh-1x "
-        "(paper: topology ~flat, 2x bandwidth helps; blocking 0.72-0.79)",
+        "Fig. 5: topology & bandwidth vs mesh-1x",
         rows,
         mean=None,
         label_header="config",
     )
     return ExperimentResult(
         name="fig05_topology",
-        description="Topology change vs bandwidth overprovisioning",
         rows=rows,
         text=text,
         data={"benchmarks": benchmarks},

@@ -1,10 +1,10 @@
 """Figure 6: Asymmetric VC Partitioning (AVCP) [33] — Section III-B.
 
 AVCP shares one physical network between requests and replies and gives
-reply traffic more VCs.  The paper finds it ineffective (best case +3%,
-HM flat; BP *loses* because it is write-heavy and stresses the virtual
-request network): flits still serialise on the same physical links, so VC
-allocation cannot raise the clogged links' bandwidth.
+reply traffic more VCs.  The paper finds it ineffective, and harmful to
+write-heavy benchmarks that stress the virtual request network: flits
+still serialise on the same physical links, so VC allocation cannot raise
+the clogged links' bandwidth.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.config import baseline_config
 from repro.experiments.common import ExperimentResult, simulate_configs
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 #: (request VCs, reply VCs) splits over one shared physical network with
 #: the baseline's aggregate 4 VCs.  "2+2" is the symmetric reference;
@@ -28,7 +28,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 6: AVCP GPU performance vs the baseline."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    benchmarks = list(benchmarks or figure_benchmarks(6))
     configs = {"base": baseline_config()}
     for req_vcs, rep_vcs in VC_SPLITS:
         cfg = configs[(req_vcs, rep_vcs)] = baseline_config()
@@ -54,15 +54,13 @@ def run(
             values["avcp_vs_symmetric"] = values["1req+3rep"] / shared_sym
         rows.append((gpu, values))
     text = format_table(
-        "Fig. 6: AVCP (shared physical net, asymmetric VCs) vs baseline "
-        "(paper: best case +3%, HM flat, BP hurt by reply-heavy splits)",
+        "Fig. 6: AVCP (shared physical net, asymmetric VCs) vs baseline",
         rows,
         mean="hmean",
         label_header="benchmark",
     )
     return ExperimentResult(
         name="fig06_avcp",
-        description="Asymmetric VC partitioning is ineffective",
         rows=rows,
         text=text,
     )

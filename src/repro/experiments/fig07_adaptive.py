@@ -2,9 +2,8 @@
 
 DyXY [45], Footprint [22] and HARE [37] route around *unbalanced*
 congestion — but the request network has none, and in the reply network
-every path from a memory node is equally clogged.  The adaptive schemes
-therefore pay their overheads without any benefit and the paper measures a
-small slowdown versus CDR.
+every path from a memory node is equally clogged, so the adaptive schemes
+pay their overheads for nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.config import RoutingPolicy, baseline_config
 from repro.experiments.common import ExperimentResult, simulate_configs
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 ADAPTIVE_POLICIES = (
     RoutingPolicy.DYXY,
@@ -29,7 +28,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 7: adaptive-routing GPU perf normalised to CDR."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    benchmarks = list(benchmarks or figure_benchmarks(5))
     configs = {"cdr": baseline_config()}
     for policy in ADAPTIVE_POLICIES:
         configs[policy] = baseline_config()
@@ -43,15 +42,13 @@ def run(
         }
         rows.append((gpu, values))
     text = format_table(
-        "Fig. 7: adaptive routing vs CDR baseline "
-        "(paper: adaptive routing does not help, slightly hurts)",
+        "Fig. 7: adaptive routing vs CDR baseline",
         rows,
         mean="hmean",
         label_header="benchmark",
     )
     return ExperimentResult(
         name="fig07_adaptive",
-        description="Adaptive routing is ineffective against clogging",
         rows=rows,
         text=text,
     )

@@ -1,11 +1,8 @@
 """Figure 9: chip layout and routing-policy study (Section V).
 
 Compares the four layouts of Figure 1 under their candidate CDR dimension
-orders, normalised to Baseline YX-XY.  The paper's conclusions: the
-baseline layout (memory column between CPUs and GPUs, YX requests / XY
-replies) is the only one that provides both good CPU and GPU performance;
-Layout B needs XY-YX to avoid memory-row congestion; Layout C favours
-CPUs; Layout D favours GPUs.
+orders, normalised to Baseline YX-XY (memory column between CPUs and
+GPUs, YX requests / XY replies).
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.report import amean, format_table
 from repro.config import DimensionOrder, Layout, baseline_config
 from repro.experiments.common import ExperimentResult, simulate_configs
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 #: (layout, request order, reply order) configurations of Fig. 9
 CONFIGS: Tuple[Tuple[Layout, DimensionOrder, DimensionOrder], ...] = (
@@ -46,7 +43,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 9: average GPU and CPU perf per layout/routing."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=4))
+    benchmarks = list(benchmarks or figure_benchmarks(4))
     configs = {}
     for point in CONFIGS:
         layout, req, rep = point
@@ -72,16 +69,13 @@ def run(
             )
         )
     text = format_table(
-        "Fig. 9: layout & routing, normalised to Baseline YX-XY "
-        "(paper: Baseline best overall; B needs XY-YX; C favours CPUs; "
-        "D favours GPUs)",
+        "Fig. 9: layout & routing, normalised to Baseline YX-XY",
         rows,
         mean=None,
         label_header="layout-routing",
     )
     return ExperimentResult(
         name="fig09_layout",
-        description="Chip layout / routing policy study",
         rows=rows,
         text=text,
         data={"benchmarks": benchmarks},

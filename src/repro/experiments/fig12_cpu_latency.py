@@ -2,9 +2,9 @@
 
 Delegation drains the memory nodes' reply injection buffers, so CPU
 requests stop queueing behind blocked GPU replies and CPU packets see much
-lower round-trip latencies.  Paper: -44.2% on average, up to -59.7%
-(dedup).  Rows are grouped by CPU benchmark (the paper's x-axis); whiskers
-come from the GPU workloads each CPU benchmark co-runs with.
+lower round-trip latencies.  Rows are grouped by CPU benchmark (the
+paper's x-axis); whiskers come from the GPU workloads each CPU benchmark
+co-runs with.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
 
 
 def _by_cpu(
@@ -30,12 +30,13 @@ def _by_cpu(
 
 def run(
     benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: int = 3,
+    n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 12: normalised CPU packet latency per CPU bench."""
     benchmarks = list(benchmarks or default_benchmarks())
+    n_mixes = n_mixes or default_mixes()
     sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
     rows: List[Tuple[str, dict]] = []
     for cpu, gpus in sorted(_by_cpu(benchmarks, n_mixes).items()):
@@ -66,15 +67,13 @@ def run(
             cells["dr_p99_ratio"] = amean(p99_ratios)
         rows.append((cpu, cells))
     text = format_table(
-        "Fig. 12: CPU network latency, DR / baseline "
-        "(paper: 0.558 avg, down to 0.403)",
+        "Fig. 12: CPU network latency, DR / baseline",
         rows,
         mean="amean",
         label_header="cpu bench",
     )
     return ExperimentResult(
         name="fig12_cpu_latency",
-        description="CPU packet latency reduction under Delegated Replies",
         rows=rows,
         text=text,
         data={"mean_ratio": amean([r[1]["dr_latency_ratio"] for r in rows])},

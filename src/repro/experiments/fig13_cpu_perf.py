@@ -1,10 +1,9 @@
 """Figure 13: CPU performance improvement under Delegated Replies.
 
 Lower CPU network latency turns into CPU IPC gains whose size depends on
-the benchmark's latency sensitivity (vips gains most, dedup least) and on
-how badly the co-running GPU workload clogs the memory nodes.  Paper:
-+3.8% on average across everything, +8.8% (up to +19.8%) across the
-clogged workloads — the whisker maxima.
+the benchmark's latency sensitivity and on how badly the co-running GPU
+workload clogs the memory nodes; the clogged workloads are the whisker
+maxima.
 """
 
 from __future__ import annotations
@@ -14,17 +13,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
 
 
 def run(
     benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: int = 3,
+    n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 13: CPU speedup (DR / baseline) per CPU benchmark."""
     benchmarks = list(benchmarks or default_benchmarks())
+    n_mixes = n_mixes or default_mixes()
     sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
     groups: Dict[str, List[float]] = defaultdict(list)
     rp_groups: Dict[str, List[float]] = defaultdict(list)
@@ -51,15 +51,13 @@ def run(
         )
     maxima = [r[1]["max"] for r in rows]
     text = format_table(
-        "Fig. 13: CPU speedup, DR / baseline per CPU benchmark "
-        "(paper: +3.8% avg, +8.8% on clogged workloads, max +19.8%)",
+        "Fig. 13: CPU speedup, DR / baseline per CPU benchmark",
         rows,
         mean="amean",
         label_header="cpu bench",
     )
     return ExperimentResult(
         name="fig13_cpu_perf",
-        description="CPU performance improvement under Delegated Replies",
         rows=rows,
         text=text,
         data={

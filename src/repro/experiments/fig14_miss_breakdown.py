@@ -3,9 +3,7 @@
 Splits GPU L1 misses into (i) served directly by the memory node ("LLC"),
 (ii) delegated and served by a remote L1 (remote hit, including delayed
 hits on outstanding lines), and (iii) delegated but missing remotely
-(remote miss — re-sent to the LLC with the DNF bit).  Paper: 54.8% of
-misses delegated, 74.4% of those remote hits; 3DCON/BT/LPS show a fair
-number of remote misses.
+(remote miss — re-sent to the LLC with the DNF bit).
 """
 
 from __future__ import annotations
@@ -14,18 +12,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import amean, format_table
 from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks
+from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
 
 
 def run(
     benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: int = 1,
+    n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 14 from the Delegated Replies runs."""
     benchmarks = list(benchmarks or default_benchmarks())
-    sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
+    sweep = mechanism_sweep(
+        benchmarks, n_mixes or default_mixes(), cycles, warmup
+    )
     rows: List[Tuple[str, dict]] = []
     for gpu in benchmarks:
         cpu = cpu_corunners(gpu, 1)[0]
@@ -49,15 +49,13 @@ def run(
         for r, d in zip(rows, delegated)
     ]
     text = format_table(
-        "Fig. 14: L1 miss breakdown under DR "
-        "(paper: 54.8% delegated; 74.4% of delegated are remote hits)",
+        "Fig. 14: L1 miss breakdown under DR",
         rows,
         mean="amean",
         label_header="benchmark",
     )
     return ExperimentResult(
         name="fig14_miss_breakdown",
-        description="L1 miss breakdown (LLC / remote hit / remote miss)",
         rows=rows,
         text=text,
         data={

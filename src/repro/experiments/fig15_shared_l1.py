@@ -2,10 +2,8 @@
 
 Evaluates the shared-L1 schemes DC-L1 [30] and DynEB [29] under both
 round-robin and distributed CTA scheduling, then stacks Delegated Replies
-on DynEB.  Paper: DynEB consistently helps, DC-L1 helps or hurts (NN and
-2DCON suffer slice serialisation); locality optimisations do not remove
-NoC clogging, so DR still adds +23.5% (round-robin) / +9.9% (distributed)
-on top of DynEB.
+on DynEB: locality optimisations do not remove NoC clogging, so DR still
+has the memory nodes' reply links to relieve.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.config import (
     delegated_replies_config,
 )
 from repro.experiments.common import ExperimentResult, simulate_configs
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 #: evaluated configurations: (label, l1 organisation, CTA policy, DR?)
 CONFIGS = (
@@ -39,7 +37,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 15, normalised to the private-L1 round-robin base."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=5))
+    benchmarks = list(benchmarks or figure_benchmarks(5))
     configs = {"private-rr": baseline_config()}
     for label, org, cta, use_dr in CONFIGS:
         cfg = delegated_replies_config() if use_dr else baseline_config()
@@ -55,8 +53,7 @@ def run(
         }
         rows.append((gpu, values))
     text = format_table(
-        "Fig. 15: shared L1 schemes & CTA scheduling, vs private-RR "
-        "(paper: DynEB consistent, DC-L1 mixed, DR adds on top)",
+        "Fig. 15: shared L1 schemes & CTA scheduling, vs private-RR",
         rows,
         mean="hmean",
         label_header="benchmark",
@@ -65,7 +62,6 @@ def run(
     dyneb_dr = [r[1]["dyneb+dr-rr"] for r in rows]
     return ExperimentResult(
         name="fig15_shared_l1",
-        description="DR on top of inter-core locality optimisations",
         rows=rows,
         text=text,
         data={

@@ -2,8 +2,7 @@
 
 Each topology is its own baseline; DR's gain barely changes because the
 clogged resource — the memory node's single reply injection link — exists
-in every topology.  Paper: +21.9% (flattened butterfly), +23.9%
-(Dragonfly), +28.3% (crossbar), +25.8% (mesh).
+in every topology.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.config import (
     delegated_replies_config,
 )
 from repro.experiments.common import ExperimentResult, dr_over_baseline
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 from repro.experiments.fig05_topology import TOPOLOGIES
 
 
@@ -42,7 +41,7 @@ def run(
     topologies: Sequence[Topology] = TOPOLOGIES,
 ) -> ExperimentResult:
     """Regenerate Fig. 16: DR speedup per topology (vs that topology)."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=4))
+    benchmarks = list(benchmarks or figure_benchmarks(4))
     runs = dr_over_baseline(
         design_points(topologies), benchmarks, cycles, warmup
     )
@@ -60,15 +59,13 @@ def run(
             )
         )
     text = format_table(
-        "Fig. 16: DR GPU speedup per topology "
-        "(paper: mesh 1.258, fbfly 1.219, dragonfly 1.239, crossbar 1.283)",
+        "Fig. 16: DR GPU speedup per topology",
         rows,
         mean=None,
         label_header="topology",
     )
     return ExperimentResult(
         name="fig16_topology_dr",
-        description="Delegated Replies is topology-insensitive",
         rows=rows,
         text=text,
     )

@@ -1,9 +1,8 @@
 """Figures 17 & 18: Delegated Replies across chip layouts (Section VII).
 
 Each layout (with its recommended routing orders) is its own baseline.
-Paper: GPU speedups are uniform (+25.8/25.3/29.0/27.0% for Baseline, B, C,
-D) while CPU speedups grow with CPU-GPU interference (+3.8/13.4/2.2/20.9%)
-— priority for CPU traffic matters more when layouts B and D mix the two.
+Priority for CPU traffic matters more where a layout mixes CPU and GPU
+traffic (B and D), so that is where DR's CPU gain should show.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.report import amean, format_table
 from repro.config import Layout, baseline_config, delegated_replies_config
 from repro.experiments.common import ExperimentResult, dr_over_baseline
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 from repro.sim.layout import apply_default_orders
 
 LAYOUTS = (Layout.BASELINE, Layout.EDGE, Layout.CLUSTERED, Layout.DISTRIBUTED)
@@ -25,7 +24,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Figs. 17-18: per-layout DR speedup for GPU and CPU."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=4))
+    benchmarks = list(benchmarks or figure_benchmarks(4))
     pairs = {
         layout.value: (
             apply_default_orders(baseline_config(layout=layout)),
@@ -51,15 +50,13 @@ def run(
             )
         )
     text = format_table(
-        "Figs. 17-18: DR speedup per chip layout "
-        "(paper GPU: 1.258/1.253/1.290/1.270; CPU: 1.038/1.134/1.022/1.209)",
+        "Figs. 17-18: DR speedup per chip layout",
         rows,
         mean=None,
         label_header="layout",
     )
     return ExperimentResult(
         name="fig17_layout_dr",
-        description="Delegated Replies across chip layouts (GPU & CPU)",
         rows=rows,
         text=text,
     )

@@ -4,15 +4,12 @@ Six panels, each reporting Delegated Replies' average GPU speedup under a
 swept parameter:
 
 * L1 size (16/48/64 KB): bigger L1s mean fewer misses but better remote
-  hit odds — the paper finds the gain *grows* with L1 size (22.9->30.2%).
-* LLC size: nearly flat (25.0-26.0%).
-* NoC channel width 8/16/24 B: DR matters most when bandwidth is scarce,
-  but still +13.9% at 24 B.
-* Virtual networks (shared physical net, 1 or 2 VCs per class): DR works
-  equally well without separate physical networks (+23.4% / +26.9%).
-* Mesh size 8x8 / 10x10 / 12x12 at constant node proportions: stable.
-* Memory-node injection buffer size: bigger buffers do not fix clogging,
-  DR's gain is insensitive.
+  hit odds.
+* LLC size (0.5/1/2 MB per slice).
+* NoC channel width 8/16/24 B: DR matters most when bandwidth is scarce.
+* Virtual networks (shared physical net, 1 or 2 VCs per class).
+* Mesh size 8x8 / 10x10 / 12x12 at constant node proportions.
+* Memory-node injection buffer size: bigger buffers do not fix clogging.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.config import (
     table1_mix,
 )
 from repro.experiments.common import ExperimentResult, dr_over_baseline
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 Mutator = Callable[[SystemConfig], None]
 
@@ -93,7 +90,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Fig. 19 (all panels unless a subset is requested)."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=3))
+    benchmarks = list(benchmarks or figure_benchmarks(3))
     pairs = {}
     for panel in panels or PANELS:
         for label, mutate in PANELS[panel]:
@@ -108,15 +105,13 @@ def run(
         for point in pairs
     ]
     text = format_table(
-        "Fig. 19: sensitivity analyses — DR speedup per design point "
-        "(paper: consistent gains across the design space)",
+        "Fig. 19: sensitivity analyses — DR speedup per design point",
         rows,
         mean=None,
         label_header="design point",
     )
     return ExperimentResult(
         name="fig19_sensitivity",
-        description="Sensitivity analyses across the design space",
         rows=rows,
         text=text,
     )

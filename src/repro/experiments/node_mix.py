@@ -1,9 +1,8 @@
 """Node-mix study (Section VII, text): varying CPU/GPU/memory node ratios.
 
 Two sweeps on a 64-node chip: (i) 8 memory nodes with 8/16/24 CPU cores
-(and 48/40/32 GPU cores), and (ii) 8 CPU cores with 4/8/16 memory nodes.
-Paper: clogging — and therefore Delegated Replies' benefit — grows with
-the GPU-to-memory-node ratio (38.2% with 4 memory nodes, 10.7% with 16).
+(and 48/40/32 GPU cores), and (ii) 8 CPU cores with 4/8/16 memory nodes:
+the GPU-to-memory-node ratio sets how hard the reply links clog.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments.common import ExperimentResult, dr_over_baseline
-from repro.sweep.jobs import default_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 #: (n_cpu, n_gpu, n_mem) mixes on the 64-node fabric
 CPU_SWEEP = ((8, 48, 8), (16, 40, 8), (24, 32, 8))
@@ -26,7 +25,7 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate the node-mix study."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=3))
+    benchmarks = list(benchmarks or figure_benchmarks(3))
     # one row per distinct mix: 8/48/8 sits in both sweeps
     pairs = {
         f"{n_cpu}cpu/{n_gpu}gpu/{n_mem}mem": (
@@ -42,16 +41,13 @@ def run(
         for mix in pairs
     ]
     text = format_table(
-        "Node mix: DR speedup vs node ratios "
-        "(paper: 1.305/1.258/1.226 over CPU sweep; 1.382/1.305/1.107 over "
-        "memory sweep — fewer memory nodes, more clogging, more gain)",
+        "Node mix: DR speedup vs node ratios",
         rows,
         mean=None,
         label_header="mix",
     )
     return ExperimentResult(
         name="node_mix",
-        description="Delegated Replies vs CPU/GPU/memory node ratios",
         rows=rows,
         text=text,
     )

@@ -97,7 +97,6 @@ def run(
     )
     return ExperimentResult(
         name="stall_decomposition",
-        description="CPU blocked-cycle attribution with and without DR",
         rows=rows,
         text=text,
         data={

@@ -234,8 +234,8 @@ def dedupe(specs: Sequence[JobSpec]) -> List[JobSpec]:
     return out
 
 
-def _env_window(name: str, default: int, minimum: int) -> int:
-    """``$name`` as a window length, ``default`` when unset."""
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """``$name`` as an integer >= ``minimum``, ``default`` when unset."""
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -252,12 +252,27 @@ def _env_window(name: str, default: int, minimum: int) -> int:
 
 def default_cycles(builtin: int = 3000) -> int:
     """Measured-window length: ``REPRO_CYCLES`` (read now), else ``builtin``."""
-    return _env_window("REPRO_CYCLES", builtin, minimum=1)
+    return _env_int("REPRO_CYCLES", builtin, minimum=1)
 
 
 def default_warmup(builtin: int = 2000) -> int:
     """Warmup-window length: ``REPRO_WARMUP`` (read now), else ``builtin``."""
-    return _env_window("REPRO_WARMUP", builtin, minimum=0)
+    return _env_int("REPRO_WARMUP", builtin, minimum=0)
+
+
+def default_mixes(builtin: int = 2) -> int:
+    """CPU co-runners per GPU benchmark in a figure's mechanism sweep:
+    ``REPRO_MIXES`` (read now), else ``builtin``."""
+    return _env_int("REPRO_MIXES", builtin, minimum=1)
+
+
+def figure_benchmarks(builtin: int) -> List[str]:
+    """A multi-configuration figure's GPU benchmarks: the first
+    ``REPRO_BENCH_SUBSET`` (read now), else ``builtin``, of
+    :func:`default_benchmarks`' representative order."""
+    return default_benchmarks(
+        subset=_env_int("REPRO_BENCH_SUBSET", builtin, minimum=1)
+    )
 
 
 def default_benchmarks(subset: Optional[int] = None) -> List[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.config import (
@@ -119,6 +121,33 @@ def assert_fabric_invariants(fabric) -> None:
                         assert ivc.sent == 0 or ivc.route_out == LOCAL_PORT, at
     injected = sum(nic.flits_injected for nic in fabric.nics)
     assert injected == buffered + delivered + ejecting
+
+
+def claim_terms(path: str) -> list:
+    """The ``data.KEY`` / ``LABEL.COL`` / ``GLOB.COL`` terms a
+    :mod:`repro.experiments.claims` path reads, in order."""
+    terms = []
+    for term in path.split(" + "):
+        call = re.fullmatch(r"\w+\((.*)\)", term)
+        terms += call.group(1).split(", ") if call else [term]
+    return terms
+
+
+def assert_claim_columns(result) -> None:
+    """Every column and data key a claim on ``result``'s figure names is
+    in ``result`` (labels are not: a small run has fewer rows)."""
+    from repro.experiments.claims import CLAIMS
+
+    columns = {col for _, values in result.rows for col in values}
+    for claim in CLAIMS:
+        if claim.figure != result.name:
+            continue
+        for path in filter(None, (claim.path, claim.other)):
+            for term in claim_terms(path):
+                if term.startswith("data."):
+                    assert term[5:] in result.data, (path, term)
+                else:
+                    assert term.rsplit(".", 1)[1] in columns, (path, term)
 
 
 @pytest.fixture

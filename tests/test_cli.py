@@ -262,6 +262,8 @@ class TestExperiment:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Fig. 7" in out
+        # then the figure's verdicts, one line per claim
+        assert out.count("mean(*.") == 3 and "(paper: " in out
 
     def test_unknown_experiment_fails_cleanly(self, capsys):
         rc = main(["experiment", "fig99_nothing"])
@@ -298,6 +300,10 @@ TRACE = ["telemetry", "trace", "--out", "t.jsonl"]
      "$REPRO_CYCLES must be an integer >= 1"),
     (FIG, {"REPRO_CYCLES": "0"}, "$REPRO_CYCLES must be an integer >= 1"),
     (FIG, {"REPRO_WARMUP": "abc"}, "$REPRO_WARMUP must be an integer >= 0"),
+    (["experiment", "fig07_adaptive"], {"REPRO_BENCH_SUBSET": "0"},
+     "$REPRO_BENCH_SUBSET must be an integer >= 1"),
+    (["experiment", "fig10_gpu_perf"], {"REPRO_MIXES": "two"},
+     "$REPRO_MIXES must be an integer >= 1"),
     (["sweep", "list"], {"REPRO_WARMUP": "abc"},
      "$REPRO_WARMUP must be an integer >= 0"),
     (FIG + ["--cycles", "100", "--warmup", "50"], {"REPRO_BACKEND": "foo"},

@@ -5,10 +5,15 @@ and output shape, not the paper-scale numbers (the benchmark harness under
 ``benchmarks/`` regenerates those).
 """
 
+import inspect
+
 import pytest
+
+from conftest import assert_claim_columns
 
 from repro.config import baseline_config, mechanism_config
 from repro.experiments import (
+    ALL_EXPERIMENTS,
     ablations,
     area_energy,
     clear_sweep_cache,
@@ -29,6 +34,7 @@ from repro.experiments import (
     node_mix,
     stall_decomposition,
 )
+from repro.experiments.claims import CLAIMS
 from repro.experiments.common import mechanism_sweep
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 from repro.sweep import SweepRunner
@@ -73,28 +79,33 @@ class TestCommon:
 class TestFigureModules:
     def test_fig02(self):
         r = fig02_locality.run(benchmarks=BENCH2, **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) == 2
         for _, v in r.rows:
             assert 0 <= v["remote_l1_fraction"] <= 1
 
     def test_fig05(self):
         r = fig05_topology.run(benchmarks=["HS"], bandwidths=(1.0,), **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) == 4  # one per topology
         mesh_row = dict(r.rows)["mesh-1x"]
         assert mesh_row["hm_gpu_speedup"] == pytest.approx(1.0)
 
     def test_fig06(self):
         r = fig06_avcp.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         (label, values), = r.rows
         assert "1req+3rep" in values and "avcp_vs_symmetric" in values
 
     def test_fig07(self):
         r = fig07_adaptive.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         (_, values), = r.rows
         assert set(values) == {"dyxy", "footprint", "hare"}
 
     def test_fig09(self):
         r = fig09_layout.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) == 7
         ref = dict(r.rows)["Baseline YX-XY"]
         assert ref["gpu_perf"] == pytest.approx(1.0)
@@ -104,6 +115,8 @@ class TestFigureModules:
         r10 = fig10_gpu_perf.run(benchmarks=BENCH2, **FAST)
         r11 = fig11_data_rate.run(benchmarks=BENCH2, **FAST)
         r14 = fig14_miss_breakdown.run(benchmarks=BENCH2, **FAST)
+        for r in (r10, r11, r14):
+            assert_claim_columns(r)
         assert len(r10.rows) == len(r11.rows) == len(r14.rows) == 2
         assert r10.data["dr_mean_speedup"] > 0
         for _, v in r14.rows:
@@ -113,22 +126,27 @@ class TestFigureModules:
     def test_fig12_fig13_group_by_cpu(self):
         r12 = fig12_cpu_latency.run(benchmarks=["HS"], n_mixes=2, **FAST)
         r13 = fig13_cpu_perf.run(benchmarks=["HS"], n_mixes=2, **FAST)
+        assert_claim_columns(r12)
+        assert_claim_columns(r13)
         labels = [lbl for lbl, _ in r12.rows]
         assert set(labels) == {"bodytrack", "ferret"}
         assert len(r13.rows) == 2
 
     def test_fig15(self):
         r = fig15_shared_l1.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         (_, values), = r.rows
         assert "dyneb+dr-rr" in values
 
     def test_fig16(self):
         r = fig16_topology_dr.run(benchmarks=["HS"], **FAST,
                                   topologies=list(fig16_topology_dr.TOPOLOGIES)[:2])
+        assert_claim_columns(r)
         assert len(r.rows) == 2
 
     def test_fig17(self):
         r = fig17_layout_dr.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) == 4
         for _, v in r.rows:
             assert "gpu_dr_speedup" in v and "cpu_dr_speedup" in v
@@ -136,14 +154,17 @@ class TestFigureModules:
     def test_fig19_single_panel(self):
         r = fig19_sensitivity.run(benchmarks=["HS"],
                                   panels=["injection_buffer"], **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) == 3
 
     def test_node_mix(self):
         r = node_mix.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         assert len(r.rows) >= 4
 
     def test_area_energy(self):
         r = area_energy.run(benchmarks=["HS"], **FAST)
+        assert_claim_columns(r)
         d = dict(r.rows)
         assert d["baseline_noc_mm2"]["value"] == pytest.approx(2.27, abs=0.05)
         assert d["dr_total_mm2"]["value"] == pytest.approx(0.172, abs=0.01)
@@ -245,6 +266,29 @@ class TestCallTimeWindowDefaults:
         assert jobs.default_warmup() == 333
         monkeypatch.delenv("REPRO_CYCLES")
         assert jobs.default_cycles() == 3000
+
+    def test_subset_and_mixes_follow_env_after_import(self, monkeypatch):
+        from repro.sweep import jobs
+
+        monkeypatch.setenv("REPRO_BENCH_SUBSET", "2")
+        monkeypatch.setenv("REPRO_MIXES", "3")
+        assert jobs.figure_benchmarks(5) == ["HS", "SC"]
+        assert jobs.default_mixes() == 3
+        monkeypatch.delenv("REPRO_BENCH_SUBSET")
+        monkeypatch.delenv("REPRO_MIXES")
+        assert jobs.figure_benchmarks(5) == default_benchmarks(subset=5)
+        assert jobs.default_mixes() == 2
+
+    def test_judged_figures_share_one_default_co_runner_count(self):
+        """``n_mixes`` left out is :func:`default_mixes` on every judged
+        figure and on ``mechanism_sweep``, so ``python -m repro
+        experiment`` and the claims loop run one sweep."""
+        judged = {claim.figure for claim in CLAIMS}
+        runs = [m.run for m in ALL_EXPERIMENTS
+                if m.__name__.rsplit(".", 1)[-1] in judged]
+        for fn in runs + [mechanism_sweep]:
+            n_mixes = inspect.signature(fn).parameters.get("n_mixes")
+            assert n_mixes is None or n_mixes.default is None, fn
 
     def test_mechanism_sweep_uses_env_windows(self, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLES", "180")
