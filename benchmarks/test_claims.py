@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, run_speed
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.claims import CLAIMS, judge
@@ -26,8 +26,8 @@ def test_claims(module, benchmark, ledger):
     (RESULTS_DIR / f"{result.name}.txt").write_text(result.text)
     verdicts = judge(result)
     print(f"\n{result.text}", *verdicts, sep="\n")
-    ledger[result.name] = {"wall_s": round(wall_s, 1),
+    ledger[result.name] = {"wall_s": round(wall_s, 1), **run_speed(),
                            "rows": [v.to_dict() for v in verdicts]}
-    failed = [str(v) for v in verdicts if v.verdict == "✗"]
+    failed = [str(v) for v in verdicts if v.verdict.startswith("✗")]
     if failed:
         pytest.fail("\n".join(failed), pytrace=False)

@@ -16,8 +16,9 @@ The ``kind`` judges it, ``op`` being ``>``, ``>=``, ``<`` or ``<=``:
 ``sign`` is ``value op bound``; ``ordering`` is ``value op other``, with
 ``tol`` the relative slack toward the other side; ``band`` is
 ``|value - bound| op tol``; ``ratio`` is ``value / other op bound``.
-A path naming a label, column or key the result lacks reads
-``n/a (missing X)``, never ✓: a claim cannot pass by not being measured.
+A path naming a benchmark the run left out reads ``n/a (missing X)``;
+any other label, column (on any row a glob matches) or data key the
+result lacks reads ``✗ (missing X)``.  A claim cannot pass unmeasured.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ from typing import Dict, List, Optional, Union
 
 from repro.analysis.report import amean
 from repro.experiments.common import ExperimentResult
+from repro.workloads import CPU_BENCHMARKS, GPU_BENCHMARKS
 
 KINDS = ("sign", "ordering", "band", "ratio")
 OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
        "<=": operator.le}
+#: the row labels a run may leave out: its benchmarks and co-runners
+BENCHMARKS = frozenset(GPU_BENCHMARKS) | frozenset(CPU_BENCHMARKS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,7 +227,7 @@ class _Missing(LookupError):
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:
-    """What :func:`check` found: ✓, ✗ or ``n/a (missing X)``, the judged
+    """What :func:`check` found: ✓, ✗ or ``✗|n/a (missing X)``, the judged
     number and what it was held against (for a per-row path, those of the
     row nearest to failing, named by ``row``)."""
 
@@ -261,8 +265,10 @@ def rule(claim: Claim) -> str:
         tol = f" ± {claim.tol:g}" if claim.tol else ""
         return f"{claim.path} = {claim.bound:g}{tol}"
     if claim.kind == "ordering":
-        slack = f" × {_slack(claim):g}" if claim.tol else ""
-        return f"{claim.path} {claim.op} {claim.other}{slack}"
+        if not claim.tol:
+            return f"{claim.path} {claim.op} {claim.other}"
+        other = f"({claim.other})" if " + " in claim.other else claim.other
+        return f"{claim.path} {claim.op} {other} × {_slack(claim):g}"
     if claim.kind == "ratio":
         return f"{claim.path} / {claim.other} {claim.op} {claim.bound:g}"
     return f"{claim.path} {claim.op} {claim.bound:g}"
@@ -324,7 +330,8 @@ def check(claim: Claim, result: ExperimentResult) -> Verdict:
         value = _resolve(claim.path, result)
         other = _resolve(claim.other, result) if claim.other else None
     except _Missing as missing:
-        return Verdict(claim, f"n/a (missing {missing})")
+        mark = "n/a" if str(missing) in BENCHMARKS else "✗"
+        return Verdict(claim, f"{mark} (missing {missing})")
     per_row = next((x for x in (value, other) if isinstance(x, dict)), None)
     judged = []
     for label in per_row or [None]:
@@ -360,10 +367,13 @@ def render_markdown(claims_json: dict) -> str:
     tally = ", ".join(f"{sum(r['verdict'].startswith(m) for r in rows)} {m}"
                       for m in ("✓", "✗", "n/a"))
     wall = sum(fig["wall_s"] for fig in figures.values())
+    workers = "/".join(sorted({str(f["workers"]) for f in figures.values()}))
+    cache = any(fig["sweep_cache"] for fig in figures.values())
     lines = [
         f"Judged by `benchmarks/test_claims.py` under "
         f"{settings or 'no `REPRO_*` setting'} (code version "
-        f"`{claims_json['code_version']}`, {wall:.0f} s of figure runs): "
+        f"`{claims_json['code_version']}`, {wall:.0f} s of figure runs at "
+        f"`REPRO_SWEEP_JOBS={workers}`{' with a cache' * cache}): "
         f"{len(rows)} claims, {tally}.",
         "",
         "| Figure | Paper | Check | Measured | Verdict |",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -134,9 +135,11 @@ def claim_terms(path: str) -> list:
 
 
 def assert_claim_columns(result) -> None:
-    """Every column and data key a claim on ``result``'s figure names is
-    in ``result`` (labels are not: a small run has fewer rows)."""
-    from repro.experiments.claims import CLAIMS
+    """Every name a claim on ``result``'s figure reads is in ``result``:
+    each data key, each column (on every row a label or glob matches) and
+    each label or glob that is not a benchmark (a small run has fewer
+    benchmarks)."""
+    from repro.experiments.claims import BENCHMARKS, CLAIMS
 
     columns = {col for _, values in result.rows for col in values}
     for claim in CLAIMS:
@@ -146,8 +149,13 @@ def assert_claim_columns(result) -> None:
             for term in claim_terms(path):
                 if term.startswith("data."):
                     assert term[5:] in result.data, (path, term)
-                else:
-                    assert term.rsplit(".", 1)[1] in columns, (path, term)
+                    continue
+                pattern, col = term.rsplit(".", 1)
+                rows = [values for label, values in result.rows
+                        if fnmatchcase(label, pattern)]
+                assert rows or pattern in BENCHMARKS, (path, term)
+                assert col in columns, (path, term)
+                assert all(col in values for values in rows), (path, term)
 
 
 @pytest.fixture

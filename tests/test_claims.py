@@ -2,11 +2,13 @@
 
 No simulation here: ``benchmarks/test_claims.py`` runs the figures.
 These tests pin what a path reads, how each kind judges it, that a
-missing label is ``n/a`` and never ✓, that no row of the table can pass
+benchmark the run left out is ``n/a`` and any other missing name ✗ (never
+✓), that no row of the table can pass
 whatever it is given, and that EXPERIMENTS.md's ledger is the rendering
 of the committed ``claims.json``.
 """
 
+import importlib.util
 import json
 import random
 import re
@@ -111,6 +113,16 @@ class TestKinds:
                     tol=0.1)
         assert v.verdict == "✓" and v.against == pytest.approx(1.056)
 
+    def test_ordering_slack_scales_the_whole_other_sum(self):
+        claim = Claim("fig", "", "data.a + data.b", "ordering",
+                      other="data.c + data.d", tol=0.05)
+        assert rule(claim) == "data.a + data.b > (data.c + data.d) × 0.95"
+        data = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
+        v = check(claim, result(data=data))
+        assert (v.verdict, v.value, v.against) == ("✓", 1.0, 0.95)
+        claim = Claim("fig", "", "data.a", "ordering", other="data.c + data.d")
+        assert rule(claim) == "data.a > data.c + data.d"
+
     def test_ordering_pairs_rows_with_rows(self):
         v = verdict("*.s", "ordering", rows=ROWS, other="*.t", tol=0.25)
         assert (v.verdict, v.row) == ("✓", "SC")
@@ -139,18 +151,32 @@ class TestKinds:
 class TestMissingIsNotPassing:
     @pytest.mark.parametrize("path, missing", [
         ("BP.s", "BP"),
-        ("HS.z", "HS.z"),
-        ("*.z", "HS.z"),
-        ("x:*.s", "x:*"),
-        ("data.nope", "data.nope"),
-        ("mean(*.z)", "HS.z"),
         ("rank(BP.s)", "BP"),
         ("HS.s + BP.s", "BP"),
     ])
-    def test_a_missing_name_reads_na(self, path, missing):
+    def test_a_benchmark_the_run_left_out_reads_na(self, path, missing):
         v = verdict(path, rows=ROWS, bound=-1.0)
         assert v.verdict == f"n/a (missing {missing})"
         assert v.value is None and v.measured() == "—"
+
+    @pytest.mark.parametrize("path, missing", [
+        ("HS.z", "HS.z"),
+        ("*.z", "HS.z"),
+        ("x:*.s", "x:*"),
+        ("mesh-2x.s", "mesh-2x"),
+        ("data.nope", "data.nope"),
+        ("mean(*.z)", "HS.z"),
+        ("rank(HS.z)", "HS.z"),
+    ])
+    def test_any_other_missing_name_fails(self, path, missing):
+        v = verdict(path, rows=ROWS, bound=-1.0)
+        assert v.verdict == f"✗ (missing {missing})"
+        assert v.value is None and v.measured() == "—"
+
+    def test_a_glob_row_missing_its_column_fails(self):
+        rows = ROWS + [("BP", {"t": 1.0})]
+        assert verdict("*.s", rows=rows, bound=-1.0).verdict == \
+            "✗ (missing BP.s)"
 
     def test_the_other_side_missing_is_na_too(self):
         v = verdict("HS.s", "ordering", rows=ROWS, other="vips.s")
@@ -165,6 +191,19 @@ class TestMissingIsNotPassing:
         verdicts = judge(result(rows, name="fig06_avcp"))
         assert [v.verdict for v in verdicts] == [
             "✓", "✓", "n/a (missing BP)"]
+
+    def test_fig06_without_a_symmetric_split_fails(self):
+        """``fig06_avcp`` leaves ``avcp_vs_symmetric`` out of a row whose
+        symmetric split collapsed; both AVCP claims must fail, not pass."""
+        rows = [(gpu, {"2req+2rep": 0.97, "1req+3rep": 1.02,
+                       "3req+1rep": 0.8, "avcp_vs_symmetric": 1.05})
+                for gpu in ("HS", "SC")]
+        rows.append(("BP", {"2req+2rep": 0.0, "1req+3rep": 1.0,
+                            "3req+1rep": 0.8}))
+        verdicts = judge(result(rows, name="fig06_avcp"))
+        assert [v.verdict for v in verdicts] == [
+            "✗ (missing BP.avcp_vs_symmetric)",
+            "✗ (missing BP.avcp_vs_symmetric)", "✗"]
 
     def test_fig13_without_vips_is_na(self):
         rows = [(cpu, {"dr_speedup": 1.0, "min": 0.9, "max": 1.1,
@@ -287,6 +326,23 @@ class TestLedger:
         begin = text.index("\n", begin) + 1
         end = text.index("<!-- claims:end -->")
         assert text[begin:end] == render_markdown(self.committed())
+
+    def test_workers_and_cache_are_recorded_beside_not_in_the_settings(
+            self, monkeypatch):
+        """Only what changes a number decides whether a rerun merges into
+        ``claims.json``; a one-figure rerun at another worker count must
+        not replace the committed ledger."""
+        path = ROOT / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        for key in bench.RESULT_SETTINGS:
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setenv("REPRO_CYCLES", "1200")
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "2")
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(ROOT / "unused"))
+        assert bench.run_settings() == {"REPRO_CYCLES": "1200"}
+        assert bench.run_speed() == {"workers": 2, "sweep_cache": True}
 
     def test_committed_rows_are_the_table_rows(self):
         """``claims.json`` was written from the current :data:`CLAIMS`

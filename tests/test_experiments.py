@@ -85,9 +85,9 @@ class TestFigureModules:
             assert 0 <= v["remote_l1_fraction"] <= 1
 
     def test_fig05(self):
-        r = fig05_topology.run(benchmarks=["HS"], bandwidths=(1.0,), **FAST)
+        r = fig05_topology.run(benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
-        assert len(r.rows) == 4  # one per topology
+        assert len(r.rows) == 8  # one per topology and bandwidth
         mesh_row = dict(r.rows)["mesh-1x"]
         assert mesh_row["hm_gpu_speedup"] == pytest.approx(1.0)
 
@@ -151,11 +151,11 @@ class TestFigureModules:
         for _, v in r.rows:
             assert "gpu_dr_speedup" in v and "cpu_dr_speedup" in v
 
-    def test_fig19_single_panel(self):
-        r = fig19_sensitivity.run(benchmarks=["HS"],
-                                  panels=["injection_buffer"], **FAST)
+    def test_fig19_judged_panels(self):
+        judged = ["l1_size", "channel_width", "injection_buffer"]
+        r = fig19_sensitivity.run(benchmarks=["HS"], panels=judged, **FAST)
         assert_claim_columns(r)
-        assert len(r.rows) == 3
+        assert len(r.rows) == 9
 
     def test_node_mix(self):
         r = node_mix.run(benchmarks=["HS"], **FAST)
