@@ -9,20 +9,21 @@ all under one protocol:
 
 * ``vector``    three bare-fabric measurements: saturated 16x16 mesh, 500
                 cycles, the vector backend is >= 3x the object kernel
-                (reads 5.7-6.5x); ``mesh8x8_dr``, 800 cycles — 8 memory
-                nodes, delegation firing — >= 1.2x (reads 1.3-1.5x since
-                the object kernel keeps one record per input VC; it was
-                1.7-2x against the six-table router, so this is a floor
-                under the memory lanes, not a margin); and the 16x16
-                schedule on a ``bandwidth_factor=2`` fabric, 300 cycles,
-                >= 3.5x (reads 5.3-7.0x; a per-node injection loop is
-                ~2.5x).  Then the two sides of the selection rule
-                (``repro.sim.engines.VECTOR_ABOVE_NODES`` = 144) on full
-                systems, HS + canneal, 200 warm-up + 300 timed cycles,
-                equal ``collect_counters``, 3 rounds: DR on a 16x16
-                mesh, the selected vector kernel >= 1.1x object (single
-                rounds read 1.17-1.43x); the baseline on the 8x8, the
-                selected object kernel >= 1.3x vector (1.45-1.92x).
+                (reads 4.3-4.6x); ``mesh8x8_dr``, 800 cycles — 8 memory
+                nodes, delegation firing — >= 1.2x (reads 1.33-1.35x; it
+                was 1.7-2x against the six-table router, so this is a
+                floor under the memory lanes, not a margin); and the
+                16x16 schedule on a ``bandwidth_factor=2`` fabric, 300
+                cycles, >= 3.5x (reads 4.2-4.4x; a per-node injection
+                loop is ~2.5x).
+                Then the two sides of the selection rule
+                (``repro.sim.engines.VECTOR_ABOVE_NODES`` = 225) on full
+                systems, + canneal, 200 warm-up + 300 timed cycles,
+                equal ``collect_counters``, 3 rounds, at cells of
+                DESIGN.md §12's table: NN under DR on a 16x16 mesh, the
+                selected vector kernel >= 1.1x object (single rounds read
+                1.18-1.32x); HS under the baseline on the 8x8, the
+                selected object kernel >= 1.3x vector (1.35-1.67x).
 * ``telemetry`` ``mesh8x8_dr``, 1200 cycles: light-mode telemetry costs
                 < 10% over telemetry off, and both fabrics end on
                 identical per-network counters.
@@ -97,9 +98,9 @@ def _vector_gate(
     )
 
 
-def _selection_gate(cfg, slower: str, threshold: float) -> Gate:
-    """Full-system HS + canneal on ``cfg``: the kernel the code selects for
-    it against ``slower``, the other one."""
+def _selection_gate(cfg, gpu: str, slower: str, threshold: float) -> Gate:
+    """Full-system ``gpu`` + canneal on ``cfg``: the kernel the code
+    selects for it against ``slower``, the other one."""
     from repro.sim.engines import select_backend
     from repro.sim.metrics import collect_counters
     from repro.sim.simulator import build_system
@@ -110,7 +111,7 @@ def _selection_gate(cfg, slower: str, threshold: float) -> Gate:
     seen: Dict[str, dict] = {}
 
     def run(backend: str) -> float:
-        system = build_system(cfg, "HS", "canneal", backend=backend)
+        system = build_system(cfg, gpu, "canneal", backend=backend)
         system.run(200)  # untimed warm-up
         t0 = time.perf_counter()
         system.run(300)
@@ -120,7 +121,7 @@ def _selection_gate(cfg, slower: str, threshold: float) -> Gate:
             raise AssertionError("the two kernels ended on different counters")
         return wall
 
-    name = f"{cfg.mechanism.value} {cfg.mesh_width}x{cfg.mesh_height}"
+    name = f"{gpu} {cfg.mechanism.value} {cfg.mesh_width}x{cfg.mesh_height}"
     return Gate(
         lambda: run(slower), lambda: run(selected), threshold, rounds=3,
         describe=lambda r: f"{name}: selected {selected} {r:.2f}x {slower} "
@@ -148,9 +149,9 @@ def vector_gates() -> List[Gate]:
             3.5,
         ),
         _selection_gate(
-            delegated_replies_config(**table1_mix(16, 16)), "object", 1.1
+            delegated_replies_config(**table1_mix(16, 16)), "NN", "object", 1.1
         ),
-        _selection_gate(baseline_config(), "vector", 1.3),
+        _selection_gate(baseline_config(), "HS", "vector", 1.3),
     ]
 
 

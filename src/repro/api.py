@@ -129,7 +129,7 @@ def simulate(
             numbers.  ``None`` (the default) honours the
             ``REPRO_BACKEND`` environment variable, else takes the
             faster kernel that can do the run — ``vector`` on a mesh of
-            more than 144 nodes (:func:`repro.sim.engines.
+            more than 225 nodes (:func:`repro.sim.engines.
             select_backend`).  Unknown or unusable choices raise
             :class:`BackendError` with a one-line message; see
             :func:`available_backends`.

@@ -61,6 +61,9 @@ class PhysicalNetwork:
         #: routers currently frozen by a RouterFreeze event.
         self.fault_frozen: frozenset = frozenset()
         self.nics: List[NodeInterface] = []
+        #: the fabric's awake NICs (``NocFabric._active_nics``), which a
+        #: local-port drain joins
+        self.active_nics: set = set()
         port_of = self._port_of = topology.port_of
         self.routers: List[Router] = [
             Router(
@@ -278,17 +281,18 @@ class NocFabric:
                     node, self, queue_packets=cfg.node_injection_queue_packets
                 )
             self.nics.append(nic)
+        #: NICs that may move a flit: one that moved none sleeps until a
+        #: local-port drain or a first ``try_send``; memory-node NICs stay
+        #: pinned for their per-cycle accounting and delegation trigger.
+        self._active_nics: set = set(mem_set)
         for net in self._net_list:
             net.nics = self.nics
+            net.active_nics = self._active_nics
         for nic in self.nics:
             nic._local = {
                 kind: net.routers[nic.node_id].inputs[LOCAL_PORT]
                 for kind, net in self._nets.items()
             }
-        #: NICs with queued or in-flight work; memory-node NICs stay pinned
-        #: because their per-cycle blocked/observed accounting and the
-        #: delegation trigger must run every cycle.
-        self._active_nics: set = set(mem_set)
         #: attached telemetry collector (None = disabled).
         self.telemetry = None
         #: attached fault controller (None = no fault plan installed).
@@ -363,9 +367,7 @@ class NocFabric:
         active = self._active_nics
         nics = self.nics
         for node in sorted(active):
-            nic = nics[node]
-            nic.inject_step(cycle)
-            if nic.idle():
+            if not nics[node].inject_step(cycle):
                 active.discard(node)
 
     def in_flight_flits(self) -> int:

@@ -58,6 +58,9 @@ class NodeInterface:
         self._local: Dict[NetKind, List[InputVC]] = {}
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
+        #: the core asleep on this NIC's full request queue (None: none);
+        #: the next pop of that queue wakes it (DESIGN.md §6.3)
+        self.sleeper = None
         #: attached :class:`~repro.telemetry.collector.TelemetryCollector`
         #: (None when telemetry is disabled; every hook site is one check).
         self.telemetry = None
@@ -117,8 +120,8 @@ class NodeInterface:
         q.append(pkt)
         self.packets_sent_net[net] += 1
         if not depth:
-            # a NIC leaves the fabric's active set only once every queue is
-            # empty, so only a first packet can find it asleep
+            # a sleeping NIC's queue heads cannot start; a packet queued
+            # behind one changes nothing, a first packet may start now
             self.fabric.mark_nic_active(self.node_id)
         if self.telemetry is not None:
             self.telemetry.on_inject(pkt, cycle)
@@ -166,35 +169,35 @@ class NodeInterface:
 
     # -- injection (called by the fabric each cycle) --------------------
 
-    def idle(self) -> bool:
-        """True when there is nothing to inject; the fabric then drops this
-        NIC from its active set until the next successful ``try_send``."""
-        return not (
-            self.queues[NetKind.REQUEST]
-            or self.queues[NetKind.REPLY]
-            or self._inflight[NetKind.REQUEST]
-            or self._inflight[NetKind.REPLY]
-        )
+    def wake_sleeper(self) -> None:
+        """The request queue popped: the sleeping core may issue again."""
+        self.sleeper.wake()
+        self.sleeper = None
 
-    def inject_step(self, cycle: int) -> None:
+    def inject_step(self, cycle: int) -> int:
+        """Inject this cycle's flits; returns how many moved.  A NIC that
+        moved none waits on a local-port drain or a first ``try_send``,
+        so the fabric lets it sleep until one wakes it."""
         if self.fabric.separate_networks:
+            pushed = 0
             for net in _NET_KINDS:
                 if self.queues[net] or self._inflight[net]:
-                    self._inject_net(net, cycle, self.fabric.bandwidth)
-        else:
-            # one physical network: the injection link is shared, so the
-            # two queues share the per-cycle flit budget (reply first on
-            # odd cycles to avoid starvation).
-            order = (
-                (NetKind.REPLY, NetKind.REQUEST)
-                if cycle & 1
-                else (NetKind.REQUEST, NetKind.REPLY)
-            )
-            budget = self.fabric.bandwidth
-            for net in order:
-                if budget <= 0:
-                    break
-                budget -= self._inject_net(net, cycle, budget)
+                    pushed += self._inject_net(net, cycle, self.fabric.bandwidth)
+            return pushed
+        # one physical network: the injection link is shared, so the two
+        # queues share the per-cycle flit budget (reply first on odd
+        # cycles to avoid starvation).
+        order = (
+            (NetKind.REPLY, NetKind.REQUEST)
+            if cycle & 1
+            else (NetKind.REQUEST, NetKind.REPLY)
+        )
+        budget = self.fabric.bandwidth
+        for net in order:
+            if budget <= 0:
+                break
+            budget -= self._inject_net(net, cycle, budget)
+        return self.fabric.bandwidth - budget
 
     def _select_head(self, net: NetKind) -> Optional[Packet]:
         """The packet to inject next on ``net``: the queue head."""
@@ -255,6 +258,8 @@ class NodeInterface:
             else:
                 break  # no startable VC
             self.queues[net].popleft()
+            if self.sleeper is not None and net is NetKind.REQUEST:
+                self.wake_sleeper()
             pkt.injected = cycle
             if self.telemetry is not None:
                 self.telemetry.on_vc_alloc(pkt, cycle, vc)
@@ -320,12 +325,6 @@ class MemoryNodeNic(NodeInterface):
         #: delegation scans of the reply queue actually run
         self.policy_scans = 0
 
-    def idle(self) -> bool:
-        # memory-node NICs never leave the fabric's active set: blocked /
-        # observed-cycle accounting and the delegation trigger are
-        # per-cycle behaviours even with empty queues.
-        return False
-
     def try_send(self, pkt: Packet, cycle: int) -> bool:
         if pkt.net is NetKind.REPLY and not self.can_enqueue(NetKind.REPLY):
             return False
@@ -359,8 +358,10 @@ class MemoryNodeNic(NodeInterface):
             )
         return super().can_enqueue(net)
 
-    def inject_step(self, cycle: int) -> None:
-        # the delegation trigger must observe *reply-network* progress only:
+    def inject_step(self, cycle: int) -> bool:
+        # always True (never asleep): the blocked / observed accounting
+        # and the delegation trigger run every cycle, queues empty or not.
+        # The delegation trigger must observe *reply-network* progress only:
         # a cycle where a delegated 1-flit request injects while the reply
         # router refuses every flit is exactly the "blocked" case of Fig. 4.
         before = self.flits_injected_net[NetKind.REPLY]
@@ -381,6 +382,7 @@ class MemoryNodeNic(NodeInterface):
             self.blocked_cycles += 1
             if self.stall_tel is not None:
                 self.stall_tel.on_mem_reply_stall(self.node_id, cycle)
+        return True
 
     def _delegate_scan(self, cycle: int) -> None:
         """Convert the oldest delegatable queued replies into delegated

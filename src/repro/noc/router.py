@@ -129,7 +129,7 @@ class Router:
         self.downstream: List[Optional[List[InputVC]]] = [None] * nports
         #: router feeding each input port (None for LOCAL_PORT: the NIC).
         #: Each input port has exactly one upstream, so a flit draining
-        #: from it is a precise credit event for that neighbour.
+        #: from it is a precise credit event for that neighbour (or NIC).
         self.upstream: List[Optional["Router"]] = [None] * nports
         #: total flits moved through this router (energy model input).
         self.flits_routed = 0
@@ -375,9 +375,12 @@ class Router:
         nsent = ivc.sent + 1
         self.flits_routed += 1
         # drain-wake: freeing a buffer slot is the credit event the (unique)
-        # upstream feeder of this input port may be sleeping on
+        # upstream feeder of this input port may be sleeping on — a
+        # router, or for the local port this node's NIC
         up = self.upstream[ivc.port]
-        if up is not None and up.active and up.rid not in net._active_ids:
+        if up is None:
+            net.active_nics.add(self.rid)
+        elif up.active and up.rid not in net._active_ids:
             net.mark_router_active(up.rid)
         is_tail = nsent == pkt.size_flits
         if oport == LOCAL_PORT:

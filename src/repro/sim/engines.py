@@ -27,7 +27,7 @@ ENV_VAR = "REPRO_BACKEND"
 #: the vector kernel is the faster one on a mesh of more than this many
 #: nodes, and on no other topology at any size tried: the measured table
 #: is DESIGN.md §12, and ``ratio_gate.py vector`` re-measures both sides.
-VECTOR_ABOVE_NODES = 144
+VECTOR_ABOVE_NODES = 225
 
 #: what a run can need that only the object kernel has: what an error
 #: calls it, and the test for it.  Closing one of the vector kernel's gaps

@@ -148,6 +148,23 @@ def _cell(arr: str, index: str = "_lane") -> property:
     return property(get, put)
 
 
+class _Mirrored:
+    """A NIC attribute only the scalar side writes: a write also lands in
+    ``kernel.<arr>[nic.<index>]`` for the array ops; having no
+    ``__get__``, reads are plain instance-attribute reads."""
+
+    def __init__(self, arr: str, index: str = "_lane") -> None:
+        self._arr = arr
+        self._index = index
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __set__(self, nic, value) -> None:
+        nic.__dict__[self._name] = value
+        getattr(nic._K, self._arr)[getattr(nic, self._index)] = value
+
+
 class VectorNic(NodeInterface):
     """Compute-node NIC of the vector backend.
 
@@ -173,28 +190,14 @@ class VectorNic(NodeInterface):
         self.flits_received = _NodeCounter(kernel.flits_rx_arr, node_id)
 
     data_flits_received = _cell("data_rx_arr", "node_id")
+    #: set in the request lane's ``pop_wake`` cell while a core sleeps
+    sleeper = _Mirrored("pop_wake", "node_id")
 
     @NodeInterface.eject_gate.setter
     def eject_gate(self, fn: Optional[Callable[[Packet], bool]]) -> None:
         # gates are re-evaluated every pass: nothing sleeps on the old one
         self._eject_gate_fn = fn
         self._K.set_gate(self.node_id, fn)
-
-
-class _Mirrored:
-    """A NIC attribute only the scalar side writes: a write also lands in
-    ``kernel.<arr>[nic._lane]`` for the array ops; having no ``__get__``,
-    reads are plain instance-attribute reads."""
-
-    def __init__(self, arr: str) -> None:
-        self._arr = arr
-
-    def __set_name__(self, owner, name: str) -> None:
-        self._name = name
-
-    def __set__(self, nic, value) -> None:
-        nic.__dict__[self._name] = value
-        getattr(nic._K, self._arr)[nic._lane] = value
 
 
 class _VecMemNic(VectorNic, MemoryNodeNic):

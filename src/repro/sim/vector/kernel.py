@@ -176,6 +176,9 @@ class VectorKernel:
         self.queues: List[List] = [
             [deque() for _ in range(n)] for _ in range(2)
         ]
+        #: per (kind, node) lane, ``kind * n + node``: a core sleeps until
+        #: the lane's queue pops (``NodeInterface.sleeper``; request lanes)
+        self.pop_wake = np.zeros(2 * n, dtype=bool)
         # The injection batches of _inject.  A lane is one router's local
         # input port, so there are R of them.  With separate physical
         # networks the (kind, node) lanes are the router rows and both
@@ -183,14 +186,14 @@ class VectorKernel:
         # node and a batch per kind, each over the kind's VC range.  A
         # batch is: the (lane, vc) ids of those input VCs, views of the
         # in-flight packet and flits pushed per (lane, vc) and of the
-        # flits injected per lane, and the lanes' queues.
+        # flits injected per lane, the lanes' queues and pop-wake mask.
         loc = np.arange(F, dtype=_I64).reshape(R, P, V)[:, LOCAL_PORT]
         if separate:
             self._batches = ((
                 loc.copy(),
                 self.infl_pkt.reshape(R, V), self.infl_pushed.reshape(R, V),
                 self.flits_injected_arr.reshape(R),
-                self.queues[0] + self.queues[1],
+                self.queues[0] + self.queues[1], self.pop_wake,
             ),)
         else:
             self._batches = tuple(
@@ -198,7 +201,7 @@ class VectorKernel:
                     loc[:, lo:hi].copy(),
                     self.infl_pkt[k, :, lo:hi], self.infl_pushed[k, :, lo:hi],
                     self.flits_injected_arr[k],
-                    self.queues[k],
+                    self.queues[k], self.pop_wake[k * n:(k + 1) * n],
                 )
                 for k, (lo, hi) in enumerate(cfg.vc_ranges)
             )
@@ -635,7 +638,7 @@ class VectorKernel:
         # a shared network injects the reply kind first on odd cycles and
         # carries what is left of each lane's budget to the other kind
         batches = self._batches[::-1] if cycle & 1 else self._batches
-        for loc, ip, sent, finj, queues in batches:
+        for loc, ip, sent, finj, queues, wake in batches:
             had = budget.copy()
             occ = self.occ[loc]
             own = self.owner[loc]
@@ -666,6 +669,10 @@ class VectorKernel:
                     break
                 vcs = lowest[lanes]
                 objs = [queues[lane].popleft() for lane in lanes.tolist()]
+                woke = wake[lanes]
+                if woke.any():  # a core sleeps on one of these queues
+                    for lane in lanes[woke].tolist():
+                        self.nics[lane % self.n].wake_sleeper()
                 idxs = self.register_many(objs)
                 for pkt in objs:
                     pkt.injected = cycle

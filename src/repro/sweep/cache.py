@@ -59,16 +59,20 @@ class ResultCache:
             return None
 
     def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw cache entry (spec + result + meta), or None."""
-        p = self.path(key)
+        """The raw cache entry (spec + result + meta), or None.  An entry
+        that does not decode, does not parse, is not an object or names
+        another key is evicted and reads as a miss."""
         try:
-            with open(p) as fh:
-                return json.load(fh)
+            with open(self.path(key), encoding="utf-8") as fh:
+                entry = json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
-            self.evict(key)
-            return None
+        except (OSError, ValueError, RecursionError):
+            entry = None  # UnicodeDecodeError and JSONDecodeError included
+        if isinstance(entry, dict) and entry.get("key") == key:
+            return entry
+        self.evict(key)
+        return None
 
     def put(
         self,

@@ -14,6 +14,7 @@ from repro.config import (
     realistic_probing_config,
     table1_mix,
 )
+from repro.noc.nic import MemoryNodeNic
 from repro.noc.router import LOCAL_PORT
 
 
@@ -83,8 +84,31 @@ def assert_fabric_invariants(fabric) -> None:
     inside the packet's VC range; fewer flits of the head have left than
     it has.  Per fabric: every injected flit is buffered, delivered, or
     part of a worm that is half-way out of an ejection port (so not
-    under a fault plan that drops or corrupts flits).
+    under a fault plan that drops or corrupts flits).  Per NIC: one
+    outside the fabric's active set is a compute NIC with nothing it
+    could push now — no in-flight worm's VC has credit and no other
+    worm's lock, and no queue head has a startable VC in its range.
     """
+    for nic in fabric.nics:
+        if nic.node_id in fabric._active_nics:
+            continue
+        at = ("asleep", nic.node_id)
+        assert not isinstance(nic, MemoryNodeNic), at
+        for kind, row in nic._local.items():
+            cap = row[0].router.vc_cap
+            inflight = nic._inflight[kind]
+            for vc, (pkt, _pushed) in inflight.items():
+                owner = row[vc].owner
+                assert row[vc].occ >= cap or (
+                    owner is not None and owner is not pkt
+                ), at
+            if nic.queues[kind]:
+                vlo, vhi = fabric.vc_range_for(nic.queues[kind][0])
+                assert not any(
+                    vc not in inflight and row[vc].owner is None
+                    and row[vc].occ < cap
+                    for vc in range(vlo, vhi)
+                ), at
     buffered = delivered = ejecting = 0
     for net in fabric._net_list:
         delivered += net.flits_delivered

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 
 from repro.config import (
@@ -12,13 +14,17 @@ from repro.config import (
 )
 from repro.config.system import NocConfig, RoutingPolicy, Topology
 from repro.faults.plan import FaultPlan, FlitDrop, LinkDown, RouterFreeze
-from repro.sim.engines import ENV_VAR, BackendError, select_backend
+from repro.sim.engines import (
+    ENV_VAR, VECTOR_ABOVE_NODES, BackendError, select_backend,
+)
 from repro.sim.simulator import build_system, run_simulation
 from repro.sweep import JobSpec
 
 MESH = NocConfig()
-#: a node count past the crossover (a 14x14 mesh)
-BIG = 196
+#: the side of the widest square mesh the object kernel keeps
+EDGE = isqrt(VECTOR_ABOVE_NODES)
+#: a node count past the crossover (the narrowest square mesh past it)
+BIG = (EDGE + 1) ** 2
 LOSS = FaultPlan(events=[FlitDrop(at=0, a=0, b=1, p=0.1)])
 LINK_DOWN = FaultPlan(events=[FlitDrop(at=0, a=0, b=1, p=0.1),
                               LinkDown(at=5, a=1, b=2)])
@@ -32,9 +38,9 @@ def _no_env(monkeypatch):
 
 @pytest.mark.parametrize("nodes,noc,telemetry,faults,expect", [
     (8 * 8, MESH, False, None, "object"),
-    (12 * 12, MESH, False, None, "object"),
-    (13 * 13, MESH, False, None, "vector"),
-    (16 * 16, MESH, False, None, "vector"),
+    (EDGE * EDGE, MESH, False, None, "object"),
+    (BIG, MESH, False, None, "vector"),
+    (32 * 32, MESH, False, None, "vector"),
     # node count alone is the wrong observable: the high-radix
     # topologies lose on the vector kernel whatever their size
     (BIG, NocConfig(topology=Topology.CROSSBAR), False, None, "object"),
@@ -95,7 +101,7 @@ def test_env_var_is_read_only_when_no_name_is_passed(monkeypatch):
 )
 def test_a_mesh_past_the_crossover_runs_on_vector_and_equals_object(make):
     def run(backend):
-        cfg = make(**table1_mix(13, 13))
+        cfg = make(**table1_mix(EDGE + 1, EDGE + 1))
         system = build_system(cfg, "HS", "canneal", backend=backend)
         result = run_simulation(
             cfg, "HS", "canneal", cycles=200, warmup=300, system=system
@@ -113,9 +119,9 @@ def test_build_system_selects_from_the_config():
 
     assert chosen(baseline_config()) == "object"
     def big():
-        return baseline_config(**table1_mix(14, 14))
+        return baseline_config(**table1_mix(EDGE + 1, EDGE + 1))
 
-    assert chosen(baseline_config(**table1_mix(12, 12))) == "object"
+    assert chosen(baseline_config(**table1_mix(EDGE, EDGE))) == "object"
     assert chosen(big()) == "vector"
     crossbar = big()
     crossbar.noc.topology = Topology.CROSSBAR
@@ -140,9 +146,11 @@ def test_a_spec_no_kernel_can_run_is_refused_at_make(monkeypatch):
 
 def test_job_specs_carry_the_selected_kernel():
     small = JobSpec.make(baseline_config(), "HS", "canneal")
-    big = JobSpec.make(baseline_config(**table1_mix(14, 14)), "HS", "canneal")
+    big = JobSpec.make(
+        baseline_config(**table1_mix(EDGE + 1, EDGE + 1)), "HS", "canneal"
+    )
     pinned = JobSpec.make(
-        baseline_config(**table1_mix(14, 14)), "HS", "canneal",
+        baseline_config(**table1_mix(EDGE + 1, EDGE + 1)), "HS", "canneal",
         backend="object",
     )
     assert (small.backend, big.backend, pinned.backend) == (

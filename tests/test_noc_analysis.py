@@ -49,7 +49,7 @@ class TestLinkLoads:
 
     def test_same_loads_on_both_kernels(self):
         # the helpers read only what both kernels' networks expose (the
-        # vector kernel is what the code itself selects above 144 nodes)
+        # vector kernel is what the code itself selects on a big mesh)
         per_backend = []
         for backend in ("object", "vector"):
             system = build_system(small_dr_config(), "SC", "bodytrack",

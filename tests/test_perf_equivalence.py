@@ -317,6 +317,23 @@ def test_sleeping_cores_bit_identical(mechanism, l1_org, backend, flush):
         assert skipped == 0
 
 
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_cores_refused_by_the_nic_sleep(backend):
+    """BP's failed issues are NIC refusals: behind a two-packet request
+    queue the cores sleep through them until the NIC pops the queue, so
+    a missed pop wake drifts and a return to polling skips nothing."""
+
+    def cfg_of():
+        cfg = small_config()
+        cfg.noc.node_injection_queue_packets = 2
+        return cfg
+
+    ref, opt, system = _endpoint_pair(cfg_of, 500, gpu="BP", backend=backend)
+    _assert_no_drift(ref, opt)
+    skipped = system.scheduler_stats()["gpu_core_steps_skipped"]
+    assert skipped >= 0.5 * 500 * len(system.gpu_cores)
+
+
 def test_counters_read_mid_sleep():
     """The run ends with cores asleep and retries owed; reading the
     counters settles them without a further step (and reading twice

@@ -22,6 +22,7 @@ from repro.config import baseline_config, delegated_replies_config
 from repro.experiments import chaos_sweep
 from repro.faults.plan import chaos_plan
 from repro.model.validate import grid_specs
+from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import run_simulation
 from repro.sweep import (
     JobOutcome,
@@ -260,14 +261,26 @@ class TestResultCache:
         assert cache.contains(key)
         assert result_bytes(cache.get(key)) == result_bytes(result)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("raw", [
+        b'{"key": "ab', b'{"key": "\xff\xfe", "result": {}}',
+        b'["key", "result"]',
+        json.dumps({"key": "0" * 64,
+                    "result": SimulationResult(cycles=1).to_dict()}).encode(),
+    ], ids=["truncated", "invalid_utf8", "not_a_dict", "wrong_key"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, raw):
+        """A damaged entry reads as a miss and is evicted, and a sweep
+        that meets one runs the job instead of dying on it."""
         cache = ResultCache(tmp_path)
-        key = "ab" + "0" * 62
-        p = cache.path(key)
+        spec = tiny_spec()
+        p = cache.path(spec.key())
         p.parent.mkdir(parents=True)
-        p.write_text("{not json")
-        assert cache.get(key) is None
+        p.write_bytes(raw)
+        assert cache.get(spec.key()) is None
         assert not p.exists()  # evicted
+        p.write_bytes(raw)
+        out = SweepRunner(cache=cache, jobs=1, worker=_ok_payload).run([spec])
+        assert out[spec.key()].status == "ok"
+        assert cache.get(spec.key()) is not None
 
     def test_traced_spec_does_not_alias_untraced_entry(self, tmp_path):
         # the cached *payload* differs with telemetry on (stall breakdown,
@@ -296,8 +309,6 @@ class TestResultCache:
 
 def _ok_payload(spec_dict):
     """Stand-in worker: a fake result derived from the spec (no simulation)."""
-    from repro.sim.metrics import SimulationResult
-
     spec = JobSpec.from_dict(spec_dict)
     result = SimulationResult(cycles=spec.cycles, counters={"gpu.insts": 7.0})
     return {"result": result.to_dict(), "wall_time_s": 0.01}
