@@ -388,10 +388,10 @@ class TelemetryConfig:
     #: histograms, windowed probes, clogging detection, the flight
     #: recorder and the metrics registry.  ``"full"`` adds exact
     #: per-cycle stall attribution (why each blocked head worm cannot
-    #: advance) — the per-blocked-VC accounting that dominates telemetry
-    #: cost on saturated meshes.  The probe-time blame chain walker that
-    #: attaches ``root_cause`` records to clogging episodes runs in both
-    #: modes (it is windowed, not per-cycle).
+    #: advance), charged when a blocked head's class changes or it moves.
+    #: The probe-time blame chain walker that attaches ``root_cause``
+    #: records to clogging episodes runs in both modes (it is windowed,
+    #: not per-cycle).
     mode: str = _spec("light", choices=("light", "full"))
     #: per-packet trace destination; empty = aggregate-only (histograms,
     #: window probes and clogging detection, but no per-packet I/O).

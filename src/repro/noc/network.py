@@ -313,7 +313,6 @@ class NocFabric:
         )
         for nic in self.nics:
             nic.telemetry = collector
-            nic.stall_tel = stall_tel
         for net in self._net_list:
             net.telemetry = collector
             net.stall_tel = stall_tel

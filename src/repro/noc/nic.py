@@ -64,10 +64,6 @@ class NodeInterface:
         #: attached :class:`~repro.telemetry.collector.TelemetryCollector`
         #: (None when telemetry is disabled; every hook site is one check).
         self.telemetry = None
-        #: the collector again iff stall attribution is on (mode
-        #: ``full``), else None — the per-cycle memory-side stall hooks
-        #: gate on this so light mode pays nothing for them.
-        self.stall_tel = None
         #: attached :class:`~repro.faults.controller.FaultController`
         #: retransmit guard (None unless a fault plan with events is
         #: installed; same single-check gating as telemetry).
@@ -380,8 +376,6 @@ class MemoryNodeNic(NodeInterface):
         self.observed_cycles += 1
         if not self.can_enqueue(NetKind.REPLY):
             self.blocked_cycles += 1
-            if self.stall_tel is not None:
-                self.stall_tel.on_mem_reply_stall(self.node_id, cycle)
         return True
 
     def _delegate_scan(self, cycle: int) -> None:

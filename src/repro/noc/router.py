@@ -55,7 +55,8 @@ class InputVC:
 
     __slots__ = (
         "router", "port", "vc",
-        "q", "occ", "owner", "route_out", "out", "sent", "stall",
+        "q", "occ", "owner", "route_out", "out", "sent",
+        "stall", "stall_since", "stall_row",
     )
 
     def __init__(self, router: "Router", port: int, vc: int) -> None:
@@ -74,9 +75,13 @@ class InputVC:
         self.out: Optional["InputVC"] = None
         #: flits of the head worm already forwarded from this router.
         self.sent = 0
-        #: stall class of the open attribution record (-1: none), kept by
-        #: the collector's hooks; stalls are reported only when it changes
+        #: the open stall-attribution record (full-mode telemetry): its
+        #: stall class (-1: none), the cycle it started and the stall
+        #: table row it charges.  ``on_stall`` opens and re-classes it,
+        #: and is called only when the class changes; a move closes it.
         self.stall = -1
+        self.stall_since = 0
+        self.stall_row: Optional[List[int]] = None
 
 
 class Router:
@@ -239,7 +244,9 @@ class Router:
         wake_at = -1
         tel = net.stall_tel
         fa = net.faults
-        cands = None if tel is None else []
+        # every candidate, kept for switch-loss attribution from the second
+        # one on: a lone candidate wins unopposed
+        cands: Optional[List[InputVC]] = None
         for ivc in self.active:
             pkt, avail, ready, key = ivc.q[0]
             if avail == 0:
@@ -306,13 +313,15 @@ class Router:
                     # held by our own worms or credit-full — a drain or our
                     # own tail delivery wakes us
             ncand += 1
-            if cands is not None:
-                cands.append((ivc, pkt))
             if winners is None:
                 if ncand == 1:
                     win_key, win_ivc, win_oport = key, ivc, oport
                     continue
                 winners = {win_oport: (win_key, win_ivc)}
+                if tel is not None:
+                    cands = [win_ivc]
+            if cands is not None:
+                cands.append(ivc)
             cur = winners.get(oport)
             if cur is None or key < cur[0]:
                 winners[oport] = (key, ivc)
@@ -329,23 +338,24 @@ class Router:
         # per output port per cycle (Section II's switch constraints);
         # winners is per-output already, now enforce per-input uniqueness
         taken_inputs = set()
-        moved = None if tel is None else set()
         for oport, (key, ivc) in sorted(
             winners.items(), key=lambda kv: kv[1][0]
         ):
             if ivc.port in taken_inputs:
+                if cands is not None:
+                    winners[oport] = (key, None)  # this output moves nothing
                 continue
             taken_inputs.add(ivc.port)
             moves.append((self, ivc, oport))
-            if moved is not None:
-                moved.add(ivc)
-        if tel is not None:
-            # every candidate that did not move lost switch allocation to
-            # a higher-priority worm (or to per-input uniqueness) — charge
-            # it so each blocked head worm is billed exactly one class.
-            for ivc, pkt in cands:
-                if ivc not in moved and ivc.stall != _ST_SWITCH:
-                    tel.on_stall(ivc, pkt, _ST_SWITCH, cycle)
+        if cands is not None:
+            # every candidate that is not its output's moving winner lost
+            # switch allocation to a higher-priority worm (or to per-input
+            # uniqueness) — charge it so each blocked head worm is billed
+            # exactly one class.
+            for ivc in cands:
+                if (ivc.stall != _ST_SWITCH
+                        and winners[ivc.route_out][1] is not ivc):
+                    tel.on_stall(ivc, ivc.q[0][_PKT], _ST_SWITCH, cycle)
 
     def _allocate_vc(self, ivc: InputVC, oport: int, pkt: Packet) -> bool:
         """Allocate a downstream VC with credit for a worm's header."""
@@ -365,8 +375,10 @@ class Router:
     def _move_flit(self, ivc: InputVC, oport: int, cycle: int) -> None:
         """Apply one move chosen by :meth:`decide` (the only commit path)."""
         net = self.net
-        if ivc.stall >= 0:
-            net.stall_tel.on_advance(ivc, cycle)  # closes the open record
+        klass = ivc.stall
+        if klass >= 0:  # close the open stall record: charge its span
+            ivc.stall_row[klass] += cycle - ivc.stall_since
+            ivc.stall = -1
         q = ivc.q
         head = q[0]
         pkt: Packet = head[_PKT]

@@ -132,9 +132,6 @@ class MemoryNode:
                 return
             if not self.nic.can_enqueue(NetKind.REPLY):
                 self.stats.reply_backpressure_cycles += 1
-                tel = self.nic.stall_tel
-                if tel is not None:
-                    tel.on_reply_backpressure(self.node_id, cycle)
                 return
             self.llc.pop_result()
             self.nic.try_send(self._reply_for(result, cycle), cycle)

@@ -170,7 +170,8 @@ class HeterogeneousSystem:
         self.telemetry: Optional[TelemetryCollector] = None
         if cfg.telemetry.enabled:
             self.telemetry = TelemetryCollector(
-                cfg.telemetry, self.fabric, self.layout.mem_nodes
+                cfg.telemetry, self.fabric, self.layout.mem_nodes,
+                self.memory_nodes,
             )
             self.fabric.attach_telemetry(self.telemetry)
 

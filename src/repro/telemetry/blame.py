@@ -5,16 +5,17 @@ culprit":
 
 * **Stall attribution** (:class:`StallTable`): every cycle a head worm
   fails to advance, the router charges the cycle to exactly one class of
-  a fixed taxonomy (:data:`STALL_CLASSES`).  Charging is *deferred*: the
-  collector keeps one open record per blocked input VC and only charges
-  when the stall class changes or the worm advances.  Repeated
+  a fixed taxonomy (:data:`STALL_CLASSES`).  Charging is *deferred*: each
+  blocked input VC carries one open record and is only charged when the
+  stall class changes or the worm advances.  Repeated
   same-class observations are no-ops, and a router sleeping through an
   event-driven scheduling gap is charged correctly on wake — any event
   that could change a head worm's stall class also wakes its router, so
   the class is invariant over the gap.  Full-scan and event-driven runs
   therefore produce identical totals, and per-router totals equal the
   exact count of blocked head-worm cycles (the conservation property the
-  tests enforce).
+  tests enforce).  The memory-side ``reply_buffer`` rows are read off
+  the counters the memory node keeps anyway.
 
 * **Blame chains** (:func:`walk_chain` / :func:`survey_stalls`): for a
   clogging episode the walker follows each blocked head worm downstream
@@ -32,7 +33,7 @@ mutates the simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import NetKind
@@ -64,81 +65,60 @@ class StallTable:
     """Per-(net, router, port, class) stall-cycle counters.
 
     ``counts`` maps ``(net_name, router, port, traffic_cls)`` to a list of
-    per-stall-class cycle counts.  ``_open`` holds the deferred records:
-    ``(net_name, router, port, vc) -> [stall_class, since_cycle, cls]``.
+    per-stall-class cycle counts.  The open records live on the input VCs
+    (``InputVC.stall`` / ``stall_since`` / ``stall_row``): the collector's
+    ``on_stall`` re-classes one, the router's move closes it, and
+    :meth:`flush` charges every open one up to a window boundary.
+
+    The memory-side rows are read, not charged: ``("mem", node, 0,
+    ANY_CLS)`` is the node NIC's ``blocked_cycles`` and ``("mem", node, 1,
+    ANY_CLS)`` its ``MemoryNode``'s ``reply_backpressure_cycles``, each
+    since the table was built, both written at :meth:`flush`.  ``counts``
+    is therefore current as of the last flush.
     """
 
-    __slots__ = ("counts", "_open")
+    __slots__ = ("counts", "_rows", "_nets", "_mem")
 
-    def __init__(self) -> None:
+    def __init__(self, nets: Sequence, mem_counters: Sequence) -> None:
         self.counts: Dict[Tuple[str, int, int, int], List[int]] = {}
-        self._open: Dict[Tuple[str, int, int, int], List[int]] = {}
+        #: per traffic class, input VC -> its ``counts`` row
+        self._rows: Tuple[Dict[InputVC, List[int]], ...] = ({}, {})
+        #: the object networks whose input VCs carry open records
+        self._nets = tuple(nets)
+        #: ``(counts key, object, counter attribute, value at build)``
+        self._mem = [
+            (key, obj, attr, getattr(obj, attr)) for key, obj, attr in mem_counters
+        ]
 
-    # -- deferred charging (router head worms) -------------------------
-
-    def observe(
-        self,
-        net: str,
-        rid: int,
-        port: int,
-        vc: int,
-        cls: int,
-        klass: int,
-        cycle: int,
-    ) -> None:
-        """The head worm of ``(port, vc)`` is blocked on ``klass`` at
-        ``cycle``.  Same-class re-observations are no-ops; a class change
-        charges the elapsed span to the old class and reopens."""
-        key = (net, rid, port, vc)
-        rec = self._open.get(key)
-        if rec is None:
-            self._open[key] = [klass, cycle, cls]
-            return
-        if rec[0] == klass:
-            return
-        self._charge(key, rec, cycle)
-        rec[0] = klass
-        rec[1] = cycle
-        rec[2] = cls
-
-    def advance(self, net: str, rid: int, port: int, vc: int, cycle: int) -> None:
-        """A flit of ``(port, vc)``'s head worm moved: close its record,
-        charging every cycle since the stall began."""
-        rec = self._open.pop((net, rid, port, vc), None)
-        if rec is not None:
-            self._charge((net, rid, port, vc), rec, cycle)
-
-    def _charge(
-        self, key: Tuple[str, int, int, int], rec: List[int], cycle: int
-    ) -> None:
-        n = cycle - rec[1]
-        if n <= 0:
-            return
-        ckey = (key[0], key[1], key[2], rec[2])
-        row = self.counts.get(ckey)
+    def row(self, ivc: InputVC, cls: int) -> List[int]:
+        """The ``counts`` row of ``ivc``'s (net, router, port) for traffic
+        class ``cls``, created on first use and cached per input VC."""
+        rows = self._rows[cls]
+        row = rows.get(ivc)
         if row is None:
-            row = self.counts[ckey] = [0] * N_CLASSES
-        row[rec[0]] += n
-
-    # -- direct charging (per-cycle memory-side counters) ---------------
-
-    def charge(
-        self, net: str, rid: int, port: int, cls: int, klass: int, n: int = 1
-    ) -> None:
-        ckey = (net, rid, port, cls)
-        row = self.counts.get(ckey)
-        if row is None:
-            row = self.counts[ckey] = [0] * N_CLASSES
-        row[klass] += n
-
-    # -- windows / finalize ---------------------------------------------
+            router = ivc.router
+            row = rows[ivc] = self.counts.setdefault(
+                (router.net.name, router.rid, ivc.port, int(cls)),
+                [0] * N_CLASSES,
+            )
+        return row
 
     def flush(self, cycle: int) -> None:
         """Charge every open record up to ``cycle`` (records stay open so
-        accounting can continue across a window boundary)."""
-        for key, rec in self._open.items():
-            self._charge(key, rec, cycle)
-            rec[1] = cycle
+        accounting can continue across a window boundary) and read the
+        memory-side rows."""
+        for net in self._nets:
+            for router in net.routers:
+                for port in router.inputs:
+                    for ivc in port:
+                        klass = ivc.stall
+                        if klass >= 0:
+                            ivc.stall_row[klass] += max(0, cycle - ivc.stall_since)
+                            ivc.stall_since = cycle
+        for key, obj, attr, base in self._mem:
+            n = getattr(obj, attr) - base
+            if n:
+                self.counts.setdefault(key, [0] * N_CLASSES)[REPLY_BUFFER] = n
 
     def snapshot(self) -> Dict[Tuple[str, int, int, int], List[int]]:
         return {k: list(v) for k, v in self.counts.items()}

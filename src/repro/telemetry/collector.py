@@ -27,8 +27,11 @@ Two instrumentation tiers (``TelemetryConfig.mode``):
   detection with probe-time blame chains, flight recorder, metrics
   registry.  Cheap enough to leave on everywhere.
 * ``"full"`` — adds exact per-cycle stall attribution (the
-  :class:`~repro.telemetry.blame.StallTable` charged per blocked
-  head-worm cycle), which dominates telemetry cost on saturated meshes.
+  :class:`~repro.telemetry.blame.StallTable`): every blocked head-worm
+  cycle is charged to one class, through a record on the input VC that
+  is touched only when its class changes or the worm moves.  On the
+  clogged 8x8 full system it costs ~13-16% over telemetry off
+  (DESIGN.md §8).
 
 Everything the collector reads is a counter the simulator already
 maintains; it never mutates simulation state, so enabling telemetry
@@ -44,7 +47,6 @@ from repro.config.system import TelemetryConfig
 from repro.telemetry.blame import (
     ANY_CLS,
     BlameAccumulator,
-    REPLY_BUFFER,
     STALL_CLASSES,
     StallTable,
     survey_stalls,
@@ -142,7 +144,11 @@ class TelemetryCollector:
         cfg: TelemetryConfig,
         fabric,
         mem_nodes: Tuple[int, ...] = (),
+        memory_nodes: Sequence = (),
     ) -> None:
+        """``mem_nodes`` are the memory-node ids; ``memory_nodes`` the
+        :class:`~repro.sim.memory_node.MemoryNode` endpoints a full system
+        has behind them (a bare fabric has none)."""
         self.cfg = cfg
         self.fabric = fabric
         self.mem_nodes = tuple(mem_nodes)
@@ -157,10 +163,17 @@ class TelemetryCollector:
         self.detector = CloggingDetector(cfg.clog_threshold, cfg.clog_min_windows)
         self.detector.on_open = self._on_clog_open
         #: exact stall attribution (None unless ``mode == "full"``):
-        #: per-(net, router, port, class) blocked-head-worm cycle counters
-        self.stalls: Optional[StallTable] = (
-            StallTable() if cfg.mode == "full" else None
-        )
+        #: per-(net, router, port, class) blocked-head-worm cycle counters,
+        #: plus the memory side's reply-buffer counters read as rows
+        self.stalls: Optional[StallTable] = None
+        if cfg.mode == "full":
+            self.stalls = StallTable(
+                fabric._net_list,
+                [(("mem", node, 0, ANY_CLS), fabric.nics[node], "blocked_cycles")
+                 for node in self.mem_nodes]
+                + [(("mem", m.node_id, 1, ANY_CLS), m.stats,
+                    "reply_backpressure_cycles") for m in memory_nodes],
+            )
         self._stall_base: Dict = {}
         #: node -> blame accumulator for its currently-hot episode
         self._blame: Dict[int, BlameAccumulator] = {}
@@ -355,39 +368,18 @@ class TelemetryCollector:
 
     def on_stall(self, ivc, pkt, klass: int, cycle: int) -> None:
         """Head worm ``pkt`` of input VC ``ivc`` is blocked on stall class
-        ``klass`` from this cycle (deferred charging; see
-        :class:`~repro.telemetry.blame.StallTable`).  ``ivc.stall``
-        remembers the class, so the router reports only a change of it."""
-        st = self.stalls
-        if st is not None:
-            ivc.stall = klass
-            router = ivc.router
-            st.observe(
-                router.net.name, router.rid, ivc.port, ivc.vc,
-                int(pkt.cls), klass, cycle,
-            )
-
-    def on_advance(self, ivc, cycle: int) -> None:
-        """A flit of ``ivc``'s blocked head worm moved: close its record."""
-        st = self.stalls
-        if st is not None:
-            ivc.stall = -1
-            router = ivc.router
-            st.advance(router.net.name, router.rid, ivc.port, ivc.vc, cycle)
-
-    def on_mem_reply_stall(self, node: int, cycle: int) -> None:
-        """Memory node ``node``'s reply injection buffer cannot take one
-        more reply this cycle (the NIC-side blocked-cycle signal)."""
-        st = self.stalls
-        if st is not None:
-            st.charge("mem", node, 0, ANY_CLS, REPLY_BUFFER)
-
-    def on_reply_backpressure(self, node: int, cycle: int) -> None:
-        """Memory node ``node``'s LLC holds a finished result it cannot
-        post because the reply buffer is full (drain-side signal)."""
-        st = self.stalls
-        if st is not None:
-            st.charge("mem", node, 1, ANY_CLS, REPLY_BUFFER)
+        ``klass`` from this cycle; the router calls this only when
+        ``klass`` differs from ``ivc.stall``.  The VC's open record is
+        charged its span so far and re-classed, or opened (deferred
+        charging; see :class:`~repro.telemetry.blame.StallTable`).  The
+        router's move closes it."""
+        old = ivc.stall
+        if old < 0:
+            ivc.stall_row = self.stalls.row(ivc, pkt.cls)
+        else:
+            ivc.stall_row[old] += cycle - ivc.stall_since
+        ivc.stall = klass
+        ivc.stall_since = cycle
 
     # -- deferred ring drains and flight dumps ---------------------------
 
@@ -563,8 +555,9 @@ class TelemetryCollector:
     # -- measured-window stall accounting ---------------------------------
 
     def mark_window_start(self, cycle: int) -> None:
-        """Snapshot stall counters at the start of the measured window so
-        :meth:`stall_breakdown` reports measured-window cycles only."""
+        """Flush and snapshot stall counters at the start of the measured
+        window so :meth:`stall_breakdown` reports measured-window cycles
+        only."""
         st = self.stalls
         if st is not None:
             st.flush(cycle)

@@ -6,7 +6,8 @@ The two load-bearing guarantees:
   exactly one stall class, so per-router charged totals equal the exact
   count of blocked head-worm cycles (presence minus moves), and the
   event-driven scheduler charges bit-identically to an all-awake run
-  (``conftest.all_awake``) despite sleeping through stalls.
+  (``conftest.all_awake``) despite sleeping through stalls.  The
+  memory-side rows equal the memory node's own blocked counters.
 * **Read-only** — attribution and blame walking never perturb the
   simulation: counters stay bit-identical with stall attribution on,
   and everything is off (and free) when telemetry is disabled.
@@ -15,8 +16,11 @@ The two load-bearing guarantees:
 import json
 
 from repro.bench.traffic import SCENARIOS, replay
+from repro.config import NocConfig, delegated_replies_config
 from repro.config.system import TelemetryConfig
+from repro.noc import MeshTopology, MessageType, NetKind, Packet, TrafficClass
 from repro.noc import router as router_mod
+from repro.sim.engines import build_fabric
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system, run_simulation
 from repro.sweep.runner import stall_shares
@@ -30,7 +34,6 @@ from repro.telemetry.blame import (
     STALL_CLASSES,
     SWITCH,
     BlameAccumulator,
-    StallTable,
     classify_head,
     survey_stalls,
     walk_chain,
@@ -61,61 +64,201 @@ class TestTaxonomy:
         assert not hasattr(router_mod, "_ST_REPLY_BUFFER")
 
 
-class TestStallTable:
-    KEY = ("request", 3, 1, 0)  # net, rid, port, cls
+def _line(reference=False):
+    """A bare 3x1 mesh, full-mode collector attached: node 0 feeds router
+    1's input port 1, whose output port 2 leads to node 2."""
+    fabric = build_fabric("object", MeshTopology(3, 1), NocConfig())
+    collector = TelemetryCollector(
+        TelemetryConfig(enabled=True, mode="full"), fabric
+    )
+    fabric.attach_telemetry(collector)
+    if reference:
+        all_awake(fabric)
+    return fabric, collector
 
-    def test_same_class_reobserved_is_noop_until_advance(self):
-        st = StallTable()
-        for cycle in (10, 11, 12):
-            st.observe("request", 3, 1, 0, 0, CREDIT, cycle)
-        assert st.counts == {}  # deferred: nothing charged yet
-        st.advance("request", 3, 1, 0, 13)
-        assert st.counts[self.KEY][CREDIT] == 3
+
+def _worm():
+    """A 9-flit GPU reply from node 0 to node 2."""
+    return Packet(0, 2, MessageType.READ_REPLY, TrafficClass.GPU, 9)
+
+
+class TestStallRecords:
+    """The open record on the input VC, driven through the real hooks: a
+    header's arrival (pipeline dwell), the router's arbitration and the
+    collector's ``on_stall``, and the router's move, which closes it."""
+
+    KEY = ("reply", 1, 1, 1)  # net, router, input port, traffic class
+    OUT = 2
+
+    def _arrived(self):
+        """Router 1 with a worm's header arriving at cycle 4: its
+        pipeline-dwell record opens at cycle 5."""
+        fabric, collector = _line()
+        router = fabric.reply_net.routers[1]
+        ivc = router.inputs[1][0]
+        pkt = _worm()
+        router.accept_flit(ivc, pkt, False, 4)
+        router.accept_flit(ivc, pkt, False, 5)
+        ivc.route_out = self.OUT
+        ivc.out = router.downstream[self.OUT][0]
+        return collector, router, ivc, pkt
+
+    def test_same_class_is_one_record(self):
+        collector, router, ivc, _pkt = self._arrived()
+        ready = ivc.q[0][2]
+        assert ivc.stall == PIPELINE and ivc.stall_since == 5
+        for cycle in range(5, ready):  # every pass re-observes the dwell
+            moves = []
+            router.decide(cycle, router.net, moves)
+            assert not moves and ivc.stall_since == 5
+        row = collector.stalls.counts[self.KEY]
+        assert not any(row)  # deferred: nothing charged yet
+        moves = []
+        router.decide(ready, router.net, moves)
+        assert moves == [(router, ivc, self.OUT)]
+        router._move_flit(ivc, self.OUT, ready)
+        assert ivc.stall == -1
+        assert row[PIPELINE] == ready - 5 and sum(row) == ready - 5
 
     def test_class_change_charges_old_class(self):
-        st = StallTable()
-        st.observe("request", 3, 1, 0, 0, PIPELINE, 5)
-        st.observe("request", 3, 1, 0, 0, CREDIT, 8)   # 3 pipeline cycles
-        st.advance("request", 3, 1, 0, 10)             # 2 credit cycles
-        row = st.counts[self.KEY]
+        collector, router, ivc, pkt = self._arrived()
+        collector.on_stall(ivc, pkt, CREDIT, 8)  # 3 pipeline cycles
+        router._move_flit(ivc, self.OUT, 10)     # 2 credit cycles
+        row = collector.stalls.counts[self.KEY]
         assert row[PIPELINE] == 3 and row[CREDIT] == 2
         assert sum(row) == 5
 
     def test_zero_span_charges_nothing(self):
-        st = StallTable()
-        st.observe("request", 3, 1, 0, 0, CREDIT, 10)
-        st.advance("request", 3, 1, 0, 10)  # same cycle: 0 blocked cycles
-        assert st.counts == {}
+        collector, router, ivc, pkt = self._arrived()
+        collector.on_stall(ivc, pkt, CREDIT, 10)
+        router._move_flit(ivc, self.OUT, 10)  # same cycle: 0 blocked cycles
+        row = collector.stalls.counts[self.KEY]
+        assert row[CREDIT] == 0 and sum(row) == 5
 
-    def test_advance_without_record_is_noop(self):
-        st = StallTable()
-        st.advance("request", 3, 1, 0, 10)
-        assert st.counts == {}
+    def test_move_without_record_is_noop(self):
+        collector, router, ivc, _pkt = self._arrived()
+        router._move_flit(ivc, self.OUT, 9)
+        row = list(collector.stalls.counts[self.KEY])
+        router._move_flit(ivc, self.OUT, 10)  # no record open
+        assert collector.stalls.counts[self.KEY] == row
 
     def test_flush_charges_but_keeps_records_open(self):
-        st = StallTable()
-        st.observe("request", 3, 1, 0, 0, CREDIT, 10)
-        st.flush(14)
-        assert st.counts[self.KEY][CREDIT] == 4
-        st.advance("request", 3, 1, 0, 17)  # remainder since the flush
-        assert st.counts[self.KEY][CREDIT] == 7
-
-    def test_direct_charge_and_any_cls(self):
-        st = StallTable()
-        st.charge("mem", 5, 0, ANY_CLS, REPLY_BUFFER)
-        st.charge("mem", 5, 0, ANY_CLS, REPLY_BUFFER, n=3)
-        assert st.counts[("mem", 5, 0, ANY_CLS)][REPLY_BUFFER] == 4
+        collector, router, ivc, pkt = self._arrived()
+        collector.on_stall(ivc, pkt, CREDIT, 10)
+        collector.stalls.flush(14)
+        row = collector.stalls.counts[self.KEY]
+        assert row[CREDIT] == 4
+        assert ivc.stall == CREDIT and ivc.stall_since == 14
+        router._move_flit(ivc, self.OUT, 17)  # remainder since the flush
+        assert row[CREDIT] == 7
 
     def test_diff_reports_only_changes(self):
-        st = StallTable()
-        st.charge("mem", 5, 0, ANY_CLS, REPLY_BUFFER)
+        collector, router, ivc, pkt = self._arrived()
+        st = collector.stalls
+        collector.on_stall(ivc, pkt, CREDIT, 8)
         base = st.snapshot()
-        st.charge("mem", 5, 0, ANY_CLS, REPLY_BUFFER, n=2)
-        st.charge("mem", 6, 0, ANY_CLS, REPLY_BUFFER)
-        d = st.diff(base)
-        assert d[("mem", 5, 0, ANY_CLS)][REPLY_BUFFER] == 2
-        assert d[("mem", 6, 0, ANY_CLS)][REPLY_BUFFER] == 1
+        router._move_flit(ivc, self.OUT, 10)
+        assert st.diff(base) == {self.KEY: [0, 0, 0, 2, 0, 0, 0, 0]}
         assert st.diff(st.snapshot()) == {}
+
+    def test_window_split_while_router_sleeps(self):
+        # a worm parked behind a closed ejection gate at node 2 fills
+        # router 2's VC and leaves router 1's head credit-stalled, and
+        # router 1 asleep; the measured window opens mid-stall.  Its
+        # record is charged exactly up to the window start and exactly
+        # from it — the same, cycle for cycle, as an all-awake run.
+        W, END = 40, 90
+        tables = []
+        for reference in (False, True):
+            fabric, collector = _line(reference)
+            net = fabric.reply_net
+            router = net.routers[1]
+            ivc = router.inputs[1][0]
+            fabric.nics[2].eject_gate = lambda pkt: False
+            fabric.nics[0].try_send(_worm(), 0)
+            blocked = [0, 0]  # blocked head cycles before / from W
+            for cycle in range(END):
+                if cycle == W:
+                    assert ivc.stall == CREDIT
+                    if not reference:
+                        assert 1 not in net._active_ids  # asleep
+                    since = ivc.stall_since
+                    collector.mark_window_start(W)
+                    assert collector._stall_base[self.KEY][CREDIT] == W - since
+                if cycle == W + 20:
+                    fabric.nics[2].eject_gate = None  # reopen: drain
+                present = bool(ivc.q)
+                routed = router.flits_routed
+                fabric.step(cycle)
+                blocked[cycle >= W] += present - (router.flits_routed - routed)
+            collector.finalize(END)
+            assert not ivc.q  # the worm drained
+            base = collector._stall_base[self.KEY]
+            window = collector.stalls.diff(collector._stall_base)[self.KEY]
+            assert blocked[0] > 10 and blocked[1] > 20
+            assert sum(base) == blocked[0] and sum(window) == blocked[1]
+            assert window[CREDIT] >= 20
+            tables.append((base, window))
+        assert tables[0] == tables[1]
+
+
+class TestMemoryRows:
+    """The ``mem`` rows are the memory side's own counters, read."""
+
+    def test_rows_equal_window_counter_deltas(self):
+        cfg = delegated_replies_config()
+        cfg.telemetry.enabled = True
+        cfg.telemetry.mode = "full"
+        system = build_system(cfg, "HS", "canneal")
+        collector = system.telemetry
+        system.run(200)
+        collector.mark_window_start(system.cycle)
+        before = {
+            m.node_id: (m.nic.blocked_cycles, m.stats.reply_backpressure_cycles)
+            for m in system.memory_nodes
+        }
+        system.run(400)
+        collector.finalize(system.cycle)
+        window = collector.stalls.diff(collector._stall_base)
+        total = 0
+        for m in system.memory_nodes:
+            blocked, backpressure = before[m.node_id]
+            for port, delta in (
+                (0, m.nic.blocked_cycles - blocked),
+                (1, m.stats.reply_backpressure_cycles - backpressure),
+            ):
+                row = window.get(("mem", m.node_id, port, ANY_CLS))
+                assert (row[REPLY_BUFFER] if row else 0) == delta
+                assert row is None or sum(row) == delta
+                total += delta
+        assert total > 0
+        assert collector.stall_breakdown()["mem"] == {"reply_buffer": total}
+
+    def test_bare_fabric_reads_port_zero_only(self):
+        scenario = SCENARIOS["mesh8x8_dr"]
+        fabric = scenario.build()
+        collector = TelemetryCollector(
+            TelemetryConfig(enabled=True, mode="full"), fabric,
+            scenario.mem_nodes,
+        )
+        fabric.attach_telemetry(collector)
+        # the scenario's traffic never fills a reply buffer: fill one
+        stuffed = fabric.nics[scenario.mem_nodes[0]]
+        while stuffed.can_enqueue(NetKind.REPLY):
+            stuffed.try_send(
+                Packet(stuffed.node_id, 0, MessageType.READ_REPLY,
+                       TrafficClass.GPU, 9), 0,
+            )
+        replay(fabric, scenario.schedule(400))
+        collector.finalize(400)
+        assert stuffed.blocked_cycles > 0
+        counts = collector.stalls.counts
+        mem = {key for key in counts if key[0] == "mem"}
+        assert mem and all(key[2] == 0 for key in mem)
+        for node in scenario.mem_nodes:
+            row = counts.get(("mem", node, 0, ANY_CLS))
+            blocked = fabric.nics[node].blocked_cycles
+            assert (row[REPLY_BUFFER] if row else 0) == blocked
 
 
 def _stalled_system(reference=False):
