@@ -13,10 +13,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.area import delegated_replies_overhead, noc_area
 from repro.analysis.energy import energy_report
-from repro.analysis.report import amean, format_table
+from repro.analysis.report import amean
 from repro.config import baseline_config, mechanism_config
-from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_mixes, figure_benchmarks
+from repro.experiments.common import (
+    ExperimentResult, mechanism_groups, ratios, table,
+)
+from repro.sweep.jobs import default_mixes, figure_benchmarks
 
 
 def area_rows() -> List[Tuple[str, dict]]:
@@ -46,37 +48,28 @@ def energy_rows(
     cycles: int,
     warmup: int,
 ) -> Tuple[List[Tuple[str, dict]], dict]:
-    sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
-    noc_ratios = {"rp": [], "dr": []}
-    sys_ratios = {"rp": [], "dr": []}
-    req_ratios = {"rp": [], "dr": []}
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            base = sweep[(gpu, cpu, "baseline")]
-            base_e = energy_report(base, mechanism_config("baseline"))
-            for mech in ("rp", "dr"):
-                res = sweep[(gpu, cpu, mech)]
-                e = energy_report(res, mechanism_config(mech))
-                if base_e.noc_dynamic_pj_per_inst > 0:
-                    noc_ratios[mech].append(
-                        e.noc_dynamic_pj_per_inst / base_e.noc_dynamic_pj_per_inst
-                    )
-                sys_ratios[mech].append(
-                    e.system_pj_per_inst / base_e.system_pj_per_inst
-                )
-                if base.noc_request_packets > 0:
-                    req_ratios[mech].append(
-                        res.noc_request_packets / base.noc_request_packets
-                    )
-    rows = [
-        ("rp_noc_dynamic_energy", {"ratio": amean(noc_ratios["rp"])}),
-        ("dr_noc_dynamic_energy", {"ratio": amean(noc_ratios["dr"])}),
-        ("rp_system_energy", {"ratio": amean(sys_ratios["rp"])}),
-        ("dr_system_energy", {"ratio": amean(sys_ratios["dr"])}),
-        ("rp_request_count", {"ratio": amean(req_ratios["rp"])}),
-        ("dr_request_count", {"ratio": amean(req_ratios["dr"])}),
+    mixes = [
+        mix for group in mechanism_groups(
+            benchmarks, n_mixes, cycles, warmup
+        ).values() for mix in group
     ]
-    summary = {k: amean(v) for k, v in sys_ratios.items()}
+    energy = [
+        {mech: energy_report(res, mechanism_config(mech))
+         for mech, res in mix.items()}
+        for mix in mixes
+    ]
+    rows = [
+        (f"{mech}_{quantity}", {"ratio": amean(ratios(
+            ((mix["baseline"], mix[mech]) for mix in source), metric
+        ))})
+        for quantity, source, metric in (
+            ("noc_dynamic_energy", energy, "noc_dynamic_pj_per_inst"),
+            ("system_energy", energy, "system_pj_per_inst"),
+            ("request_count", mixes, "noc_request_packets"),
+        )
+        for mech in ("rp", "dr")
+    ]
+    summary = {"rp": rows[2][1]["ratio"], "dr": rows[3][1]["ratio"]}
     return rows, summary
 
 
@@ -89,22 +82,10 @@ def run(
     """Regenerate the area table and the energy comparison."""
     benchmarks = list(benchmarks or figure_benchmarks(6))
     n_mixes = n_mixes or default_mixes()
-    a_rows = area_rows()
     e_rows, summary = energy_rows(benchmarks, n_mixes, cycles, warmup)
-    text = format_table(
-        "Area",
-        a_rows,
-        mean=None,
-        label_header="quantity",
-    ) + format_table(
-        "Energy vs baseline",
-        e_rows,
-        mean=None,
-        label_header="quantity",
-    )
-    return ExperimentResult(
-        name="area_energy",
-        rows=a_rows + e_rows,
-        text=text,
-        data=summary,
-    )
+    energy = table("area_energy", "Energy vs baseline", e_rows,
+                   label_header="quantity")
+    result = table("area_energy", "Area", area_rows(), label_header="quantity",
+                   data=summary, note=energy.text)
+    result.rows += e_rows
+    return result

@@ -22,11 +22,11 @@ clean sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.report import format_table
+from repro.analysis.report import amean
 from repro.config import mechanism_config
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, ratios, table
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 
 #: fault intensity levels (fraction of head flits sampled for
@@ -52,90 +52,72 @@ def run(
     from repro.sweep import JobSpec, run_sweep
 
     benchmarks = list(benchmarks or default_benchmarks(subset=2))
+    mixes = [
+        (gpu, cpu) for gpu in benchmarks for cpu in cpu_corunners(gpu, n_mixes)
+    ]
 
     index: Dict[Tuple[str, str, str, float], JobSpec] = {}
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            for mech in _MECHS:
-                cfg = mechanism_config(mech)
-                # the clean job states the window the plans are cut to
-                clean = job(cfg, gpu, cycles, warmup, cpu)
-                for level in intensities:
-                    plan = (
-                        chaos_plan(
-                            cfg, level, seed=seed,
-                            warmup=clean.warmup, cycles=clean.cycles,
-                        )
-                        if level > 0
-                        else None
+    for gpu, cpu in mixes:
+        for mech in _MECHS:
+            cfg = mechanism_config(mech)
+            # the clean job states the window the plans are cut to
+            clean = job(cfg, gpu, cycles, warmup, cpu)
+            for level in intensities:
+                plan = (
+                    chaos_plan(
+                        cfg, level, seed=seed,
+                        warmup=clean.warmup, cycles=clean.cycles,
                     )
-                    index[(gpu, cpu, mech, level)] = job(
-                        cfg, gpu, clean.cycles, clean.warmup, cpu,
-                        label=(gpu, cpu, mech, f"i{level:g}"),
-                        faults=plan,
-                    )
+                    if level > 0
+                    else None
+                )
+                index[(gpu, cpu, mech, level)] = job(
+                    cfg, gpu, clean.cycles, clean.warmup, cpu,
+                    label=(gpu, cpu, mech, f"i{level:g}"),
+                    faults=plan,
+                )
 
     results = run_sweep(list(index.values()), jobs=jobs)
 
-    rows: List[Tuple[str, dict]] = []
+    rows = []
     total_lost = 0
     per_mix: Dict[str, dict] = {}
     for mech in _MECHS:
         for level in intensities:
-            ipc_ratios: List[float] = []
-            p99s: List[float] = []
-            retrans = lost = 0
-            rec_p99 = 0.0
-            for gpu in benchmarks:
-                for cpu in cpu_corunners(gpu, n_mixes):
-                    res = results[index[(gpu, cpu, mech, level)].key()]
-                    clean = results[index[(gpu, cpu, mech, 0.0)].key()]
-                    if clean.gpu_ipc > 0:
-                        ipc_ratios.append(res.gpu_ipc / clean.gpu_ipc)
-                    p99s.append(res.cpu_latency_p99)
-                    retrans += res.fault_retransmits
-                    lost += res.fault_lost
-                    rec_p99 = max(rec_p99, res.fault_recovery_p99)
-                    per_mix[f"{gpu}/{cpu}/{mech}@{level:g}"] = {
-                        "gpu_ipc": res.gpu_ipc,
-                        "cpu_latency_p99": res.cpu_latency_p99,
-                        "fault_retransmits": res.fault_retransmits,
-                        "fault_lost": res.fault_lost,
-                    }
+            runs = [results[index[(*mix, mech, level)].key()] for mix in mixes]
+            clean = [results[index[(*mix, mech, 0.0)].key()] for mix in mixes]
+            for (gpu, cpu), res in zip(mixes, runs):
+                per_mix[f"{gpu}/{cpu}/{mech}@{level:g}"] = {
+                    "gpu_ipc": res.gpu_ipc,
+                    "cpu_latency_p99": res.cpu_latency_p99,
+                    "fault_retransmits": res.fault_retransmits,
+                    "fault_lost": res.fault_lost,
+                }
+            lost = sum(res.fault_lost for res in runs)
             total_lost += lost
-            rows.append((
-                f"{mech}@{level:g}",
-                {
-                    "gpu_ipc_vs_clean": (
-                        sum(ipc_ratios) / len(ipc_ratios)
-                        if ipc_ratios else 0.0
-                    ),
-                    "cpu_p99": sum(p99s) / len(p99s) if p99s else 0.0,
-                    "retransmits": float(retrans),
-                    "lost": float(lost),
-                    "recovery_p99": rec_p99,
-                },
-            ))
+            rows.append((f"{mech}@{level:g}", {
+                "gpu_ipc_vs_clean": amean(ratios(zip(clean, runs))),
+                "cpu_p99": amean(res.cpu_latency_p99 for res in runs),
+                "retransmits": float(sum(r.fault_retransmits for r in runs)),
+                "lost": float(lost),
+                "recovery_p99": max([0.0] + [res.fault_recovery_p99
+                                             for res in runs]),
+            }))
 
-    text = format_table(
-        "Chaos sweep: throughput + recovery vs. injected fault intensity",
-        rows,
-        mean=None,
-        label_header="mech@intensity",
-    )
     verdict = (
         "all injected faults recovered (0 transactions lost)"
         if total_lost == 0
         else f"WARNING: {total_lost} transaction(s) lost"
     )
-    text += verdict + "\n"
-    return ExperimentResult(
-        name="chaos_sweep",
-        rows=rows,
-        text=text,
+    return table(
+        "chaos_sweep",
+        "Chaos sweep: throughput + recovery vs. injected fault intensity",
+        rows,
+        label_header="mech@intensity",
         data={
             "per_mix": per_mix,
             "total_lost": total_lost,
             "intensities": list(intensities),
         },
+        note=verdict + "\n",
     )

@@ -9,11 +9,11 @@ the block.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
+from repro.analysis.report import amean
 from repro.config import baseline_config
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, ratio, table
 from repro.sweep.jobs import JobSpec, default_benchmarks, job
 
 
@@ -39,9 +39,7 @@ def measure_locality(spec: JobSpec) -> float:
     for core in cores:
         core.miss_observer = observer
     system.run(spec.cycles)
-    if counters["misses"] == 0:
-        return 0.0
-    return counters["remote"] / counters["misses"]
+    return ratio(counters["remote"], counters["misses"])
 
 
 def run(
@@ -50,19 +48,15 @@ def run(
     warmup: Optional[int] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 2 (one bar per GPU benchmark + the mean)."""
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks or default_benchmarks():
-        frac = measure_locality(job(baseline_config(), gpu, cycles, warmup))
-        rows.append((gpu, {"remote_l1_fraction": frac}))
-    text = format_table(
+    rows = [
+        (gpu, {"remote_l1_fraction": measure_locality(
+            job(baseline_config(), gpu, cycles, warmup))})
+        for gpu in benchmarks or default_benchmarks()
+    ]
+    return table(
+        "fig02_locality",
         "Fig. 2: fraction of L1 misses present in a remote L1",
         rows,
-        mean="amean",
-        label_header="benchmark",
-    )
-    return ExperimentResult(
-        name="fig02_locality",
-        rows=rows,
-        text=text,
-        data={"mean": amean([r[1]["remote_l1_fraction"] for r in rows])},
+        "amean",
+        data={"mean": amean(c["remote_l1_fraction"] for _, c in rows)},
     )

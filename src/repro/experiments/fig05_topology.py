@@ -9,11 +9,13 @@ rates at nominal bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.report import format_table, hmean
+from repro.analysis.report import amean, hmean
 from repro.config import SystemConfig, Topology, baseline_config
-from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.experiments.common import (
+    ExperimentResult, ratios, simulate_configs, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 TOPOLOGIES = (
@@ -46,42 +48,21 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 5a (HM GPU perf vs mesh-1x) and Fig. 5b (blocking)."""
     benchmarks = list(benchmarks or figure_benchmarks(5))
-    raw = simulate_configs(
-        design_points(bandwidths), benchmarks, cycles, warmup
-    )
-    base_ipc = {
-        gpu: raw[((Topology.MESH, bandwidths[0]), gpu)].gpu_ipc
-        for gpu in benchmarks
-    }
-    rows: List[Tuple[str, dict]] = []
-    for topo in TOPOLOGIES:
-        for bw in bandwidths:
-            speedups = [
-                raw[((topo, bw), gpu)].gpu_ipc / base_ipc[gpu]
-                for gpu in benchmarks
-            ]
-            blocking = [
+    points = design_points(bandwidths)
+    raw = simulate_configs(points, benchmarks, cycles, warmup)
+    ref = (Topology.MESH, bandwidths[0])
+    rows = [
+        (f"{topo.value}-{bw:g}x", {
+            "hm_gpu_speedup": hmean(ratios(
+                (raw[(ref, gpu)], raw[((topo, bw), gpu)]) for gpu in benchmarks
+            )),
+            "mem_blocking_rate": amean(
                 raw[((topo, bw), gpu)].mem_blocking_rate for gpu in benchmarks
-            ]
-            label = f"{topo.value}-{bw:g}x"
-            rows.append(
-                (
-                    label,
-                    {
-                        "hm_gpu_speedup": hmean(speedups),
-                        "mem_blocking_rate": sum(blocking) / len(blocking),
-                    },
-                )
-            )
-    text = format_table(
-        "Fig. 5: topology & bandwidth vs mesh-1x",
-        rows,
-        mean=None,
-        label_header="config",
-    )
-    return ExperimentResult(
-        name="fig05_topology",
-        rows=rows,
-        text=text,
-        data={"benchmarks": benchmarks},
+            ),
+        })
+        for topo, bw in points
+    ]
+    return table(
+        "fig05_topology", "Fig. 5: topology & bandwidth vs mesh-1x", rows,
+        label_header="config", data={"benchmarks": benchmarks},
     )

@@ -9,11 +9,12 @@ the clogged links' bandwidth.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.config import baseline_config
-from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.experiments.common import (
+    ExperimentResult, over_reference, ratio, simulate_configs, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 #: (request VCs, reply VCs) splits over one shared physical network with
@@ -31,36 +32,26 @@ def run(
     benchmarks = list(benchmarks or figure_benchmarks(6))
     configs = {"base": baseline_config()}
     for req_vcs, rep_vcs in VC_SPLITS:
-        cfg = configs[(req_vcs, rep_vcs)] = baseline_config()
         # one physical network, same link width: the clogged links keep
         # exactly their baseline bandwidth, which is the paper's point —
         # VC allocation cannot raise link bandwidth
-        cfg.noc.separate_physical_networks = False
-        cfg.noc.request_vcs = req_vcs
-        cfg.noc.reply_vcs = rep_vcs
+        configs[(req_vcs, rep_vcs)] = baseline_config().update({"noc": {
+            "separate_physical_networks": False,
+            "request_vcs": req_vcs, "reply_vcs": rep_vcs,
+        }})
     raw = simulate_configs(configs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        values = {}
-        shared_sym = None
-        for req_vcs, rep_vcs in VC_SPLITS:
-            res = raw[((req_vcs, rep_vcs), gpu)]
-            speedup = res.gpu_ipc / raw[("base", gpu)].gpu_ipc
-            values[f"{req_vcs}req+{rep_vcs}rep"] = speedup
-            if (req_vcs, rep_vcs) == VC_SPLITS[0]:
-                shared_sym = speedup
+    rows = over_reference(
+        raw, "base", {f"{q}req+{p}rep": (q, p) for q, p in VC_SPLITS},
+        benchmarks,
+    )
+    for _, cells in rows:
         # partitioning effect in isolation: AVCP vs the symmetric shared net
-        if shared_sym:
-            values["avcp_vs_symmetric"] = values["1req+3rep"] / shared_sym
-        rows.append((gpu, values))
-    text = format_table(
+        cells["avcp_vs_symmetric"] = ratio(
+            cells["1req+3rep"], cells["2req+2rep"]
+        )
+    return table(
+        "fig06_avcp",
         "Fig. 6: AVCP (shared physical net, asymmetric VCs) vs baseline",
         rows,
-        mean="hmean",
-        label_header="benchmark",
-    )
-    return ExperimentResult(
-        name="fig06_avcp",
-        rows=rows,
-        text=text,
+        "hmean",
     )

@@ -8,11 +8,12 @@ pay their overheads for nothing.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.config import RoutingPolicy, baseline_config
-from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.experiments.common import (
+    ExperimentResult, over_reference, simulate_configs, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 ADAPTIVE_POLICIES = (
@@ -34,21 +35,10 @@ def run(
         configs[policy] = baseline_config()
         configs[policy].noc.routing = policy
     raw = simulate_configs(configs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        values = {
-            policy.value: raw[(policy, gpu)].gpu_ipc / raw[("cdr", gpu)].gpu_ipc
-            for policy in ADAPTIVE_POLICIES
-        }
-        rows.append((gpu, values))
-    text = format_table(
-        "Fig. 7: adaptive routing vs CDR baseline",
-        rows,
-        mean="hmean",
-        label_header="benchmark",
+    rows = over_reference(
+        raw, "cdr", {p.value: p for p in ADAPTIVE_POLICIES}, benchmarks
     )
-    return ExperimentResult(
-        name="fig07_adaptive",
-        rows=rows,
-        text=text,
+    return table(
+        "fig07_adaptive", "Fig. 7: adaptive routing vs CDR baseline", rows,
+        "hmean",
     )

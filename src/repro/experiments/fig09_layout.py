@@ -7,11 +7,13 @@ GPUs, YX requests / XY replies).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.analysis.report import amean, format_table
+from repro.analysis.report import amean
 from repro.config import DimensionOrder, Layout, baseline_config
-from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.experiments.common import (
+    ExperimentResult, ratio, simulate_configs, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 #: (layout, request order, reply order) configurations of Fig. 9
@@ -44,39 +46,29 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 9: average GPU and CPU perf per layout/routing."""
     benchmarks = list(benchmarks or figure_benchmarks(4))
-    configs = {}
-    for point in CONFIGS:
-        layout, req, rep = point
-        cfg = configs[point] = baseline_config()
-        cfg.layout = layout
-        cfg.noc.request_order = req
-        cfg.noc.reply_order = rep
+    configs = {
+        (layout, req, rep): baseline_config().update({
+            "layout": layout, "noc": {"request_order": req, "reply_order": rep},
+        })
+        for layout, req, rep in CONFIGS
+    }
     raw = simulate_configs(configs, benchmarks, cycles, warmup)
-    ref = CONFIGS[0]
-    ref_gpu = amean(raw[(ref, gpu)].gpu_ipc for gpu in benchmarks)
-    ref_cpu = amean(raw[(ref, gpu)].cpu_ipc for gpu in benchmarks)
-    rows: List[Tuple[str, dict]] = []
-    for point in CONFIGS:
-        gpu_perf = amean(raw[(point, gpu)].gpu_ipc for gpu in benchmarks)
-        cpu_perf = amean(raw[(point, gpu)].cpu_ipc for gpu in benchmarks)
-        rows.append(
-            (
-                _label(*point),
-                {
-                    "gpu_perf": gpu_perf / ref_gpu if ref_gpu else 0.0,
-                    "cpu_perf": cpu_perf / ref_cpu if ref_cpu else 0.0,
-                },
-            )
-        )
-    text = format_table(
+
+    def perf(point, metric):
+        """``metric`` averaged over the benchmarks, over the reference's."""
+        def mean(p):
+            return amean(getattr(raw[(p, gpu)], metric) for gpu in benchmarks)
+        return ratio(mean(point), mean(CONFIGS[0]))
+
+    rows = [
+        (_label(*point), {"gpu_perf": perf(point, "gpu_ipc"),
+                          "cpu_perf": perf(point, "cpu_ipc")})
+        for point in CONFIGS
+    ]
+    return table(
+        "fig09_layout",
         "Fig. 9: layout & routing, normalised to Baseline YX-XY",
         rows,
-        mean=None,
         label_header="layout-routing",
-    )
-    return ExperimentResult(
-        name="fig09_layout",
-        rows=rows,
-        text=text,
         data={"benchmarks": benchmarks},
     )

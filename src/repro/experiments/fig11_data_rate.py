@@ -7,11 +7,14 @@ to the cores.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
-from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
+from repro.analysis.report import amean
+from repro.config.system import MECHANISMS
+from repro.experiments.common import (
+    ExperimentResult, mechanism_groups, ratio, table,
+)
+from repro.sweep.jobs import default_benchmarks
 
 
 def run(
@@ -22,39 +25,22 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 11: per-core received data rate by mechanism."""
     benchmarks = list(benchmarks or default_benchmarks())
-    n_mixes = n_mixes or default_mixes()
-    sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        cpus = cpu_corunners(gpu, n_mixes)
-        base = amean(sweep[(gpu, c, "baseline")].gpu_data_rate for c in cpus)
-        rp = amean(sweep[(gpu, c, "rp")].gpu_data_rate for c in cpus)
-        dr = amean(sweep[(gpu, c, "dr")].gpu_data_rate for c in cpus)
-        rows.append(
-            (
-                gpu,
-                {
-                    "baseline": base,
-                    "rp": rp,
-                    "dr": dr,
-                    "dr_gain": dr / base if base else 0.0,
-                },
-            )
-        )
-    text = format_table(
+    rows = []
+    for gpu, mixes in mechanism_groups(
+        benchmarks, n_mixes, cycles, warmup
+    ).items():
+        cells = {mech: amean(m[mech].gpu_data_rate for m in mixes)
+                 for mech in MECHANISMS}
+        cells["dr_gain"] = ratio(cells["dr"], cells["baseline"])
+        rows.append((gpu, cells))
+    return table(
+        "fig11_data_rate",
         "Fig. 11: received data rate per GPU core, flits/cycle",
         rows,
-        mean="amean",
-        label_header="benchmark",
-    )
-    rp_gains = [v["rp"] / v["baseline"] if v["baseline"] else 0.0
-                for _, v in rows]
-    return ExperimentResult(
-        name="fig11_data_rate",
-        rows=rows,
-        text=text,
+        "amean",
         data={
-            "dr_mean_gain": amean([r[1]["dr_gain"] for r in rows]),
-            "rp_mean_gain": amean(rp_gains),
+            "dr_mean_gain": amean(c["dr_gain"] for _, c in rows),
+            "rp_mean_gain": amean(ratio(c["rp"], c["baseline"])
+                                  for _, c in rows),
         },
     )

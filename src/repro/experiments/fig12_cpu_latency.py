@@ -9,23 +9,13 @@ co-runs with.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
-from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
-
-
-def _by_cpu(
-    benchmarks: Sequence[str], n_mixes: int
-) -> Dict[str, List[str]]:
-    """CPU benchmark -> GPU benchmarks it co-runs with."""
-    groups: Dict[str, List[str]] = defaultdict(list)
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            groups[cpu].append(gpu)
-    return groups
+from repro.analysis.report import amean
+from repro.experiments.common import (
+    ExperimentResult, mechanism_groups, ratios, table,
+)
+from repro.sweep.jobs import default_benchmarks
 
 
 def run(
@@ -36,45 +26,25 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 12: normalised CPU packet latency per CPU bench."""
     benchmarks = list(benchmarks or default_benchmarks())
-    n_mixes = n_mixes or default_mixes()
-    sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for cpu, gpus in sorted(_by_cpu(benchmarks, n_mixes).items()):
-        ratios = []
-        p95_ratios = []
-        p99_ratios = []
-        for gpu in gpus:
-            base_res = sweep[(gpu, cpu, "baseline")]
-            dr_res = sweep[(gpu, cpu, "dr")]
-            if base_res.cpu_latency_avg > 0:
-                ratios.append(dr_res.cpu_latency_avg / base_res.cpu_latency_avg)
-            # distribution view (telemetry histograms): delegation's win is
-            # largest in the tail, where clogging parks CPU packets
-            if base_res.cpu_latency_p95 > 0:
-                p95_ratios.append(dr_res.cpu_latency_p95 / base_res.cpu_latency_p95)
-            if base_res.cpu_latency_p99 > 0:
-                p99_ratios.append(dr_res.cpu_latency_p99 / base_res.cpu_latency_p99)
-        if not ratios:
+    rows = []
+    for cpu, mixes in mechanism_groups(
+        benchmarks, n_mixes, cycles, warmup, by_cpu=True
+    ).items():
+        pairs = [(m["baseline"], m["dr"]) for m in mixes]
+        avg = ratios(pairs, "cpu_latency_avg")
+        if not avg:
             continue
-        cells = {
-            "dr_latency_ratio": amean(ratios),
-            "min": min(ratios),
-            "max": max(ratios),
-        }
-        if p95_ratios:
-            cells["dr_p95_ratio"] = amean(p95_ratios)
-        if p99_ratios:
-            cells["dr_p99_ratio"] = amean(p99_ratios)
+        cells = {"dr_latency_ratio": amean(avg), "min": min(avg),
+                 "max": max(avg)}
+        # distribution view (telemetry histograms): delegation's win is
+        # largest in the tail, where clogging parks CPU packets
+        for tail in ("p95", "p99"):
+            tail_ratios = ratios(pairs, f"cpu_latency_{tail}")
+            if tail_ratios:
+                cells[f"dr_{tail}_ratio"] = amean(tail_ratios)
         rows.append((cpu, cells))
-    text = format_table(
-        "Fig. 12: CPU network latency, DR / baseline",
-        rows,
-        mean="amean",
-        label_header="cpu bench",
-    )
-    return ExperimentResult(
-        name="fig12_cpu_latency",
-        rows=rows,
-        text=text,
-        data={"mean_ratio": amean([r[1]["dr_latency_ratio"] for r in rows])},
+    return table(
+        "fig12_cpu_latency", "Fig. 12: CPU network latency, DR / baseline",
+        rows, "amean", label_header="cpu bench",
+        data={"mean_ratio": amean(c["dr_latency_ratio"] for _, c in rows)},
     )

@@ -8,11 +8,11 @@ hits on outstanding lines), and (iii) delegated but missing remotely
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
-from repro.experiments.common import ExperimentResult, mechanism_sweep
-from repro.sweep.jobs import cpu_corunners, default_benchmarks, default_mixes
+from repro.analysis.report import amean
+from repro.experiments.common import ExperimentResult, mechanism_groups, table
+from repro.sweep.jobs import default_benchmarks
 
 
 def run(
@@ -23,41 +23,21 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Fig. 14 from the Delegated Replies runs."""
     benchmarks = list(benchmarks or default_benchmarks())
-    sweep = mechanism_sweep(
-        benchmarks, n_mixes or default_mixes(), cycles, warmup
-    )
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        cpu = cpu_corunners(gpu, 1)[0]
-        res = sweep[(gpu, cpu, "dr")]
-        breakdown = res.miss_breakdown()
-        rows.append(
-            (
-                gpu,
-                {
-                    "llc": breakdown["llc"],
-                    "remote_hit": breakdown["remote_hit"],
-                    "remote_miss": breakdown["remote_miss"],
-                },
-            )
-        )
-    delegated = [
-        r[1]["remote_hit"] + r[1]["remote_miss"] for r in rows
+    # the first co-runner's DR run: {llc, remote_hit, remote_miss}
+    rows = [
+        (gpu, mixes[0]["dr"].miss_breakdown())
+        for gpu, mixes in mechanism_groups(
+            benchmarks, n_mixes, cycles, warmup
+        ).items()
     ]
+    delegated = [c["remote_hit"] + c["remote_miss"] for _, c in rows]
+    # a benchmark that delegated nothing had no remote hits
     hit_of_delegated = [
-        r[1]["remote_hit"] / d if d else 0.0
-        for r, d in zip(rows, delegated)
+        c["remote_hit"] / d if d else 0.0 for (_, c), d in zip(rows, delegated)
     ]
-    text = format_table(
-        "Fig. 14: L1 miss breakdown under DR",
-        rows,
-        mean="amean",
-        label_header="benchmark",
-    )
-    return ExperimentResult(
-        name="fig14_miss_breakdown",
-        rows=rows,
-        text=text,
+    return table(
+        "fig14_miss_breakdown", "Fig. 14: L1 miss breakdown under DR", rows,
+        "amean",
         data={
             "mean_delegated": amean(delegated),
             "mean_remote_hit_rate": amean(hit_of_delegated),

@@ -8,16 +8,18 @@ has the memory nodes' reply links to relieve.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import format_table, hmean
+from repro.analysis.report import hmean
 from repro.config import (
     CtaScheduler,
     L1Organization,
     baseline_config,
     delegated_replies_config,
 )
-from repro.experiments.common import ExperimentResult, simulate_configs
+from repro.experiments.common import (
+    ExperimentResult, over_reference, ratio, simulate_configs, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 #: evaluated configurations: (label, l1 organisation, CTA policy, DR?)
@@ -41,30 +43,18 @@ def run(
     configs = {"private-rr": baseline_config()}
     for label, org, cta, use_dr in CONFIGS:
         cfg = delegated_replies_config() if use_dr else baseline_config()
-        cfg.l1_org = org
-        cfg.cta_scheduler = cta
-        configs[label] = cfg
+        configs[label] = cfg.update({"l1_org": org, "cta_scheduler": cta})
     raw = simulate_configs(configs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for gpu in benchmarks:
-        values = {
-            label: raw[(label, gpu)].gpu_ipc / raw[("private-rr", gpu)].gpu_ipc
-            for label, _, _, _ in CONFIGS
-        }
-        rows.append((gpu, values))
-    text = format_table(
+    rows = over_reference(
+        raw, "private-rr", {label: label for label, *_ in CONFIGS}, benchmarks
+    )
+    return table(
+        "fig15_shared_l1",
         "Fig. 15: shared L1 schemes & CTA scheduling, vs private-RR",
         rows,
-        mean="hmean",
-        label_header="benchmark",
-    )
-    dyneb = [r[1]["dyneb-rr"] for r in rows]
-    dyneb_dr = [r[1]["dyneb+dr-rr"] for r in rows]
-    return ExperimentResult(
-        name="fig15_shared_l1",
-        rows=rows,
-        text=text,
-        data={
-            "dr_on_dyneb_rr": hmean(dyneb_dr) / hmean(dyneb) if dyneb else 0.0,
-        },
+        "hmean",
+        data={"dr_on_dyneb_rr": ratio(
+            hmean(c["dyneb+dr-rr"] for _, c in rows),
+            hmean(c["dyneb-rr"] for _, c in rows),
+        )},
     )

@@ -7,16 +7,18 @@ in every topology.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.report import amean, format_table
+from repro.analysis.report import amean
 from repro.config import (
     SystemConfig,
     Topology,
     baseline_config,
     delegated_replies_config,
 )
-from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.experiments.common import (
+    ExperimentResult, dr_over_baseline, ratios, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 from repro.experiments.fig05_topology import TOPOLOGIES
 
@@ -45,27 +47,13 @@ def run(
     runs = dr_over_baseline(
         design_points(topologies), benchmarks, cycles, warmup
     )
-    rows: List[Tuple[str, dict]] = []
-    for topo in topologies:
-        speedups = [dr.gpu_ipc / base.gpu_ipc for base, dr in runs[topo.value]]
-        rows.append(
-            (
-                topo.value,
-                {
-                    "dr_speedup": amean(speedups),
-                    "min": min(speedups),
-                    "max": max(speedups),
-                },
-            )
-        )
-    text = format_table(
-        "Fig. 16: DR GPU speedup per topology",
-        rows,
-        mean=None,
+    rows = []
+    for topo, pairs in runs.items():
+        speedups = ratios(pairs)
+        if speedups:
+            rows.append((topo, {"dr_speedup": amean(speedups),
+                                "min": min(speedups), "max": max(speedups)}))
+    return table(
+        "fig16_topology_dr", "Fig. 16: DR GPU speedup per topology", rows,
         label_header="topology",
-    )
-    return ExperimentResult(
-        name="fig16_topology_dr",
-        rows=rows,
-        text=text,
     )

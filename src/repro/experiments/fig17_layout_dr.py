@@ -7,11 +7,13 @@ traffic (B and D), so that is where DR's CPU gain should show.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
+from repro.analysis.report import amean
 from repro.config import Layout, baseline_config, delegated_replies_config
-from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.experiments.common import (
+    ExperimentResult, dr_over_baseline, ratios, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 from repro.sim.layout import apply_default_orders
 
@@ -33,30 +35,15 @@ def run(
         for layout in LAYOUTS
     }
     runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = []
-    for layout in LAYOUTS:
-        gpu_speedups, cpu_speedups = [], []
-        for base, dr in runs[layout.value]:
-            gpu_speedups.append(dr.gpu_ipc / base.gpu_ipc)
-            if base.cpu_ipc > 0:
-                cpu_speedups.append(dr.cpu_ipc / base.cpu_ipc)
-        rows.append(
-            (
-                layout.value,
-                {
-                    "gpu_dr_speedup": amean(gpu_speedups),
-                    "cpu_dr_speedup": amean(cpu_speedups),
-                },
-            )
-        )
-    text = format_table(
-        "Figs. 17-18: DR speedup per chip layout",
-        rows,
-        mean=None,
+    rows = []
+    for layout, results in runs.items():
+        gpu = ratios(results)
+        if gpu:
+            rows.append((layout, {
+                "gpu_dr_speedup": amean(gpu),
+                "cpu_dr_speedup": amean(ratios(results, "cpu_ipc")),
+            }))
+    return table(
+        "fig17_layout_dr", "Figs. 17-18: DR speedup per chip layout", rows,
         label_header="layout",
-    )
-    return ExperimentResult(
-        name="fig17_layout_dr",
-        rows=rows,
-        text=text,
     )

@@ -14,72 +14,34 @@ swept parameter:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import amean, format_table
-from repro.config import (
-    SystemConfig,
-    baseline_config,
-    delegated_replies_config,
-    table1_mix,
+from repro.config import baseline_config, delegated_replies_config, table1_mix
+from repro.experiments.common import (
+    ExperimentResult, dr_over_baseline, dr_speedup_rows, table,
 )
-from repro.experiments.common import ExperimentResult, dr_over_baseline
 from repro.sweep.jobs import figure_benchmarks
 
-Mutator = Callable[[SystemConfig], None]
-
-
-def _l1(kb: int) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        cfg.gpu_l1.size_bytes = kb * 1024
-    return mut
-
-
-def _llc(mb_per_slice: float) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        cfg.llc.slice_size_bytes = int(mb_per_slice * 1024 * 1024)
-    return mut
-
-
-def _width(nbytes: int) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        cfg.noc.channel_width_bytes = nbytes
-    return mut
-
-
-def _virtual(vcs: int) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        # two virtual networks on one physical network with the baseline
-        # link width; both the base and the DR run use the same fabric, so
-        # the reported quantity is DR's gain on a virtual-network system
-        cfg.noc.separate_physical_networks = False
-        cfg.noc.request_vcs = vcs
-        cfg.noc.reply_vcs = vcs
-    return mut
-
-
-def _mesh(side: int) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        cfg.update(table1_mix(side, side))
-    return mut
-
-
-def _injbuf(flits: int) -> Mutator:
-    def mut(cfg: SystemConfig) -> None:
-        cfg.noc.mem_injection_buffer_flits = flits
-    return mut
-
-
-#: panel name -> list of (point label, mutator)
-PANELS: Dict[str, List[Tuple[str, Mutator]]] = {
-    "l1_size": [("16KB", _l1(16)), ("48KB", _l1(48)), ("64KB", _l1(64))],
-    "llc_size": [("0.5MB", _llc(0.5)), ("1MB", _llc(1.0)), ("2MB", _llc(2.0))],
-    "channel_width": [("8B", _width(8)), ("16B", _width(16)), ("24B", _width(24))],
-    "virtual_networks": [("1vc", _virtual(1)), ("2vc", _virtual(2))],
-    "mesh_size": [("8x8", _mesh(8)), ("10x10", _mesh(10)), ("12x12", _mesh(12))],
-    "injection_buffer": [
-        ("18f", _injbuf(18)), ("36f", _injbuf(36)), ("72f", _injbuf(72))
+#: panel name -> list of (point label, the ``SystemConfig.update`` edit
+#: applied to both the baseline and the DR config)
+PANELS: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {
+    "l1_size": [(f"{kb}KB", {"gpu_l1": {"size_bytes": kb * 1024}})
+                for kb in (16, 48, 64)],
+    "llc_size": [(f"{mb:g}MB", {"llc": {"slice_size_bytes": int(mb * 2**20)}})
+                 for mb in (0.5, 1.0, 2.0)],
+    "channel_width": [(f"{n}B", {"noc": {"channel_width_bytes": n}})
+                      for n in (8, 16, 24)],
+    # two virtual networks on one physical network with the baseline link
+    # width; both the base and the DR run use the same fabric, so the
+    # reported quantity is DR's gain on a virtual-network system
+    "virtual_networks": [
+        (f"{vcs}vc", {"noc": {"separate_physical_networks": False,
+                              "request_vcs": vcs, "reply_vcs": vcs}})
+        for vcs in (1, 2)
     ],
+    "mesh_size": [(f"{n}x{n}", table1_mix(n, n)) for n in (8, 10, 12)],
+    "injection_buffer": [(f"{n}f", {"noc": {"mem_injection_buffer_flits": n}})
+                         for n in (18, 36, 72)],
 }
 
 
@@ -93,25 +55,15 @@ def run(
     benchmarks = list(benchmarks or figure_benchmarks(3))
     pairs = {}
     for panel in panels or PANELS:
-        for label, mutate in PANELS[panel]:
-            base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
-            mutate(base_cfg)
-            mutate(dr_cfg)
-            pairs[f"{panel}:{label}"] = (base_cfg, dr_cfg)
+        for label, edit in PANELS[panel]:
+            pairs[f"{panel}:{label}"] = (
+                baseline_config().update(edit),
+                delegated_replies_config().update(edit),
+            )
     runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = [
-        (point, {"dr_speedup": amean(dr.gpu_ipc / base.gpu_ipc
-                                     for base, dr in runs[point])})
-        for point in pairs
-    ]
-    text = format_table(
+    return table(
+        "fig19_sensitivity",
         "Fig. 19: sensitivity analyses — DR speedup per design point",
-        rows,
-        mean=None,
+        dr_speedup_rows(runs),
         label_header="design point",
-    )
-    return ExperimentResult(
-        name="fig19_sensitivity",
-        rows=rows,
-        text=text,
     )

@@ -7,11 +7,12 @@ the GPU-to-memory-node ratio sets how hard the reply links clog.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.report import amean, format_table
 from repro.config import baseline_config, delegated_replies_config
-from repro.experiments.common import ExperimentResult, dr_over_baseline
+from repro.experiments.common import (
+    ExperimentResult, dr_over_baseline, dr_speedup_rows, table,
+)
 from repro.sweep.jobs import figure_benchmarks
 
 #: (n_cpu, n_gpu, n_mem) mixes on the 64-node fabric
@@ -35,19 +36,7 @@ def run(
         for n_cpu, n_gpu, n_mem in CPU_SWEEP + MEM_SWEEP
     }
     runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
-    rows: List[Tuple[str, dict]] = [
-        (mix, {"dr_speedup": amean(dr.gpu_ipc / base.gpu_ipc
-                                   for base, dr in runs[mix])})
-        for mix in pairs
-    ]
-    text = format_table(
-        "Node mix: DR speedup vs node ratios",
-        rows,
-        mean=None,
-        label_header="mix",
-    )
-    return ExperimentResult(
-        name="node_mix",
-        rows=rows,
-        text=text,
+    return table(
+        "node_mix", "Node mix: DR speedup vs node ratios",
+        dr_speedup_rows(runs), label_header="mix",
     )

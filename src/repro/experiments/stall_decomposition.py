@@ -19,11 +19,10 @@ subset.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.config import mechanism_config
-from repro.experiments.common import ExperimentResult, simulate
+from repro.experiments.common import ExperimentResult, ratio, simulate, table
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 from repro.telemetry.blame import STALL_CLASSES
 
@@ -71,37 +70,27 @@ def run(
                 totals[mech][name] = totals[mech].get(name, 0) + n
 
     grand = {m: sum(totals[m].values()) for m in _MECHS}
-    rows: List[Tuple[str, dict]] = []
+    rows = []
     for name in STALL_CLASSES:
-        cells = {}
-        for mech in _MECHS:
-            cells[f"{mech}_share"] = (
-                totals[mech][name] / grand[mech] if grand[mech] else 0.0
-            )
+        cells = {f"{mech}_share": ratio(totals[mech][name], grand[mech])
+                 for mech in _MECHS}
         base = totals["baseline"][name]
         if base:
             cells["dr_cycle_ratio"] = totals["dr"][name] / base
         rows.append((name, cells))
 
-    stall_ratio = grand["dr"] / grand["baseline"] if grand["baseline"] else 0.0
-    text = format_table(
+    stall_ratio = ratio(grand["dr"], grand["baseline"])
+    return table(
+        "stall_decomposition",
         "CPU stall decomposition: share of blocked head-flit cycles "
         "by stall class",
         rows,
-        mean=None,
         label_header="stall class",
-    )
-    text += (
-        f"total CPU stall cycles: baseline {grand['baseline']}, "
-        f"DR {grand['dr']} ({stall_ratio:.3f}x)\n"
-    )
-    return ExperimentResult(
-        name="stall_decomposition",
-        rows=rows,
-        text=text,
         data={
             "totals": totals,
             "per_mix": per_mix,
             "stall_cycle_ratio": stall_ratio,
         },
+        note=f"total CPU stall cycles: baseline {grand['baseline']}, "
+        f"DR {grand['dr']} ({stall_ratio:.3f}x)\n",
     )
