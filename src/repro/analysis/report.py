@@ -3,7 +3,7 @@
 Every experiment module returns rows of (label, {column: value}); this
 module renders them the way the paper's figures/tables read: one row per
 benchmark or configuration, a geometric/harmonic mean line where the paper
-reports one.
+reports one.  A mean of nothing is NaN, never a number that looks measured.
 """
 
 from __future__ import annotations
@@ -17,20 +17,20 @@ Row = Tuple[str, Mapping[str, float]]
 def geomean(values: Iterable[float]) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
-        return 0.0
+        return math.nan
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
 def hmean(values: Iterable[float]) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
-        return 0.0
+        return math.nan
     return len(vals) / sum(1.0 / v for v in vals)
 
 
 def amean(values: Iterable[float]) -> float:
     vals = list(values)
-    return sum(vals) / len(vals) if vals else 0.0
+    return sum(vals) / len(vals) if vals else math.nan
 
 
 def format_table(

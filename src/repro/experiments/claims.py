@@ -18,12 +18,16 @@ The ``kind`` judges it, ``op`` being ``>``, ``>=``, ``<`` or ``<=``:
 ``|value - bound| op tol``; ``ratio`` is ``value / other op bound``.
 A path naming a benchmark the run left out reads ``n/a (missing X)``;
 any other label, column (on any row a glob matches) or data key the
-result lacks reads ``✗ (missing X)``.  A claim cannot pass unmeasured.
+result lacks reads ``✗ (missing X)``.  A NaN among the numbers a claim
+reads (a mean of nothing, a ratio over a zero base) or a zero
+denominator of a ``ratio`` claim reads ``✗ (unmeasured)``.  A claim
+cannot pass unmeasured.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import re
 from fnmatch import fnmatchcase
@@ -225,11 +229,20 @@ class _Missing(LookupError):
     """A path names something the result does not have."""
 
 
+class _Unmeasured(ArithmeticError):
+    """A claim reads a number nothing was measured for (NaN)."""
+
+
+def _measured(term: str, values) -> None:
+    if any(isinstance(v, float) and math.isnan(v) for v in values):
+        raise _Unmeasured(term)
+
+
 @dataclasses.dataclass(frozen=True)
 class Verdict:
-    """What :func:`check` found: ✓, ✗ or ``✗|n/a (missing X)``, the judged
-    number and what it was held against (for a per-row path, those of the
-    row nearest to failing, named by ``row``)."""
+    """What :func:`check` found: ✓, ✗, ``✗|n/a (missing X)`` or ``✗
+    (unmeasured)``, the judged number and what it was held against (for a
+    per-row path, those of the row nearest to failing, named by ``row``)."""
 
     claim: Claim
     verdict: str
@@ -279,6 +292,7 @@ def _cells(term: str, result: ExperimentResult) -> Value:
     if term.startswith("data."):
         if term[5:] not in result.data:
             raise _Missing(term)
+        _measured(term, [result.data[term[5:]]])
         return result.data[term[5:]]
     pattern, col = term.rsplit(".", 1)
     rows = {label: values for label, values in result.rows
@@ -288,9 +302,9 @@ def _cells(term: str, result: ExperimentResult) -> Value:
     for label, values in rows.items():
         if col not in values:
             raise _Missing(f"{label}.{col}")
-    if "*" not in pattern:
-        return rows[pattern][col]
-    return {label: values[col] for label, values in rows.items()}
+    cells = {label: values[col] for label, values in rows.items()}
+    _measured(term, cells.values())
+    return cells if "*" in pattern else cells[pattern]
 
 
 def _term(term: str, result: ExperimentResult) -> Value:
@@ -332,12 +346,16 @@ def check(claim: Claim, result: ExperimentResult) -> Verdict:
     except _Missing as missing:
         mark = "n/a" if str(missing) in BENCHMARKS else "✗"
         return Verdict(claim, f"{mark} (missing {missing})")
+    except _Unmeasured:
+        return Verdict(claim, "✗ (unmeasured)")
     per_row = next((x for x in (value, other) if isinstance(x, dict)), None)
     judged = []
     for label in per_row or [None]:
         v = value[label] if isinstance(value, dict) else value
         o = other[label] if isinstance(other, dict) else other
         if claim.kind == "ratio":
+            if not o:
+                return Verdict(claim, "✗ (unmeasured)")
             v = v / o
         lhs, rhs = v, claim.bound
         if claim.kind == "ordering":

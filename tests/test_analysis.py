@@ -1,5 +1,7 @@
 """Tests for the area/energy models and report formatting."""
 
+import math
+
 import pytest
 
 from repro.analysis.area import (
@@ -114,7 +116,9 @@ class TestMeans:
 
     def test_means_ignore_nonpositive_where_needed(self):
         assert geomean([0, 4]) == pytest.approx(4.0)
-        assert hmean([]) == 0.0
+        # a mean of nothing is unmeasured, not a number that looks measured
+        assert all(math.isnan(mean([])) for mean in (amean, geomean, hmean))
+        assert math.isnan(hmean([0, -1]))
 
 
 class TestFormatTable:

@@ -1,15 +1,17 @@
 """The claims table and its one judge, on hand-built results.
 
-No simulation here: ``benchmarks/test_claims.py`` runs the figures.
-These tests pin what a path reads, how each kind judges it, that a
-benchmark the run left out is ``n/a`` and any other missing name ✗ (never
-✓), that no row of the table can pass
-whatever it is given, and that EXPERIMENTS.md's ledger is the rendering
-of the committed ``claims.json``.
+``benchmarks/test_claims.py`` runs the figures at paper windows; the only
+simulations here are one-cycle windows that measure nothing.  These tests
+pin what a path reads, how each kind judges it, that a benchmark the run
+left out is ``n/a``, any other missing name ✗ and an unmeasured (NaN)
+number ✗ (never ✓), that no row of the table can pass whatever it is
+given, and that EXPERIMENTS.md's ledger is the rendering of the committed
+``claims.json``.
 """
 
 import importlib.util
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -19,7 +21,7 @@ import pytest
 
 from conftest import claim_terms
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, fig09_layout, fig12_cpu_latency
 from repro.experiments.claims import (
     CLAIMS,
     KINDS,
@@ -193,17 +195,54 @@ class TestMissingIsNotPassing:
             "✓", "✓", "n/a (missing BP)"]
 
     def test_fig06_without_a_symmetric_split_fails(self):
-        """``fig06_avcp`` leaves ``avcp_vs_symmetric`` out of a row whose
+        """``fig06_avcp``'s ``avcp_vs_symmetric`` is NaN in a row whose
         symmetric split collapsed; both AVCP claims must fail, not pass."""
         rows = [(gpu, {"2req+2rep": 0.97, "1req+3rep": 1.02,
                        "3req+1rep": 0.8, "avcp_vs_symmetric": 1.05})
                 for gpu in ("HS", "SC")]
         rows.append(("BP", {"2req+2rep": 0.0, "1req+3rep": 1.0,
-                            "3req+1rep": 0.8}))
+                            "3req+1rep": 0.8, "avcp_vs_symmetric": math.nan}))
         verdicts = judge(result(rows, name="fig06_avcp"))
         assert [v.verdict for v in verdicts] == [
-            "✗ (missing BP.avcp_vs_symmetric)",
-            "✗ (missing BP.avcp_vs_symmetric)", "✗"]
+            "✗ (unmeasured)", "✗ (unmeasured)", "✗"]
+
+    @pytest.mark.parametrize("path, kind, other", [
+        ("data.nan", "sign", ""),
+        ("HS.s", "sign", ""),
+        ("*.s", "sign", ""),
+        ("mean(*.s)", "sign", ""),
+        ("min(*.s, *.t)", "sign", ""),
+        ("rank(SC.s)", "sign", ""),
+        ("SC.t", "ordering", "HS.s"),
+        ("SC.t", "ratio", "*.s"),
+    ])
+    def test_a_nan_anywhere_a_claim_reads_is_unmeasured(
+        self, path, kind, other
+    ):
+        """NaN is the mean of nothing and a ratio over a zero base; NaN
+        compares false, so unchecked it could pass a ``<``/``>`` row."""
+        rows = [("HS", {"s": math.nan, "t": 1.0}), *ROWS[1:]]
+        for op in ("<", ">"):
+            v = verdict(path, kind, rows=rows, data={"nan": math.nan},
+                        op=op, bound=-1.0, other=other)
+            assert v.verdict == "✗ (unmeasured)"
+            assert v.value is None and v.measured() == "—"
+
+    def test_a_ratio_over_zero_is_unmeasured(self):
+        v = verdict("HS.s", "ratio", rows=[("HS", {"s": 1.0, "t": 0.0})],
+                    op="<", other="HS.t", bound=1.5)
+        assert v.verdict == "✗ (unmeasured)"
+
+    @pytest.mark.parametrize("module, path", [
+        (fig09_layout, "min(*.gpu_perf, *.cpu_perf)"),
+        (fig12_cpu_latency, "data.mean_ratio"),
+    ])
+    def test_a_window_that_measured_nothing_fails(self, module, path):
+        """In one cycle no GPU core retires and no CPU packet returns: the
+        figure's numbers are NaN and its claim on them fails."""
+        res = module.run(benchmarks=["HS"], cycles=1, warmup=0)
+        verdicts = {v.claim.path: v.verdict for v in judge(res)}
+        assert verdicts[path] == "✗ (unmeasured)"
 
     def test_fig13_without_vips_is_na(self):
         rows = [(cpu, {"dr_speedup": 1.0, "min": 0.9, "max": 1.1,

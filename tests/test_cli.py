@@ -265,6 +265,20 @@ class TestExperiment:
         # then the figure's verdicts, one line per claim
         assert out.count("mean(*.") == 3 and "(paper: " in out
 
+    @pytest.mark.parametrize("name", ["fig07_adaptive", "fig16_topology_dr"])
+    def test_a_window_that_measured_nothing_is_not_a_crash(self, name):
+        """In one cycle the base runs retire no GPU instruction: the shared
+        ratio rule skips those pairs rather than divide by zero."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", name, "--cycles",
+             "1", "--warmup", "0", "--benchmarks", "HS"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "(no data)" in proc.stdout
+
     def test_unknown_experiment_fails_cleanly(self, capsys):
         rc = main(["experiment", "fig99_nothing"])
         assert rc == 2
