@@ -36,16 +36,25 @@ LOCAL_PORT = 0
 # (pid is monotone and far below 2**48), the order of the (cls, pid) tuple
 _PKT, _AVAIL, _READY = 0, 1, 2
 
-# stall-attribution charge indices.  These mirror the first seven entries
-# of repro.telemetry.blame.STALL_CLASSES; they are duplicated here (and
-# pinned by a test) because the telemetry package imports this module.
-_ST_PIPELINE = 0
-_ST_ROUTE = 1
-_ST_VC_ALLOC = 2
-_ST_CREDIT = 3
-_ST_SWITCH = 4
-_ST_SERIALIZATION = 5
-_ST_EJECT = 6
+#: the fixed stall taxonomy of full-mode stall attribution, in
+#: charge-index order (re-exported by :mod:`repro.telemetry.blame`).  The
+#: router charges the first seven; ``reply_buffer`` is read off the memory
+#: nodes' counters.
+STALL_CLASSES = (
+    "pipeline",       # header dwelling in the router pipeline
+    "route",          # route computation found no admissible output port
+    "vc_alloc",       # no downstream VC allocatable (held or credit-full)
+    "credit",         # established worm out of downstream credits
+    "switch",         # lost switch allocation to a higher-priority worm
+    "serialization",  # head worm waiting for its own upstream flits
+    "eject",          # ejection gate / NIC backpressure at the endpoint
+    "reply_buffer",   # memory-node reply injection buffer full (Fig. 3)
+)
+
+# charge indices (module-level ints so the router loop pays no lookup)
+PIPELINE, ROUTE, VC_ALLOC, CREDIT, SWITCH, SERIALIZATION, EJECT, REPLY_BUFFER = (
+    range(len(STALL_CLASSES))
+)
 
 
 class InputVC:
@@ -181,7 +190,7 @@ class Router:
                 tel.on_head(pkt, cycle)
             stel = self.net.stall_tel
             if stel is not None and self.pipeline and len(q) == 1:
-                stel.on_stall(ivc, pkt, _ST_PIPELINE, cycle + 1)
+                stel.on_stall(ivc, pkt, PIPELINE, cycle + 1)
         ivc.occ += 1
         if is_tail:
             ivc.owner = None
@@ -250,22 +259,22 @@ class Router:
         for ivc in self.active:
             pkt, avail, ready, key = ivc.q[0]
             if avail == 0:
-                if tel is not None and ivc.stall != _ST_SERIALIZATION:
-                    tel.on_stall(ivc, pkt, _ST_SERIALIZATION, cycle)
+                if tel is not None and ivc.stall != SERIALIZATION:
+                    tel.on_stall(ivc, pkt, SERIALIZATION, cycle)
                 continue  # waiting for upstream flits; accept_flit wakes us
             if cycle < ready:
                 if wake_at < 0 or ready < wake_at:
                     wake_at = ready  # pipeline dwell: wake exactly then
-                if tel is not None and ivc.stall != _ST_PIPELINE:
-                    tel.on_stall(ivc, pkt, _ST_PIPELINE, cycle)
+                if tel is not None and ivc.stall != PIPELINE:
+                    tel.on_stall(ivc, pkt, PIPELINE, cycle)
                 continue
             oport = ivc.route_out
             if oport < 0:
                 oport = net.route(self, pkt)
                 if oport < 0:
                     rescan = True
-                    if tel is not None and ivc.stall != _ST_ROUTE:
-                        tel.on_stall(ivc, pkt, _ST_ROUTE, cycle)
+                    if tel is not None and ivc.stall != ROUTE:
+                        tel.on_stall(ivc, pkt, ROUTE, cycle)
                     continue  # no admissible output this cycle
                 ivc.route_out = oport
             if oport == LOCAL_PORT:
@@ -273,8 +282,8 @@ class Router:
                 # gate is sleepable: the endpoint calls notify_eject_ready
                 # when it drains the capacity the gate was refusing on.
                 if ivc.sent == 0 and not net.nics[self.rid].can_eject(pkt):
-                    if tel is not None and ivc.stall != _ST_EJECT:
-                        tel.on_stall(ivc, pkt, _ST_EJECT, cycle)
+                    if tel is not None and ivc.stall != EJECT:
+                        tel.on_stall(ivc, pkt, EJECT, cycle)
                     continue
             else:
                 dvc = ivc.out
@@ -285,19 +294,19 @@ class Router:
                     if dvc is None:
                         ivc.route_out = -1
                     rescan = True
-                    if tel is not None and ivc.stall != _ST_ROUTE:
-                        tel.on_stall(ivc, pkt, _ST_ROUTE, cycle)
+                    if tel is not None and ivc.stall != ROUTE:
+                        tel.on_stall(ivc, pkt, ROUTE, cycle)
                     continue
                 if dvc is not None:
                     # fast path: established worm, check credit + write lock
                     if dvc.occ >= cap:
-                        if tel is not None and ivc.stall != _ST_CREDIT:
-                            tel.on_stall(ivc, pkt, _ST_CREDIT, cycle)
+                        if tel is not None and ivc.stall != CREDIT:
+                            tel.on_stall(ivc, pkt, CREDIT, cycle)
                         continue  # credit stall: downstream drain wakes us
                     owner = dvc.owner
                     if owner is not None and owner is not pkt:
-                        if tel is not None and ivc.stall != _ST_VC_ALLOC:
-                            tel.on_stall(ivc, pkt, _ST_VC_ALLOC, cycle)
+                        if tel is not None and ivc.stall != VC_ALLOC:
+                            tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
                         continue  # lock holder streams from *this* router:
                         # its tail (our move) or a drain wakes us
                 elif not self._allocate_vc(ivc, oport, pkt):
@@ -307,8 +316,8 @@ class Router:
                         # reachable (deadlock freedom).
                         ivc.route_out = -1
                         rescan = True
-                    if tel is not None and ivc.stall != _ST_VC_ALLOC:
-                        tel.on_stall(ivc, pkt, _ST_VC_ALLOC, cycle)
+                    if tel is not None and ivc.stall != VC_ALLOC:
+                        tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
                     continue  # VC-allocation stall: every candidate VC is
                     # held by our own worms or credit-full — a drain or our
                     # own tail delivery wakes us
@@ -353,9 +362,9 @@ class Router:
             # uniqueness) — charge it so each blocked head worm is billed
             # exactly one class.
             for ivc in cands:
-                if (ivc.stall != _ST_SWITCH
+                if (ivc.stall != SWITCH
                         and winners[ivc.route_out][1] is not ivc):
-                    tel.on_stall(ivc, ivc.q[0][_PKT], _ST_SWITCH, cycle)
+                    tel.on_stall(ivc, ivc.q[0][_PKT], SWITCH, cycle)
 
     def _allocate_vc(self, ivc: InputVC, oport: int, pkt: Packet) -> bool:
         """Allocate a downstream VC with credit for a worm's header."""

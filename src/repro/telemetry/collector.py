@@ -241,15 +241,6 @@ class TelemetryCollector:
 
     # -- sampling -------------------------------------------------------
 
-    def _sampled(self, pid: int) -> bool:
-        """Stateless per-packet sampling decision (Knuth hash of the pid),
-        so a packet's whole lifecycle is kept or dropped together and the
-        simulation's RNG streams are never perturbed.  Applied at ring
-        *drain* time — the hot path appends unconditionally."""
-        if self._sample_all:
-            return True
-        return ((pid * 2654435761) & 0xFFFFFFFF) < self._sample_below
-
     # -- packet lifecycle hooks ----------------------------------------
     #
     # Shape of every hook: bump the per-code counter, then append one
@@ -389,7 +380,9 @@ class TelemetryCollector:
         Called at window/finalize boundaries, and from the hooks when a
         tracing ring is about to overwrite an undrained slot — so a
         traced run loses nothing to ring wraparound.  Sampling happens
-        here, off the hot path.
+        here, off the hot path: a Knuth hash of the pid keeps or drops a
+        packet's whole lifecycle together and never touches the
+        simulation's RNG streams.
         """
         sink = self.sink
         if sink is None:

@@ -19,7 +19,6 @@ from repro.bench.traffic import SCENARIOS, replay
 from repro.config import NocConfig, delegated_replies_config
 from repro.config.system import TelemetryConfig
 from repro.noc import MeshTopology, MessageType, NetKind, Packet, TrafficClass
-from repro.noc import router as router_mod
 from repro.sim.engines import build_fabric
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system, run_simulation
@@ -52,16 +51,8 @@ class TestTaxonomy:
         )
         assert N_CLASSES == 8
 
-    def test_router_charge_indices_pinned(self):
-        # router.py duplicates the first seven charge indices (importing
-        # blame there would be circular); this pins them together
-        for name in STALL_CLASSES[:-1]:
-            assert getattr(router_mod, f"_ST_{name.upper()}") == \
-                STALL_CLASSES.index(name)
-
     def test_reply_buffer_is_memory_side_only(self):
         assert REPLY_BUFFER == len(STALL_CLASSES) - 1
-        assert not hasattr(router_mod, "_ST_REPLY_BUFFER")
 
 
 def _line(reference=False):

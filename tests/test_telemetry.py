@@ -8,13 +8,16 @@ and the ``python -m repro telemetry`` reader CLI, including one-line
 errors on unknown trace versions.
 """
 
+import itertools
 import json
+from collections import defaultdict
 
 import pytest
 
 from repro.__main__ import main
-from repro.config import SystemConfig, TelemetryConfig
+from repro.config import SystemConfig
 from repro.config.loader import config_from_dict
+from repro.noc import packet
 from repro.noc.packet import MessageType, NetKind, TrafficClass
 from repro.sim.metrics import collect_counters, derive_result
 from repro.sim.simulator import build_system, run_simulation
@@ -24,7 +27,6 @@ from repro.telemetry import (
     EventRing,
     LogHistogram,
     MetricsRegistry,
-    TelemetryCollector,
     bucket_bounds,
     bucket_index,
     load_summary,
@@ -162,25 +164,48 @@ class TestTraceSinks:
 
 
 class TestSampling:
-    def _collector(self, rate, fabric):
-        return TelemetryCollector(
-            TelemetryConfig(enabled=True, sample_rate=rate), fabric
-        )
+    """The trace keeps or drops a packet by a hash of its pid when the
+    rings drain: read which packets traced runs actually wrote."""
 
-    def test_rate_subsets_nest(self):
-        system = build_system(small_config(), "HS")
-        quarter = self._collector(0.25, system.fabric)
-        half = self._collector(0.5, system.fabric)
-        q = {pid for pid in range(4000) if quarter._sampled(pid)}
-        h = {pid for pid in range(4000) if half._sampled(pid)}
-        assert q < h
-        assert 0.15 < len(q) / 4000 < 0.35
-        assert 0.4 < len(h) / 4000 < 0.6
+    RATES = (1.0, 0.5, 0.25)
 
-    def test_rate_one_samples_everything(self):
-        system = build_system(small_config(), "HS")
-        full = self._collector(1.0, system.fabric)
-        assert all(full._sampled(pid) for pid in range(100))
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        """Per rate, the ``ev`` records of one traced run as ``{pid:
+        [(ev, cycle), ...]}`` and the summary's per-kind event counts.
+        Each run numbers its packets from 0, so the runs name the same
+        packet alike."""
+        out = {}
+        for rate in self.RATES:
+            cfg = _traced_config(tmp_path_factory.mktemp("trace"),
+                                 sample_rate=rate)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(packet, "_packet_ids", itertools.count())
+                run_simulation(cfg, "SC", "bodytrack", cycles=400, warmup=200)
+            events = defaultdict(list)
+            for rec in read_trace(cfg.telemetry.trace_path):
+                if "ev" in rec:
+                    events[rec["pid"]].append((rec["ev"], rec["cycle"]))
+                elif rec.get("rec") == "summary":
+                    counts = rec["events"]
+            out[rate] = (events, counts)
+        return out
+
+    def test_rate_subsets_nest(self, traces):
+        everything, half, quarter = (set(traces[r][0]) for r in self.RATES)
+        assert quarter < half < everything
+        assert 0.15 < len(quarter) / len(everything) < 0.35
+        assert 0.4 < len(half) / len(everything) < 0.6
+
+    def test_a_kept_packet_keeps_its_whole_lifecycle(self, traces):
+        full = traces[1.0][0]
+        for rate in self.RATES[1:]:
+            kept = traces[rate][0]
+            assert kept and all(kept[pid] == full[pid] for pid in kept)
+
+    def test_rate_one_samples_everything(self, traces):
+        events, counts = traces[1.0]
+        assert sum(map(len, events.values())) == sum(counts.values()) > 0
 
 
 class TestCloggingDetector:
