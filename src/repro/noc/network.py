@@ -11,17 +11,24 @@ them on the right physical network and VC range.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
-from repro.noc.router import LOCAL_PORT, Router
+from repro.noc.router import (
+    CREDIT, EJECT, LOCAL_PORT, PIPELINE, ROUTE, SERIALIZATION, SWITCH, VC_ALLOC, Router,
+)
 from repro.noc.routing import RoutingAlgorithm, build_routing
 from repro.noc.topology import BaseTopology
 
 #: the physical networks' names, by how many there are
 NETWORK_NAMES = {1: ("shared",), 2: ("request", "reply")}
+
+# a switch-allocation candidate ``(key, ivc)``'s sort key: the key alone,
+# so equal keys (one packet in two VCs of a router) keep active order
+_by_key = itemgetter(0)
 
 
 class PhysicalNetwork:
@@ -129,16 +136,6 @@ class PhysicalNetwork:
 
     # -- hooks used by routers -----------------------------------------
 
-    def route(self, router: Router, pkt: Packet) -> int:
-        """Output port for ``pkt`` at ``router`` (LOCAL_PORT = ejection)."""
-        tables = self._det_tables
-        if tables is not None:
-            return tables[pkt.net][router.rid][pkt.dst]
-        if pkt.dst == router.rid:
-            return LOCAL_PORT
-        nxt = self.routing.next_hop(self, router.rid, pkt)
-        return self._port_of[router.rid][nxt]
-
     def dor_port(self, router: Router, pkt: Packet) -> int:
         return self._dor_tables[pkt.net][router.rid][pkt.dst]
 
@@ -196,19 +193,34 @@ class PhysicalNetwork:
             self.routers[rid].wake_armed = -1
 
     def decide(self, cycle: int, moves: List) -> None:
-        """One arbitration pass over the awake routers, in router-id order
-        (which is the order ``moves`` are later committed in).
+        """The *decide* half of the per-cycle contract (DESIGN.md §6.1) and
+        the only place the object kernel arbitrates: every awake router, in
+        router-id order, arbitrates against the state the previous pass
+        left and appends its moving input VCs to ``moves``, which the
+        fabric commits afterwards (``Router._move_flit``).  VC allocations
+        (``InputVC.out``) persist even when the worm loses the switch.
 
-        A router whose pass found every head worm waiting on a future
-        event leaves the active set until that event's wake: a flit
-        arrival, a credit drain, a reopened ejection gate, or the
-        earliest pipeline-ready cycle.
+        A router with no candidate leaves the active set until the event
+        that can change that (§6.2): the earliest pipeline-ready cycle, or
+        ``accept_flit``, a drain-wake in ``_move_flit`` or
+        ``notify_eject_ready``; a route failure, dead link or adaptive
+        re-route keeps it awake.  A blocked head is reported (``on_stall``)
+        only when its class differs from ``InputVC.stall``.
         """
         ids = self._active_ids
         if not ids:
             return
         routers = self.routers
         frozen = self.fault_frozen
+        tel = self.stall_tel
+        fa = self.faults
+        down = self.fault_down
+        det = self._det_tables
+        dor = self._dor_tables
+        escape = self.escape_vc_active
+        vc_ranges = self.vc_ranges
+        nics = self.nics
+        port_of = self._port_of
         # saturated: all rids, already sorted
         order = range(len(routers)) if len(ids) == len(routers) else sorted(ids)
         for rid in order:
@@ -217,14 +229,138 @@ class PhysicalNetwork:
                 # arbitrates; stays in the active set for the thaw
                 continue
             router = routers[rid]
-            if not router.active:
+            active = router.active
+            if not active:
                 ids.discard(rid)
                 continue
-            router.decide(cycle, self, moves)
-            if not router.rescan:
-                ids.discard(rid)
-                if router.wake_at >= 0:
-                    self.schedule_wake(router.wake_at, rid)
+            cap = router.vc_cap
+            # the lone candidate; from the second on, all as ``(key, ivc)``
+            first = None
+            first_key = 0
+            cands = None
+            rescan = False
+            wake_at = -1
+            for ivc in active:
+                pkt, avail, ready, key = ivc.q[0]
+                if avail == 0:
+                    if tel is not None and ivc.stall != SERIALIZATION:
+                        tel.on_stall(ivc, pkt, SERIALIZATION, cycle)
+                    continue  # waiting for upstream flits; accept_flit wakes us
+                if cycle < ready:
+                    if wake_at < 0 or ready < wake_at:
+                        wake_at = ready  # pipeline dwell: wake exactly then
+                    if tel is not None and ivc.stall != PIPELINE:
+                        tel.on_stall(ivc, pkt, PIPELINE, cycle)
+                    continue
+                oport = ivc.route_out
+                if oport < 0:
+                    if det is not None:
+                        oport = det[pkt.net][rid][pkt.dst]
+                    elif pkt.dst == rid:
+                        oport = LOCAL_PORT
+                    else:  # the adaptive choice
+                        oport = port_of[rid][self.routing.next_hop(self, rid, pkt)]
+                    if oport < 0:
+                        rescan = True
+                        if tel is not None and ivc.stall != ROUTE:
+                            tel.on_stall(ivc, pkt, ROUTE, cycle)
+                        continue  # no admissible output this cycle
+                    ivc.route_out = oport
+                if oport == LOCAL_PORT:
+                    # ejection: gate new worms on endpoint acceptance.  A
+                    # closed gate is sleepable: the endpoint calls
+                    # notify_eject_ready when it drains the capacity the
+                    # gate was refusing on.
+                    if ivc.sent == 0 and not nics[rid].can_eject(pkt):
+                        if tel is not None and ivc.stall != EJECT:
+                            tel.on_stall(ivc, pkt, EJECT, cycle)
+                        continue
+                else:
+                    dvc = ivc.out
+                    if fa is not None and (rid, oport) in down:
+                        # chosen link is down: hold the worm here and,
+                        # unless a VC is already allocated on it, allow a
+                        # re-route so the detour tables take over next cycle
+                        if dvc is None:
+                            ivc.route_out = -1
+                        rescan = True
+                        if tel is not None and ivc.stall != ROUTE:
+                            tel.on_stall(ivc, pkt, ROUTE, cycle)
+                        continue
+                    if dvc is not None:
+                        # established worm: credit + write lock
+                        if dvc.occ >= cap:
+                            if tel is not None and ivc.stall != CREDIT:
+                                tel.on_stall(ivc, pkt, CREDIT, cycle)
+                            continue  # credit stall: downstream drain wakes us
+                        owner = dvc.owner
+                        if owner is not None and owner is not pkt:
+                            if tel is not None and ivc.stall != VC_ALLOC:
+                                tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
+                            continue  # lock holder streams from *this*
+                            # router: its tail (our move) or a drain wakes us
+                    else:
+                        # VC allocation: the lowest VC of the packet's
+                        # range with no owner and a free slot; the first
+                        # is reserved for dimension-order hops under
+                        # adaptive routing (escape VC)
+                        vlo, vhi = vc_ranges[pkt.net]
+                        if escape and oport != dor[pkt.net][rid][pkt.dst]:
+                            vlo += 1
+                        for dvc in router.downstream[oport][vlo:vhi]:
+                            if dvc.owner is None and dvc.occ < cap:
+                                ivc.out = dvc
+                                break
+                        else:
+                            if escape:
+                                # adaptive choice stuck before VC
+                                # allocation: allow a re-route next cycle
+                                # so the escape (DOR) path stays reachable
+                                # (deadlock freedom)
+                                ivc.route_out = -1
+                                rescan = True
+                            if tel is not None and ivc.stall != VC_ALLOC:
+                                tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
+                            continue  # every candidate VC is held by our
+                            # own worms or credit-full: a drain or our own
+                            # tail delivery wakes us
+                if first is None:
+                    first, first_key = ivc, key
+                elif cands is None:
+                    cands = [(first_key, first), (key, ivc)]
+                else:
+                    cands.append((key, ivc))
+            if first is None:
+                if not rescan:
+                    ids.discard(rid)
+                    if wake_at >= 0:
+                        self.schedule_wake(wake_at, rid)
+                continue
+            if cands is None:
+                moves.append(first)  # a lone candidate wins unopposed
+                continue
+            # the crossbar moves at most one flit per output and one per
+            # input port a pass (Section II's switch constraints)
+            start = len(moves)
+            outs = ins = 0
+            for _key, ivc in sorted(cands, key=_by_key):
+                bit = 1 << ivc.route_out
+                if outs & bit:
+                    continue
+                outs |= bit
+                bit = 1 << ivc.port
+                if ins & bit:
+                    continue
+                ins |= bit
+                moves.append(ivc)
+            if tel is not None:
+                # every candidate that does not move lost switch
+                # allocation to a higher-priority worm (or to per-input
+                # uniqueness), so each blocked head is billed one class
+                moved = moves[start:]
+                for _key, ivc in cands:
+                    if ivc.stall != SWITCH and ivc not in moved:
+                        tel.on_stall(ivc, ivc.q[0][0], SWITCH, cycle)
 
     def link_utilization(self, rid: int, oport: int) -> float:
         """Fraction of cycles the directed link out of ``(rid, oport)``
@@ -347,7 +483,7 @@ class NocFabric:
 
         Within a pass every awake router of every network arbitrates
         against the start-of-pass state and only then are the chosen moves
-        applied, in (network, router id, winner key) order — so a flit
+        applied, in (network, router id, key) order — so a flit
         advances at most one hop per pass and a credit freed in one pass
         is first spendable in the next, whatever the router numbering.
         """
@@ -360,8 +496,8 @@ class NocFabric:
                 net.decide(cycle, moves)
             if not moves:
                 break
-            for router, ivc, oport in moves:
-                router._move_flit(ivc, oport, cycle)
+            for ivc in moves:
+                ivc.router._move_flit(ivc, cycle)
             del moves[:]
         active = self._active_nics
         nics = self.nics

@@ -24,16 +24,17 @@ blocking behaviour without per-flit objects.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.noc.packet import Packet
 
 #: output/input port index of the local node interface.
 LOCAL_PORT = 0
 
-# buffer entry field indices; the fourth field, read only by ``decide``'s
-# unpacking, is the arbitration key: class-major, then age, in one int
-# (pid is monotone and far below 2**48), the order of the (cls, pid) tuple
+# buffer entry field indices; the fourth field, read only by the unpacking
+# in ``PhysicalNetwork.decide``, is the arbitration key: class-major, then
+# age, in one int (pid is monotone and far below 2**48), the order of the
+# (cls, pid) tuple
 _PKT, _AVAIL, _READY = 0, 1, 2
 
 #: the fixed stall taxonomy of full-mode stall attribution, in
@@ -109,8 +110,6 @@ class Router:
         "upstream",
         "flits_routed",
         "link_flits",
-        "rescan",
-        "wake_at",
         "wake_armed",
     )
 
@@ -149,14 +148,6 @@ class Router:
         self.flits_routed = 0
         #: flits sent per output port (a row of the network's ``link_flits``)
         self.link_flits = [0] * nports
-        #: outcome of the last :meth:`decide` pass, read by the network's
-        #: active-set scheduler.  ``rescan`` means the pass produced a move
-        #: or some head worm waits on a condition no wake event reports
-        #: (route failure, dead link, adaptive re-route), so the router
-        #: must be re-arbitrated next pass.  ``wake_at`` is the earliest
-        #: pipeline-ready cycle among dwelling headers (-1: none).
-        self.rescan = True
-        self.wake_at = -1
         #: earliest timed wake currently sitting in the network's wake heap
         #: for this router (-1: none); lets the scheduler avoid pushing a
         #: duplicate heap entry per arriving body flit of a dwelling worm.
@@ -167,7 +158,10 @@ class Router:
     # ------------------------------------------------------------------
 
     def accept_flit(self, ivc: InputVC, pkt: Packet, is_tail: bool, cycle: int) -> None:
-        """Receive one flit of ``pkt`` into this router's input VC ``ivc``."""
+        """Receive one flit of ``pkt`` into this router's input VC ``ivc``.
+
+        ``_move_flit`` credits a body flit from a neighbour in line, with
+        this body branch and arrival wake copied: keep the two in step."""
         q = ivc.q
         if ivc.owner is pkt:
             # body flit: the worm's entry stays (last) in the queue until
@@ -214,175 +208,13 @@ class Router:
         return sum(v.occ for row in self.inputs for v in row)
 
     # ------------------------------------------------------------------
-    # per-cycle switch traversal
+    # the commit half of the per-cycle contract
     # ------------------------------------------------------------------
 
-    def decide(self, cycle: int, net: "PhysicalNetwork", moves: List) -> None:
-        """One switch-allocation pass: the *decide* half of the per-cycle
-        contract (DESIGN.md, "Per-cycle NoC contract").
-
-        Admits candidates and picks winners against the state left by the
-        previous pass, and *appends* ``(router, input VC, oport)`` to
-        ``moves`` instead of moving anything: the fabric applies every
-        router's moves afterwards (:meth:`_move_flit`), so all routers
-        arbitrate against the same start-of-pass state and no flit or
-        credit ripples through several routers within one pass.  VC
-        allocations (``InputVC.out``) are made here and persist even when
-        the worm then loses switch allocation.
-
-        ``self.rescan``/``self.wake_at`` classify the outcome so the
-        network can skip this router until something can change: worms
-        dwelling in the router pipeline wake at a known cycle; worms
-        waiting for upstream flits, downstream credit or an ejection gate
-        wake on ``accept_flit``, the drain-wake in ``_move_flit`` or
-        ``notify_eject_ready``; route failures, dead links and adaptive
-        re-routes — and any pass that produced a move — force a rescan.
-
-        A blocked head is reported (``on_stall``) only when its class
-        differs from ``InputVC.stall``, that of its open record: observing
-        the same class again charges nothing.
-        """
-        # output port -> (priority key, input VC); built lazily — the
-        # overwhelmingly common case is zero or one candidate.
-        winners: Optional[Dict[int, Tuple[int, InputVC]]] = None
-        win_key = win_oport = -1
-        win_ivc: Optional[InputVC] = None
-        ncand = 0
-        cap = self.vc_cap
-        rescan = False
-        wake_at = -1
-        tel = net.stall_tel
-        fa = net.faults
-        # every candidate, kept for switch-loss attribution from the second
-        # one on: a lone candidate wins unopposed
-        cands: Optional[List[InputVC]] = None
-        for ivc in self.active:
-            pkt, avail, ready, key = ivc.q[0]
-            if avail == 0:
-                if tel is not None and ivc.stall != SERIALIZATION:
-                    tel.on_stall(ivc, pkt, SERIALIZATION, cycle)
-                continue  # waiting for upstream flits; accept_flit wakes us
-            if cycle < ready:
-                if wake_at < 0 or ready < wake_at:
-                    wake_at = ready  # pipeline dwell: wake exactly then
-                if tel is not None and ivc.stall != PIPELINE:
-                    tel.on_stall(ivc, pkt, PIPELINE, cycle)
-                continue
-            oport = ivc.route_out
-            if oport < 0:
-                oport = net.route(self, pkt)
-                if oport < 0:
-                    rescan = True
-                    if tel is not None and ivc.stall != ROUTE:
-                        tel.on_stall(ivc, pkt, ROUTE, cycle)
-                    continue  # no admissible output this cycle
-                ivc.route_out = oport
-            if oport == LOCAL_PORT:
-                # ejection: gate new worms on endpoint acceptance.  A closed
-                # gate is sleepable: the endpoint calls notify_eject_ready
-                # when it drains the capacity the gate was refusing on.
-                if ivc.sent == 0 and not net.nics[self.rid].can_eject(pkt):
-                    if tel is not None and ivc.stall != EJECT:
-                        tel.on_stall(ivc, pkt, EJECT, cycle)
-                    continue
-            else:
-                dvc = ivc.out
-                if fa is not None and (self.rid, oport) in net.fault_down:
-                    # chosen link is down: hold the worm here and, unless
-                    # a VC is already allocated on it, allow a re-route so
-                    # the detour tables take over next cycle
-                    if dvc is None:
-                        ivc.route_out = -1
-                    rescan = True
-                    if tel is not None and ivc.stall != ROUTE:
-                        tel.on_stall(ivc, pkt, ROUTE, cycle)
-                    continue
-                if dvc is not None:
-                    # fast path: established worm, check credit + write lock
-                    if dvc.occ >= cap:
-                        if tel is not None and ivc.stall != CREDIT:
-                            tel.on_stall(ivc, pkt, CREDIT, cycle)
-                        continue  # credit stall: downstream drain wakes us
-                    owner = dvc.owner
-                    if owner is not None and owner is not pkt:
-                        if tel is not None and ivc.stall != VC_ALLOC:
-                            tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
-                        continue  # lock holder streams from *this* router:
-                        # its tail (our move) or a drain wakes us
-                elif not self._allocate_vc(ivc, oport, pkt):
-                    if net.escape_vc_active:
-                        # adaptive choice stuck before VC allocation: allow a
-                        # re-route next cycle so the escape (DOR) path stays
-                        # reachable (deadlock freedom).
-                        ivc.route_out = -1
-                        rescan = True
-                    if tel is not None and ivc.stall != VC_ALLOC:
-                        tel.on_stall(ivc, pkt, VC_ALLOC, cycle)
-                    continue  # VC-allocation stall: every candidate VC is
-                    # held by our own worms or credit-full — a drain or our
-                    # own tail delivery wakes us
-            ncand += 1
-            if winners is None:
-                if ncand == 1:
-                    win_key, win_ivc, win_oport = key, ivc, oport
-                    continue
-                winners = {win_oport: (win_key, win_ivc)}
-                if tel is not None:
-                    cands = [win_ivc]
-            if cands is not None:
-                cands.append(ivc)
-            cur = winners.get(oport)
-            if cur is None or key < cur[0]:
-                winners[oport] = (key, ivc)
-        if ncand == 0:
-            self.rescan = rescan
-            self.wake_at = wake_at
-            return
-        self.rescan = True
-        if winners is None:
-            # single candidate (the dominant exit): wins unopposed
-            moves.append((self, win_ivc, win_oport))
-            return
-        # the crossbar transfers at most one flit per input port and one
-        # per output port per cycle (Section II's switch constraints);
-        # winners is per-output already, now enforce per-input uniqueness
-        taken_inputs = set()
-        for oport, (key, ivc) in sorted(
-            winners.items(), key=lambda kv: kv[1][0]
-        ):
-            if ivc.port in taken_inputs:
-                if cands is not None:
-                    winners[oport] = (key, None)  # this output moves nothing
-                continue
-            taken_inputs.add(ivc.port)
-            moves.append((self, ivc, oport))
-        if cands is not None:
-            # every candidate that is not its output's moving winner lost
-            # switch allocation to a higher-priority worm (or to per-input
-            # uniqueness) — charge it so each blocked head worm is billed
-            # exactly one class.
-            for ivc in cands:
-                if (ivc.stall != SWITCH
-                        and winners[ivc.route_out][1] is not ivc):
-                    tel.on_stall(ivc, ivc.q[0][_PKT], SWITCH, cycle)
-
-    def _allocate_vc(self, ivc: InputVC, oport: int, pkt: Packet) -> bool:
-        """Allocate a downstream VC with credit for a worm's header."""
-        net = self.net
-        vlo, vhi = net.vc_ranges[pkt.net]
-        if net.escape_vc_active and oport != net.dor_port(self, pkt):
-            vlo += 1  # escape VC is reserved for dimension-order hops
-        cap = self.vc_cap
-        row = self.downstream[oport]
-        for vc in range(vlo, vhi):
-            dvc = row[vc]
-            if dvc.owner is None and dvc.occ < cap:
-                ivc.out = dvc
-                return True
-        return False
-
-    def _move_flit(self, ivc: InputVC, oport: int, cycle: int) -> None:
-        """Apply one move chosen by :meth:`decide` (the only commit path)."""
+    def _move_flit(self, ivc: InputVC, cycle: int) -> None:
+        """Commit a move chosen by ``PhysicalNetwork.decide`` (the only
+        commit path): one flit of ``ivc``'s head worm leaves through
+        ``ivc.route_out``."""
         net = self.net
         klass = ivc.stall
         if klass >= 0:  # close the open stall record: charge its span
@@ -404,16 +236,35 @@ class Router:
         elif up.active and up.rid not in net._active_ids:
             net.mark_router_active(up.rid)
         is_tail = nsent == pkt.size_flits
+        oport = ivc.route_out
         if oport == LOCAL_PORT:
             if is_tail:
                 net.eject_flit(self.rid, pkt, is_tail, cycle)
         else:
             dvc = ivc.out
-            dvc.router.accept_flit(dvc, pkt, is_tail, cycle)
-            self.link_flits[oport] += 1
             fa = net.faults
-            if fa is not None and nsent == 1:
-                fa.on_link_head(net, self.rid, oport, pkt)
+            if nsent == 1 or fa is not None:
+                dvc.router.accept_flit(dvc, pkt, is_tail, cycle)
+                if fa is not None and nsent == 1:
+                    fa.on_link_head(net, self.rid, oport, pkt)
+            else:
+                # body flit, credited in line: its worm owns ``dvc``, so
+                # its entry is the last one there
+                dq = dvc.q
+                dq[-1][_AVAIL] += 1
+                dvc.occ += 1
+                if is_tail:
+                    dvc.owner = None
+                down = dvc.router
+                if down.rid not in net._active_ids:
+                    ready = dq[0][_READY]
+                    if ready > cycle:
+                        armed = down.wake_armed
+                        if armed < 0 or armed > ready:
+                            net.schedule_wake(ready, down.rid)
+                    else:
+                        net.mark_router_active(down.rid)
+            self.link_flits[oport] += 1
         if is_tail:
             pkt.hops += 1
             q.popleft()

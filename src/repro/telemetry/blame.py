@@ -135,7 +135,7 @@ def classify_head(
     """Why can the head worm of input VC ``ivc`` not advance?
 
     Read-only re-derivation of the arbitration checks in
-    :meth:`repro.noc.router.Router.decide`.  Returns ``(stall
+    :meth:`repro.noc.network.PhysicalNetwork.decide`.  Returns ``(stall
     class name, next hop)``; class ``None`` means the worm is movable
     this cycle (at worst it loses switch allocation).  The next hop is
     set for ``credit``/``vc_alloc`` stalls — the downstream VC whose head

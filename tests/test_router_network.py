@@ -269,3 +269,66 @@ class TestDownstreamPointer:
                     assert ivc.out is None and ivc.sent == 0
             assert_fabric_invariants(system.fabric)
         assert taken_back > 0
+
+
+class TestSwitchAllocation:
+    """The switch rule of one arbitration pass (DESIGN.md §6.1): a
+    router's candidates in key order, ties in ``active`` order; the first
+    for an output claims it and moves unless its input port moves."""
+
+    @staticmethod
+    def _decide(net, rid, cycle):
+        net.mark_router_active(rid)
+        moves = []
+        net.decide(cycle, moves)
+        return moves
+
+    @staticmethod
+    def _arrive(router, port, vc, pkt, oport, cycle=0):
+        """``pkt``'s whole worm in ``router.inputs[port][vc]``, routed to
+        ``oport``."""
+        ivc = router.inputs[port][vc]
+        for i in range(pkt.size_flits):
+            router.accept_flit(ivc, pkt, i == pkt.size_flits - 1, cycle)
+        ivc.route_out = oport
+        return ivc
+
+    @pytest.mark.parametrize("first_port", [0, 1])
+    def test_one_packet_in_two_vcs_earlier_active_wins(self, first_port):
+        # a packet that meets a router twice on a detour sits in two of
+        # its VCs with one key: the VC that joined the active set first
+        # takes the output, the other waits (no tuple compare of records)
+        fab, _ = make_fabric(3, 1, mem_nodes=())
+        net = fab.reply_net
+        router = net.routers[1]
+        pkt = Packet(0, 2, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        ivcs = [self._arrive(router, port, 0, pkt, 2)
+                for port in (first_port, 1 - first_port)]
+        assert list(router.active) == ivcs
+        ready = ivcs[0].q[0][2]
+        assert self._decide(net, 1, ready) == [ivcs[0]]
+
+    def test_output_idles_when_its_winner_input_moves(self):
+        # router 4 of a 3x3 mesh: the CPU worm X and the older GPU worm Y
+        # share input port 2 (from node 3); Y and the younger Z (input
+        # port 1) both want output 4 (to node 7).  X moves, so Y — output
+        # 4's winner — may not, and output 4 stays idle although Z's
+        # input port is free (no second choice within a pass)
+        fab, _ = make_fabric(3, 3, mem_nodes=())
+        net = fab.reply_net
+        router = net.routers[4]
+        port_of = net.topology.port_of[4]
+        p_in, q_in = port_of[3], port_of[1]
+        to5, to7 = port_of[5], port_of[7]
+        x = Packet(3, 5, MessageType.READ_REPLY, TrafficClass.CPU, 1)
+        y = Packet(3, 7, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        z = Packet(1, 7, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        ivc_z = self._arrive(router, q_in, 0, z, to7)
+        ivc_y = self._arrive(router, p_in, 1, y, to7)
+        ivc_x = self._arrive(router, p_in, 0, x, to5)
+        ready = ivc_x.q[0][2]
+        assert self._decide(net, 4, ready) == [ivc_x]
+        assert ivc_y.out is not None and ivc_z.out is not None  # allocated
+        ivc_x.router._move_flit(ivc_x, ready)
+        # next pass: Y's input port is free again and Y wins output 4
+        assert self._decide(net, 4, ready + 1) == [ivc_y]

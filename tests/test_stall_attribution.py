@@ -75,8 +75,9 @@ def _worm():
 
 class TestStallRecords:
     """The open record on the input VC, driven through the real hooks: a
-    header's arrival (pipeline dwell), the router's arbitration and the
-    collector's ``on_stall``, and the router's move, which closes it."""
+    header's arrival (pipeline dwell), the network's arbitration pass and
+    the collector's ``on_stall``, and the commit path's move, which
+    closes it."""
 
     KEY = ("reply", 1, 1, 1)  # net, router, input port, traffic class
     OUT = 2
@@ -94,27 +95,40 @@ class TestStallRecords:
         ivc.out = router.downstream[self.OUT][0]
         return collector, router, ivc, pkt
 
+    @staticmethod
+    def _decide(router, cycle):
+        """The moves one arbitration pass of ``router``'s network picks
+        with ``router`` awake."""
+        net = router.net
+        net.mark_router_active(router.rid)
+        moves = []
+        net.decide(cycle, moves)
+        return moves
+
+    def _move(self, ivc, cycle):
+        """Commit one move of ``ivc``'s head out of ``OUT``."""
+        assert ivc.route_out == self.OUT
+        ivc.router._move_flit(ivc, cycle)
+
     def test_same_class_is_one_record(self):
         collector, router, ivc, _pkt = self._arrived()
         ready = ivc.q[0][2]
         assert ivc.stall == PIPELINE and ivc.stall_since == 5
         for cycle in range(5, ready):  # every pass re-observes the dwell
-            moves = []
-            router.decide(cycle, router.net, moves)
+            moves = self._decide(router, cycle)
             assert not moves and ivc.stall_since == 5
         row = collector.stalls.counts[self.KEY]
         assert not any(row)  # deferred: nothing charged yet
-        moves = []
-        router.decide(ready, router.net, moves)
-        assert moves == [(router, ivc, self.OUT)]
-        router._move_flit(ivc, self.OUT, ready)
+        moves = self._decide(router, ready)
+        assert moves == [ivc] and ivc.route_out == self.OUT
+        self._move(ivc, ready)
         assert ivc.stall == -1
         assert row[PIPELINE] == ready - 5 and sum(row) == ready - 5
 
     def test_class_change_charges_old_class(self):
         collector, router, ivc, pkt = self._arrived()
         collector.on_stall(ivc, pkt, CREDIT, 8)  # 3 pipeline cycles
-        router._move_flit(ivc, self.OUT, 10)     # 2 credit cycles
+        self._move(ivc, 10)                      # 2 credit cycles
         row = collector.stalls.counts[self.KEY]
         assert row[PIPELINE] == 3 and row[CREDIT] == 2
         assert sum(row) == 5
@@ -122,15 +136,15 @@ class TestStallRecords:
     def test_zero_span_charges_nothing(self):
         collector, router, ivc, pkt = self._arrived()
         collector.on_stall(ivc, pkt, CREDIT, 10)
-        router._move_flit(ivc, self.OUT, 10)  # same cycle: 0 blocked cycles
+        self._move(ivc, 10)  # same cycle: 0 blocked cycles
         row = collector.stalls.counts[self.KEY]
         assert row[CREDIT] == 0 and sum(row) == 5
 
     def test_move_without_record_is_noop(self):
         collector, router, ivc, _pkt = self._arrived()
-        router._move_flit(ivc, self.OUT, 9)
+        self._move(ivc, 9)
         row = list(collector.stalls.counts[self.KEY])
-        router._move_flit(ivc, self.OUT, 10)  # no record open
+        self._move(ivc, 10)  # no record open
         assert collector.stalls.counts[self.KEY] == row
 
     def test_flush_charges_but_keeps_records_open(self):
@@ -140,7 +154,7 @@ class TestStallRecords:
         row = collector.stalls.counts[self.KEY]
         assert row[CREDIT] == 4
         assert ivc.stall == CREDIT and ivc.stall_since == 14
-        router._move_flit(ivc, self.OUT, 17)  # remainder since the flush
+        self._move(ivc, 17)  # remainder since the flush
         assert row[CREDIT] == 7
 
     def test_diff_reports_only_changes(self):
@@ -148,7 +162,7 @@ class TestStallRecords:
         st = collector.stalls
         collector.on_stall(ivc, pkt, CREDIT, 8)
         base = st.snapshot()
-        router._move_flit(ivc, self.OUT, 10)
+        self._move(ivc, 10)
         assert st.diff(base) == {self.KEY: [0, 0, 0, 2, 0, 0, 0, 0]}
         assert st.diff(st.snapshot()) == {}
 

@@ -472,3 +472,60 @@ def test_system_bit_identical_loss_plan():
     assert obj.counters.get("fault.drops", 0) > 0
     assert vec.counters == obj.counters
     assert vec.to_dict() == obj.to_dict()
+
+
+def _draw_system(rng):
+    """One full-system design point drawn from fields both kernels
+    support (``engines.OBJECT_ONLY`` lists the rest): mesh 3x3 to 6x6
+    and its node mix; VCs, buffer depth, router pipeline and bandwidth
+    1-3; shared or separate networks; mechanism; GPU benchmark; seed."""
+    from repro.config import mechanism_config
+    from repro.workloads.gpu import GPU_BENCHMARK_NAMES
+
+    width, height = 3 + rng.below(4), 3 + rng.below(4)
+    nodes = width * height
+    n_mem = 1 + rng.below(max(1, nodes // 8))
+    n_cpu = 1 + rng.below(nodes // 4)
+    cfg = mechanism_config(
+        ("baseline", "dr", "rp")[rng.below(3)],
+        mesh_width=width, mesh_height=height,
+        n_gpu=nodes - n_cpu - n_mem, n_cpu=n_cpu, n_mem=n_mem,
+        seed=rng.below(1 << 16),
+    )
+    noc = cfg.noc
+    noc.separate_physical_networks = bool(rng.next() & 1)
+    noc.vcs_per_port = 1 + rng.below(3)
+    noc.request_vcs = 1 + rng.below(3)
+    noc.reply_vcs = 1 + rng.below(3)
+    noc.vc_depth_flits = 1 + rng.below(3)
+    noc.router_pipeline_cycles = 1 + rng.below(3)
+    noc.bandwidth_factor = float(1 + rng.below(3))
+    gpu = GPU_BENCHMARK_NAMES[rng.below(len(GPU_BENCHMARK_NAMES))]
+    return cfg.validate(), gpu
+
+
+def test_randomized_systems_bit_identical():
+    """Full-system sibling of ``test_randomized_configs_bit_identical``:
+    each drawn design point runs on both kernels, the object one with
+    ``assert_fabric_invariants`` after every cycle, and the results are
+    equal key for key (8 draws, ~9 s)."""
+    from repro.sim.simulator import build_system, run_simulation
+
+    rng = Lcg(7)
+    for _ in range(8):
+        cfg, gpu = _draw_system(rng)
+        results = []
+        for backend in ("object", "vector"):
+            system = build_system(cfg, gpu, "canneal", backend=backend)
+            if backend == "object":
+                fabric, step = system.fabric, system.fabric.step
+
+                def checked(cycle, fabric=fabric, step=step):
+                    step(cycle)
+                    assert_fabric_invariants(fabric)
+
+                fabric.step = checked
+            results.append(run_simulation(
+                cfg, gpu, "canneal", cycles=500, warmup=200, system=system
+            ).to_dict())
+        assert results[0] == results[1], (cfg.to_dict(), gpu)
