@@ -18,7 +18,8 @@ from repro.config.system import NocConfig
 from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
 from repro.noc.router import (
-    CREDIT, EJECT, LOCAL_PORT, PIPELINE, ROUTE, SERIALIZATION, SWITCH, VC_ALLOC, Router,
+    CREDIT, EJECT, LOCAL_PORT, PIPELINE, ROUTE, SERIALIZATION, SWITCH, VC_ALLOC,
+    InputVC, Router, _AVAIL, _PKT, _READY,
 )
 from repro.noc.routing import RoutingAlgorithm, build_routing
 from repro.noc.topology import BaseTopology
@@ -134,7 +135,7 @@ class PhysicalNetwork:
             adaptive = False
         self._det_tables = None if adaptive else self._dor_tables
 
-    # -- hooks used by routers -----------------------------------------
+    # -- hooks used by the routing policies and blame ------------------
 
     def dor_port(self, router: Router, pkt: Packet) -> int:
         return self._dor_tables[pkt.net][router.rid][pkt.dst]
@@ -145,22 +146,6 @@ class PhysicalNetwork:
         down = self.routers[nxt]
         row = down.inputs[self._port_of[nxt][cur]]
         return down.vc_cap * down.vcs - sum(ivc.occ for ivc in row)
-
-    def eject_flit(self, rid: int, pkt: Packet, is_tail: bool, cycle: int) -> None:
-        if is_tail:
-            fa = self.faults
-            if fa is not None and fa.discard_on_eject(pkt, rid, cycle):
-                # CRC check failed: the packet is consumed without being
-                # delivered; the requester's retransmit guard answers it
-                return
-            pkt.delivered = cycle
-            self.packets_delivered += 1
-            self.flits_delivered += pkt.size_flits
-            key = int(pkt.mtype)
-            self.delivered_by_type[key] = self.delivered_by_type.get(key, 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.on_deliver(pkt, cycle)
-            self.nics[rid].deliver(pkt, cycle)
 
     # -- stepping and statistics ----------------------------------------
 
@@ -197,12 +182,12 @@ class PhysicalNetwork:
         the only place the object kernel arbitrates: every awake router, in
         router-id order, arbitrates against the state the previous pass
         left and appends its moving input VCs to ``moves``, which the
-        fabric commits afterwards (``Router._move_flit``).  VC allocations
+        fabric hands to ``commit`` afterwards.  VC allocations
         (``InputVC.out``) persist even when the worm loses the switch.
 
         A router with no candidate leaves the active set until the event
         that can change that (§6.2): the earliest pipeline-ready cycle, or
-        ``accept_flit``, a drain-wake in ``_move_flit`` or
+        ``accept``, a drain-wake in ``commit`` or
         ``notify_eject_ready``; a route failure, dead link or adaptive
         re-route keeps it awake.  A blocked head is reported (``on_stall``)
         only when its class differs from ``InputVC.stall``.
@@ -245,7 +230,7 @@ class PhysicalNetwork:
                 if avail == 0:
                     if tel is not None and ivc.stall != SERIALIZATION:
                         tel.on_stall(ivc, pkt, SERIALIZATION, cycle)
-                    continue  # waiting for upstream flits; accept_flit wakes us
+                    continue  # waiting for upstream flits; accept wakes us
                 if cycle < ready:
                     if wake_at < 0 or ready < wake_at:
                         wake_at = ready  # pipeline dwell: wake exactly then
@@ -361,6 +346,137 @@ class PhysicalNetwork:
                 for _key, ivc in cands:
                     if ivc.stall != SWITCH and ivc not in moved:
                         tel.on_stall(ivc, ivc.q[0][0], SWITCH, cycle)
+
+    def commit(self, moves: List[InputVC], cycle: int) -> None:
+        """The *commit* half of the per-cycle contract (DESIGN.md §6.1) and
+        the only place a flit leaves an input VC: one flit of each moving
+        VC's head worm, in ``decide``'s order, leaves through
+        ``ivc.route_out``.  A header enters its downstream VC through
+        ``accept``; a body flit is credited in line into its worm's entry,
+        which is the last one there while the worm owns that VC."""
+        ids = self._active_ids
+        active_nics = self.active_nics
+        fa = self.faults
+        for ivc in moves:
+            router = ivc.router
+            klass = ivc.stall
+            if klass >= 0:  # close the open stall record: charge its span
+                ivc.stall_row[klass] += cycle - ivc.stall_since
+                ivc.stall = -1
+            q = ivc.q
+            head = q[0]
+            pkt: Packet = head[_PKT]
+            head[_AVAIL] -= 1
+            ivc.occ -= 1
+            nsent = ivc.sent + 1
+            router.flits_routed += 1
+            # drain-wake: freeing a buffer slot is the credit event the
+            # (unique) upstream feeder of this input port may be sleeping
+            # on — a router, or for the local port this node's NIC
+            up = router.upstream[ivc.port]
+            if up is None:
+                active_nics.add(router.rid)
+            elif up.active and up.rid not in ids:
+                ids.add(up.rid)
+            is_tail = nsent == pkt.size_flits
+            oport = ivc.route_out
+            if oport == LOCAL_PORT:
+                # the tail delivers; a packet that fails the CRC check at
+                # ejection is consumed undelivered, and the requester's
+                # retransmit guard answers it
+                if is_tail and (
+                    fa is None or not fa.discard_on_eject(pkt, router.rid, cycle)
+                ):
+                    pkt.delivered = cycle
+                    self.packets_delivered += 1
+                    self.flits_delivered += pkt.size_flits
+                    key = int(pkt.mtype)
+                    by_type = self.delivered_by_type
+                    by_type[key] = by_type.get(key, 0) + 1
+                    if self.telemetry is not None:
+                        self.telemetry.on_deliver(pkt, cycle)
+                    self.nics[router.rid].deliver(pkt, cycle)
+            else:
+                dvc = ivc.out
+                if nsent == 1:
+                    self.accept(dvc, pkt, is_tail, cycle)
+                    if fa is not None:
+                        fa.on_link_head(self, router.rid, oport, pkt)
+                else:
+                    # ``accept``'s body branch and arrival wake, in line
+                    dq = dvc.q
+                    dq[-1][_AVAIL] += 1
+                    dvc.occ += 1
+                    if is_tail:
+                        dvc.owner = None
+                    down = dvc.router
+                    if down.rid not in ids:
+                        ready = dq[0][_READY]
+                        if ready > cycle:
+                            armed = down.wake_armed
+                            if armed < 0 or armed > ready:
+                                self.schedule_wake(ready, down.rid)
+                        else:
+                            ids.add(down.rid)
+                router.link_flits[oport] += 1
+            if is_tail:
+                pkt.hops += 1
+                q.popleft()
+                ivc.route_out = -1
+                ivc.out = None
+                ivc.sent = 0
+                if not q:
+                    router.active.pop(ivc, None)
+            else:
+                ivc.sent = nsent
+
+    def accept(self, ivc: InputVC, pkt: Packet, is_tail: bool, cycle: int) -> None:
+        """Receive one flit of ``pkt`` into input VC ``ivc``: the one entry
+        for a header arriving from a neighbour and for every flit a NIC
+        injects (``commit`` copies the body branch and the arrival wake
+        for a neighbour's body flit: keep the two in step)."""
+        router = ivc.router
+        q = ivc.q
+        if ivc.owner is pkt:
+            # body flit: the worm's entry stays (last) in the queue until
+            # its tail has been forwarded, drained or not
+            q[-1][_AVAIL] += 1
+        else:
+            # header flit of a new worm in this VC
+            q.append([pkt, 1, cycle + router.pipeline, (pkt.cls << 48) | pkt.pid])
+            ivc.owner = pkt
+            router.active[ivc] = None
+            # telemetry: head arrival (once per worm, at its destination
+            # router only) and the pipeline-dwell stall record.  The dwell
+            # record opens *here*, not in arbitration: the router sleeps
+            # through the dwell on a timed wake and would otherwise never
+            # observe it, while a router kept awake sees it in every pass
+            # — opening at arrival keeps both charges equal.
+            # The worm is first visible to per-cycle accounting at cycle+1.
+            tel = self.telemetry
+            if tel is not None and pkt.dst == router.rid:
+                tel.on_head(pkt, cycle)
+            stel = self.stall_tel
+            if stel is not None and router.pipeline and len(q) == 1:
+                stel.on_stall(ivc, pkt, PIPELINE, cycle + 1)
+        ivc.occ += 1
+        if is_tail:
+            ivc.owner = None
+        # every arriving flit is a wake-up event for the scheduler: it may
+        # unblock a head worm that was waiting for upstream flits (inline
+        # membership guard — the receiver is usually awake already).  While
+        # the head worm is still dwelling in the router pipeline nothing
+        # can move before its ready cycle, so arrivals during the dwell arm
+        # a timed wake instead of forcing a no-op arbitration pass per flit.
+        rid = router.rid
+        if rid not in self._active_ids:
+            ready = q[0][_READY]
+            if ready > cycle:
+                armed = router.wake_armed
+                if armed < 0 or armed > ready:
+                    self.schedule_wake(ready, rid)
+            else:
+                self._active_ids.add(rid)
 
     def link_utilization(self, rid: int, oport: int) -> float:
         """Fraction of cycles the directed link out of ``(rid, oport)``
@@ -487,18 +603,18 @@ class NocFabric:
         advances at most one hop per pass and a credit freed in one pass
         is first spendable in the next, whatever the router numbering.
         """
-        nets = self._net_list
-        for net in nets:
+        passes: List[Tuple[PhysicalNetwork, List[InputVC]]] = []
+        for net in self._net_list:
             net.begin_cycle(cycle)
-        moves: List = []
+            passes.append((net, []))
         for _ in range(self.bandwidth):
-            for net in nets:
+            for net, moves in passes:
                 net.decide(cycle, moves)
-            if not moves:
+            if not any(moves for _net, moves in passes):
                 break
-            for ivc in moves:
-                ivc.router._move_flit(ivc, cycle)
-            del moves[:]
+            for net, moves in passes:
+                net.commit(moves, cycle)
+                moves.clear()
         active = self._active_nics
         nics = self.nics
         for node in sorted(active):

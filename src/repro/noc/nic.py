@@ -25,7 +25,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.noc.packet import NetKind, Packet, TrafficClass
-from repro.noc.router import InputVC
+from repro.noc.router import _AVAIL, InputVC
 
 #: both network kinds, in injection order (hoisted off the hot path)
 _NET_KINDS = (NetKind.REQUEST, NetKind.REPLY)
@@ -46,15 +46,11 @@ class NodeInterface:
             NetKind.REQUEST: deque(),
             NetKind.REPLY: deque(),
         }
-        #: per-network in-flight injections: vc -> [packet, flits_pushed].
-        #: Multiple packets inject concurrently on different VCs, which is
-        #: what lets a 2x-bandwidth link actually carry two worms.
-        self._inflight: Dict[NetKind, Dict[int, List]] = {
-            NetKind.REQUEST: {},
-            NetKind.REPLY: {},
-        }
         #: per network, the local router's LOCAL_PORT row of input-VC
         #: records — the VCs this NIC feeds; set by ``NocFabric`` at wiring.
+        #: A VC of the row whose ``owner`` is set carries one of this NIC's
+        #: worms mid-injection; several inject concurrently on different
+        #: VCs, which is what lets a 2x-bandwidth link carry two worms.
         self._local: Dict[NetKind, List[InputVC]] = {}
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
@@ -177,8 +173,7 @@ class NodeInterface:
         if self.fabric.separate_networks:
             pushed = 0
             for net in _NET_KINDS:
-                if self.queues[net] or self._inflight[net]:
-                    pushed += self._inject_net(net, cycle, self.fabric.bandwidth)
+                pushed += self._inject_net(net, cycle, self.fabric.bandwidth)
             return pushed
         # one physical network: the injection link is shared, so the two
         # queues share the per-cycle flit budget (reply first on odd
@@ -203,53 +198,42 @@ class NodeInterface:
     def _inject_net(self, net: NetKind, cycle: int, budget: int) -> int:
         """Push up to ``budget`` flits into the local router.
 
-        In-flight packets (one per VC) push one flit each; remaining budget
+        In-flight worms (one per VC) push one flit each; remaining budget
         starts new packets from the queue on free VCs.  Returns the number
         of flits pushed.
         """
         pushed_now = 0
-        row = self._local[net]
-        router = row[0].router
-        inflight = self._inflight[net]
-        accept = router.accept_flit
+        router = self._local[net][0].router
+        phys = router.net
+        accept = phys.accept
         cap = router.vc_cap
-        # continue in-flight worms first (wormhole: must finish), lowest VC
-        # first.  Sorting matters: dict order here is VC-*allocation* order,
-        # which depends on the full history of completions — a latent
-        # ordering assumption that made injection priority under contention
-        # effectively random.  Lowest-VC-first is deterministic from current
-        # state alone (and is what the vector backend implements).
-        if inflight:
-            for vc in sorted(inflight):
-                if budget <= 0:
-                    break
-                entry = inflight[vc]
-                pkt, pushed = entry
-                # credit + write-lock check on the router's input VC
-                ivc = row[vc]
-                if ivc.occ >= cap:
-                    continue
-                owner = ivc.owner
-                if owner is not None and owner is not pkt:
-                    continue
-                is_tail = pushed + 1 == pkt.size_flits
-                accept(ivc, pkt, is_tail, cycle)
-                pushed_now += 1
-                budget -= 1
-                if is_tail:
-                    del inflight[vc]
-                else:
-                    entry[1] = pushed + 1
-        # start new worms, each on the lowest VC of its packet's range that
-        # has no owner, has credit and carries no injection of ours
+        vlo, vhi = phys.vc_ranges[net]
+        row = self._local[net][vlo:vhi]
+        # continue in-flight worms first (wormhole: must finish): the VCs
+        # of the range this NIC holds the write lock of, walked lowest VC
+        # first — deterministic from current state alone, as the vector
+        # backend implements.  The flits already pushed are the worm's
+        # (last) entry, plus those forwarded when it is also the head.
+        for ivc in row:
+            pkt = ivc.owner
+            if pkt is None or ivc.occ >= cap:
+                continue
+            if budget <= 0:
+                break
+            q = ivc.q
+            entry = q[-1]
+            pushed = entry[_AVAIL] + ivc.sent if entry is q[0] else entry[_AVAIL]
+            accept(ivc, pkt, pushed + 1 == pkt.size_flits, cycle)
+            pushed_now += 1
+            budget -= 1
+        # start new worms, each on the lowest VC of the range that has no
+        # owner and has credit
         while budget > 0:
             pkt = self._select_head(net)
             if pkt is None:
                 break
-            vlo, vhi = self.fabric.vc_range_for(pkt)
-            for vc in range(vlo, vhi):
-                ivc = row[vc]
-                if vc not in inflight and ivc.owner is None and ivc.occ < cap:
+            for ivc in row:
+                if ivc.owner is None and ivc.occ < cap:
                     break
             else:
                 break  # no startable VC
@@ -258,13 +242,10 @@ class NodeInterface:
                 self.wake_sleeper()
             pkt.injected = cycle
             if self.telemetry is not None:
-                self.telemetry.on_vc_alloc(pkt, cycle, vc)
-            is_tail = pkt.size_flits == 1
-            accept(ivc, pkt, is_tail, cycle)
+                self.telemetry.on_vc_alloc(pkt, cycle, ivc.vc)
+            accept(ivc, pkt, pkt.size_flits == 1, cycle)
             pushed_now += 1
             budget -= 1
-            if not is_tail:
-                inflight[vc] = [pkt, 1]
         if pushed_now:
             self.flits_injected_net[net] += pushed_now
         return pushed_now

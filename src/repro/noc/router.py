@@ -1,6 +1,9 @@
-"""Wormhole router with virtual channels and class-based priority.
+"""Wormhole router state: input virtual channels, credits and wake marks.
 
-The router models:
+A :class:`Router` and its :class:`InputVC` records are plain state; the
+one class that moves flits through them is
+:class:`~repro.noc.network.PhysicalNetwork` (``decide``, ``commit``,
+``accept``; DESIGN.md §6.1).  Together they model:
 
 * per-input-port, per-VC flit buffers with credit-based backpressure,
 * wormhole flow control — a packet (worm) holds its downstream VC from
@@ -16,9 +19,9 @@ The router models:
   routes, which keeps the adaptive schemes of Section III-B deadlock-free.
 
 Worms are *counter-based*: a buffer entry is ``[packet, flits_here,
-ready_cycle, priority_key]`` and the router tracks how many flits of the
-head worm it has already forwarded.  This gives flit-level bandwidth and
-blocking behaviour without per-flit objects.
+ready_cycle, priority_key]`` and the input VC records how many flits of
+its head worm have already been forwarded.  This gives flit-level
+bandwidth and blocking behaviour without per-flit objects.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ _PKT, _AVAIL, _READY = 0, 1, 2
 
 #: the fixed stall taxonomy of full-mode stall attribution, in
 #: charge-index order (re-exported by :mod:`repro.telemetry.blame`).  The
-#: router charges the first seven; ``reply_buffer`` is read off the memory
-#: nodes' counters.
+#: network's arbitration pass charges the first seven; ``reply_buffer`` is
+#: read off the memory nodes' counters.
 STALL_CLASSES = (
     "pipeline",       # header dwelling in the router pipeline
     "route",          # route computation found no admissible output port
@@ -59,9 +62,12 @@ PIPELINE, ROUTE, VC_ALLOC, CREDIT, SWITCH, SERIALIZATION, EJECT, REPLY_BUFFER = 
 
 
 class InputVC:
-    """One input virtual channel of a router: the unit that arbitrates,
-    holds credit and is pointed at by its feeder — the upstream worm's
-    ``InputVC.out``, or the local NIC's row of records (DESIGN.md §6)."""
+    """One input virtual channel of a router, a record with no methods:
+    the unit ``PhysicalNetwork.decide`` arbitrates, ``commit`` drains and
+    ``accept`` fills.  It holds credit and is pointed at by its feeder —
+    the upstream worm's ``InputVC.out``, or the local NIC's row of
+    records, whose ``owner``s are the NIC's worms mid-injection
+    (DESIGN.md §6)."""
 
     __slots__ = (
         "router", "port", "vc",
@@ -95,7 +101,9 @@ class InputVC:
 
 
 class Router:
-    """One NoC router; created and stepped by :class:`PhysicalNetwork`."""
+    """One NoC router's state, created and stepped by
+    :class:`~repro.noc.network.PhysicalNetwork`; its one query,
+    ``buffered_flits``, is what the fault watchdog reads per router."""
 
     __slots__ = (
         "rid",
@@ -153,125 +161,5 @@ class Router:
         #: duplicate heap entry per arriving body flit of a dwelling worm.
         self.wake_armed = -1
 
-    # ------------------------------------------------------------------
-    # buffer interface used by upstream routers and node interfaces
-    # ------------------------------------------------------------------
-
-    def accept_flit(self, ivc: InputVC, pkt: Packet, is_tail: bool, cycle: int) -> None:
-        """Receive one flit of ``pkt`` into this router's input VC ``ivc``.
-
-        ``_move_flit`` credits a body flit from a neighbour in line, with
-        this body branch and arrival wake copied: keep the two in step."""
-        q = ivc.q
-        if ivc.owner is pkt:
-            # body flit: the worm's entry stays (last) in the queue until
-            # its tail has been forwarded, drained or not
-            q[-1][_AVAIL] += 1
-        else:
-            # header flit of a new worm in this VC
-            q.append([pkt, 1, cycle + self.pipeline, (pkt.cls << 48) | pkt.pid])
-            ivc.owner = pkt
-            self.active[ivc] = None
-            # telemetry: head arrival (once per worm, at its destination
-            # router only) and the pipeline-dwell stall record.  The dwell
-            # record opens *here*, not in arbitration: the router sleeps
-            # through the dwell on a timed wake and would otherwise never
-            # observe it, while a router kept awake sees it in every pass
-            # — opening at arrival keeps both charges equal.
-            # The worm is first visible to per-cycle accounting at cycle+1.
-            tel = self.net.telemetry
-            if tel is not None and pkt.dst == self.rid:
-                tel.on_head(pkt, cycle)
-            stel = self.net.stall_tel
-            if stel is not None and self.pipeline and len(q) == 1:
-                stel.on_stall(ivc, pkt, PIPELINE, cycle + 1)
-        ivc.occ += 1
-        if is_tail:
-            ivc.owner = None
-        # every arriving flit is a wake-up event for the scheduler: it may
-        # unblock a head worm that was waiting for upstream flits (inline
-        # membership guard — the receiver is usually awake already).  While
-        # the head worm is still dwelling in the router pipeline nothing
-        # can move before its ready cycle, so arrivals during the dwell arm
-        # a timed wake instead of forcing a no-op arbitration pass per flit.
-        net = self.net
-        if self.rid not in net._active_ids:
-            ready = q[0][_READY]
-            if ready > cycle:
-                armed = self.wake_armed
-                if armed < 0 or armed > ready:
-                    net.schedule_wake(ready, self.rid)
-            else:
-                net.mark_router_active(self.rid)
-
     def buffered_flits(self) -> int:
         return sum(v.occ for row in self.inputs for v in row)
-
-    # ------------------------------------------------------------------
-    # the commit half of the per-cycle contract
-    # ------------------------------------------------------------------
-
-    def _move_flit(self, ivc: InputVC, cycle: int) -> None:
-        """Commit a move chosen by ``PhysicalNetwork.decide`` (the only
-        commit path): one flit of ``ivc``'s head worm leaves through
-        ``ivc.route_out``."""
-        net = self.net
-        klass = ivc.stall
-        if klass >= 0:  # close the open stall record: charge its span
-            ivc.stall_row[klass] += cycle - ivc.stall_since
-            ivc.stall = -1
-        q = ivc.q
-        head = q[0]
-        pkt: Packet = head[_PKT]
-        head[_AVAIL] -= 1
-        ivc.occ -= 1
-        nsent = ivc.sent + 1
-        self.flits_routed += 1
-        # drain-wake: freeing a buffer slot is the credit event the (unique)
-        # upstream feeder of this input port may be sleeping on — a
-        # router, or for the local port this node's NIC
-        up = self.upstream[ivc.port]
-        if up is None:
-            net.active_nics.add(self.rid)
-        elif up.active and up.rid not in net._active_ids:
-            net.mark_router_active(up.rid)
-        is_tail = nsent == pkt.size_flits
-        oport = ivc.route_out
-        if oport == LOCAL_PORT:
-            if is_tail:
-                net.eject_flit(self.rid, pkt, is_tail, cycle)
-        else:
-            dvc = ivc.out
-            fa = net.faults
-            if nsent == 1 or fa is not None:
-                dvc.router.accept_flit(dvc, pkt, is_tail, cycle)
-                if fa is not None and nsent == 1:
-                    fa.on_link_head(net, self.rid, oport, pkt)
-            else:
-                # body flit, credited in line: its worm owns ``dvc``, so
-                # its entry is the last one there
-                dq = dvc.q
-                dq[-1][_AVAIL] += 1
-                dvc.occ += 1
-                if is_tail:
-                    dvc.owner = None
-                down = dvc.router
-                if down.rid not in net._active_ids:
-                    ready = dq[0][_READY]
-                    if ready > cycle:
-                        armed = down.wake_armed
-                        if armed < 0 or armed > ready:
-                            net.schedule_wake(ready, down.rid)
-                    else:
-                        net.mark_router_active(down.rid)
-            self.link_flits[oport] += 1
-        if is_tail:
-            pkt.hops += 1
-            q.popleft()
-            ivc.route_out = -1
-            ivc.out = None
-            ivc.sent = 0
-            if not q:
-                self.active.pop(ivc, None)
-        else:
-            ivc.sent = nsent

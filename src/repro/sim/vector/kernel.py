@@ -325,14 +325,14 @@ class VectorKernel:
         self.h_ready[f] = _NO_READY
 
     # ------------------------------------------------------------------
-    # flit acceptance (batched accept_flit)
+    # flit acceptance (batched PhysicalNetwork.accept)
     # ------------------------------------------------------------------
 
     def _accept(self, dvc, pkt, tail, cycle: int) -> None:
         """Receive one flit of ``pkt[j]`` into input VC ``dvc[j]``.
 
         ``dvc`` must be duplicate-free (guaranteed: at most one flit
-        enters any input VC per pass).  Mirrors ``Router.accept_flit``:
+        enters any input VC per pass).  Mirrors ``PhysicalNetwork.accept``:
         a continuation merges into its worm's (tail) entry, a new worm
         appends a header entry that dwells ``pipeline`` cycles.
         """

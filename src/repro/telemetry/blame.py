@@ -4,7 +4,7 @@ Two layers turn "the network is slow" into "node 23's reply buffer is the
 culprit":
 
 * **Stall attribution** (:class:`StallTable`): every cycle a head worm
-  fails to advance, the router charges the cycle to exactly one class of
+  fails to advance, the network charges the cycle to exactly one class of
   a fixed taxonomy (:data:`STALL_CLASSES`).  Charging is *deferred*: each
   blocked input VC carries one open record and is only charged when the
   stall class changes or the worm advances.  Repeated
@@ -135,7 +135,9 @@ def classify_head(
     """Why can the head worm of input VC ``ivc`` not advance?
 
     Read-only re-derivation of the arbitration checks in
-    :meth:`repro.noc.network.PhysicalNetwork.decide`.  Returns ``(stall
+    :meth:`repro.noc.network.PhysicalNetwork.decide`, over the records
+    that only ``PhysicalNetwork`` writes (``decide``, ``commit``,
+    ``accept``; ``Router`` and ``InputVC`` are state).  Returns ``(stall
     class name, next hop)``; class ``None`` means the worm is movable
     this cycle (at worst it loses switch allocation).  The next hop is
     set for ``credit``/``vc_alloc`` stalls — the downstream VC whose head

@@ -359,7 +359,7 @@ class TelemetryCollector:
 
     def on_stall(self, ivc, pkt, klass: int, cycle: int) -> None:
         """Head worm ``pkt`` of input VC ``ivc`` is blocked on stall class
-        ``klass`` from this cycle; the router calls this only when
+        ``klass`` from this cycle; ``PhysicalNetwork`` calls this only when
         ``klass`` differs from ``ivc.stall``.  The VC's open record is
         charged its span so far and re-classed, or opened (deferred
         charging; see :class:`~repro.telemetry.blame.StallTable`).  The

@@ -86,8 +86,9 @@ def assert_fabric_invariants(fabric) -> None:
     part of a worm that is half-way out of an ejection port (so not
     under a fault plan that drops or corrupts flits).  Per NIC: one
     outside the fabric's active set is a compute NIC with nothing it
-    could push now — no in-flight worm's VC has credit and no other
-    worm's lock, and no queue head has a startable VC in its range.
+    could push now — no in-flight worm's VC (a local VC with an
+    ``owner``) has credit, and no queue head has a startable VC in its
+    range.
     """
     for nic in fabric.nics:
         if nic.node_id in fabric._active_nics:
@@ -95,20 +96,13 @@ def assert_fabric_invariants(fabric) -> None:
         at = ("asleep", nic.node_id)
         assert not isinstance(nic, MemoryNodeNic), at
         for kind, row in nic._local.items():
-            cap = row[0].router.vc_cap
-            inflight = nic._inflight[kind]
-            for vc, (pkt, _pushed) in inflight.items():
-                owner = row[vc].owner
-                assert row[vc].occ >= cap or (
-                    owner is not None and owner is not pkt
-                ), at
-            if nic.queues[kind]:
-                vlo, vhi = fabric.vc_range_for(nic.queues[kind][0])
-                assert not any(
-                    vc not in inflight and row[vc].owner is None
-                    and row[vc].occ < cap
-                    for vc in range(vlo, vhi)
-                ), at
+            router = row[0].router
+            vlo, vhi = router.net.vc_ranges[kind]
+            for ivc in row[vlo:vhi]:
+                # an in-flight worm (an owned local VC) has no credit, and
+                # with a queue head waiting no VC of the range is startable
+                if ivc.owner is not None or nic.queues[kind]:
+                    assert ivc.occ >= router.vc_cap, at
     buffered = delivered = ejecting = 0
     for net in fabric._net_list:
         delivered += net.flits_delivered

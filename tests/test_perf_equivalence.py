@@ -179,8 +179,7 @@ def _drain(fabric: NocFabric, start_cycle: int, limit: int = 6000) -> int:
         if fabric.in_flight_flits() == 0 and all(
             not nic.queues[NetKind.REQUEST]
             and not nic.queues[NetKind.REPLY]
-            and not nic._inflight[NetKind.REQUEST]
-            and not nic._inflight[NetKind.REPLY]
+            and all(ivc.owner is None for row in nic._local.values() for ivc in row)
             for nic in fabric.nics
         ):
             return cycle

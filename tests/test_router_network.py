@@ -289,7 +289,7 @@ class TestSwitchAllocation:
         ``oport``."""
         ivc = router.inputs[port][vc]
         for i in range(pkt.size_flits):
-            router.accept_flit(ivc, pkt, i == pkt.size_flits - 1, cycle)
+            router.net.accept(ivc, pkt, i == pkt.size_flits - 1, cycle)
         ivc.route_out = oport
         return ivc
 
@@ -329,6 +329,6 @@ class TestSwitchAllocation:
         ready = ivc_x.q[0][2]
         assert self._decide(net, 4, ready) == [ivc_x]
         assert ivc_y.out is not None and ivc_z.out is not None  # allocated
-        ivc_x.router._move_flit(ivc_x, ready)
+        net.commit([ivc_x], ready)
         # next pass: Y's input port is free again and Y wins output 4
         assert self._decide(net, 4, ready + 1) == [ivc_y]

@@ -89,8 +89,8 @@ class TestStallRecords:
         router = fabric.reply_net.routers[1]
         ivc = router.inputs[1][0]
         pkt = _worm()
-        router.accept_flit(ivc, pkt, False, 4)
-        router.accept_flit(ivc, pkt, False, 5)
+        router.net.accept(ivc, pkt, False, 4)
+        router.net.accept(ivc, pkt, False, 5)
         ivc.route_out = self.OUT
         ivc.out = router.downstream[self.OUT][0]
         return collector, router, ivc, pkt
@@ -108,7 +108,7 @@ class TestStallRecords:
     def _move(self, ivc, cycle):
         """Commit one move of ``ivc``'s head out of ``OUT``."""
         assert ivc.route_out == self.OUT
-        ivc.router._move_flit(ivc, cycle)
+        ivc.router.net.commit([ivc], cycle)
 
     def test_same_class_is_one_record(self):
         collector, router, ivc, _pkt = self._arrived()

@@ -270,6 +270,27 @@ def test_tail_frees_its_vc_for_a_start_in_the_same_cycle(backend):
     assert _local_occupancy(fabric, 0) == [3, 0]
 
 
+@pytest.mark.parametrize("backend", ["object", "vector"])
+def test_in_flight_worms_inject_lowest_vc_first(backend):
+    """Four 9-flit requests to one output at bandwidth 2 over 3 VCs: A
+    and B start on VCs 0 and 1, C on VC 2 once they fill, and D on VC 0
+    after A's tail.  At cycle 13 B, C and D all have credit and the budget
+    is 2: VCs 0 and 1 push, although D was allocated last (a continuing
+    worm's turn follows its VC, not its start order)."""
+    fabric = build_fabric(backend, MeshTopology(4, 4),
+                          NocConfig(bandwidth_factor=2.0, vcs_per_port=3))
+    worms = [_request(0, 5, 9) for _ in range(4)]
+    for worm in worms:
+        assert fabric.nic(0).try_send(worm, 0)
+    occupancy = []
+    for cycle in range(14):
+        fabric.step(cycle)
+        occupancy.append(_local_occupancy(fabric, 0))
+    assert [w.injected for w in worms] == [0, 0, 4, 9]
+    assert occupancy[12] == [4, 4, 3]
+    assert occupancy[13] == [4, 4, 3]  # not [3, 4, 4]
+
+
 def test_two_headers_allocate_one_downstream_vc():
     """Two worms become ready in router 5 in the same cycle and both route
     to its one VC towards router 9: both allocate it before either header
@@ -506,18 +527,26 @@ def _draw_system(rng):
 
 def test_randomized_systems_bit_identical():
     """Full-system sibling of ``test_randomized_configs_bit_identical``:
-    each drawn design point runs on both kernels, the object one with
-    ``assert_fabric_invariants`` after every cycle, and the results are
-    equal key for key (8 draws, ~9 s)."""
+    each drawn design point runs three ways — the object kernel with
+    ``assert_fabric_invariants`` after every cycle, the object kernel
+    with nothing asleep (``conftest.all_awake``) and the vector kernel —
+    and the results are equal key for key (8 draws, ~11 s)."""
     from repro.sim.simulator import build_system, run_simulation
 
+    from conftest import all_awake
+
     rng = Lcg(7)
+    bandwidths = set()
     for _ in range(8):
         cfg, gpu = _draw_system(rng)
+        bandwidths.add(cfg.noc.link_flits_per_cycle)
         results = []
-        for backend in ("object", "vector"):
+        for backend, awake in (("object", False), ("object", True),
+                               ("vector", False)):
             system = build_system(cfg, gpu, "canneal", backend=backend)
-            if backend == "object":
+            if awake:
+                all_awake(system.fabric, system.gpu_cores)
+            elif backend == "object":
                 fabric, step = system.fabric, system.fabric.step
 
                 def checked(cycle, fabric=fabric, step=step):
@@ -528,4 +557,5 @@ def test_randomized_systems_bit_identical():
             results.append(run_simulation(
                 cfg, gpu, "canneal", cycles=500, warmup=200, system=system
             ).to_dict())
-        assert results[0] == results[1], (cfg.to_dict(), gpu)
+        assert results[0] == results[1] == results[2], (cfg.to_dict(), gpu)
+    assert 2 in bandwidths
