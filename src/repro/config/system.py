@@ -523,6 +523,18 @@ class SystemConfig:
                 f"reply ({worst_reply} flits), got "
                 f"{self.noc.mem_injection_buffer_flits!r}"
             )
+        noc = self.noc
+        # minimal dragonfly routes have a channel-dependency cycle, which
+        # one VC per class deadlocks on
+        classes = (("vcs_per_port",) if noc.separate_physical_networks
+                   else ("request_vcs", "reply_vcs"))
+        for name in classes:
+            if noc.topology is Topology.DRAGONFLY and getattr(noc, name) < 2:
+                raise ConfigError(
+                    f"noc.{name} must be at least 2 on a dragonfly, whose "
+                    f"minimal routes deadlock on one VC, got "
+                    f"{getattr(noc, name)!r}"
+                )
         return self
 
     def update(self, data: Mapping[str, Any]) -> "SystemConfig":

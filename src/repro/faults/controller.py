@@ -6,13 +6,16 @@ owns the live fault state and every recovery mechanism:
 * **Event application** — the plan's timed events mutate per-network fault
   state: a link-health mask (``net.fault_down``), a frozen-router set
   (``net.fault_frozen``) and per-link drop/corrupt probabilities.
-* **Degraded-mode routing** — whenever the link mask changes, healthy
-  next-hop tables are recomputed (:func:`repro.noc.topology.degraded_route_table`)
-  and swapped into the network's precomputed routing tables, so detours
-  cost the hot path nothing; a reachability check fails fast
-  (:class:`~repro.noc.topology.PartitionedTopologyError`) on partitioned
+* **Degraded-mode routing** — whenever the link mask changes, the
+  network's next-hop tables are rebuilt (:func:`repro.noc.routing.route_tables`:
+  up*/down* routes over the healthy links, deadlock-free at any VC count),
+  so detours cost the hot path nothing; a reachability check fails fast
+  (:class:`~repro.noc.routing.PartitionedTopologyError`) on partitioned
   meshes.  While a mask is dirty, adaptive routing follows the same
-  healthy tables (adaptivity resumes when the mask clears).
+  healthy tables.  After a ``LinkUp`` the packets already in flight finish
+  on the tables they were routed on (:class:`~repro.noc.routing.TableSwitch`)
+  and later ones take the new tables; adaptivity resumes once the old
+  packets are gone and no link is down.
 * **Loss injection** — each packet is sampled once per lossy link at
   head-flit traversal, against a dedicated seeded RNG stream.  Damaged
   packets keep consuming bandwidth and are discarded by the CRC-style
@@ -54,7 +57,9 @@ from repro.faults.plan import (
     sorted_events,
 )
 from repro.noc.packet import MessageType, Packet, TrafficClass
-from repro.noc.topology import PartitionedTopologyError, degraded_route_table
+from repro.noc.routing import (
+    PartitionedTopologyError, TableSwitch, route_tables,
+)
 
 __all__ = ["FaultController", "PartitionedTopologyError", "quiesce"]
 
@@ -95,6 +100,9 @@ class FaultController:
         self._seq = itertools.count()
         #: deferred RouterFreeze thaws: (cycle, seq, net_name, rid)
         self._thaws: List[Tuple[int, int, str, int]] = []
+        #: (net, TableSwitch) while packets from before a LinkUp still
+        #: finish on the tables they started on
+        self._switching: List[Tuple] = []
         nets = fabric._net_list
         self._nets = nets
         self._net_by_name = {net.name: net for net in nets}
@@ -159,6 +167,12 @@ class FaultController:
         while thaws and thaws[0][0] <= cycle:
             _, _, name, rid = heappop(thaws)
             self._thaw(name, rid)
+        for net, switch in self._switching[:]:
+            if not switch.pending(net):
+                self._switching.remove((net, switch))
+                net.set_route_tables(
+                    net.tables, None if self._down[net.name] else net.routing
+                )
         if self._heap and self._heap[0][0] <= cycle:
             self._service_timeouts(cycle)
         interval = self.plan.watchdog_interval
@@ -194,13 +208,13 @@ class FaultController:
                     self._ports(net, ev.a, ev.b, ev.bidir)
                 )
                 self.links_downed += 1
-                self._refresh_link_state(net)
+                self._refresh_link_state(net, cycle, went_down=True)
         elif isinstance(ev, LinkUp):
             for net in self._nets_for(ev.net):
                 down = self._down[net.name]
                 for key in self._ports(net, ev.a, ev.b, ev.bidir):
                     down.discard(key)
-                self._refresh_link_state(net)
+                self._refresh_link_state(net, cycle, went_down=False)
         elif isinstance(ev, RouterFreeze):
             for net in self._nets_for(ev.net):
                 self._frozen[net.name].add(ev.router)
@@ -226,15 +240,16 @@ class FaultController:
         self._frozen[net_name].discard(rid)
         self._wake_all(net)
 
-    def _refresh_link_state(self, net) -> None:
-        down = self._down[net.name]
-        # raises PartitionedTopologyError when a destination becomes
-        # unreachable — fail fast rather than silently losing traffic
-        detour = degraded_route_table(net.topology, down) if down else None
-        # the detours go in where the dimension-order tables were, for
-        # every routing policy; healthy again (None), the configured
-        # tables (and adaptivity) come back
-        net.set_route_tables(detour)
+    def _refresh_link_state(self, net, cycle: int, went_down: bool) -> None:
+        # raises PartitionedTopologyError on a partitioned net
+        tables = route_tables(net.topology, net.cfg, self._down[net.name])
+        self._switching = [(n, s) for n, s in self._switching if n is not net]
+        if went_down:  # every head re-routes: the old tables may cross the link
+            net.set_route_tables(tables)
+        else:  # a worm turning from one table onto the other could close a cycle
+            switch = TableSwitch(net.topology, net.tables, cycle)
+            net.set_route_tables(tables, switch)
+            self._switching.append((net, switch))
         self._wake_all(net)
 
     def _wake_all(self, net) -> None:

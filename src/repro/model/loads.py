@@ -4,14 +4,12 @@ The surrogate never simulates packets.  Instead it enumerates the
 *flow groups* a workload mix produces — CPU read requests to the memory
 nodes, GPU read/write requests, the reply streams back, and under
 Delegated Replies the delegated-request and core-to-core reply detours —
-and walks each (src, dst) pair's deterministic route through the
-topology exactly as the fabric's dimension-order tables would
-(:meth:`~repro.noc.topology.BaseTopology.route_next` with the class's
-configured order).  Each traversal deposits the group's packet size on
-every directed link of the path, including the single injection and
-ejection links every node owns — the paper's "one reply link per memory
-node" bottleneck falls out of this bookkeeping rather than being special
-cased.
+and walks each (src, dst) pair's route on the very next-hop tables the
+fabric routes on (:func:`~repro.noc.routing.route_tables`).  Each
+traversal deposits the group's packet size on every directed link of the
+path, including the single injection and ejection links every node owns
+— the paper's "one reply link per memory node" bottleneck falls out of
+this bookkeeping rather than being special cased.
 
 Routes depend only on the config, so a :class:`NetworkModel` is built
 once per prediction and each flow group is reduced to a sparse
@@ -25,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.config.system import DimensionOrder, SystemConfig
+from repro.config.system import SystemConfig
 from repro.noc.packet import NetKind, TrafficClass
+from repro.noc.routing import route_path, route_tables
 from repro.noc.topology import BaseTopology, build_topology
 from repro.sim.layout import NodePlacement, build_layout
 
@@ -68,35 +67,7 @@ class NetworkModel:
         #: head-flit cycles spent per hop (router pipeline + link), the
         #: same constant the router model is built with.
         self.hop_cycles = cfg.noc.hop_cycles
-        self._route_cache: Dict[Tuple[int, int, DimensionOrder], List[int]] = {}
-
-    # -- routing ----------------------------------------------------------
-
-    def _route(self, src: int, dst: int, order: DimensionOrder) -> List[int]:
-        """Router ids visited from ``src`` to ``dst`` inclusive."""
-        key = (src, dst, order)
-        path = self._route_cache.get(key)
-        if path is None:
-            path = [src]
-            cur = src
-            while cur != dst:
-                cur = self.topology.route_next(cur, dst, order)
-                path.append(cur)
-                if len(path) > self.topology.n + 1:  # pragma: no cover
-                    raise RuntimeError("routing loop in surrogate model")
-            self._route_cache[key] = path
-        return path
-
-    def _net_of(self, net: NetKind) -> int:
-        """Physical network index: shared-network configs collapse to 0."""
-        return int(net) if self.noc.separate_physical_networks else 0
-
-    def order_for(self, net: NetKind) -> DimensionOrder:
-        return (
-            self.noc.request_order
-            if net is NetKind.REQUEST
-            else self.noc.reply_order
-        )
+        self.tables = route_tables(self.topology, cfg.noc)
 
     # -- flow groups ------------------------------------------------------
 
@@ -110,8 +81,8 @@ class NetworkModel:
     ) -> FlowGroup:
         """Build a flow group from weighted (src, dst, weight) pairs."""
         group = FlowGroup(name=name, cls=cls, net=net, flits=flits)
-        order = self.order_for(net)
-        phys = self._net_of(net)
+        # physical network index: shared-network configs collapse to 0
+        phys = int(net) if self.noc.separate_physical_networks else 0
         total_w = sum(w for _, _, w in pairs) or 1.0
         counts = group.counts
         hops = 0.0
@@ -119,7 +90,7 @@ class NetworkModel:
             if src == dst or w <= 0.0:
                 continue
             w /= total_w
-            path = self._route(src, dst, order)
+            path = route_path(self.topology, self.tables[net], src, dst)
             counts[("inj", phys, src)] = counts.get(("inj", phys, src), 0.0) + w
             for a, b in zip(path, path[1:]):
                 k = ("link", phys, a, b)

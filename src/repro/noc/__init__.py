@@ -25,7 +25,6 @@ from repro.noc.packet import (
 )
 from repro.noc.router import LOCAL_PORT, Router
 from repro.noc.routing import (
-    DeterministicRouting,
     DyXYRouting,
     FootprintRouting,
     HARERouting,
@@ -49,7 +48,6 @@ __all__ = [
     "link_utilization_summary",
     "render_mesh_heatmap",
     "CrossbarTopology",
-    "DeterministicRouting",
     "DragonflyTopology",
     "DyXYRouting",
     "FlattenedButterflyTopology",

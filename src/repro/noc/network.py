@@ -21,7 +21,7 @@ from repro.noc.router import (
     CREDIT, EJECT, LOCAL_PORT, PIPELINE, ROUTE, SERIALIZATION, SWITCH, VC_ALLOC,
     InputVC, Router, _AVAIL, _PKT, _READY,
 )
-from repro.noc.routing import RoutingAlgorithm, build_routing
+from repro.noc.routing import RoutingAlgorithm, build_routing, route_tables
 from repro.noc.topology import BaseTopology
 
 #: the physical networks' names, by how many there are
@@ -40,7 +40,7 @@ class PhysicalNetwork:
         name: str,
         topology: BaseTopology,
         cfg: NocConfig,
-        routing: RoutingAlgorithm,
+        routing: Optional[RoutingAlgorithm],
     ) -> None:
         self.name = name
         self.topology = topology
@@ -50,7 +50,6 @@ class PhysicalNetwork:
         #: ``(lo, hi)`` VCs a packet may use here, indexed by ``pkt.net``
         self.vc_ranges = cfg.vc_ranges
         self.bandwidth = cfg.link_flits_per_cycle
-        self.escape_vc_active = routing.adaptive
         #: attached telemetry collector (None = disabled; hooks are one
         #: ``is not None`` check each).
         self.telemetry = None
@@ -105,40 +104,23 @@ class PhysicalNetwork:
         #: min-heap of (cycle, rid) wake-ups for routers sleeping through
         #: a known pipeline dwell
         self._wakes: List[Tuple[int, int]] = []
-        self.set_route_tables()
+        self.set_route_tables(route_tables(topology, cfg), routing)
 
     # -- routing tables -------------------------------------------------
 
-    def set_route_tables(
-        self, detour: Optional[List[List[int]]] = None
-    ) -> None:
-        """Route on the topology's dimension-order tables for the
-        configured request / reply orders, or — while links are down —
-        on one ``detour`` table (``table[rid][dst] -> port``) for both.
-
-        ``_dor_tables[pkt.net][rid][dst]`` is the port the escape-VC check
-        always uses.  When the configured policy is deterministic (CDR),
-        or links are down, the same tables back ``route`` directly,
-        turning the per-flit topology walk into two list lookups; an
-        adaptive policy is suspended while a detour is installed, since
-        its minimal-path choice sets cannot see the health mask.
-        """
-        if detour is None:
-            topo, cfg = self.topology, self.cfg
-            self._dor_tables = (
-                topo.dor_ports(cfg.request_order),
-                topo.dor_ports(cfg.reply_order),
-            )
-            adaptive = self.routing.adaptive
-        else:
-            self._dor_tables = (detour, detour)
-            adaptive = False
-        self._det_tables = None if adaptive else self._dor_tables
+    def set_route_tables(self, tables, policy=None) -> None:
+        """Route on ``tables[pkt.net][rid][dst] -> port`` from ``route_tables``,
+        or on a ``policy``'s ``next_hop``: the configured adaptive scheme, whose
+        escape VC takes the table's hop, or a fault controller's table switch."""
+        self.tables = tables
+        self._policy = policy
+        self.escape_vc_active = policy is not None and policy is self.routing
 
     # -- hooks used by the routing policies and blame ------------------
 
-    def dor_port(self, router: Router, pkt: Packet) -> int:
-        return self._dor_tables[pkt.net][router.rid][pkt.dst]
+    def dor_port(self, rid: int, pkt: Packet) -> int:
+        """The table's port for ``pkt`` at router ``rid`` (the escape-VC route)."""
+        return self.tables[pkt.net][rid][pkt.dst]
 
     def downstream_free(self, cur: int, nxt: int) -> int:
         """Free buffer flits at ``nxt``'s input port fed by ``cur`` (the
@@ -188,7 +170,7 @@ class PhysicalNetwork:
         A router with no candidate leaves the active set until the event
         that can change that (§6.2): the earliest pipeline-ready cycle, or
         ``accept``, a drain-wake in ``commit`` or
-        ``notify_eject_ready``; a route failure, dead link or adaptive
+        ``notify_eject_ready``; a dead link or an adaptive
         re-route keeps it awake.  A blocked head is reported (``on_stall``)
         only when its class differs from ``InputVC.stall``.
         """
@@ -200,8 +182,8 @@ class PhysicalNetwork:
         tel = self.stall_tel
         fa = self.faults
         down = self.fault_down
-        det = self._det_tables
-        dor = self._dor_tables
+        tables = self.tables
+        policy = self._policy
         escape = self.escape_vc_active
         vc_ranges = self.vc_ranges
         nics = self.nics
@@ -239,17 +221,10 @@ class PhysicalNetwork:
                     continue
                 oport = ivc.route_out
                 if oport < 0:
-                    if det is not None:
-                        oport = det[pkt.net][rid][pkt.dst]
-                    elif pkt.dst == rid:
-                        oport = LOCAL_PORT
+                    if policy is None or pkt.dst == rid:
+                        oport = tables[pkt.net][rid][pkt.dst]
                     else:  # the adaptive choice
-                        oport = port_of[rid][self.routing.next_hop(self, rid, pkt)]
-                    if oport < 0:
-                        rescan = True
-                        if tel is not None and ivc.stall != ROUTE:
-                            tel.on_stall(ivc, pkt, ROUTE, cycle)
-                        continue  # no admissible output this cycle
+                        oport = port_of[rid][policy.next_hop(self, rid, pkt)]
                     ivc.route_out = oport
                 if oport == LOCAL_PORT:
                     # ejection: gate new worms on endpoint acceptance.  A
@@ -290,7 +265,7 @@ class PhysicalNetwork:
                         # is reserved for dimension-order hops under
                         # adaptive routing (escape VC)
                         vlo, vhi = vc_ranges[pkt.net]
-                        if escape and oport != dor[pkt.net][rid][pkt.dst]:
+                        if escape and oport != tables[pkt.net][rid][pkt.dst]:
                             vlo += 1
                         for dvc in router.downstream[oport][vlo:vhi]:
                             if dvc.owner is None and dvc.occ < cap:
@@ -506,7 +481,6 @@ class NocFabric:
         self.separate_networks = cfg.separate_physical_networks
         self.bandwidth = cfg.link_flits_per_cycle
         routing = build_routing(topology, cfg)
-        self.routing = routing
         #: the distinct physical networks, in deterministic stepping order
         self._net_list: Tuple[PhysicalNetwork, ...] = tuple(
             PhysicalNetwork(name, topology, cfg, routing)

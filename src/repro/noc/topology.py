@@ -11,7 +11,8 @@ route (``route_next``), and for the mesh the set of minimal next hops used
 by the adaptive routing schemes (``adaptive_candidates``).  It is also the
 one description of the fabric's wiring every kernel is built from: which
 output port of a router faces which neighbour (``port_of``) and the
-dimension-order output port per (router, destination) (``dor_ports``).
+dimension-order output port per (router, destination) (``dor_ports``),
+which :func:`repro.noc.routing.route_tables` hands to every table reader.
 A topology never changes once constructed, so :func:`build_topology`
 hands every caller of one shape the same object and its tables are built
 once per process.
@@ -19,75 +20,10 @@ once per process.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property, lru_cache
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config.system import DimensionOrder, Topology as TopologyKind
-
-
-class PartitionedTopologyError(RuntimeError):
-    """Down links have made some destination unreachable.
-
-    Raised by :func:`degraded_route_table`'s reachability check so a fault
-    plan that partitions the mesh fails fast instead of silently stranding
-    traffic behind a hole in the routing tables.
-    """
-
-
-def degraded_route_table(
-    topo: "BaseTopology", down: Set[Tuple[int, int]]
-) -> List[List[int]]:
-    """Healthy next-hop table detouring around down links.
-
-    ``down`` holds directed dead links as ``(router, output_port)`` pairs
-    (the same encoding the router link-health check uses).  For every
-    destination a reverse BFS over the healthy subgraph yields shortest
-    detours; ties break towards the lowest neighbour id so the table is
-    deterministic.  Returns ``table[rid][dst] -> output port`` (port 0,
-    the local/ejection port, when ``dst == rid``); raises
-    :class:`PartitionedTopologyError` when any pair is disconnected.
-    """
-    n, port_of = topo.n, topo.port_of
-    healthy: List[List[int]] = [
-        sorted(
-            nb for nb in topo.neighbors(rid)
-            if (rid, port_of[rid][nb]) not in down
-        )
-        for rid in range(n)
-    ]
-    # reverse adjacency: who can still reach ``rid`` in one healthy hop
-    into: List[List[int]] = [[] for _ in range(n)]
-    for rid in range(n):
-        for nb in healthy[rid]:
-            into[nb].append(rid)
-    table: List[List[int]] = [[0] * n for _ in range(n)]
-    dist = [0] * n
-    for dst in range(n):
-        for i in range(n):
-            dist[i] = -1
-        dist[dst] = 0
-        queue = deque((dst,))
-        while queue:
-            cur = queue.popleft()
-            for prev in into[cur]:
-                if dist[prev] < 0:
-                    dist[prev] = dist[cur] + 1
-                    queue.append(prev)
-        for rid in range(n):
-            if rid == dst:
-                continue
-            if dist[rid] < 0:
-                raise PartitionedTopologyError(
-                    f"router {rid} cannot reach {dst}: down links "
-                    f"partition the topology"
-                )
-            # deterministic tie-break: lowest-id neighbour on a shortest path
-            nxt = min(
-                nb for nb in healthy[rid] if dist[nb] == dist[rid] - 1
-            )
-            table[rid][dst] = port_of[rid][nxt]
-    return table
 
 
 class BaseTopology:
@@ -155,15 +91,6 @@ class BaseTopology:
         """Minimal next hops for adaptive routing; default: deterministic."""
         return [self.route_next(cur, dst, DimensionOrder.XY)]
 
-    def min_hops(self, src: int, dst: int) -> int:
-        """Minimal hop count between two routers (follows route_next)."""
-        hops, cur = 0, src
-        while cur != dst:
-            cur = self.route_next(cur, dst, DimensionOrder.XY)
-            hops += 1
-            if hops > self.n:
-                raise RuntimeError("routing loop detected")
-        return hops
 
 
 class MeshTopology(BaseTopology):
@@ -210,10 +137,6 @@ class MeshTopology(BaseTopology):
             out.append(self.router_at(cx, cy + (1 if dy > cy else -1)))
         return out
 
-    def min_hops(self, src: int, dst: int) -> int:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
 
 
 class CrossbarTopology(BaseTopology):
@@ -230,8 +153,6 @@ class CrossbarTopology(BaseTopology):
     def route_next(self, cur: int, dst: int, order: DimensionOrder) -> int:
         return dst
 
-    def min_hops(self, src: int, dst: int) -> int:
-        return 0 if src == dst else 1
 
 
 class FlattenedButterflyTopology(BaseTopology):
@@ -265,10 +186,6 @@ class FlattenedButterflyTopology(BaseTopology):
             return dy * self.width + cx
         return cy * self.width + dx
 
-    def min_hops(self, src: int, dst: int) -> int:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return (sx != dx) + (sy != dy)
 
 
 class DragonflyTopology(BaseTopology):
@@ -316,13 +233,6 @@ class DragonflyTopology(BaseTopology):
             return gateway
         return self._gateway[(dg, cg)]
 
-    def min_hops(self, src: int, dst: int) -> int:
-        if self.group_of(src) == self.group_of(dst):
-            return 0 if src == dst else 1
-        gateway = self._gateway[(self.group_of(src), self.group_of(dst))]
-        remote = self._gateway[(self.group_of(dst), self.group_of(src))]
-        hops = (src != gateway) + 1 + (remote != dst)
-        return hops
 
 
 @lru_cache(maxsize=16)

@@ -32,7 +32,6 @@ from repro.config.system import NocConfig
 from repro.noc.network import NETWORK_NAMES
 from repro.noc.nic import MemoryNodeNic, NodeInterface
 from repro.noc.packet import NetKind, Packet
-from repro.noc.routing import build_routing
 from repro.noc.topology import BaseTopology
 from repro.sim.engines import select_backend
 from repro.sim.vector.kernel import VectorKernel
@@ -248,7 +247,6 @@ class VectorFabric:
         self.separate_networks = cfg.separate_physical_networks
         self.bandwidth = cfg.link_flits_per_cycle
         select_backend("vector", topology.n, cfg)  # refuses adaptive routing
-        self.routing = build_routing(topology, cfg)
         facades: List[VectorNet] = []
         kernel = VectorKernel(topology, cfg, mem_nodes, facades)
         self.kernel = kernel

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.noc.packet import Packet
 from repro.noc.router import LOCAL_PORT
+from repro.noc.routing import route_tables
 
 #: sentinels for empty head slots.
 _NO_READY = np.int64(2**62)
@@ -106,12 +107,9 @@ class VectorKernel:
         self.bandwidth = cfg.link_flits_per_cycle
         self._mem_cap = cfg.mem_injection_buffer_flits
 
-        # the topology's dimension-order tables, flattened:
-        # [kind, rid, dst] -> oport
+        # the next-hop tables, flattened: [kind, rid, dst] -> oport
         self.route_tab = np.array(
-            [topology.dor_ports(cfg.request_order),
-             topology.dor_ports(cfg.reply_order)],
-            dtype=_I64,
+            route_tables(topology, cfg), dtype=_I64
         ).ravel()
 
         # downstream input-port flat-VC base per output group (-1: local

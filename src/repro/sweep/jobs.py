@@ -63,7 +63,9 @@ from repro.workloads.mixes import TABLE_II
 #: (DESIGN.md §6.1); object-backend results equal the vector backend's.
 #: sweep-v7: the memory-node reply buffer admits on the config's
 #: worst-case reply size, not a fixed 9 flits (non-16 B channels move).
-CODE_VERSION = "sweep-v7"
+#: sweep-v8: link-down detours are up*/down* routes
+#: (repro.noc.routing.route_tables), so fault-plan results move.
+CODE_VERSION = "sweep-v8"
 
 
 def _canonical_json(data: Any) -> str:

@@ -157,7 +157,7 @@ def classify_head(
     net = router.net
     oport = ivc.route_out
     if oport < 0:
-        oport = net.dor_port(router, pkt)
+        oport = net.dor_port(router.rid, pkt)
     if oport == LOCAL_PORT:
         if ivc.sent == 0 and not net.nics[router.rid].can_eject(pkt):
             return STALL_CLASSES[EJECT], None
@@ -174,7 +174,7 @@ def classify_head(
     # header without an allocated VC: scan the candidates read-only
     row = router.downstream[oport]
     vlo, vhi = net.vc_ranges[pkt.net]
-    if net.escape_vc_active and oport != net.dor_port(router, pkt):
+    if net.escape_vc_active and oport != net.dor_port(router.rid, pkt):
         vlo += 1  # the escape VC is reserved for dimension-order hops
     if vlo == vhi:
         return STALL_CLASSES[ROUTE], None  # escape-only port with no VC

@@ -448,3 +448,43 @@ def test_names_the_repo_benchmark_imports_keep_their_call_shapes():
         warmup=specs[1].warmup, label=specs[1].label,
     )
     assert again.key() == specs[1].reseeded(2).key() != specs[1].key()
+
+
+# --- (e) a dragonfly needs two VCs per class ------------------------------
+
+
+@pytest.mark.parametrize("separate,path", [
+    (True, "noc.vcs_per_port"),
+    (False, "noc.request_vcs"),
+    (False, "noc.reply_vcs"),
+])
+def test_a_dragonfly_below_two_vcs_per_class_is_a_config_error(separate, path):
+    """Its minimal routes have a channel-dependency cycle (ROADMAP 11(b)),
+    which one VC per class deadlocks on; any other topology is fine."""
+    def data(topology, vcs):
+        return {"noc": {"topology": topology,
+                        "separate_physical_networks": separate,
+                        path.split(".")[1]: vcs}}
+
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data("dragonfly", 1))
+    _assert_names(err.value, path)
+    config_from_dict(data("dragonfly", 2))
+    config_from_dict(data("mesh", 1))
+
+
+def test_no_figure_point_or_explore_value_hits_the_dragonfly_rule():
+    from repro.experiments import fig05_topology, fig16_topology_dr
+    from repro.explore.space import SPACES
+
+    for cfg in fig05_topology.design_points().values():
+        cfg.validate()
+    for pair in fig16_topology_dr.design_points().values():
+        for cfg in pair:
+            cfg.validate()
+    for make in SPACES.values():
+        knobs = {k.path: k.values for k in make().knobs}
+        for topology in knobs.get("noc.topology", ("mesh",)):
+            for vcs in knobs.get("noc.vcs_per_port", (2,)):
+                config_from_dict({"noc": {"topology": topology,
+                                          "vcs_per_port": vcs}})

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.config.system import NocConfig, RoutingPolicy
+from repro.noc.routing import route_path
 from repro.noc import (
     MeshTopology,
     MessageType,
@@ -115,5 +116,7 @@ class TestLatencyProperties:
             fab.step(cyc)
             if delivered:
                 break
-        hops = topo.min_hops(src, dst) + 1  # + ejection router
+        # routers on the reply's route, the ejection router included
+        hops = len(route_path(topo, topo.dor_ports(fab.cfg.reply_order),
+                              src, dst))
         assert pkt.latency >= 4 * hops + (flits - 1)

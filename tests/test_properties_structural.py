@@ -1,10 +1,12 @@
 """Property-based tests on structural components (no full-system runs)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import MshrFile
 from repro.config.loader import config_from_dict
-from repro.config.system import DimensionOrder, Topology
+from repro.config.system import ConfigError, DimensionOrder, Topology
+from repro.noc.routing import route_path
 from repro.noc.topology import build_topology
 from repro.workloads.gpu import (
     GpuTraceGenerator,
@@ -22,17 +24,22 @@ class TestTopologyProperties:
         dst=st.integers(0, 63),
         order=st.sampled_from(list(DimensionOrder)),
     )
-    def test_route_next_always_reaches_destination(self, kind, src, dst, order):
+    def test_dor_table_always_reaches_destination(self, kind, src, dst, order):
         if src == dst:
             return
         topo = build_topology(kind, 8, 8)
-        cur, hops = src, 0
-        while cur != dst:
-            nxt = topo.route_next(cur, dst, order)
-            assert nxt in topo.neighbors(cur)
-            cur, hops = nxt, hops + 1
-            assert hops <= topo.n
-        assert hops >= topo.min_hops(src, dst)
+        path = route_path(topo, topo.dor_ports(order), src, dst)
+        assert path[-1] == dst
+        assert all(b in topo.neighbors(a) for a, b in zip(path, path[1:]))
+        # no route is shorter than the shortest path (BFS over the links)
+        dist, queue = {src: 0}, [src]
+        for r in queue:
+            for nb in topo.neighbors(r):
+                if nb not in dist:
+                    dist[nb] = dist[r] + 1
+                    queue.append(nb)
+        hops = len(path) - 1
+        assert hops >= dist[dst]
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(list(Topology)))
@@ -48,9 +55,13 @@ class TestTopologyProperties:
         src=st.integers(0, 63),
         dst=st.integers(0, 63),
     )
-    def test_min_hops_symmetry(self, kind, src, dst):
+    def test_route_length_symmetry(self, kind, src, dst):
         topo = build_topology(kind, 8, 8)
-        assert topo.min_hops(src, dst) == topo.min_hops(dst, src)
+        for order in DimensionOrder:
+            table = topo.dor_ports(order)
+            assert len(route_path(topo, table, src, dst)) == len(
+                route_path(topo, table, dst, src)
+            )
 
 
 class TestMshrProperties:
@@ -105,16 +116,20 @@ class TestConfigRoundTripProperties:
         topology=st.sampled_from([t.value for t in Topology]),
     )
     def test_dump_load_identity(self, width, vcs, depth, topology):
-        cfg = config_from_dict(
-            {
-                "noc": {
-                    "channel_width_bytes": width,
-                    "vcs_per_port": vcs,
-                    "vc_depth_flits": depth,
-                    "topology": topology,
-                }
+        data = {
+            "noc": {
+                "channel_width_bytes": width,
+                "vcs_per_port": vcs,
+                "vc_depth_flits": depth,
+                "topology": topology,
             }
-        )
+        }
+        if topology == "dragonfly" and vcs < 2:
+            # a dragonfly needs two VCs per class (SystemConfig.validate)
+            with pytest.raises(ConfigError, match="noc.vcs_per_port"):
+                config_from_dict(data)
+            return
+        cfg = config_from_dict(data)
         assert config_from_dict(cfg.to_dict()) == cfg
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.system import DimensionOrder, Topology
+from repro.noc.routing import route_path
 from repro.noc.topology import (
     CrossbarTopology,
     DragonflyTopology,
@@ -16,15 +17,16 @@ ORDERS = [DimensionOrder.XY, DimensionOrder.YX]
 
 
 def walk(topo, src, dst, order):
-    """Follow route_next until destination; returns the hop count."""
-    cur, hops = src, 0
-    while cur != dst:
-        nxt = topo.route_next(cur, dst, order)
-        assert nxt in topo.neighbors(cur), f"{cur}->{nxt} is not a link"
-        cur = nxt
-        hops += 1
-        assert hops <= topo.n, "routing loop"
-    return hops
+    """Follow the dimension-order table to ``dst``; returns the hop count
+    (``route_path`` follows links only and refuses a routing loop)."""
+    path = route_path(topo, topo.dor_ports(order), src, dst)
+    assert path[-1] == dst
+    return len(path) - 1
+
+
+def manhattan(topo, src, dst):
+    (sx, sy), (dx, dy) = topo.coords(src), topo.coords(dst)
+    return abs(sx - dx) + abs(sy - dy)
 
 
 class TestMesh:
@@ -50,9 +52,10 @@ class TestMesh:
                               DimensionOrder.YX)
         assert topo.coords(nxt) == (0, 1)
 
-    def test_min_hops_is_manhattan(self):
+    def test_corner_to_corner_is_manhattan(self):
         topo = MeshTopology(8, 8)
-        assert topo.min_hops(0, 63) == 14
+        for order in ORDERS:
+            assert walk(topo, 0, 63, order) == 14
 
     def test_adaptive_candidates_are_minimal(self):
         topo = MeshTopology(4, 4)
@@ -73,7 +76,7 @@ class TestMesh:
         if src == dst:
             return
         topo = MeshTopology(8, 8)
-        assert walk(topo, src, dst, order) == topo.min_hops(src, dst)
+        assert walk(topo, src, dst, order) == manhattan(topo, src, dst)
 
 
 class TestCrossbar:
@@ -81,7 +84,7 @@ class TestCrossbar:
         topo = CrossbarTopology(16)
         for dst in range(1, 16):
             assert topo.route_next(0, dst, DimensionOrder.XY) == dst
-            assert topo.min_hops(0, dst) == 1
+            assert walk(topo, 0, dst, DimensionOrder.XY) == 1
 
     def test_complete_graph_links(self):
         topo = CrossbarTopology(8)
@@ -101,7 +104,8 @@ class TestFlattenedButterfly:
 
     def test_one_hop_same_row(self):
         topo = FlattenedButterflyTopology(8, 8)
-        assert topo.min_hops(0, 7) == 1
+        for order in ORDERS:
+            assert walk(topo, 0, 7, order) == 1
 
 
 class TestDragonfly:
@@ -193,4 +197,4 @@ class TestOneFabricDescription:
                 (NetKind.REQUEST, cfg.request_order),
                 (NetKind.REPLY, cfg.reply_order),
             ):
-                assert net._dor_tables[kind] is topo.dor_ports(order)
+                assert net.tables[kind] is topo.dor_ports(order)
