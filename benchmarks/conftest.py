@@ -1,17 +1,17 @@
 """The paper-claims loop: ``pytest benchmarks/ --benchmark-only``.
 
-``test_claims.py`` runs each figure that has rows in
-:data:`repro.experiments.claims.CLAIMS` once, as ``module.run()`` (the
-specs ``python -m repro experiment NAME`` runs under the same
-environment), writes its table to ``results/<figure>.txt`` and judges
-every row; the verdicts, the settings, the code version and per-figure
-wall seconds go to ``results/claims.json``, which EXPERIMENTS.md's ledger
-is rendered from.  The settings change numbers: ``REPRO_CYCLES`` /
-``REPRO_WARMUP`` (3000/2000), ``REPRO_BENCH_SUBSET`` (3-6 GPU benchmarks
-by figure; the mechanism figures run all 11), ``REPRO_MIXES`` (2
-co-runners).  ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_CACHE`` change only
-wall times, and are recorded beside them.  Figures share one per-process
-result memo, so a figure's wall time depends on test order.
+``test_claims.py`` builds the specs of every selected figure that has
+rows in :data:`repro.experiments.claims.CLAIMS` (the specs ``python -m
+repro experiment NAME`` runs under the same environment), runs their
+union once through one sweep, then tabulates each figure, writes its
+table to ``results/<figure>.txt`` and judges every row; the verdicts,
+the settings, the code version and the loop's wall seconds go to
+``results/claims.json``, which EXPERIMENTS.md's ledger is rendered from.
+The settings change numbers: ``REPRO_CYCLES`` / ``REPRO_WARMUP``
+(3000/2000), ``REPRO_BENCH_SUBSET`` (3-6 GPU benchmarks by figure; the
+mechanism figures run all 11), ``REPRO_MIXES`` (2 co-runners).
+``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_CACHE`` change only the wall time,
+and are recorded beside it.
 """
 
 from __future__ import annotations
@@ -45,15 +45,17 @@ def run_speed() -> dict:
 
 @pytest.fixture(scope="session")
 def ledger():
-    """``{figure: {"wall_s", "workers", "sweep_cache", "rows"}}`` of this
-    session, merged at the end into ``claims.json`` when that was written
-    under the same settings and code version, replacing it otherwise."""
-    figures = {}
-    yield figures
+    """``{"figures": {figure: {"rows"}}}`` of this session plus the
+    loop's ``wall_s``, ``workers`` and ``sweep_cache``, merged at the
+    end into ``claims.json`` when that was written under the same
+    settings and code version, replacing it otherwise."""
+    session = {"figures": {}}
+    yield session
+    figures = session.pop("figures")
     if not figures:
         return
     doc = {"code_version": CODE_VERSION, "settings": run_settings(),
-           "figures": {}}
+           **session, "figures": {}}
     if CLAIMS_JSON.exists():
         old = json.loads(CLAIMS_JSON.read_text(encoding="utf-8"))
         if (old["code_version"], old["settings"]) == \

@@ -102,16 +102,14 @@ def _cmd_experiment(args) -> int:
         raise KeyError(
             f"unknown experiment {args.name!r}; see `python -m repro list`"
         )
-    kwargs = {}
-    if args.cycles is not None:
-        kwargs["cycles"] = args.cycles
-    if args.warmup is not None:
-        kwargs["warmup"] = args.warmup
-    if args.benchmarks:
-        kwargs["benchmarks"] = args.benchmarks.split(",")
-    result = module.run(**kwargs)
-    print(result.text)
+    from repro.experiments import run
     from repro.experiments.claims import judge
+
+    result, = run(
+        [module], cycles=args.cycles, warmup=args.warmup,
+        benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
+    )
+    print(result.text)
 
     for verdict in judge(result):
         print(verdict)

@@ -1,16 +1,15 @@
 """Per-figure experiment modules regenerating the paper's evaluation.
 
-Each module exposes ``run(...) -> ExperimentResult``;
-``ALL_EXPERIMENTS`` lists them in figure order, and
+Each module exposes ``specs(...) -> {label: JobSpec}`` and the pure
+``tabulate({label: SimulationResult}) -> ExperimentResult``;
+``ALL_EXPERIMENTS`` lists them in figure order.  :func:`run` runs any
+number of them through one sweep (``run([fig10_gpu_perf])[0].text``),
+:func:`simulate` is that sweep without the tables, and
 :mod:`repro.experiments.claims` holds the paper's claims their results
 are judged by.
 """
 
-from repro.experiments.common import (
-    ExperimentResult,
-    clear_sweep_cache,
-    mechanism_sweep,
-)
+from repro.experiments.common import ExperimentResult, run, simulate
 from repro.experiments import (
     ablations,
     area_energy,
@@ -57,9 +56,4 @@ ALL_EXPERIMENTS = [
 ]
 
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentResult",
-    "clear_sweep_cache",
-    "mechanism_sweep",
-]
+__all__ = ["ALL_EXPERIMENTS", "ExperimentResult", "run", "simulate"]

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 from repro.analysis.report import amean
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments.common import (
-    ExperimentResult, dr_over_baseline, dr_speedup_rows, table,
+    ExperimentResult, Results, Specs, dr_over_baseline, dr_speedup_rows,
+    pair_specs, points_and_benchmarks, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -47,13 +48,12 @@ POINTS = {
 }
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Run every ablation; one row per design point."""
-    benchmarks = list(benchmarks or figure_benchmarks(3))
+) -> Specs:
+    """Every ablation's DR config and the baseline on every benchmark."""
     # every design point edits DR only: the baseline it is measured
     # against is the one unmodified baseline system
     pairs = {}
@@ -63,7 +63,14 @@ def run(
             section, name, value = edit
             setattr(getattr(cfg, section), name, value)
         pairs[label] = (baseline_config(), cfg)
-    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    return pair_specs(pairs, benchmarks or figure_benchmarks(3),
+                      cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """One row per ablation, then the paper configuration's pointer
+    accuracy and FRQ same-block rate."""
+    runs = dr_over_baseline(results)
     rows = dr_speedup_rows(runs)
 
     # pointer accuracy on the paper configuration (Fig. 14's remote hit
@@ -80,5 +87,6 @@ def run(
             rows.append((label, {"dr_speedup": amean(samples)}))
     return table(
         "ablations", "Ablations: Delegated Replies design choices", rows,
-        label_header="design point", data={"benchmarks": benchmarks},
+        label_header="design point",
+        data={"benchmarks": points_and_benchmarks(results)[1]},
     )

@@ -16,9 +16,10 @@ from repro.analysis.energy import energy_report
 from repro.analysis.report import amean
 from repro.config import baseline_config, mechanism_config
 from repro.experiments.common import (
-    ExperimentResult, mechanism_groups, ratios, table,
+    ExperimentResult, Results, Specs, mechanism_groups, mechanism_specs,
+    ratios, table,
 )
-from repro.sweep.jobs import default_mixes, figure_benchmarks
+from repro.sweep.jobs import figure_benchmarks
 
 
 def area_rows() -> List[Tuple[str, dict]]:
@@ -42,16 +43,9 @@ def area_rows() -> List[Tuple[str, dict]]:
     ]
 
 
-def energy_rows(
-    benchmarks: Sequence[str],
-    n_mixes: int,
-    cycles: int,
-    warmup: int,
-) -> Tuple[List[Tuple[str, dict]], dict]:
+def energy_rows(results: Results) -> Tuple[List[Tuple[str, dict]], dict]:
     mixes = [
-        mix for group in mechanism_groups(
-            benchmarks, n_mixes, cycles, warmup
-        ).values() for mix in group
+        mix for group in mechanism_groups(results).values() for mix in group
     ]
     energy = [
         {mech: energy_report(res, mechanism_config(mech))
@@ -73,16 +67,21 @@ def energy_rows(
     return rows, summary
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate the area table and the energy comparison."""
-    benchmarks = list(benchmarks or figure_benchmarks(6))
-    n_mixes = n_mixes or default_mixes()
-    e_rows, summary = energy_rows(benchmarks, n_mixes, cycles, warmup)
+) -> Specs:
+    """The mechanism sweep the energy comparison reads."""
+    return mechanism_specs(
+        benchmarks or figure_benchmarks(6), n_mixes, cycles, warmup
+    )
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """The area table and the energy comparison."""
+    e_rows, summary = energy_rows(results)
     energy = table("area_energy", "Energy vs baseline", e_rows,
                    label_header="quantity")
     result = table("area_energy", "Area", area_rows(), label_header="quantity",

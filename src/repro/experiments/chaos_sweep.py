@@ -15,18 +15,20 @@ interesting questions are
 
 Delegated Replies is the mechanism under test: its reply path has more
 moving parts (C2C transfers, DNF fallbacks), so this is where silent
-loss would hide.  Execution goes through :mod:`repro.sweep` — fault
-plans hash into the job key, so chaos results cache independently of the
-clean sweep.
+loss would hide.  Fault plans hash into the job key, so chaos results
+cache independently of the clean sweep.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import amean
 from repro.config import mechanism_config
-from repro.experiments.common import ExperimentResult, ratios, table
+from repro.experiments.common import (
+    ExperimentResult, Results, Specs, ratios, table,
+)
+from repro.faults.plan import chaos_plan
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 
 #: fault intensity levels (fraction of head flits sampled for
@@ -38,54 +40,52 @@ INTENSITIES = (0.0, 0.05, 0.1, 0.2)
 _MECHS = ("baseline", "dr")
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     n_mixes: int = 1,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
     intensities: Sequence[float] = INTENSITIES,
     seed: int = 0,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """Sweep fault intensity x mechanism; report degradation + recovery."""
-    from repro.faults.plan import chaos_plan
-    from repro.sweep import JobSpec, run_sweep
-
-    benchmarks = list(benchmarks or default_benchmarks(subset=2))
-    mixes = [
-        (gpu, cpu) for gpu in benchmarks for cpu in cpu_corunners(gpu, n_mixes)
-    ]
-
-    index: Dict[Tuple[str, str, str, float], JobSpec] = {}
-    for gpu, cpu in mixes:
-        for mech in _MECHS:
-            cfg = mechanism_config(mech)
-            # the clean job states the window the plans are cut to
-            clean = job(cfg, gpu, cycles, warmup, cpu)
-            for level in intensities:
-                plan = (
-                    chaos_plan(
-                        cfg, level, seed=seed,
-                        warmup=clean.warmup, cycles=clean.cycles,
+) -> Specs:
+    """Every mix x mechanism x intensity, labelled ``(gpu, cpu, mech,
+    intensity)``; intensity 0.0 is the fault-free run the others are
+    measured against."""
+    index: Specs = {}
+    for gpu in benchmarks or default_benchmarks(subset=2):
+        for cpu in cpu_corunners(gpu, n_mixes):
+            for mech in _MECHS:
+                cfg = mechanism_config(mech)
+                # the clean job states the window the plans are cut to
+                clean = job(cfg, gpu, cycles, warmup, cpu)
+                for level in intensities:
+                    plan = (
+                        chaos_plan(
+                            cfg, level, seed=seed,
+                            warmup=clean.warmup, cycles=clean.cycles,
+                        )
+                        if level > 0
+                        else None
                     )
-                    if level > 0
-                    else None
-                )
-                index[(gpu, cpu, mech, level)] = job(
-                    cfg, gpu, clean.cycles, clean.warmup, cpu,
-                    label=(gpu, cpu, mech, f"i{level:g}"),
-                    faults=plan,
-                )
+                    index[(gpu, cpu, mech, level)] = job(
+                        cfg, gpu, clean.cycles, clean.warmup, cpu,
+                        label=(gpu, cpu, mech, f"i{level:g}"),
+                        faults=plan,
+                    )
+    return index
 
-    results = run_sweep(list(index.values()), jobs=jobs)
 
+def tabulate(results: Results) -> ExperimentResult:
+    """Degradation and recovery per mechanism and fault intensity."""
+    mixes = list(dict.fromkeys((gpu, cpu) for gpu, cpu, _, _ in results))
+    intensities = list(dict.fromkeys(level for *_, level in results))
     rows = []
     total_lost = 0
     per_mix: Dict[str, dict] = {}
     for mech in _MECHS:
         for level in intensities:
-            runs = [results[index[(*mix, mech, level)].key()] for mix in mixes]
-            clean = [results[index[(*mix, mech, 0.0)].key()] for mix in mixes]
+            runs = [results[(*mix, mech, level)] for mix in mixes]
+            clean = [results[(*mix, mech, 0.0)] for mix in mixes]
             for (gpu, cpu), res in zip(mixes, runs):
                 per_mix[f"{gpu}/{cpu}/{mech}@{level:g}"] = {
                     "gpu_ipc": res.gpu_ipc,
@@ -117,7 +117,7 @@ def run(
         data={
             "per_mix": per_mix,
             "total_lost": total_lost,
-            "intensities": list(intensities),
+            "intensities": intensities,
         },
         note=verdict + "\n",
     )

@@ -384,14 +384,13 @@ def render_markdown(claims_json: dict) -> str:
     rows = [row for fig in figures.values() for row in fig["rows"]]
     tally = ", ".join(f"{sum(r['verdict'].startswith(m) for r in rows)} {m}"
                       for m in ("✓", "✗", "n/a"))
-    wall = sum(fig["wall_s"] for fig in figures.values())
-    workers = "/".join(sorted({str(f["workers"]) for f in figures.values()}))
-    cache = any(fig["sweep_cache"] for fig in figures.values())
     lines = [
         f"Judged by `benchmarks/test_claims.py` under "
         f"{settings or 'no `REPRO_*` setting'} (code version "
-        f"`{claims_json['code_version']}`, {wall:.0f} s of figure runs at "
-        f"`REPRO_SWEEP_JOBS={workers}`{' with a cache' * cache}): "
+        f"`{claims_json['code_version']}`; the last loop's one sweep took "
+        f"{claims_json['wall_s']:.0f} s at "
+        f"`REPRO_SWEEP_JOBS={claims_json['workers']}`"
+        f"{' with a cache' * claims_json['sweep_cache']}): "
         f"{len(rows)} claims, {tally}.",
         "",
         "| Figure | Paper | Check | Measured | Verdict |",

@@ -1,28 +1,32 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-Each ``figNN_*`` module exposes ``run(...) -> ExperimentResult`` that
-regenerates one paper figure/table: same rows, same normalisations.
-Every module runs its simulations the same way: enumerate one
-:class:`~repro.sweep.JobSpec` per point the figure needs
-(:func:`repro.sweep.jobs.job`, the rule that picks the co-runner and the
-window), hand the whole batch to :func:`simulate`, tabulate with
-:func:`table`.  :func:`simulate` keeps one process-level memo indexed by
-``JobSpec.key()`` and passes only the specs it has not seen to a single
-:func:`repro.sweep.run_sweep` call, so a spec is simulated once per
-process whichever figure asks first (the unmodified baseline of Figs. 5,
-7, 15, 16 and the ablations is one simulation), and every figure gets the
-runner's process-level parallelism (``REPRO_SWEEP_JOBS``) and on-disk
-result cache (``REPRO_SWEEP_CACHE``).
+Each module in :data:`repro.experiments.ALL_EXPERIMENTS` describes one
+paper figure/table in two functions:
 
-The evaluation's tables come in three shapes, one helper each:
+* ``specs(benchmarks=None, cycles=None, warmup=None, ...) -> {label:
+  JobSpec}`` enumerates one :class:`~repro.sweep.JobSpec` per point the
+  figure needs (:func:`repro.sweep.jobs.job`, the rule that picks the
+  co-runner and the window);
+* ``tabulate({label: SimulationResult}) -> ExperimentResult`` renders
+  those labels' results, in ``specs`` order, with :func:`table`.  It is
+  pure: the labels carry everything it needs.
+
+:func:`simulate` is the one code here that executes a job: one
+:func:`repro.sweep.run_sweep` call over the union of several modules'
+specs, one per ``JobSpec.key()``; :func:`run` then tabulates each module.
+So the figures run together share their specs (the unmodified baseline
+of Figs. 5, 7, 15, 16 and the ablations is one simulation).
+
+The evaluation's tables come in three shapes, one builder and one
+reader each:
 
 * a ratio to a reference design point, per benchmark (Figs. 6, 7, 15):
-  :func:`over_reference` on :func:`simulate_configs`;
+  :func:`config_specs`, then :func:`over_reference`;
 * DR over each design point's own baseline (Figs. 16-19, node mix,
-  ablations): :func:`dr_over_baseline`, then :func:`ratios` or
-  :func:`dr_speedup_rows`;
+  ablations): :func:`pair_specs`, then :func:`dr_over_baseline` and
+  :func:`ratios` or :func:`dr_speedup_rows`;
 * the baseline/RP/DR sweep grouped by GPU or CPU benchmark (Figs. 10-14,
-  energy): :func:`mechanism_groups`.
+  energy): :func:`mechanism_specs`, then :func:`mechanism_groups`.
 
 :func:`ratios` is the one ratio rule: a pair whose base is not positive
 measured nothing to scale by and is skipped, and a row left with no
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import (
     Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -44,7 +49,7 @@ from repro.analysis.report import Row, amean, format_table
 from repro.config.system import MECHANISMS, SystemConfig
 from repro.sim.metrics import SimulationResult
 from repro.sweep import JobSpec, mechanism_jobs, run_sweep
-from repro.sweep.jobs import cpu_corunners, default_mixes, job
+from repro.sweep.jobs import default_mixes, job
 
 
 @dataclass
@@ -92,85 +97,106 @@ def ratios(
             for base, new in pairs if getattr(base, metric) > 0]
 
 
+def traced(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` with aggregate-only telemetry (no trace file) and exact
+    stall attribution: the runs whose results carry a stall breakdown
+    and the locality counters (Fig. 2, the stall decomposition)."""
+    cfg.telemetry.enabled = True
+    cfg.telemetry.mode = "full"
+    return cfg
+
+
 # ----------------------------------------------------------------------
-# the one execution path: enumerate specs -> simulate once -> tabulate
+# the one execution path: every module's specs -> one sweep -> tabulate
 # ----------------------------------------------------------------------
 
-#: every simulation the experiment modules have run in this process
-_RESULTS: Dict[str, SimulationResult] = {}
+Specs = Dict[Hashable, JobSpec]
+Results = Mapping[Hashable, SimulationResult]
 
 
 def simulate(
-    points: Mapping[Hashable, JobSpec], jobs: Optional[int] = None
-) -> Dict[Hashable, SimulationResult]:
-    """Results for a figure's labelled specs, each simulated at most once.
+    modules: Sequence[ModuleType], jobs: Optional[int] = None, **kwargs
+) -> List[Dict[Hashable, SimulationResult]]:
+    """Each module's ``{label: SimulationResult}``, in ``specs`` order,
+    from one sweep over all their jobs.
 
-    Specs no experiment module has run in this process go to the
-    :mod:`repro.sweep` runner in one batch — ``jobs`` worker processes
-    (default ``REPRO_SWEEP_JOBS`` or 1) and, when ``REPRO_SWEEP_CACHE``
-    is set, the on-disk result cache; everything else is a memo hit.
+    ``kwargs`` go to every module's ``specs``; the union of the specs,
+    one per ``key()``, goes to a single :func:`repro.sweep.run_sweep`
+    call — ``jobs`` worker processes (default ``REPRO_SWEEP_JOBS`` or 1)
+    and, when ``REPRO_SWEEP_CACHE`` is set, the on-disk result cache.
     """
-    keys = {label: spec.key() for label, spec in points.items()}
-    # by key: several labels may name one spec (Fig. 19's default config
-    # is a point of five panels)
-    missing = {
-        keys[label]: spec
-        for label, spec in points.items()
-        if keys[label] not in _RESULTS
-    }
-    if missing:
-        _RESULTS.update(run_sweep(list(missing.values()), jobs=jobs))
-    return {label: _RESULTS[key] for label, key in keys.items()}
+    points = [module.specs(**kwargs) for module in modules]
+    unique = {spec.key(): spec for specs in points for spec in specs.values()}
+    results = run_sweep(list(unique.values()), jobs=jobs)
+    return [{label: results[spec.key()] for label, spec in specs.items()}
+            for specs in points]
 
 
-def simulate_configs(
+def run(
+    modules: Sequence[ModuleType], jobs: Optional[int] = None, **kwargs
+) -> List[ExperimentResult]:
+    """Each module's table, its jobs run in one sweep with the others'
+    (:func:`simulate`)."""
+    return [module.tabulate(results) for module, results
+            in zip(modules, simulate(modules, jobs, **kwargs))]
+
+
+def config_specs(
     configs: Mapping[Hashable, SystemConfig],
     benchmarks: Sequence[str],
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> Dict[Tuple[Hashable, str], SimulationResult]:
-    """Run ``{point: config}`` on every benchmark: ``{(point, gpu): result}``
+) -> Specs:
+    """``{point: config}`` on every benchmark: ``{(point, gpu): spec}``
     (:func:`repro.sweep.jobs.job` picks the co-runner and windows)."""
-    return simulate(
-        {
-            (point, gpu): job(cfg, gpu, cycles, warmup)
-            for point, cfg in configs.items()
-            for gpu in benchmarks
-        }
-    )
+    return {
+        (point, gpu): job(cfg, gpu, cycles, warmup)
+        for point, cfg in configs.items()
+        for gpu in benchmarks
+    }
 
 
-def dr_over_baseline(
+def points_and_benchmarks(results: Results) -> Tuple[List, List[str]]:
+    """The design points and the benchmarks of :func:`config_specs`
+    labels, each in the order it first appears."""
+    return (list(dict.fromkeys(point for point, _ in results)),
+            list(dict.fromkeys(gpu for _, gpu in results)))
+
+
+def pair_specs(
     pairs: Mapping[str, Tuple[SystemConfig, SystemConfig]],
     benchmarks: Sequence[str],
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
+) -> Specs:
+    """``{point: (baseline config, DR config)}`` on every benchmark, for
+    :func:`dr_over_baseline`."""
+    return config_specs({(point, i): cfg for point, cfgs in pairs.items()
+                         for i, cfg in enumerate(cfgs)},
+                        benchmarks, cycles, warmup)
+
+
+def dr_over_baseline(
+    results: Results,
 ) -> Dict[str, List[Tuple[SimulationResult, SimulationResult]]]:
-    """Run ``{point: (baseline config, DR config)}`` on every benchmark:
-    per point, one ``(baseline result, DR result)`` pair per benchmark."""
-    results = simulate_configs(
-        {(point, i): cfg for point, cfgs in pairs.items()
-         for i, cfg in enumerate(cfgs)},
-        benchmarks, cycles, warmup,
-    )
+    """:func:`pair_specs` results as one ``(baseline result, DR result)``
+    pair per benchmark, per design point."""
+    pairs, benchmarks = points_and_benchmarks(results)
     return {
         point: [(results[((point, 0), gpu)], results[((point, 1), gpu)])
                 for gpu in benchmarks]
-        for point in pairs
+        for point in dict.fromkeys(point for point, _ in pairs)
     }
 
 
 def over_reference(
-    raw: Mapping[Tuple[Hashable, str], SimulationResult],
-    ref: Hashable,
-    columns: Mapping[str, Hashable],
-    benchmarks: Sequence[str],
+    raw: Results, ref: Hashable, columns: Mapping[str, Hashable]
 ) -> List[Row]:
-    """Per benchmark of :func:`simulate_configs` output, each design point's
+    """Per benchmark of :func:`config_specs` results, each design point's
     GPU IPC over the ``ref`` point's: ``{column: point}`` names the
     columns.  A benchmark whose reference measured no IPC is left out."""
     rows = []
-    for gpu in benchmarks:
+    for gpu in points_and_benchmarks(raw)[1]:
         cells = ratios((raw[(ref, gpu)], raw[(point, gpu)])
                        for point in columns.values())
         if cells:
@@ -191,48 +217,30 @@ def dr_speedup_rows(
     return rows
 
 
-def mechanism_sweep(
-    benchmarks: Sequence[str],
+def mechanism_specs(
+    benchmarks: Optional[Sequence[str]] = None,
     n_mixes: Optional[int] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-    mechanisms: Sequence[str] = MECHANISMS,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, str, str], SimulationResult]:
-    """Simulate every (GPU bench, CPU co-runner, mechanism) triple.
-
-    The sweep behind Figures 10-14 and the energy study, keyed
-    ``(gpu, cpu, mechanism)``; a view over :func:`simulate`'s memo, so
-    those figures share one set of simulations (``n_mixes`` defaults to
-    :func:`repro.sweep.jobs.default_mixes`, as theirs does).
-    """
-    specs = mechanism_jobs(
-        benchmarks, n_mixes or default_mixes(), cycles, warmup, mechanisms
-    )
-    return simulate({spec.label: spec for spec in specs}, jobs=jobs)
+) -> Specs:
+    """Every (GPU bench, CPU co-runner, mechanism) triple, labelled
+    ``(gpu, cpu, mechanism)``: the sweep behind Figures 10-14 and the
+    energy study (``benchmarks`` default to all 11, ``n_mixes`` to
+    :func:`repro.sweep.jobs.default_mixes`)."""
+    return {spec.label: spec for spec in mechanism_jobs(
+        benchmarks, n_mixes or default_mixes(), cycles, warmup)}
 
 
 def mechanism_groups(
-    benchmarks: Sequence[str],
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    by_cpu: bool = False,
+    results: Results, by_cpu: bool = False
 ) -> Dict[str, List[Dict[str, SimulationResult]]]:
-    """:func:`mechanism_sweep` as ``{benchmark: [{mechanism: result}, ...]}``,
-    one dict per (GPU, CPU) mix, grouped by GPU benchmark in ``benchmarks``
-    order or, with ``by_cpu``, by CPU co-runner in name order."""
-    n_mixes = n_mixes or default_mixes()
-    sweep = mechanism_sweep(benchmarks, n_mixes, cycles, warmup)
+    """:func:`mechanism_specs` results as ``{benchmark: [{mechanism:
+    result}, ...]}``, one dict per (GPU, CPU) mix, grouped by GPU
+    benchmark in sweep order or, with ``by_cpu``, by CPU co-runner in
+    name order."""
     groups: Dict[str, List[Dict[str, SimulationResult]]] = defaultdict(list)
-    for gpu in benchmarks:
-        for cpu in cpu_corunners(gpu, n_mixes):
-            groups[cpu if by_cpu else gpu].append(
-                {mech: sweep[(gpu, cpu, mech)] for mech in MECHANISMS}
-            )
+    for gpu, cpu in dict.fromkeys((gpu, cpu) for gpu, cpu, _ in results):
+        groups[cpu if by_cpu else gpu].append(
+            {mech: results[(gpu, cpu, mech)] for mech in MECHANISMS}
+        )
     return dict(sorted(groups.items()) if by_cpu else groups)
-
-
-def clear_sweep_cache() -> None:
-    """Drop memoised results (tests use this to force fresh simulations)."""
-    _RESULTS.clear()

@@ -9,12 +9,13 @@ rates at nominal bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis.report import amean, hmean
-from repro.config import SystemConfig, Topology, baseline_config
+from repro.config import Topology, baseline_config
 from repro.experiments.common import (
-    ExperimentResult, ratios, simulate_configs, table,
+    ExperimentResult, Results, Specs, config_specs, points_and_benchmarks,
+    ratios, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -26,38 +27,39 @@ TOPOLOGIES = (
 )
 
 
-def design_points(
+def specs(
+    benchmarks: Optional[Sequence[str]] = None,
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
     bandwidths: Sequence[float] = (1.0, 2.0),
-) -> Dict[Tuple[Topology, float], SystemConfig]:
-    """``{(topology, bandwidth factor): config}``: the figure's grid (also
-    the ``fig05`` grid of :func:`repro.model.validate.grid_specs`)."""
+) -> Specs:
+    """Every topology at every bandwidth factor on every benchmark,
+    labelled ``((topology, bandwidth factor), gpu)`` (also the ``fig05``
+    grid of :func:`repro.model.validate.grid_specs`)."""
     configs = {}
     for topo in TOPOLOGIES:
         for bw in bandwidths:
             cfg = configs[(topo, bw)] = baseline_config()
             cfg.noc.topology = topo
             cfg.noc.bandwidth_factor = bw
-    return configs
+    return config_specs(configs, benchmarks or figure_benchmarks(5),
+                        cycles, warmup)
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    bandwidths: Sequence[float] = (1.0, 2.0),
-) -> ExperimentResult:
-    """Regenerate Fig. 5a (HM GPU perf vs mesh-1x) and Fig. 5b (blocking)."""
-    benchmarks = list(benchmarks or figure_benchmarks(5))
-    points = design_points(bandwidths)
-    raw = simulate_configs(points, benchmarks, cycles, warmup)
-    ref = (Topology.MESH, bandwidths[0])
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 5a (HM GPU perf vs mesh at the first bandwidth) and Fig. 5b
+    (blocking)."""
+    points, benchmarks = points_and_benchmarks(results)
+    ref = points[0]
     rows = [
         (f"{topo.value}-{bw:g}x", {
             "hm_gpu_speedup": hmean(ratios(
-                (raw[(ref, gpu)], raw[((topo, bw), gpu)]) for gpu in benchmarks
+                (results[(ref, gpu)], results[((topo, bw), gpu)])
+                for gpu in benchmarks
             )),
             "mem_blocking_rate": amean(
-                raw[((topo, bw), gpu)].mem_blocking_rate for gpu in benchmarks
+                results[((topo, bw), gpu)].mem_blocking_rate
+                for gpu in benchmarks
             ),
         })
         for topo, bw in points

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 from repro.config import baseline_config
 from repro.experiments.common import (
-    ExperimentResult, over_reference, ratio, simulate_configs, table,
+    ExperimentResult, Results, Specs, config_specs, over_reference, ratio,
+    table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -23,13 +24,12 @@ from repro.sweep.jobs import figure_benchmarks
 VC_SPLITS = ((2, 2), (1, 3), (3, 1))
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 6: AVCP GPU performance vs the baseline."""
-    benchmarks = list(benchmarks or figure_benchmarks(6))
+) -> Specs:
+    """The baseline and every VC split on every benchmark."""
     configs = {"base": baseline_config()}
     for req_vcs, rep_vcs in VC_SPLITS:
         # one physical network, same link width: the clogged links keep
@@ -39,10 +39,14 @@ def run(
             "separate_physical_networks": False,
             "request_vcs": req_vcs, "reply_vcs": rep_vcs,
         }})
-    raw = simulate_configs(configs, benchmarks, cycles, warmup)
+    return config_specs(configs, benchmarks or figure_benchmarks(6),
+                        cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 6: AVCP GPU performance vs the baseline."""
     rows = over_reference(
-        raw, "base", {f"{q}req+{p}rep": (q, p) for q, p in VC_SPLITS},
-        benchmarks,
+        results, "base", {f"{q}req+{p}rep": (q, p) for q, p in VC_SPLITS}
     )
     for _, cells in rows:
         # partitioning effect in isolation: AVCP vs the symmetric shared net

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from repro.config import RoutingPolicy, baseline_config
 from repro.experiments.common import (
-    ExperimentResult, over_reference, simulate_configs, table,
+    ExperimentResult, Results, Specs, config_specs, over_reference, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -23,20 +23,24 @@ ADAPTIVE_POLICIES = (
 )
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 7: adaptive-routing GPU perf normalised to CDR."""
-    benchmarks = list(benchmarks or figure_benchmarks(5))
+) -> Specs:
+    """CDR and every adaptive policy on every benchmark."""
     configs = {"cdr": baseline_config()}
     for policy in ADAPTIVE_POLICIES:
         configs[policy] = baseline_config()
         configs[policy].noc.routing = policy
-    raw = simulate_configs(configs, benchmarks, cycles, warmup)
+    return config_specs(configs, benchmarks or figure_benchmarks(5),
+                        cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 7: adaptive-routing GPU perf normalised to CDR."""
     rows = over_reference(
-        raw, "cdr", {p.value: p for p in ADAPTIVE_POLICIES}, benchmarks
+        results, "cdr", {p.value: p for p in ADAPTIVE_POLICIES}
     )
     return table(
         "fig07_adaptive", "Fig. 7: adaptive routing vs CDR baseline", rows,

@@ -12,7 +12,8 @@ from typing import Optional, Sequence, Tuple
 from repro.analysis.report import amean
 from repro.config import DimensionOrder, Layout, baseline_config
 from repro.experiments.common import (
-    ExperimentResult, ratio, simulate_configs, table,
+    ExperimentResult, Results, Specs, config_specs, points_and_benchmarks,
+    ratio, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -39,25 +40,31 @@ def _label(layout: Layout, req: DimensionOrder, rep: DimensionOrder) -> str:
     return f"{_LAYOUT_LABEL[layout]} {req.value.upper()}-{rep.value.upper()}"
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 9: average GPU and CPU perf per layout/routing."""
-    benchmarks = list(benchmarks or figure_benchmarks(4))
+) -> Specs:
+    """Every layout-routing configuration on every benchmark."""
     configs = {
         (layout, req, rep): baseline_config().update({
             "layout": layout, "noc": {"request_order": req, "reply_order": rep},
         })
         for layout, req, rep in CONFIGS
     }
-    raw = simulate_configs(configs, benchmarks, cycles, warmup)
+    return config_specs(configs, benchmarks or figure_benchmarks(4),
+                        cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 9: average GPU and CPU perf per layout/routing."""
+    benchmarks = points_and_benchmarks(results)[1]
 
     def perf(point, metric):
         """``metric`` averaged over the benchmarks, over the reference's."""
         def mean(p):
-            return amean(getattr(raw[(p, gpu)], metric) for gpu in benchmarks)
+            return amean(getattr(results[(p, gpu)], metric)
+                         for gpu in benchmarks)
         return ratio(mean(point), mean(CONFIGS[0]))
 
     rows = [

@@ -7,27 +7,19 @@ co-runners (GPUs are latency-tolerant, so the whiskers are short).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.report import amean
 from repro.experiments.common import (
-    ExperimentResult, mechanism_groups, ratio, ratios, table,
+    ExperimentResult, Results, mechanism_groups, mechanism_specs,
+    ratio, ratios, table,
 )
-from repro.sweep.jobs import default_benchmarks
+
+specs = mechanism_specs  # ``n_mixes=3``: the full 33 workloads
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 10 (set ``n_mixes=3`` for the full 33 workloads)."""
-    benchmarks = list(benchmarks or default_benchmarks())
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 10: GPU speedup of RP and DR per GPU benchmark."""
     rows = []
-    for gpu, mixes in mechanism_groups(
-        benchmarks, n_mixes, cycles, warmup
-    ).items():
+    for gpu, mixes in mechanism_groups(results).items():
         rp = ratios((m["baseline"], m["rp"]) for m in mixes)
         dr = ratios((m["baseline"], m["dr"]) for m in mixes)
         if dr:

@@ -7,28 +7,19 @@ to the cores.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.report import amean
 from repro.config.system import MECHANISMS
 from repro.experiments.common import (
-    ExperimentResult, mechanism_groups, ratio, table,
+    ExperimentResult, Results, mechanism_groups, mechanism_specs, ratio, table,
 )
-from repro.sweep.jobs import default_benchmarks
+
+specs = mechanism_specs  # ``n_mixes=3``: the full 33 workloads
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 11: per-core received data rate by mechanism."""
-    benchmarks = list(benchmarks or default_benchmarks())
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 11: per-core received data rate by mechanism."""
     rows = []
-    for gpu, mixes in mechanism_groups(
-        benchmarks, n_mixes, cycles, warmup
-    ).items():
+    for gpu, mixes in mechanism_groups(results).items():
         cells = {mech: amean(m[mech].gpu_data_rate for m in mixes)
                  for mech in MECHANISMS}
         cells["dr_gain"] = ratio(cells["dr"], cells["baseline"])

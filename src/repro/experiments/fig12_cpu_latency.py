@@ -9,27 +9,19 @@ co-runs with.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.report import amean
 from repro.experiments.common import (
-    ExperimentResult, mechanism_groups, ratios, table,
+    ExperimentResult, Results, mechanism_groups, mechanism_specs,
+    ratios, table,
 )
-from repro.sweep.jobs import default_benchmarks
+
+specs = mechanism_specs  # ``n_mixes=3``: the full 33 workloads
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 12: normalised CPU packet latency per CPU bench."""
-    benchmarks = list(benchmarks or default_benchmarks())
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 12: normalised CPU packet latency per CPU bench."""
     rows = []
-    for cpu, mixes in mechanism_groups(
-        benchmarks, n_mixes, cycles, warmup, by_cpu=True
-    ).items():
+    for cpu, mixes in mechanism_groups(results, by_cpu=True).items():
         pairs = [(m["baseline"], m["dr"]) for m in mixes]
         avg = ratios(pairs, "cpu_latency_avg")
         if not avg:

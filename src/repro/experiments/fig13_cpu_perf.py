@@ -8,27 +8,19 @@ maxima.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.report import amean
 from repro.experiments.common import (
-    ExperimentResult, mechanism_groups, ratios, table,
+    ExperimentResult, Results, mechanism_groups, mechanism_specs,
+    ratios, table,
 )
-from repro.sweep.jobs import default_benchmarks
+
+specs = mechanism_specs  # ``n_mixes=3``: the full 33 workloads
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 13: CPU speedup (DR / baseline) per CPU benchmark."""
-    benchmarks = list(benchmarks or default_benchmarks())
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 13: CPU speedup (DR / baseline) per CPU benchmark."""
     rows = []
-    for cpu, mixes in mechanism_groups(
-        benchmarks, n_mixes, cycles, warmup, by_cpu=True
-    ).items():
+    for cpu, mixes in mechanism_groups(results, by_cpu=True).items():
         dr = ratios(((m["baseline"], m["dr"]) for m in mixes), "cpu_ipc")
         rp = ratios(((m["baseline"], m["rp"]) for m in mixes), "cpu_ipc")
         if dr:

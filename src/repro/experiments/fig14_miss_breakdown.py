@@ -8,27 +8,20 @@ hits on outstanding lines), and (iii) delegated but missing remotely
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.report import amean
-from repro.experiments.common import ExperimentResult, mechanism_groups, table
-from repro.sweep.jobs import default_benchmarks
+from repro.experiments.common import (
+    ExperimentResult, Results, mechanism_groups, mechanism_specs, table,
+)
+
+specs = mechanism_specs  # ``n_mixes=3``: the full 33 workloads
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    n_mixes: Optional[int] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 14 from the Delegated Replies runs."""
-    benchmarks = list(benchmarks or default_benchmarks())
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 14 from the Delegated Replies runs."""
     # the first co-runner's DR run: {llc, remote_hit, remote_miss}
     rows = [
         (gpu, mixes[0]["dr"].miss_breakdown())
-        for gpu, mixes in mechanism_groups(
-            benchmarks, n_mixes, cycles, warmup
-        ).items()
+        for gpu, mixes in mechanism_groups(results).items()
     ]
     delegated = [c["remote_hit"] + c["remote_miss"] for _, c in rows]
     # a benchmark that delegated nothing had no remote hits

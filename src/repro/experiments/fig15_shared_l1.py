@@ -18,7 +18,8 @@ from repro.config import (
     delegated_replies_config,
 )
 from repro.experiments.common import (
-    ExperimentResult, over_reference, ratio, simulate_configs, table,
+    ExperimentResult, Results, Specs, config_specs, over_reference, ratio,
+    table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -33,20 +34,25 @@ CONFIGS = (
 )
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 15, normalised to the private-L1 round-robin base."""
-    benchmarks = list(benchmarks or figure_benchmarks(5))
+) -> Specs:
+    """The private-L1 round-robin base and every configuration on every
+    benchmark."""
     configs = {"private-rr": baseline_config()}
     for label, org, cta, use_dr in CONFIGS:
         cfg = delegated_replies_config() if use_dr else baseline_config()
         configs[label] = cfg.update({"l1_org": org, "cta_scheduler": cta})
-    raw = simulate_configs(configs, benchmarks, cycles, warmup)
+    return config_specs(configs, benchmarks or figure_benchmarks(5),
+                        cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 15, normalised to the private-L1 round-robin base."""
     rows = over_reference(
-        raw, "private-rr", {label: label for label, *_ in CONFIGS}, benchmarks
+        results, "private-rr", {label: label for label, *_ in CONFIGS}
     )
     return table(
         "fig15_shared_l1",

@@ -7,48 +7,40 @@ in every topology.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis.report import amean
-from repro.config import (
-    SystemConfig,
-    Topology,
-    baseline_config,
-    delegated_replies_config,
-)
+from repro.config import Topology, baseline_config, delegated_replies_config
 from repro.experiments.common import (
-    ExperimentResult, dr_over_baseline, ratios, table,
+    ExperimentResult, Results, Specs, dr_over_baseline, pair_specs, ratios,
+    table,
 )
 from repro.sweep.jobs import figure_benchmarks
 from repro.experiments.fig05_topology import TOPOLOGIES
 
 
-def design_points(
+def specs(
+    benchmarks: Optional[Sequence[str]] = None,
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
     topologies: Sequence[Topology] = TOPOLOGIES,
-) -> Dict[str, Tuple[SystemConfig, SystemConfig]]:
-    """``{topology: (baseline config, DR config)}``: the figure's grid (also
-    the ``fig16`` grid of :func:`repro.model.validate.grid_specs`)."""
+) -> Specs:
+    """Each topology's baseline and DR on every benchmark, labelled
+    ``((topology, 0 | 1), gpu)`` (also the ``fig16`` grid of
+    :func:`repro.model.validate.grid_specs`)."""
     pairs = {}
     for topo in topologies:
         base_cfg, dr_cfg = baseline_config(), delegated_replies_config()
         base_cfg.noc.topology = dr_cfg.noc.topology = topo
         pairs[topo.value] = (base_cfg, dr_cfg)
-    return pairs
+    return pair_specs(pairs, benchmarks or figure_benchmarks(4),
+                      cycles, warmup)
 
 
-def run(
-    benchmarks: Optional[Sequence[str]] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    topologies: Sequence[Topology] = TOPOLOGIES,
-) -> ExperimentResult:
-    """Regenerate Fig. 16: DR speedup per topology (vs that topology)."""
-    benchmarks = list(benchmarks or figure_benchmarks(4))
-    runs = dr_over_baseline(
-        design_points(topologies), benchmarks, cycles, warmup
-    )
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 16: DR speedup per topology (vs that topology)."""
     rows = []
-    for topo, pairs in runs.items():
+    for topo, pairs in dr_over_baseline(results).items():
         speedups = ratios(pairs)
         if speedups:
             rows.append((topo, {"dr_speedup": amean(speedups),

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 from repro.analysis.report import amean
 from repro.config import Layout, baseline_config, delegated_replies_config
 from repro.experiments.common import (
-    ExperimentResult, dr_over_baseline, ratios, table,
+    ExperimentResult, Results, Specs, dr_over_baseline, pair_specs, ratios,
+    table,
 )
 from repro.sweep.jobs import figure_benchmarks
 from repro.sim.layout import apply_default_orders
@@ -20,13 +21,13 @@ from repro.sim.layout import apply_default_orders
 LAYOUTS = (Layout.BASELINE, Layout.EDGE, Layout.CLUSTERED, Layout.DISTRIBUTED)
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Figs. 17-18: per-layout DR speedup for GPU and CPU."""
-    benchmarks = list(benchmarks or figure_benchmarks(4))
+) -> Specs:
+    """Each layout's baseline and DR, with its recommended routing
+    orders, on every benchmark."""
     pairs = {
         layout.value: (
             apply_default_orders(baseline_config(layout=layout)),
@@ -34,14 +35,19 @@ def run(
         )
         for layout in LAYOUTS
     }
-    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    return pair_specs(pairs, benchmarks or figure_benchmarks(4),
+                      cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Figs. 17-18: per-layout DR speedup for GPU and CPU."""
     rows = []
-    for layout, results in runs.items():
-        gpu = ratios(results)
+    for layout, pairs in dr_over_baseline(results).items():
+        gpu = ratios(pairs)
         if gpu:
             rows.append((layout, {
                 "gpu_dr_speedup": amean(gpu),
-                "cpu_dr_speedup": amean(ratios(results, "cpu_ipc")),
+                "cpu_dr_speedup": amean(ratios(pairs, "cpu_ipc")),
             }))
     return table(
         "fig17_layout_dr", "Figs. 17-18: DR speedup per chip layout", rows,

@@ -18,7 +18,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import baseline_config, delegated_replies_config, table1_mix
 from repro.experiments.common import (
-    ExperimentResult, dr_over_baseline, dr_speedup_rows, table,
+    ExperimentResult, Results, Specs, dr_over_baseline, dr_speedup_rows,
+    pair_specs, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -45,14 +46,14 @@ PANELS: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {
 }
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     panels: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate Fig. 19 (all panels unless a subset is requested)."""
-    benchmarks = list(benchmarks or figure_benchmarks(3))
+) -> Specs:
+    """Every panel's points (all panels unless a subset is requested),
+    labelled ``"panel:point"``, baseline and DR on every benchmark."""
     pairs = {}
     for panel in panels or PANELS:
         for label, edit in PANELS[panel]:
@@ -60,10 +61,15 @@ def run(
                 baseline_config().update(edit),
                 delegated_replies_config().update(edit),
             )
-    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    return pair_specs(pairs, benchmarks or figure_benchmarks(3),
+                      cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """Fig. 19: DR speedup per design point."""
     return table(
         "fig19_sensitivity",
         "Fig. 19: sensitivity analyses — DR speedup per design point",
-        dr_speedup_rows(runs),
+        dr_speedup_rows(dr_over_baseline(results)),
         label_header="design point",
     )

@@ -11,7 +11,8 @@ from typing import Optional, Sequence
 
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments.common import (
-    ExperimentResult, dr_over_baseline, dr_speedup_rows, table,
+    ExperimentResult, Results, Specs, dr_over_baseline, dr_speedup_rows,
+    pair_specs, table,
 )
 from repro.sweep.jobs import figure_benchmarks
 
@@ -20,13 +21,12 @@ CPU_SWEEP = ((8, 48, 8), (16, 40, 8), (24, 32, 8))
 MEM_SWEEP = ((8, 52, 4), (8, 48, 8), (8, 40, 16))
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Regenerate the node-mix study."""
-    benchmarks = list(benchmarks or figure_benchmarks(3))
+) -> Specs:
+    """Each node mix's baseline and DR on every benchmark."""
     # one row per distinct mix: 8/48/8 sits in both sweeps
     pairs = {
         f"{n_cpu}cpu/{n_gpu}gpu/{n_mem}mem": (
@@ -35,8 +35,13 @@ def run(
         )
         for n_cpu, n_gpu, n_mem in CPU_SWEEP + MEM_SWEEP
     }
-    runs = dr_over_baseline(pairs, benchmarks, cycles, warmup)
+    return pair_specs(pairs, benchmarks or figure_benchmarks(3),
+                      cycles, warmup)
+
+
+def tabulate(results: Results) -> ExperimentResult:
+    """The node-mix study: DR speedup per mix."""
     return table(
         "node_mix", "Node mix: DR speedup vs node ratios",
-        dr_speedup_rows(runs), label_header="mix",
+        dr_speedup_rows(dr_over_baseline(results)), label_header="mix",
     )

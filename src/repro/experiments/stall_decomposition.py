@@ -22,7 +22,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.config import mechanism_config
-from repro.experiments.common import ExperimentResult, ratio, simulate, table
+from repro.experiments.common import (
+    ExperimentResult, Results, Specs, ratio, table, traced,
+)
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 from repro.telemetry.blame import STALL_CLASSES
 
@@ -31,35 +33,29 @@ from repro.telemetry.blame import STALL_CLASSES
 _MECHS = ("baseline", "dr")
 
 
-def run(
+def specs(
     benchmarks: Optional[Sequence[str]] = None,
     n_mixes: int = 1,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-) -> ExperimentResult:
-    """Decompose CPU stall cycles by class, baseline vs. DR."""
-    benchmarks = list(benchmarks or default_benchmarks(subset=4))
-    configs = {}
-    for mech in _MECHS:
-        cfg = configs[mech] = mechanism_config(mech)
-        cfg.telemetry.enabled = True          # aggregate-only: no trace file
-        cfg.telemetry.mode = "full"           # exact stall attribution
-    mixes = [
-        (gpu, cpu) for gpu in benchmarks for cpu in cpu_corunners(gpu, n_mixes)
-    ]
-    raw = simulate(
-        {
-            (gpu, cpu, mech): job(configs[mech], gpu, cycles, warmup, cpu=cpu)
-            for gpu, cpu in mixes
-            for mech in _MECHS
-        }
-    )
+) -> Specs:
+    """Traced baseline and DR jobs per mix, labelled ``(gpu, cpu, mech)``."""
+    return {
+        (gpu, cpu, mech): job(traced(mechanism_config(mech)), gpu, cycles,
+                              warmup, cpu=cpu)
+        for gpu in benchmarks or default_benchmarks(subset=4)
+        for cpu in cpu_corunners(gpu, n_mixes)
+        for mech in _MECHS
+    }
 
+
+def tabulate(raw: Results) -> ExperimentResult:
+    """CPU stall cycles by class, baseline vs. DR."""
     totals: Dict[str, Dict[str, int]] = {
         m: {name: 0 for name in STALL_CLASSES} for m in _MECHS
     }
     per_mix: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for gpu, cpu in mixes:
+    for gpu, cpu in dict.fromkeys((gpu, cpu) for gpu, cpu, _ in raw):
         mix = f"{gpu}/{cpu}"
         per_mix[mix] = {}
         for mech in _MECHS:

@@ -125,14 +125,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.experiments import chaos_sweep
+    from repro.experiments import chaos_sweep, run
 
-    result = chaos_sweep.run(
+    result, = run(
+        [chaos_sweep], jobs=args.jobs, cycles=args.cycles,
+        warmup=args.warmup, seed=args.seed or 0,
         benchmarks=args.benchmarks.split(",") if args.benchmarks else None,
-        cycles=args.cycles,
-        warmup=args.warmup,
-        seed=args.seed or 0,
-        jobs=args.jobs,
     )
     emit(args, {"rows": [[label, cells] for label, cells in result.rows],
                 "data": result.data}, result.text)

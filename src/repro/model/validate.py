@@ -19,7 +19,7 @@ absolute calibration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config.system import mechanism_config, table1_mix
@@ -108,9 +108,10 @@ def grid_specs(
 ) -> List[JobSpec]:
     """The JobSpecs of a named validation grid.
 
-    The fig05/fig16 design points are the dicts the figure modules
-    themselves simulate and fig11 is the mechanism sweep, so simulator
-    ground truth shares cache entries with ordinary figure regeneration.
+    The fig05/fig16 grids are the figure modules' own ``specs()`` at the
+    grid's benchmark subset and fig11 is the mechanism sweep, so
+    simulator ground truth shares cache entries with ordinary figure
+    regeneration.
     """
     from repro.experiments import fig05_topology, fig16_topology_dr
 
@@ -118,38 +119,32 @@ def grid_specs(
         return mechanism_jobs(
             default_benchmarks(), n_mixes=1, cycles=cycles, warmup=warmup
         )
-    if grid == "mesh4x4":
-        # the 16-node smoke grid defaults to a *longer* window than the
-        # big grids: its clog develops slowly, and windows near the
-        # global 3000-cycle default measure the still-filling transient
-        # 30-50% below steady state.  The system simulates fast enough
-        # that the full grid still fits a CI smoke budget.
-        cycles = 12000 if cycles is None else cycles
-        warmup = 3000 if warmup is None else warmup
-        benchmarks = default_benchmarks(subset=4)
-        points = {
-            ("mesh4x4", mech): mechanism_config(mech, **table1_mix(4, 4))
-            for mech in ("baseline", "dr")
-        }
-    elif grid == "fig05":
-        benchmarks = default_benchmarks(subset=5)
-        points = {
-            (topo.value, f"{bw:g}x"): cfg
-            for (topo, bw), cfg in fig05_topology.design_points().items()
-        }
-    elif grid == "fig16":
-        benchmarks = default_benchmarks(subset=4)
-        points = {
-            (topo, mech): cfg
-            for topo, pair in fig16_topology_dr.design_points().items()
-            for mech, cfg in zip(("baseline", "dr"), pair)
-        }
-    else:
+    if grid == "fig05":
+        return [
+            replace(spec, label=(topo.value, f"{bw:g}x", gpu))
+            for ((topo, bw), gpu), spec in fig05_topology.specs(
+                default_benchmarks(subset=5), cycles, warmup).items()
+        ]
+    if grid == "fig16":
+        return [
+            replace(spec, label=(topo, ("baseline", "dr")[i], gpu))
+            for ((topo, i), gpu), spec in fig16_topology_dr.specs(
+                default_benchmarks(subset=4), cycles, warmup).items()
+        ]
+    if grid != "mesh4x4":
         raise ValueError(f"unknown grid {grid!r}; choose from {GRIDS}")
+    # the 16-node smoke grid defaults to a *longer* window than the big
+    # grids: its clog develops slowly, and windows near the global
+    # 3000-cycle default measure the still-filling transient 30-50%
+    # below steady state.  The system simulates fast enough that the
+    # full grid still fits a CI smoke budget.
+    cycles = 12000 if cycles is None else cycles
+    warmup = 3000 if warmup is None else warmup
     return [
-        job(cfg, gpu, cycles, warmup, label=(*point, gpu))
-        for point, cfg in points.items()
-        for gpu in benchmarks
+        job(mechanism_config(mech, **table1_mix(4, 4)), gpu, cycles, warmup,
+            label=("mesh4x4", mech, gpu))
+        for mech in ("baseline", "dr")
+        for gpu in default_benchmarks(subset=4)
     ]
 
 

@@ -171,7 +171,7 @@ class HeterogeneousSystem:
         if cfg.telemetry.enabled:
             self.telemetry = TelemetryCollector(
                 cfg.telemetry, self.fabric, self.layout.mem_nodes,
-                self.memory_nodes,
+                self.memory_nodes, self.gpu_cores,
             )
             self.fabric.attach_telemetry(self.telemetry)
 

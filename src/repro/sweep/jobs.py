@@ -65,7 +65,9 @@ from repro.workloads.mixes import TABLE_II
 #: worst-case reply size, not a fixed 9 flits (non-16 B channels move).
 #: sweep-v8: link-down detours are up*/down* routes
 #: (repro.noc.routing.route_tables), so fault-plan results move.
-CODE_VERSION = "sweep-v8"
+#: sweep-v9: telemetry-enabled results carry the locality oracle's
+#: ``locality.*`` metrics, which Fig. 2 reads.
+CODE_VERSION = "sweep-v9"
 
 
 def _canonical_json(data: Any) -> str:

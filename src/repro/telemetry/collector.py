@@ -33,9 +33,10 @@ Two instrumentation tiers (``TelemetryConfig.mode``):
   clogged 8x8 full system it costs ~13-16% over telemetry off
   (DESIGN.md §8).
 
-Everything the collector reads is a counter the simulator already
-maintains; it never mutates simulation state, so enabling telemetry
-cannot change results.
+On a full system it is also Fig. 2's locality oracle, every GPU core's
+``miss_observer``.  Everything the collector reads is state the
+simulator already maintains; it never mutates simulation state, so
+enabling telemetry cannot change results.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ class TelemetryCollector:
         fabric,
         mem_nodes: Tuple[int, ...] = (),
         memory_nodes: Sequence = (),
+        gpu_cores: Sequence = (),
     ) -> None:
-        """``mem_nodes`` are the memory-node ids; ``memory_nodes`` the
-        :class:`~repro.sim.memory_node.MemoryNode` endpoints a full system
-        has behind them (a bare fabric has none)."""
+        """``mem_nodes`` are the memory-node ids; ``memory_nodes`` and
+        ``gpu_cores`` the :class:`~repro.sim.memory_node.MemoryNode` and
+        GPU core endpoints a full system has (a bare fabric has none)."""
         self.cfg = cfg
         self.fabric = fabric
         self.mem_nodes = tuple(mem_nodes)
@@ -200,6 +202,13 @@ class TelemetryCollector:
         #: nodes whose episode opened during the probe in progress
         self._opened: List[int] = []
         self.metrics = MetricsRegistry()
+        #: the locality oracle's (misses, remotely held) counts, since
+        #: cycle 0; the metrics report them over the measured window
+        self._locality = [0, 0]
+        self._locality_base = (0, 0)
+        self._holders = [(c, c.l1.contains, c.mshrs.has) for c in gpu_cores]
+        for core in gpu_cores:
+            core.miss_observer = self._observe_miss
         self.interval = max(1, int(cfg.probe_interval))
         self._window_start = 0
         self._next_probe = self.interval - 1
@@ -356,6 +365,16 @@ class TelemetryCollector:
             self._flight_dump(f"fault-{name}", rec.get("cycle", -1))
 
     # -- stall-attribution hooks (mode == "full" only) -------------------
+
+    def _observe_miss(self, core, block: int) -> None:
+        """A primary L1 read miss: does another GPU core hold ``block``
+        in its L1 or MSHRs (a remote request would hit, or delay-hit)?"""
+        counts = self._locality
+        counts[0] += 1
+        for other, contains, has in self._holders:
+            if other is not core and (contains(block) or has(block)):
+                counts[1] += 1
+                return
 
     def on_stall(self, ivc, pkt, klass: int, cycle: int) -> None:
         """Head worm ``pkt`` of input VC ``ivc`` is blocked on stall class
@@ -549,8 +568,9 @@ class TelemetryCollector:
 
     def mark_window_start(self, cycle: int) -> None:
         """Flush and snapshot stall counters at the start of the measured
-        window so :meth:`stall_breakdown` reports measured-window cycles
-        only."""
+        window so :meth:`stall_breakdown` and the locality counts report
+        measured-window cycles only."""
+        self._locality_base = tuple(self._locality)
         st = self.stalls
         if st is not None:
             st.flush(cycle)
@@ -612,6 +632,9 @@ class TelemetryCollector:
         m.gauge("clog_episodes").set(len(self.detector.episodes))
         m.gauge("trace_records").set(self._trace_records)
         m.gauge("ring_retained").set(sum(len(r) for r in self._rings))
+        for name, n, base in zip(("misses", "remote"), self._locality,
+                                 self._locality_base):
+            m.gauge(f"locality.{name}").set(n - base)
         return m.snapshot()
 
     def finalize(self, cycle: int) -> None:

@@ -2,11 +2,11 @@
 
 from conftest import assert_claim_columns
 
-from repro.experiments import ablations
+from repro.experiments import ablations, run
 
 
 def test_ablations_smoke():
-    result = ablations.run(benchmarks=["HS"], cycles=300, warmup=200)
+    result, = run([ablations], benchmarks=["HS"], cycles=300, warmup=200)
     assert_claim_columns(result)
     rows = dict(result.rows)
     expected = {

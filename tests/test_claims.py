@@ -21,7 +21,9 @@ import pytest
 
 from conftest import claim_terms
 
-from repro.experiments import ALL_EXPERIMENTS, fig09_layout, fig12_cpu_latency
+from repro.experiments import (
+    ALL_EXPERIMENTS, fig09_layout, fig12_cpu_latency, run,
+)
 from repro.experiments.claims import (
     CLAIMS,
     KINDS,
@@ -240,7 +242,7 @@ class TestMissingIsNotPassing:
     def test_a_window_that_measured_nothing_fails(self, module, path):
         """In one cycle no GPU core retires and no CPU packet returns: the
         figure's numbers are NaN and its claim on them fails."""
-        res = module.run(benchmarks=["HS"], cycles=1, warmup=0)
+        res, = run([module], benchmarks=["HS"], cycles=1, warmup=0)
         verdicts = {v.claim.path: v.verdict for v in judge(res)}
         assert verdicts[path] == "✗ (unmeasured)"
 
@@ -382,6 +384,13 @@ class TestLedger:
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(ROOT / "unused"))
         assert bench.run_settings() == {"REPRO_CYCLES": "1200"}
         assert bench.run_speed() == {"workers": 2, "sweep_cache": True}
+
+    def test_the_wall_time_is_the_loops_not_a_figures(self):
+        """One sweep runs every figure's jobs, so a figure has no wall
+        time of its own: the loop's is recorded once."""
+        doc = self.committed()
+        assert {"wall_s", "workers", "sweep_cache"} <= set(doc)
+        assert all(set(fig) == {"rows"} for fig in doc["figures"].values())
 
     def test_committed_rows_are_the_table_rows(self):
         """``claims.json`` was written from the current :data:`CLAIMS`

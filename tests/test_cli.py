@@ -291,10 +291,10 @@ class TestExperiment:
         module's own failed import surfaces as what it is."""
         from repro.experiments import fig07_adaptive
 
-        def run(**_kw):
+        def specs(**_kw):
             raise ImportError("No module named 'matplotlib'")
 
-        monkeypatch.setattr(fig07_adaptive, "run", run)
+        monkeypatch.setattr(fig07_adaptive, "specs", specs)
         with pytest.raises(ImportError, match="matplotlib"):
             main(["experiment", "fig07_adaptive"])
 

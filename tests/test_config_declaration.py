@@ -477,11 +477,9 @@ def test_no_figure_point_or_explore_value_hits_the_dragonfly_rule():
     from repro.experiments import fig05_topology, fig16_topology_dr
     from repro.explore.space import SPACES
 
-    for cfg in fig05_topology.design_points().values():
-        cfg.validate()
-    for pair in fig16_topology_dr.design_points().values():
-        for cfg in pair:
-            cfg.validate()
+    for module in (fig05_topology, fig16_topology_dr):
+        for spec in module.specs(["HS"]).values():
+            spec.system_config().validate()
     for make in SPACES.values():
         knobs = {k.path: k.values for k in make().knobs}
         for topology in knobs.get("noc.topology", ("mesh",)):

@@ -16,7 +16,6 @@ from repro.experiments import (
     ALL_EXPERIMENTS,
     ablations,
     area_energy,
-    clear_sweep_cache,
     fig02_locality,
     fig05_topology,
     fig06_avcp,
@@ -32,22 +31,22 @@ from repro.experiments import (
     fig17_layout_dr,
     fig19_sensitivity,
     node_mix,
+    run,
     stall_decomposition,
 )
 from repro.experiments.claims import CLAIMS
-from repro.experiments.common import mechanism_sweep
+from repro.experiments.common import mechanism_specs, ratio, traced
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
-from repro.sweep import SweepRunner
+from repro.sweep import JobSpec, SweepRunner, run_sweep
 
 FAST = dict(cycles=400, warmup=250)
 BENCH2 = ["HS", "SC"]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_sweep_cache()
-    yield
-    clear_sweep_cache()
+def one(module, **kwargs):
+    """``module``'s result, run on its own."""
+    result, = run([module], **kwargs)
+    return result
 
 
 class TestCommon:
@@ -65,46 +64,41 @@ class TestCommon:
         with pytest.raises(ValueError):
             mechanism_config("bogus")
 
-    def test_sweep_is_cached(self):
-        s1 = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline",))
-        s2 = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline",))
-        assert s1 == s2 and all(s1[k] is s2[k] for k in s1)
-
     def test_sweep_keys(self):
-        s = mechanism_sweep(("HS",), 1, 300, 200, mechanisms=("baseline", "dr"))
+        s = mechanism_specs(("HS",), 1, 300, 200)
         assert ("HS", "bodytrack", "baseline") in s
         assert ("HS", "bodytrack", "dr") in s
 
 
 class TestFigureModules:
     def test_fig02(self):
-        r = fig02_locality.run(benchmarks=BENCH2, **FAST)
+        r = one(fig02_locality, benchmarks=BENCH2, **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 2
         for _, v in r.rows:
             assert 0 <= v["remote_l1_fraction"] <= 1
 
     def test_fig05(self):
-        r = fig05_topology.run(benchmarks=["HS"], **FAST)
+        r = one(fig05_topology, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 8  # one per topology and bandwidth
         mesh_row = dict(r.rows)["mesh-1x"]
         assert mesh_row["hm_gpu_speedup"] == pytest.approx(1.0)
 
     def test_fig06(self):
-        r = fig06_avcp.run(benchmarks=["HS"], **FAST)
+        r = one(fig06_avcp, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (label, values), = r.rows
         assert "1req+3rep" in values and "avcp_vs_symmetric" in values
 
     def test_fig07(self):
-        r = fig07_adaptive.run(benchmarks=["HS"], **FAST)
+        r = one(fig07_adaptive, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (_, values), = r.rows
         assert set(values) == {"dyxy", "footprint", "hare"}
 
     def test_fig09(self):
-        r = fig09_layout.run(benchmarks=["HS"], **FAST)
+        r = one(fig09_layout, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 7
         ref = dict(r.rows)["Baseline YX-XY"]
@@ -112,9 +106,10 @@ class TestFigureModules:
         assert ref["cpu_perf"] == pytest.approx(1.0)
 
     def test_fig10_to_fig14_share_one_sweep(self):
-        r10 = fig10_gpu_perf.run(benchmarks=BENCH2, **FAST)
-        r11 = fig11_data_rate.run(benchmarks=BENCH2, **FAST)
-        r14 = fig14_miss_breakdown.run(benchmarks=BENCH2, **FAST)
+        r10, r11, r14 = run(
+            [fig10_gpu_perf, fig11_data_rate, fig14_miss_breakdown],
+            benchmarks=BENCH2, **FAST,
+        )
         for r in (r10, r11, r14):
             assert_claim_columns(r)
         assert len(r10.rows) == len(r11.rows) == len(r14.rows) == 2
@@ -124,8 +119,8 @@ class TestFigureModules:
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_fig12_fig13_group_by_cpu(self):
-        r12 = fig12_cpu_latency.run(benchmarks=["HS"], n_mixes=2, **FAST)
-        r13 = fig13_cpu_perf.run(benchmarks=["HS"], n_mixes=2, **FAST)
+        r12, r13 = run([fig12_cpu_latency, fig13_cpu_perf],
+                       benchmarks=["HS"], n_mixes=2, **FAST)
         assert_claim_columns(r12)
         assert_claim_columns(r13)
         labels = [lbl for lbl, _ in r12.rows]
@@ -133,19 +128,19 @@ class TestFigureModules:
         assert len(r13.rows) == 2
 
     def test_fig15(self):
-        r = fig15_shared_l1.run(benchmarks=["HS"], **FAST)
+        r = one(fig15_shared_l1, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (_, values), = r.rows
         assert "dyneb+dr-rr" in values
 
     def test_fig16(self):
-        r = fig16_topology_dr.run(benchmarks=["HS"], **FAST,
+        r = one(fig16_topology_dr, benchmarks=["HS"], **FAST,
                                   topologies=list(fig16_topology_dr.TOPOLOGIES)[:2])
         assert_claim_columns(r)
         assert len(r.rows) == 2
 
     def test_fig17(self):
-        r = fig17_layout_dr.run(benchmarks=["HS"], **FAST)
+        r = one(fig17_layout_dr, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 4
         for _, v in r.rows:
@@ -153,25 +148,56 @@ class TestFigureModules:
 
     def test_fig19_judged_panels(self):
         judged = ["l1_size", "channel_width", "injection_buffer"]
-        r = fig19_sensitivity.run(benchmarks=["HS"], panels=judged, **FAST)
+        r = one(fig19_sensitivity, benchmarks=["HS"], panels=judged, **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 9
 
     def test_node_mix(self):
-        r = node_mix.run(benchmarks=["HS"], **FAST)
+        r = one(node_mix, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) >= 4
 
     def test_area_energy(self):
-        r = area_energy.run(benchmarks=["HS"], **FAST)
+        r = one(area_energy, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         d = dict(r.rows)
         assert d["baseline_noc_mm2"]["value"] == pytest.approx(2.27, abs=0.05)
         assert d["dr_total_mm2"]["value"] == pytest.approx(0.172, abs=0.01)
         assert d["rp_request_count"]["ratio"] > 1.5  # RP inflates requests
 
+    @pytest.mark.parametrize("gpu", BENCH2)
+    def test_fig02_counts_are_the_oracle_stepped_by_hand(self, gpu):
+        """The locality counts a traced job records are what an observer
+        installed after warm-up and stepped through the window counts."""
+        spec = job(baseline_config(), gpu, **FAST)
+        system = spec.build()
+        counts = {"misses": 0, "remote": 0}
+        cores = system.gpu_cores
+
+        def observer(core, block):
+            counts["misses"] += 1
+            for other in cores:
+                if other is not core and (other.l1.contains(block)
+                                          or other.mshrs.has(block)):
+                    counts["remote"] += 1
+                    return
+
+        system.run(spec.warmup)
+        for core in cores:
+            core.miss_observer = observer
+        system.run(spec.cycles)
+
+        metrics = job(traced(baseline_config()), gpu, **FAST).run() \
+            .telemetry_metrics
+        assert counts["misses"] > 0
+        assert (metrics["locality.misses"], metrics["locality.remote"]) == \
+            (counts["misses"], counts["remote"])
+        row = dict(one(fig02_locality, benchmarks=[gpu], **FAST).rows)[gpu]
+        assert row["remote_l1_fraction"] == ratio(counts["remote"],
+                                                  counts["misses"])
+
     def test_result_text_is_renderable(self):
-        r = fig02_locality.run(benchmarks=["HS"], **FAST)
+        r = one(fig02_locality, benchmarks=["HS"], **FAST)
         assert r.text.startswith("==")
         assert str(r) == r.text
 
@@ -217,23 +243,40 @@ class TestOneSweepPerFigure:
     def test_run_sweeps_at_most_once_without_duplicates(
         self, module, submitted
     ):
-        module.run(**TINY)
+        one(module, **TINY)
         assert len(submitted) <= 1
         for keys in submitted:
             assert len(keys) == len(set(keys))
-        # and asking again simulates nothing
-        module.run(**TINY)
-        assert len(submitted) <= 1
 
-    def test_figures_share_the_private_rr_baseline(self, submitted):
-        fig07_adaptive.run(**TINY)
-        fig15_shared_l1.run(**TINY)
-        keys = [key for call in submitted for key in call]
+    def test_figures_run_together_share_the_private_rr_baseline(
+        self, submitted
+    ):
+        run([fig07_adaptive, fig15_shared_l1], **TINY)
+        keys, = submitted
         baseline = job(
             baseline_config(), "HS", TINY["cycles"], TINY["warmup"]
         ).key()
         assert keys.count(baseline) == 1
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize(
+        "module", ALL_EXPERIMENTS, ids=lambda m: m.__name__.rsplit(".", 1)[-1]
+    )
+    def test_tabulate_simulates_nothing(self, module, monkeypatch):
+        specs = module.specs(**TINY)
+        swept = run_sweep(list(specs.values()))
+        results = {label: swept[spec.key()] for label, spec in specs.items()}
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("tabulate simulated")
+
+        for target in ("repro.sweep.run_sweep",
+                       "repro.experiments.common.run_sweep"):
+            monkeypatch.setattr(target, refuse)
+        monkeypatch.setattr(SweepRunner, "run", refuse)
+        monkeypatch.setattr(JobSpec, "build", refuse)
+        result = module.tabulate(results)
+        assert result.name == module.__name__.rsplit(".", 1)[-1]
 
     @pytest.mark.parametrize(
         "module, kwargs",
@@ -248,10 +291,9 @@ class TestOneSweepPerFigure:
     def test_parallel_sweep_renders_the_serial_table(
         self, module, kwargs, monkeypatch
     ):
-        serial = module.run(**TINY, **kwargs)
-        clear_sweep_cache()
+        serial = one(module, **TINY, **kwargs)
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "2")
-        assert module.run(**TINY, **kwargs).text == serial.text
+        assert one(module, **TINY, **kwargs).text == serial.text
 
 
 class TestCallTimeWindowDefaults:
@@ -281,17 +323,17 @@ class TestCallTimeWindowDefaults:
 
     def test_judged_figures_share_one_default_co_runner_count(self):
         """``n_mixes`` left out is :func:`default_mixes` on every judged
-        figure and on ``mechanism_sweep``, so ``python -m repro
-        experiment`` and the claims loop run one sweep."""
+        figure's ``specs`` and on ``mechanism_specs``, so ``python -m
+        repro experiment`` and the claims loop run one sweep."""
         judged = {claim.figure for claim in CLAIMS}
-        runs = [m.run for m in ALL_EXPERIMENTS
-                if m.__name__.rsplit(".", 1)[-1] in judged]
-        for fn in runs + [mechanism_sweep]:
+        builders = [m.specs for m in ALL_EXPERIMENTS
+                    if m.__name__.rsplit(".", 1)[-1] in judged]
+        for fn in builders + [mechanism_specs]:
             n_mixes = inspect.signature(fn).parameters.get("n_mixes")
             assert n_mixes is None or n_mixes.default is None, fn
 
-    def test_mechanism_sweep_uses_env_windows(self, monkeypatch):
+    def test_mechanism_specs_use_env_windows(self, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLES", "180")
         monkeypatch.setenv("REPRO_WARMUP", "120")
-        sweep = mechanism_sweep(("HS",), 1, mechanisms=("baseline",))
-        assert sweep[("HS", "bodytrack", "baseline")].cycles == 180
+        specs = mechanism_specs(("HS",), 1)
+        assert specs[("HS", "bodytrack", "baseline")].cycles == 180

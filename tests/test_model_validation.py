@@ -176,10 +176,10 @@ class TestValidationBudget:
             raise Captured({spec.key() for spec in specs})
 
         monkeypatch.setattr(common, "run_sweep", capture)
-        common.clear_sweep_cache()
         with pytest.raises(Captured) as simulated:
-            fig05_topology.run(
-                default_benchmarks(subset=5), cycles=123, warmup=45
+            common.run(
+                [fig05_topology], benchmarks=default_benchmarks(subset=5),
+                cycles=123, warmup=45,
             )
         grid = grid_specs("fig05", cycles=123, warmup=45)
         assert {s.key() for s in grid} == simulated.value.args[0]

@@ -190,18 +190,10 @@ class TestJobRule:
 
 
 def _chaos_sweep_jobs(**window):
-    """The specs ``chaos_sweep.run`` hands the runner (nothing simulated)."""
-    class Captured(Exception):
-        pass
-
-    def capture(specs, jobs=None):
-        raise Captured(specs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.sweep.run_sweep", capture)
-        with pytest.raises(Captured) as handed:
-            chaos_sweep.run(["HS"], intensities=(0.0, 0.1), **window)
-    specs = handed.value.args[0]
+    """The chaos sweep's specs (nothing simulated)."""
+    specs = list(
+        chaos_sweep.specs(["HS"], intensities=(0.0, 0.1), **window).values()
+    )
     assert [s.faults is not None for s in specs] == [False, True] * 2
     return specs
 
