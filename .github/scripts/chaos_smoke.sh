@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI check: the fault-injection layer recovers everything it breaks.
 # A chaos run on the paper's 8x8 mesh (delegated replies, the mechanism
-# with the most reply-path moving parts) injects flit drops/corruption
-# on every memory reply link plus a mid-run interior link outage; the
+# with the most reply-path moving parts) injects packet loss on every
+# memory reply link plus a mid-run interior link outage; the
 # harness must report nonzero retransmits and ZERO lost transactions,
 # and the post-run quiesce must drain the network completely (the CLI
 # exits 1 otherwise).  The caller wraps this script in `timeout 60`.

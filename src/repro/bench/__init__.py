@@ -8,8 +8,8 @@ the :func:`replay` driver and four named scenarios:
 
 * ``mesh8x8`` — 8x8 mesh, light uniform-random traffic (the
   latency-regime operating point the active sets exploit).
-* ``mesh8x8_dr`` — memory-node hotspot traffic with the Delegated
-  Replies policy attached, exercising the memory-node NIC path.
+* ``mesh8x8_dr`` — memory-node hotspot traffic onto NICs running
+  Delegated Replies, exercising the memory-node NIC path.
 * ``shared_vnet`` — one physical network with request/reply virtual
   networks at moderate load.
 * ``mesh16x16_sat`` — 16x16 mesh far past saturation, the scale the

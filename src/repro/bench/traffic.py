@@ -1,9 +1,9 @@
 """Seeded synthetic traffic: drawn once, replayed on any fabric.
 
 A *schedule* is a plain list with one entry per cycle, each entry a list
-of packet specs ``(src, dst, mtype, cls, size_flits, meta)``; ``meta`` is
-``None`` or the ``(llc_hit, delegate_to)`` pair of a memory node's
-:class:`~repro.core.delegated_replies.ReplyMeta`.  The generators draw
+of packet specs ``(src, dst, mtype, cls, size_flits, delegate_to)``;
+``delegate_to`` is the core a memory node's reply may be delegated to
+(:attr:`~repro.noc.packet.Packet.delegate_to`), else None.  The generators draw
 from a 64-bit LCG and look at nothing else, so a schedule depends only on
 its arguments: every fabric build — sleeping or all-awake, object or
 vector, with telemetry or without — is offered the identical packets
@@ -23,17 +23,13 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config.system import DelegationConfig, NocConfig
-from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
 from repro.noc import MeshTopology, MessageType, Packet, TrafficClass
 from repro.sim.engines import build_fabric
 
 _MASK = (1 << 64) - 1
 
-#: ``(src, dst, mtype, cls, size_flits, meta)``
-PacketSpec = Tuple[
-    int, int, MessageType, TrafficClass, int,
-    Optional[Tuple[bool, Optional[int]]],
-]
+#: ``(src, dst, mtype, cls, size_flits, delegate_to)``
+PacketSpec = Tuple[int, int, MessageType, TrafficClass, int, Optional[int]]
 Schedule = List[List[PacketSpec]]
 
 
@@ -89,9 +85,9 @@ def hotspot_schedule(
 
     Compute nodes fire 1-flit read requests at the memory nodes; each
     memory node answers (at twice the rate) with 9-flit GPU replies whose
-    metadata names a sharer to delegate to, so on a fabric with the
-    Delegated Replies policy attached the reply pressure triggers the
-    conversion path of Figure 4.  ``cpu_permille`` of the replies are
+    ``delegate_to`` names a sharer, so on a fabric whose memory NICs run
+    Delegated Replies the reply pressure triggers the conversion path of
+    Figure 4.  ``cpu_permille`` of the replies are
     5-flit CPU replies instead (a 64 B line, never delegatable), which the
     memory node's injection buffer must schedule ahead of the GPU ones.
     """
@@ -116,9 +112,8 @@ def hotspot_schedule(
                 cyc.append((src, dst, MessageType.READ_REPLY,
                             TrafficClass.CPU, 5, None))
                 continue
-            meta = (True, sharer if sharer != dst else None)
-            cyc.append((src, dst, MessageType.READ_REPLY,
-                        TrafficClass.GPU, 9, meta))
+            cyc.append((src, dst, MessageType.READ_REPLY, TrafficClass.GPU,
+                        9, sharer if sharer != dst else None))
         sched.append(cyc)
     return sched
 
@@ -139,10 +134,9 @@ def replay(
     nics = fabric.nics
     accepted = 0
     for cycle, specs in enumerate(schedule, start):
-        for src, dst, mtype, cls, size, meta in specs:
-            txn = None if meta is None else ReplyMeta(*meta)
-            if nics[src].try_send(Packet(src, dst, mtype, cls, size, txn=txn),
-                                  cycle):
+        for src, dst, mtype, cls, size, delegate_to in specs:
+            pkt = Packet(src, dst, mtype, cls, size, delegate_to=delegate_to)
+            if nics[src].try_send(pkt, cycle):
                 accepted += 1
         fabric.step(cycle)
         if on_cycle is not None:
@@ -159,8 +153,8 @@ class Scenario:
     permille: int
     seed: int
     cycles: int
-    #: non-empty: hotspot traffic onto these nodes, which carry the
-    #: Delegated Replies policy; empty: uniform traffic
+    #: non-empty: hotspot traffic onto these nodes, whose NICs run
+    #: Delegated Replies; empty: uniform traffic
     mem_nodes: Tuple[int, ...] = ()
     separate_networks: bool = True
 
@@ -171,10 +165,8 @@ class Scenario:
             backend, MeshTopology(self.width, self.height), cfg,
             mem_nodes=self.mem_nodes,
         )
-        if self.mem_nodes:
-            mech = DelegatedRepliesMechanism(DelegationConfig())
-            for m in self.mem_nodes:
-                mech.attach(fabric.nic(m))
+        for m in self.mem_nodes:
+            fabric.nic(m).set_delegation(DelegationConfig())
         return fabric
 
     def schedule(self, cycles: int) -> Schedule:

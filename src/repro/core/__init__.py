@@ -1,18 +1,9 @@
-"""The paper's mechanism (Delegated Replies) and its strongest prior (RP)."""
+"""The paper's strongest prior (RP).  Delegated Replies itself is decided
+at the memory node: :mod:`repro.sim.memory_node`."""
 
-from repro.core.delegated_replies import (
-    DelegatedRepliesMechanism,
-    DelegationStats,
-    ReplyMeta,
-    is_delegatable,
-)
 from repro.core.realistic_probing import ProbeEngine, ProbeStats
 
 __all__ = [
-    "DelegatedRepliesMechanism",
-    "DelegationStats",
     "ProbeEngine",
     "ProbeStats",
-    "ReplyMeta",
-    "is_delegatable",
 ]

@@ -3,7 +3,7 @@
 Not a paper figure — a robustness study of the reproduction itself.  The
 same (GPU benchmark x CPU co-runner x mechanism) mixes the evaluation
 sweeps are run again under :func:`~repro.faults.plan.chaos_plan` at
-increasing intensity: flit loss/corruption on the reply links out of
+increasing intensity: packet loss on the reply links out of
 every memory node, plus a mid-run link outage on larger meshes.  The
 interesting questions are
 
@@ -31,8 +31,8 @@ from repro.experiments.common import (
 from repro.faults.plan import chaos_plan
 from repro.sweep.jobs import cpu_corunners, default_benchmarks, job
 
-#: fault intensity levels (fraction of head flits sampled for
-#: drop/corrupt on memory reply links); 0.0 is the fault-free anchor
+#: fault intensity levels (the probability a packet crossing a memory
+#: reply link is damaged); 0.0 is the fault-free anchor
 INTENSITIES = (0.0, 0.05, 0.1, 0.2)
 
 #: baseline (plain reply path) vs. the paper's mechanism (delegation,

@@ -390,7 +390,9 @@ def render_markdown(claims_json: dict) -> str:
         f"`{claims_json['code_version']}`; the last loop's one sweep took "
         f"{claims_json['wall_s']:.0f} s at "
         f"`REPRO_SWEEP_JOBS={claims_json['workers']}`"
-        f"{' with a cache' * claims_json['sweep_cache']}): "
+        f"{' with a cache' * claims_json['sweep_cache']}, "
+        # five runs of one commit read 108-242 s: a run says no speed
+        "one unpaired run, which cannot compare two commits): "
         f"{len(rows)} claims, {tally}.",
         "",
         "| Figure | Paper | Check | Measured | Verdict |",

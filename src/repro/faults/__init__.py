@@ -24,7 +24,6 @@ from repro.faults.controller import (
 from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
-    FlitCorrupt,
     FlitDrop,
     LinkDown,
     LinkUp,
@@ -38,7 +37,6 @@ __all__ = [
     "FaultController",
     "FaultEvent",
     "FaultPlan",
-    "FlitCorrupt",
     "FlitDrop",
     "LinkDown",
     "LinkUp",

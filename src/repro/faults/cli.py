@@ -8,7 +8,7 @@
 
 Examples::
 
-    # drop/corrupt 10% of reply head flits, check nothing is lost
+    # damage 10% of the packets on memory reply links, check nothing is lost
     python -m repro faults run --mechanism dr --intensity 0.1
 
     # write a plan, tweak it by hand, replay it exactly
@@ -82,7 +82,7 @@ def cmd_run(args) -> int:
             f"  gpu_ipc {result.gpu_ipc:.4f}  "
             f"cpu p99 {result.cpu_latency_p99:.0f}",
         ]
-        for k in ("drops", "corrupts", "discarded", "retransmits",
+        for k in ("drops", "discarded", "retransmits",
                   "fallback_dnfs", "recovered", "lost", "watchdog_fires",
                   "links_downed"):
             lines.append(f"  {k:>14}: {summary.get(k, 0)}")

@@ -5,7 +5,7 @@ owns the live fault state and every recovery mechanism:
 
 * **Event application** — the plan's timed events mutate per-network fault
   state: a link-health mask (``net.fault_down``), a frozen-router set
-  (``net.fault_frozen``) and per-link drop/corrupt probabilities.
+  (``net.fault_frozen``) and per-link loss probabilities.
 * **Degraded-mode routing** — whenever the link mask changes, the
   network's next-hop tables are rebuilt (:func:`repro.noc.routing.route_tables`:
   up*/down* routes over the healthy links, deadlock-free at any VC count),
@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.faults.plan import (
     FaultPlan,
-    FlitCorrupt,
     FlitDrop,
     LinkDown,
     LinkUp,
@@ -112,10 +111,10 @@ class FaultController:
             net.name: set() for net in nets
         }
         self._frozen: Dict[str, Set[int]] = {net.name: set() for net in nets}
-        #: per-net per-directed-link [p_drop, p_corrupt]
-        self._lossy: Dict[str, Dict[Tuple[int, int], List[float]]] = {}
-        #: pid -> damage kind (0 drop, 1 corrupt) for in-flight packets
-        self._damaged: Dict[int, int] = {}
+        #: per-net per-directed-link loss probability
+        self._lossy: Dict[str, Dict[Tuple[int, int], float]] = {}
+        #: pids of damaged packets still in flight
+        self._damaged: Set[int] = set()
         #: retransmit guard: (node, group, block) -> entry list
         self._entries: Dict[Tuple[int, int, int], List] = {}
         self._heap: List[Tuple[int, int, Tuple[int, int, int]]] = []
@@ -125,7 +124,6 @@ class FaultController:
         }
         # counters (window-diffable: all monotone)
         self.drops = 0
-        self.corrupts = 0
         self.discarded = 0
         self.retransmits = 0
         self.fallback_dnfs = 0
@@ -223,15 +221,14 @@ class FaultController:
                     self._thaws,
                     (ev.at + ev.cycles, next(self._seq), net.name, ev.router),
                 )
-        elif isinstance(ev, (FlitDrop, FlitCorrupt)):
-            slot = 1 if isinstance(ev, FlitCorrupt) else 0
+        elif isinstance(ev, FlitDrop):
             for net in self._nets_for(ev.net):
                 lossy = self._lossy.setdefault(net.name, {})
                 for key in self._ports(net, ev.a, ev.b, ev.bidir):
-                    pp = lossy.setdefault(key, [0.0, 0.0])
-                    pp[slot] = ev.p
-                    if pp[0] == 0.0 and pp[1] == 0.0:
-                        del lossy[key]
+                    if ev.p:
+                        lossy[key] = ev.p
+                    else:
+                        lossy.pop(key, None)
         else:  # pragma: no cover - plan validation catches this earlier
             raise TypeError(f"unknown fault event {ev!r}")
 
@@ -266,16 +263,12 @@ class FaultController:
         lossy = self._lossy.get(net.name)
         if not lossy:
             return
-        pp = lossy.get((rid, oport))
-        if pp is None or pkt.pid in self._damaged:
+        p = lossy.get((rid, oport))
+        if p is None or pkt.pid in self._damaged:
             return
-        r = self._rng.random()
-        if r < pp[0]:
-            self._damaged[pkt.pid] = 0
+        if self._rng.random() < p:
+            self._damaged.add(pkt.pid)
             self.drops += 1
-        elif r < pp[0] + pp[1]:
-            self._damaged[pkt.pid] = 1
-            self.corrupts += 1
 
     def discard_on_eject(self, pkt: Packet, rid: int, cycle: int) -> bool:
         """CRC-style check at ejection: True = packet damaged, discard.
@@ -284,15 +277,15 @@ class FaultController:
         handler call), so the requester's guard entry stays open and the
         timeout path answers the request instead.
         """
-        kind = self._damaged.pop(pkt.pid, None)
-        if kind is None:
+        if pkt.pid not in self._damaged:
             return False
+        self._damaged.remove(pkt.pid)
         self.discarded += 1
         tel = self.telemetry
         if tel is not None:
             tel.on_fault_event({
                 "rec": "fault",
-                "fault": "flit_drop" if kind == 0 else "flit_corrupt",
+                "fault": "flit_drop",
                 "pid": pkt.pid,
                 "mtype": int(pkt.mtype),
                 "node": rid,
@@ -452,7 +445,6 @@ class FaultController:
     def summary(self) -> Dict[str, float]:
         return {
             "drops": self.drops,
-            "corrupts": self.corrupts,
             "discarded": self.discarded,
             "retransmits": self.retransmits,
             "fallback_dnfs": self.fallback_dnfs,

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is the complete description of one fault scenario: a
 list of timed :class:`FaultEvent` s plus the recovery parameters (request
 timeout, retransmit budget, watchdog cadence) and the RNG seed the
-drop/corrupt sampling consumes.  Plans are plain data — JSON-serialisable,
+loss sampling consumes.  Plans are plain data — JSON-serialisable,
 canonically hashable — so they slot into :class:`repro.sweep.jobs.JobSpec`
 cache keys the same way a :class:`~repro.config.system.SystemConfig` does:
 the same seed and plan always reproduce the same simulation, bit for bit.
@@ -15,10 +15,10 @@ Event taxonomy (Section "fault taxonomy", DESIGN.md §9):
 * :class:`RouterFreeze` — a router arbitrates nothing for ``cycles``
   cycles; its buffers still accept flits (a hung pipeline, not a power
   gate).
-* :class:`FlitDrop` / :class:`FlitCorrupt` — each packet crossing the
-  named link is lost / damaged with probability ``p`` (sampled once per
-  packet per link, at head-flit traversal).  Damaged packets still consume
-  bandwidth and are discarded by the CRC-style check at ejection.
+* :class:`FlitDrop` — each packet crossing the named link is damaged
+  with probability ``p`` (sampled once per packet per link, at head-flit
+  traversal).  A damaged packet still crosses the fabric, consuming
+  bandwidth, and the CRC-style check at ejection discards it.
 
 Links are named by router-id pairs ``(a, b)``; ``bidir=True`` (default)
 applies the event to both directions.  ``net`` selects the physical
@@ -91,33 +91,23 @@ class RouterFreeze(FaultEvent):
 
 
 @dataclass(frozen=True)
-class _LossEvent(FaultEvent):
+class FlitDrop(FaultEvent):
+    """A packet whose head flit crosses ``a -> b`` is damaged with
+    probability ``p``: it still crosses the fabric, and the ejection-side
+    CRC check discards it on arrival, so the receiver never sees it
+    (``p = 0`` clears an earlier event on the link)."""
+
     a: int = 0
     b: int = 0
     p: float = 0.0
     net: str = "reply"
     bidir: bool = False
 
-
-@dataclass(frozen=True)
-class FlitDrop(_LossEvent):
-    """Packets crossing ``a -> b`` are silently lost with probability
-    ``p`` (``p = 0`` clears an earlier event on the link)."""
-
     kind = "flit_drop"
 
 
-@dataclass(frozen=True)
-class FlitCorrupt(_LossEvent):
-    """Packets crossing ``a -> b`` are damaged with probability ``p``;
-    the ejection-side CRC check discards them on arrival."""
-
-    kind = "flit_corrupt"
-
-
 _EVENT_KINDS: Dict[str, Type[FaultEvent]] = {
-    cls.kind: cls
-    for cls in (LinkDown, LinkUp, RouterFreeze, FlitDrop, FlitCorrupt)
+    cls.kind: cls for cls in (LinkDown, LinkUp, RouterFreeze, FlitDrop)
 }
 
 
@@ -134,7 +124,7 @@ def event_from_dict(data: Dict[str, Any]) -> FaultEvent:
 class FaultPlan:
     """One fault scenario: timed events + detection/recovery parameters.
 
-    ``seed`` feeds the dedicated drop/corrupt RNG stream (never the
+    ``seed`` feeds the dedicated loss RNG stream (never the
     simulator's own RNGs), so a plan is reproducible independently of the
     workload.  ``request_timeout`` / ``max_retries`` / ``backoff`` shape
     the per-NIC retransmit guard; ``watchdog_interval`` /
@@ -213,10 +203,11 @@ def chaos_plan(
 ) -> FaultPlan:
     """A canonical chaos scenario for ``cfg`` at the given fault intensity.
 
-    Drops (``0.8 * intensity``) and corruptions (``0.2 * intensity``) are
-    injected on every reply-network link *out of* each memory node — the
-    links every LLC/DRAM reply must cross, so the retransmit guard and the
-    DNF fallback are exercised in proportion to ``intensity``.  When
+    One :class:`FlitDrop` of probability ``0.8 * intensity`` (drops) plus
+    ``0.2 * intensity`` (corruptions), each rounded to 6 places, sits on
+    every reply-network link *out of* each memory node — the links every
+    LLC/DRAM reply must cross, so the retransmit guard and the DNF
+    fallback are exercised in proportion to ``intensity``.  When
     ``link_down`` and the window is long enough, one deterministic interior
     mesh link additionally goes down for the middle half of the measured
     window, exercising degraded-mode routing.
@@ -232,19 +223,15 @@ def chaos_plan(
     topo = build_topology(cfg.noc.topology, cfg.mesh_width, cfg.mesh_height)
     layout = build_layout(cfg)
     events: List[FaultEvent] = []
-    p_drop = round(0.8 * intensity, 6)
-    p_corrupt = round(0.2 * intensity, 6)
+    # summed as the two-event plans summed them, so every damage decision
+    # is the same draw against the same bound
+    p_loss = round(0.8 * intensity, 6) + round(0.2 * intensity, 6)
     if intensity > 0:
         for mem in layout.mem_nodes:
             for nb in topo.neighbors(mem):
                 events.append(
-                    FlitDrop(at=0, a=mem, b=nb, p=p_drop, net="reply")
+                    FlitDrop(at=0, a=mem, b=nb, p=p_loss, net="reply")
                 )
-                if p_corrupt > 0:
-                    events.append(
-                        FlitCorrupt(at=0, a=mem, b=nb, p=p_corrupt,
-                                    net="reply")
-                    )
     horizon = warmup + cycles
     if (
         link_down

@@ -13,10 +13,12 @@ builds on:
   reply queue is kept in ``(cls, pid)`` order as replies are queued, so its
   head *is* the scheduler's choice, and
 * when the reply network cannot accept a flit this cycle, the oldest
-  *delegatable* reply is converted into a 1-flit delegated request on the
-  (under-utilised) request network (Figure 4).  The delegation decision
-  itself lives in :mod:`repro.core.delegated_replies` and is attached as a
-  policy hook.
+  *delegatable* reply — one whose ``delegate_to`` names a GPU core — is
+  converted into a 1-flit delegated request on the (under-utilised)
+  request network (Figure 4).  Which replies are delegatable is the
+  memory node's decision (:mod:`repro.sim.memory_node`); the NIC runs
+  the conversion under the ``DelegationConfig`` it is given by
+  :meth:`MemoryNodeNic.set_delegation`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.noc.packet import NetKind, Packet, TrafficClass
+from repro.config.system import DelegationConfig
+from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 from repro.noc.router import _AVAIL, InputVC
 
 #: both network kinds, in injection order (hoisted off the hot path)
@@ -251,17 +254,6 @@ class NodeInterface:
         return pushed_now
 
 
-#: signature of the delegation policy: given a GPU reply packet, return its
-#: 1-flit delegated request, or None to inject the reply normally.
-DelegationPolicy = Callable[[Packet, int], Optional[Packet]]
-
-
-def is_delegatable(meta: object) -> bool:
-    """True when a reply's metadata (``pkt.txn``) names a core to delegate
-    to (:class:`~repro.core.delegated_replies.ReplyMeta`)."""
-    return getattr(meta, "delegate_to", None) is not None
-
-
 class MemoryNodeNic(NodeInterface):
     """Memory-node NIC with a flit-bounded reply injection buffer.
 
@@ -285,11 +277,11 @@ class MemoryNodeNic(NodeInterface):
         self.blocked_cycles = 0
         self.observed_cycles = 0
         self.delegations = 0
-        #: set by the Delegated Replies mechanism; maps a delegatable reply
-        #: to its 1-flit delegated request (or None).
-        self.delegation_policy: Optional[DelegationPolicy] = None
-        self.max_delegations_per_cycle = 1
-        #: whether to delegate only when the reply path is blocked.
+        #: the Delegated Replies settings this NIC runs (None: it never
+        #: delegates); set only through ``set_delegation``
+        self.delegation: Optional[DelegationConfig] = None
+        #: whether to delegate only when the reply path is blocked — the
+        #: one setting the per-cycle trigger reads
         self.delegate_only_when_blocked = True
         #: reply-buffer occupancy in flits, maintained incrementally:
         #: +size on enqueue, -1 per injected reply flit, -size on
@@ -300,7 +292,12 @@ class MemoryNodeNic(NodeInterface):
         #: by a scan that reaches the end of the queue
         self._delegatable = False
         #: delegation scans of the reply queue actually run
-        self.policy_scans = 0
+        self.delegation_scans = 0
+
+    def set_delegation(self, cfg: Optional[DelegationConfig]) -> None:
+        """Run Delegated Replies under ``cfg``; None: never delegate."""
+        self.delegation = cfg
+        self.delegate_only_when_blocked = cfg is None or cfg.only_when_blocked
 
     def try_send(self, pkt: Packet, cycle: int) -> bool:
         if pkt.net is NetKind.REPLY and not self.can_enqueue(NetKind.REPLY):
@@ -320,7 +317,7 @@ class MemoryNodeNic(NodeInterface):
             if i != last:
                 q.pop()
                 q.insert(i, pkt)
-            if is_delegatable(pkt.txn):
+            if pkt.delegate_to is not None:
                 self._delegatable = True
         return ok
 
@@ -360,29 +357,37 @@ class MemoryNodeNic(NodeInterface):
         return True
 
     def _delegate_scan(self, cycle: int) -> None:
-        """Convert the oldest delegatable queued replies into delegated
-        requests: at most ``max_delegations_per_cycle``, and only while the
-        request queue has room (checked before the policy builds one)."""
-        policy = self.delegation_policy
-        if policy is None:
+        """Convert the oldest delegatable queued replies into 1-flit
+        delegated requests: at most ``max_delegations_per_cycle``, and only
+        while the request queue has room."""
+        dr = self.delegation
+        if dr is None:
             return
-        self.policy_scans += 1
+        self.delegation_scans += 1
         requests = self.queues[NetKind.REQUEST]
         queue = self.queues[NetKind.REPLY]
         done = 0
         for pkt in list(queue):
             # packets mid-injection are no longer in the queue, so every
             # queued reply is still whole and safe to delegate
-            if not is_delegatable(pkt.txn):
+            if pkt.delegate_to is None:
                 continue
             if (
-                done >= self.max_delegations_per_cycle
+                done >= dr.max_delegations_per_cycle
                 or len(requests) >= self.queue_packets
             ):
                 return  # candidates remain: stay marked
-            delegated = policy(pkt, cycle)
-            if delegated is None:
-                continue
+            delegated = Packet(
+                src=pkt.src,              # injected at the memory node ...
+                dst=pkt.delegate_to,      # ... towards the likely sharer
+                mtype=MessageType.DELEGATED_REQ,
+                cls=TrafficClass.GPU,
+                size_flits=1,
+                block=pkt.block,
+                requester=pkt.dst,        # the paper encodes the requesting
+                                          # core as the sender ID
+                created=cycle,
+            )
             queue.remove(pkt)
             self._reply_occ -= pkt.size_flits
             # the reply never enters the reply network: undo its enqueue-time

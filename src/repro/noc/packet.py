@@ -79,8 +79,9 @@ class Packet:
             transaction.  For delegated requests this differs from ``src``:
             the paper encodes the *requesting* core as the sender ID so the
             remote L1 knows whom to supply data to.
-        txn: opaque transaction handle threaded through the protocol so
-            endpoints can match replies to outstanding requests.
+        delegate_to: on a read reply the memory node may delegate, the GPU
+            core its LLC core pointer names (Section IV); None on every
+            other packet.
         dnf: the Do-Not-Forward bit (Section IV).
         created / injected / delivered: cycle timestamps for latency stats;
             -1 means "not yet set" (the NIC stamps ``created`` on the first
@@ -98,7 +99,7 @@ class Packet:
         "size_flits",
         "block",
         "requester",
-        "txn",
+        "delegate_to",
         "dnf",
         "created",
         "injected",
@@ -115,7 +116,7 @@ class Packet:
         size_flits: int,
         block: int = 0,
         requester: Optional[int] = None,
-        txn: object = None,
+        delegate_to: Optional[int] = None,
         dnf: bool = False,
         created: int = -1,
     ) -> None:
@@ -134,7 +135,7 @@ class Packet:
         self.size_flits = size_flits
         self.block = block
         self.requester = src if requester is None else requester
-        self.txn = txn
+        self.delegate_to = delegate_to
         self.dnf = dnf
         self.created = created
         self.injected = -1

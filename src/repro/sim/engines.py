@@ -38,8 +38,7 @@ OBJECT_ONLY = (
         noc.routing is not RoutingPolicy.CDR),
     ("link-down or router-freeze fault events", lambda noc, telemetry, faults:
         faults is not None
-        and any(ev.kind not in ("flit_drop", "flit_corrupt")
-                for ev in faults.events)),
+        and any(ev.kind != "flit_drop" for ev in faults.events)),
 )
 
 

@@ -4,9 +4,28 @@ The memory node ejects requests from the request network (gated on LLC
 input-queue space — a blocked memory node refuses requests, which is the
 back-pressure loop of Figure 3), looks them up in its LLC slice, fetches
 misses from its GDDR5 controller, and posts replies into the NIC's
-flit-bounded reply injection buffer.  Replies to GPU LLC *hits* carry the
-delegation metadata (:class:`~repro.core.delegated_replies.ReplyMeta`)
-that the Delegated Replies NIC policy acts on.
+flit-bounded reply injection buffer.
+
+It is also where Delegated Replies — the paper's mechanism (Sections II
+and IV) — is decided.  The memory node speculatively delegates the
+responsibility of replying to an LLC *hit* to the GPU core that last
+accessed the block (the LLC's core pointer), entirely at the end points:
+
+* a reply is *delegatable* — its ``delegate_to`` names the pointed-to
+  core — when the request was a GPU read that hit in the LLC, the block's
+  core pointer is valid, points to a different GPU core than the
+  requester, and the request did not carry the Do-Not-Forward bit
+  (:meth:`MemoryNode._delegate_to`);
+* the memory-node NIC, configured here from ``cfg.delegation`` (None on
+  every other mechanism), converts the oldest delegatable reply into a
+  1-flit delegated request *only when the reply network cannot accept
+  traffic that cycle* (Figure 4) — turning a 9-flit reply on the clogged
+  reply link into a 1-flit request on the under-utilised request link
+  (:class:`~repro.noc.nic.MemoryNodeNic`).
+
+Routers treat delegated replies as ordinary requests; no NoC changes are
+needed beyond the DNF bit, which fits in existing spare request-header
+space.
 """
 
 from __future__ import annotations
@@ -17,9 +36,8 @@ from typing import Deque, Optional, Set
 
 from repro.cache.llc import LlcRequest, LlcResult, LlcSlice
 from repro.config.system import SystemConfig
-from repro.core.delegated_replies import ReplyMeta
 from repro.mem.dram import MemoryController
-from repro.noc.nic import MemoryNodeNic, is_delegatable
+from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 
 
@@ -44,13 +62,11 @@ class MemoryNode:
         cfg: SystemConfig,
         nic: MemoryNodeNic,
         gpu_nodes: Set[int],
-        delegation_enabled: bool = False,
     ) -> None:
         self.node_id = node_id
         self.cfg = cfg
         self.nic = nic
         self.gpu_nodes = frozenset(gpu_nodes)
-        self.delegation_enabled = delegation_enabled
         self.controller = MemoryController(cfg.dram, line_bytes=cfg.llc.line_bytes)
         self.llc = LlcSlice(node_id, cfg.llc, self.controller)
         self.stats = MemoryNodeStats()
@@ -64,6 +80,7 @@ class MemoryNode:
         nic.worst_reply_flits = cfg.noc.flits_for(
             max(cfg.gpu_l1.line_bytes, cfg.cpu_l1.line_bytes)
         )
+        nic.set_delegation(cfg.delegation if cfg.delegation_active else None)
         #: ejection-gate state after the previous step; the fabric's
         #: active-set scheduler is woken on every closed -> open transition
         self._gate_was_open = True
@@ -154,35 +171,34 @@ class MemoryNode:
             if req.cls is TrafficClass.GPU
             else self.cfg.cpu_l1.line_bytes
         )
-        pkt = Packet(
+        delegate_to = self._delegate_to(result)
+        if delegate_to is not None:
+            self.stats.delegatable_replies += 1
+        return Packet(
             src=self.node_id,
             dst=req.requester,
             mtype=MessageType.READ_REPLY,
             cls=req.cls,
             size_flits=self.cfg.noc.flits_for(line),
             block=req.orig_block,
+            delegate_to=delegate_to,
             created=cycle,
         )
-        pkt.txn = self._reply_meta(result)
-        if is_delegatable(pkt.txn):
-            self.stats.delegatable_replies += 1
-        return pkt
 
-    def _reply_meta(self, result: LlcResult) -> Optional[ReplyMeta]:
+    def _delegate_to(self, result: LlcResult) -> Optional[int]:
+        """The GPU core a read reply may be delegated to, or None."""
         req = result.req
-        if not self.delegation_enabled:
-            return ReplyMeta(llc_hit=result.hit, delegate_to=None)
-        target: Optional[int] = None
         if (
-            result.hit
+            self.nic.delegation is not None
+            and result.hit
             and req.gpu_core
             and not req.dnf
             and result.pointer is not None
             and result.pointer != req.requester
             and result.pointer in self.gpu_nodes
         ):
-            target = result.pointer
-        return ReplyMeta(llc_hit=result.hit, delegate_to=target)
+            return result.pointer
+        return None
 
     def flush_pointers(self) -> int:
         """Invalidate all core pointers (GPU coherence flush)."""

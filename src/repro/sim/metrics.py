@@ -139,7 +139,6 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     fc = system.faults
     if fc is not None:
         c["fault.drops"] = fc.drops
-        c["fault.corrupts"] = fc.corrupts
         c["fault.discarded"] = fc.discarded
         c["fault.retransmits"] = fc.retransmits
         c["fault.fallback_dnfs"] = fc.fallback_dnfs

@@ -11,7 +11,6 @@ from typing import Dict, List, Optional
 
 from repro.config.system import L1Organization, SystemConfig
 from repro.coherence.software import SoftwareCoherenceController
-from repro.core.delegated_replies import DelegatedRepliesMechanism
 from repro.core.realistic_probing import ProbeEngine
 from repro.cpu.core import CpuCore
 from repro.faults.controller import FaultController
@@ -100,10 +99,8 @@ class HeterogeneousSystem:
         self.cpu_profile = cpu_profile
         self.wavefront = SharedWavefront(profile)
 
-        # mechanism wiring
-        self.delegation: Optional[DelegatedRepliesMechanism] = None
-        if cfg.delegation_active:
-            self.delegation = DelegatedRepliesMechanism(cfg.delegation)
+        # mechanism wiring: the probe engines here, Delegated Replies in
+        # each MemoryNode (it configures its own NIC from cfg)
         probing = cfg.probing_active
 
         gpu_nodes = list(self.layout.gpu_nodes)
@@ -149,16 +146,11 @@ class HeterogeneousSystem:
         for node in self.layout.mem_nodes:
             nic = self.fabric.nic(node)
             assert isinstance(nic, MemoryNodeNic)
-            mem = MemoryNode(
-                node_id=node,
-                cfg=cfg,
-                nic=nic,
-                gpu_nodes=gpu_node_set,
-                delegation_enabled=self.delegation is not None,
+            self.memory_nodes.append(
+                MemoryNode(
+                    node_id=node, cfg=cfg, nic=nic, gpu_nodes=gpu_node_set
+                )
             )
-            if self.delegation is not None:
-                self.delegation.attach(nic)
-            self.memory_nodes.append(mem)
 
         self.coherence = SoftwareCoherenceController(
             self.gpu_cores, self.memory_nodes
@@ -250,8 +242,8 @@ class HeterogeneousSystem:
             "gpu_core_steps_skipped": self.cycle * len(self.gpu_cores) - ran,
         }
         if self.backend == "vector":
-            stats["mem_nic_policy_calls"] = sum(
-                mem.nic.policy_scans for mem in self.memory_nodes
+            stats["mem_nic_delegation_scans"] = sum(
+                mem.nic.delegation_scans for mem in self.memory_nodes
             )
         return stats
 

@@ -53,9 +53,10 @@ memory nodes is a handful of ``(M,)`` rows over the ``M`` memory lanes
 (``mem_*``: reply-buffer occupancy, blocked / observed cycles, worst-case
 reply size, the delegation trigger's inputs) advanced by array ops after
 the batch (:meth:`VectorKernel._mem_account`).  Only the delegation
-*policy* stays Python — it builds ``Packet`` objects and draws packet ids
-— and it runs for exactly the lanes whose trigger fired while a
-delegatable reply may be queued, in ascending node order.
+*scan* stays Python — ``MemoryNodeNic._delegate_scan`` builds ``Packet``
+objects and draws packet ids — and it runs for exactly the lanes whose
+trigger fired while a delegatable reply may be queued, in ascending node
+order.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ class VectorKernel:
         self.mem_observed = np.zeros(M, dtype=_I64)
         #: flits of the largest reply the node sends (admission headroom)
         self.mem_worst = np.zeros(M, dtype=_I64)
-        #: delegate only when the reply path is blocked (Figure 4)
+        #: delegate only when the reply path is blocked (Figure 4); written
+        #: through the NIC's ``set_delegation``
         self.mem_only_blocked = np.ones(M, dtype=bool)
         #: a delegatable reply may be queued (set by ``try_send``, cleared
         #: by a scan that reaches the end of the queue)

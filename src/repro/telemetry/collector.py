@@ -350,9 +350,9 @@ class TelemetryCollector:
         """The fault controller reports a discard, watchdog fire, etc.
 
         ``rec`` is a complete trace record (``rec="fault"``) whose
-        ``fault`` key names the event (``flit_drop`` / ``flit_corrupt`` /
-        ``fault_stall``); it is counted in :attr:`events`, written to the
-        trace unsampled (faults are rare and every one matters) and
+        ``fault`` key names the event (``flit_drop`` / ``fault_stall``);
+        it is counted in :attr:`events`, written to the trace unsampled
+        (faults are rare and every one matters) and
         — first occurrence per run — triggers a flight-recorder dump of
         the events leading up to it.
         """

@@ -84,7 +84,7 @@ def assert_fabric_invariants(fabric) -> None:
     inside the packet's VC range; fewer flits of the head have left than
     it has.  Per fabric: every injected flit is buffered, delivered, or
     part of a worm that is half-way out of an ejection port (so not
-    under a fault plan that drops or corrupts flits).  Per NIC: one
+    under a fault plan that drops packets).  Per NIC: one
     outside the fabric's active set is a compute NIC with nothing it
     could push now — no in-flight worm's VC (a local VC with an
     ``owner``) has credit, and no queue head has a startable VC in its

@@ -38,23 +38,27 @@ def test_uniform_schedule_never_sends_to_self():
     specs = [spec for cyc in sched for spec in cyc]
     assert len(specs) > 1000
     assert all(src != dst for src, dst, *_ in specs)
-    assert {size for *_, size, _meta in specs} == {1, 9}
+    assert {size for *_, size, _delegate_to in specs} == {1, 9}
 
 
 def test_hotspot_schedule_targets_memory_nodes():
     sched = hotspot_schedule(16, MEM_NODES, 400, 200, seed=9)
-    requests = replies = 0
-    for src, dst, mtype, _cls, _size, meta in (s for cyc in sched for s in cyc):
+    requests = replies = delegatable = 0
+    for src, dst, mtype, _cls, _size, delegate_to in (
+        s for cyc in sched for s in cyc
+    ):
         if mtype is MessageType.READ_REQ:
             requests += 1
-            assert dst in MEM_NODES and src not in MEM_NODES and meta is None
+            assert dst in MEM_NODES and src not in MEM_NODES
+            assert delegate_to is None
         else:
             replies += 1
             assert src in MEM_NODES and dst not in MEM_NODES
-            llc_hit, delegate_to = meta
             # a reply is never delegated to the core that asked for it
-            assert llc_hit and delegate_to != dst and delegate_to not in MEM_NODES
+            assert delegate_to != dst and delegate_to not in MEM_NODES
+            delegatable += delegate_to is not None
     assert requests > 100 and replies > 100
+    assert delegatable > replies // 2
 
 
 def test_replay_delivers_every_accepted_packet():

@@ -367,6 +367,12 @@ class TestLedger:
         begin = text.index("\n", begin) + 1
         end = text.index("<!-- claims:end -->")
         assert text[begin:end] == render_markdown(self.committed())
+        # the loop's wall time is labelled as what it is
+        assert re.search(
+            r"took \d+ s at `REPRO_SWEEP_JOBS=\d+`(?: with a cache)?, "
+            r"one unpaired run, which cannot compare two commits\)",
+            text[begin:end],
+        )
 
     def test_workers_and_cache_are_recorded_beside_not_in_the_settings(
             self, monkeypatch):

@@ -43,10 +43,26 @@ FAST = dict(cycles=400, warmup=250)
 BENCH2 = ["HS", "SC"]
 
 
-def one(module, **kwargs):
-    """``module``'s result, run on its own."""
-    result, = run([module], **kwargs)
-    return result
+@pytest.fixture(scope="module")
+def swept():
+    """``{key: SimulationResult}`` of every spec a test in this file has
+    simulated, so each spec is simulated once per file run however many
+    tests read it."""
+    return {}
+
+
+def results(specs, swept):
+    """``{label: SimulationResult}`` for ``specs``, simulating (in one
+    sweep) only those no earlier test left in ``swept``."""
+    missing = {s.key(): s for s in specs.values() if s.key() not in swept}
+    if missing:
+        swept.update(run_sweep(list(missing.values())))
+    return {label: swept[spec.key()] for label, spec in specs.items()}
+
+
+def one(module, swept, **kwargs):
+    """``module``'s table over its ``specs(**kwargs)``."""
+    return module.tabulate(results(module.specs(**kwargs), swept))
 
 
 class TestCommon:
@@ -71,34 +87,34 @@ class TestCommon:
 
 
 class TestFigureModules:
-    def test_fig02(self):
-        r = one(fig02_locality, benchmarks=BENCH2, **FAST)
+    def test_fig02(self, swept):
+        r = one(fig02_locality, swept, benchmarks=BENCH2, **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 2
         for _, v in r.rows:
             assert 0 <= v["remote_l1_fraction"] <= 1
 
-    def test_fig05(self):
-        r = one(fig05_topology, benchmarks=["HS"], **FAST)
+    def test_fig05(self, swept):
+        r = one(fig05_topology, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 8  # one per topology and bandwidth
         mesh_row = dict(r.rows)["mesh-1x"]
         assert mesh_row["hm_gpu_speedup"] == pytest.approx(1.0)
 
-    def test_fig06(self):
-        r = one(fig06_avcp, benchmarks=["HS"], **FAST)
+    def test_fig06(self, swept):
+        r = one(fig06_avcp, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (label, values), = r.rows
         assert "1req+3rep" in values and "avcp_vs_symmetric" in values
 
-    def test_fig07(self):
-        r = one(fig07_adaptive, benchmarks=["HS"], **FAST)
+    def test_fig07(self, swept):
+        r = one(fig07_adaptive, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (_, values), = r.rows
         assert set(values) == {"dyxy", "footprint", "hare"}
 
-    def test_fig09(self):
-        r = one(fig09_layout, benchmarks=["HS"], **FAST)
+    def test_fig09(self, swept):
+        r = one(fig09_layout, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 7
         ref = dict(r.rows)["Baseline YX-XY"]
@@ -127,38 +143,39 @@ class TestFigureModules:
         assert set(labels) == {"bodytrack", "ferret"}
         assert len(r13.rows) == 2
 
-    def test_fig15(self):
-        r = one(fig15_shared_l1, benchmarks=["HS"], **FAST)
+    def test_fig15(self, swept):
+        r = one(fig15_shared_l1, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         (_, values), = r.rows
         assert "dyneb+dr-rr" in values
 
-    def test_fig16(self):
-        r = one(fig16_topology_dr, benchmarks=["HS"], **FAST,
-                                  topologies=list(fig16_topology_dr.TOPOLOGIES)[:2])
+    def test_fig16(self, swept):
+        r = one(fig16_topology_dr, swept, benchmarks=["HS"], **FAST,
+                topologies=list(fig16_topology_dr.TOPOLOGIES)[:2])
         assert_claim_columns(r)
         assert len(r.rows) == 2
 
-    def test_fig17(self):
-        r = one(fig17_layout_dr, benchmarks=["HS"], **FAST)
+    def test_fig17(self, swept):
+        r = one(fig17_layout_dr, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 4
         for _, v in r.rows:
             assert "gpu_dr_speedup" in v and "cpu_dr_speedup" in v
 
-    def test_fig19_judged_panels(self):
+    def test_fig19_judged_panels(self, swept):
         judged = ["l1_size", "channel_width", "injection_buffer"]
-        r = one(fig19_sensitivity, benchmarks=["HS"], panels=judged, **FAST)
+        r = one(fig19_sensitivity, swept, benchmarks=["HS"], panels=judged,
+                **FAST)
         assert_claim_columns(r)
         assert len(r.rows) == 9
 
-    def test_node_mix(self):
-        r = one(node_mix, benchmarks=["HS"], **FAST)
+    def test_node_mix(self, swept):
+        r = one(node_mix, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         assert len(r.rows) >= 4
 
-    def test_area_energy(self):
-        r = one(area_energy, benchmarks=["HS"], **FAST)
+    def test_area_energy(self, swept):
+        r = one(area_energy, swept, benchmarks=["HS"], **FAST)
         assert_claim_columns(r)
         d = dict(r.rows)
         assert d["baseline_noc_mm2"]["value"] == pytest.approx(2.27, abs=0.05)
@@ -166,7 +183,7 @@ class TestFigureModules:
         assert d["rp_request_count"]["ratio"] > 1.5  # RP inflates requests
 
     @pytest.mark.parametrize("gpu", BENCH2)
-    def test_fig02_counts_are_the_oracle_stepped_by_hand(self, gpu):
+    def test_fig02_counts_are_the_oracle_stepped_by_hand(self, gpu, swept):
         """The locality counts a traced job records are what an observer
         installed after warm-up and stepped through the window counts."""
         spec = job(baseline_config(), gpu, **FAST)
@@ -187,17 +204,18 @@ class TestFigureModules:
             core.miss_observer = observer
         system.run(spec.cycles)
 
-        metrics = job(traced(baseline_config()), gpu, **FAST).run() \
-            .telemetry_metrics
+        metrics = results({gpu: job(traced(baseline_config()), gpu, **FAST)},
+                          swept)[gpu].telemetry_metrics
         assert counts["misses"] > 0
         assert (metrics["locality.misses"], metrics["locality.remote"]) == \
             (counts["misses"], counts["remote"])
-        row = dict(one(fig02_locality, benchmarks=[gpu], **FAST).rows)[gpu]
+        r = one(fig02_locality, swept, benchmarks=[gpu], **FAST)
+        row = dict(r.rows)[gpu]
         assert row["remote_l1_fraction"] == ratio(counts["remote"],
                                                   counts["misses"])
 
-    def test_result_text_is_renderable(self):
-        r = one(fig02_locality, benchmarks=["HS"], **FAST)
+    def test_result_text_is_renderable(self, swept):
+        r = one(fig02_locality, swept, benchmarks=["HS"], **FAST)
         assert r.text.startswith("==")
         assert str(r) == r.text
 
@@ -221,14 +239,18 @@ TINY = dict(benchmarks=["HS"], cycles=100, warmup=60)
 
 
 @pytest.fixture
-def submitted(monkeypatch):
-    """Keys handed to ``SweepRunner.run``, one list per call."""
+def submitted(monkeypatch, swept):
+    """Keys handed to ``SweepRunner.run``, one list per call; the results
+    land in ``swept`` for later tests."""
     calls = []
     run = SweepRunner.run
 
     def recording_run(self, specs):
         calls.append([spec.key() for spec in specs])
-        return run(self, specs)
+        outcomes = run(self, specs)
+        swept.update((key, out.result) for key, out in outcomes.items()
+                     if out.result is not None)
+        return outcomes
 
     monkeypatch.setattr(SweepRunner, "run", recording_run)
     return calls
@@ -243,7 +265,7 @@ class TestOneSweepPerFigure:
     def test_run_sweeps_at_most_once_without_duplicates(
         self, module, submitted
     ):
-        one(module, **TINY)
+        run([module], **TINY)
         assert len(submitted) <= 1
         for keys in submitted:
             assert len(keys) == len(set(keys))
@@ -262,10 +284,8 @@ class TestOneSweepPerFigure:
     @pytest.mark.parametrize(
         "module", ALL_EXPERIMENTS, ids=lambda m: m.__name__.rsplit(".", 1)[-1]
     )
-    def test_tabulate_simulates_nothing(self, module, monkeypatch):
-        specs = module.specs(**TINY)
-        swept = run_sweep(list(specs.values()))
-        results = {label: swept[spec.key()] for label, spec in specs.items()}
+    def test_tabulate_simulates_nothing(self, module, monkeypatch, swept):
+        labelled = results(module.specs(**TINY), swept)
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("tabulate simulated")
@@ -275,7 +295,7 @@ class TestOneSweepPerFigure:
             monkeypatch.setattr(target, refuse)
         monkeypatch.setattr(SweepRunner, "run", refuse)
         monkeypatch.setattr(JobSpec, "build", refuse)
-        result = module.tabulate(results)
+        result = module.tabulate(labelled)
         assert result.name == module.__name__.rsplit(".", 1)[-1]
 
     @pytest.mark.parametrize(
@@ -289,11 +309,12 @@ class TestOneSweepPerFigure:
         ids=["fig07", "fig15", "fig19"],
     )
     def test_parallel_sweep_renders_the_serial_table(
-        self, module, kwargs, monkeypatch
+        self, module, kwargs, monkeypatch, swept
     ):
-        serial = one(module, **TINY, **kwargs)
+        serial = one(module, swept, **TINY, **kwargs)
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "2")
-        assert one(module, **TINY, **kwargs).text == serial.text
+        parallel, = run([module], **TINY, **kwargs)
+        assert parallel.text == serial.text
 
 
 class TestCallTimeWindowDefaults:

@@ -10,7 +10,6 @@ from conftest import small_config, small_dr_config
 from repro.__main__ import main
 from repro.faults import (
     FaultPlan,
-    FlitCorrupt,
     FlitDrop,
     LinkDown,
     LinkUp,
@@ -56,7 +55,7 @@ class TestFaultPlan:
                 LinkUp(at=50, a=1, b=2),
                 RouterFreeze(at=5, router=6, cycles=100),
                 FlitDrop(at=0, a=3, b=7, p=0.1),
-                FlitCorrupt(at=0, a=3, b=7, p=0.05),
+                FlitDrop(at=0, a=7, b=3, p=0.05),
             ],
             seed=11,
         )
@@ -68,6 +67,9 @@ class TestFaultPlan:
     def test_unknown_event_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-event kind"):
             event_from_dict({"kind": "meteor_strike", "at": 0})
+        # corruption is a drop: the retired kind is just as unknown
+        with pytest.raises(ValueError, match="unknown fault-event kind"):
+            event_from_dict({"kind": "flit_corrupt", "at": 0, "p": 0.1})
 
     def test_bad_net_rejected(self):
         with pytest.raises(ValueError, match="net must be one of"):
@@ -80,6 +82,23 @@ class TestFaultPlan:
         assert a.plan_hash() == b.plan_hash()
         assert a.active
         assert not chaos_plan(cfg, 0.0).active
+
+    def test_chaos_plan_has_one_loss_event_per_reply_link(self):
+        from repro.noc.topology import build_topology
+        from repro.sim.layout import build_layout
+
+        cfg = small_config()
+        topo = build_topology(cfg.noc.topology, cfg.mesh_width,
+                              cfg.mesh_height)
+        links = [(mem, nb) for mem in build_layout(cfg).mem_nodes
+                 for nb in topo.neighbors(mem)]
+        plan = chaos_plan(cfg, 0.15, link_down=False)
+        # the drop and corruption shares, summed in the order the two
+        # events' probabilities were: the same bound for every draw
+        p = round(0.8 * 0.15, 6) + round(0.2 * 0.15, 6)
+        assert sorted((ev.a, ev.b) for ev in plan.events) == sorted(links)
+        assert all(isinstance(ev, FlitDrop) and ev.p == p and
+                   ev.net == "reply" for ev in plan.events)
 
 
 class TestDeterminism:
@@ -135,7 +154,7 @@ class TestRecovery:
         assert s["lost"] == 0
         assert leftover == 0
 
-    def test_corrupt_discarded_at_ejection(self):
+    def test_damaged_packets_discarded_at_ejection(self):
         cfg = small_config()
         from repro.noc.topology import build_topology
         from repro.sim.layout import build_layout
@@ -144,14 +163,14 @@ class TestRecovery:
                               cfg.mesh_height)
         layout = build_layout(cfg)
         events = [
-            FlitCorrupt(at=0, a=mem, b=nb, p=0.2, net="reply")
+            FlitDrop(at=0, a=mem, b=nb, p=0.2, net="reply")
             for mem in layout.mem_nodes
             for nb in topo.neighbors(mem)
         ]
         system, _ = _run(cfg, FaultPlan(events=events, seed=5))
         leftover = quiesce(system)
         s = system.faults.summary()
-        assert s["corrupts"] > 0
+        assert s["drops"] > 0
         assert s["discarded"] > 0
         assert s["lost"] == 0 and leftover == 0
 
@@ -277,6 +296,16 @@ class TestFaultsCli:
         stdout = capsys.readouterr().out
         assert rc == 0
         assert "OK: every injected fault recovered" in stdout
+
+    def test_a_retired_event_kind_is_one_error_line(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": [
+            {"kind": "flit_corrupt", "at": 0, "a": 1, "b": 2, "p": 0.1}
+        ]}))
+        assert main(["faults", "run", "--cycles", "10", "--warmup", "5",
+                     "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown fault-event kind 'flit_corrupt'\n"
 
     def test_run_reports_counters(self, capsys):
         rc = main(["faults", "run", "--gpu", "BP", "--cycles", "600",

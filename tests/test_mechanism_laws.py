@@ -127,17 +127,21 @@ def drained_ledger():
             if result.req.dnf:
                 # held, not just its id: a freed packet's id is reused
                 ledger["dnf_replies"][id(pkt)] = pkt
-                ledger["dnf_delegatable"] += pkt.txn.delegate_to is not None
+                ledger["dnf_delegatable"] += pkt.delegate_to is not None
             return pkt
 
-        def policy(pkt, cycle, delegate=mem.nic.delegation_policy):
-            delegated = delegate(pkt, cycle)
-            if delegated is not None and id(pkt) in ledger["dnf_replies"]:
-                ledger["dnf_delegated"] += 1
-            return delegated
+        def scan(cycle, nic=mem.nic, run_scan=mem.nic._delegate_scan):
+            queued = list(nic.queues[NetKind.REPLY])
+            run_scan(cycle)
+            left = set(map(id, nic.queues[NetKind.REPLY]))
+            # a scan moves nothing but what it delegates
+            ledger["dnf_delegated"] += sum(
+                id(pkt) not in left and id(pkt) in ledger["dnf_replies"]
+                for pkt in queued
+            )
 
         mem._reply_for = reply_for
-        mem.nic.delegation_policy = policy
+        mem.nic._delegate_scan = scan
 
     system.run(3000)
     for core in system.gpu_cores:

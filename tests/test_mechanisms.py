@@ -1,68 +1,57 @@
-"""Tests for the Delegated Replies mechanism and the RP probe engine."""
+"""Tests for the Delegated Replies conversion and the RP probe engine."""
 
-from repro.config.system import DelegationConfig, ProbingConfig
-from repro.core.delegated_replies import (
-    DelegatedRepliesMechanism,
-    ReplyMeta,
-    is_delegatable,
-)
+from repro.config.system import DelegationConfig, NocConfig, ProbingConfig
 from repro.core.realistic_probing import ProbeEngine
-from repro.noc.packet import MessageType, Packet, TrafficClass
+from repro.noc import MeshTopology, NocFabric
+from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 
 
-def reply(dst=9, block=0x40, meta=None, cls=TrafficClass.GPU,
-          mtype=MessageType.READ_REPLY):
-    pkt = Packet(4, dst, mtype, cls, 9, block=block)
-    pkt.txn = meta
-    return pkt
+def reply(dst=9, block=0x40, delegate_to=None, cls=TrafficClass.GPU):
+    return Packet(4, dst, MessageType.READ_REPLY, cls, 9, block=block,
+                  delegate_to=delegate_to)
 
 
-class TestDelegationPolicy:
+class TestDelegationConversion:
     def setup_method(self):
-        self.mech = DelegatedRepliesMechanism(DelegationConfig())
+        fabric = NocFabric(MeshTopology(4, 4), NocConfig(), mem_nodes=(4,))
+        self.cfg = DelegationConfig()
+        self.nic = fabric.nic(4)
+        self.nic.set_delegation(self.cfg)
+
+    def _convert(self, pkt, cycle=0):
+        """Queue ``pkt`` and run one delegation scan; the request it
+        became, or None."""
+        assert self.nic.try_send(pkt, cycle)
+        self.nic._delegate_scan(cycle)
+        requests = self.nic.queues[NetKind.REQUEST]
+        return requests[0] if requests else None
 
     def test_delegatable_reply_becomes_1flit_request(self):
-        pkt = reply(dst=9, block=0x40, meta=ReplyMeta(True, delegate_to=7))
-        d = self.mech._delegate(pkt, 100)
+        d = self._convert(reply(dst=9, block=0x40, delegate_to=7), 100)
         assert d is not None
         assert d.mtype is MessageType.DELEGATED_REQ
         assert d.size_flits == 1
         assert d.dst == 7            # towards the likely sharer
         assert d.requester == 9      # sender ID = requesting core
         assert d.block == 0x40
-        assert self.mech.stats.delegations == 1
+        assert d.created == 100
+        assert self.nic.delegations == 1
+        assert not self.nic.queues[NetKind.REPLY]
 
-    def test_meta_without_target_not_delegated(self):
-        pkt = reply(meta=ReplyMeta(True, None))
-        assert self.mech._delegate(pkt, 0) is None
+    def test_reply_without_delegate_not_delegated(self):
+        assert self._convert(reply(delegate_to=None)) is None
+        assert self.nic.delegations == 0
 
-    def test_missing_meta_not_delegated(self):
-        assert self.mech._delegate(reply(meta=None), 0) is None
+    def test_set_delegation_configures_nic(self):
+        assert self.nic.delegation is self.cfg
+        assert self.nic.delegate_only_when_blocked == self.cfg.only_when_blocked
+        self.nic.set_delegation(DelegationConfig(only_when_blocked=False))
+        assert not self.nic.delegate_only_when_blocked
 
-    def test_cpu_reply_never_delegated(self):
-        pkt = reply(meta=ReplyMeta(True, delegate_to=7), cls=TrafficClass.CPU)
-        assert self.mech._delegate(pkt, 0) is None
-
-    def test_write_ack_never_delegated(self):
-        pkt = Packet(4, 9, MessageType.WRITE_ACK, TrafficClass.GPU, 1)
-        pkt.txn = ReplyMeta(True, delegate_to=7)
-        assert self.mech._delegate(pkt, 0) is None
-
-    def test_is_delegatable_helper(self):
-        assert is_delegatable(ReplyMeta(True, delegate_to=3))
-        assert not is_delegatable(ReplyMeta(True, None))
-        assert not is_delegatable("something else")
-
-    def test_attach_configures_nic_policy(self):
-        class FakeNic:
-            delegation_policy = None
-            delegate_only_when_blocked = None
-            max_delegations_per_cycle = None
-
-        nic = FakeNic()
-        self.mech.attach(nic)
-        assert nic.delegation_policy is not None
-        assert nic.delegate_only_when_blocked == self.mech.cfg.only_when_blocked
+    def test_no_config_never_delegates(self):
+        self.nic.set_delegation(None)
+        assert self._convert(reply(delegate_to=7)) is None
+        assert self.nic.delegation_scans == 0
 
 
 class TestProbeEngine:

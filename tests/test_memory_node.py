@@ -1,16 +1,15 @@
 """Tests for the memory-node endpoint (LLC + controller behind the NIC)."""
 
-from repro.core.delegated_replies import ReplyMeta
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.nic import MemoryNodeNic
 from repro.sim.memory_node import MemoryNode
 
-from conftest import small_config
+from conftest import small_config, small_dr_config
 
 
 class Harness:
     def __init__(self, delegation=False, node=4):
-        self.cfg = small_config()
+        self.cfg = small_dr_config() if delegation else small_config()
         topo = MeshTopology(4, 4)
         self.fabric = NocFabric(topo, self.cfg.noc, mem_nodes=(node,))
         nic = self.fabric.nic(node)
@@ -20,7 +19,6 @@ class Harness:
             cfg=self.cfg,
             nic=nic,
             gpu_nodes={8, 9, 10, 11, 12, 13, 14, 15},
-            delegation_enabled=delegation,
         )
         self.replies = {}
         for n in range(16):
@@ -91,9 +89,8 @@ class TestDelegationMetadata:
         h.inject(gpu_read(10, 0x100), cycle=400)
         h.run(200, start=400)
         (reply,) = h.replies_at(10)
-        assert isinstance(reply.txn, ReplyMeta)
-        assert reply.txn.llc_hit
-        assert reply.txn.delegate_to == 9
+        assert h.mem.llc.stats.hits == 1
+        assert reply.delegate_to == 9
 
     def test_same_reader_not_delegatable(self):
         h = Harness(delegation=True)
@@ -101,7 +98,7 @@ class TestDelegationMetadata:
         h.inject(gpu_read(9, 0x100), cycle=400)
         h.run(200, start=400)
         (reply,) = h.replies_at(9)
-        assert reply.txn.delegate_to is None
+        assert reply.delegate_to is None
 
     def test_dnf_request_never_redelegated(self):
         # Section IV: the DNF bit tells the LLC to process the request and
@@ -111,7 +108,7 @@ class TestDelegationMetadata:
         h.inject(gpu_read(10, 0x100, dnf=True), cycle=400)
         h.run(200, start=400)
         (reply,) = h.replies_at(10)
-        assert reply.txn.delegate_to is None
+        assert reply.delegate_to is None
         # and the pointer moved to the (original) requester
         assert h.mem.llc.pointer_of(0x100) == 10
 
@@ -120,8 +117,8 @@ class TestDelegationMetadata:
         h.inject(gpu_read(9, 0x500))
         h.run(400)
         (reply,) = h.replies_at(9)
-        assert not reply.txn.llc_hit
-        assert reply.txn.delegate_to is None
+        assert h.mem.llc.stats.hits == 0
+        assert reply.delegate_to is None
 
     def test_cpu_requester_pointer_ineligible(self):
         h = Harness(delegation=True)
@@ -132,7 +129,17 @@ class TestDelegationMetadata:
         h.inject(pkt, cycle=400)
         h.run(200, start=400)
         (reply,) = h.replies_at(0)
-        assert reply.txn.delegate_to is None
+        assert reply.delegate_to is None
+
+    def test_write_ack_never_delegatable(self):
+        h = Harness(delegation=True)
+        self._warm(h, 9, 0x100)
+        h.inject(Packet(10, 4, MessageType.WRITE_REQ, TrafficClass.GPU, 9,
+                        block=0x100), cycle=400)
+        h.run(200, start=400)
+        (ack,) = h.replies_at(10)
+        assert ack.mtype is MessageType.WRITE_ACK
+        assert ack.delegate_to is None
 
     def test_baseline_never_delegates(self):
         h = Harness(delegation=False)
@@ -140,7 +147,7 @@ class TestDelegationMetadata:
         h.inject(gpu_read(10, 0x100), cycle=400)
         h.run(200, start=400)
         (reply,) = h.replies_at(10)
-        assert reply.txn.delegate_to is None
+        assert reply.delegate_to is None
 
 
 class TestBackpressure:

@@ -209,7 +209,8 @@ def test_surrogate_and_simulator_agree_on_what_enables_a_mechanism(data):
     system = build_system(cfg, "HS", "canneal")
     runs_dr = cfg.mechanism is Mechanism.DELEGATED_REPLIES
     runs_rp = cfg.mechanism is Mechanism.REALISTIC_PROBING
-    assert (system.delegation is not None) == runs_dr
+    assert all((mem.nic.delegation is not None) == runs_dr
+               for mem in system.memory_nodes)
     assert all((core.probe is not None) == runs_rp
                for core in system.gpu_cores)
 

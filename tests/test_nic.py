@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.system import DelegationConfig, NocConfig
-from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import NetKind
@@ -23,10 +22,9 @@ def make_fabric(mem_nodes=(5,), **noc_kw):
     return fab
 
 
-def reply(src, dst, cls=TrafficClass.GPU, flits=9, meta=None):
-    pkt = Packet(src, dst, MessageType.READ_REPLY, cls, flits)
-    pkt.txn = meta
-    return pkt
+def reply(src, dst, cls=TrafficClass.GPU, flits=9, delegate_to=None):
+    return Packet(src, dst, MessageType.READ_REPLY, cls, flits,
+                  delegate_to=delegate_to)
 
 
 class TestMemoryNodeBuffer:
@@ -119,12 +117,12 @@ def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
         NocConfig(mem_injection_buffer_flits=9 * 14), mem_nodes=(5,),
     )
     nic = fabric.nic(5)
-    DelegatedRepliesMechanism(DelegationConfig()).attach(nic)
+    nic.set_delegation(DelegationConfig())
     pkts = [
         reply(5, 0,
               TrafficClass.CPU if kind == "cpu" else TrafficClass.GPU,
               5 if kind == "cpu" else 9,
-              ReplyMeta(True, 9 if kind == "dgpu" else None))
+              9 if kind == "dgpu" else None)
         for kind in kinds
     ]
     shadow = []
@@ -141,8 +139,8 @@ def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
             before = nic.delegations
             nic._delegate_scan(0)
             oldest = [p for p in sorted(shadow, key=lambda p: p.pid)
-                      if p.txn.delegate_to is not None]
-            oldest = oldest[:nic.max_delegations_per_cycle]
+                      if p.delegate_to is not None]
+            oldest = oldest[:nic.delegation.max_delegations_per_cycle]
             assert nic.delegations - before == len(oldest)
             for p in oldest:
                 shadow.remove(p)
@@ -160,35 +158,27 @@ def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
 
 
 class TestDelegationTrigger:
-    def _nic_with_policy(self, buffer_flits=36):
+    def _delegating_nic(self, buffer_flits=36, **delegation):
         fab = make_fabric(mem_injection_buffer_flits=buffer_flits)
         nic = fab.nic(5)
-        made = []
-
-        def policy(pkt, cycle):
-            meta = pkt.txn
-            if not isinstance(meta, ReplyMeta) or meta.delegate_to is None:
-                return None
-            d = Packet(5, meta.delegate_to, MessageType.DELEGATED_REQ,
-                       TrafficClass.GPU, 1, requester=pkt.dst, block=pkt.block)
-            made.append(d)
-            return d
-
-        nic.delegation_policy = policy
-        return fab, nic, made
+        nic.set_delegation(DelegationConfig(**delegation))
+        return fab, nic
 
     def test_no_delegation_while_replies_flow(self):
-        fab, nic, made = self._nic_with_policy()
-        nic.try_send(reply(5, 0, meta=ReplyMeta(True, delegate_to=9)), 0)
+        fab, nic = self._delegating_nic()
+        nic.try_send(reply(5, 0, delegate_to=9), 0)
+        # a second candidate stays queued behind the one injecting
+        nic.try_send(reply(5, 1, delegate_to=10), 0)
         nic.inject_step(0)  # reply flits move fine: no pressure
+        assert nic.queued(NetKind.REPLY) == 1
         assert nic.delegations == 0
 
     def test_delegation_when_buffer_full(self):
-        fab, nic, made = self._nic_with_policy(buffer_flits=27)
+        fab, nic = self._delegating_nic(buffer_flits=27)
         # fill the buffer with three 9-flit replies; only the head drains
-        nic.try_send(reply(5, 0, meta=ReplyMeta(True, None)), 0)
-        nic.try_send(reply(5, 1, meta=ReplyMeta(True, delegate_to=9)), 0)
-        nic.try_send(reply(5, 2, meta=ReplyMeta(True, delegate_to=10)), 0)
+        nic.try_send(reply(5, 0, delegate_to=None), 0)
+        nic.try_send(reply(5, 1, delegate_to=9), 0)
+        nic.try_send(reply(5, 2, delegate_to=10), 0)
         assert not nic.can_enqueue(NetKind.REPLY)
         nic.inject_step(0)
         assert nic.delegations >= 1
@@ -199,10 +189,11 @@ class TestDelegationTrigger:
         )
 
     def test_delegation_respects_per_cycle_cap(self):
-        fab, nic, made = self._nic_with_policy(buffer_flits=27)
-        nic.max_delegations_per_cycle = 1
+        fab, nic = self._delegating_nic(
+            buffer_flits=27, max_delegations_per_cycle=1
+        )
         for i in range(3):
-            nic.try_send(reply(5, i, meta=ReplyMeta(True, delegate_to=9 + i)), 0)
+            nic.try_send(reply(5, i, delegate_to=9 + i), 0)
         nic.inject_step(0)
         assert nic.delegations <= 1
 
@@ -210,11 +201,11 @@ class TestDelegationTrigger:
         # Regression: the trigger must watch the *reply* network only.  A
         # cycle where a 1-flit request injects fine while the reply router
         # refuses every flit is still a blocked reply path (Figure 4).
-        fab, nic, made = self._nic_with_policy(buffer_flits=36)
+        fab, nic = self._delegating_nic(buffer_flits=36)
         router = fab.router_for(5, NetKind.REPLY)
         for vc in range(router.vcs):  # reply router full: no reply can inject
             router.inputs[0][vc].occ = router.vc_cap
-        nic.try_send(reply(5, 0, meta=ReplyMeta(True, delegate_to=9)), 0)
+        nic.try_send(reply(5, 0, delegate_to=9), 0)
         nic.try_send(
             Packet(5, 0, MessageType.READ_REQ, TrafficClass.GPU, 1), 0
         )
@@ -227,9 +218,9 @@ class TestDelegationTrigger:
         # Regression: converting a queued reply into a delegated request
         # must also move its packets_sent accounting, else noc.rep_packets
         # overcounts by exactly the number of delegations.
-        fab, nic, made = self._nic_with_policy(buffer_flits=27)
+        fab, nic = self._delegating_nic(buffer_flits=27)
         for i in range(3):
-            nic.try_send(reply(5, i, meta=ReplyMeta(True, delegate_to=9 + i)), 0)
+            nic.try_send(reply(5, i, delegate_to=9 + i), 0)
         sent_rep = nic.packets_sent_net[NetKind.REPLY]
         sent_req = nic.packets_sent_net[NetKind.REQUEST]
         assert sent_rep == 3
@@ -244,17 +235,16 @@ class TestDelegationTrigger:
         )
 
     def test_non_delegatable_replies_stay(self):
-        fab, nic, made = self._nic_with_policy(buffer_flits=27)
+        fab, nic = self._delegating_nic(buffer_flits=27)
         for i in range(3):
-            nic.try_send(reply(5, i, meta=ReplyMeta(True, None)), 0)
+            nic.try_send(reply(5, i, delegate_to=None), 0)
         nic.inject_step(0)
         assert nic.delegations == 0
 
     def test_always_delegate_ablation(self):
-        fab, nic, made = self._nic_with_policy()
-        nic.delegate_only_when_blocked = False
-        nic.try_send(reply(5, 0, meta=ReplyMeta(True, delegate_to=9)), 0)
-        nic.try_send(reply(5, 1, meta=ReplyMeta(True, delegate_to=9)), 0)
+        fab, nic = self._delegating_nic(only_when_blocked=False)
+        nic.try_send(reply(5, 0, delegate_to=9), 0)
+        nic.try_send(reply(5, 1, delegate_to=9), 0)
         nic.inject_step(0)
         assert nic.delegations >= 1
 

@@ -33,7 +33,6 @@ from repro.config.system import (
     NocConfig,
     RoutingPolicy,
 )
-from repro.core.delegated_replies import DelegatedRepliesMechanism, ReplyMeta
 from repro.faults import quiesce
 from repro.faults.plan import FaultPlan, LinkDown, LinkUp, RouterFreeze
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
@@ -196,9 +195,8 @@ def test_packet_conservation_under_heavy_delegation():
     """
     mem_nodes = (3, 7, 11, 15)
     fabric = NocFabric(MeshTopology(4, 4), NocConfig(), mem_nodes=mem_nodes)
-    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
-        mech.attach(fabric.nic(m))
+        fabric.nic(m).set_delegation(DelegationConfig())
     for nic in fabric.nics:
         nic.handler = lambda pkt, cycle: None
     compute = [n for n in range(16) if n not in mem_nodes]
@@ -210,12 +208,9 @@ def test_packet_conservation_under_heavy_delegation():
         for i, m in enumerate(mem_nodes):
             dst = compute[(cycle + i) % len(compute)]
             sharer = compute[(cycle + 2 * i + 1) % len(compute)]
-            meta = ReplyMeta(
-                llc_hit=True, delegate_to=sharer if sharer != dst else None
-            )
             fabric.nic(m).try_send(
                 Packet(m, dst, MessageType.READ_REPLY, TrafficClass.GPU, 9,
-                       txn=meta),
+                       delegate_to=sharer if sharer != dst else None),
                 cycle,
             )
             src = compute[(3 * cycle + i) % len(compute)]

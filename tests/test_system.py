@@ -33,13 +33,13 @@ class TestAssembly:
         assert cfg.gpu_l1.size_bytes == 48 * 1024
 
     def test_mechanism_wiring(self):
-        dr = build_system(small_dr_config(), "HS")
-        assert dr.delegation is not None
+        cfg = small_dr_config()
+        dr = build_system(cfg, "HS")
         assert all(
-            m.nic.delegation_policy is not None for m in dr.memory_nodes
+            m.nic.delegation == cfg.delegation for m in dr.memory_nodes
         )
         base = build_system(small_config(), "HS")
-        assert base.delegation is None
+        assert all(m.nic.delegation is None for m in base.memory_nodes)
 
     def test_shared_l1_clusters(self):
         cfg = small_config()
@@ -168,7 +168,7 @@ class TestMetricsPlumbing:
             delegated_replies_config(), "HS", "canneal", backend="vector"
         )
         system.run(500)
-        scans = system.scheduler_stats()["mem_nic_policy_calls"]
+        scans = system.scheduler_stats()["mem_nic_delegation_scans"]
         mems = system.memory_nodes
         delegatable = sum(m.stats.delegatable_replies for m in mems)
         assert sum(m.nic.delegations for m in mems) >= 10

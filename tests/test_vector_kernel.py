@@ -15,8 +15,8 @@ import pytest
 
 from repro.bench import Lcg, hotspot_schedule, replay, uniform_schedule
 from repro.config.system import DelegationConfig, NocConfig
-from repro.core.delegated_replies import DelegatedRepliesMechanism
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
+from repro.noc import nic as nic_module
 from repro.noc.packet import NetKind
 from repro.noc.router import LOCAL_PORT
 from repro.sim.engines import BackendError, build_fabric
@@ -82,9 +82,8 @@ def _run_backend(backend, dims, cfg, sched, mem_nodes=(), delegation=False):
     else:
         fabric = VectorFabric(topo, cfg, mem_nodes=tuple(mem_nodes))
     if delegation:
-        mech = DelegatedRepliesMechanism(DelegationConfig())
         for m in mem_nodes:
-            mech.attach(fabric.nic(m))
+            fabric.nic(m).set_delegation(DelegationConfig())
     latencies: list = []
     _drive(fabric, sched, latencies)
     counters = _collect(fabric)
@@ -168,23 +167,35 @@ def test_memory_lanes_bit_identical(noc_kw, cpu_permille):
 
 
 @pytest.mark.parametrize("backend", ["object", "vector"])
-def test_delegation_counts_agree_when_request_queue_is_full(backend):
-    """The policy builds a delegated packet only when the request queue
-    can take it: with a one-packet queue the mechanism's count and the
-    NICs' stay equal (it used to run ahead by one per refused cycle)."""
+def test_delegation_counts_agree_when_request_queue_is_full(backend, monkeypatch):
+    """The scan builds a delegated packet only when the request queue can
+    take it: with a one-packet queue every delegation the NICs count is
+    one request they queued (the count used to run ahead by one per
+    refused cycle)."""
     mem_nodes = (3, 7, 11, 15)
     sched = hotspot_schedule(16, mem_nodes, 600, 200, seed=5)
     fabric = build_fabric(
         backend, MeshTopology(4, 4),
         NocConfig(node_injection_queue_packets=1), mem_nodes=mem_nodes,
     )
-    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
-        mech.attach(fabric.nic(m))
+        fabric.nic(m).set_delegation(DelegationConfig())
+    made = []
+    real_packet = nic_module.Packet
+
+    def counted(*args, **kwargs):
+        made.append(real_packet(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(nic_module, "Packet", counted)
     replay(fabric, sched)
     done = sum(fabric.nic(m).delegations for m in mem_nodes)
     assert done > 20
-    assert mech.stats.delegations == mech.stats.delegatable_seen == done
+    # memory NICs send no request of their own: their requests are the
+    # delegations, and each one the scan built was queued
+    assert len(made) == done == sum(
+        fabric.nic(m).packets_sent_net[NetKind.REQUEST] for m in mem_nodes
+    )
 
 
 def test_shared_network_bit_identical():
@@ -369,9 +380,8 @@ def test_vector_packet_conservation():
     sched = hotspot_schedule(16, mem_nodes, 800, 200, seed=11)
     fabric = VectorFabric(MeshTopology(4, 4), NocConfig(),
                           mem_nodes=mem_nodes)
-    mech = DelegatedRepliesMechanism(DelegationConfig())
     for m in mem_nodes:
-        mech.attach(fabric.nic(m))
+        fabric.nic(m).set_delegation(DelegationConfig())
     latencies: list = []
     cycles = _drive(fabric, sched, latencies)
     assert sum(fabric.nic(m).delegations for m in mem_nodes) > 50
