@@ -15,7 +15,6 @@ the code it drives and imported only when it is the first argument:
 * ``telemetry {trace,report,hist,timeline,events,blame}``
 * ``faults {run,plan,sweep}``
 * ``model {predict,validate,screen}``
-* ``explore {run,frontier,show}``
 
 Examples::
 
@@ -51,7 +50,6 @@ GROUPS = {
                  "clogging-event reports",
     "faults": "deterministic fault injection and recovery checking",
     "model": "analytical surrogate performance model",
-    "explore": "multi-objective design-space exploration",
 }
 
 
@@ -136,7 +134,7 @@ def _cmd_area(_args) -> int:
 
 def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
     """The command tree.  A group's subcommands exist only when ``group``
-    names it, so ``repro list`` never imports what ``repro explore`` needs."""
+    names it, so ``repro list`` never imports what ``repro model`` needs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Delegated Replies (HPCA 2022) reproduction",

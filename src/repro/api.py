@@ -38,9 +38,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.system import SystemConfig
-from repro.explore.pareto import ParetoFrontier
-from repro.explore.search import explore
-from repro.explore.space import SearchSpace
 from repro.faults.plan import FaultPlan, chaos_plan
 from repro.sim.engines import BackendError, available_backends
 from repro.sim.metrics import SimulationResult
@@ -56,13 +53,10 @@ __all__ = [
     "BackendError",
     "FaultPlan",
     "JobSpec",
-    "ParetoFrontier",
-    "SearchSpace",
     "SimulationResult",
     "available_backends",
     "build_system",
     "chaos_plan",
-    "explore",
     "predict",
     "run_simulation",
     "run_sweep",

@@ -23,7 +23,7 @@ the only place that knows four things about such a design point:
   ``identity=False``);
   ``config_hash()`` and ``JobSpec.key()`` both hash that form.
 * **how a field is set from data** — :meth:`SystemConfig.update`, for a
-  JSON file, an explore knob path and parsed CLI flags alike.
+  JSON file, a figure's edit and a ``--set PATH=VALUE`` flag alike.
 """
 
 from __future__ import annotations
@@ -540,8 +540,8 @@ class SystemConfig:
     def update(self, data: Mapping[str, Any]) -> "SystemConfig":
         """Set fields from a nested plain dict; returns ``self``.
 
-        The one way data becomes configuration — a JSON file, an explore
-        knob (``{"noc": {"vcs_per_port": 4}}``), parsed CLI flags.  An
+        The one way data becomes configuration — a JSON file, a figure's
+        edit (``{"noc": {"vcs_per_port": 4}}``), a ``--set`` flag.  An
         unknown key is a :class:`ConfigError` (a typo must never fall
         back to a default), enum fields accept their string values and
         float fields whole numbers; ranges are :meth:`validate`'s job.

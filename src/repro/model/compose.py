@@ -689,9 +689,9 @@ def predict(
     pred.link_rho = dict(hot[:12])
 
     pred.gpu_latency_avg = l_gpu
-    pred.cpu_latency_avg = l_cpu
-    # p95: the queueing component has the heavy tail; the deterministic
-    # hop/service floor does not.
+    # no co-runner: l_cpu is only its free-path seed, damped toward zero
+    l_cpu = pred.cpu_latency_avg = l_cpu if c else 0.0
+    # p95: the queueing component has the heavy tail, the hop/service floor not
     floor_cpu = (
         groups["cpu_rep"].mean_hops + groups["cpu_req"].mean_hops
     ) * net.hop_cycles + svc_mem_cpu if c else 0.0

@@ -5,9 +5,9 @@ mechanism) cross products behind the paper's figures into explicit
 :class:`JobSpec` batches, runs them over a process pool, and persists
 every result to a content-addressed on-disk cache so re-runs and
 interrupted sweeps resume for free.  ``python -m repro sweep`` exposes
-it on the command line; the figure modules, the validation grids and
-the explore search all enumerate their jobs with :func:`repro.sweep.jobs.job`
-and hand them to :func:`run_sweep` / :class:`SweepRunner`.
+it on the command line; the figure modules and the validation grids
+enumerate their jobs with :func:`repro.sweep.jobs.job` and hand them to
+:func:`run_sweep` / :class:`SweepRunner`.
 """
 
 from repro.sweep.cache import (

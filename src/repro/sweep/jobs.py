@@ -17,8 +17,8 @@ The rule that turns a design point into a job lives here too, beside the
 spec it fills in: :func:`job` (the CPU is the caller's, else the GPU
 benchmark's first Table II co-runner; a window is the caller's, else
 ``$REPRO_CYCLES`` / ``$REPRO_WARMUP``, else the built-in).  The figure
-modules, the ``python -m repro`` job block, the validation grids, the
-explore spaces and the chaos sweep all call it.  And one pair of methods
+modules, the ``python -m repro`` job block, the validation grids and
+the chaos sweep all call it.  And one pair of methods
 turns a spec back into a simulation: :meth:`JobSpec.build` and
 :meth:`JobSpec.run` hand *every* field of the spec to the simulator, so
 the sweep workers and the one-job commands cannot run different jobs

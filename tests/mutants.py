@@ -35,6 +35,8 @@ NIC = "tests/test_nic.py"
 MEMORY_NODE = "tests/test_memory_node.py"
 VECTOR = "tests/test_vector_kernel.py"
 SLEEP = "tests/test_perf_equivalence.py"
+PINS = ("tests/test_pinned_results.py::"
+        "test_results_match_the_pins_recorded_under_this_code_version")
 
 MUTANTS = (
     # -- Delegated Replies: the memory node's decision and the NIC's
@@ -117,6 +119,40 @@ MUTANTS = (
         tests=(LAWS,),
         item="2(e), 11(e)",
         survives=True,
+    ),
+    # the two facts that carry the remote-first rule in this model (item
+    # 2(e)); no law kills them yet, but both move simulated results
+    Mutant(
+        id="drain-after-issue",
+        file="repro/gpu/core.py",
+        line=(
+            "        if self._c2c_out or self._nack_out or self._dnf_out or self._fallback_out:\n"
+            "            self._drain_outgoing(cycle)\n"
+            "        if self._probe_in or len(self.frq):\n"
+            "            self._serve_remote(cycle)\n"
+            "        self._issue_local(cycle)"
+        ),
+        replacement=(
+            "        if self._probe_in or len(self.frq):\n"
+            "            self._serve_remote(cycle)\n"
+            "        self._issue_local(cycle)\n"
+            "        if self._c2c_out or self._nack_out or self._dnf_out or self._fallback_out:\n"
+            "            self._drain_outgoing(cycle)"
+        ),
+        tests=(PINS,),
+        item="15",
+    ),
+    Mutant(
+        id="frq-waits-for-mshr",
+        file="repro/gpu/core.py",
+        line="        entry = self.frq.peek()",
+        replacement=(
+            "        if self.mshrs.full:\n"
+            "            return\n"
+            "        entry = self.frq.peek()"
+        ),
+        tests=(PINS,),
+        item="15",
     ),
     # -- the object kernel's NIC and wake-ups (ROADMAP item 1)
     Mutant(

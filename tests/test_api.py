@@ -15,21 +15,18 @@ from repro.sim.metrics import SimulationResult
 #: the frozen public surface — editing this list IS the API review.
 #: run_sweep/JobSpec added with the warm-pool runner so
 #: campaign callers need not import repro.sweep.
-#: explore/SearchSpace/ParetoFrontier added with the design-space
-#: exploration subsystem (repro.explore).
+#: explore/SearchSpace/ParetoFrontier removed with the design-space
+#: exploration subsystem (no spec, cache entry or manifest named them).
 #: available_backends/BackendError added with the backend-selection
 #: layer (repro.sim.engines) behind simulate(backend=...).
 EXPECTED_API = [
     "BackendError",
     "FaultPlan",
     "JobSpec",
-    "ParetoFrontier",
-    "SearchSpace",
     "SimulationResult",
     "available_backends",
     "build_system",
     "chaos_plan",
-    "explore",
     "predict",
     "run_simulation",
     "run_sweep",

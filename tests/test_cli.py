@@ -21,7 +21,6 @@ TREE = {
     "telemetry": ["trace", "report", "hist", "timeline", "events", "blame"],
     "faults": ["run", "plan", "sweep"],
     "model": ["predict", "validate", "screen"],
-    "explore": ["run", "frontier", "show"],
 }
 
 #: the commands that take the job block: the module whose handler asks
@@ -51,7 +50,7 @@ class TestTree:
         for group in GROUPS:
             sub = _subcommands(_subcommands(build_parser(group)).choices[group])
             assert list(sub.choices) == TREE[group]
-        assert sum(len(names) for names in TREE.values()) == 23
+        assert sum(len(names) for names in TREE.values()) == 20
 
     def test_every_leaf_and_every_option_has_help(self):
         for group, names in TREE.items():
@@ -86,11 +85,12 @@ class TestTree:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("group", list(GROUPS))
+    @pytest.mark.parametrize("group", [*GROUPS, "explore"])
     def test_the_old_entry_points_are_gone(self, group):
         """``python -m repro.<group>`` was folded into ``python -m repro
-        <group>`` with no forwarding stub: the interpreter's own one-line
-        refusal, nothing of ours."""
+        <group>`` with no forwarding stub, and the design-space
+        exploration package was deleted with none either: the
+        interpreter's own one-line refusal, nothing of ours."""
         proc = subprocess.run(
             [sys.executable, "-m", f"repro.{group}"],
             capture_output=True, text=True,

@@ -473,16 +473,9 @@ def test_a_dragonfly_below_two_vcs_per_class_is_a_config_error(separate, path):
     config_from_dict(data("mesh", 1))
 
 
-def test_no_figure_point_or_explore_value_hits_the_dragonfly_rule():
+def test_no_figure_point_hits_the_dragonfly_rule():
     from repro.experiments import fig05_topology, fig16_topology_dr
-    from repro.explore.space import SPACES
 
     for module in (fig05_topology, fig16_topology_dr):
         for spec in module.specs(["HS"]).values():
             spec.system_config().validate()
-    for make in SPACES.values():
-        knobs = {k.path: k.values for k in make().knobs}
-        for topology in knobs.get("noc.topology", ("mesh",)):
-            for vcs in knobs.get("noc.vcs_per_port", (2,)):
-                config_from_dict({"noc": {"topology": topology,
-                                          "vcs_per_port": vcs}})

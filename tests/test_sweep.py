@@ -96,10 +96,10 @@ class TestJobSpec:
 
 class TestLayering:
     def test_the_job_rule_sits_below_everything_that_uses_it(self):
-        """``repro.sweep`` (where ``job()`` lives), ``repro.explore`` and
-        ``repro/cli.py`` never reach up into ``repro.experiments`` — not
-        at module level, not inside a function — and inside ``repro.sweep``
-        only the command-line door knows the surrogate exists."""
+        """``repro.sweep`` (where ``job()`` lives) and ``repro/cli.py``
+        never reach up into ``repro.experiments`` — not at module level,
+        not inside a function — and inside ``repro.sweep`` only the
+        command-line door knows the surrogate exists."""
         src = Path(repro.__file__).parent
 
         def imported(path):
@@ -121,11 +121,10 @@ class TestLayering:
             )
 
         sweep = sorted((src / "sweep").glob("*.py"))
-        explore = sorted((src / "explore").glob("*.py"))
-        assert len(sweep) >= 5 and len(explore) >= 5
+        assert len(sweep) >= 5
         assert [
             str(p.relative_to(src))
-            for p in [*sweep, *explore, src / "cli.py"]
+            for p in [*sweep, src / "cli.py"]
             if reaches(p, "repro.experiments")
         ] == []
         assert [
