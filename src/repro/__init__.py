@@ -38,7 +38,6 @@ __all__ = [
     "Topology",
     "baseline_config",
     "delegated_replies_config",
-    "predict",
     "realistic_probing_config",
     "run_simulation",
     "simulate",
@@ -48,7 +47,7 @@ __all__ = [
 
 def __getattr__(name: str):
     """The library names of ``__all__`` that live in :mod:`repro.api`
-    (``simulate``, ``run_simulation``, ``predict``), looked up there on
+    (``simulate``, ``run_simulation``), looked up there on
     first use (PEP 562) so ``import repro`` stays cheap."""
     if name in __all__:
         import repro.api

@@ -14,7 +14,6 @@ the code it drives and imported only when it is the first argument:
 * ``sweep {list,run,status,clean}``
 * ``telemetry {trace,report,hist,timeline,events,blame}``
 * ``faults {run,plan,sweep}``
-* ``model {predict,validate,screen}``
 
 Examples::
 
@@ -49,7 +48,6 @@ GROUPS = {
     "telemetry": "per-packet tracing, latency histograms and "
                  "clogging-event reports",
     "faults": "deterministic fault injection and recovery checking",
-    "model": "analytical surrogate performance model",
 }
 
 
@@ -134,7 +132,7 @@ def _cmd_area(_args) -> int:
 
 def build_parser(group: Optional[str] = None) -> argparse.ArgumentParser:
     """The command tree.  A group's subcommands exist only when ``group``
-    names it, so ``repro list`` never imports what ``repro model`` needs."""
+    names it, so ``repro list`` never imports what ``repro sweep`` needs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Delegated Replies (HPCA 2022) reproduction",

@@ -16,12 +16,7 @@ config and workload is keyword-only so call sites stay readable and
 new options never break positional callers.  For batches,
 :func:`run_sweep` plus :class:`JobSpec` is the campaign entry point —
 warm worker pools (``jobs``), on-disk result caching and retries,
-see :mod:`repro.sweep`.  :func:`predict` is
-the millisecond analytical counterpart of :func:`simulate`: same
-(config, workload, co-runner) signature, a
-:class:`~repro.model.Prediction` instead of a
-:class:`SimulationResult` — use it for what-if scans and to pre-screen
-sweeps (``repro sweep run --screen surrogate``).  The lower-level
+see :mod:`repro.sweep`.  The lower-level
 :func:`run_simulation` / :func:`build_system` pair is re-exported for
 callers that need to drive a :class:`HeterogeneousSystem` cycle by
 cycle (telemetry tooling, the fault-injection harness).
@@ -31,6 +26,8 @@ Names listed in ``__all__`` are covered by the API-snapshot test
 and takes a deprecation cycle (DESIGN.md, API-stability rules): the old
 spelling keeps working beside the new one until a ``CODE_VERSION`` bump
 has retired every cache entry that could still carry it, then it goes.
+A name no job spec, cache entry or sweep manifest carries may instead
+go outright with its subsystem.
 """
 
 from __future__ import annotations
@@ -57,34 +54,10 @@ __all__ = [
     "available_backends",
     "build_system",
     "chaos_plan",
-    "predict",
     "run_simulation",
     "run_sweep",
     "simulate",
 ]
-
-
-def predict(
-    cfg: SystemConfig,
-    workload: str,
-    *,
-    cpu: Optional[str] = None,
-):
-    """Analytical surrogate estimate of :func:`simulate`'s metrics.
-
-    Runs the queueing-theoretic model in :mod:`repro.model` — per-link
-    offered loads from the routing tables, M/G/1 priority waits, and a
-    closed-loop saturation fixed point — and returns a
-    :class:`~repro.model.Prediction` in a few milliseconds.  Field
-    names mirror :class:`SimulationResult` where the two overlap
-    (``cpu_latency_avg``, ``gpu_ipc``, ``mem_blocking_rate``, ...), and
-    the prediction adds ``demand_rho``/``saturated``/``bottleneck`` for
-    clogging assessment.  Validated accuracy against the simulator is
-    tracked by ``python -m repro model validate``.
-    """
-    from repro.model.compose import predict as _model_predict
-
-    return _model_predict(cfg, workload, cpu)
 
 
 def simulate(

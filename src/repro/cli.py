@@ -11,8 +11,8 @@ stated here, once:
 * **One job block** (:func:`add_job_block`, :func:`job_from_args`):
   ``--gpu --cpu --mechanism --seed --cycles --warmup`` and a repeatable
   ``--set PATH=VALUE`` that reaches any ``SystemConfig`` leaf.  Every
-  command that simulates or predicts one design point (``run``,
-  ``telemetry trace``, ``faults run|plan``, ``model predict``) takes
+  command that simulates one design point (``run``,
+  ``telemetry trace``, ``faults run|plan``) takes
   exactly this block and turns it into the same
   :class:`~repro.sweep.JobSpec` the figures are made of, by the same
   rule (:func:`repro.sweep.jobs.job`).  Nothing about

@@ -186,11 +186,11 @@ class NocConfig:
     @property
     def link_flits_per_cycle(self) -> int:
         """Flits every link moves per cycle: ``bandwidth_factor`` as the
-        whole number the fabrics, metrics and surrogate all count in."""
+        whole number the fabrics and metrics both count in."""
         return max(1, round(self.bandwidth_factor))
 
-    # The fabric as both kernels, the area model and the surrogate read
-    # it: nothing else looks at the VC and pipeline fields above.
+    # The fabric as both kernels and the area model read it: nothing
+    # else looks at the VC and pipeline fields above.
 
     @property
     def physical_networks(self) -> int:
@@ -479,9 +479,9 @@ class SystemConfig:
     def n_nodes(self) -> int:
         return self.mesh_width * self.mesh_height
 
-    # ``mechanism`` is the whole switch.  Simulator, surrogate and area
-    # model all ask here, so they cannot disagree on which machine a
-    # config describes.
+    # ``mechanism`` is the whole switch.  Simulator and area model both
+    # ask here, so they cannot disagree on which machine a config
+    # describes.
 
     @property
     def delegation_active(self) -> bool:

@@ -13,7 +13,8 @@ these ablations quantify them on our reproduction:
 * **FRQ merging** — the design Section IV rejects.
 * **Delegations per cycle** — the request-injection-link budget.
 * **Pointer accuracy** — the fraction of delegated requests served
-  remotely.
+  remotely (``data``, beside the FRQ same-block rate: neither is a
+  speedup).
 """
 
 from __future__ import annotations
@@ -47,13 +48,18 @@ POINTS = {
     },
 }
 
+#: the one Table II profile that writes shared data: without it
+#: ``no_pointer_invalidation`` runs exactly the paper configuration's jobs
+WRITER = "BP"
+
 
 def specs(
     benchmarks: Optional[Sequence[str]] = None,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
 ) -> Specs:
-    """Every ablation's DR config and the baseline on every benchmark."""
+    """Every ablation's DR config and the baseline on every benchmark
+    (by default the figure's subset plus :data:`WRITER`)."""
     # every design point edits DR only: the baseline it is measured
     # against is the one unmodified baseline system
     pairs = {}
@@ -63,13 +69,13 @@ def specs(
             section, name, value = edit
             setattr(getattr(cfg, section), name, value)
         pairs[label] = (baseline_config(), cfg)
-    return pair_specs(pairs, benchmarks or figure_benchmarks(3),
-                      cycles, warmup)
+    benchmarks = benchmarks or list(dict.fromkeys([*figure_benchmarks(3), WRITER]))
+    return pair_specs(pairs, benchmarks, cycles, warmup)
 
 
 def tabulate(results: Results) -> ExperimentResult:
-    """One row per ablation, then the paper configuration's pointer
-    accuracy and FRQ same-block rate."""
+    """One row per ablation; the paper configuration's pointer accuracy
+    and FRQ same-block rate go to ``data`` and the note."""
     runs = dr_over_baseline(results)
     rows = dr_speedup_rows(runs)
 
@@ -81,12 +87,13 @@ def tabulate(results: Results) -> ExperimentResult:
         c.get("gpu.frq_merge_opportunities", 0) / c["gpu.frq_enqueued"]
         for c in (r.counters for r in paper) if c.get("gpu.frq_enqueued", 0)
     ]
-    for label, samples in (("pointer_accuracy", hits),
-                           ("frq_same_block_rate", merge_rates)):
-        if samples:
-            rows.append((label, {"dr_speedup": amean(samples)}))
+    rates = {label: amean(samples)
+             for label, samples in (("pointer_accuracy", hits),
+                                    ("frq_same_block_rate", merge_rates))
+             if samples}
     return table(
         "ablations", "Ablations: Delegated Replies design choices", rows,
         label_header="design point",
-        data={"benchmarks": points_and_benchmarks(results)[1]},
+        data={"benchmarks": points_and_benchmarks(results)[1], **rates},
+        note="".join(f"{label}: {rate:.3f}\n" for label, rate in rates.items()),
     )

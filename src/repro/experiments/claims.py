@@ -219,7 +219,7 @@ CLAIMS = (
     Claim("ablations", "imprecise pointer tracking is safe",
           "no_pointer_invalidation.dr_speedup", "sign", bound=0.9),
     Claim("ablations", "74.5% core-pointer hit rate",
-          "pointer_accuracy.dr_speedup", "sign", bound=0.5),
+          "data.pointer_accuracy", "sign", bound=0.5),
 )
 
 Value = Union[float, Dict[str, float]]

@@ -34,8 +34,7 @@ def specs(
     bandwidths: Sequence[float] = (1.0, 2.0),
 ) -> Specs:
     """Every topology at every bandwidth factor on every benchmark,
-    labelled ``((topology, bandwidth factor), gpu)`` (also the ``fig05``
-    grid of :func:`repro.model.validate.grid_specs`)."""
+    labelled ``((topology, bandwidth factor), gpu)``."""
     configs = {}
     for topo in TOPOLOGIES:
         for bw in bandwidths:

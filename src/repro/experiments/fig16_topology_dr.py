@@ -26,8 +26,7 @@ def specs(
     topologies: Sequence[Topology] = TOPOLOGIES,
 ) -> Specs:
     """Each topology's baseline and DR on every benchmark, labelled
-    ``((topology, 0 | 1), gpu)`` (also the ``fig16`` grid of
-    :func:`repro.model.validate.grid_specs`)."""
+    ``((topology, 0 | 1), gpu)``."""
     pairs = {}
     for topo in topologies:
         base_cfg, dr_cfg = baseline_config(), delegated_replies_config()

@@ -1,8 +1,8 @@
 """Routing: where every next-hop table comes from, its deadlock check, and the
-adaptive policies.  Both kernels, the fault controller and the surrogate
-route on :func:`route_tables`: fault-free, Class-based Deterministic
-Routing (CDR) [3] gives requests and replies *different* dimension orders
-(YX and XY in the baseline), separating CPU and GPU traffic except at the
+adaptive policies.  Both kernels and the fault controller route on
+:func:`route_tables`: fault-free, Class-based Deterministic Routing (CDR)
+[3] gives requests and replies *different* dimension orders (YX and XY
+in the baseline), separating CPU and GPU traffic except at the
 memory-node routers (Section V).  The adaptive schemes of Section III-B —
 DyXY [45], Footprint [22] and HARE [37] — pick among the minimal hops by
 congestion and keep an escape VC for the table's hop; the paper finds all

@@ -11,8 +11,6 @@ Examples::
 
     python -m repro sweep run --jobs 4                  # full Fig. 10 sweep
     python -m repro sweep run --jobs 2 --benchmarks HS,SC
-    python -m repro sweep run --screen surrogate        # hybrid sweep: only
-                                                        # near/past-knee points
     python -m repro sweep list --mechanisms baseline,dr
     python -m repro sweep status
 
@@ -33,7 +31,6 @@ import time
 from typing import List
 
 from repro.cli import add_command, add_options, emit
-from repro.model.saturation import screen
 from repro.sweep.cache import ResultCache, default_cache_dir
 from repro.sweep.jobs import JobSpec, default_benchmarks, mechanism_jobs
 from repro.sweep.runner import JobOutcome, SweepRunner
@@ -218,7 +215,6 @@ def _cmd_run(args) -> int:
     specs = _specs_from_args(args)
     cache = _cache_from_args(args)
     plog = ProgressLog(_progress_log_path(args, cache))
-    decision = None
 
     def progress(outcome: JobOutcome, done: int, total: int) -> None:
         mark = {"ok": "ok    ", "cached": "cached"}.get(
@@ -246,12 +242,6 @@ def _cmd_run(args) -> int:
         use_cache=not args.force,
         progress=progress,
     )
-    if args.screen == "surrogate":
-        decision = screen(specs, band=args.screen_band)
-        print(f"screen:  surrogate kept {len(decision.kept)}/{len(specs)} "
-              f"job(s) (band {decision.band:g}); "
-              f"{len(decision.skipped)} screened out", flush=True)
-        specs = decision.kept
     plog.write({
         "rec": "start",
         "total": len(specs),
@@ -288,14 +278,6 @@ def _cmd_run(args) -> int:
             "cache_dir": str(cache.root),
             "jobs": [o.as_dict() for o in outcomes.values()],
         }
-        if decision is not None:
-            manifest["screen"] = {
-                "mode": "surrogate",
-                "band": decision.band,
-                "kept": len(decision.kept),
-                "screened_out": len(decision.skipped),
-            }
-            manifest["screened_out"] = decision.skipped_records()
         emit(args, manifest,
              f"{len(outcomes)} job(s): {counts['ok']} simulated, "
              f"{counts['cached']} from cache, {counts['failed']} failed "
@@ -331,14 +313,6 @@ def register(sub) -> None:
                        help="ignore cached results and recompute everything")
     run_p.add_argument("--retries", type=int, default=2,
                        help="retry rounds for failed jobs (default 2)")
-    run_p.add_argument("--screen", choices=("surrogate",), default=None,
-                       help="hybrid sweep: simulate only the points the "
-                            "analytical surrogate puts near or past the "
-                            "saturation knee (plus one unclogged anchor)")
-    run_p.add_argument("--screen-band", type=float, default=0.35,
-                       help="screening guard band below the knee as a "
-                            "fraction of the saturation threshold "
-                            "(default 0.35)")
     add_options(run_p, "out", out=dict(help="write a JSON run manifest here"))
 
     status_p = add_command(sub, "status", _cmd_status,

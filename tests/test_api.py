@@ -17,6 +17,8 @@ from repro.sim.metrics import SimulationResult
 #: campaign callers need not import repro.sweep.
 #: explore/SearchSpace/ParetoFrontier removed with the design-space
 #: exploration subsystem (no spec, cache entry or manifest named them).
+#: predict removed with the analytical surrogate (likewise named by no
+#: spec, cache entry or manifest).
 #: available_backends/BackendError added with the backend-selection
 #: layer (repro.sim.engines) behind simulate(backend=...).
 EXPECTED_API = [
@@ -27,7 +29,6 @@ EXPECTED_API = [
     "available_backends",
     "build_system",
     "chaos_plan",
-    "predict",
     "run_simulation",
     "run_sweep",
     "simulate",
@@ -54,6 +55,11 @@ class TestApiSurface:
         assert api.__all__ == EXPECTED_API
         for name in EXPECTED_API:
             assert getattr(api, name) is not None
+
+    def test_the_surrogate_left_the_package(self):
+        assert "predict" not in repro.__all__
+        with pytest.raises(AttributeError):
+            repro.predict
 
     def test_package_level_simulate(self):
         assert "simulate" in repro.__all__

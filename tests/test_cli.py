@@ -20,7 +20,6 @@ TREE = {
     "sweep": ["list", "run", "status", "clean"],
     "telemetry": ["trace", "report", "hist", "timeline", "events", "blame"],
     "faults": ["run", "plan", "sweep"],
-    "model": ["predict", "validate", "screen"],
 }
 
 #: the commands that take the job block: the module whose handler asks
@@ -33,7 +32,6 @@ JOB_COMMANDS = {
     ("faults", "run"): ("repro.faults.cli", ["--intensity", "0.2"],
                         (3000, 1000)),
     ("faults", "plan"): ("repro.faults.cli", [], (3000, 1000)),
-    ("model", "predict"): ("repro.model.cli", [], (3000, 2000)),
 }
 
 
@@ -50,7 +48,7 @@ class TestTree:
         for group in GROUPS:
             sub = _subcommands(_subcommands(build_parser(group)).choices[group])
             assert list(sub.choices) == TREE[group]
-        assert sum(len(names) for names in TREE.values()) == 20
+        assert sum(len(names) for names in TREE.values()) == 17
 
     def test_every_leaf_and_every_option_has_help(self):
         for group, names in TREE.items():
@@ -85,11 +83,11 @@ class TestTree:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("group", [*GROUPS, "explore"])
+    @pytest.mark.parametrize("group", [*GROUPS, "explore", "model"])
     def test_the_old_entry_points_are_gone(self, group):
         """``python -m repro.<group>`` was folded into ``python -m repro
-        <group>`` with no forwarding stub, and the design-space
-        exploration package was deleted with none either: the
+        <group>`` with no forwarding stub, and the design-space explorer
+        and the analytical surrogate were deleted with none either: the
         interpreter's own one-line refusal, nothing of ours."""
         proc = subprocess.run(
             [sys.executable, "-m", f"repro.{group}"],
@@ -98,6 +96,13 @@ class TestTree:
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr
         assert "No module named" in proc.stderr.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("group", ["explore", "model"])
+    def test_a_deleted_group_is_an_unknown_command(self, group, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([group])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{group}'" in capsys.readouterr().err
 
 
 class _Captured(Exception):
@@ -246,11 +251,6 @@ class TestRun:
         assert err.startswith("error: unknown GPU benchmark 'NOPE'; choose from")
         assert "HS" in err and err.count("\n") == 1
 
-    def test_predict_runs_on_a_set_design_point(self, capsys):
-        assert main(["model", "predict", "--gpu", "HS",
-                     "--set", "noc.topology=crossbar",
-                     "--set", "telemetry.sample_rate=0.5"]) == 0
-        assert "HS/bodytrack @ baseline, crossbar 1x" in capsys.readouterr().out
 
 
 class TestExperiment:
@@ -327,12 +327,6 @@ TRACE = ["telemetry", "trace", "--out", "t.jsonl"]
     (FIG + ["--cycles", "0"], {}, "argument --cycles: must be >= 1, got 0"),
     (["sweep", "list", "--cycles", "0"], {},
      "argument --cycles: must be >= 1, got 0"),
-    (["model", "predict", "--gpu", "HS", "--set", "noc.topology=torus"], {},
-     "noc.topology must be one of"),
-    (["model", "predict", "--gpu", "NOPE"], {},
-     "unknown GPU benchmark 'NOPE'; choose from"),
-    (["model", "predict", "--gpu", "HS", "--set", "noc.bandwidth_factor=0.5"],
-     {}, "noc.bandwidth_factor must be a whole number >= 1, got 0.5"),
     (TRACE + ["--gpu", "NOPE"], {}, "unknown GPU benchmark 'NOPE'; choose from"),
     (TRACE + ["--set", "telemetry.sample_rate=7"], {},
      "telemetry.sample_rate must be in [0, 1], got 7.0"),

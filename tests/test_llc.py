@@ -119,6 +119,17 @@ class TestCorePointers:
         assert llc.pointer_of(0x100) is None
         assert llc.stats.pointer_invalidations >= 1
 
+    def test_write_keeps_a_stale_pointer_when_invalidation_is_off(self):
+        # the ``no_pointer_invalidation`` ablation: the pointer survives
+        # the write and still names the core that read the old data
+        llc, mc = make_slice(pointer_invalidate_on_write=False)
+        llc.enqueue(gpu_read(7, 0x100))
+        run_until_result(llc, mc)
+        llc.enqueue(gpu_write(9, 0x100))
+        run_until_result(llc, mc, start=600)
+        assert llc.pointer_of(0x100) == 7
+        assert llc.stats.pointer_invalidations == 0
+
     def test_flush_drops_all_pointers(self):
         llc, mc = make_slice()
         for i, blk in enumerate((0x10, 0x20, 0x30)):

@@ -1,9 +1,14 @@
-"""Tests for the Delegated Replies conversion and the RP probe engine."""
+"""Tests for the Delegated Replies conversion, the RP probe engine and
+the one switch that turns either on."""
 
+import pytest
+
+from repro.config import Mechanism, config_from_dict, mechanism_config
 from repro.config.system import DelegationConfig, NocConfig, ProbingConfig
 from repro.core.realistic_probing import ProbeEngine
 from repro.noc import MeshTopology, NocFabric
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.sim.simulator import build_system
 
 
 def reply(dst=9, block=0x40, delegate_to=None, cls=TrafficClass.GPU):
@@ -98,3 +103,33 @@ class TestProbeEngine:
         shared = sum(eng.should_probe((1 << 32) + i) for i in range(500))
         private = sum(eng.should_probe((2 << 32) + i) for i in range(500))
         assert shared > private * 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"delegation": {"only_when_blocked": False}},  # section, no selector
+        {"mechanism": "delegated_replies"},  # the selector alone
+        {"probing": {"probe_width": 3}},
+        {"mechanism": "realistic_probing"},
+        {"mechanism": "delegated_replies", "probing": {"probe_width": 3}},
+        {"mechanism": "realistic_probing",
+         "delegation": {"only_when_blocked": False}},
+    ],
+    ids=["dr-switch-only", "dr-selector-only",
+         "rp-switch-only", "rp-selector-only",
+         "dr-with-rp-section", "rp-with-dr-section"],
+)
+def test_mechanism_alone_enables_a_mechanism(data):
+    # ``mechanism`` is the whole switch: the selector alone runs the
+    # mechanism, and a mechanism's section without its selector is inert,
+    # for the built system and the config hash alike
+    cfg = config_from_dict(data)
+    system = build_system(cfg, "HS", "canneal")
+    runs_dr = cfg.mechanism is Mechanism.DELEGATED_REPLIES
+    runs_rp = cfg.mechanism is Mechanism.REALISTIC_PROBING
+    assert all((mem.nic.delegation is not None) == runs_dr
+               for mem in system.memory_nodes)
+    assert all((core.probe is not None) == runs_rp
+               for core in system.gpu_cores)
+    assert cfg.config_hash() == mechanism_config(cfg.mechanism.value).config_hash()

@@ -7,9 +7,12 @@ import pytest
 
 from repro.config.system import (
     DimensionOrder,
+    Layout,
     NocConfig,
     RoutingPolicy,
     Topology,
+    baseline_config,
+    table1_mix,
 )
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 from repro.noc.routing import (
@@ -24,6 +27,7 @@ from repro.noc.routing import (
     route_tables,
 )
 from repro.noc.topology import MeshTopology, build_topology
+from repro.sim.layout import apply_default_orders, build_layout
 
 
 class FakeNetwork:
@@ -261,6 +265,119 @@ class TestRouteTables:
         down = _link_down(topo, 0, 1) | _link_down(topo, 4, 0)
         with pytest.raises(PartitionedTopologyError):
             route_tables(topo, NocConfig(), down)
+
+    @pytest.mark.parametrize("kind", list(Topology))
+    def test_every_single_link_down_detour_arrives_without_cycles(self, kind):
+        """Up*/down* needs only a connected graph: on every fabric, each
+        single dead link leaves routes that arrive, never cross it, and
+        form no dependency cycle even on one VC class."""
+        topo = build_topology(kind, 4, 4)
+        cfg = NocConfig(topology=kind)
+        for a, b in topo.links():
+            tables = route_tables(topo, cfg, _link_down(topo, a, b))
+            for src in range(topo.n):
+                for dst in range(topo.n):
+                    path = route_path(topo, tables[0], src, dst)
+                    assert path[-1] == dst
+                    hops = set(zip(path, path[1:]))
+                    assert (a, b) not in hops and (b, a) not in hops
+            assert dependency_cycle(topo, tables, ((0, 1), (0, 1))) is None
+
+
+def _distances(topo, src):
+    """Hop count of a shortest path from ``src`` to every router (BFS)."""
+    dist = {src: 0}
+    frontier = [src]
+    for cur in frontier:
+        for nb in topo.neighbors(cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                frontier.append(nb)
+    return [dist[r] for r in range(topo.n)]
+
+
+def _baseline_routes(kind, side, layout=Layout.BASELINE):
+    """Routers and directed links the CPU and the GPU cores' memory
+    traffic (requests on the request table, replies on the reply table)
+    cross on a ``side x side`` Table I system, plus its placement."""
+    cfg = baseline_config(**table1_mix(side, side), layout=layout)
+    cfg.noc.topology = kind
+    apply_default_orders(cfg)
+    topo = build_topology(kind, side, side)
+    req_t, rep_t = route_tables(topo, cfg.noc)
+    placement = build_layout(cfg)
+
+    def crossed(cores):
+        routers, links = set(), set()
+        for core in cores:
+            for mem in placement.mem_nodes:
+                for path in (route_path(topo, req_t, core, mem),
+                             route_path(topo, rep_t, mem, core)):
+                    routers.update(path)
+                    links.update(zip(path, path[1:]))
+        return routers, links
+
+    return crossed(placement.cpu_nodes), crossed(placement.gpu_nodes), placement
+
+
+class TestRouteShapes:
+    """The routes themselves, pair by pair, on every fabric the config
+    can name: what the CDR argument of Section V rests on."""
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("order", list(DimensionOrder))
+    @pytest.mark.parametrize("kind", list(Topology))
+    def test_dimension_order_routes_are_shortest_paths(self, kind, order, side):
+        topo = build_topology(kind, side, side)
+        table = topo.dor_ports(order)
+        for src in range(topo.n):
+            dist = _distances(topo, src)
+            for dst in range(topo.n):
+                assert len(route_path(topo, table, src, dst)) - 1 == dist[dst]
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("kind", list(Topology))
+    def test_a_yx_route_reversed_is_the_xy_route_back(self, kind, side):
+        """Under CDR YX-XY a reply retraces its request's routers."""
+        topo = build_topology(kind, side, side)
+        xy = topo.dor_ports(DimensionOrder.XY)
+        yx = topo.dor_ports(DimensionOrder.YX)
+        for src in range(topo.n):
+            for dst in range(topo.n):
+                assert (route_path(topo, yx, src, dst)[::-1]
+                        == route_path(topo, xy, dst, src))
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize(
+        "kind",
+        [Topology.MESH, Topology.CROSSBAR, Topology.FLATTENED_BUTTERFLY],
+    )
+    def test_baseline_cdr_meets_cpu_and_gpu_traffic_only_at_memory(
+        self, kind, side
+    ):
+        """Fig. 1a with CDR YX-XY: CPU and GPU memory traffic share no
+        link, and no router but the memory nodes'."""
+        (cpu_routers, cpu_links), (gpu_routers, gpu_links), placement = (
+            _baseline_routes(kind, side))
+        assert not cpu_links & gpu_links
+        assert (cpu_routers & gpu_routers) <= set(placement.mem_nodes)
+
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("kind, layout", [
+        (Topology.MESH, Layout.EDGE),
+        (Topology.MESH, Layout.CLUSTERED),
+        (Topology.MESH, Layout.DISTRIBUTED),
+        (Topology.DRAGONFLY, Layout.BASELINE),
+    ])
+    def test_other_layouts_and_dragonfly_give_the_isolation_up(
+        self, kind, layout, side
+    ):
+        """The alternatives of Fig. 1 trade the baseline's isolation
+        away, and a dragonfly's minimal routes cross groups through
+        routers of both kinds."""
+        (cpu_routers, _), (gpu_routers, _), placement = _baseline_routes(
+            kind, side, layout)
+        assert (cpu_routers & gpu_routers) - set(placement.mem_nodes)
 
 
 def _fabric_vc_ranges(noc):

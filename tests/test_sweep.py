@@ -21,7 +21,6 @@ import repro
 from repro.config import baseline_config, delegated_replies_config
 from repro.experiments import chaos_sweep
 from repro.faults.plan import chaos_plan
-from repro.model.validate import grid_specs
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import run_simulation
 from repro.sweep import (
@@ -98,8 +97,7 @@ class TestLayering:
     def test_the_job_rule_sits_below_everything_that_uses_it(self):
         """``repro.sweep`` (where ``job()`` lives) and ``repro/cli.py``
         never reach up into ``repro.experiments`` — not at module level,
-        not inside a function — and inside ``repro.sweep`` only the
-        command-line door knows the surrogate exists."""
+        not inside a function."""
         src = Path(repro.__file__).parent
 
         def imported(path):
@@ -127,9 +125,6 @@ class TestLayering:
             for p in [*sweep, src / "cli.py"]
             if reaches(p, "repro.experiments")
         ] == []
-        assert [
-            p.name for p in sweep if reaches(p, "repro.model")
-        ] == ["cli.py"]
 
 
 class TestJobRule:
@@ -169,8 +164,6 @@ class TestJobRule:
     @pytest.mark.parametrize("enumerate_jobs", [
         pytest.param(
             lambda **w: mechanism_jobs(["HS"], **w), id="mechanism_jobs"),
-        pytest.param(
-            lambda **w: grid_specs("fig16", **w), id="grid_specs-fig16"),
         pytest.param(
             lambda **w: _chaos_sweep_jobs(**w), id="chaos_sweep"),
     ])

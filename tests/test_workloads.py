@@ -12,6 +12,7 @@ from repro.workloads import (
     cpu_benchmark,
     gpu_benchmark,
 )
+from repro.workloads.cpu import _CPU_REGION
 from repro.workloads.gpu import _PRIVATE_REGION, _SHARED_REGION
 
 
@@ -168,3 +169,74 @@ class TestCpuGenerator:
         g = CpuTraceGenerator(cpu_benchmark("swaptions"), 0)
         blocks = [g.next_access()[0] for _ in range(1000)]
         assert len(set(blocks)) < 700  # substantial reuse
+
+
+def _gpu_streams(name, cores=(0, 1, 2), accesses=3000, seed=42):
+    """``accesses`` (block, is_write) pairs of each of ``cores`` running
+    GPU benchmark ``name`` on one shared wavefront."""
+    profile = gpu_benchmark(name)
+    wf = SharedWavefront(profile)
+    gens = [GpuTraceGenerator(profile, c, wf, seed=seed) for c in cores]
+    return {g.core_index: [g.next_access() for _ in range(accesses)]
+            for g in gens}
+
+
+@pytest.mark.parametrize("name", list(GPU_BENCHMARKS))
+class TestEveryGpuProfile:
+    """What the simulator takes for granted of every Table II GPU stream."""
+
+    def test_blocks_stay_in_the_shared_window_or_the_cores_own(self, name):
+        profile = gpu_benchmark(name)
+        for core, stream in _gpu_streams(name).items():
+            private = _PRIVATE_REGION + core * (1 << 24)
+            for block, _ in stream:
+                assert (_SHARED_REGION <= block < _SHARED_REGION + profile.shared_blocks
+                        or private <= block < private + profile.private_blocks)
+
+    def test_only_a_writes_shared_profile_writes_shared_data(self, name):
+        """Pointer invalidation (Section IV) has work only where a
+        profile writes the shared region: BP alone in Table II."""
+        shared_writes = sum(
+            is_write for stream in _gpu_streams(name).values()
+            for block, is_write in stream if block < _PRIVATE_REGION)
+        assert bool(shared_writes) == gpu_benchmark(name).writes_shared
+
+    def test_private_writes_track_the_write_fraction(self, name):
+        private = [is_write for stream in _gpu_streams(name).values()
+                   for block, is_write in stream if block >= _PRIVATE_REGION]
+        assert private
+        measured = sum(private) / len(private)
+        assert measured == pytest.approx(gpu_benchmark(name).write_fraction, abs=0.03)
+
+    def test_private_footprints_are_disjoint_across_cores(self, name):
+        footprints = [{b for b, _ in stream if b >= _PRIVATE_REGION}
+                      for stream in _gpu_streams(name, cores=(0, 1, 2, 3)).values()]
+        for i, mine in enumerate(footprints):
+            assert mine
+            for theirs in footprints[i + 1:]:
+                assert not mine & theirs
+
+    def test_the_stream_is_a_function_of_the_seed(self, name):
+        assert _gpu_streams(name, seed=7) == _gpu_streams(name, seed=7)
+        assert _gpu_streams(name, seed=7) != _gpu_streams(name, seed=8)
+
+
+@pytest.mark.parametrize("name", list(CPU_BENCHMARKS))
+class TestEveryCpuProfile:
+    def test_reads_stay_in_the_cores_footprint(self, name):
+        profile = cpu_benchmark(name)
+        for core in (0, 5):
+            g = CpuTraceGenerator(profile, core)
+            base = _CPU_REGION + core * (1 << 24)
+            for _ in range(2000):
+                block, is_write = g.next_access()
+                assert not is_write
+                assert base <= block < base + profile.footprint_blocks
+
+    def test_the_stream_is_a_function_of_the_seed(self, name):
+        def stream(seed):
+            g = CpuTraceGenerator(cpu_benchmark(name), 3, seed=seed)
+            return [g.next_access() for _ in range(300)]
+
+        assert stream(5) == stream(5)
+        assert stream(5) != stream(6)
