@@ -23,13 +23,16 @@ class SetAssociativeCache:
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
         self.hits = 0
         self.misses = 0
+        #: ``watcher(block, +1)`` on a fill, ``(block, -1)`` on eviction,
+        #: invalidation and flush; None costs each site one check
+        self.watcher = None
 
     def _set_of(self, block: int) -> OrderedDict:
         return self._sets[block % self.num_sets]
 
     def lookup(self, block: int) -> bool:
         """Access ``block``: True on hit (and refresh LRU)."""
-        s = self._set_of(block)
+        s = self._sets[block % self.num_sets]
         if block in s:
             s.move_to_end(block)
             self.hits += 1
@@ -39,7 +42,7 @@ class SetAssociativeCache:
 
     def contains(self, block: int) -> bool:
         """Presence check without touching LRU state or counters."""
-        return block in self._set_of(block)
+        return block in self._sets[block % self.num_sets]
 
     def insert(self, block: int, meta: object = True) -> Optional[int]:
         """Fill ``block``; returns the evicted block id, if any."""
@@ -52,6 +55,10 @@ class SetAssociativeCache:
         if len(s) >= self.assoc:
             victim, _ = s.popitem(last=False)
         s[block] = meta
+        if self.watcher is not None:
+            self.watcher(block, 1)
+            if victim is not None:
+                self.watcher(victim, -1)
         return victim
 
     def meta(self, block: int) -> object:
@@ -66,6 +73,8 @@ class SetAssociativeCache:
         s = self._set_of(block)
         if block in s:
             del s[block]
+            if self.watcher is not None:
+                self.watcher(block, -1)
             return True
         return False
 
@@ -73,6 +82,9 @@ class SetAssociativeCache:
         """Invalidate everything (GPU software-coherence flush); returns the
         number of lines dropped."""
         dropped = sum(len(s) for s in self._sets)
+        if self.watcher is not None:
+            for block in self.blocks():
+                self.watcher(block, -1)
         for s in self._sets:
             s.clear()
         return dropped
@@ -106,6 +118,8 @@ class MshrFile:
         self.capacity = entries
         self._entries: Dict[int, List[object]] = {}
         self.peak = 0
+        #: ``watcher(block, +1)`` on allocate, ``(block, -1)`` on release
+        self.watcher = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -125,6 +139,8 @@ class MshrFile:
             raise RuntimeError("MSHR file full")
         self._entries[block] = [waiter]
         self.peak = max(self.peak, len(self._entries))
+        if self.watcher is not None:
+            self.watcher(block, 1)
 
     def add_waiter(self, block: int, waiter: object) -> None:
         """Merge a secondary miss into an existing entry."""
@@ -149,6 +165,8 @@ class MshrFile:
 
     def release(self, block: int) -> List[object]:
         """Retire the entry (the fill arrived); returns its waiters."""
+        if self.watcher is not None:
+            self.watcher(block, -1)
         return self._entries.pop(block)
 
     def outstanding_blocks(self) -> Iterable[int]:

@@ -75,13 +75,8 @@ class LlcStats:
 class LlcSlice:
     """One LLC slice + its core-pointer table."""
 
-    def __init__(
-        self,
-        node_id: int,
-        cfg: LlcConfig,
-        controller: MemoryController,
-        output_capacity: int = 8,
-    ) -> None:
+    def __init__(self, node_id: int, cfg: LlcConfig, controller: MemoryController,
+                 output_capacity: int = 8) -> None:
         self.node_id = node_id
         self.cfg = cfg
         self.cache = SetAssociativeCache(cfg.sets_per_slice, cfg.assoc)
@@ -133,38 +128,42 @@ class LlcSlice:
         while self._pending and self._pending[0].ready <= cycle:
             self.output.append(heapq.heappop(self._pending))
         # lookup pipeline: one request per cycle, stalled when the output
-        # side (reply injection) is congested
+        # side (reply injection) is congested or a read miss has no MSHR
         if not self.input:
             return
-        if len(self.output) >= self.output_capacity:
+        if self.lookup_blocked():
             self.stats.stalled_cycles += 1
             return
-        req = self.input[0]
+        req = self.input.popleft()
         if not req.is_write and not self.cache.contains(req.block):
-            # read miss: needs an MSHR and a controller queue slot
-            if self.mshrs.has(req.block):
-                self.input.popleft()
-                self.mshrs.add_waiter(req.block, req)
-                self.stats.reads += 1
-                self.stats.misses += 1
-                return
-            if self.mshrs.full or not self.controller.can_accept():
-                self.stats.stalled_cycles += 1
-                return
-            self.input.popleft()
+            # read miss: join the block's MSHR, or take one and a
+            # controller queue slot
             self.stats.reads += 1
             self.stats.misses += 1
+            if self.mshrs.has(req.block):
+                self.mshrs.add_waiter(req.block, req)
+                return
             self.cache.misses += 1
             self.mshrs.allocate(req.block, req)
-            self.controller.submit(
-                req.block, False, cycle, self._on_fill
-            )
+            self.controller.submit(req.block, False, cycle, self._on_fill)
             return
-        self.input.popleft()
         if req.is_write:
             self._do_write(req, cycle)
         else:
             self._do_read_hit(req, cycle)
+
+    def lookup_blocked(self) -> bool:
+        """Whether the lookup of the queued head request stalls (``step``
+        counts a stalled cycle and moves nothing): it waits behind a full
+        output queue, or is a read miss with no MSHR to join or take, or
+        no controller slot.  Only a drained output queue, a fill or a
+        controller issue lifts that (the memory node's sleep rests on it)."""
+        if len(self.output) >= self.output_capacity:
+            return True
+        req = self.input[0]
+        return not (
+            req.is_write or self.cache.contains(req.block) or self.mshrs.has(req.block)
+        ) and (self.mshrs.full or not self.controller.can_accept())
 
     def _do_read_hit(self, req: LlcRequest, cycle: int) -> None:
         pointer = self.pointer_of(req.block)
@@ -188,9 +187,8 @@ class LlcSlice:
         else:
             self.cache.misses += 1
             self.stats.misses += 1
-            victim = self.cache.insert(req.block, None)
-            if victim is not None:
-                pass  # write-through below: nothing dirty to write back
+            # write-through: an evicted line has nothing dirty to write back
+            self.cache.insert(req.block, None)
         # the write invalidates the core pointer so later readers get the
         # up-to-date copy from the LLC (Section IV, coherence implications)
         if self.cfg.pointer_invalidate_on_write:

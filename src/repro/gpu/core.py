@@ -75,17 +75,9 @@ class GpuCoreStats:
 class GpuCore:
     """One GPU SM plus its L1, MSHRs and (optionally) FRQ/probe engine."""
 
-    def __init__(
-        self,
-        node_id: int,
-        core_index: int,
-        cfg: SystemConfig,
-        l1,
-        trace: GpuTraceGenerator,
-        nic: NodeInterface,
-        addr_map: AddressMap,
-        probe_engine: Optional[ProbeEngine] = None,
-    ) -> None:
+    def __init__(self, node_id: int, core_index: int, cfg: SystemConfig, l1,
+                 trace: GpuTraceGenerator, nic: NodeInterface, addr_map: AddressMap,
+                 probe_engine: Optional[ProbeEngine] = None) -> None:
         self.node_id = node_id
         self.core_index = core_index
         self.cfg = cfg
@@ -98,6 +90,9 @@ class GpuCore:
         self.frq = ForwardedRequestQueue(cfg.gpu_l1.frq_entries)
         self.stats = GpuCoreStats()
         self.outstanding_writes = 0
+        #: remote waiters parked in the MSHR file (delayed FRQ/probe
+        #: hits): the watchdog sweep runs only while there are any
+        self._remote_waiters = 0
         # warp scheduling: the issue order is ascending (ready_cycle,
         # warp_id) over two containers.  ``_ready`` is a min-heap of warps
         # that have not failed an issue attempt since they last became
@@ -113,9 +108,7 @@ class GpuCore:
         heapq.heapify(self._ready)
         self._stalled: Deque[Tuple[int, int]] = deque()
         #: per-warp generated-but-unissued access (kept across retries)
-        self._pending_access: List[Optional[Tuple[int, bool]]] = [
-            None
-        ] * n_warps
+        self._pending_access: List[Optional[Tuple[int, bool]]] = [None] * n_warps
         # outgoing work queues (drained as NIC capacity allows)
         self._c2c_out: Deque[Tuple[int, int]] = deque()   # (dst, block)
         self._dnf_out: Deque[Tuple[int, int]] = deque()   # (requester, block)
@@ -166,8 +159,9 @@ class GpuCore:
         return True
 
     def on_packet(self, pkt: Packet, cycle: int) -> None:
-        self.wake_at = 0  # every delivery is a wake event
         mtype = pkt.mtype
+        if mtype is not MessageType.DELEGATED_REQ:
+            self.wake_at = 0  # a delivery is a wake event (see below)
         if mtype is MessageType.READ_REPLY:
             self.stats.llc_replies += 1
             self.stats.lat_hist.record(cycle - pkt.created)
@@ -187,6 +181,11 @@ class GpuCore:
                 self._frq_merged.setdefault(pkt.block, []).append(pkt.requester)
                 self.stats.frq_merged += 1
                 return
+            # a new FRQ head wakes a sleeping core for its service cycle;
+            # one queued behind a head is served after the head's wake
+            due = cycle + self._hit_latency
+            if not len(self.frq) and self.wake_at > due:
+                self.wake_at = due
             accepted = self.frq.push(pkt.requester, pkt.block, cycle)
             assert accepted, "eject gate must keep the FRQ from overflowing"
             # a closed gate parks worms in sleeping routers; record it so
@@ -212,6 +211,7 @@ class GpuCore:
                 self.stats.insts += self._gap + 1
                 heapq.heappush(self._ready, (cycle + 1 + self._gap, waiter[1]))
             else:  # remote waiter registered by a delayed FRQ/probe hit
+                self._remote_waiters -= 1
                 self._c2c_out.append((waiter[1], block))
 
     # ------------------------------------------------------------------
@@ -234,7 +234,7 @@ class GpuCore:
         if self._probe_in or len(self.frq):
             self._serve_remote(cycle)
         self._issue_local(cycle)
-        if cycle % self._SWEEP_PERIOD == 0 and len(self.mshrs):
+        if cycle % self._SWEEP_PERIOD == 0 and self._remote_waiters:
             self._sweep_delayed(cycle)
         # a delegated-request worm parked behind a full FRQ sleeps in the
         # local router; tell the fabric when the gate reopens.  While the
@@ -323,7 +323,7 @@ class GpuCore:
         delegated = self.frq.peek()
         if delegated is not None:  # served ``hit_latency`` after arrival
             wake = min(wake, delegated[2] + self._hit_latency)
-        if len(self.mshrs):  # the watchdog sweep runs on its own clock
+        if self._remote_waiters:  # the watchdog sweep runs on its own clock
             period = self._SWEEP_PERIOD
             wake = min(wake, (cycle // period + 1) * period)
         if wake > next_cycle:
@@ -388,6 +388,7 @@ class GpuCore:
                 block,
                 lambda w: w[0] == "remote" and cycle - w[2] > timeout,
             )
+            self._remote_waiters -= len(expired)
             for _kind, requester, _reg in expired:
                 self.stats.frq_timeout_dnfs += 1
                 self._dnf_out.append((requester, block))
@@ -435,6 +436,7 @@ class GpuCore:
                         self._c2c_out.append((req, block))
                     elif self.mshrs.has(block):
                         self.stats.frq_delayed_hits += 1
+                        self._remote_waiters += 1
                         self.mshrs.add_waiter(block, ("remote", req, cycle))
                     else:
                         self.stats.frq_remote_misses += 1
@@ -453,6 +455,7 @@ class GpuCore:
                 # itself still probing for the block, its own fill is not
                 # guaranteed, so NACK instead of waiting.
                 self.stats.probe_hits_served += 1
+                self._remote_waiters += 1
                 self.mshrs.add_waiter(block, ("remote", requester, cycle))
             else:
                 self._nack_out.append((requester, block))
@@ -568,12 +571,5 @@ class GpuCore:
     # ------------------------------------------------------------------
 
     def _mk(self, mtype: MessageType, dst: int, block: int, flits: int, cycle: int) -> Packet:
-        return Packet(
-            src=self.node_id,
-            dst=dst,
-            mtype=mtype,
-            cls=TrafficClass.GPU,
-            size_flits=flits,
-            block=block,
-            created=cycle,
-        )
+        return Packet(src=self.node_id, dst=dst, mtype=mtype, cls=TrafficClass.GPU,
+                      size_flits=flits, block=block, created=cycle)

@@ -28,6 +28,9 @@ class PrivateL1:
     def __init__(self, cfg: GpuCacheConfig) -> None:
         self.cache = SetAssociativeCache(cfg.num_sets, cfg.assoc)
         self.hit_latency = cfg.hit_latency
+        #: presence check without touching LRU state or counters: the
+        #: cache's own, one call on the GPU sleep check's hot path
+        self.contains = self.cache.contains
 
     def access(self, block: int, cycle: int) -> Tuple[str, int]:
         if self.cache.lookup(block):
@@ -39,14 +42,8 @@ class PrivateL1:
         core's skipped read retries, settled in one go)."""
         self.cache.misses += n
 
-    def contains(self, block: int) -> bool:
-        return self.cache.contains(block)
-
     def fill(self, block: int) -> Optional[int]:
         return self.cache.insert(block)
-
-    def invalidate(self, block: int) -> bool:
-        return self.cache.invalidate(block)
 
     def flush(self) -> int:
         return self.cache.flush()
@@ -110,9 +107,6 @@ class SharedL1Cluster:
     def fill(self, block: int) -> Optional[int]:
         return self.slices[self.slice_of(block)].insert(block)
 
-    def invalidate(self, block: int) -> bool:
-        return self.slices[self.slice_of(block)].invalidate(block)
-
     def flush(self) -> int:
         return sum(s.flush() for s in self.slices)
 
@@ -143,9 +137,6 @@ class SharedL1Port:
 
     def fill(self, block: int) -> Optional[int]:
         return self.cluster.fill(block)
-
-    def invalidate(self, block: int) -> bool:
-        return self.cluster.invalidate(block)
 
     def flush(self) -> int:
         return self.cluster.flush()
@@ -179,6 +170,9 @@ class DynEBPort:
             self.mode = "private"
             self.switched_at = cycle
             self.private.flush()
+            for cache in self.cluster.slices:  # one reader fewer
+                if cache.watcher is not None:
+                    cache.watcher.unview(cache)
 
     def _backend(self):
         return self.shared if self.mode == "shared" else self.private
@@ -192,9 +186,6 @@ class DynEBPort:
 
     def fill(self, block: int) -> Optional[int]:
         return self._backend().fill(block)
-
-    def invalidate(self, block: int) -> bool:
-        return self._backend().invalidate(block)
 
     def flush(self) -> int:
         return self._backend().flush()

@@ -53,7 +53,6 @@ class MemoryController:
         self.served = 0
         self.row_hits = 0
         self.row_misses = 0
-        self.busy_cycles = 0
         self._completions: List = []
 
     def can_accept(self) -> bool:
@@ -84,7 +83,6 @@ class MemoryController:
         """FR-FCFS: issue at most one burst per cycle onto the data bus."""
         if not self.queue:
             return
-        self.busy_cycles += 1
         if cycle < self.bus_free_at:
             return
         # first-ready: oldest row-buffer hit on a free bank ...
@@ -118,6 +116,25 @@ class MemoryController:
         self.bus_free_at = cycle + max(self.cfg.t_ccd, self.cfg.burst_cycles)
         self.served += 1
         self._finish(req, cycle + latency)
+
+    def next_event(self) -> int:
+        """The first cycle whose ``step`` or ``drain_completions`` can
+        change anything: a burst completes, or a queued request finds the
+        bus and its bank free (``1 << 62`` when neither can happen)."""
+        nxt = 1 << 62
+        for done, _req in self._completions:
+            if done < nxt:
+                nxt = done
+        bus = self.bus_free_at
+        if self.queue and bus < nxt:
+            banks = self.banks
+            for req in self.queue:
+                free = banks[req.bank].busy_until
+                if free <= bus:
+                    return bus
+                if free < nxt:
+                    nxt = free
+        return nxt
 
     def _finish(self, req: _DramRequest, done_cycle: int) -> None:
         self._completions.append((done_cycle, req))

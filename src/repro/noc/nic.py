@@ -46,9 +46,7 @@ class NodeInterface:
         self.fabric = fabric
         self.queue_packets = queue_packets
         self.queues: Dict[NetKind, Deque[Packet]] = {
-            NetKind.REQUEST: deque(),
-            NetKind.REPLY: deque(),
-        }
+            NetKind.REQUEST: deque(), NetKind.REPLY: deque()}
         #: per network, the local router's LOCAL_PORT row of input-VC
         #: records — the VCs this NIC feeds; set by ``NocFabric`` at wiring.
         #: A VC of the row whose ``owner`` is set carries one of this NIC's
@@ -57,8 +55,10 @@ class NodeInterface:
         self._local: Dict[NetKind, List[InputVC]] = {}
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
-        #: the core asleep on this NIC's full request queue (None: none);
-        #: the next pop of that queue wakes it (DESIGN.md §6.3)
+        #: the endpoint asleep on a full queue of this NIC (None: none): a
+        #: core on its request queue, woken by the next pop of it; a
+        #: memory node on its reply buffer, woken once a reply fits again
+        #: (DESIGN.md §6.3)
         self.sleeper = None
         #: attached :class:`~repro.telemetry.collector.TelemetryCollector`
         #: (None when telemetry is disabled; every hook site is one check).
@@ -71,18 +71,10 @@ class NodeInterface:
         #: delegated requests, back-pressuring the request network); see the
         #: ``eject_gate`` property below.
         self._eject_gate_fn: Optional[Callable[[Packet], bool]] = None
-        self.flits_injected_net: Dict[NetKind, int] = {
-            NetKind.REQUEST: 0,
-            NetKind.REPLY: 0,
-        }
-        self.packets_sent_net: Dict[NetKind, int] = {
-            NetKind.REQUEST: 0,
-            NetKind.REPLY: 0,
-        }
+        self.flits_injected_net: Dict[NetKind, int] = {NetKind.REQUEST: 0, NetKind.REPLY: 0}
+        self.packets_sent_net: Dict[NetKind, int] = {NetKind.REQUEST: 0, NetKind.REPLY: 0}
         self.flits_received: Dict[TrafficClass, int] = {
-            TrafficClass.CPU: 0,
-            TrafficClass.GPU: 0,
-        }
+            TrafficClass.CPU: 0, TrafficClass.GPU: 0}
         self.data_flits_received = 0
 
     @property
@@ -165,7 +157,7 @@ class NodeInterface:
     # -- injection (called by the fabric each cycle) --------------------
 
     def wake_sleeper(self) -> None:
-        """The request queue popped: the sleeping core may issue again."""
+        """The queue the sleeper waits on has room: wake it."""
         self.sleeper.wake()
         self.sleeper = None
 
@@ -354,6 +346,8 @@ class MemoryNodeNic(NodeInterface):
         self.observed_cycles += 1
         if not self.can_enqueue(NetKind.REPLY):
             self.blocked_cycles += 1
+        elif self.sleeper is not None:  # its memory node waits on space
+            self.wake_sleeper()
         return True
 
     def _delegate_scan(self, cycle: int) -> None:

@@ -40,6 +40,9 @@ from repro.mem.dram import MemoryController
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
 
+#: ``wake_at`` of a node asleep with no timed event ahead
+_NEVER = 1 << 62
+
 
 @dataclass
 class MemoryNodeStats:
@@ -56,13 +59,8 @@ class MemoryNodeStats:
 class MemoryNode:
     """One memory node (LLC slice + memory controller)."""
 
-    def __init__(
-        self,
-        node_id: int,
-        cfg: SystemConfig,
-        nic: MemoryNodeNic,
-        gpu_nodes: Set[int],
-    ) -> None:
+    def __init__(self, node_id: int, cfg: SystemConfig, nic: MemoryNodeNic,
+                 gpu_nodes: Set[int]) -> None:
         self.node_id = node_id
         self.cfg = cfg
         self.nic = nic
@@ -78,12 +76,19 @@ class MemoryNode:
         # the reply buffer admits a reply while the largest one this node
         # can send still fits (a read reply carrying the longer L1 line)
         nic.worst_reply_flits = cfg.noc.flits_for(
-            max(cfg.gpu_l1.line_bytes, cfg.cpu_l1.line_bytes)
-        )
+            max(cfg.gpu_l1.line_bytes, cfg.cpu_l1.line_bytes))
         nic.set_delegation(cfg.delegation if cfg.delegation_active else None)
         #: ejection-gate state after the previous step; the fabric's
         #: active-set scheduler is woken on every closed -> open transition
         self._gate_was_open = True
+        # endpoint scheduling (DESIGN.md §6.3): ``step`` is a no-op while
+        # ``cycle < wake_at``; the skipped steps from ``_owed_from`` on each
+        # owe ``_owes`` = (stalled LLC lookups, refused replies), 0 or 1
+        self.wake_at = 0
+        self._owed_from: Optional[int] = None
+        self._owes = (0, 0)
+        #: ``step`` calls that did run (see ``scheduler_stats``)
+        self.steps = 0
 
     # -- NoC-facing side --------------------------------------------------
 
@@ -92,12 +97,10 @@ class MemoryNode:
 
     def on_packet(self, pkt: Packet, cycle: int) -> None:
         mtype = pkt.mtype
-        if mtype not in (
-            MessageType.READ_REQ,
-            MessageType.WRITE_REQ,
-            MessageType.DNF_REQ,
-        ):  # pragma: no cover - protocol violation
+        if mtype not in (MessageType.READ_REQ, MessageType.WRITE_REQ,
+                         MessageType.DNF_REQ):  # pragma: no cover - protocol violation
             raise RuntimeError(f"memory node got unexpected {pkt!r}")
+        self.wake_at = 0  # every delivery is a wake event
         self.stats.requests += 1
         is_write = mtype is MessageType.WRITE_REQ
         is_cpu = pkt.cls is TrafficClass.CPU
@@ -110,13 +113,9 @@ class MemoryNode:
         if mtype is MessageType.DNF_REQ:
             self.stats.dnf_requests += 1
         req = LlcRequest(
-            requester=pkt.requester,
-            block=pkt.block >> 1 if is_cpu else pkt.block,
-            is_write=is_write,
-            cls=pkt.cls,
-            dnf=pkt.dnf or mtype is MessageType.DNF_REQ,
-            gpu_core=pkt.requester in self.gpu_nodes,
-            arrival=cycle,
+            requester=pkt.requester, block=pkt.block >> 1 if is_cpu else pkt.block,
+            is_write=is_write, cls=pkt.cls, dnf=pkt.dnf or mtype is MessageType.DNF_REQ,
+            gpu_core=pkt.requester in self.gpu_nodes, arrival=cycle,
         )
         req.orig_block = pkt.block  # reply must echo the requester's view
         if not self.llc.enqueue(req):
@@ -129,6 +128,12 @@ class MemoryNode:
     # -- per-cycle behaviour ----------------------------------------------
 
     def step(self, cycle: int) -> None:
+        if cycle < self.wake_at:
+            return
+        if self._owed_from is not None:
+            self.settle(cycle)
+            self._owed_from = None
+        self.steps += 1
         while self._overflow and self.llc.can_accept():
             self.llc.enqueue(self._overflow.popleft())
         self.controller.step(cycle)
@@ -141,6 +146,53 @@ class MemoryNode:
         if gate_open and not self._gate_was_open:
             self.nic.notify_eject_ready()
         self._gate_was_open = gate_open
+        self._maybe_sleep(cycle)
+
+    # -- endpoint scheduling ------------------------------------------------
+
+    def _maybe_sleep(self, cycle: int) -> None:
+        """Sleep until the next step that could change more than the two
+        counters :meth:`settle` replays.  Until then the overflow queue
+        waits on a full LLC input queue, the lookup is empty or blocked
+        (:meth:`LlcSlice.lookup_blocked`) and the results wait on a full
+        reply buffer; what ends that is a delivered request, reply-buffer
+        space (the NIC wakes its ``sleeper``), or a timed event: the next
+        LLC hit ready, the DRAM's next issue or completion."""
+        llc = self.llc
+        nxt = cycle + 1
+        pending = llc._pending
+        wake = pending[0].ready if pending else _NEVER
+        if (wake <= nxt or llc.input and not llc.lookup_blocked()
+                or self._overflow and llc.can_accept()):
+            return
+        dram = self.controller.next_event()
+        if dram < wake:
+            wake = dram
+        if wake > nxt:
+            self.wake_at = wake
+            self._owed_from = nxt
+            output = llc.output
+            self._owes = (1 if llc.input else 0, 1 if output else 0)
+            if output:  # so the reply buffer is full: wait on its drain
+                self.nic.sleeper = self
+
+    def wake(self) -> None:
+        """Have ``step`` run again from the next call on.  ``on_packet``
+        and reply-buffer space wake the node; the skipped steps are
+        settled by the ``step`` that follows."""
+        self.wake_at = 0
+
+    def settle(self, cycle: int) -> None:
+        """Count what the skipped steps before ``cycle`` owe: one stalled
+        LLC lookup each while a request waited, one reply-buffer refusal
+        each while a result did."""
+        first = self._owed_from
+        if first is None or cycle <= first:
+            return
+        self._owed_from = cycle
+        stalls, refused = self._owes
+        self.llc.stats.stalled_cycles += stalls * (cycle - first)
+        self.stats.reply_backpressure_cycles += refused * (cycle - first)
 
     def _drain_results(self, cycle: int) -> None:
         while True:
@@ -157,30 +209,17 @@ class MemoryNode:
     def _reply_for(self, result: LlcResult, cycle: int) -> Packet:
         req = result.req
         if req.is_write:
-            return Packet(
-                src=self.node_id,
-                dst=req.requester,
-                mtype=MessageType.WRITE_ACK,
-                cls=req.cls,
-                size_flits=1,
-                block=req.orig_block,
-                created=cycle,
-            )
-        line = (
-            self.cfg.gpu_l1.line_bytes
-            if req.cls is TrafficClass.GPU
-            else self.cfg.cpu_l1.line_bytes
-        )
+            return Packet(src=self.node_id, dst=req.requester,
+                          mtype=MessageType.WRITE_ACK, cls=req.cls, size_flits=1,
+                          block=req.orig_block, created=cycle)
+        line = (self.cfg.gpu_l1.line_bytes if req.cls is TrafficClass.GPU
+                else self.cfg.cpu_l1.line_bytes)
         delegate_to = self._delegate_to(result)
         if delegate_to is not None:
             self.stats.delegatable_replies += 1
         return Packet(
-            src=self.node_id,
-            dst=req.requester,
-            mtype=MessageType.READ_REPLY,
-            cls=req.cls,
-            size_flits=self.cfg.noc.flits_for(line),
-            block=req.orig_block,
+            src=self.node_id, dst=req.requester, mtype=MessageType.READ_REPLY,
+            cls=req.cls, size_flits=self.cfg.noc.flits_for(line), block=req.orig_block,
             delegate_to=delegate_to,
             created=cycle,
         )

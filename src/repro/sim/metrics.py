@@ -30,11 +30,8 @@ def _flatten_hist(c: Dict[str, float], prefix: str, buckets: Dict[int, int]) -> 
 
 def _window_hist(window: Dict[str, float], prefix: str) -> LogHistogram:
     """Rebuild a latency histogram from diffed ``<prefix><idx>`` keys."""
-    sparse = {
-        int(k[len(prefix):]): int(v)
-        for k, v in window.items()
-        if k.startswith(prefix)
-    }
+    sparse = {int(k[len(prefix):]): int(v) for k, v in window.items()
+              if k.startswith(prefix)}
     return LogHistogram.from_sparse(sparse)
 
 
@@ -69,14 +66,9 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     _flatten_hist(c, "gpu.lat_hist.", gpu_hist)
     c["gpu.data_flits"] = gpu_data_flits
     c["gpu.frq_merge_opportunities"] = sum(
-        core.frq.merge_opportunities for core in system.gpu_cores
-    )
-    c["gpu.frq_enqueued"] = sum(
-        core.frq.total_enqueued for core in system.gpu_cores
-    )
-    probe_stats = [
-        core.probe.stats for core in system.gpu_cores if core.probe is not None
-    ]
+        core.frq.merge_opportunities for core in system.gpu_cores)
+    c["gpu.frq_enqueued"] = sum(core.frq.total_enqueued for core in system.gpu_cores)
+    probe_stats = [core.probe.stats for core in system.gpu_cores if core.probe is not None]
     c["rp.probes_sent"] = sum(p.probes_sent for p in probe_stats)
     c["rp.probe_hits"] = sum(p.probe_hits for p in probe_stats)
     c["rp.probe_nacks"] = sum(p.probe_nacks for p in probe_stats)
@@ -85,9 +77,7 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     # CPU cores
     for name in ("insts", "mem_ops", "l1_hits", "l1_misses", "stall_cycles",
                  "replies", "total_latency"):
-        c[f"cpu.{name}"] = sum(
-            getattr(core.stats, name) for core in system.cpu_cores
-        )
+        c[f"cpu.{name}"] = sum(getattr(core.stats, name) for core in system.cpu_cores)
     cpu_hist: Dict[int, int] = {}
     for core in system.cpu_cores:
         for idx, n in core.stats.lat_hist.buckets.items():
@@ -95,14 +85,14 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     _flatten_hist(c, "cpu.lat_hist.", cpu_hist)
 
     # memory nodes
+    for m in system.memory_nodes:
+        m.settle(system.cycle)  # count a sleeping node's skipped steps
     c["mem.blocked_cycles"] = 0
     c["mem.observed_cycles"] = 0
     c["mem.delegations"] = 0
     for name in ("requests", "gpu_reads", "cpu_reads", "writes",
                  "dnf_requests", "replies_sent", "delegatable_replies"):
-        c[f"mem.{name}"] = sum(
-            getattr(m.stats, name) for m in system.memory_nodes
-        )
+        c[f"mem.{name}"] = sum(getattr(m.stats, name) for m in system.memory_nodes)
     c["llc.hits"] = sum(m.llc.stats.hits for m in system.memory_nodes)
     c["llc.misses"] = sum(m.llc.stats.misses for m in system.memory_nodes)
     c["llc.stalled"] = sum(m.llc.stats.stalled_cycles for m in system.memory_nodes)
@@ -123,11 +113,9 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     c["noc.req_flits_routed"] = req_net.total_flits_routed()
     c["noc.rep_flits_routed"] = rep_net.total_flits_routed()
     c["noc.req_packets"] = sum(
-        nic.packets_sent_net[NetKind.REQUEST] for nic in system.fabric.nics
-    )
+        nic.packets_sent_net[NetKind.REQUEST] for nic in system.fabric.nics)
     c["noc.rep_packets"] = sum(
-        nic.packets_sent_net[NetKind.REPLY] for nic in system.fabric.nics
-    )
+        nic.packets_sent_net[NetKind.REPLY] for nic in system.fabric.nics)
     for net, prefix in ((req_net, "req"), (rep_net, "rep")):
         for mt in MessageType:
             n = net.delivered_by_type.get(int(mt), 0)
@@ -257,20 +245,13 @@ class SimulationResult:
 def derive_result(system: HeterogeneousSystem, window: Dict[str, float]) -> SimulationResult:
     cycles = max(1, int(window["cycle"]))
     cfg = system.cfg
-    res = SimulationResult(
-        cycles=cycles,
-        counters=window,
-        n_gpu=cfg.n_gpu,
-        n_cpu=cfg.n_cpu,
-        n_mem=cfg.n_mem,
-    )
+    res = SimulationResult(cycles=cycles, counters=window, n_gpu=cfg.n_gpu,
+                           n_cpu=cfg.n_cpu, n_mem=cfg.n_mem)
     res.gpu_ipc = window.get("gpu.insts", 0) / cycles / max(1, cfg.n_gpu)
     if system.cpu_cores:
         res.cpu_ipc = window.get("cpu.insts", 0) / cycles / len(system.cpu_cores)
         replies = window.get("cpu.replies", 0)
-        res.cpu_latency_avg = (
-            window.get("cpu.total_latency", 0) / replies if replies else 0.0
-        )
+        res.cpu_latency_avg = window.get("cpu.total_latency", 0) / replies if replies else 0.0
         cpu_hist = _window_hist(window, "cpu.lat_hist.")
         if cpu_hist.count:
             res.cpu_latency_p50 = cpu_hist.percentile(50)
@@ -283,17 +264,13 @@ def derive_result(system: HeterogeneousSystem, window: Dict[str, float]) -> Simu
         res.gpu_latency_p99 = gpu_hist.percentile(99)
     res.gpu_data_rate = window.get("gpu.data_flits", 0) / cycles / max(1, cfg.n_gpu)
     observed = window.get("mem.observed_cycles", 0)
-    res.mem_blocking_rate = (
-        window.get("mem.blocked_cycles", 0) / observed if observed else 0.0
-    )
+    res.mem_blocking_rate = window.get("mem.blocked_cycles", 0) / observed if observed else 0.0
     bw = cfg.noc.link_flits_per_cycle
     res.mem_reply_link_utilization = window.get(
         "mem.reply_flits_injected", 0
     ) / (cycles * max(1, cfg.n_mem) * bw)
     reads = window.get("gpu.reads", 0)
-    res.l1_miss_rate = (
-        window.get("gpu.l1_miss_ops", 0) / reads if reads else 0.0
-    )
+    res.l1_miss_rate = window.get("gpu.l1_miss_ops", 0) / reads if reads else 0.0
     # Fig. 14 denominator: primary L1 misses, i.e. requests that produced a
     # data reply (one per transaction, from the LLC or a remote core)
     primary = window.get("gpu.llc_replies", 0) + window.get("gpu.c2c_replies", 0)

@@ -17,12 +17,7 @@ from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
 from repro.gpu.core import GpuCore
 from repro.gpu.cta import apply_cta_policy
-from repro.gpu.shared_l1 import (
-    DynEBPort,
-    PrivateL1,
-    SharedL1Cluster,
-    SharedL1Port,
-)
+from repro.gpu.shared_l1 import DynEBPort, PrivateL1, SharedL1Cluster, SharedL1Port
 from repro.mem.address import AddressMap
 from repro.noc.nic import MemoryNodeNic
 from repro.noc.topology import build_topology
@@ -31,11 +26,7 @@ from repro.sim.layout import NodePlacement, build_layout
 from repro.sim.memory_node import MemoryNode
 from repro.telemetry.collector import TelemetryCollector
 from repro.workloads.cpu import CpuBenchmarkProfile, CpuTraceGenerator
-from repro.workloads.gpu import (
-    GpuBenchmarkProfile,
-    GpuTraceGenerator,
-    SharedWavefront,
-)
+from repro.workloads.gpu import GpuBenchmarkProfile, GpuTraceGenerator, SharedWavefront
 
 #: GPU cores per shared-L1 cluster (DC-L1 [30])
 _CORES_PER_CLUSTER = 8
@@ -55,9 +46,7 @@ def _apply_sim_scale(cfg: SystemConfig) -> SystemConfig:
     l1.size_bytes = max(min_l1, int(l1.size_bytes * scaled.sim_scale))
     llc = scaled.llc
     min_llc = llc.assoc * llc.line_bytes
-    llc.slice_size_bytes = max(
-        min_llc, int(llc.slice_size_bytes * scaled.sim_scale)
-    )
+    llc.slice_size_bytes = max(min_llc, int(llc.slice_size_bytes * scaled.sim_scale))
     scaled.sim_scale = 1.0  # applied exactly once
     return scaled
 
@@ -65,30 +54,20 @@ def _apply_sim_scale(cfg: SystemConfig) -> SystemConfig:
 class HeterogeneousSystem:
     """A complete simulated CPU-GPU chip running one workload mix."""
 
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        gpu_profile: GpuBenchmarkProfile,
-        cpu_profile: Optional[CpuBenchmarkProfile] = None,
-        kernel_flush_interval: int = 0,
-        faults: Optional[FaultPlan] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, cfg: SystemConfig, gpu_profile: GpuBenchmarkProfile,
+                 cpu_profile: Optional[CpuBenchmarkProfile] = None,
+                 kernel_flush_interval: int = 0, faults: Optional[FaultPlan] = None,
+                 backend: Optional[str] = None) -> None:
         cfg = _apply_sim_scale(cfg.validate())
         self.cfg = cfg
         # choose the kernel up front, so a named one that cannot do this
         # run fails with one line before any wiring
         self.backend = select_backend(
-            backend, cfg.n_nodes, cfg.noc, cfg.telemetry.enabled, faults
-        )
+            backend, cfg.n_nodes, cfg.noc, cfg.telemetry.enabled, faults)
         self.layout: NodePlacement = build_layout(cfg)
-        self.topology = build_topology(
-            cfg.noc.topology, cfg.mesh_width, cfg.mesh_height
-        )
+        self.topology = build_topology(cfg.noc.topology, cfg.mesh_width, cfg.mesh_height)
         self.fabric = build_fabric(
-            self.backend, self.topology, cfg.noc,
-            mem_nodes=self.layout.mem_nodes,
-        )
+            self.backend, self.topology, cfg.noc, mem_nodes=self.layout.mem_nodes)
         self.addr_map = AddressMap(self.layout.mem_nodes)
         self.cycle = 0
         self.kernel_flush_interval = kernel_flush_interval
@@ -109,37 +88,22 @@ class HeterogeneousSystem:
         for idx, node in enumerate(gpu_nodes):
             l1 = self._build_l1(idx)
             trace = GpuTraceGenerator(profile, idx, self.wavefront, seed=cfg.seed)
-            engine = (
-                ProbeEngine(cfg.probing, node, gpu_nodes, seed=cfg.seed)
-                if probing
-                else None
-            )
-            core = GpuCore(
-                node_id=node,
-                core_index=idx,
-                cfg=cfg,
-                l1=l1,
-                trace=trace,
-                nic=self.fabric.nic(node),
-                addr_map=self.addr_map,
+            engine = (ProbeEngine(cfg.probing, node, gpu_nodes, seed=cfg.seed)
+                      if probing else None)
+            self.gpu_cores.append(GpuCore(
+                node_id=node, core_index=idx, cfg=cfg, l1=l1, trace=trace,
+                nic=self.fabric.nic(node), addr_map=self.addr_map,
                 probe_engine=engine,
-            )
-            self.gpu_cores.append(core)
+            ))
 
         self.cpu_cores: List[CpuCore] = []
         if cpu_profile is not None:
             for idx, node in enumerate(self.layout.cpu_nodes):
                 trace = CpuTraceGenerator(cpu_profile, idx, seed=cfg.seed)
-                self.cpu_cores.append(
-                    CpuCore(
-                        node_id=node,
-                        core_index=idx,
-                        cfg=cfg,
-                        trace=trace,
-                        nic=self.fabric.nic(node),
-                        addr_map=self.addr_map,
-                    )
-                )
+                self.cpu_cores.append(CpuCore(
+                    node_id=node, core_index=idx, cfg=cfg, trace=trace,
+                    nic=self.fabric.nic(node), addr_map=self.addr_map,
+                ))
 
         gpu_node_set = set(gpu_nodes)
         self.memory_nodes: List[MemoryNode] = []
@@ -147,14 +111,9 @@ class HeterogeneousSystem:
             nic = self.fabric.nic(node)
             assert isinstance(nic, MemoryNodeNic)
             self.memory_nodes.append(
-                MemoryNode(
-                    node_id=node, cfg=cfg, nic=nic, gpu_nodes=gpu_node_set
-                )
-            )
+                MemoryNode(node_id=node, cfg=cfg, nic=nic, gpu_nodes=gpu_node_set))
 
-        self.coherence = SoftwareCoherenceController(
-            self.gpu_cores, self.memory_nodes
-        )
+        self.coherence = SoftwareCoherenceController(self.gpu_cores, self.memory_nodes)
 
         # opt-in observability (repro.telemetry): attach a collector to
         # every hook site.  Disabled configs leave every hook attribute
@@ -198,14 +157,12 @@ class HeterogeneousSystem:
 
     def step(self) -> None:
         cycle = self.cycle
-        if (
-            self.kernel_flush_interval
-            and cycle > 0
-            and cycle % self.kernel_flush_interval == 0
-        ):
+        if (self.kernel_flush_interval and cycle > 0
+                and cycle % self.kernel_flush_interval == 0):
             self.kernel_boundary()
         for mem in self.memory_nodes:
-            mem.step(cycle)
+            if mem.wake_at <= cycle:  # else asleep: only counters owed
+                mem.step(cycle)
         for core in self.gpu_cores:
             if core.wake_at <= cycle:  # else asleep: nothing it can change
                 core.step(cycle)
@@ -231,19 +188,21 @@ class HeterogeneousSystem:
         self.coherence.kernel_boundary(self.cycle)
 
     def scheduler_stats(self) -> Dict[str, int]:
-        """How many GPU core-steps ran and how many the endpoint
-        scheduler skipped (cores asleep on a known stall); on the vector
+        """How many GPU core-steps and memory-node steps ran and how many
+        the endpoint scheduler skipped (asleep on a known stall); on the vector
         backend also the Python calls its memory lanes cost — delegation
         scans run (a node whose trigger did not fire, or with no
         delegatable reply queued, runs none)."""
         ran = sum(core.steps for core in self.gpu_cores)
+        mem_ran = sum(mem.steps for mem in self.memory_nodes)
         stats = {
             "gpu_core_steps": ran,
             "gpu_core_steps_skipped": self.cycle * len(self.gpu_cores) - ran,
+            "mem_node_steps": mem_ran,
+            "mem_node_steps_skipped": self.cycle * len(self.memory_nodes) - mem_ran,
         }
         if self.backend == "vector":
             stats["mem_nic_delegation_scans"] = sum(
-                mem.nic.delegation_scans for mem in self.memory_nodes
-            )
+                mem.nic.delegation_scans for mem in self.memory_nodes)
         return stats
 

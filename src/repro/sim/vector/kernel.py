@@ -721,6 +721,12 @@ class VectorKernel:
             full = self._mem_cap - occ < self.mem_worst
         self.mem_blocked += full
         self.mem_observed += 1
+        # a memory node asleep on its full reply buffer sets its request
+        # lane's ``pop_wake`` cell; wake it once a reply fits again
+        woke = self.pop_wake[self._mem_arr] & ~full
+        if woke.any():
+            for lane in np.flatnonzero(woke).tolist():
+                self.nics[self.mem_nodes[lane]].wake_sleeper()
 
     # ------------------------------------------------------------------
     # statistics helpers for the facades

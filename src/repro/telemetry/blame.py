@@ -62,13 +62,15 @@ class StallTable:
     The memory-side rows are read, not charged: ``("mem", node, 0,
     ANY_CLS)`` is the node NIC's ``blocked_cycles`` and ``("mem", node, 1,
     ANY_CLS)`` its ``MemoryNode``'s ``reply_backpressure_cycles``, each
-    since the table was built, both written at :meth:`flush`.  ``counts``
+    since the table was built, both written at :meth:`flush` (which first
+    settles the ``endpoints`` that sleep with counts owed).  ``counts``
     is therefore current as of the last flush.
     """
 
-    __slots__ = ("counts", "_rows", "_nets", "_mem")
+    __slots__ = ("counts", "_rows", "_nets", "_mem", "_endpoints")
 
-    def __init__(self, nets: Sequence, mem_counters: Sequence) -> None:
+    def __init__(self, nets: Sequence, mem_counters: Sequence,
+                 endpoints: Sequence = ()) -> None:
         self.counts: Dict[Tuple[str, int, int, int], List[int]] = {}
         #: per traffic class, input VC -> its ``counts`` row
         self._rows: Tuple[Dict[InputVC, List[int]], ...] = ({}, {})
@@ -78,6 +80,7 @@ class StallTable:
         self._mem = [
             (key, obj, attr, getattr(obj, attr)) for key, obj, attr in mem_counters
         ]
+        self._endpoints = tuple(endpoints)
 
     def row(self, ivc: InputVC, cls: int) -> List[int]:
         """The ``counts`` row of ``ivc``'s (net, router, port) for traffic
@@ -104,6 +107,8 @@ class StallTable:
                         if klass >= 0:
                             ivc.stall_row[klass] += max(0, cycle - ivc.stall_since)
                             ivc.stall_since = cycle
+        for endpoint in self._endpoints:
+            endpoint.settle(cycle)
         for key, obj, attr, base in self._mem:
             n = getattr(obj, attr) - base
             if n:
@@ -184,6 +189,12 @@ def classify_head(
     return STALL_CLASSES[VC_ALLOC], row[vlo]
 
 
+def _reply_blocked(router) -> bool:
+    """``router``'s node is a memory node whose reply buffer is full."""
+    nic = router.net.nics[router.rid]
+    return isinstance(nic, MemoryNodeNic) and not nic.can_enqueue(NetKind.REPLY)
+
+
 def walk_chain(ivc: InputVC, cycle: int, max_hops: int = 64) -> List[Dict]:
     """Follow one blocked head worm downstream to its terminal blocker.
 
@@ -207,33 +218,51 @@ def walk_chain(ivc: InputVC, cycle: int, max_hops: int = 64) -> List[Dict]:
             break
         klass, nxt = classify_head(ivc, cycle)
         pkt = q[0][_PKT]
-        hops.append(
-            {
-                "node": r.rid,
-                "net": r.net.name,
-                "port": ivc.port,
-                "vc": ivc.vc,
-                "cls": pkt.cls.name,
-                "dst": pkt.dst,
-                "class": klass or "moving",
-            }
-        )
-        if (
-            klass in ("credit", "vc_alloc")
-            and nxt is not None
-            and len(hops) < max_hops
-        ):
+        hops.append({"node": r.rid, "net": r.net.name, "port": ivc.port,
+                     "vc": ivc.vc, "cls": pkt.cls.name, "dst": pkt.dst,
+                     "class": klass or "moving"})
+        if klass not in ("credit", "vc_alloc") or nxt is None \
+                or len(hops) >= max_hops:
+            break
+        ivc = nxt
+    if hops[-1]["class"] == "eject" and _reply_blocked(r):
+        hops.append({"node": r.rid, "net": "mem", "class": "reply_buffer"})
+    return hops
+
+
+def _terminal(ivc: InputVC, cycle: int, memo: Dict) -> Optional[Tuple]:
+    """``((terminal node, terminal class), depth)`` of the chain
+    :func:`walk_chain` would walk from ``ivc`` with no hop limit, or None
+    when it meets a cycle.  Kept in ``memo`` for every VC on the way, so
+    a later chain through one of them stops there."""
+    path: List[InputVC] = []
+    on_path = set()
+    while ivc not in memo:
+        if ivc in on_path:
+            end = None  # cyclic: each VC into the loop ends differently
+            break
+        r = ivc.router
+        if not ivc.q:
+            end = memo[ivc] = ((r.rid, "drained"), 1)
+            break
+        klass, nxt = classify_head(ivc, cycle)
+        if klass in ("credit", "vc_alloc") and nxt is not None:
+            path.append(ivc)
+            on_path.add(ivc)
             ivc = nxt
             continue
+        if klass == "eject" and _reply_blocked(r):
+            end = memo[ivc] = ((r.rid, "reply_buffer"), 2)
+        else:
+            end = memo[ivc] = ((r.rid, klass or "moving"), 1)
         break
-    term = hops[-1]
-    if term["class"] == "eject":
-        nic = r.net.nics[term["node"]]
-        if isinstance(nic, MemoryNodeNic) and not nic.can_enqueue(NetKind.REPLY):
-            hops.append(
-                {"node": term["node"], "net": "mem", "class": "reply_buffer"}
-            )
-    return hops
+    else:
+        end = memo[ivc]
+    for prev in reversed(path):
+        if end is not None:
+            end = (end[0], end[1] + 1)
+        memo[prev] = end
+    return end
 
 
 def survey_stalls(nets, cycle: int, max_hops: int = 64) -> Dict[Tuple[int, str], Dict]:
@@ -242,33 +271,40 @@ def survey_stalls(nets, cycle: int, max_hops: int = 64) -> Dict[Tuple[int, str],
 
     Returns ``{(terminal node, terminal class): group}`` where each group
     counts chains, per-traffic-class victims, the deepest chain length
-    and keeps that deepest chain as a sample.
+    and keeps that deepest chain (the first found, on a tie) as a sample.
+    Each input VC is classified once per survey (:func:`_terminal`), and
+    hop dicts are built only for the samples; a chain that meets a cycle
+    or runs past ``max_hops`` is walked plainly, by :func:`walk_chain`.
     """
     groups: Dict[Tuple[int, str], Dict] = {}
+    memo: Dict[InputVC, Optional[Tuple]] = {}
     for net in nets:
         for router in net.routers:
             for ivc in router.active:
-                klass, _ = classify_head(ivc, cycle)
-                if klass is None:
-                    continue
-                chain = walk_chain(ivc, cycle, max_hops=max_hops)
-                term = chain[-1]
-                gkey = (term["node"], term["class"])
+                end = memo[ivc] if ivc in memo else _terminal(ivc, cycle, memo)
+                if end is None or end[1] > max_hops:
+                    sample = walk_chain(ivc, cycle, max_hops=max_hops)
+                    gkey = (sample[-1]["node"], sample[-1]["class"])
+                    depth = len(sample)
+                else:
+                    gkey, depth = end
+                    if depth == 1 and gkey[1] in ("moving", "drained"):
+                        continue  # its own head is not blocked
+                    sample = ivc
                 g = groups.get(gkey)
                 if g is None:
-                    g = groups[gkey] = {
-                        "chains": 0,
-                        "victims": {},
-                        "max_depth": 0,
-                        "sample": chain,
-                    }
+                    g = groups[gkey] = {"chains": 0, "victims": {},
+                                        "max_depth": 0, "sample": sample}
                 g["chains"] += 1
-                cls = chain[0].get("cls", "?")
-                g["victims"][cls] = g["victims"].get(cls, 0) + 1
-                depth = len(chain)
+                victims, cls = g["victims"], ivc.q[0][_PKT].cls
+                victims[cls] = victims.get(cls, 0) + 1
                 if depth > g["max_depth"]:
                     g["max_depth"] = depth
-                    g["sample"] = chain
+                    g["sample"] = sample
+    for g in groups.values():  # victims were counted by class, named here
+        g["victims"] = {cls.name: n for cls, n in g["victims"].items()}
+        if not isinstance(g["sample"], list):
+            g["sample"] = walk_chain(g["sample"], cycle, max_hops=max_hops)
     return groups
 
 
@@ -289,18 +325,12 @@ class BlameAccumulator:
         for (tnode, tclass), g in groups.items():
             if tnode != self.node:
                 continue
-            t = self.terminals.get(tclass)
-            if t is None:
-                t = self.terminals[tclass] = {
-                    "chains": 0,
-                    "victims": {},
-                    "max_depth": 0,
-                }
+            t = self.terminals.setdefault(
+                tclass, {"chains": 0, "victims": {}, "max_depth": 0})
             t["chains"] += g["chains"]
             for cls, n in g["victims"].items():
                 t["victims"][cls] = t["victims"].get(cls, 0) + n
-            if g["max_depth"] > t["max_depth"]:
-                t["max_depth"] = g["max_depth"]
+            t["max_depth"] = max(t["max_depth"], g["max_depth"])
             if g["max_depth"] > self._sample_depth:
                 self._sample_depth = g["max_depth"]
                 self._sample = g["sample"]
@@ -310,25 +340,17 @@ class BlameAccumulator:
         blocked the most chains at this node (reply-buffer wins ties —
         it is the causal root of every ejection stall it feeds)."""
         if not self.terminals:
-            return {
-                "node": self.node,
-                "class": "reply_buffer",
-                "chains": 0,
-                "walks": self.walks,
-                "note": "no blocked chains terminated here "
-                "(injection-bandwidth bound)",
-            }
+            return {"node": self.node, "class": "reply_buffer", "chains": 0,
+                    "walks": self.walks, "note": "no blocked chains "
+                    "terminated here (injection-bandwidth bound)"}
         tclass, t = max(
             self.terminals.items(),
             key=lambda kv: (kv[1]["chains"], kv[0] == "reply_buffer"),
         )
         out = {
-            "node": self.node,
-            "class": tclass,
-            "chains": t["chains"],
+            "node": self.node, "class": tclass, "chains": t["chains"],
             "total_chains": sum(x["chains"] for x in self.terminals.values()),
-            "victims": dict(t["victims"]),
-            "max_depth": t["max_depth"],
+            "victims": dict(t["victims"]), "max_depth": t["max_depth"],
             "walks": self.walks,
         }
         if self._sample is not None:

@@ -91,20 +91,14 @@ class CloggingDetector:
         st = self._open.get(node)
         if signal >= self.threshold:
             if st is None:
-                self._open[node] = {
-                    "start": start, "windows": 1, "sum": signal, "peak": signal,
-                    "end": end,
-                }
-                if self.min_windows == 1 and self.on_open is not None:
-                    self.on_open(node, end)
-            else:
-                st["windows"] += 1
-                st["sum"] += signal
-                st["end"] = end
-                if signal > st["peak"]:
-                    st["peak"] = signal
-                if st["windows"] == self.min_windows and self.on_open is not None:
-                    self.on_open(node, end)
+                st = self._open[node] = {"start": start, "windows": 0,
+                                         "sum": 0.0, "peak": signal}
+            st["windows"] += 1
+            st["sum"] += signal
+            st["end"] = end
+            st["peak"] = max(st["peak"], signal)
+            if st["windows"] == self.min_windows and self.on_open is not None:
+                self.on_open(node, end)
             return None
         if st is not None:
             del self._open[node]
@@ -115,11 +109,8 @@ class CloggingDetector:
         if st["windows"] < self.min_windows:
             return None
         episode = {
-            "rec": "clog",
-            "node": node,
-            "start": int(st["start"]),
-            "end": int(st["end"]),
-            "windows": int(st["windows"]),
+            "rec": "clog", "node": node, "start": int(st["start"]),
+            "end": int(st["end"]), "windows": int(st["windows"]),
             "severity": round(st["sum"] / st["windows"], 4),
             "peak": round(st["peak"], 4),
         }
@@ -135,6 +126,45 @@ class CloggingDetector:
                 closed.append(episode)
         self._open.clear()
         return closed
+
+
+class _Held:
+    """The locality oracle's watcher on one GPU L1 cache or MSHR file
+    (its ``watcher`` slot): ``held[block]`` counts the watched caches and
+    files that hold ``block``, and a block held by none has no key."""
+
+    __slots__ = ("held", "readers")
+
+    def __init__(self, held: Dict[int, int]) -> None:
+        self.held = held
+        #: GPU cores that read the watched cache (a cluster's slices
+        #: have one per DC-L1 / DynEB port)
+        self.readers = 0
+
+    @classmethod
+    def attach(cls, target, held: Dict[int, int]) -> None:
+        """Watch ``target`` (one more reader if it is watched already);
+        the collector attaches at build, while every cache is empty."""
+        if target.watcher is None:
+            target.watcher = cls(held)
+        target.watcher.readers += 1
+
+    def __call__(self, block: int, delta: int) -> None:
+        held = self.held
+        n = held.get(block, 0) + delta
+        if n:
+            held[block] = n
+        else:
+            del held[block]
+
+    def unview(self, cache) -> None:
+        """A core stopped reading ``cache`` (a DynEB port went private);
+        once no core reads it, what it holds is no core's."""
+        self.readers -= 1
+        if not self.readers:
+            cache.watcher = None
+            for block in cache.blocks():
+                self(block, -1)
 
 
 class TelemetryCollector:
@@ -175,6 +205,7 @@ class TelemetryCollector:
                  for node in self.mem_nodes]
                 + [(("mem", m.node_id, 1, ANY_CLS), m.stats,
                     "reply_backpressure_cycles") for m in memory_nodes],
+                memory_nodes,
             )
         self._stall_base: Dict = {}
         #: node -> blame accumulator for its currently-hot episode
@@ -206,9 +237,19 @@ class TelemetryCollector:
         #: cycle 0; the metrics report them over the measured window
         self._locality = [0, 0]
         self._locality_base = (0, 0)
-        self._holders = [(c, c.l1.contains, c.mshrs.has) for c in gpu_cores]
+        #: block -> how many GPU L1 caches and MSHR files hold it, kept
+        #: by watchers on each (:class:`_Held`); the oracle's answer
+        self._held: Dict[int, int] = {}
         for core in gpu_cores:
             core.miss_observer = self._observe_miss
+            _Held.attach(core.mshrs, self._held)
+            l1 = core.l1
+            cluster = getattr(l1, "cluster", None)  # DC-L1 / DynEB
+            private = getattr(l1, "private", None if cluster else l1)
+            if private is not None:
+                _Held.attach(private.cache, self._held)
+            for cache in cluster.slices if cluster is not None else ():
+                _Held.attach(cache, self._held)
         self.interval = max(1, int(cfg.probe_interval))
         self._window_start = 0
         self._next_probe = self.interval - 1
@@ -248,58 +289,38 @@ class TelemetryCollector:
         if self.sink is not None:
             self.sink.record(meta)
 
-    # -- sampling -------------------------------------------------------
-
     # -- packet lifecycle hooks ----------------------------------------
-    #
-    # Shape of every hook: bump the per-code counter, then append one
-    # raw fixed-width tuple straight into the deque —
-    # a single C call, no packing, no dicts.  Tracing runs also
-    # maintain the head/drained counters so drains fire before the ring
-    # would evict an unflushed event.
+
+    def _event(self, code: int, pkt, cycle: int, value: int) -> None:
+        """Count lifecycle event ``code`` and append its raw fixed-width
+        tuple to ``pkt``'s network ring — a single C call, no packing,
+        no dicts.  A tracing run drains before the ring would overwrite
+        an undrained slot."""
+        self._ev[code] += 1
+        ring = self._rings[pkt.net]
+        ring.events.append(
+            (code, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
+             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, value)
+        )
+        if self.sink is not None:
+            ring.head += 1
+            if ring.head - ring.drained >= ring.capacity:
+                self._drain_events()
 
     def on_inject(self, pkt, cycle: int) -> None:
         """A NIC accepted ``pkt`` into its injection queue."""
-        self._ev[0] += 1
-        ring = self._rings[pkt.net]
-        ring.events.append(
-            (0, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
-        )
-        if self.sink is not None:
-            ring.head += 1
-            if ring.head - ring.drained >= ring.capacity:
-                self._drain_events()
+        self._event(0, pkt, cycle, -1)
 
     def on_vc_alloc(self, pkt, cycle: int, vc: int) -> None:
         """``pkt``'s header won an injection VC and entered the network."""
-        self._ev[1] += 1
-        ring = self._rings[pkt.net]
-        ring.events.append(
-            (1, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, vc)
-        )
-        if self.sink is not None:
-            ring.head += 1
-            if ring.head - ring.drained >= ring.capacity:
-                self._drain_events()
+        self._event(1, pkt, cycle, vc)
 
     def on_head(self, pkt, cycle: int) -> None:
         """``pkt``'s header flit reached its destination router."""
-        self._ev[2] += 1
-        ring = self._rings[pkt.net]
-        ring.events.append(
-            (2, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, -1)
-        )
-        if self.sink is not None:
-            ring.head += 1
-            if ring.head - ring.drained >= ring.capacity:
-                self._drain_events()
+        self._event(2, pkt, cycle, -1)
 
     def on_deliver(self, pkt, cycle: int) -> None:
         """``pkt`` fully ejected at its destination NIC."""
-        self._ev[3] += 1
         latency = cycle - pkt.created
         if latency < 0 or pkt.created < 0:
             latency = 0
@@ -312,30 +333,12 @@ class TelemetryCollector:
             shift = latency.bit_length() - 6
             row[((shift + 1) << 5) + ((latency >> shift) & 31)] += 1
         self._hist_tot[key] += latency
-        ring = self._rings[pkt.net]
-        ring.events.append(
-            (3, pkt.mtype, pkt.cls, pkt.net, pkt.size_flits,
-             pkt.src, pkt.dst, cycle, pkt.pid, pkt.block, latency)
-        )
-        if self.sink is not None:
-            ring.head += 1
-            if ring.head - ring.drained >= ring.capacity:
-                self._drain_events()
+        self._event(3, pkt, cycle, latency)
 
     def on_delegate(self, reply, delegated, cycle: int) -> None:
         """A memory node converted ``reply`` into ``delegated`` (1-flit
         delegated request); the trace value is the delegate target node."""
-        self._ev[4] += 1
-        ring = self._rings[reply.net]
-        ring.events.append(
-            (4, reply.mtype, reply.cls, reply.net, reply.size_flits,
-             reply.src, reply.dst, cycle, reply.pid, reply.block,
-             delegated.dst)
-        )
-        if self.sink is not None:
-            ring.head += 1
-            if ring.head - ring.drained >= ring.capacity:
-                self._drain_events()
+        self._event(4, reply, cycle, delegated.dst)
 
     @property
     def events(self) -> Dict[str, int]:
@@ -368,13 +371,13 @@ class TelemetryCollector:
 
     def _observe_miss(self, core, block: int) -> None:
         """A primary L1 read miss: does another GPU core hold ``block``
-        in its L1 or MSHRs (a remote request would hit, or delay-hit)?"""
+        in its L1 or MSHRs (a remote request would hit, or delay-hit)?
+        The missing core's own L1 view and MSHR file do not hold it, so
+        any holder counted is another core's."""
         counts = self._locality
         counts[0] += 1
-        for other, contains, has in self._holders:
-            if other is not core and (contains(block) or has(block)):
-                counts[1] += 1
-                return
+        if block in self._held:
+            counts[1] += 1
 
     def on_stall(self, ivc, pkt, klass: int, cycle: int) -> None:
         """Head worm ``pkt`` of input VC ``ivc`` is blocked on stall class
@@ -406,9 +409,7 @@ class TelemetryCollector:
         sink = self.sink
         if sink is None:
             return
-        batches = [
-            b for b in (ring.take_pending() for ring in self._rings) if b
-        ]
+        batches = [b for b in (r.take_pending() for r in self._rings) if b]
         if not batches:
             return
         sample_all = self._sample_all
@@ -442,14 +443,8 @@ class TelemetryCollector:
         if not self._flight_dir or len(self.flight_dumps) >= _MAX_FLIGHT_DUMPS:
             return
         events = merge_events(*(r.snapshot() for r in self._rings))
-        meta = dict(self._meta)
-        meta.update(
-            {
-                "dump": trigger,
-                "dump_cycle": cycle,
-                "events_retained": len(events),
-            }
-        )
+        meta = dict(self._meta, dump=trigger, dump_cycle=cycle,
+                    events_retained=len(events))
         if nodes:
             meta["dump_nodes"] = list(nodes)
         directory = Path(self._flight_dir)
@@ -484,23 +479,15 @@ class TelemetryCollector:
         self._drain_events()
         sink = self.sink
         interval = max(1, cycle - self._window_start + 1)
-        record: Dict = {
-            "rec": "win",
-            "cycle": cycle,
-            "interval": interval,
-            "nets": {},
-        }
+        record: Dict = {"rec": "win", "cycle": cycle, "interval": interval,
+                        "nets": {}}
         for i, net in enumerate(self._nets):
             flits = net.total_flits_routed()
             pkts = net.packets_delivered
             ej = net.flits_delivered
             links = self._net_links[i]
-            util = (
-                (flits - self._prev_flits[i])
-                / (interval * links * net.bandwidth)
-                if links
-                else 0.0
-            )
+            util = ((flits - self._prev_flits[i])
+                    / (interval * links * net.bandwidth) if links else 0.0)
             record["nets"][net.name] = {
                 "flits": flits - self._prev_flits[i],
                 "pkts": pkts - self._prev_pkts[i],
@@ -519,14 +506,10 @@ class TelemetryCollector:
         for node in self.mem_nodes:
             nic = self.fabric.nics[node]
             occupancy = nic._reply_occ / max(1, nic.reply_buffer_flits)
-            blocked = (
-                nic.blocked_cycles - self._prev_blocked[node]
-            ) / interval
+            blocked = (nic.blocked_cycles - self._prev_blocked[node]) / interval
             self._prev_blocked[node] = nic.blocked_cycles
-            mem[str(node)] = {
-                "occ": round(occupancy, 4),
-                "blocked": round(blocked, 4),
-            }
+            mem[str(node)] = {"occ": round(occupancy, 4),
+                              "blocked": round(blocked, 4)}
             signals[node] = max(occupancy, blocked)
         # one blame survey per probe covers every hot node: walk all
         # blocked head worms once, then fold the chains into each hot
@@ -537,14 +520,10 @@ class TelemetryCollector:
         if hot:
             groups = survey_stalls(self._nets, cycle)
             for node in hot:
-                acc = self._blame.get(node)
-                if acc is None:
-                    acc = self._blame[node] = BlameAccumulator(node)
-                acc.feed(groups)
+                self._blame.setdefault(node, BlameAccumulator(node)).feed(groups)
         for node in self.mem_nodes:
-            episode = self.detector.update(
-                node, self._window_start, cycle, signals[node]
-            )
+            episode = self.detector.update(node, self._window_start, cycle,
+                                           signals[node])
             if episode is not None:
                 acc = self._blame.pop(node, None)
                 if acc is not None:
@@ -661,41 +640,22 @@ class TelemetryCollector:
             hist = self._row_histogram(key)
             if not hist.count:
                 continue
-            payload = hist.to_dict()
-            payload.update(
-                {
-                    "rec": "hist",
-                    "net": "request" if (key >> 1) == 0 else "reply",
-                    "cls": "CPU" if (key & 1) == 0 else "GPU",
-                }
-            )
-            sink.record(payload)
+            sink.record(dict(hist.to_dict(), rec="hist",
+                             net="request" if (key >> 1) == 0 else "reply",
+                             cls="CPU" if (key & 1) == 0 else "GPU"))
         if st is not None:
             for (net, rid, port, cls), row in sorted(st.counts.items()):
-                classes = {
-                    STALL_CLASSES[i]: n for i, n in enumerate(row) if n
-                }
-                if not classes:
-                    continue
-                sink.record(
-                    {
-                        "rec": "stall",
-                        "net": net,
-                        "router": rid,
-                        "port": port,
-                        "cls": "CPU" if cls == 0 else
-                               ("GPU" if cls == 1 else "any"),
+                classes = {STALL_CLASSES[i]: n for i, n in enumerate(row) if n}
+                if classes:
+                    sink.record({
+                        "rec": "stall", "net": net, "router": rid, "port": port,
+                        "cls": "CPU" if cls == 0 else ("GPU" if cls == 1 else "any"),
                         "classes": classes,
-                    }
-                )
-        sink.record(
-            {
-                "rec": "summary",
-                "cycle": cycle,
-                "events": self.events,
-                "windows": len(self.windows),
-                "episodes": len(self.detector.episodes),
-                "metrics": self.metrics_snapshot(),
-            }
-        )
+                    })
+        sink.record({
+            "rec": "summary", "cycle": cycle, "events": self.events,
+            "windows": len(self.windows),
+            "episodes": len(self.detector.episodes),
+            "metrics": self.metrics_snapshot(),
+        })
         sink.close()

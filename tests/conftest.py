@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+from collections import defaultdict
 from fnmatch import fnmatchcase
 
 import pytest
@@ -30,6 +33,28 @@ def _small(make_config, overrides) -> SystemConfig:
     return cfg
 
 
+#: test file -> seconds its tests spent in the call phase
+_CALL_SECONDS = defaultdict(float)
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        _CALL_SECONDS[report.nodeid.split("::")[0]] += report.duration
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """The time ledger: with ``REPRO_TEST_TIMES=PATH`` set, write each
+    test file's summed call durations, slowest first, and their total as
+    JSON (CI's tier-1 job holds the total under a ceiling)."""
+    path = os.environ.get("REPRO_TEST_TIMES")
+    if path:
+        files = dict(sorted(_CALL_SECONDS.items(), key=lambda kv: -kv[1]))
+        with open(path, "w") as out:
+            json.dump({"total_s": round(sum(files.values()), 2),
+                       "files": {k: round(v, 2) for k, v in files.items()}},
+                      out, indent=1)
+
+
 def small_config(**overrides) -> SystemConfig:
     return _small(baseline_config, overrides)
 
@@ -42,18 +67,19 @@ def small_rp_config(**overrides) -> SystemConfig:
     return _small(realistic_probing_config, overrides)
 
 
-def all_awake(fabric, gpu_cores=()):
+def all_awake(fabric, endpoints=()):
     """The scheduling reference: no router or NIC of ``fabric``, and none
-    of ``gpu_cores``, ever sleeps.
+    of ``endpoints`` (GPU cores, memory nodes), ever sleeps.
 
     The object kernel has one stepping order; what it skips is routers
     and NICs with nothing to do (active sets, wake heap), and a GPU core
-    skips the steps it knows to be failed issue retries (DESIGN.md,
-    "Endpoint scheduling contract").  Marking every router and NIC active
-    before every cycle and waking every core after it (so before the
-    next cycle's core steps; cores are built awake), through the public
-    wake API, turns that skipping off — so a run under ``all_awake`` is
-    what a sleeping run must equal counter for counter.
+    or memory node skips the steps it knows would change only what it
+    settles later (DESIGN.md, "Endpoint scheduling contract").  Marking
+    every router and NIC active before every cycle and waking every
+    endpoint after it (so before the next cycle's endpoint steps; they
+    are built awake), through the public wake API, turns that skipping
+    off — so a run under ``all_awake`` is what a sleeping run must equal
+    counter for counter.
     """
     step = fabric.step
     nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
@@ -65,8 +91,8 @@ def all_awake(fabric, gpu_cores=()):
         for node in range(len(fabric.nics)):
             fabric.mark_nic_active(node)
         step(cycle)
-        for core in gpu_cores:
-            core.wake()
+        for endpoint in endpoints:
+            endpoint.wake()
 
     fabric.step = awake_step
     return fabric

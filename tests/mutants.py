@@ -171,6 +171,27 @@ MUTANTS = (
         tests=(f"{SLEEP}::test_synthetic_counters_bit_identical",),
         item="1(a)",
     ),
+    # -- endpoints that sleep until something can change them, and the
+    #    locality oracle's holder counts (ROADMAP items 1, 12)
+    Mutant(
+        id="mem-no-drain-wake",
+        file="repro/noc/nic.py",
+        line="        elif self.sleeper is not None:  # its memory node waits on space",
+        replacement="        elif False:",
+        tests=(
+            f"{SLEEP}::test_full_system_counters_bit_identical",
+            f"{SLEEP}::test_full_telemetry_under_loss_bit_identical",
+        ),
+        item="12",
+    ),
+    Mutant(
+        id="oracle-keeps-evicted",
+        file="repro/cache/cache.py",
+        line="                self.watcher(victim, -1)",
+        replacement="                pass",
+        tests=(f"{SLEEP}::test_full_telemetry_under_loss_bit_identical",),
+        item="12",
+    ),
     Mutant(
         id="no-body-arrival-wake",
         file="repro/noc/network.py",

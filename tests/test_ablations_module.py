@@ -1,9 +1,16 @@
 """Smoke test for the ablations experiment module."""
 
+import hashlib
+import json
+
 import pytest
 from conftest import assert_claim_columns
+from test_pinned_results import GPUS, PINS
 
-from repro.config import baseline_config, delegated_replies_config
+from repro.api import simulate
+from repro.config import (
+    baseline_config, delegated_replies_config, mechanism_config,
+)
 from repro.experiments import ablations, run
 from repro.workloads.gpu import gpu_benchmark
 
@@ -94,3 +101,27 @@ def test_a_point_that_moves_its_field_has_its_own_identity(point):
     _, dr = _point_configs(point)
     paper = delegated_replies_config().config_hash()
     assert (dr.config_hash() != paper) == bool(_moved_field(point))
+
+
+#: points whose FRQ depth or delegation budget never binds on the pinned
+#: window (no FRQ holds more than two entries, no delegated request finds
+#: its block queued, no scan converts two replies with a third waiting):
+#: each runs exactly the paper configuration's DR jobs (EXPERIMENTS.md)
+IDLE_POINTS = ("frq_2_entries", "frq_4_entries", "frq_16_entries",
+               "frq_merging", "delegations_per_cycle_4")
+
+
+@pytest.mark.parametrize("point", IDLE_POINTS)
+def test_a_point_that_never_binds_runs_the_pinned_dr_jobs(point):
+    """On ``test_pinned_results``' window each idle point's DR run is
+    bit-identical to the pinned DR run, so a change that makes its
+    budget or depth bind fails here and the point starts to measure."""
+    pins = json.loads(PINS.read_text())["digests"]
+    section, name, value = ablations.POINTS[point]
+    for gpu in GPUS:
+        cfg = mechanism_config("dr")
+        setattr(getattr(cfg, section), name, value)
+        result = simulate(cfg, gpu, cpu="canneal", warmup=300, cycles=500,
+                          backend="object")
+        text = json.dumps(result.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[f"dr/{gpu}"], gpu

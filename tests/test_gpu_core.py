@@ -296,9 +296,8 @@ class TestSleepAndSettle:
             lambda: stalled_harness(warps, write_warps=writes), 1 + skipped
         )
         end = START + 1 + skipped
-        # the watchdog sweep keeps its own clock while MSHRs are outstanding
-        sweeps = sum(c % GpuCore._SWEEP_PERIOD == 0 for c in range(START + 1, end))
-        assert ref.steps == 1 + skipped and opt.steps == 1 + sweeps
+        # no remote waiter is parked, so the watchdog sweep never wakes it
+        assert ref.steps == 1 + skipped and opt.steps == 1
         assert opt.wake_at > end
         assert core_state(opt, end) == core_state(ref, end)
         assert opt.stats.issue_stalls == 1 + skipped

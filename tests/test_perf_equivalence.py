@@ -15,10 +15,13 @@ heavy delegation pressure: nothing the delegation path converts, rejects
 or re-routes may create or lose traffic.
 
 The last part is the same differential for the endpoints: a GPU core
-that knows its next steps are failed issue retries sleeps through them
-(DESIGN.md, "Endpoint scheduling contract") and must leave what a core
-woken before every cycle leaves — counters, raw L1 misses, stall counts
-and the issue queues themselves.
+that knows its next steps are failed issue retries, or a memory node
+whose next steps would only count stalls, sleeps through them (DESIGN.md,
+"Endpoint scheduling contract") and must leave what one woken before
+every cycle leaves — counters, raw L1 misses, stall counts and the issue
+queues themselves.  Under full telemetry the same run must also leave
+what the locality oracle and the blame survey left when the one scanned
+every L1 at each miss and the other walked every chain from scratch.
 """
 
 from __future__ import annotations
@@ -34,11 +37,17 @@ from repro.config.system import (
     RoutingPolicy,
 )
 from repro.faults import quiesce
-from repro.faults.plan import FaultPlan, LinkDown, LinkUp, RouterFreeze
+from repro.faults.plan import (
+    FaultPlan, FlitDrop, LinkDown, LinkUp, RouterFreeze,
+)
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
 from repro.noc.packet import NetKind
+from repro.noc.topology import build_topology
+from repro.sim.layout import build_layout
 from repro.sim.metrics import collect_counters
-from repro.sim.simulator import build_system
+from repro.sim.simulator import build_system, run_simulation
+from repro.telemetry import collector as collector_module
+from repro.telemetry.blame import classify_head, survey_stalls, walk_chain
 
 from repro.workloads.gpu import GPU_BENCHMARK_NAMES
 
@@ -147,7 +156,7 @@ def test_full_system_counters_bit_identical(make_cfg, faults):
     def run(reference: bool) -> dict:
         system = build_system(make_cfg(), "HS", "canneal", faults=faults)
         if reference:
-            all_awake(system.fabric)
+            all_awake(system.fabric, system.memory_nodes)
         for _ in range(14):
             system.run(50)
             assert_fabric_invariants(system.fabric)
@@ -271,7 +280,7 @@ def _endpoint_pair(cfg_of, cycles, gpu="HS", finish=None, **build):
     for reference in (True, False):
         system = build_system(cfg_of(), gpu, "canneal", **build)
         if reference:
-            all_awake(system.fabric, system.gpu_cores)
+            all_awake(system.fabric, system.gpu_cores + system.memory_nodes)
         system.run(cycles)
         if finish is not None:
             finish(system)
@@ -386,3 +395,121 @@ def test_sleeping_cores_property(seed, gpu, mechanism, mshrs, warps, queue, wind
 
     ref, opt, _system = _endpoint_pair(cfg_of, window, gpu=gpu)
     _assert_no_drift(ref, opt)
+
+
+# ---------------------------------------------------------------------------
+# full telemetry: the O(1) locality oracle and the memoised blame survey
+# against the scan and the chain-by-chain walk they replace
+# ---------------------------------------------------------------------------
+
+
+def scan_oracle(collector, cores):
+    """Fig. 2's oracle as a scan: at each primary miss, does any other
+    core's L1 view or MSHR file hold the block?"""
+    counts = collector._locality
+    holders = [(c, c.l1.contains, c.mshrs.has) for c in cores]
+
+    def observe(core, block):
+        counts[0] += 1
+        for other, contains, has in holders:
+            if other is not core and (contains(block) or has(block)):
+                counts[1] += 1
+                return
+
+    return observe
+
+
+def walked_survey(nets, cycle, max_hops=64):
+    """``survey_stalls`` as a walk of every blocked chain from scratch."""
+    groups = {}
+    for net in nets:
+        for router in net.routers:
+            for ivc in router.active:
+                if classify_head(ivc, cycle)[0] is None:
+                    continue
+                chain = walk_chain(ivc, cycle, max_hops=max_hops)
+                g = groups.setdefault(
+                    (chain[-1]["node"], chain[-1]["class"]),
+                    {"chains": 0, "victims": {}, "max_depth": 0, "sample": chain},
+                )
+                g["chains"] += 1
+                cls = chain[0].get("cls", "?")
+                g["victims"][cls] = g["victims"].get(cls, 0) + 1
+                if len(chain) > g["max_depth"]:
+                    g["max_depth"] = len(chain)
+                    g["sample"] = chain
+    return groups
+
+
+def _reply_loss_plan(cfg, p=0.05):
+    """Loss only: every reply link out of a memory node drops flits."""
+    layout = build_layout(cfg)
+    topology = build_topology(cfg.noc.topology, cfg.mesh_width, cfg.mesh_height)
+    return FaultPlan(events=[
+        FlitDrop(at=0, a=mem, b=nb, p=p, net="reply")
+        for mem in layout.mem_nodes for nb in topology.neighbors(mem)
+    ], seed=5)
+
+
+@pytest.mark.parametrize("l1_org", list(L1Organization), ids=lambda o: o.value)
+def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
+    """DR, full telemetry, a loss-only fault plan: sleeping cores and
+    memory nodes, the holder-count oracle and the memoised survey leave
+    what the all-awake run with the scan and the walk leaves — the
+    result, the stall breakdown, the locality counts and every episode's
+    root cause.  A one-set L1 evicts all the time, and DynEB ports sample
+    early, so they go private mid-run."""
+
+    def run(reference):
+        cfg = small_dr_config(l1_org=l1_org)
+        cfg.gpu_l1.size_bytes = 4096  # one set once scaled
+        cfg.telemetry.enabled = True
+        cfg.telemetry.mode = "full"
+        cfg.telemetry.probe_interval = 40
+        system = build_system(cfg, "SC", "canneal", faults=_reply_loss_plan(cfg))
+        for core in system.gpu_cores:
+            if l1_org is L1Organization.DYNEB:
+                core.l1.sample_cycles = 150
+        tel = system.telemetry
+        if reference:
+            all_awake(system.fabric, system.gpu_cores + system.memory_nodes)
+            observe = scan_oracle(tel, system.gpu_cores)
+            for core in system.gpu_cores:
+                core.miss_observer = observe
+            monkeypatch.setattr(collector_module, "survey_stalls", walked_survey)
+        result = run_simulation(
+            cfg, "SC", "canneal", cycles=450, warmup=150, system=system
+        )
+        monkeypatch.undo()
+        locality = tuple(tel.metrics_snapshot()[f"locality.{k}"]
+                         for k in ("misses", "remote"))
+        causes = [ep.get("root_cause") for ep in tel.detector.episodes]
+        return result, locality, causes, system
+
+    opt, opt_locality, opt_causes, system = run(False)
+    ref, ref_locality, ref_causes, _ = run(True)
+    assert opt.to_dict() == ref.to_dict()
+    assert opt.stall_breakdown == ref.stall_breakdown
+    assert opt_locality == ref_locality and ref_locality[1] > 0
+    assert opt_causes == ref_causes and any(ref_causes)
+    assert opt.counters["fault.drops"] > 0
+    assert system.scheduler_stats()["mem_node_steps_skipped"] > 0
+    if l1_org is L1Organization.DYNEB:
+        assert any(core.l1.mode == "private" for core in system.gpu_cores)
+
+
+@pytest.mark.parametrize("max_hops", [64, 4, 1])
+def test_memoised_survey_equals_the_walk(max_hops):
+    """Every probe-time survey of a clogged run, including the plain
+    walks past ``max_hops``, equals walking each chain from scratch."""
+    cfg = small_config()
+    system = build_system(cfg, "SC", "bodytrack")
+    surveys = 0
+    for _ in range(12):
+        system.run(60)
+        nets, cycle = system.fabric._net_list, system.cycle
+        ref = walked_survey(nets, cycle, max_hops)
+        assert list(survey_stalls(nets, cycle, max_hops).items()) == \
+            list(ref.items())
+        surveys += bool(ref)
+    assert surveys >= 10

@@ -150,14 +150,20 @@ class TestMetricsPlumbing:
 
     def test_scheduler_stats_account_for_every_core_step(self):
         """Self-observability of the endpoint scheduler: steps run plus
-        steps slept through is every core-step of the run, and neither
-        is a simulated counter (``stats_digest`` must not see them)."""
+        steps slept through is every core-step and every memory-node step
+        of the run, and none is a simulated counter (``stats_digest``
+        must not see them)."""
         system = build_system(small_config(), "HS", "vips")
         system.run(400)
         stats = system.scheduler_stats()
-        assert set(stats) == {"gpu_core_steps", "gpu_core_steps_skipped"}
-        assert sum(stats.values()) == 400 * len(system.gpu_cores)
+        assert set(stats) == {"gpu_core_steps", "gpu_core_steps_skipped",
+                              "mem_node_steps", "mem_node_steps_skipped"}
+        assert stats["gpu_core_steps"] + stats["gpu_core_steps_skipped"] == \
+            400 * len(system.gpu_cores)
+        assert stats["mem_node_steps"] + stats["mem_node_steps_skipped"] == \
+            400 * len(system.memory_nodes)
         assert stats["gpu_core_steps_skipped"] > stats["gpu_core_steps"] > 0
+        assert stats["mem_node_steps_skipped"] > 0 < stats["mem_node_steps"]
         assert not set(stats) & set(collect_counters(system))
 
     def test_vector_memory_lanes_scan_only_when_there_is_something_to_delegate(self):
