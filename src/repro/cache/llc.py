@@ -157,7 +157,7 @@ class LlcSlice:
         counts a stalled cycle and moves nothing): it waits behind a full
         output queue, or is a read miss with no MSHR to join or take, or
         no controller slot.  Only a drained output queue, a fill or a
-        controller issue lifts that (the memory node's sleep rests on it)."""
+        controller issue lifts that."""
         if len(self.output) >= self.output_capacity:
             return True
         req = self.input[0]

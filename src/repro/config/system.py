@@ -455,12 +455,12 @@ class SystemConfig:
         TelemetryConfig, live_when=("telemetry.enabled", True)
     )
     seed: int = _spec(42, lo=None)  # any integer
-    #: capacity scale applied to the GPU L1s and the LLC at system build.
-    #: The paper simulates one billion instructions; this reproduction runs
-    #: windows of a few thousand cycles, so cache capacities (and the
-    #: synthetic footprints) are scaled down together to keep residence
-    #: times short relative to the window — the standard scaled-working-set
-    #: methodology.  Set to 1.0 for full Table I capacities.
+    #: capacity scale applied to the GPU L1s and the LLC at system build
+    #: (``_apply_sim_scale``, its only reader).  The paper simulates one
+    #: billion instructions; this reproduction runs windows of a few
+    #: thousand cycles, so cache capacities are scaled down to keep
+    #: residence times short relative to the window.  The synthetic
+    #: footprints do not scale.  Set to 1.0 for full Table I capacities.
     sim_scale: float = _spec(0.125, lo=None, above=0.0, hi=1.0)
 
     def __post_init__(self) -> None:

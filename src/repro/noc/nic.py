@@ -55,10 +55,8 @@ class NodeInterface:
         self._local: Dict[NetKind, List[InputVC]] = {}
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
-        #: the endpoint asleep on a full queue of this NIC (None: none): a
-        #: core on its request queue, woken by the next pop of it; a
-        #: memory node on its reply buffer, woken once a reply fits again
-        #: (DESIGN.md §6.3)
+        #: the core asleep on this NIC's full request queue (None: none);
+        #: the next pop of that queue wakes it (DESIGN.md §6.3)
         self.sleeper = None
         #: attached :class:`~repro.telemetry.collector.TelemetryCollector`
         #: (None when telemetry is disabled; every hook site is one check).
@@ -157,7 +155,7 @@ class NodeInterface:
     # -- injection (called by the fabric each cycle) --------------------
 
     def wake_sleeper(self) -> None:
-        """The queue the sleeper waits on has room: wake it."""
+        """The request queue popped: the sleeping core may issue again."""
         self.sleeper.wake()
         self.sleeper = None
 
@@ -346,8 +344,6 @@ class MemoryNodeNic(NodeInterface):
         self.observed_cycles += 1
         if not self.can_enqueue(NetKind.REPLY):
             self.blocked_cycles += 1
-        elif self.sleeper is not None:  # its memory node waits on space
-            self.wake_sleeper()
         return True
 
     def _delegate_scan(self, cycle: int) -> None:

@@ -85,8 +85,6 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     _flatten_hist(c, "cpu.lat_hist.", cpu_hist)
 
     # memory nodes
-    for m in system.memory_nodes:
-        m.settle(system.cycle)  # count a sleeping node's skipped steps
     c["mem.blocked_cycles"] = 0
     c["mem.observed_cycles"] = 0
     c["mem.delegations"] = 0

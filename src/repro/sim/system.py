@@ -161,8 +161,7 @@ class HeterogeneousSystem:
                 and cycle % self.kernel_flush_interval == 0):
             self.kernel_boundary()
         for mem in self.memory_nodes:
-            if mem.wake_at <= cycle:  # else asleep: only counters owed
-                mem.step(cycle)
+            mem.step(cycle)
         for core in self.gpu_cores:
             if core.wake_at <= cycle:  # else asleep: nothing it can change
                 core.step(cycle)
@@ -188,18 +187,15 @@ class HeterogeneousSystem:
         self.coherence.kernel_boundary(self.cycle)
 
     def scheduler_stats(self) -> Dict[str, int]:
-        """How many GPU core-steps and memory-node steps ran and how many
-        the endpoint scheduler skipped (asleep on a known stall); on the vector
+        """How many GPU core-steps ran and how many the endpoint
+        scheduler skipped (cores asleep on a known stall); on the vector
         backend also the Python calls its memory lanes cost — delegation
         scans run (a node whose trigger did not fire, or with no
         delegatable reply queued, runs none)."""
         ran = sum(core.steps for core in self.gpu_cores)
-        mem_ran = sum(mem.steps for mem in self.memory_nodes)
         stats = {
             "gpu_core_steps": ran,
             "gpu_core_steps_skipped": self.cycle * len(self.gpu_cores) - ran,
-            "mem_node_steps": mem_ran,
-            "mem_node_steps_skipped": self.cycle * len(self.memory_nodes) - mem_ran,
         }
         if self.backend == "vector":
             stats["mem_nic_delegation_scans"] = sum(

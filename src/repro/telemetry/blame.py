@@ -62,15 +62,13 @@ class StallTable:
     The memory-side rows are read, not charged: ``("mem", node, 0,
     ANY_CLS)`` is the node NIC's ``blocked_cycles`` and ``("mem", node, 1,
     ANY_CLS)`` its ``MemoryNode``'s ``reply_backpressure_cycles``, each
-    since the table was built, both written at :meth:`flush` (which first
-    settles the ``endpoints`` that sleep with counts owed).  ``counts``
+    since the table was built, both written at :meth:`flush`.  ``counts``
     is therefore current as of the last flush.
     """
 
-    __slots__ = ("counts", "_rows", "_nets", "_mem", "_endpoints")
+    __slots__ = ("counts", "_rows", "_nets", "_mem")
 
-    def __init__(self, nets: Sequence, mem_counters: Sequence,
-                 endpoints: Sequence = ()) -> None:
+    def __init__(self, nets: Sequence, mem_counters: Sequence) -> None:
         self.counts: Dict[Tuple[str, int, int, int], List[int]] = {}
         #: per traffic class, input VC -> its ``counts`` row
         self._rows: Tuple[Dict[InputVC, List[int]], ...] = ({}, {})
@@ -80,7 +78,6 @@ class StallTable:
         self._mem = [
             (key, obj, attr, getattr(obj, attr)) for key, obj, attr in mem_counters
         ]
-        self._endpoints = tuple(endpoints)
 
     def row(self, ivc: InputVC, cls: int) -> List[int]:
         """The ``counts`` row of ``ivc``'s (net, router, port) for traffic
@@ -107,8 +104,6 @@ class StallTable:
                         if klass >= 0:
                             ivc.stall_row[klass] += max(0, cycle - ivc.stall_since)
                             ivc.stall_since = cycle
-        for endpoint in self._endpoints:
-            endpoint.settle(cycle)
         for key, obj, attr, base in self._mem:
             n = getattr(obj, attr) - base
             if n:

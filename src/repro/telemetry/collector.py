@@ -30,8 +30,8 @@ Two instrumentation tiers (``TelemetryConfig.mode``):
   :class:`~repro.telemetry.blame.StallTable`): every blocked head-worm
   cycle is charged to one class, through a record on the input VC that
   is touched only when its class changes or the worm moves.  On the
-  clogged 8x8 full system it costs ~13-16% over telemetry off
-  (DESIGN.md §8).
+  clogged 8x8 full system it costs ~17-20% host time over telemetry off
+  (``fullsys8`` 4.15 vs ``fullsys8_tel`` 3.56 kcyc/s; DESIGN.md §8).
 
 On a full system it is also Fig. 2's locality oracle, every GPU core's
 ``miss_observer``.  Everything the collector reads is state the
@@ -205,7 +205,6 @@ class TelemetryCollector:
                  for node in self.mem_nodes]
                 + [(("mem", m.node_id, 1, ANY_CLS), m.stats,
                     "reply_backpressure_cycles") for m in memory_nodes],
-                memory_nodes,
             )
         self._stall_base: Dict = {}
         #: node -> blame accumulator for its currently-hot episode

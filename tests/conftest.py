@@ -67,19 +67,19 @@ def small_rp_config(**overrides) -> SystemConfig:
     return _small(realistic_probing_config, overrides)
 
 
-def all_awake(fabric, endpoints=()):
+def all_awake(fabric, gpu_cores=()):
     """The scheduling reference: no router or NIC of ``fabric``, and none
-    of ``endpoints`` (GPU cores, memory nodes), ever sleeps.
+    of ``gpu_cores``, ever sleeps.
 
     The object kernel has one stepping order; what it skips is routers
     and NICs with nothing to do (active sets, wake heap), and a GPU core
-    or memory node skips the steps it knows would change only what it
-    settles later (DESIGN.md, "Endpoint scheduling contract").  Marking
-    every router and NIC active before every cycle and waking every
-    endpoint after it (so before the next cycle's endpoint steps; they
-    are built awake), through the public wake API, turns that skipping
-    off — so a run under ``all_awake`` is what a sleeping run must equal
-    counter for counter.
+    skips the steps it knows would change only what it settles later
+    (DESIGN.md, "Endpoint scheduling contract"); memory nodes step every
+    cycle.  Marking every router and NIC active before every cycle and
+    waking every core after it (so before the next cycle's core steps;
+    cores are built awake), through the public wake API, turns that
+    skipping off — so a run under ``all_awake`` is what a sleeping run
+    must equal counter for counter.
     """
     step = fabric.step
     nets = {id(net): net for net in (fabric.request_net, fabric.reply_net)}
@@ -91,8 +91,8 @@ def all_awake(fabric, endpoints=()):
         for node in range(len(fabric.nics)):
             fabric.mark_nic_active(node)
         step(cycle)
-        for endpoint in endpoints:
-            endpoint.wake()
+        for core in gpu_cores:
+            core.wake()
 
     fabric.step = awake_step
     return fabric

@@ -35,6 +35,7 @@ NIC = "tests/test_nic.py"
 MEMORY_NODE = "tests/test_memory_node.py"
 VECTOR = "tests/test_vector_kernel.py"
 SLEEP = "tests/test_perf_equivalence.py"
+CORE = "tests/test_gpu_core.py"
 PINS = ("tests/test_pinned_results.py::"
         "test_results_match_the_pins_recorded_under_this_code_version")
 
@@ -171,17 +172,59 @@ MUTANTS = (
         tests=(f"{SLEEP}::test_synthetic_counters_bit_identical",),
         item="1(a)",
     ),
-    # -- endpoints that sleep until something can change them, and the
-    #    locality oracle's holder counts (ROADMAP items 1, 12)
+    # -- GPU cores that sleep until something can change them (DESIGN.md
+    #    §6.3), and the locality oracle's holder counts (ROADMAP items 1, 12)
     Mutant(
-        id="mem-no-drain-wake",
-        file="repro/noc/nic.py",
-        line="        elif self.sleeper is not None:  # its memory node waits on space",
-        replacement="        elif False:",
+        id="core-packet-no-wake",
+        file="repro/gpu/core.py",
+        line="            self.wake_at = 0  # a delivery is a wake event (see below)",
+        replacement="            pass",
         tests=(
-            f"{SLEEP}::test_full_system_counters_bit_identical",
-            f"{SLEEP}::test_full_telemetry_under_loss_bit_identical",
+            f"{CORE}::TestSleepAndSettle::test_fill_wakes_and_settles_before_the_next_issue",
+            f"{SLEEP}::test_sleeping_cores_bit_identical",
         ),
+        item="12",
+    ),
+    Mutant(
+        id="core-stall-no-wake",
+        file="repro/gpu/core.py",
+        line=(
+            "        self.wake_at = 0\n"
+            "        self.stall_until = max(self.stall_until, until)"
+        ),
+        replacement="        self.stall_until = max(self.stall_until, until)",
+        tests=(
+            f"{CORE}::TestSleepAndSettle::test_stall_settles_against_the_old_stall_until",
+            f"{SLEEP}::test_quiesce_reaches_sleeping_cores",
+        ),
+        item="12",
+    ),
+    Mutant(
+        id="core-sleep-ignores-presence",
+        file="repro/gpu/core.py",
+        line="                    and not mshrs.has(block) and not l1.contains(block)",
+        replacement="                    and True",
+        tests=(
+            f"{CORE}::TestSleepAndSettle::"
+            "test_stalled_warp_that_would_no_longer_fail_ends_the_sleep",
+            f"{SLEEP}::test_sleeping_cores_bit_identical",
+        ),
+        item="12",
+    ),
+    Mutant(
+        id="nic-no-object-pop-wake",
+        file="repro/noc/nic.py",
+        line="            if self.sleeper is not None and net is NetKind.REQUEST:",
+        replacement="            if False:",
+        tests=(f"{SLEEP}::test_cores_refused_by_the_nic_sleep[object]",),
+        item="12",
+    ),
+    Mutant(
+        id="nic-no-vector-pop-wake",
+        file="repro/sim/vector/kernel.py",
+        line="                if woke.any():  # a core sleeps on one of these queues",
+        replacement="                if False:",
+        tests=(f"{SLEEP}::test_cores_refused_by_the_nic_sleep[vector]",),
         item="12",
     ),
     Mutant(

@@ -15,11 +15,10 @@ heavy delegation pressure: nothing the delegation path converts, rejects
 or re-routes may create or lose traffic.
 
 The last part is the same differential for the endpoints: a GPU core
-that knows its next steps are failed issue retries, or a memory node
-whose next steps would only count stalls, sleeps through them (DESIGN.md,
-"Endpoint scheduling contract") and must leave what one woken before
-every cycle leaves — counters, raw L1 misses, stall counts and the issue
-queues themselves.  Under full telemetry the same run must also leave
+that knows its next steps are failed issue retries sleeps through them
+(DESIGN.md, "Endpoint scheduling contract") and must leave what one
+woken before every cycle leaves — counters, raw L1 misses, stall counts
+and the issue queues themselves.  Under full telemetry the same run must also leave
 what the locality oracle and the blame survey left when the one scanned
 every L1 at each miss and the other walked every chain from scratch.
 """
@@ -156,7 +155,7 @@ def test_full_system_counters_bit_identical(make_cfg, faults):
     def run(reference: bool) -> dict:
         system = build_system(make_cfg(), "HS", "canneal", faults=faults)
         if reference:
-            all_awake(system.fabric, system.memory_nodes)
+            all_awake(system.fabric, system.gpu_cores)
         for _ in range(14):
             system.run(50)
             assert_fabric_invariants(system.fabric)
@@ -280,7 +279,7 @@ def _endpoint_pair(cfg_of, cycles, gpu="HS", finish=None, **build):
     for reference in (True, False):
         system = build_system(cfg_of(), gpu, "canneal", **build)
         if reference:
-            all_awake(system.fabric, system.gpu_cores + system.memory_nodes)
+            all_awake(system.fabric, system.gpu_cores)
         system.run(cycles)
         if finish is not None:
             finish(system)
@@ -453,11 +452,10 @@ def _reply_loss_plan(cfg, p=0.05):
 
 @pytest.mark.parametrize("l1_org", list(L1Organization), ids=lambda o: o.value)
 def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
-    """DR, full telemetry, a loss-only fault plan: sleeping cores and
-    memory nodes, the holder-count oracle and the memoised survey leave
-    what the all-awake run with the scan and the walk leaves — the
-    result, the stall breakdown, the locality counts and every episode's
-    root cause.  A one-set L1 evicts all the time, and DynEB ports sample
+    """DR, full telemetry, a loss-only fault plan: sleeping cores, the
+    holder-count oracle and the memoised survey leave what the all-awake
+    run with the scan and the walk leaves — the result, the stall
+    breakdown, the locality counts and every episode's root cause.  A one-set L1 evicts all the time, and DynEB ports sample
     early, so they go private mid-run."""
 
     def run(reference):
@@ -472,7 +470,7 @@ def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
                 core.l1.sample_cycles = 150
         tel = system.telemetry
         if reference:
-            all_awake(system.fabric, system.gpu_cores + system.memory_nodes)
+            all_awake(system.fabric, system.gpu_cores)
             observe = scan_oracle(tel, system.gpu_cores)
             for core in system.gpu_cores:
                 core.miss_observer = observe
@@ -493,7 +491,6 @@ def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
     assert opt_locality == ref_locality and ref_locality[1] > 0
     assert opt_causes == ref_causes and any(ref_causes)
     assert opt.counters["fault.drops"] > 0
-    assert system.scheduler_stats()["mem_node_steps_skipped"] > 0
     if l1_org is L1Organization.DYNEB:
         assert any(core.l1.mode == "private" for core in system.gpu_cores)
 

@@ -274,7 +274,7 @@ def _stalled_system(reference=False):
     cfg.telemetry.probe_interval = 100
     system = build_system(cfg, "SC", "bodytrack")
     if reference:
-        all_awake(system.fabric, system.memory_nodes)
+        all_awake(system.fabric, system.gpu_cores)
     return system
 
 

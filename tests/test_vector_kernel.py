@@ -555,7 +555,7 @@ def test_randomized_systems_bit_identical():
                                ("vector", False)):
             system = build_system(cfg, gpu, "canneal", backend=backend)
             if awake:
-                all_awake(system.fabric, system.gpu_cores + system.memory_nodes)
+                all_awake(system.fabric, system.gpu_cores)
             elif backend == "object":
                 fabric, step = system.fabric, system.fabric.step
 
