@@ -34,10 +34,8 @@ def show(title: str, cfg) -> None:
     print("hottest links (src->dst @ util):")
     for load in hottest_links(net, n=5):
         print(f"  {load.src:2d}->{load.dst:2d} @ {load.utilization:.2f}")
-    blocking = sum(
-        nic.blocking_rate for nic in system.fabric.nics
-        if hasattr(nic, "blocking_rate")
-    ) / len(system.memory_nodes)
+    blocking = sum(m.nic.blocked_cycles for m in system.memory_nodes) / (
+        CYCLES * len(system.memory_nodes))
     print(f"memory-node blocking rate: {blocking:.2f}\n")
 
 

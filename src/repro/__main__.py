@@ -113,20 +113,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_area(_args) -> int:
-    from repro.analysis.area import delegated_replies_overhead, noc_area
-    from repro.config import baseline_config
+    from repro.analysis.report import format_table
+    from repro.experiments.area_energy import area_rows
 
-    cfg = baseline_config()
-    base = noc_area(cfg)
-    cfg2 = baseline_config()
-    cfg2.noc.bandwidth_factor = 2.0
-    double = noc_area(cfg2)
-    dr = delegated_replies_overhead(cfg)
-    print(f"baseline NoC:      {base.total:.2f} mm2  {base.as_dict()}")
-    print(f"2x-bandwidth NoC:  {double.total:.2f} mm2 "
-          f"({double.total / base.total:.2f}x)")
-    print(f"Delegated Replies: {dr['total']:.3f} mm2 "
-          f"(pointers {dr['core_pointers']:.3f} + FRQs {dr['frqs']:.3f})")
+    print(format_table("Area", area_rows(), mean=None, label_header="quantity"),
+          end="")
     return 0
 
 

@@ -21,8 +21,6 @@ class SetAssociativeCache:
         self.assoc = assoc
         #: per-set LRU order: oldest first; maps block -> metadata
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
         #: ``watcher(block, +1)`` on a fill, ``(block, -1)`` on eviction,
         #: invalidation and flush; None costs each site one check
         self.watcher = None
@@ -35,13 +33,11 @@ class SetAssociativeCache:
         s = self._sets[block % self.num_sets]
         if block in s:
             s.move_to_end(block)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def contains(self, block: int) -> bool:
-        """Presence check without touching LRU state or counters."""
+        """Presence check without touching LRU state."""
         return block in self._sets[block % self.num_sets]
 
     def insert(self, block: int, meta: object = True) -> Optional[int]:
@@ -95,14 +91,6 @@ class SetAssociativeCache:
     def blocks(self) -> Iterable[int]:
         for s in self._sets:
             yield from s.keys()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 class MshrFile:

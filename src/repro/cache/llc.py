@@ -143,7 +143,6 @@ class LlcSlice:
             if self.mshrs.has(req.block):
                 self.mshrs.add_waiter(req.block, req)
                 return
-            self.cache.misses += 1
             self.mshrs.allocate(req.block, req)
             self.controller.submit(req.block, False, cycle, self._on_fill)
             return
@@ -185,7 +184,6 @@ class LlcSlice:
             self.cache.lookup(req.block)
             self.stats.hits += 1
         else:
-            self.cache.misses += 1
             self.stats.misses += 1
             # write-through: an evicted line has nothing dirty to write back
             self.cache.insert(req.block, None)

@@ -1,10 +1,13 @@
 """Forwarded Request Queue (FRQ) — Section IV, Figure 8.
 
 Each GPU core gains a small queue holding the delegated replies (remote
-memory requests) sent to it.  Requests are *not* merged: the paper found
-only 4.8% of FRQ entries access the same block and merging would require
-NoC multicast.  A full FRQ refuses further ejections, back-pressuring the
-request network.
+memory requests) sent to it.  The paper does not merge requests: only
+4.8% of FRQ entries access the same block, and merging would require NoC
+multicast.  ``delegation.frq_merge`` merges a request into a queued
+same-block entry as an ablation (``GpuCore`` keeps the merged
+requesters); with at most two entries ever queued here it finds nothing
+to merge (EXPERIMENTS.md, ablations).  A full FRQ refuses further
+ejections, back-pressuring the request network.
 """
 
 from __future__ import annotations

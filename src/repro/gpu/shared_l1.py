@@ -28,8 +28,8 @@ class PrivateL1:
     def __init__(self, cfg: GpuCacheConfig) -> None:
         self.cache = SetAssociativeCache(cfg.num_sets, cfg.assoc)
         self.hit_latency = cfg.hit_latency
-        #: presence check without touching LRU state or counters: the
-        #: cache's own, one call on the GPU sleep check's hot path
+        #: presence check without touching LRU state: the cache's own,
+        #: one call on the GPU sleep check's hot path
         self.contains = self.cache.contains
 
     def access(self, block: int, cycle: int) -> Tuple[str, int]:
@@ -37,24 +37,11 @@ class PrivateL1:
             return HIT, self.hit_latency
         return MISS, 0
 
-    def count_misses(self, n: int) -> None:
-        """What ``n`` accesses to absent lines leave behind (a sleeping
-        core's skipped read retries, settled in one go)."""
-        self.cache.misses += n
-
     def fill(self, block: int) -> Optional[int]:
         return self.cache.insert(block)
 
     def flush(self) -> int:
         return self.cache.flush()
-
-    @property
-    def hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self.cache.misses
 
 
 class SharedL1Cluster:
@@ -121,16 +108,9 @@ class SharedL1Port:
     def __init__(self, cluster: SharedL1Cluster, core_slot: int) -> None:
         self.cluster = cluster
         self.core_slot = core_slot
-        self.hits = 0
-        self.misses = 0
 
     def access(self, block: int, cycle: int) -> Tuple[str, int]:
-        state, lat = self.cluster.try_access(self.core_slot, block, cycle)
-        if state == HIT:
-            self.hits += 1
-        elif state == MISS:
-            self.misses += 1
-        return state, lat
+        return self.cluster.try_access(self.core_slot, block, cycle)
 
     def contains(self, block: int) -> bool:
         return self.cluster.contains(block)
@@ -189,11 +169,3 @@ class DynEBPort:
 
     def flush(self) -> int:
         return self._backend().flush()
-
-    @property
-    def hits(self) -> int:
-        return self.shared.hits + self.private.hits
-
-    @property
-    def misses(self) -> int:
-        return self.shared.misses + self.private.misses

@@ -265,7 +265,6 @@ class MemoryNodeNic(NodeInterface):
         #: its config; 9 is a 128 B line on the default 16 B channel.
         self.worst_reply_flits = 9
         self.blocked_cycles = 0
-        self.observed_cycles = 0
         self.delegations = 0
         #: the Delegated Replies settings this NIC runs (None: it never
         #: delegates); set only through ``set_delegation``
@@ -323,8 +322,8 @@ class MemoryNodeNic(NodeInterface):
         return super().can_enqueue(net)
 
     def inject_step(self, cycle: int) -> bool:
-        # always True (never asleep): the blocked / observed accounting
-        # and the delegation trigger run every cycle, queues empty or not.
+        # always True (never asleep): the blocked-cycle count and the
+        # delegation trigger run every cycle, queues empty or not.
         # The delegation trigger must observe *reply-network* progress only:
         # a cycle where a delegated 1-flit request injects while the reply
         # router refuses every flit is exactly the "blocked" case of Fig. 4.
@@ -341,7 +340,6 @@ class MemoryNodeNic(NodeInterface):
             and self.can_enqueue(NetKind.REPLY)
         ):
             self._delegate_scan(cycle)
-        self.observed_cycles += 1
         if not self.can_enqueue(NetKind.REPLY):
             self.blocked_cycles += 1
         return True
@@ -390,9 +388,3 @@ class MemoryNodeNic(NodeInterface):
             if self.telemetry is not None:
                 self.telemetry.on_delegate(pkt, delegated, cycle)
         self._delegatable = False
-
-    @property
-    def blocking_rate(self) -> float:
-        if self.observed_cycles == 0:
-            return 0.0
-        return self.blocked_cycles / self.observed_cycles

@@ -86,7 +86,9 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
 
     # memory nodes
     c["mem.blocked_cycles"] = 0
-    c["mem.observed_cycles"] = 0
+    # memory NICs never sleep, so each one observes every fabric cycle
+    c["mem.observed_cycles"] = (
+        system.fabric.request_net.cycles * len(system.memory_nodes))
     c["mem.delegations"] = 0
     for name in ("requests", "gpu_reads", "cpu_reads", "writes",
                  "dnf_requests", "replies_sent", "delegatable_replies"):
@@ -100,7 +102,6 @@ def collect_counters(system: HeterogeneousSystem) -> Dict[str, float]:
     for m in system.memory_nodes:
         nic = m.nic
         c["mem.blocked_cycles"] += nic.blocked_cycles
-        c["mem.observed_cycles"] += nic.observed_cycles
         c["mem.delegations"] += nic.delegations
         mem_reply_flits += nic.flits_injected_net[NetKind.REPLY]
     c["mem.reply_flits_injected"] = mem_reply_flits

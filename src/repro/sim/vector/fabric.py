@@ -218,7 +218,6 @@ class _VecMemNic(VectorNic, MemoryNodeNic):
         )
 
     blocked_cycles = _cell("mem_blocked")
-    observed_cycles = _cell("mem_observed")
     worst_reply_flits = _Mirrored("mem_worst")
     #: the trigger's one setting, fed by ``MemoryNodeNic.set_delegation``
     delegate_only_when_blocked = _Mirrored("mem_only_blocked")

@@ -50,7 +50,7 @@ Memory nodes are ordinary lanes of that batch.  Their reply deque is kept
 in the scheduler's ``(cls, pid)`` order by ``MemoryNodeNic.try_send``, so
 the batch's FIFO ``popleft`` picks CPU replies first.  What makes them
 memory nodes is a handful of ``(M,)`` rows over the ``M`` memory lanes
-(``mem_*``: reply-buffer occupancy, blocked / observed cycles, worst-case
+(``mem_*``: reply-buffer occupancy, blocked cycles, worst-case
 reply size, the delegation trigger's inputs) advanced by array ops after
 the batch (:meth:`VectorKernel._mem_account`).  Only the delegation
 *scan* stays Python — ``MemoryNodeNic._delegate_scan`` builds ``Packet``
@@ -219,7 +219,6 @@ class VectorKernel:
         #: un-injected flits of replies mid-injection
         self.mem_occ = np.zeros(M, dtype=_I64)
         self.mem_blocked = np.zeros(M, dtype=_I64)
-        self.mem_observed = np.zeros(M, dtype=_I64)
         #: flits of the largest reply the node sends (admission headroom)
         self.mem_worst = np.zeros(M, dtype=_I64)
         #: delegate only when the reply path is blocked (Figure 4); written
@@ -702,7 +701,7 @@ class VectorKernel:
     def _mem_account(self, cycle: int) -> None:
         """Per-cycle memory-node behaviour over the memory lanes, after
         injection: reply-buffer drain, the delegation trigger, and the
-        blocked / observed accounting of Figure 3."""
+        blocked-cycle count of Figure 3."""
         injected = self.flits_injected_arr[1, self._mem_arr]
         moved = injected - self._mem_injected
         self._mem_injected = injected
@@ -720,7 +719,6 @@ class VectorKernel:
                 self.nics[self.mem_nodes[lane]]._delegate_scan(cycle)
             full = self._mem_cap - occ < self.mem_worst
         self.mem_blocked += full
-        self.mem_observed += 1
 
     # ------------------------------------------------------------------
     # statistics helpers for the facades

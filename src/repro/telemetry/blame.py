@@ -225,41 +225,6 @@ def walk_chain(ivc: InputVC, cycle: int, max_hops: int = 64) -> List[Dict]:
     return hops
 
 
-def _terminal(ivc: InputVC, cycle: int, memo: Dict) -> Optional[Tuple]:
-    """``((terminal node, terminal class), depth)`` of the chain
-    :func:`walk_chain` would walk from ``ivc`` with no hop limit, or None
-    when it meets a cycle.  Kept in ``memo`` for every VC on the way, so
-    a later chain through one of them stops there."""
-    path: List[InputVC] = []
-    on_path = set()
-    while ivc not in memo:
-        if ivc in on_path:
-            end = None  # cyclic: each VC into the loop ends differently
-            break
-        r = ivc.router
-        if not ivc.q:
-            end = memo[ivc] = ((r.rid, "drained"), 1)
-            break
-        klass, nxt = classify_head(ivc, cycle)
-        if klass in ("credit", "vc_alloc") and nxt is not None:
-            path.append(ivc)
-            on_path.add(ivc)
-            ivc = nxt
-            continue
-        if klass == "eject" and _reply_blocked(r):
-            end = memo[ivc] = ((r.rid, "reply_buffer"), 2)
-        else:
-            end = memo[ivc] = ((r.rid, klass or "moving"), 1)
-        break
-    else:
-        end = memo[ivc]
-    for prev in reversed(path):
-        if end is not None:
-            end = (end[0], end[1] + 1)
-        memo[prev] = end
-    return end
-
-
 def survey_stalls(nets, cycle: int, max_hops: int = 64) -> Dict[Tuple[int, str], Dict]:
     """Walk every blocked head worm across ``nets`` and group the chains
     by terminal blocker.
@@ -267,39 +232,25 @@ def survey_stalls(nets, cycle: int, max_hops: int = 64) -> Dict[Tuple[int, str],
     Returns ``{(terminal node, terminal class): group}`` where each group
     counts chains, per-traffic-class victims, the deepest chain length
     and keeps that deepest chain (the first found, on a tie) as a sample.
-    Each input VC is classified once per survey (:func:`_terminal`), and
-    hop dicts are built only for the samples; a chain that meets a cycle
-    or runs past ``max_hops`` is walked plainly, by :func:`walk_chain`.
     """
     groups: Dict[Tuple[int, str], Dict] = {}
-    memo: Dict[InputVC, Optional[Tuple]] = {}
     for net in nets:
         for router in net.routers:
             for ivc in router.active:
-                end = memo[ivc] if ivc in memo else _terminal(ivc, cycle, memo)
-                if end is None or end[1] > max_hops:
-                    sample = walk_chain(ivc, cycle, max_hops=max_hops)
-                    gkey = (sample[-1]["node"], sample[-1]["class"])
-                    depth = len(sample)
-                else:
-                    gkey, depth = end
-                    if depth == 1 and gkey[1] in ("moving", "drained"):
-                        continue  # its own head is not blocked
-                    sample = ivc
+                if classify_head(ivc, cycle)[0] is None:
+                    continue
+                chain = walk_chain(ivc, cycle, max_hops=max_hops)
+                gkey = (chain[-1]["node"], chain[-1]["class"])
                 g = groups.get(gkey)
                 if g is None:
                     g = groups[gkey] = {"chains": 0, "victims": {},
-                                        "max_depth": 0, "sample": sample}
+                                        "max_depth": 0, "sample": chain}
                 g["chains"] += 1
-                victims, cls = g["victims"], ivc.q[0][_PKT].cls
+                victims, cls = g["victims"], chain[0]["cls"]
                 victims[cls] = victims.get(cls, 0) + 1
-                if depth > g["max_depth"]:
-                    g["max_depth"] = depth
-                    g["sample"] = sample
-    for g in groups.values():  # victims were counted by class, named here
-        g["victims"] = {cls.name: n for cls, n in g["victims"].items()}
-        if not isinstance(g["sample"], list):
-            g["sample"] = walk_chain(g["sample"], cycle, max_hops=max_hops)
+                if len(chain) > g["max_depth"]:
+                    g["max_depth"] = len(chain)
+                    g["sample"] = chain
     return groups
 
 

@@ -510,8 +510,8 @@ class TelemetryCollector:
             mem[str(node)] = {"occ": round(occupancy, 4),
                               "blocked": round(blocked, 4)}
             signals[node] = max(occupancy, blocked)
-        # one blame survey per probe covers every hot node: walk all
-        # blocked head worms once, then fold the chains into each hot
+        # one blame survey per probe covers every hot node: walk each
+        # blocked head worm's chain, then fold the chains into each hot
         # node's accumulator so a closing episode can name its root cause.
         # The survey is read-only and windowed, so it runs in light mode
         # too — episodes carry root causes even without the StallTable.

@@ -36,6 +36,7 @@ MEMORY_NODE = "tests/test_memory_node.py"
 VECTOR = "tests/test_vector_kernel.py"
 SLEEP = "tests/test_perf_equivalence.py"
 CORE = "tests/test_gpu_core.py"
+BLAME = "tests/test_stall_attribution.py"
 PINS = ("tests/test_pinned_results.py::"
         "test_results_match_the_pins_recorded_under_this_code_version")
 
@@ -212,6 +213,62 @@ MUTANTS = (
         item="12",
     ),
     Mutant(
+        id="core-sleep-tie-flipped",
+        file="repro/gpu/core.py",
+        line="                wake = due + k - 1 + (last < head[1])",
+        replacement="                wake = due + k - 1 + (last > head[1])",
+        tests=(f"{CORE}::TestSleepAndSettle::test_untried_warp_gets_its_turn_on_time",),
+        item="12",
+    ),
+    Mutant(
+        id="core-sleep-ignores-untried-warp",
+        file="repro/gpu/core.py",
+        line="                if entry > untried or not (",
+        replacement="                if not (",
+        tests=(f"{CORE}::TestSleepAndSettle::test_untried_warp_gets_its_turn_on_time",),
+        item="12",
+    ),
+    Mutant(
+        id="core-sleep-no-frq-head-timer",
+        file="repro/gpu/core.py",
+        line="            wake = min(wake, delegated[2] + self._hit_latency)",
+        replacement="            pass",
+        tests=(f"{SLEEP}::test_quiesce_reaches_sleeping_cores",),
+        item="12",
+    ),
+    Mutant(
+        id="core-sleep-no-sweep-timer",
+        file="repro/gpu/core.py",
+        line="            wake = min(wake, (cycle // period + 1) * period)",
+        replacement="            pass",
+        tests=(f"{CORE}::TestSleepAndSettle::test_watchdog_sweep_wakes_a_sleeping_core",),
+        item="12",
+    ),
+    Mutant(
+        id="core-owed-from-off-by-one",
+        file="repro/gpu/core.py",
+        line="            self._owed_from = first_issue",
+        replacement="            self._owed_from = first_issue + 1",
+        tests=(f"{CORE}::TestSleepAndSettle::test_settle_equals_real_failed_steps",),
+        item="12",
+    ),
+    Mutant(
+        id="core-settle-no-rotate",
+        file="repro/gpu/core.py",
+        line="            stalled.rotate(-rest)",
+        replacement="            pass",
+        tests=(f"{CORE}::TestSleepAndSettle::test_settle_equals_real_failed_steps",),
+        item="12",
+    ),
+    Mutant(
+        id="nic-no-first-send-wake",
+        file="repro/noc/nic.py",
+        line="            self.fabric.mark_nic_active(self.node_id)",
+        replacement="            pass",
+        tests=(f"{SLEEP}::test_synthetic_counters_bit_identical",),
+        item="1(a)",
+    ),
+    Mutant(
         id="nic-no-object-pop-wake",
         file="repro/noc/nic.py",
         line="            if self.sleeper is not None and net is NetKind.REQUEST:",
@@ -233,6 +290,41 @@ MUTANTS = (
         line="                self.watcher(victim, -1)",
         replacement="                pass",
         tests=(f"{SLEEP}::test_full_telemetry_under_loss_bit_identical",),
+        item="12",
+    ),
+    # -- the blame chain walker, the survey's one walker (ROADMAP item 12)
+    Mutant(
+        id="blame-no-reply-buffer-hop",
+        file="repro/telemetry/blame.py",
+        line='''        hops.append({"node": r.rid, "net": "mem", "class": "reply_buffer"})''',
+        replacement="        pass",
+        tests=(f"{BLAME}::TestBlameChains::test_chain_terminates_at_reply_buffer",),
+        item="12",
+    ),
+    Mutant(
+        id="blame-vc-alloc-not-followed",
+        file="repro/telemetry/blame.py",
+        line='''        if klass not in ("credit", "vc_alloc") or nxt is None \\''',
+        replacement='''        if klass not in ("credit",) or nxt is None \\''',
+        tests=(f"{BLAME}::TestWalkChain::"
+               "test_chain_follows_credit_and_vc_alloc_to_its_terminal",),
+        item="12",
+    ),
+    Mutant(
+        id="blame-no-visited-check",
+        file="repro/telemetry/blame.py",
+        line="        if ivc in visited:",
+        replacement="        if False:",
+        tests=(f"{BLAME}::TestWalkChain::"
+               "test_vcs_waiting_on_each_other_end_in_a_cyclic_hop",),
+        item="12",
+    ),
+    Mutant(
+        id="blame-no-hop-limit",
+        file="repro/telemetry/blame.py",
+        line="                or len(hops) >= max_hops:",
+        replacement="                or False:",
+        tests=(f"{BLAME}::TestWalkChain::test_chain_is_cut_at_max_hops",),
         item="12",
     ),
     Mutant(

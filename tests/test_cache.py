@@ -12,14 +12,14 @@ class TestCacheBasics:
         assert not c.lookup(0x10)
         c.insert(0x10)
         assert c.lookup(0x10)
-        assert (c.hits, c.misses) == (1, 1)
 
-    def test_contains_does_not_touch_counters(self):
-        c = SetAssociativeCache(4, 2)
-        c.insert(0x10)
-        assert c.contains(0x10)
-        assert not c.contains(0x11)
-        assert c.accesses == 0
+    def test_contains_does_not_touch_lru(self):
+        c = SetAssociativeCache(1, 2)
+        c.insert(1)
+        c.insert(2)
+        assert c.contains(1)     # 1 stays LRU
+        assert not c.contains(3)
+        assert c.insert(3) == 1
 
     def test_lru_eviction_order(self):
         c = SetAssociativeCache(1, 2)
@@ -73,13 +73,6 @@ class TestCacheBasics:
             SetAssociativeCache(0, 2)
         with pytest.raises(ValueError):
             SetAssociativeCache(2, 0)
-
-    def test_hit_rate(self):
-        c = SetAssociativeCache(4, 2)
-        c.insert(1)
-        c.lookup(1)
-        c.lookup(2)
-        assert c.hit_rate == 0.5
 
 
 class TestCacheProperties:

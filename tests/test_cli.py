@@ -370,3 +370,17 @@ class TestArea:
         out = capsys.readouterr().out
         assert "2.27" in out
         assert "0.172" in out
+
+    def test_area_prints_the_area_experiments_rows(self, capsys):
+        from repro.experiments.area_energy import area_rows
+
+        assert main(["area"]) == 0
+        printed = {
+            cols[0]: float(cols[1])
+            for cols in map(str.split, capsys.readouterr().out.splitlines())
+            if len(cols) == 2 and cols[0] not in ("quantity", "==")
+        }
+        rows = area_rows()
+        assert list(printed) == [name for name, _row in rows]
+        for name, row in rows:
+            assert printed[name] == pytest.approx(row["value"], abs=5e-4)

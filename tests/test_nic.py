@@ -41,14 +41,11 @@ class TestMemoryNodeBuffer:
         fab = make_fabric(mem_injection_buffer_flits=9)
         nic = fab.nic(5)
         nic.try_send(reply(5, 0), 0)
-        nic.observed_cycles = 0
         nic.blocked_cycles = 0
-        nic.inject_step(0)
-        assert nic.observed_cycles == 1
-        # the reply starts draining immediately, freeing headroom depends
-        # on occupancy; with a 9-flit buffer and an 8-flit remainder the
-        # node is still blocked
-        assert nic.blocked_cycles in (0, 1)
+        assert nic.inject_step(0) is True
+        # at most one flit drains per cycle: with a 9-flit buffer and an
+        # 8-flit remainder the node is still blocked
+        assert nic.blocked_cycles == 1
 
     def test_cpu_reply_selected_before_gpu(self):
         fab = make_fabric(mem_injection_buffer_flits=36)

@@ -17,10 +17,9 @@ or re-routes may create or lose traffic.
 The last part is the same differential for the endpoints: a GPU core
 that knows its next steps are failed issue retries sleeps through them
 (DESIGN.md, "Endpoint scheduling contract") and must leave what one
-woken before every cycle leaves — counters, raw L1 misses, stall counts
-and the issue queues themselves.  Under full telemetry the same run must also leave
-what the locality oracle and the blame survey left when the one scanned
-every L1 at each miss and the other walked every chain from scratch.
+woken before every cycle leaves — counters, stall counts and the issue
+queues themselves.  Under full telemetry the same run must also leave
+what the locality oracle left when it scanned every L1 at each miss.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from repro.noc.topology import build_topology
 from repro.sim.layout import build_layout
 from repro.sim.metrics import collect_counters
 from repro.sim.simulator import build_system, run_simulation
-from repro.telemetry import collector as collector_module
-from repro.telemetry.blame import classify_head, survey_stalls, walk_chain
-
 from repro.workloads.gpu import GPU_BENCHMARK_NAMES
 
 from conftest import (
@@ -81,7 +77,6 @@ def _fabric_counters(fabric: NocFabric) -> dict:
         if hasattr(nic, "delegations"):
             out[f"nic{nid}.delegations"] = nic.delegations
             out[f"nic{nid}.blocked"] = nic.blocked_cycles
-            out[f"nic{nid}.observed"] = nic.observed_cycles
     return out
 
 
@@ -261,10 +256,9 @@ MECHANISMS = {
 
 def _endpoint_state(system) -> dict:
     """``collect_counters`` (which settles sleeping cores) plus what it
-    does not carry: raw L1 misses, per-core stalls, the issue queues."""
+    does not carry: per-core stalls, the issue queues."""
     out = collect_counters(system)
     for i, core in enumerate(system.gpu_cores):
-        out[f"core{i}.l1.misses"] = core.l1.misses
         out[f"core{i}.issue_stalls"] = core.stats.issue_stalls
         out[f"core{i}.ready"] = sorted(core._ready)
         out[f"core{i}.stalled"] = list(core._stalled)
@@ -397,8 +391,7 @@ def test_sleeping_cores_property(seed, gpu, mechanism, mshrs, warps, queue, wind
 
 
 # ---------------------------------------------------------------------------
-# full telemetry: the O(1) locality oracle and the memoised blame survey
-# against the scan and the chain-by-chain walk they replace
+# full telemetry: the O(1) locality oracle against the scan it replaces
 # ---------------------------------------------------------------------------
 
 
@@ -418,28 +411,6 @@ def scan_oracle(collector, cores):
     return observe
 
 
-def walked_survey(nets, cycle, max_hops=64):
-    """``survey_stalls`` as a walk of every blocked chain from scratch."""
-    groups = {}
-    for net in nets:
-        for router in net.routers:
-            for ivc in router.active:
-                if classify_head(ivc, cycle)[0] is None:
-                    continue
-                chain = walk_chain(ivc, cycle, max_hops=max_hops)
-                g = groups.setdefault(
-                    (chain[-1]["node"], chain[-1]["class"]),
-                    {"chains": 0, "victims": {}, "max_depth": 0, "sample": chain},
-                )
-                g["chains"] += 1
-                cls = chain[0].get("cls", "?")
-                g["victims"][cls] = g["victims"].get(cls, 0) + 1
-                if len(chain) > g["max_depth"]:
-                    g["max_depth"] = len(chain)
-                    g["sample"] = chain
-    return groups
-
-
 def _reply_loss_plan(cfg, p=0.05):
     """Loss only: every reply link out of a memory node drops flits."""
     layout = build_layout(cfg)
@@ -451,11 +422,11 @@ def _reply_loss_plan(cfg, p=0.05):
 
 
 @pytest.mark.parametrize("l1_org", list(L1Organization), ids=lambda o: o.value)
-def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
-    """DR, full telemetry, a loss-only fault plan: sleeping cores, the
-    holder-count oracle and the memoised survey leave what the all-awake
-    run with the scan and the walk leaves — the result, the stall
-    breakdown, the locality counts and every episode's root cause.  A one-set L1 evicts all the time, and DynEB ports sample
+def test_full_telemetry_under_loss_bit_identical(l1_org):
+    """DR, full telemetry, a loss-only fault plan: sleeping cores and
+    the holder-count oracle leave what the all-awake run with the scan
+    leaves — the result, the stall breakdown, the locality counts and
+    every episode's root cause.  A one-set L1 evicts all the time, and DynEB ports sample
     early, so they go private mid-run."""
 
     def run(reference):
@@ -474,11 +445,9 @@ def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
             observe = scan_oracle(tel, system.gpu_cores)
             for core in system.gpu_cores:
                 core.miss_observer = observe
-            monkeypatch.setattr(collector_module, "survey_stalls", walked_survey)
         result = run_simulation(
             cfg, "SC", "canneal", cycles=450, warmup=150, system=system
         )
-        monkeypatch.undo()
         locality = tuple(tel.metrics_snapshot()[f"locality.{k}"]
                          for k in ("misses", "remote"))
         causes = [ep.get("root_cause") for ep in tel.detector.episodes]
@@ -493,20 +462,3 @@ def test_full_telemetry_under_loss_bit_identical(l1_org, monkeypatch):
     assert opt.counters["fault.drops"] > 0
     if l1_org is L1Organization.DYNEB:
         assert any(core.l1.mode == "private" for core in system.gpu_cores)
-
-
-@pytest.mark.parametrize("max_hops", [64, 4, 1])
-def test_memoised_survey_equals_the_walk(max_hops):
-    """Every probe-time survey of a clogged run, including the plain
-    walks past ``max_hops``, equals walking each chain from scratch."""
-    cfg = small_config()
-    system = build_system(cfg, "SC", "bodytrack")
-    surveys = 0
-    for _ in range(12):
-        system.run(60)
-        nets, cycle = system.fabric._net_list, system.cycle
-        ref = walked_survey(nets, cycle, max_hops)
-        assert list(survey_stalls(nets, cycle, max_hops).items()) == \
-            list(ref.items())
-        surveys += bool(ref)
-    assert surveys >= 10

@@ -117,11 +117,3 @@ class TestDynEB:
         port.fill(0x55)
         assert port.private.contains(0x55)
         assert not port.cluster.contains(0x55)
-
-    def test_hit_miss_counters_aggregate(self):
-        port, _ = self.make_port()
-        port.access(1, cycle=0)
-        port.fill(1)
-        port.access(1, cycle=1)
-        assert port.misses == 1
-        assert port.hits == 1

@@ -15,6 +15,8 @@ The two load-bearing guarantees:
 
 import json
 
+import pytest
+
 from repro.bench.traffic import SCENARIOS, replay
 from repro.config import NocConfig, delegated_replies_config
 from repro.config.system import TelemetryConfig
@@ -485,6 +487,84 @@ class TestBlameChains:
         }
         # the hop before the terminal is the closed ejection gate
         assert g["sample"][-2]["class"] == "eject"
+
+
+@pytest.fixture(scope="module")
+def saturated():
+    """SC at cycle 800, only read by the walker tests below."""
+    system = _stalled_system()
+    system.run(800)
+    return system
+
+
+def _blocked_heads(system):
+    return [ivc for net in system.fabric._net_list for r in net.routers
+            for ivc in r.active if classify_head(ivc, system.cycle)[0]]
+
+
+FOLLOWED = ("credit", "vc_alloc")
+
+
+class TestWalkChain:
+    def test_chain_follows_credit_and_vc_alloc_to_its_terminal(self, saturated):
+        # every hop but the terminal (and a reply_buffer root after it)
+        # is a followed stall, and a chain the hop limit did not cut
+        # never ends on one; both followed classes occur
+        followed = set()
+        for ivc in _blocked_heads(saturated):
+            chain = walk_chain(ivc, saturated.cycle)
+            assert len(chain) < 64
+            if chain[-1]["class"] == "reply_buffer":
+                chain = chain[:-1]
+            assert chain[-1]["class"] not in FOLLOWED
+            for hop in chain[:-1]:
+                assert hop["class"] in FOLLOWED
+                followed.add(hop["class"])
+        assert followed == set(FOLLOWED)
+
+    @pytest.mark.parametrize("max_hops", [1, 4])
+    def test_chain_is_cut_at_max_hops(self, saturated, max_hops):
+        cycle = saturated.cycle
+        cut = 0
+        for ivc in _blocked_heads(saturated):
+            chain = walk_chain(ivc, cycle)
+            if not all(h["class"] in FOLLOWED for h in chain[:max_hops]):
+                continue  # ends by the limit: nothing to cut
+            short = walk_chain(ivc, cycle, max_hops=max_hops)
+            assert len(short) == max_hops
+            assert short == chain[:max_hops]
+            assert short[-1]["class"] in FOLLOWED
+            cut += 1
+        assert cut > 0
+
+    def test_vcs_waiting_on_each_other_end_in_a_cyclic_hop(self):
+        # four full worms around a 2x2 ring, each out of credits into the
+        # next: no dimension-order route makes this, the walker must
+        # still stop
+        topo = MeshTopology(2, 2)
+        fabric = build_fabric("object", topo, NocConfig())
+        net = fabric.request_net
+        ring = [0, 1, 3, 2]
+        ivcs = [
+            net.routers[ring[i - 1]].downstream[topo.port_of[ring[i - 1]][rid]][0]
+            for i, rid in enumerate(ring)
+        ]
+        for i, ivc in enumerate(ivcs):
+            pkt = Packet(ring[i - 1], ring[i - 2], MessageType.WRITE_REQ,
+                         TrafficClass.CPU, ivc.router.vc_cap)
+            for flit in range(pkt.size_flits):
+                net.accept(ivc, pkt, flit == pkt.size_flits - 1, 0)
+            ivc.route_out = topo.port_of[ring[i]][ring[(i + 1) % 4]]
+            ivc.out = ivcs[(i + 1) % 4]
+        cycle = 10
+        for i, ivc in enumerate(ivcs):
+            chain = walk_chain(ivc, cycle)
+            assert [h["class"] for h in chain] == ["credit"] * 4 + ["cyclic"]
+            assert [h["node"] for h in chain] == (ring[i:] + ring[:i + 1])
+        groups = survey_stalls([net], cycle)
+        assert sorted(groups) == [(rid, "cyclic") for rid in sorted(ring)]
+        assert all(g["chains"] == 1 and g["max_depth"] == 5
+                   for g in groups.values())
 
 
 class TestBlameAccumulator:

@@ -70,7 +70,6 @@ def _collect(fabric) -> dict:
         if hasattr(nic, "delegations"):
             out[f"nic{nid}.delegations"] = nic.delegations
             out[f"nic{nid}.blocked"] = nic.blocked_cycles
-            out[f"nic{nid}.observed"] = nic.observed_cycles
     out["in_flight"] = fabric.in_flight_flits()
     return out
 
