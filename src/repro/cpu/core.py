@@ -24,7 +24,7 @@ from repro.cache.cache import MshrFile, SetAssociativeCache
 from repro.config.system import SystemConfig
 from repro.mem.address import AddressMap
 from repro.noc.nic import NodeInterface
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.noc.packet import CPU_CLS, READ_REPLY, READ_REQ, REQUEST_NET, Packet
 from repro.telemetry.hist import LogHistogram
 from repro.workloads.cpu import CpuTraceGenerator
 
@@ -81,7 +81,7 @@ class CpuCore:
     # -- NoC side --------------------------------------------------------
 
     def on_packet(self, pkt: Packet, cycle: int) -> None:
-        if pkt.mtype is not MessageType.READ_REPLY:
+        if pkt.mtype is not READ_REPLY:
             raise RuntimeError(f"CPU core got unexpected {pkt!r}")
         self.stats.replies += 1
         block = pkt.block
@@ -139,13 +139,13 @@ class CpuCore:
     def _try_send(self, block: int, cycle: int) -> bool:
         if self.mshrs.full or len(self.mshrs) >= self.cfg.cpu_core.max_outstanding:
             return False
-        if not self.nic.can_enqueue(NetKind.REQUEST):
+        if not self.nic.can_enqueue(REQUEST_NET):
             return False
         pkt = Packet(
             src=self.node_id,
             dst=self.addr_map.home_of(block >> 1),  # 128 B home of a 64 B block
-            mtype=MessageType.READ_REQ,
-            cls=TrafficClass.CPU,
+            mtype=READ_REQ,
+            cls=CPU_CLS,
             size_flits=1,
             block=block,
             created=cycle,

@@ -11,12 +11,11 @@ them on the right physical network and VC range.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.config.system import NocConfig
-from repro.noc.nic import MemoryNodeNic, NodeInterface
-from repro.noc.packet import NetKind, Packet
+from repro.noc.nic import InjectRow, MemoryNodeNic, NodeInterface
+from repro.noc.packet import Packet
 from repro.noc.router import (
     CREDIT, EJECT, LOCAL_PORT, PIPELINE, ROUTE, SERIALIZATION, SWITCH, VC_ALLOC,
     InputVC, Router, _AVAIL, _PKT, _READY,
@@ -26,10 +25,6 @@ from repro.noc.topology import BaseTopology
 
 #: the physical networks' names, by how many there are
 NETWORK_NAMES = {1: ("shared",), 2: ("request", "reply")}
-
-# a switch-allocation candidate ``(key, ivc)``'s sort key: the key alone,
-# so equal keys (one packet in two VCs of a router) keep active order
-_by_key = itemgetter(0)
 
 
 class PhysicalNetwork:
@@ -201,10 +196,11 @@ class PhysicalNetwork:
                 ids.discard(rid)
                 continue
             cap = router.vc_cap
-            # the lone candidate; from the second on, all as ``(key, ivc)``
+            # the lone candidate; from the second on, every candidate in
+            # ``cands`` and its key in ``keys``, inserted in key order
             first = None
             first_key = 0
-            cands = None
+            cands = keys = None
             rescan = False
             wake_at = -1
             for ivc in active:
@@ -287,9 +283,18 @@ class PhysicalNetwork:
                 if first is None:
                     first, first_key = ivc, key
                 elif cands is None:
-                    cands = [(first_key, first), (key, ivc)]
+                    if key < first_key:
+                        cands, keys = [ivc, first], [key, first_key]
+                    else:
+                        cands, keys = [first, ivc], [first_key, key]
                 else:
-                    cands.append((key, ivc))
+                    # behind every key not above it: equal keys (one
+                    # packet in two VCs of a router) keep active order
+                    i = len(keys)
+                    while i and keys[i - 1] > key:
+                        i -= 1
+                    keys.insert(i, key)
+                    cands.insert(i, ivc)
             if first is None:
                 if not rescan:
                     ids.discard(rid)
@@ -303,7 +308,7 @@ class PhysicalNetwork:
             # input port a pass (Section II's switch constraints)
             start = len(moves)
             outs = ins = 0
-            for _key, ivc in sorted(cands, key=_by_key):
+            for ivc in cands:
                 bit = 1 << ivc.route_out
                 if outs & bit:
                     continue
@@ -318,7 +323,7 @@ class PhysicalNetwork:
                 # allocation to a higher-priority worm (or to per-input
                 # uniqueness), so each blocked head is billed one class
                 moved = moves[start:]
-                for _key, ivc in cands:
+                for ivc in cands:
                     if ivc.stall != SWITCH and ivc not in moved:
                         tel.on_stall(ivc, ivc.q[0][0], SWITCH, cycle)
 
@@ -487,11 +492,6 @@ class NocFabric:
             for name in NETWORK_NAMES[cfg.physical_networks]
         )
         self.request_net, self.reply_net = self._net_list[0], self._net_list[-1]
-        self._nets = {
-            NetKind.REQUEST: self.request_net,
-            NetKind.REPLY: self.reply_net,
-        }
-        self._vc_ranges = cfg.vc_ranges
         mem_set = set(mem_nodes)
         self.nics: List[NodeInterface] = []
         for node in range(topology.n):
@@ -514,11 +514,12 @@ class NocFabric:
         for net in self._net_list:
             net.nics = self.nics
             net.active_nics = self._active_nics
-        for nic in self.nics:
-            nic._local = {
-                kind: net.routers[nic.node_id].inputs[LOCAL_PORT]
-                for kind, net in self._nets.items()
-            }
+        for nic in self.nics:  # rows indexed by the kind, as ``vc_ranges``
+            routers = (self.request_net.routers[nic.node_id],
+                       self.reply_net.routers[nic.node_id])
+            nic.rows = tuple(
+                InjectRow(r.inputs[LOCAL_PORT][lo:hi], r, r.net, r.vc_cap)
+                for r, (lo, hi) in zip(routers, cfg.vc_ranges))
         #: attached telemetry collector (None = disabled).
         self.telemetry = None
         #: attached fault controller (None = no fault plan installed).
@@ -547,12 +548,6 @@ class NocFabric:
 
     def nic(self, node: int) -> NodeInterface:
         return self.nics[node]
-
-    def router_for(self, node: int, net: NetKind) -> Router:
-        return self._nets[net].routers[node]
-
-    def vc_range_for(self, pkt: Packet) -> Tuple[int, int]:
-        return self._vc_ranges[pkt.net]
 
     # -- simulation -----------------------------------------------------
 

@@ -24,14 +24,33 @@ builds on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config.system import DelegationConfig
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
-from repro.noc.router import _AVAIL, InputVC
+from repro.noc.packet import (
+    CPU_CLS, DELEGATED_REQ, GPU_CLS, REPLY_NET, REQUEST_NET, NetKind, Packet,
+    TrafficClass,
+)
+from repro.noc.router import _AVAIL, InputVC, Router
 
 #: both network kinds, in injection order (hoisted off the hot path)
-_NET_KINDS = (NetKind.REQUEST, NetKind.REPLY)
+_NET_KINDS = (REQUEST_NET, REPLY_NET)
+#: a shared injection link's order on odd cycles (reply first)
+_REPLY_FIRST = (REPLY_NET, REQUEST_NET)
+
+
+class InjectRow(NamedTuple):
+    """What a NIC feeds on one network kind, built once by ``NocFabric``
+    at wiring: the local router's ``LOCAL_PORT`` input VCs in the kind's
+    ``vc_ranges`` slice, lowest first (one whose ``owner`` is set carries
+    a worm of this NIC mid-injection; several can, which lets a
+    2x-bandwidth link carry two), that router, its network and the VCs'
+    credit cap."""
+
+    row: List[InputVC]
+    router: Router
+    net: "PhysicalNetwork"
+    cap: int
 
 
 class NodeInterface:
@@ -45,14 +64,10 @@ class NodeInterface:
         self.node_id = node_id
         self.fabric = fabric
         self.queue_packets = queue_packets
-        self.queues: Dict[NetKind, Deque[Packet]] = {
-            NetKind.REQUEST: deque(), NetKind.REPLY: deque()}
-        #: per network, the local router's LOCAL_PORT row of input-VC
-        #: records — the VCs this NIC feeds; set by ``NocFabric`` at wiring.
-        #: A VC of the row whose ``owner`` is set carries one of this NIC's
-        #: worms mid-injection; several inject concurrently on different
-        #: VCs, which is what lets a 2x-bandwidth link carry two worms.
-        self._local: Dict[NetKind, List[InputVC]] = {}
+        self.queues: Dict[NetKind, Deque[Packet]] = {REQUEST_NET: deque(), REPLY_NET: deque()}
+        #: the VCs this NIC feeds, one record per network kind indexed by
+        #: the kind; set by ``NocFabric`` at wiring (object kernel only)
+        self.rows: Tuple[InjectRow, ...] = ()
         #: called with (packet, cycle) when a packet is fully ejected here.
         self.handler: Optional[Callable[[Packet, int], None]] = None
         #: the core asleep on this NIC's full request queue (None: none);
@@ -69,16 +84,15 @@ class NodeInterface:
         #: delegated requests, back-pressuring the request network); see the
         #: ``eject_gate`` property below.
         self._eject_gate_fn: Optional[Callable[[Packet], bool]] = None
-        self.flits_injected_net: Dict[NetKind, int] = {NetKind.REQUEST: 0, NetKind.REPLY: 0}
-        self.packets_sent_net: Dict[NetKind, int] = {NetKind.REQUEST: 0, NetKind.REPLY: 0}
-        self.flits_received: Dict[TrafficClass, int] = {
-            TrafficClass.CPU: 0, TrafficClass.GPU: 0}
+        self.flits_injected_net: Dict[NetKind, int] = {REQUEST_NET: 0, REPLY_NET: 0}
+        self.packets_sent_net: Dict[NetKind, int] = {REQUEST_NET: 0, REPLY_NET: 0}
+        self.flits_received: Dict[TrafficClass, int] = {CPU_CLS: 0, GPU_CLS: 0}
         self.data_flits_received = 0
 
     @property
     def flits_injected(self) -> int:
         by_net = self.flits_injected_net
-        return by_net[NetKind.REQUEST] + by_net[NetKind.REPLY]
+        return by_net[REQUEST_NET] + by_net[REPLY_NET]
 
     # -- endpoint-facing API -------------------------------------------
 
@@ -163,30 +177,20 @@ class NodeInterface:
         """Inject this cycle's flits; returns how many moved.  A NIC that
         moved none waits on a local-port drain or a first ``try_send``,
         so the fabric lets it sleep until one wakes it."""
-        if self.fabric.separate_networks:
-            pushed = 0
-            for net in _NET_KINDS:
-                pushed += self._inject_net(net, cycle, self.fabric.bandwidth)
-            return pushed
+        fabric = self.fabric
+        if fabric.separate_networks:
+            bandwidth = fabric.bandwidth
+            return (self._inject_net(REQUEST_NET, cycle, bandwidth)
+                    + self._inject_net(REPLY_NET, cycle, bandwidth))
         # one physical network: the injection link is shared, so the two
         # queues share the per-cycle flit budget (reply first on odd
         # cycles to avoid starvation).
-        order = (
-            (NetKind.REPLY, NetKind.REQUEST)
-            if cycle & 1
-            else (NetKind.REQUEST, NetKind.REPLY)
-        )
-        budget = self.fabric.bandwidth
-        for net in order:
+        budget = fabric.bandwidth
+        for net in _REPLY_FIRST if cycle & 1 else _NET_KINDS:
             if budget <= 0:
                 break
             budget -= self._inject_net(net, cycle, budget)
-        return self.fabric.bandwidth - budget
-
-    def _select_head(self, net: NetKind) -> Optional[Packet]:
-        """The packet to inject next on ``net``: the queue head."""
-        q = self.queues[net]
-        return q[0] if q else None
+        return fabric.bandwidth - budget
 
     def _inject_net(self, net: NetKind, cycle: int, budget: int) -> int:
         """Push up to ``budget`` flits into the local router.
@@ -195,13 +199,9 @@ class NodeInterface:
         starts new packets from the queue on free VCs.  Returns the number
         of flits pushed.
         """
-        pushed_now = 0
-        router = self._local[net][0].router
-        phys = router.net
+        row, _router, phys, cap = self.rows[net]
         accept = phys.accept
-        cap = router.vc_cap
-        vlo, vhi = phys.vc_ranges[net]
-        row = self._local[net][vlo:vhi]
+        pushed_now = 0
         # continue in-flight worms first (wormhole: must finish): the VCs
         # of the range this NIC holds the write lock of, walked lowest VC
         # first — deterministic from current state alone, as the vector
@@ -219,19 +219,17 @@ class NodeInterface:
             accept(ivc, pkt, pushed + 1 == pkt.size_flits, cycle)
             pushed_now += 1
             budget -= 1
-        # start new worms, each on the lowest VC of the range that has no
-        # owner and has credit
-        while budget > 0:
-            pkt = self._select_head(net)
-            if pkt is None:
-                break
+        # start new worms from the queue head, each on the lowest VC of
+        # the range that has no owner and has credit
+        queue = self.queues[net]
+        while budget > 0 and queue:
             for ivc in row:
                 if ivc.owner is None and ivc.occ < cap:
                     break
             else:
                 break  # no startable VC
-            self.queues[net].popleft()
-            if self.sleeper is not None and net is NetKind.REQUEST:
+            pkt = queue.popleft()
+            if self.sleeper is not None and net is REQUEST_NET:
                 self.wake_sleeper()
             pkt.injected = cycle
             if self.telemetry is not None:
@@ -253,7 +251,7 @@ class MemoryNodeNic(NodeInterface):
     """
 
     #: replies are admitted by ``can_enqueue``'s flit rule alone
-    _flit_bounded = NetKind.REPLY
+    _flit_bounded = REPLY_NET
 
     def __init__(
         self, node_id: int, fabric, queue_packets: int, reply_buffer_flits: int
@@ -289,16 +287,16 @@ class MemoryNodeNic(NodeInterface):
         self.delegate_only_when_blocked = cfg is None or cfg.only_when_blocked
 
     def try_send(self, pkt: Packet, cycle: int) -> bool:
-        if pkt.net is NetKind.REPLY and not self.can_enqueue(NetKind.REPLY):
+        if pkt.net is REPLY_NET and not self.can_enqueue(REPLY_NET):
             return False
         ok = super().try_send(pkt, cycle)
-        if ok and pkt.net is NetKind.REPLY:
+        if ok and pkt.net is REPLY_NET:
             self._reply_occ += pkt.size_flits
             # the injection-buffer scheduler prioritises CPU replies: sink
             # the new reply to its (cls, pid) place, so the FIFO head is
             # always the packet the scheduler would pick.  Only GPU replies
             # are delegatable and they stay in age order among themselves.
-            q = self.queues[NetKind.REPLY]
+            q = self.queues[REPLY_NET]
             key = (pkt.cls, pkt.pid)
             last = i = len(q) - 1
             while i and (q[i - 1].cls, q[i - 1].pid) > key:
@@ -311,7 +309,7 @@ class MemoryNodeNic(NodeInterface):
         return ok
 
     def can_enqueue(self, net: NetKind) -> bool:
-        if net is NetKind.REPLY:
+        if net is REPLY_NET:
             # strict admission: the next (worst-case) reply must fit
             # entirely; a buffer that cannot take one more reply is what the
             # paper calls a *blocked* memory node (Figure 3).
@@ -327,9 +325,9 @@ class MemoryNodeNic(NodeInterface):
         # The delegation trigger must observe *reply-network* progress only:
         # a cycle where a delegated 1-flit request injects while the reply
         # router refuses every flit is exactly the "blocked" case of Fig. 4.
-        before = self.flits_injected_net[NetKind.REPLY]
+        before = self.flits_injected_net[REPLY_NET]
         super().inject_step(cycle)
-        moved = self.flits_injected_net[NetKind.REPLY] - before
+        moved = self.flits_injected_net[REPLY_NET] - before
         self._reply_occ -= moved
         # the memory node "cannot inject reply traffic" when its injection
         # buffer is full (it is blocked, Figure 3) or when the reply router
@@ -337,10 +335,10 @@ class MemoryNodeNic(NodeInterface):
         if self._delegatable and not (
             self.delegate_only_when_blocked
             and moved
-            and self.can_enqueue(NetKind.REPLY)
+            and self.can_enqueue(REPLY_NET)
         ):
             self._delegate_scan(cycle)
-        if not self.can_enqueue(NetKind.REPLY):
+        if not self.can_enqueue(REPLY_NET):
             self.blocked_cycles += 1
         return True
 
@@ -352,8 +350,8 @@ class MemoryNodeNic(NodeInterface):
         if dr is None:
             return
         self.delegation_scans += 1
-        requests = self.queues[NetKind.REQUEST]
-        queue = self.queues[NetKind.REPLY]
+        requests = self.queues[REQUEST_NET]
+        queue = self.queues[REPLY_NET]
         done = 0
         for pkt in list(queue):
             # packets mid-injection are no longer in the queue, so every
@@ -368,8 +366,8 @@ class MemoryNodeNic(NodeInterface):
             delegated = Packet(
                 src=pkt.src,              # injected at the memory node ...
                 dst=pkt.delegate_to,      # ... towards the likely sharer
-                mtype=MessageType.DELEGATED_REQ,
-                cls=TrafficClass.GPU,
+                mtype=DELEGATED_REQ,
+                cls=GPU_CLS,
                 size_flits=1,
                 block=pkt.block,
                 requester=pkt.dst,        # the paper encodes the requesting
@@ -380,9 +378,9 @@ class MemoryNodeNic(NodeInterface):
             self._reply_occ -= pkt.size_flits
             # the reply never enters the reply network: undo its enqueue-time
             # accounting so noc.rep_packets counts actual reply traffic
-            self.packets_sent_net[NetKind.REPLY] -= 1
+            self.packets_sent_net[REPLY_NET] -= 1
             requests.append(delegated)
-            self.packets_sent_net[NetKind.REQUEST] += 1
+            self.packets_sent_net[REQUEST_NET] += 1
             self.delegations += 1
             done += 1
             if self.telemetry is not None:

@@ -38,7 +38,10 @@ from repro.cache.llc import LlcRequest, LlcResult, LlcSlice
 from repro.config.system import SystemConfig
 from repro.mem.dram import MemoryController
 from repro.noc.nic import MemoryNodeNic
-from repro.noc.packet import MessageType, NetKind, Packet, TrafficClass
+from repro.noc.packet import (
+    CPU_CLS, DNF_REQ, GPU_CLS, READ_REPLY, READ_REQ, REPLY_NET, WRITE_ACK,
+    WRITE_REQ, Packet,
+)
 
 
 @dataclass
@@ -86,23 +89,22 @@ class MemoryNode:
 
     def on_packet(self, pkt: Packet, cycle: int) -> None:
         mtype = pkt.mtype
-        if mtype not in (MessageType.READ_REQ, MessageType.WRITE_REQ,
-                         MessageType.DNF_REQ):  # pragma: no cover - protocol violation
+        if mtype not in (READ_REQ, WRITE_REQ, DNF_REQ):  # pragma: no cover - protocol violation
             raise RuntimeError(f"memory node got unexpected {pkt!r}")
         self.stats.requests += 1
-        is_write = mtype is MessageType.WRITE_REQ
-        is_cpu = pkt.cls is TrafficClass.CPU
+        is_write = mtype is WRITE_REQ
+        is_cpu = pkt.cls is CPU_CLS
         if is_write:
             self.stats.writes += 1
         elif is_cpu:
             self.stats.cpu_reads += 1
         else:
             self.stats.gpu_reads += 1
-        if mtype is MessageType.DNF_REQ:
+        if mtype is DNF_REQ:
             self.stats.dnf_requests += 1
         req = LlcRequest(
             requester=pkt.requester, block=pkt.block >> 1 if is_cpu else pkt.block,
-            is_write=is_write, cls=pkt.cls, dnf=pkt.dnf or mtype is MessageType.DNF_REQ,
+            is_write=is_write, cls=pkt.cls, dnf=pkt.dnf or mtype is DNF_REQ,
             gpu_core=pkt.requester in self.gpu_nodes, arrival=cycle,
         )
         req.orig_block = pkt.block  # reply must echo the requester's view
@@ -134,7 +136,7 @@ class MemoryNode:
             result = self.llc.peek_result()
             if result is None:
                 return
-            if not self.nic.can_enqueue(NetKind.REPLY):
+            if not self.nic.can_enqueue(REPLY_NET):
                 self.stats.reply_backpressure_cycles += 1
                 return
             self.llc.pop_result()
@@ -144,16 +146,15 @@ class MemoryNode:
     def _reply_for(self, result: LlcResult, cycle: int) -> Packet:
         req = result.req
         if req.is_write:
-            return Packet(src=self.node_id, dst=req.requester,
-                          mtype=MessageType.WRITE_ACK, cls=req.cls, size_flits=1,
-                          block=req.orig_block, created=cycle)
-        line = (self.cfg.gpu_l1.line_bytes if req.cls is TrafficClass.GPU
+            return Packet(src=self.node_id, dst=req.requester, mtype=WRITE_ACK, cls=req.cls,
+                          size_flits=1, block=req.orig_block, created=cycle)
+        line = (self.cfg.gpu_l1.line_bytes if req.cls is GPU_CLS
                 else self.cfg.cpu_l1.line_bytes)
         delegate_to = self._delegate_to(result)
         if delegate_to is not None:
             self.stats.delegatable_replies += 1
         return Packet(
-            src=self.node_id, dst=req.requester, mtype=MessageType.READ_REPLY,
+            src=self.node_id, dst=req.requester, mtype=READ_REPLY,
             cls=req.cls, size_flits=self.cfg.noc.flits_for(line), block=req.orig_block,
             delegate_to=delegate_to,
             created=cycle,

@@ -30,8 +30,8 @@ Two instrumentation tiers (``TelemetryConfig.mode``):
   :class:`~repro.telemetry.blame.StallTable`): every blocked head-worm
   cycle is charged to one class, through a record on the input VC that
   is touched only when its class changes or the worm moves.  On the
-  clogged 8x8 full system it costs ~17-20% host time over telemetry off
-  (``fullsys8`` 4.15 vs ``fullsys8_tel`` 3.56 kcyc/s; DESIGN.md §8).
+  clogged 8x8 full system it costs ~20% host time over telemetry off
+  (``fullsys8`` 4.95 vs ``fullsys8_tel`` 4.12 kcyc/s; DESIGN.md §8).
 
 On a full system it is also Fig. 2's locality oracle, every GPU core's
 ``miss_observer``.  Everything the collector reads is state the

@@ -121,14 +121,12 @@ def assert_fabric_invariants(fabric) -> None:
             continue
         at = ("asleep", nic.node_id)
         assert not isinstance(nic, MemoryNodeNic), at
-        for kind, row in nic._local.items():
-            router = row[0].router
-            vlo, vhi = router.net.vc_ranges[kind]
-            for ivc in row[vlo:vhi]:
+        for kind, (row, _router, _net, cap) in enumerate(nic.rows):
+            for ivc in row:
                 # an in-flight worm (an owned local VC) has no credit, and
                 # with a queue head waiting no VC of the range is startable
                 if ivc.owner is not None or nic.queues[kind]:
-                    assert ivc.occ >= router.vc_cap, at
+                    assert ivc.occ >= cap, at
     buffered = delivered = ejecting = 0
     for net in fabric._net_list:
         delivered += net.flits_delivered

@@ -37,6 +37,7 @@ VECTOR = "tests/test_vector_kernel.py"
 SLEEP = "tests/test_perf_equivalence.py"
 CORE = "tests/test_gpu_core.py"
 BLAME = "tests/test_stall_attribution.py"
+ROUTER = "tests/test_router_network.py"
 PINS = ("tests/test_pinned_results.py::"
         "test_results_match_the_pins_recorded_under_this_code_version")
 
@@ -166,6 +167,24 @@ MUTANTS = (
         item="1(a)",
     ),
     Mutant(
+        id="switch-pair-in-scan-order",
+        file="repro/noc/network.py",
+        line="                        cands, keys = [ivc, first], [key, first_key]",
+        replacement="                        cands, keys = [first, ivc], [first_key, key]",
+        tests=(f"{ROUTER}::TestSwitchAllocation::"
+               "test_key_order_grants_what_a_stable_sort_grants[False]",),
+        item="1(a)",
+    ),
+    Mutant(
+        id="switch-ties-not-stable",
+        file="repro/noc/network.py",
+        line="                    while i and keys[i - 1] > key:",
+        replacement="                    while i and keys[i - 1] >= key:",
+        tests=(f"{ROUTER}::TestSwitchAllocation::"
+               "test_key_order_grants_what_a_stable_sort_grants[False]",),
+        item="1(a)",
+    ),
+    Mutant(
         id="no-nic-drain-wake",
         file="repro/noc/network.py",
         line="                active_nics.add(router.rid)",
@@ -210,6 +229,14 @@ MUTANTS = (
             "test_stalled_warp_that_would_no_longer_fail_ends_the_sleep",
             f"{SLEEP}::test_sleeping_cores_bit_identical",
         ),
+        item="12",
+    ),
+    Mutant(
+        id="core-sleep-ignores-full-nic",
+        file="repro/gpu/core.py",
+        line="            nic_full = not self.nic.can_enqueue(REQUEST_NET)",
+        replacement="            nic_full = False",
+        tests=(f"{CORE}::TestSleepAndSettle::test_full_nic_queue_is_slept_on_until_its_pop",),
         item="12",
     ),
     Mutant(
@@ -271,7 +298,7 @@ MUTANTS = (
     Mutant(
         id="nic-no-object-pop-wake",
         file="repro/noc/nic.py",
-        line="            if self.sleeper is not None and net is NetKind.REQUEST:",
+        line="            if self.sleeper is not None and net is REQUEST_NET:",
         replacement="            if False:",
         tests=(f"{SLEEP}::test_cores_refused_by_the_nic_sleep[object]",),
         item="12",

@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 
 from repro.core.realistic_probing import ProbeEngine
-from repro.gpu.core import _WRITE_CAP, GpuCore
+from repro.gpu.core import _NEVER, _WRITE_CAP, GpuCore
 from repro.gpu.shared_l1 import PrivateL1, SharedL1Cluster, SharedL1Port
 from repro.mem.address import AddressMap
 from repro.noc import MeshTopology, MessageType, NocFabric, Packet, TrafficClass
@@ -409,16 +409,33 @@ class TestSleepAndSettle:
         assert ref.stats.issue_stalls == 6
         assert core_state(opt, START + 12) == core_state(ref, START + 12)
 
-    def test_nic_refusal_is_not_slept_on(self):
-        """A full NIC queue drains without telling the core: a warp
-        stalled on it is retried every cycle."""
+    def test_full_nic_queue_is_slept_on_until_its_pop(self):
+        """Once every warp has failed and a full NIC request queue is the
+        only reason (DESIGN.md §6.3), the core sleeps as the NIC's
+        ``sleeper`` with no timed wake, and the queue's next pop wakes
+        it."""
         cfg = small_config()
         cfg.noc.node_injection_queue_packets = 1
         h = Harness(cfg)
-        for cycle in range(40):  # fabric never stepped: the queue stays full
-            h.core.step(cycle)
-        assert h.core.nic.queued(NetKind.REQUEST) == 1
-        assert h.core.steps == 40 and h.core.wake_at == 0
+        core, nic = h.core, h.core.nic
+        cycle = 0
+        while core.wake_at <= cycle:  # fabric never stepped: the queue stays full
+            core.step(cycle)
+            cycle += 1
+            assert cycle < 1000, "the core never fell asleep"
+        assert nic.queued(NetKind.REQUEST) == 1
+        assert len(core._stalled) == core.n_warps - 1  # one read is queued
+        assert not core.mshrs.full and core.outstanding_writes < _WRITE_CAP
+        assert nic.sleeper is core and core.wake_at == _NEVER
+        steps = core.steps
+        for skipped in range(cycle, cycle + 20):
+            core.step(skipped)
+        assert core.steps == steps
+        h.fabric.step(cycle + 20)  # injection pops the request queue
+        assert nic.queued(NetKind.REQUEST) == 0
+        assert nic.sleeper is None and core.wake_at == 0
+        core.step(cycle + 21)
+        assert core.steps == steps + 1
 
     def test_shared_l1_and_probing_cores_never_sleep(self):
         h = Harness(probing=True)

@@ -54,7 +54,7 @@ class TestMemoryNodeBuffer:
         c = reply(5, 1, TrafficClass.CPU)
         nic.try_send(g, 0)
         nic.try_send(c, 0)
-        head = nic._select_head(NetKind.REPLY)
+        head = nic.queues[NetKind.REPLY][0]
         assert head is c
 
     def test_request_queue_uses_packet_count(self):
@@ -146,7 +146,7 @@ def test_reply_queue_head_is_always_the_schedulers_pick(backend, case):
             want = pick()
             assert queue.popleft() is want
             shadow.remove(want)
-        assert nic._select_head(NetKind.REPLY) is (pick() if shadow else None)
+        assert (queue[0] if queue else None) is (pick() if shadow else None)
     while shadow:
         want = pick()
         assert queue.popleft() is want
@@ -199,7 +199,7 @@ class TestDelegationTrigger:
         # cycle where a 1-flit request injects fine while the reply router
         # refuses every flit is still a blocked reply path (Figure 4).
         fab, nic = self._delegating_nic(buffer_flits=36)
-        router = fab.router_for(5, NetKind.REPLY)
+        router = fab.nic(5).rows[NetKind.REPLY].router
         for vc in range(router.vcs):  # reply router full: no reply can inject
             router.inputs[0][vc].occ = router.vc_cap
         nic.try_send(reply(5, 0, delegate_to=9), 0)

@@ -181,7 +181,7 @@ def _drain(fabric: NocFabric, start_cycle: int, limit: int = 6000) -> int:
         if fabric.in_flight_flits() == 0 and all(
             not nic.queues[NetKind.REQUEST]
             and not nic.queues[NetKind.REPLY]
-            and all(ivc.owner is None for row in nic._local.values() for ivc in row)
+            and all(ivc.owner is None for vcs in nic.rows for ivc in vcs.row)
             for nic in fabric.nics
         ):
             return cycle

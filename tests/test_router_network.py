@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config.system import NocConfig, RoutingPolicy
+from repro.config.system import NocConfig, RoutingPolicy, TelemetryConfig
 from repro.faults.plan import FaultPlan, LinkDown
 from repro.noc import (
     MeshTopology,
@@ -11,7 +11,9 @@ from repro.noc import (
     Packet,
     TrafficClass,
 )
+from repro.noc.router import SWITCH
 from repro.sim.simulator import build_system
+from repro.telemetry import TelemetryCollector
 
 from conftest import assert_fabric_invariants, small_dr_config
 
@@ -184,8 +186,11 @@ class TestVirtualNetworks:
         assert fab.request_net is fab.reply_net
         req = Packet(0, 5, MessageType.READ_REQ, TrafficClass.GPU, 1)
         rep = Packet(0, 5, MessageType.READ_REPLY, TrafficClass.GPU, 9)
-        assert fab.vc_range_for(req) == (0, 1)
-        assert fab.vc_range_for(rep) == (1, 4)
+        # each NIC feeds its kind's slice of the shared local-port VCs
+        rows = fab.nic(0).rows
+        assert [ivc.vc for ivc in rows[req.net].row] == [0]
+        assert [ivc.vc for ivc in rows[rep.net].row] == [1, 2, 3]
+        assert rows[req.net].router is rows[rep.net].router
 
     def test_shared_network_delivers_both_classes(self):
         cfg = NocConfig(separate_physical_networks=False,
@@ -332,3 +337,71 @@ class TestSwitchAllocation:
         net.commit([ivc_x], ready)
         # next pass: Y's input port is free again and Y wins output 4
         assert self._decide(net, 4, ready + 1) == [ivc_y]
+
+    @staticmethod
+    def _stable_sort_grants(cands):
+        """The reference switch rule: a stable sort of ``(key, ivc)`` on
+        the key, walked with one bitmask of claimed outputs and one of
+        moved inputs."""
+        grants = []
+        outs = ins = 0
+        for _key, ivc in sorted(((ivc.q[0][3], ivc) for ivc in cands),
+                                key=lambda cand: cand[0]):
+            if outs & (1 << ivc.route_out):
+                continue
+            outs |= 1 << ivc.route_out
+            if ins & (1 << ivc.port):
+                continue
+            ins |= 1 << ivc.port
+            grants.append(ivc)
+        return grants
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_key_order_grants_what_a_stable_sort_grants(self, telemetry):
+        # router 4 of a 3x3 mesh, five candidates arriving out of key
+        # order: GPU worms Z (youngest) then Y (oldest) both for output
+        # 7, packet D in two VCs (one key) for output 1, then the CPU
+        # worm X, which shares Y's input port.  X moves; Y loses its
+        # input port but still claims output 7, so Z waits; of D's two
+        # VCs the one that joined ``active`` first moves
+        fab, _ = make_fabric(3, 3, mem_nodes=())
+        collector = None
+        if telemetry:
+            collector = TelemetryCollector(
+                TelemetryConfig(enabled=True, mode="full"), fab)
+            fab.attach_telemetry(collector)
+        net = fab.reply_net
+        router = net.routers[4]
+        port_of = net.topology.port_of[4]
+        y = Packet(3, 7, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        d = Packet(5, 1, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        z = Packet(1, 7, MessageType.READ_REPLY, TrafficClass.GPU, 1)
+        x = Packet(3, 5, MessageType.READ_REPLY, TrafficClass.CPU, 1)
+        arrivals = [
+            (port_of[1], 0, z, port_of[7]),
+            (port_of[3], 1, y, port_of[7]),
+            (port_of[7], 0, d, port_of[1]),
+            (port_of[5], 0, d, port_of[1]),
+            (port_of[3], 0, x, port_of[5]),
+        ]
+        ivc_z, ivc_y, ivc_d7, ivc_d5, ivc_x = ivcs = [
+            self._arrive(router, *arrival) for arrival in arrivals]
+        assert list(router.active) == ivcs
+        want = self._stable_sort_grants(ivcs)
+        assert want == [ivc_x, ivc_d7]
+        ready = ivc_x.q[0][2]
+        moves = self._decide(net, 4, ready)
+        assert moves == want
+        if not telemetry:
+            return
+        losers = [ivc for ivc in ivcs if ivc not in want]
+        assert losers == [ivc_z, ivc_y, ivc_d5]
+        assert [ivc.stall == SWITCH for ivc in ivcs] == [
+            ivc in losers for ivc in ivcs]
+        # one cycle of SWITCH per loser, on its (port, class) row
+        net.commit(moves, ready)
+        collector.stalls.flush(ready + 1)
+        charged = {(port, cls): row[SWITCH]
+                   for (name, rid, port, cls), row in collector.stalls.counts.items()
+                   if name == net.name and rid == 4 and row[SWITCH]}
+        assert charged == {(ivc.port, int(ivc.q[0][0].cls)): 1 for ivc in losers}

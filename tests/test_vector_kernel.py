@@ -239,7 +239,7 @@ def test_randomized_configs_bit_identical():
 def _local_occupancy(fabric, node, kind=NetKind.REQUEST):
     """Flits buffered per VC of ``node``'s local input port on ``kind``."""
     if isinstance(fabric, NocFabric):
-        return [v.occ for v in fabric.router_for(node, kind).inputs[LOCAL_PORT]]
+        return [v.occ for v in fabric.nic(node).rows[kind].router.inputs[LOCAL_PORT]]
     K = fabric.kernel
     row = (int(kind) if K.separate else 0) * K.n + node
     return K.occ.reshape(K.R, K.P, K.V)[row, LOCAL_PORT].tolist()
